@@ -21,7 +21,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scenario::{Command, DownPolicy, Scenario, ScenarioRuntime};
-use sched::{Packet, ReconfigureError, Scheduler, Sdp};
+use sched::{Packet, ReconfigureError, Scheduler, SchedulerVisitor, Sdp};
 use simcore::{Context, Dur, Model, Simulation, Time};
 use telemetry::{PacketId, Probe};
 use traffic::IatDist;
@@ -30,7 +30,7 @@ use crate::config::CrossModel;
 use crate::link::LinkSpec;
 
 /// How a flow emits packets.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum FlowModel {
     /// `count` packets spaced `gap_ticks` apart (a Study-B user flow).
     Periodic {
@@ -77,6 +77,9 @@ pub struct MeshConfig {
     pub seed: u64,
 }
 
+/// The engines' events and probe ids carry link ids as `u16`.
+const MAX_LINKS: usize = u16::MAX as usize + 1;
+
 impl MeshConfig {
     /// A validating builder: add links and flows, then
     /// [`build`](MeshConfigBuilder::build) returns `Err` for rejected
@@ -97,6 +100,12 @@ impl MeshConfig {
         if self.links.is_empty() {
             return Err("mesh needs at least one link".into());
         }
+        if self.links.len() > MAX_LINKS {
+            return Err(format!(
+                "mesh has {} links; link ids are 16-bit, so at most {MAX_LINKS} are supported",
+                self.links.len()
+            ));
+        }
         for (l, spec) in self.links.iter().enumerate() {
             spec.validate(self.sdp.num_classes())
                 .map_err(|e| format!("link {l}: {e}"))?;
@@ -108,6 +117,9 @@ impl MeshConfig {
             }
         }
         let positive = |x: f64| x.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater);
+        // `seen[l] == i + 1` marks link l as visited by flow i: one buffer
+        // for the whole pass, never reset.
+        let mut seen = vec![0usize; self.links.len()];
         for (i, f) in self.flows.iter().enumerate() {
             if f.route.is_empty() {
                 return Err(format!("flow {i} has an empty route"));
@@ -118,12 +130,11 @@ impl MeshConfig {
             // A route that revisits a link would let a packet race itself
             // through the same queue; the engine's per-packet hop counter
             // assumes loop-free routes.
-            let mut seen = vec![false; self.links.len()];
             for &l in &f.route {
-                if seen[l] {
+                if seen[l] == i + 1 {
                     return Err(format!("flow {i} visits link {l} twice"));
                 }
-                seen[l] = true;
+                seen[l] = i + 1;
             }
             if f.class as usize >= self.sdp.num_classes() {
                 return Err(format!("flow {i} uses class {} without an SDP", f.class));
@@ -257,24 +268,45 @@ enum Ev {
     Emit { flow: u32, idx: u32 },
     /// Link finished its in-flight packet.
     TxDone { link: u16 },
-    /// Packet `tag` finished propagating and arrives at its next hop.
-    /// Only scheduled for links with a nonzero propagation delay — with
-    /// zero propagation the engine hands the packet to the next hop
+    /// The packet in `slot` finished propagating and arrives at its next
+    /// hop. Only scheduled for links with a nonzero propagation delay —
+    /// with zero propagation the engine hands the packet to the next hop
     /// synchronously, so existing zero-propagation results are unchanged.
-    Arrive { tag: u64 },
+    Arrive { slot: u32 },
     /// The next scenario event is due.
     ScenarioTick,
 }
 
-struct PacketMeta {
-    flow: u32,
-    hop: u16,
-    acc_wait: u64,
+/// A [`MeshFlow`] lowered for the event loop: no allocation of its own.
+#[derive(Clone, Copy)]
+struct HotFlow {
+    /// What each of the flow's packets starts out as.
+    first: PacketMeta,
+    model: FlowModel,
+    /// A Pareto flow's index into `Mesh::pareto`.
+    sampler: u32,
 }
 
-struct LinkState {
-    scheduler: Box<dyn Scheduler>,
+/// A packet in flight. Its slot index, reused after delivery or drop, is
+/// `Packet::tag`.
+#[derive(Clone, Copy)]
+struct PacketMeta {
+    /// Monotone packet id (emission order): `Packet::seq`, the probe span.
+    id: u64,
+    acc_wait: u64,
+    flow: u32,
+    class: u8,
+    bytes: u32,
+    /// Index into `Mesh::routes` of the link being queued at or crossed.
+    at: u32,
+    /// One past the route's last index.
+    end: u32,
+}
+
+struct LinkState<S> {
+    scheduler: S,
     rate: f64,
+    propagation: u64,
     in_flight: Option<Packet>,
     /// Start of the in-flight transmission (valid while `in_flight` is
     /// `Some`).
@@ -282,24 +314,29 @@ struct LinkState {
     departures: u64,
 }
 
-struct Mesh<'p, P: Probe> {
-    cfg: MeshConfig,
-    links: Vec<LinkState>,
+struct Mesh<'p, S: Scheduler, P: Probe> {
+    flows: Vec<HotFlow>,
+    /// Every flow's route, back to back (`validate` bounds link ids to `u16`).
+    routes: Vec<u16>,
+    links: Vec<LinkState<S>>,
+    /// One record per packet in flight; `free`: delivered or dropped slots.
     metas: Vec<PacketMeta>,
+    free: Vec<u32>,
+    emitted: u64,
     waits: Vec<Vec<u64>>,
-    /// Per-Pareto-flow (rng, cumulative clock).
-    pareto: Vec<Option<(StdRng, f64, IatDist)>>,
+    /// Per-Pareto-flow (rng, cumulative clock, gap distribution).
+    pareto: Vec<(StdRng, f64, IatDist)>,
     probe: &'p mut P,
     rt: ScenarioRuntime,
     cmd_buf: Vec<Command>,
     audit_buf: Vec<(usize, f64)>,
 }
 
-/// Probe identity of mesh packet `pkt` at hop `link`: the per-packet tag
-/// is the end-to-end span (one journey = one trace track).
+/// Probe identity of mesh packet `pkt` at hop `link`: the packet id is
+/// the end-to-end span (one journey = one trace track).
 fn packet_id(pkt: &Packet, link: usize) -> PacketId {
     PacketId {
-        span: pkt.tag,
+        span: pkt.seq,
         seq: pkt.seq,
         class: pkt.class,
         size: pkt.size,
@@ -307,14 +344,17 @@ fn packet_id(pkt: &Packet, link: usize) -> PacketId {
     }
 }
 
-impl<P: Probe> Mesh<'_, P> {
-    fn arrive(&mut self, link: usize, class: u8, size: u32, tag: u64, ctx: &mut Context<Ev>) {
+impl<S: Scheduler, P: Probe> Mesh<'_, S, P> {
+    /// The packet in `slot` reaches the link its route cursor is at.
+    fn arrive(&mut self, slot: u32, ctx: &mut Context<Ev>) {
+        let meta = &self.metas[slot as usize];
+        let link = self.routes[meta.at as usize] as usize;
         let pkt = Packet {
-            seq: tag,
-            class,
-            size,
+            seq: meta.id,
+            class: meta.class,
+            size: meta.bytes,
             arrival: ctx.now(),
-            tag,
+            tag: slot as u64,
         };
         if P::ENABLED {
             self.probe.on_arrival(pkt.arrival, packet_id(&pkt, link));
@@ -328,6 +368,7 @@ impl<P: Probe> Mesh<'_, P> {
                     0,
                 );
             }
+            self.free.push(slot);
             return;
         }
         if P::ENABLED {
@@ -344,28 +385,27 @@ impl<P: Probe> Mesh<'_, P> {
             return;
         }
         let now = ctx.now();
+        let l = &mut self.links[link];
         if P::ENABLED && P::WANTS_DECISION_VALUES {
             self.audit_buf.clear();
-            self.links[link]
-                .scheduler
-                .decision_values(now, &mut self.audit_buf);
+            l.scheduler.decision_values(now, &mut self.audit_buf);
         }
-        let Some(pkt) = self.links[link].scheduler.dequeue(now) else {
+        let Some(pkt) = l.scheduler.dequeue(now) else {
             return;
         };
         if P::ENABLED {
             self.probe.on_decision(
                 now,
-                self.links[link].scheduler.name(),
+                l.scheduler.name(),
                 packet_id(&pkt, link),
                 &self.audit_buf,
             );
         }
         let wait = now.since(pkt.arrival).ticks();
         self.metas[pkt.tag as usize].acc_wait += wait;
-        let tx = ((pkt.size as f64 / self.links[link].rate).round() as u64).max(1);
-        self.links[link].in_flight = Some(pkt);
-        self.links[link].tx_start = now;
+        let tx = ((pkt.size as f64 / l.rate).round() as u64).max(1);
+        l.in_flight = Some(pkt);
+        l.tx_start = now;
         ctx.schedule_in(Dur::from_ticks(tx), Ev::TxDone { link: link as u16 });
     }
 
@@ -402,21 +442,25 @@ impl<P: Probe> Mesh<'_, P> {
     }
 }
 
-impl<P: Probe> Model for Mesh<'_, P> {
+impl<S: Scheduler, P: Probe> Model for Mesh<'_, S, P> {
     type Event = Ev;
 
     fn handle(&mut self, ev: Ev, ctx: &mut Context<Ev>) {
         match ev {
             Ev::Emit { flow, idx } => {
-                let f = self.cfg.flows[flow as usize].clone();
-                if self.rt.admits(f.class) {
-                    let tag = self.metas.len() as u64;
-                    self.metas.push(PacketMeta {
-                        flow,
-                        hop: 0,
-                        acc_wait: 0,
+                let f = self.flows[flow as usize];
+                if self.rt.admits(f.first.class) {
+                    let meta = PacketMeta {
+                        id: self.emitted,
+                        ..f.first
+                    };
+                    self.emitted += 1;
+                    let slot = self.free.pop().unwrap_or_else(|| {
+                        self.metas.push(meta);
+                        self.metas.len() as u32 - 1
                     });
-                    self.arrive(f.route[0], f.class, f.packet_bytes, tag, ctx);
+                    self.metas[slot as usize] = meta;
+                    self.arrive(slot, ctx);
                 }
                 // Schedule the next emission.
                 match f.model {
@@ -429,11 +473,9 @@ impl<P: Probe> Model for Mesh<'_, P> {
                         }
                     }
                     FlowModel::Pareto { until_ticks, .. } => {
-                        let slot = self.pareto[flow as usize]
-                            .as_mut()
-                            .expect("pareto state for pareto flow");
-                        slot.1 += slot.2.sample(&mut slot.0);
-                        let next = slot.1.round().max(ctx.now().ticks() as f64 + 1.0);
+                        let (rng, clock, gaps) = &mut self.pareto[f.sampler as usize];
+                        *clock += gaps.sample(rng);
+                        let next = clock.round().max(ctx.now().ticks() as f64 + 1.0);
                         if next as u64 <= until_ticks {
                             ctx.schedule(
                                 Time::from_ticks(next as u64),
@@ -445,46 +487,33 @@ impl<P: Probe> Model for Mesh<'_, P> {
             }
             Ev::TxDone { link } => {
                 let link = link as usize;
-                let pkt = self.links[link]
-                    .in_flight
-                    .take()
-                    .expect("TxDone without in-flight packet");
-                self.links[link].departures += 1;
+                let l = &mut self.links[link];
+                let pkt = l.in_flight.take().expect("TxDone without in-flight packet");
+                l.departures += 1;
                 let meta = &mut self.metas[pkt.tag as usize];
-                meta.hop += 1;
-                let route = &self.cfg.flows[meta.flow as usize].route;
-                let delivered = meta.hop as usize >= route.len();
+                meta.at += 1;
+                let delivered = meta.at == meta.end;
                 if P::ENABLED {
-                    let start = self.links[link].tx_start;
                     self.probe.on_depart(
                         packet_id(&pkt, link),
                         pkt.arrival,
-                        start,
+                        l.tx_start,
                         ctx.now(),
                         delivered,
                     );
                 }
-                if !delivered {
-                    let prop = self.cfg.links[link].propagation_ns;
-                    if prop > 0 {
-                        ctx.schedule_in(Dur::from_ticks(prop), Ev::Arrive { tag: pkt.tag });
-                    } else {
-                        let next_link = route[meta.hop as usize];
-                        let (class, size, tag) = (pkt.class, pkt.size, pkt.tag);
-                        self.arrive(next_link, class, size, tag, ctx);
-                    }
+                if delivered {
+                    self.waits[meta.flow as usize].push(meta.acc_wait);
+                    self.free.push(pkt.tag as u32);
+                } else if l.propagation > 0 {
+                    let slot = pkt.tag as u32;
+                    ctx.schedule_in(Dur::from_ticks(l.propagation), Ev::Arrive { slot });
                 } else {
-                    let (flow, acc) = (meta.flow, meta.acc_wait);
-                    self.waits[flow as usize].push(acc);
+                    self.arrive(pkt.tag as u32, ctx);
                 }
                 self.start_tx(link, ctx);
             }
-            Ev::Arrive { tag } => {
-                let meta = &self.metas[tag as usize];
-                let f = &self.cfg.flows[meta.flow as usize];
-                let (link, class, size) = (f.route[meta.hop as usize], f.class, f.packet_bytes);
-                self.arrive(link, class, size, tag, ctx);
-            }
+            Ev::Arrive { slot } => self.arrive(slot, ctx),
             Ev::ScenarioTick => {
                 self.apply_scenario(ctx);
                 if let Some(at) = self.rt.next_at() {
@@ -501,6 +530,9 @@ impl<P: Probe> Model for Mesh<'_, P> {
 /// mesh at their timestamps. With a non-empty scenario, flows may
 /// legitimately deliver fewer packets than they emitted.
 ///
+/// The engine is generic over the scheduler like the `qsim` loop: links of
+/// one kind run on the concrete type, a mixed mesh on `Box<dyn Scheduler>`.
+///
 /// # Panics
 /// Panics if the configuration fails [`MeshConfig::validate`], if the
 /// scenario references a link or class the mesh does not define, or if it
@@ -515,40 +547,98 @@ pub fn run_mesh_scenario_probed<P: Probe>(
         !scenario.has_load_surge(),
         "load_surge is not supported by the mesh engine"
     );
-    let links: Vec<LinkState> = cfg
-        .links
-        .iter()
-        .map(|l| LinkState {
-            scheduler: l.scheduler.build(&cfg.sdp, l.bytes_per_tick()),
+    let kind = cfg.links[0].scheduler;
+    if cfg.links.iter().all(|l| l.scheduler == kind) {
+        let rate = cfg.links[0].bytes_per_tick();
+        kind.build_and_visit(&cfg.sdp, rate, UniformMesh(cfg, scenario, probe))
+    } else {
+        let schedulers = (cfg.links.iter())
+            .map(|l| l.scheduler.build(&cfg.sdp, l.bytes_per_tick()))
+            .collect();
+        run_engine(cfg, scenario, probe, schedulers).0
+    }
+}
+
+/// The all-links-one-kind instantiation: one scheduler per link, cloned
+/// from the pristine prototype and told its own link's rate.
+struct UniformMesh<'a, P: Probe>(&'a MeshConfig, &'a Scenario, &'a mut P);
+
+impl<P: Probe> SchedulerVisitor for UniformMesh<'_, P> {
+    type Out = MeshOutcome;
+
+    fn visit<S: Scheduler + Clone>(self, prototype: S) -> MeshOutcome {
+        let schedulers = (self.0.links.iter())
+            .map(|l| {
+                let mut s = prototype.clone();
+                s.set_link_rate(l.bytes_per_tick());
+                s
+            })
+            .collect();
+        run_engine(self.0, self.1, self.2, schedulers).0
+    }
+}
+
+/// Runs the validated `cfg` with `schedulers[l]` serving link `l`. Also
+/// returns the packet slots it allocated: the peak of packets in flight.
+fn run_engine<S: Scheduler, P: Probe>(
+    cfg: &MeshConfig,
+    scenario: &Scenario,
+    probe: &mut P,
+    schedulers: Vec<S>,
+) -> (MeshOutcome, usize) {
+    let links = (cfg.links.iter().zip(schedulers))
+        .map(|(l, scheduler)| LinkState {
+            scheduler,
             rate: l.bytes_per_tick(),
+            propagation: l.propagation_ns,
             in_flight: None,
             tx_start: Time::ZERO,
             departures: 0,
         })
         .collect();
-    let pareto: Vec<Option<(StdRng, f64, IatDist)>> = cfg
-        .flows
-        .iter()
-        .enumerate()
-        .map(|(i, f)| match f.model {
-            FlowModel::Pareto { mean_gap_ticks, .. } => Some((
+    let hops: usize = cfg.flows.iter().map(|f| f.route.len()).sum();
+    assert!(u32::try_from(hops).is_ok(), "route table exceeds u32");
+    let mut routes = Vec::with_capacity(hops);
+    let mut pareto = Vec::new();
+    let mut flows = Vec::with_capacity(cfg.flows.len());
+    for (i, f) in cfg.flows.iter().enumerate() {
+        let at = routes.len() as u32;
+        routes.extend(f.route.iter().map(|&l| l as u16));
+        let first = PacketMeta {
+            id: 0,
+            acc_wait: 0,
+            flow: i as u32,
+            class: f.class,
+            bytes: f.packet_bytes,
+            at,
+            end: routes.len() as u32,
+        };
+        flows.push(HotFlow {
+            first,
+            model: f.model,
+            sampler: pareto.len() as u32,
+        });
+        if let FlowModel::Pareto { mean_gap_ticks, .. } = f.model {
+            pareto.push((
                 StdRng::seed_from_u64(cfg.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
                 f.start_ticks as f64,
                 IatDist::paper_pareto(mean_gap_ticks).expect("validated gap"),
-            )),
-            FlowModel::Periodic { .. } => None,
-        })
-        .collect();
+            ));
+        }
+    }
     let mesh = Mesh {
+        flows,
+        routes,
         links,
         metas: Vec::new(),
+        free: Vec::new(),
+        emitted: 0,
         waits: vec![Vec::new(); cfg.flows.len()],
         pareto,
         probe,
         rt: ScenarioRuntime::new(scenario, cfg.links.len(), cfg.sdp.num_classes()),
         cmd_buf: Vec::new(),
         audit_buf: Vec::new(),
-        cfg: cfg.clone(),
     };
     let mut sim = Simulation::new(mesh);
     for (i, f) in cfg.flows.iter().enumerate() {
@@ -566,10 +656,11 @@ pub fn run_mesh_scenario_probed<P: Probe>(
     }
     sim.run();
     let mesh = sim.into_model();
-    MeshOutcome {
+    let outcome = MeshOutcome {
         per_flow_waits: mesh.waits,
         link_departures: mesh.links.iter().map(|l| l.departures).collect(),
-    }
+    };
+    (outcome, mesh.metas.len())
 }
 
 #[cfg(test)]
@@ -779,7 +870,9 @@ mod tests {
             .build()
             .unwrap();
         let mut counter = telemetry::CountingProbe::new(4);
-        let out = run_mesh_scenario_probed(&cfg, &sc, &mut counter);
+        let wtp = vec![sched::Wtp::new(cfg.sdp.clone())];
+        let (out, slots) = run_engine(&cfg, &sc, &mut counter, wtp);
+        assert_eq!(slots, 1, "a dropped packet's slot must be recycled");
         assert!(
             out.per_flow_waits[0].len() < 50,
             "Drop outage delivered all {} packets",
@@ -793,6 +886,174 @@ mod tests {
             "dropped + delivered must cover the flow"
         );
         assert_eq!(report.scenario_events, 2);
+    }
+
+    /// Arrival and departure log: `(tick, span, link)` / `(span, link, eol)`.
+    #[derive(Default)]
+    struct Recorder {
+        arrivals: Vec<(u64, u64, u16)>,
+        departs: Vec<(u64, u16, bool)>,
+    }
+
+    impl Probe for Recorder {
+        const WANTS_DECISION_VALUES: bool = false;
+        fn on_arrival(&mut self, at: Time, id: PacketId) {
+            assert_eq!(id.span, id.seq);
+            self.arrivals.push((at.ticks(), id.span, id.hop));
+        }
+        fn on_depart(&mut self, id: PacketId, _arrival: Time, _start: Time, _end: Time, eol: bool) {
+            self.departs.push((id.span, id.hop, eol));
+        }
+    }
+
+    #[test]
+    fn same_tick_start_txdone_and_pareto_emit_resolve_starts_first() {
+        // 500 B at 25 Mb/s.
+        const TX: u64 = 160_000;
+        let pareto = |until_ticks| MeshFlow {
+            route: vec![0],
+            class: 0,
+            packet_bytes: 500,
+            model: FlowModel::Pareto {
+                mean_gap_ticks: 2_000_000.0,
+                until_ticks,
+            },
+            start_ticks: 1,
+        };
+        let once = |class, start_ticks| MeshFlow {
+            route: vec![0],
+            class,
+            packet_bytes: 500,
+            model: FlowModel::Periodic {
+                gap_ticks: 1,
+                count: 1,
+            },
+            start_ticks,
+        };
+        let mk = |flows| MeshConfig {
+            sdp: Sdp::paper_default(),
+            links: vec![wtp_link()],
+            flows,
+            seed: 21,
+        };
+        // Find the tick of the Pareto flow's third emission (alone on the
+        // link, each packet arrives when it is emitted). Its gaps are at
+        // least 0.47 of the mean, so the `Emit` landing there was
+        // scheduled long before the transmission that ends there began.
+        let mut log = Recorder::default();
+        crate::Session::mesh(&mk(vec![pareto(10_000_000)]))
+            .probe(&mut log)
+            .run();
+        let t = log.arrivals[2].0;
+        assert!(t - log.arrivals[1].0 > 2 * TX);
+
+        // On tick t: two flow starts (flows 1 and 2, one class), the
+        // Pareto flow's last `Emit`, and the `TxDone` of flow 3's packet.
+        // The starts were scheduled before the run, so they are handled
+        // first, in flow order; then the `Emit`; then the `TxDone` decides
+        // between three packets that have all waited 0 and takes the
+        // higher class, first come first served: flow 1, flow 2 one
+        // transmission later, the Pareto packet after both. Were the
+        // starts to lose the tie, the Pareto packet would be alone in the
+        // queue at the decision and go first.
+        let flows = vec![pareto(t), once(2, t), once(2, t), once(3, t - TX)];
+        let out = crate::Session::mesh(&mk(flows)).run();
+        assert_eq!(out.per_flow_waits[0], vec![0, 0, 2 * TX]);
+        assert_eq!(out.per_flow_waits[1], vec![0]);
+        assert_eq!(out.per_flow_waits[2], vec![TX]);
+        assert_eq!(out.per_flow_waits[3], vec![0]);
+    }
+
+    /// A two-link mesh of `kind_a`/`kind_b` links of unequal rates: probes
+    /// across both, Pareto background on each.
+    fn two_link_mesh(kind_a: SchedulerKind, kind_b: SchedulerKind) -> MeshConfig {
+        let horizon = crate::TICKS_PER_SEC;
+        let mut flows = vec![probe(vec![0, 1], 0, 0), probe(vec![0, 1], 3, 0)];
+        flows.extend(background_mix(0, horizon));
+        flows.extend(background_mix(1, horizon));
+        MeshConfig {
+            sdp: Sdp::paper_default(),
+            links: vec![
+                LinkSpec::new(MBPS25, kind_a),
+                LinkSpec::new(1.05 * MBPS25, kind_b),
+            ],
+            flows,
+            seed: 13,
+        }
+    }
+
+    #[test]
+    fn concrete_and_boxed_schedulers_give_the_same_outcome() {
+        // BPR holds its link's rate, so it also pins "clone the prototype,
+        // then set_link_rate" to "build at that rate".
+        for kind in [SchedulerKind::Wtp, SchedulerKind::Bpr] {
+            let cfg = two_link_mesh(kind, kind);
+            let concrete = crate::Session::mesh(&cfg).run();
+            let boxed: Vec<Box<dyn Scheduler>> = (cfg.links.iter())
+                .map(|l| l.scheduler.build(&cfg.sdp, l.bytes_per_tick()))
+                .collect();
+            let (boxed, _) = run_engine(&cfg, &Scenario::empty(), &mut telemetry::NoopProbe, boxed);
+            assert_eq!(concrete.per_flow_waits, boxed.per_flow_waits, "{kind}");
+            assert_eq!(concrete.link_departures, boxed.link_departures, "{kind}");
+            assert!(concrete.mean_wait(0) > 0.0, "{kind}: the mesh must queue");
+        }
+    }
+
+    #[test]
+    fn mixed_scheduler_mesh_still_runs() {
+        let out =
+            crate::Session::mesh(&two_link_mesh(SchedulerKind::Wtp, SchedulerKind::Bpr)).run();
+        for f in 0..2 {
+            assert_eq!(out.per_flow_waits[f].len(), 50, "flow {f} incomplete");
+        }
+        assert!(
+            out.mean_wait(0) > out.mean_wait(1),
+            "low class waits longer"
+        );
+    }
+
+    #[test]
+    fn spans_follow_emission_order_and_routes_while_slots_are_reused() {
+        let cfg = two_link_mesh(SchedulerKind::Wtp, SchedulerKind::Wtp);
+        let mut log = Recorder::default();
+        let wtp = vec![sched::Wtp::new(cfg.sdp.clone()); 2];
+        let (out, slots) = run_engine(&cfg, &Scenario::empty(), &mut log, wtp);
+        let packets: usize = out.per_flow_waits.iter().map(Vec::len).sum();
+        assert!(
+            packets > 10_000 && slots < 200,
+            "{packets} packets in {slots} slots"
+        );
+        // A span's first arrival is its emission: ids count up from 0.
+        let mut route_of: Vec<Vec<u16>> = Vec::new();
+        for &(_, span, link) in &log.arrivals {
+            if span as usize == route_of.len() {
+                route_of.push(Vec::new());
+            }
+            route_of[span as usize].push(link);
+        }
+        assert_eq!(route_of.len(), packets);
+        // Each span visits its flow's links in order and ends on the last.
+        assert!(route_of.iter().all(|r| matches!(r[..], [0] | [1] | [0, 1])));
+        let mut crossed = vec![Vec::new(); packets];
+        for &(span, link, eol) in &log.departs {
+            crossed[span as usize].push(link);
+            assert_eq!(eol, crossed[span as usize] == route_of[span as usize]);
+        }
+        assert_eq!(crossed, route_of);
+    }
+
+    #[test]
+    fn validation_rejects_more_links_than_link_ids() {
+        let mut cfg = MeshConfig {
+            sdp: Sdp::paper_default(),
+            links: vec![wtp_link(); MAX_LINKS],
+            flows: vec![probe(vec![0, MAX_LINKS - 1], 0, 0)],
+            seed: 0,
+        };
+        assert!(cfg.validate().is_ok());
+        cfg.links.push(wtp_link());
+        let err = cfg.validate().unwrap_err();
+        assert!(err.contains("at most 65536"), "{err}");
     }
 
     #[test]

@@ -374,7 +374,7 @@ impl TopologyConfig {
                 route,
                 class: f.class,
                 packet_bytes: f.packet_bytes,
-                model: f.model.clone(),
+                model: f.model,
                 start_ticks: f.start_ticks,
             });
         }

@@ -151,8 +151,11 @@ pub trait SchedulerVisitor {
     /// What the computation returns.
     type Out;
 
-    /// Runs the computation with a freshly built scheduler.
-    fn visit<S: Scheduler>(self, scheduler: S) -> Self::Out;
+    /// Runs the computation with a freshly built scheduler. Every
+    /// concrete scheduler is `Clone`, so a visitor serving several links
+    /// can clone the pristine one per link and
+    /// [`set_link_rate`](Scheduler::set_link_rate) each.
+    fn visit<S: Scheduler + Clone>(self, scheduler: S) -> Self::Out;
 }
 
 impl fmt::Display for SchedulerKind {

@@ -132,6 +132,50 @@ pub trait Scheduler {
     fn set_link_rate(&mut self, _rate: f64) {}
 }
 
+/// Forwarding impl, so code generic over `S: Scheduler` also runs on a
+/// runtime-chosen `Box<dyn Scheduler>` (one dynamic call per method).
+impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
+    fn num_classes(&self) -> usize {
+        (**self).num_classes()
+    }
+    fn enqueue(&mut self, pkt: Packet) {
+        (**self).enqueue(pkt)
+    }
+    fn dequeue(&mut self, now: Time) -> Option<Packet> {
+        (**self).dequeue(now)
+    }
+    fn backlog_packets(&self, class: usize) -> usize {
+        (**self).backlog_packets(class)
+    }
+    fn backlog_bytes(&self, class: usize) -> u64 {
+        (**self).backlog_bytes(class)
+    }
+    fn total_backlog_packets(&self) -> usize {
+        (**self).total_backlog_packets()
+    }
+    fn total_backlog_bytes(&self) -> u64 {
+        (**self).total_backlog_bytes()
+    }
+    fn is_empty(&self) -> bool {
+        (**self).is_empty()
+    }
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+    fn drop_newest(&mut self, class: usize) -> Option<Packet> {
+        (**self).drop_newest(class)
+    }
+    fn decision_values(&self, now: Time, out: &mut Vec<(usize, f64)>) {
+        (**self).decision_values(now, out)
+    }
+    fn reconfigure(&mut self, sdp: &Sdp) -> Result<(), ReconfigureError> {
+        (**self).reconfigure(sdp)
+    }
+    fn set_link_rate(&mut self, rate: f64) {
+        (**self).set_link_rate(rate)
+    }
+}
+
 /// Per-class FIFO queues with byte accounting — the storage shared by every
 /// scheduler implementation in this crate.
 #[derive(Debug, Clone)]

@@ -11,26 +11,39 @@ use crate::time::Time;
 /// events scheduled for the *same* tick come out in insertion order. The
 /// latter matters for reproducibility: a packet arrival and a transmission
 /// completion at the same tick must always resolve the same way.
+///
+/// Everything pushed before the first pop — a model's initial events,
+/// often the bulk of all it will ever hold — goes to a *start lane*: a
+/// `Vec` sorted once under the same `(time, seq)` order and consumed from
+/// its end. Later pushes go to a binary heap, and a pop takes the earlier
+/// of lane head and heap top, so the lane changes no tie; it only keeps
+/// static events out of the heap every in-run push and pop sifts through.
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// Pushes made before the first pop; once `started`, earliest last.
+    lane: Vec<Entry<E>>,
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
+    started: bool,
 }
 
 #[derive(Debug)]
 struct Entry<E> {
-    time: Time,
-    seq: u64,
+    /// `time << 64 | seq`: the whole order in one branch-free compare.
+    key: u128,
     event: E,
+}
+
+impl<E> Entry<E> {
+    fn time(&self) -> Time {
+        Time::from_ticks((self.key >> 64) as u64)
+    }
 }
 
 // Reverse ordering so the BinaryHeap (a max-heap) pops the earliest entry.
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -42,7 +55,7 @@ impl<E> PartialOrd for Entry<E> {
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 
@@ -51,68 +64,103 @@ impl<E> Eq for Entry<E> {}
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with room for `cap` events.
+    /// Creates an empty queue with room for `cap` events before the first pop.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
+            lane: Vec::with_capacity(cap),
+            heap: BinaryHeap::new(),
             seq: 0,
+            started: false,
         }
     }
 
     /// Schedules `event` at absolute time `at`.
     pub fn push(&mut self, at: Time, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Entry {
-            time: at,
-            seq,
+        let entry = Entry {
+            key: (at.ticks() as u128) << 64 | self.seq as u128,
             event,
-        });
+        };
+        self.seq += 1;
+        if self.started {
+            self.heap.push(entry);
+        } else {
+            self.lane.push(entry);
+        }
+    }
+
+    /// Closes the start lane at the first pop. `Entry`'s order is reversed
+    /// and total, so an unstable ascending sort leaves the earliest last.
+    fn start(&mut self) {
+        if !self.started {
+            self.started = true;
+            self.lane.sort_unstable();
+        }
+    }
+
+    /// The entry the next pop removes, and whether it heads the (sorted) lane.
+    fn next(&self) -> Option<(&Entry<E>, bool)> {
+        match (self.lane.last(), self.heap.peek()) {
+            (Some(l), Some(h)) if h > l => Some((h, false)),
+            (Some(l), _) => Some((l, true)),
+            (None, h) => h.map(|h| (h, false)),
+        }
     }
 
     /// Removes and returns the earliest event along with its timestamp.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+        self.pop_at_or_before(Time::MAX)
     }
 
     /// Removes and returns the earliest event if it is due at or before
     /// `horizon`; leaves the queue untouched otherwise.
     ///
     /// This is the single-call replacement for a `peek_time` + `pop` pair:
-    /// the run loop's bounds test and removal share one heap access, and
+    /// the run loop's bounds test and removal share one queue access, and
     /// `None` means either "empty" or "next event is past the horizon"
     /// (disambiguate with [`EventQueue::is_empty`]).
     pub fn pop_at_or_before(&mut self, horizon: Time) -> Option<(Time, E)> {
-        match self.heap.peek() {
-            Some(e) if e.time <= horizon => self.heap.pop().map(|e| (e.time, e.event)),
-            _ => None,
+        self.start();
+        let (next, from_lane) = self.next()?;
+        if next.time() > horizon {
+            return None;
         }
+        let e = if from_lane {
+            self.lane.pop()
+        } else {
+            self.heap.pop()
+        }?;
+        Some((e.time(), e.event))
     }
 
-    /// Timestamp of the earliest pending event, if any.
+    /// Timestamp of the earliest pending event, if any. Before the first
+    /// pop this scans the start lane, which is not sorted yet.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.time)
+        if self.started {
+            self.next().map(|(e, _)| e.time())
+        } else {
+            self.lane.iter().map(|e| e.time()).min()
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.lane.len() + self.heap.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.lane.is_empty() && self.heap.is_empty()
     }
 
-    /// Discards all pending events (the FIFO sequence counter keeps going).
+    /// Discards all pending events (the FIFO sequence counter keeps going)
+    /// and reopens the start lane: an emptied queue is about to be refilled.
     pub fn clear(&mut self) {
+        self.lane.clear();
         self.heap.clear();
+        self.started = false;
     }
 }
 
@@ -206,7 +254,80 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 'c');
     }
 
+    #[test]
+    fn start_lane_and_heap_share_one_order() {
+        let mut q = EventQueue::new();
+        // Pre-run pushes (the start lane), out of time order.
+        q.push(Time::from_ticks(9), "lane-9");
+        q.push(Time::from_ticks(5), "lane-5");
+        q.push(Time::from_ticks(5), "lane-5b");
+        assert_eq!(q.peek_time(), Some(Time::from_ticks(5)));
+        assert_eq!(q.pop().unwrap().1, "lane-5");
+        // In-run pushes go to the heap: earlier times overtake the lane,
+        // a tie with a lane entry goes to the lane (it was pushed first).
+        q.push(Time::from_ticks(5), "heap-5");
+        q.push(Time::from_ticks(9), "heap-9");
+        q.push(Time::from_ticks(2), "heap-2");
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek_time(), Some(Time::from_ticks(2)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["heap-2", "lane-5b", "heap-5", "lane-9", "heap-9"]);
+        // A cleared queue takes bulk pushes again and keeps counting seq.
+        q.push(Time::from_ticks(1), "stale");
+        q.clear();
+        q.push(Time::from_ticks(3), "b");
+        q.push(Time::from_ticks(3), "c");
+        assert_eq!(q.pop().unwrap().1, "b");
+        assert_eq!(q.pop().unwrap().1, "c");
+    }
+
     proptest! {
+        /// The order contract, against a reference model — a `Vec` kept in
+        /// insertion order, whose earliest entry is the first of minimal
+        /// time — over arbitrary mixes of pre-run pushes, pops, in-run
+        /// pushes, same-tick ties, bounded pops, peeks, `len` and `clear`.
+        #[test]
+        fn prop_queue_matches_reference_model(
+            ops in prop::collection::vec((0u8..10, 0u64..12), 0..300),
+        ) {
+            let mut q = EventQueue::new();
+            let mut model: Vec<(u64, usize)> = Vec::new();
+            // Removes the model's earliest entry if it is due by `horizon`.
+            let take = |model: &mut Vec<(u64, usize)>, horizon: u64| {
+                let at = (0..model.len()).min_by_key(|&i| model[i].0)?;
+                (model[at].0 <= horizon).then(|| model.remove(at))
+            };
+            for (id, &(op, t)) in ops.iter().enumerate() {
+                match op {
+                    // Pushes dominate so that queues grow; times are few so
+                    // that ties are common.
+                    0..=4 => {
+                        q.push(Time::from_ticks(t), id);
+                        model.push((t, id));
+                    }
+                    5 | 6 => {
+                        let want = take(&mut model, u64::MAX);
+                        prop_assert_eq!(q.pop().map(|(t, e)| (t.ticks(), e)), want);
+                    }
+                    7 | 8 => {
+                        let want = take(&mut model, t);
+                        let got = q.pop_at_or_before(Time::from_ticks(t));
+                        prop_assert_eq!(got.map(|(t, e)| (t.ticks(), e)), want);
+                    }
+                    // Rare, or no queue would live long.
+                    _ if t == 0 => {
+                        q.clear();
+                        model.clear();
+                    }
+                    _ => {}
+                }
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.is_empty(), model.is_empty());
+                let earliest = model.iter().map(|&(t, _)| t).min();
+                prop_assert_eq!(q.peek_time().map(|t| t.ticks()), earliest);
+            }
+        }
+
         /// Popping the whole queue yields times in nondecreasing order, and
         /// equal times preserve insertion order (stability).
         #[test]

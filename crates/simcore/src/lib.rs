@@ -8,8 +8,8 @@
 //!   the event queue totally ordered and the simulation bit-reproducible
 //!   across runs and platforms; floating point only appears at the
 //!   measurement boundary.
-//! * [`EventQueue`] — a binary-heap priority queue with FIFO tie-breaking:
-//!   events scheduled for the same tick pop in the order they were pushed.
+//! * [`EventQueue`] — a priority queue (sorted start lane + binary heap) with
+//!   FIFO tie-breaking: same-tick events pop in the order they were pushed.
 //! * [`Simulation`] / [`Model`] — a minimal runner: models describe how to
 //!   handle one event and may schedule further events through [`Context`].
 //!

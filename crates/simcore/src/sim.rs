@@ -426,6 +426,58 @@ mod tests {
         assert_eq!(sim.heap_high_water(), 5);
     }
 
+    /// Records the events it is handed; event 0 fans out three more.
+    struct Recorder(Vec<u32>);
+    impl Model for Recorder {
+        type Event = u32;
+        fn handle(&mut self, ev: u32, ctx: &mut Context<u32>) {
+            self.0.push(ev);
+            if ev == 0 {
+                for k in 1..=3 {
+                    ctx.schedule_in(Dur::from_ticks(100), 100 + k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn depth_diagnostics_count_up_front_and_in_run_events() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let depths: Rc<RefCell<Vec<usize>>> = Rc::default();
+        let mut sim = Simulation::new(Recorder(Vec::new()));
+        let sink = Rc::clone(&depths);
+        sim.set_heartbeat(1, move |_, _, depth| sink.borrow_mut().push(depth));
+        for ev in 0..10 {
+            sim.schedule(Time::from_ticks(ev as u64), ev);
+        }
+        assert_eq!(sim.queue_depth(), 10);
+        sim.run_for_events(2);
+        // Nine up-front events still pending plus the three scheduled
+        // in-run, then one fewer.
+        assert_eq!(*depths.borrow(), vec![12, 11]);
+        assert_eq!(sim.heap_high_water(), 12);
+        assert_eq!(sim.queue_depth(), 11);
+    }
+
+    #[test]
+    fn scheduling_from_outside_after_the_run_started_keeps_fifo_ties() {
+        let mut sim = Simulation::new(Recorder(Vec::new()));
+        for (t, ev) in [(1, 1), (6, 2), (6, 3), (9, 4)] {
+            sim.schedule(Time::from_ticks(t), ev);
+        }
+        assert_eq!(
+            sim.run_until(Time::from_ticks(5)),
+            RunOutcome::HorizonReached
+        );
+        // Same tick as two up-front events: it was scheduled later, so it
+        // runs after them; an earlier one overtakes everything pending.
+        sim.schedule(Time::from_ticks(6), 5);
+        sim.schedule(Time::from_ticks(5), 6);
+        assert_eq!(sim.run(), RunOutcome::Drained);
+        assert_eq!(sim.model().0, vec![1, 6, 2, 3, 5, 4]);
+    }
+
     #[test]
     #[should_panic(expected = "heartbeat interval must be positive")]
     fn zero_heartbeat_interval_panics() {
