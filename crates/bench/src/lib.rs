@@ -13,8 +13,10 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use pdd::sched::{Packet, Scheduler};
-use pdd::simcore::{Dur, Time};
+use pdd::qsim::Session;
+use pdd::sched::Scheduler;
+use pdd::simcore::Time;
+use pdd::traffic::TraceEntry;
 
 /// Pushes `n` packets (round-robin over 4 classes, mixed sizes) through a
 /// scheduler under sustained overload and returns the number of departures
@@ -23,42 +25,20 @@ use pdd::simcore::{Dur, Time};
 /// Arrivals land every 100 ticks while the mean packet takes 660 ticks to
 /// transmit at link rate 1, so the backlog grows throughout the run:
 /// every dequeue is a real multi-class decision at its own instant, with
-/// arrivals interleaved mid-run exactly as the replay loop interleaves
-/// them — not a single drain at one far-future `now`, which lets
-/// waiting-time schedulers skip all the interesting arithmetic.
+/// arrivals interleaved mid-run by the service loop itself
+/// ([`Session::arrivals`]) — not a single drain at one far-future `now`,
+/// which lets waiting-time schedulers skip all the interesting arithmetic.
 pub fn saturate(s: &mut dyn Scheduler, n: u64) -> u64 {
     const GAP: u64 = 100;
-    let sizes = [40u32, 550, 550, 1500];
-    let pkt = |i: u64| {
-        Packet::new(
-            i,
-            (i % 4) as u8,
-            sizes[(i % 4) as usize],
-            Time::from_ticks(i * GAP),
-        )
-    };
-    let mut next = 0u64;
-    let mut free = Time::ZERO;
+    const SIZES: [u32; 4] = [40, 550, 550, 1500];
+    let arrivals = (0..n).map(|i| TraceEntry {
+        at: Time::from_ticks(i * GAP),
+        class: (i % 4) as u8,
+        size: SIZES[(i % 4) as usize],
+    });
     let mut count = 0u64;
-    loop {
-        if s.is_empty() {
-            if next >= n {
-                break;
-            }
-            free = free.max(Time::from_ticks(next * GAP));
-            s.enqueue(pkt(next));
-            next += 1;
-        }
-        while next < n && next * GAP <= free.ticks() {
-            s.enqueue(pkt(next));
-            next += 1;
-        }
-        let p = s
-            .dequeue(free)
-            .expect("backlogged work-conserving scheduler must dequeue");
-        free += Dur::from_ticks(p.size as u64);
-        count += 1;
-    }
+    Session::arrivals(arrivals, 1.0).run(s, |_| count += 1);
+    assert_eq!(count, n, "{}: departures", s.name());
     assert!(
         s.is_empty(),
         "{}: backlog left after the saturation run drained",
@@ -70,7 +50,7 @@ pub fn saturate(s: &mut dyn Scheduler, n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdd::sched::{SchedulerKind, Sdp};
+    use pdd::sched::{Packet, SchedulerKind, Sdp};
 
     #[test]
     fn saturate_drains_everything() {

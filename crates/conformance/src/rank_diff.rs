@@ -304,7 +304,7 @@ impl SchedulerVisitor for StreamDeps {
     fn visit<S: Scheduler>(self, mut s: S) -> Self::Out {
         let stream = MergedStream::per_source(self.sources, self.seed, self.horizon);
         let mut out = Vec::new();
-        qsim::run_trace_on(&mut s, stream, 1.0, |d| {
+        qsim::Session::arrivals(stream, 1.0).run(&mut s, |d| {
             out.push((
                 d.packet.seq,
                 d.packet.class,

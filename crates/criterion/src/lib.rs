@@ -9,7 +9,7 @@
 //! (plus derived throughput when one was declared).
 //!
 //! No statistics, outlier rejection, or HTML reports: for tracked numbers
-//! use the `perf_baseline` binary, which writes `BENCH_propdiff.json`.
+//! use the repo benchmark (`benchmark/run.sh`).
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 

@@ -42,7 +42,7 @@ use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 use pdd::netsim::{run_study_b_probed, StudyBConfig};
-use pdd::qsim::{run_trace_lossy_probed, run_trace_probed, Departure, LossMode};
+use pdd::qsim::{LossMode, Session};
 use pdd::sched::{Scheduler, SchedulerKind, SchedulerVisitor, Sdp};
 use pdd::simcore::Time;
 use pdd::telemetry::{schema, ChromeTraceSink, CountingProbe, JsonlSink, PacketId, Probe, Tee};
@@ -228,8 +228,8 @@ impl Probe for Sinks {
     }
 }
 
-/// Replays the trace through a statically-dispatched scheduler (the same
-/// monomorphized path the perf baseline measures), probe attached.
+/// Replays the trace through a statically-dispatched scheduler, probe
+/// attached.
 struct ProbedReplay<'a, P: Probe> {
     trace: &'a Trace,
     probe: &'a mut P,
@@ -240,13 +240,9 @@ impl<P: Probe> SchedulerVisitor for ProbedReplay<'_, P> {
 
     fn visit<S: Scheduler>(self, mut scheduler: S) -> u64 {
         let mut departures = 0u64;
-        run_trace_probed(
-            &mut scheduler,
-            self.trace.entries().iter().copied(),
-            1.0,
-            |_: &Departure| departures += 1,
-            self.probe,
-        );
+        Session::trace(self.trace, 1.0)
+            .probe(self.probe)
+            .run(&mut scheduler, |_| departures += 1);
         departures
     }
 }
@@ -305,15 +301,17 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
     if let Some(buffer) = opt(args, "--buffer") {
         let buffer: u64 = buffer.parse().map_err(|e| format!("bad --buffer: {e}"))?;
+        let max_size = trace.entries().iter().map(|e| e.size).max().unwrap_or(0);
+        if buffer < u64::from(max_size) {
+            return Err(format!(
+                "--buffer {buffer} B cannot hold the trace's largest packet ({max_size} B)"
+            ));
+        }
         let mut s = kind.build(&sdp, 1.0);
-        let r = run_trace_lossy_probed(
-            s.as_mut(),
-            &trace,
-            1.0,
-            buffer,
-            LossMode::TailDrop,
-            &mut probe,
-        );
+        let r = Session::trace(&trace, 1.0)
+            .probe(&mut probe)
+            .lossy(buffer, LossMode::TailDrop)
+            .run(s.as_mut());
         say!(
             "lossy link: {} delivered, {} dropped (buffer {buffer} B)",
             r.delays.iter().map(|d| d.count()).sum::<u64>(),
@@ -378,7 +376,6 @@ fn cmd_studyb(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    use pdd::qsim::Session;
     use pdd::scenario::Scenario;
     use pdd::telemetry::{validate_prometheus, MonitorConfig};
     use pdd::traffic::{SizeDist, PAPER_MEAN_PACKET_BYTES};
@@ -442,7 +439,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     );
     let (registry, monitor) = Session::sources(&sources, Time::from_ticks(punits * p), seed, 1.0)
         .scenario(scenario)
-        .run_monitored(cfg, scheduler.as_mut(), |_: &Departure| {});
+        .run_monitored(cfg, scheduler.as_mut(), |_| {});
 
     let departures: u64 = (0..n).map(|c| registry.class_total(c).departures).sum();
     say!("registry:  {departures} departures over {n} classes");

@@ -126,3 +126,25 @@ fn wtp_study_a_trace_is_valid_and_spans_are_matched() {
     let _ = std::fs::remove_file(&jsonl);
     let _ = std::fs::remove_file(&chrome);
 }
+
+#[test]
+fn buffer_smaller_than_the_largest_packet_is_a_usage_error() {
+    // The paper's trimodal sizes top out at 1500 B; a buffer below that
+    // (or none at all) must be refused at the CLI, not deep in the engine.
+    for buffer in ["0", "1499"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_propdiff-trace"))
+            .args(["run", "--punits", "50", "--buffer", buffer])
+            .output()
+            .expect("propdiff-trace should launch");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "--buffer {buffer} was accepted");
+        assert!(
+            stderr.contains("--buffer") && stderr.contains("1500 B"),
+            "--buffer {buffer}: unhelpful message: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked at"),
+            "--buffer {buffer} panicked: {stderr}"
+        );
+    }
+}

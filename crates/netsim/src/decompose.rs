@@ -13,8 +13,8 @@
 //!    sum of upstream *transmission + propagation* times — upstream
 //!    **queueing is ignored**. This is the decomposition approximation:
 //!    each link sees its traffic as if upstream queues were empty.
-//! 3. Each link then runs the single-server replay loop
-//!    ([`qsim::run_trace_on`]) with its own scheduler, producing a
+//! 3. Each link then runs the single-link service loop
+//!    ([`qsim::Session::arrivals`]) with its own scheduler, producing a
 //!    [`LinkReport`] of per-class and per-flow waits.
 //! 4. [`DecomposeInput::compose`] folds the reports **in link order** into
 //!    a [`DecomposedOutcome`]: per-flow mean end-to-end waits (the
@@ -213,27 +213,23 @@ impl DecomposeInput {
         };
         let mut flow_acc: std::collections::HashMap<u32, (u64, u64)> = Default::default();
         let flows = &self.cfg.flows;
-        qsim::run_trace_on(
-            scheduler.as_mut(),
-            arrivals.iter().map(|&(at, f)| TraceEntry {
-                at: Time::from_ticks(at),
-                class: flows[f as usize].class,
-                size: flows[f as usize].packet_bytes,
-            }),
-            spec.bytes_per_tick(),
-            |d| {
-                let (_, f) = arrivals[d.packet.seq as usize];
-                let wait = d.wait().ticks();
-                let c = d.packet.class as usize;
-                report.departures += 1;
-                report.class_packets[c] += 1;
-                report.class_wait_sum[c] += wait;
-                report.class_hist[c].record_u64(wait);
-                let acc = flow_acc.entry(f).or_insert((0, 0));
-                acc.0 += wait;
-                acc.1 += 1;
-            },
-        );
+        let entries = arrivals.iter().map(|&(at, f)| TraceEntry {
+            at: Time::from_ticks(at),
+            class: flows[f as usize].class,
+            size: flows[f as usize].packet_bytes,
+        });
+        qsim::Session::arrivals(entries, spec.bytes_per_tick()).run(scheduler.as_mut(), |d| {
+            let (_, f) = arrivals[d.packet.seq as usize];
+            let wait = d.wait().ticks();
+            let c = d.packet.class as usize;
+            report.departures += 1;
+            report.class_packets[c] += 1;
+            report.class_wait_sum[c] += wait;
+            report.class_hist[c].record_u64(wait);
+            let acc = flow_acc.entry(f).or_insert((0, 0));
+            acc.0 += wait;
+            acc.1 += 1;
+        });
         report.flow_wait = flow_acc
             .into_iter()
             .map(|(f, (sum, n))| (f, sum, n))

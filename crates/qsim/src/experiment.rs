@@ -6,7 +6,7 @@ use stats::{P2Quantile, Summary};
 use telemetry::{NoopProbe, Probe};
 use traffic::{ClassSource, LoadPlan, MergedStream, SizeDist, Trace, TraceEntry};
 
-use crate::server::run_trace_probed;
+use crate::Session;
 
 /// Configuration of one Study-A experiment point.
 #[derive(Debug, Clone)]
@@ -104,20 +104,16 @@ impl Experiment {
         let mut per_class = vec![Summary::new(); n];
         let mut p95: Vec<P2Quantile> = (0..n).map(|_| P2Quantile::new(0.95)).collect();
         let warmup = Time::from_ticks(self.warmup_ticks);
-        run_trace_probed(
-            scheduler,
-            arrivals,
-            1.0,
-            |d| {
+        Session::arrivals(arrivals, 1.0)
+            .probe(probe)
+            .run(scheduler, |d| {
                 if d.start >= warmup {
                     let c = d.packet.class as usize;
                     let w = d.wait().as_f64();
                     per_class[c].push(w);
                     p95[c].push(w);
                 }
-            },
-            probe,
-        );
+            });
         SeedResult {
             per_class,
             p95: p95.iter().map(|q| q.estimate().unwrap_or(0.0)).collect(),

@@ -9,15 +9,21 @@
 //! scheduler comparisons (and the Eq. (7) feasibility replays) see
 //! *identical* input.
 //!
-//! * [`Session`] — the unified entry point: workload (trace or live
-//!   sources) × probe × scenario × buffer, one builder chain.
-//! * [`run_trace_on`] / [`run_trace_probed`] — the generic (monomorphized)
-//!   replay engine underneath (1 tick = 1 byte at link rate 1, or any rate
-//!   you pass), taking any scheduler and any arrival iterator (e.g. a
-//!   streaming [`traffic::MergedStream`]) with static dispatch.
+//! * [`Session`] — the only way to run a link: workload (a recorded
+//!   trace, live sources, or any arrival iterator such as a streaming
+//!   [`traffic::MergedStream`]) × probe × scenario × buffer, one builder
+//!   chain over one service loop (1 tick = 1 byte at link rate 1, or any
+//!   rate you pass). The link model — non-preemptive, work-conserving,
+//!   arrivals at a decision instant queued before the decision — is
+//!   written once; scheduler, arrivals, buffer, timeline and probe are
+//!   statically dispatched policy types, so what a run does not use
+//!   folds away at monomorphization.
 //! * Dynamic scenarios ([`scenario::Scenario`]) attach to any session:
 //!   live SDP reconfiguration, link-rate changes, link faults, class
 //!   joins/leaves, and load surges, with one shared dispatch point.
+//! * A finite buffer ([`Session::lossy`], the §7 extension) attaches to
+//!   any session: tail-drop or Proportional Loss Rate push-out
+//!   ([`LossMode`]), reported as a [`LossyReport`].
 //! * [`Experiment`] — the Fig. 1/Fig. 2 harness: long-run per-class average
 //!   delays and successive-class ratios, averaged over seeds.
 //! * [`ShortTimescale`] — the Fig. 3 harness: R_D percentiles per
@@ -35,12 +41,10 @@ mod scenario_run;
 mod server;
 mod session;
 mod shortts;
-mod streaming;
 
 pub use experiment::{average_rows, Experiment, ExperimentResult, SeedResult};
-pub use lossy::{run_trace_lossy_probed, LossMode, LossyReport};
+pub use lossy::{LossMode, LossyReport};
 pub use micro::{MicroViews, Microscope};
-pub use server::{run_trace_on, run_trace_probed, Departure};
-pub use session::{LossySession, Session, SourcesWorkload, TraceWorkload};
+pub use server::Departure;
+pub use session::{LossySession, Session, Sources, Workload};
 pub use shortts::{ShortTimescale, TimescaleResult};
-pub use streaming::run_sources_probed;

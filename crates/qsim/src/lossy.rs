@@ -11,15 +11,19 @@
 //! Push-out semantics: when an arrival overflows the buffer, PLR picks the
 //! class whose normalized loss fraction is furthest *below* its target and
 //! removes that class's most recent packet (falling back to dropping the
-//! arrival if the scheduler does not support removal).
+//! arrival if the scheduler does not support removal). Every rejected
+//! packet yields an `on_drop` record with the queued bytes at the drop
+//! instant; for a push-out the victim is the *queued* packet evicted, not
+//! the arrival that triggered it, and the bytes exclude it.
 
-use sched::{Packet, PlrDropper, Scheduler};
-use simcore::{Dur, Time};
+use sched::{PlrDropper, Scheduler};
 use stats::Summary;
 use telemetry::{PacketId, Probe};
-use traffic::Trace;
+use traffic::TraceEntry;
 
-/// The drop policy for a lossy session ([`run_trace_lossy_probed`]).
+use crate::server::{Admission, Departure};
+
+/// The drop policy for a lossy session ([`Session::lossy`](crate::Session::lossy)).
 #[derive(Debug, Clone)]
 pub enum LossMode {
     /// Drop the arriving packet when the buffer is full.
@@ -64,158 +68,104 @@ impl LossyReport {
     }
 }
 
-/// Replays `trace` through `scheduler` on a link of `rate` bytes/tick with
-/// a shared buffer of `buffer_bytes` (queued bytes only; the packet in
-/// service does not occupy buffer), with a [`Probe`] observing the packet
-/// lifecycle. The probe-free form is
-/// `qsim::Session::trace(trace, rate).lossy(buffer_bytes, mode).run(scheduler)`.
-///
-/// In addition to the lossless events
-/// ([`run_trace_probed`](crate::run_trace_probed)), every rejected packet
-/// yields an `on_drop` record carrying the queued-byte occupancy at the
-/// drop instant — for push-out (PLR) drops the victim is the *queued*
-/// packet that was evicted, not the arrival that triggered it, and the
-/// occupancy excludes the victim.
-pub fn run_trace_lossy_probed<P: Probe>(
-    scheduler: &mut dyn Scheduler,
-    trace: &Trace,
-    rate: f64,
-    buffer_bytes: u64,
-    mut mode: LossMode,
-    probe: &mut P,
-) -> LossyReport {
-    assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
-    let n = scheduler.num_classes();
-    let mut report = LossyReport {
-        arrivals: vec![0; n],
-        drops: vec![0; n],
-        delays: vec![Summary::new(); n],
-        max_backlog_bytes: 0,
-    };
-    let entries = trace.entries();
-    let mut next = 0usize;
-    let mut free = Time::ZERO;
-    let mut seq = 0u64;
-    // Scratch for the decision audit, reused across decisions.
-    let mut values: Vec<(usize, f64)> = Vec::new();
+/// A shared buffer of `limit` queued bytes (the packet in service occupies
+/// none) under a [`LossMode`], keeping the [`LossyReport`] as it admits.
+pub(crate) struct Buffer {
+    limit: u64,
+    mode: LossMode,
+    pub(crate) report: LossyReport,
+}
 
-    // Admits (or drops) one arrival under the buffer policy.
-    let admit = |s: &mut dyn Scheduler,
-                 e: &traffic::TraceEntry,
-                 seq: u64,
-                 report: &mut LossyReport,
-                 mode: &mut LossMode,
-                 probe: &mut P| {
+impl Buffer {
+    pub(crate) fn new(limit: u64, mode: LossMode, num_classes: usize) -> Self {
+        let report = LossyReport {
+            arrivals: vec![0; num_classes],
+            drops: vec![0; num_classes],
+            delays: vec![Summary::new(); num_classes],
+            max_backlog_bytes: 0,
+        };
+        Buffer {
+            limit,
+            mode,
+            report,
+        }
+    }
+}
+
+impl Admission for Buffer {
+    const BOUNDED: bool = true;
+
+    fn admit<S: Scheduler + ?Sized, P: Probe>(
+        &mut self,
+        scheduler: &mut S,
+        e: &TraceEntry,
+        id: PacketId,
+        fault: bool,
+        probe: &mut P,
+    ) -> bool {
         let class = e.class as usize;
         assert!(
-            u64::from(e.size) <= buffer_bytes,
-            "buffer ({buffer_bytes} B) smaller than packet ({} B)",
+            u64::from(e.size) <= self.limit,
+            "buffer ({} B) smaller than packet ({} B)",
+            self.limit,
             e.size
         );
-        report.arrivals[class] += 1;
-        let id = PacketId::single_link(seq, e.class, e.size);
-        if P::ENABLED {
-            probe.on_arrival(e.at, id);
+        self.report.arrivals[class] += 1;
+        if fault {
+            // Divergence (b): behind a buffer a fault drop is counted like
+            // a buffer drop and reports the buffer as its limit, but the
+            // PLR dropper hears of neither the arrival nor the drop.
+            self.report.drops[class] += 1;
+            if P::ENABLED {
+                probe.on_drop(e.at, id, scheduler.total_backlog_bytes(), self.limit);
+            }
+            return false;
         }
-        if let LossMode::Plr(d) = mode {
+        if let LossMode::Plr(d) = &mut self.mode {
             d.on_arrival(class);
         }
         // Free space by push-out (PLR) or by dropping the arrival.
-        while s.total_backlog_bytes() + e.size as u64 > buffer_bytes {
-            match mode {
-                LossMode::TailDrop => {
-                    report.drops[class] += 1;
-                    if P::ENABLED {
-                        probe.on_drop(e.at, id, s.total_backlog_bytes(), buffer_bytes);
-                    }
-                    return;
-                }
+        while scheduler.total_backlog_bytes() + u64::from(e.size) > self.limit {
+            let evicted = match &self.mode {
+                LossMode::TailDrop => None,
                 LossMode::Plr(d) => {
-                    let mut candidates: Vec<usize> = (0..s.num_classes())
-                        .filter(|&c| s.backlog_packets(c) > 0)
+                    let mut candidates: Vec<usize> = (0..scheduler.num_classes())
+                        .filter(|&c| scheduler.backlog_packets(c) > 0)
                         .collect();
                     if !candidates.contains(&class) {
                         candidates.push(class);
                     }
                     let victim = d.preview_victim(&candidates).expect("nonempty candidates");
-                    if victim == class {
-                        d.record_drop(class);
-                        report.drops[class] += 1;
-                        if P::ENABLED {
-                            probe.on_drop(e.at, id, s.total_backlog_bytes(), buffer_bytes);
-                        }
-                        return;
-                    }
-                    match s.drop_newest(victim) {
-                        Some(v) => {
-                            d.record_drop(v.class as usize);
-                            report.drops[v.class as usize] += 1;
-                            if P::ENABLED {
-                                let vid = PacketId::single_link(v.seq, v.class, v.size);
-                                probe.on_drop(e.at, vid, s.total_backlog_bytes(), buffer_bytes);
-                            }
-                        }
-                        None => {
-                            // Scheduler without push-out support: fall back
-                            // to dropping the arrival.
-                            d.record_drop(class);
-                            report.drops[class] += 1;
-                            if P::ENABLED {
-                                probe.on_drop(e.at, id, s.total_backlog_bytes(), buffer_bytes);
-                            }
-                            return;
-                        }
-                    }
+                    // A scheduler without push-out support evicts nothing
+                    // and the arrival is dropped instead.
+                    (victim != class)
+                        .then(|| scheduler.drop_newest(victim))
+                        .flatten()
                 }
+            };
+            let dropped = evicted.map_or(id, |v| PacketId::single_link(v.seq, v.class, v.size));
+            if let LossMode::Plr(d) = &mut self.mode {
+                d.record_drop(dropped.class as usize);
+            }
+            self.report.drops[dropped.class as usize] += 1;
+            if P::ENABLED {
+                probe.on_drop(e.at, dropped, scheduler.total_backlog_bytes(), self.limit);
+            }
+            if evicted.is_none() {
+                return false;
             }
         }
-        if P::ENABLED {
-            probe.on_enqueue(e.at, id);
-        }
-        s.enqueue(Packet::new(seq, e.class, e.size, e.at));
-    };
-
-    loop {
-        if scheduler.is_empty() {
-            if next >= entries.len() {
-                break;
-            }
-            let e = entries[next];
-            next += 1;
-            admit(scheduler, &e, seq, &mut report, &mut mode, probe);
-            seq += 1;
-            free = free.max(e.at);
-            if scheduler.is_empty() {
-                continue; // the lone arrival was dropped
-            }
-        }
-        while next < entries.len() && entries[next].at <= free {
-            let e = entries[next];
-            next += 1;
-            admit(scheduler, &e, seq, &mut report, &mut mode, probe);
-            seq += 1;
-        }
-        report.max_backlog_bytes = report
-            .max_backlog_bytes
-            .max(scheduler.total_backlog_bytes());
-        if P::ENABLED && P::WANTS_DECISION_VALUES {
-            values.clear();
-            scheduler.decision_values(free, &mut values);
-        }
-        let Some(pkt) = scheduler.dequeue(free) else {
-            continue;
-        };
-        report.delays[pkt.class as usize].push(free.since(pkt.arrival).as_f64());
-        let tx = ((pkt.size as f64 / rate).round() as u64).max(1);
-        let finish = free + Dur::from_ticks(tx);
-        if P::ENABLED {
-            let id = PacketId::single_link(pkt.seq, pkt.class, pkt.size);
-            probe.on_decision(free, scheduler.name(), id, &values);
-            probe.on_depart(id, pkt.arrival, free, finish, true);
-        }
-        free = finish;
+        true
     }
-    report
+
+    fn at_decision<S: Scheduler + ?Sized>(&mut self, scheduler: &S) {
+        let high = &mut self.report.max_backlog_bytes;
+        *high = (*high).max(scheduler.total_backlog_bytes());
+    }
+
+    fn delivered(&mut self, d: &Departure) {
+        self.report.delays[d.packet.class as usize].push(d.wait().as_f64());
+    }
 }
 
 #[cfg(test)]
@@ -224,7 +174,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sched::{SchedulerKind, Sdp};
-    use traffic::{ClassSource, IatDist, SizeDist, TraceEntry};
+    use simcore::Time;
+    use traffic::{ClassSource, IatDist, SizeDist, Trace, TraceEntry};
 
     /// Overloaded two-class trace (offered load ≈ 1.3 on a 1 B/tick link).
     fn overload_trace(seed: u64) -> Trace {
@@ -429,14 +380,10 @@ mod tests {
     fn probed_lossy_run_reports_drops_with_occupancy() {
         let mut s = SchedulerKind::Wtp.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
         let mut probe = telemetry::CountingProbe::new(2);
-        let r = run_trace_lossy_probed(
-            s.as_mut(),
-            &overload_trace(3),
-            1.0,
-            4_000,
-            LossMode::TailDrop,
-            &mut probe,
-        );
+        let r = crate::Session::trace(&overload_trace(3), 1.0)
+            .probe(&mut probe)
+            .lossy(4_000, LossMode::TailDrop)
+            .run(s.as_mut());
         let report = probe.report();
         // The probe's ledger agrees with the report's, per class.
         for c in 0..2 {

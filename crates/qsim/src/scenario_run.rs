@@ -1,382 +1,82 @@
-//! Scenario-aware replay loops: the stationary engines of
-//! [`server`](crate::server) and [`lossy`](crate::lossy) extended with a
-//! [`scenario::ScenarioRuntime`] dispatch point.
+//! The live [`Timeline`]: a [`ScenarioRuntime`] driving one link, visited
+//! by [`serve`](crate::server::serve) at every admission and decision
+//! instant.
 //!
-//! Every loop dispatches on [`Scenario::is_empty`] first and falls back to
-//! the *unmodified* stationary loop, so the common no-perturbation case
-//! monomorphizes to exactly the code the perf baseline tracks. The
-//! scenario path visits the runtime at every admission and decision
-//! instant:
-//!
-//! * [`Command::Reconfigure`] → [`Scheduler::reconfigure`] (schedulers
-//!   answering [`ReconfigureError::Unsupported`] keep running; a class
-//!   count mismatch panics — the timeline does not fit the topology);
-//! * [`Command::SetLinkRate`] → future transmission times and
-//!   [`Scheduler::set_link_rate`] (the packet in flight completes at the
-//!   old rate — transmissions are non-preemptive);
-//! * a downed link stalls service: the clock jumps to the next timeline
-//!   event until the matching `LinkUp` (validation guarantees one exists).
-//!   Arrivals while down are queued ([`DownPolicy::Hold`]) or discarded
-//!   with an `on_drop` record ([`DownPolicy::Drop`]);
-//! * classes that [left](scenario::ScenarioEvent::ClassLeave) are filtered
-//!   at admission with no probe record — the source is simply gone;
-//! * load surges are absorbed by the runtime; generated workloads realize
-//!   them via [`traffic::SurgedSource`] (see
-//!   [`run_sources_scenario_probed`]).
+//! * `SetSdp` → [`Scheduler::reconfigure`]; schedulers answering
+//!   [`ReconfigureError::Unsupported`] keep running, a class-count
+//!   mismatch panics — the timeline does not fit the link;
+//! * `SetLinkRate` → future transmission times and
+//!   [`Scheduler::set_link_rate`]; the packet in flight completes at the
+//!   old rate (transmissions are non-preemptive);
+//! * a downed link stalls service until its `LinkUp` (validation
+//!   guarantees one). Arrivals meanwhile are queued ([`DownPolicy::Hold`],
+//!   still subject to a finite buffer) or discarded with an `on_drop`
+//!   record ([`DownPolicy::Drop`]);
+//! * load surges are realized by the workload
+//!   ([`Session::sources`](crate::Session::sources)), not here.
 
-use scenario::{Command, DownPolicy, Scenario, ScenarioRuntime};
-use sched::{Packet, ReconfigureError, Scheduler};
-use simcore::{Dur, Time};
-use telemetry::{PacketId, Probe};
-use traffic::{ClassSource, MergedStream, SurgedSource, Trace, TraceEntry};
+use scenario::{Command, DownPolicy, ScenarioRuntime};
+use sched::{ReconfigureError, Scheduler};
+use simcore::Time;
+use telemetry::Probe;
 
-use crate::lossy::{run_trace_lossy_probed, LossMode, LossyReport};
-use crate::server::{run_trace_probed, Departure};
-use stats::Summary;
+use crate::server::Timeline;
 
-/// Transmission time of `size` bytes at `rate` bytes/tick, at least 1 tick.
-#[inline]
-fn tx_ticks(size: u32, rate: f64) -> u64 {
-    ((size as f64 / rate).round() as u64).max(1)
+/// A link under a non-empty scenario: the runtime's cursor and state
+/// machine, plus the link rate its `SetLinkRate` events move.
+pub(crate) struct Live {
+    pub(crate) rt: ScenarioRuntime,
+    pub(crate) rate: f64,
 }
 
-/// Drains queued runtime commands into the scheduler and the link rate.
-fn apply_commands<S: Scheduler + ?Sized>(
-    scheduler: &mut S,
-    rate: &mut f64,
-    cmds: &mut Vec<Command>,
-) {
-    for cmd in cmds.drain(..) {
-        match cmd {
-            Command::Reconfigure(sdp) => match scheduler.reconfigure(&sdp) {
+impl Timeline for Live {
+    const LIVE: bool = true;
+
+    fn rate(&self) -> f64 {
+        self.rate
+    }
+
+    fn advance<S: Scheduler + ?Sized, P: Probe>(&mut self, now: Time, s: &mut S, probe: &mut P) {
+        let rate = &mut self.rate;
+        self.rt.apply_due(now, probe, |cmd| match cmd {
+            Command::Reconfigure(sdp) => match s.reconfigure(&sdp) {
                 Ok(()) | Err(ReconfigureError::Unsupported(_)) => {}
                 Err(e) => panic!("scenario set_sdp: {e}"),
             },
             Command::SetLinkRate { rate: r, .. } => {
                 *rate = r;
-                scheduler.set_link_rate(r);
+                s.set_link_rate(r);
             }
-            // Link state lives in the runtime; the loops query it.
+            // Link state lives in the runtime; the queries below read it.
             Command::LinkDown { .. } | Command::LinkUp { .. } => {}
-        }
-    }
-}
-
-/// Admits one arrival under the scenario's class and link state. Departed
-/// classes are filtered silently (no sequence number, no probe record);
-/// arrivals during a [`DownPolicy::Drop`] fault are offered and discarded
-/// (an `on_drop` with buffer 0 — a fault, not a buffer limit).
-fn admit_one<S: Scheduler + ?Sized, P: Probe>(
-    scheduler: &mut S,
-    rt: &ScenarioRuntime,
-    e: &TraceEntry,
-    seq: &mut u64,
-    probe: &mut P,
-) {
-    if !rt.admits(e.class) {
-        return;
-    }
-    let id = PacketId::single_link(*seq, e.class, e.size);
-    if !rt.link_up(0) && rt.down_policy(0) == DownPolicy::Drop {
-        if P::ENABLED {
-            probe.on_arrival(e.at, id);
-            probe.on_drop(e.at, id, scheduler.total_backlog_bytes(), 0);
-        }
-        *seq += 1;
-        return;
-    }
-    if P::ENABLED {
-        probe.on_arrival(e.at, id);
-        probe.on_enqueue(e.at, id);
-    }
-    scheduler.enqueue(Packet::new(*seq, e.class, e.size, e.at));
-    *seq += 1;
-}
-
-/// [`run_trace_probed`] with a perturbation timeline. Empty scenarios take
-/// the stationary loop verbatim.
-pub(crate) fn run_trace_scenario_probed<S, I, F, P>(
-    scheduler: &mut S,
-    arrivals: I,
-    rate: f64,
-    scenario: &Scenario,
-    mut on_depart: F,
-    probe: &mut P,
-) where
-    S: Scheduler + ?Sized,
-    I: IntoIterator<Item = TraceEntry>,
-    F: FnMut(&Departure),
-    P: Probe,
-{
-    if scenario.is_empty() {
-        return run_trace_probed(scheduler, arrivals, rate, on_depart, probe);
-    }
-    assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
-    let mut rt = ScenarioRuntime::new(scenario, 1, scheduler.num_classes());
-    let mut rate = rate;
-    let mut arrivals = arrivals.into_iter().peekable();
-    let mut free = Time::ZERO;
-    let mut seq = 0u64;
-    let mut values: Vec<(usize, f64)> = Vec::new();
-    let mut cmds: Vec<Command> = Vec::new();
-    loop {
-        if scheduler.is_empty() {
-            let Some(e) = arrivals.next() else { break };
-            rt.apply_due(e.at, probe, |c| cmds.push(c));
-            apply_commands(scheduler, &mut rate, &mut cmds);
-            admit_one(scheduler, &rt, &e, &mut seq, probe);
-            free = free.max(e.at);
-            if scheduler.is_empty() {
-                continue; // the lone arrival was filtered or dropped
-            }
-        }
-        while let Some(e) = arrivals.next_if(|e| e.at <= free) {
-            rt.apply_due(e.at, probe, |c| cmds.push(c));
-            apply_commands(scheduler, &mut rate, &mut cmds);
-            admit_one(scheduler, &rt, &e, &mut seq, probe);
-        }
-        rt.apply_due(free, probe, |c| cmds.push(c));
-        apply_commands(scheduler, &mut rate, &mut cmds);
-        if !rt.link_up(0) {
-            // Stall until the next timeline event; the builder guarantees
-            // a restoring LinkUp exists, so this always terminates.
-            free = rt.next_at().expect("validated scenario restores the link");
-            continue;
-        }
-        if scheduler.is_empty() {
-            continue; // batch arrivals were all filtered or dropped
-        }
-        if P::ENABLED && P::WANTS_DECISION_VALUES {
-            values.clear();
-            scheduler.decision_values(free, &mut values);
-        }
-        let pkt = scheduler
-            .dequeue(free)
-            .expect("work-conserving scheduler with backlog must dequeue");
-        let finish = free + Dur::from_ticks(tx_ticks(pkt.size, rate));
-        if P::ENABLED {
-            let id = PacketId::single_link(pkt.seq, pkt.class, pkt.size);
-            probe.on_decision(free, scheduler.name(), id, &values);
-            probe.on_depart(id, pkt.arrival, free, finish, true);
-        }
-        on_depart(&Departure {
-            packet: pkt,
-            start: free,
-            finish,
         });
-        free = finish;
     }
-}
 
-/// [`run_trace_lossy_probed`] with a perturbation timeline. Empty
-/// scenarios take the stationary lossy loop verbatim.
-///
-/// Scenario semantics compose with the buffer: held arrivals during a
-/// [`DownPolicy::Hold`] fault still respect `buffer_bytes` (overflow drops
-/// under `mode` as usual), and fault drops ([`DownPolicy::Drop`]) are
-/// counted in the report like buffer drops.
-pub(crate) fn run_trace_lossy_scenario_probed<P: Probe>(
-    scheduler: &mut dyn Scheduler,
-    trace: &Trace,
-    rate: f64,
-    buffer_bytes: u64,
-    mut mode: LossMode,
-    scenario: &Scenario,
-    probe: &mut P,
-) -> LossyReport {
-    if scenario.is_empty() {
-        return run_trace_lossy_probed(scheduler, trace, rate, buffer_bytes, mode, probe);
+    fn admits(&self, class: u8) -> bool {
+        self.rt.admits(class)
     }
-    assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
-    let mut rt = ScenarioRuntime::new(scenario, 1, scheduler.num_classes());
-    let mut rate = rate;
-    let n = scheduler.num_classes();
-    let mut report = LossyReport {
-        arrivals: vec![0; n],
-        drops: vec![0; n],
-        delays: vec![Summary::new(); n],
-        max_backlog_bytes: 0,
-    };
-    let entries = trace.entries();
-    let mut next = 0usize;
-    let mut free = Time::ZERO;
-    let mut seq = 0u64;
-    let mut values: Vec<(usize, f64)> = Vec::new();
-    let mut cmds: Vec<Command> = Vec::new();
 
-    // Admits (or drops) one arrival under the scenario and buffer policy.
-    let admit = |s: &mut dyn Scheduler,
-                 rt: &ScenarioRuntime,
-                 e: &TraceEntry,
-                 seq: &mut u64,
-                 report: &mut LossyReport,
-                 mode: &mut LossMode,
-                 probe: &mut P| {
-        if !rt.admits(e.class) {
-            return;
-        }
-        let class = e.class as usize;
-        assert!(
-            u64::from(e.size) <= buffer_bytes,
-            "buffer ({buffer_bytes} B) smaller than packet ({} B)",
-            e.size
-        );
-        report.arrivals[class] += 1;
-        let id = PacketId::single_link(*seq, e.class, e.size);
-        *seq += 1;
-        if P::ENABLED {
-            probe.on_arrival(e.at, id);
-        }
-        if !rt.link_up(0) && rt.down_policy(0) == DownPolicy::Drop {
-            report.drops[class] += 1;
-            if P::ENABLED {
-                probe.on_drop(e.at, id, s.total_backlog_bytes(), buffer_bytes);
-            }
-            return;
-        }
-        if let LossMode::Plr(d) = mode {
-            d.on_arrival(class);
-        }
-        while s.total_backlog_bytes() + e.size as u64 > buffer_bytes {
-            match mode {
-                LossMode::TailDrop => {
-                    report.drops[class] += 1;
-                    if P::ENABLED {
-                        probe.on_drop(e.at, id, s.total_backlog_bytes(), buffer_bytes);
-                    }
-                    return;
-                }
-                LossMode::Plr(d) => {
-                    let mut candidates: Vec<usize> = (0..s.num_classes())
-                        .filter(|&c| s.backlog_packets(c) > 0)
-                        .collect();
-                    if !candidates.contains(&class) {
-                        candidates.push(class);
-                    }
-                    let victim = d.preview_victim(&candidates).expect("nonempty candidates");
-                    if victim == class {
-                        d.record_drop(class);
-                        report.drops[class] += 1;
-                        if P::ENABLED {
-                            probe.on_drop(e.at, id, s.total_backlog_bytes(), buffer_bytes);
-                        }
-                        return;
-                    }
-                    match s.drop_newest(victim) {
-                        Some(v) => {
-                            d.record_drop(v.class as usize);
-                            report.drops[v.class as usize] += 1;
-                            if P::ENABLED {
-                                let vid = PacketId::single_link(v.seq, v.class, v.size);
-                                probe.on_drop(e.at, vid, s.total_backlog_bytes(), buffer_bytes);
-                            }
-                        }
-                        None => {
-                            d.record_drop(class);
-                            report.drops[class] += 1;
-                            if P::ENABLED {
-                                probe.on_drop(e.at, id, s.total_backlog_bytes(), buffer_bytes);
-                            }
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        if P::ENABLED {
-            probe.on_enqueue(e.at, id);
-        }
-        s.enqueue(Packet::new(*seq - 1, e.class, e.size, e.at));
-    };
+    fn dropping(&self) -> bool {
+        !self.rt.link_up(0) && self.rt.down_policy(0) == DownPolicy::Drop
+    }
 
-    loop {
-        if scheduler.is_empty() {
-            if next >= entries.len() {
-                break;
-            }
-            let e = entries[next];
-            next += 1;
-            rt.apply_due(e.at, probe, |c| cmds.push(c));
-            apply_commands(scheduler, &mut rate, &mut cmds);
-            admit(scheduler, &rt, &e, &mut seq, &mut report, &mut mode, probe);
-            free = free.max(e.at);
-            if scheduler.is_empty() {
-                continue; // the lone arrival was filtered or dropped
-            }
-        }
-        while next < entries.len() && entries[next].at <= free {
-            let e = entries[next];
-            next += 1;
-            rt.apply_due(e.at, probe, |c| cmds.push(c));
-            apply_commands(scheduler, &mut rate, &mut cmds);
-            admit(scheduler, &rt, &e, &mut seq, &mut report, &mut mode, probe);
-        }
-        rt.apply_due(free, probe, |c| cmds.push(c));
-        apply_commands(scheduler, &mut rate, &mut cmds);
-        if !rt.link_up(0) {
-            free = rt.next_at().expect("validated scenario restores the link");
-            continue;
-        }
-        report.max_backlog_bytes = report
-            .max_backlog_bytes
-            .max(scheduler.total_backlog_bytes());
-        if P::ENABLED && P::WANTS_DECISION_VALUES {
-            values.clear();
-            scheduler.decision_values(free, &mut values);
-        }
-        let Some(pkt) = scheduler.dequeue(free) else {
-            continue;
+    fn down_until(&self) -> Option<Time> {
+        let restored = || {
+            self.rt
+                .next_at()
+                .expect("validated scenario restores the link")
         };
-        report.delays[pkt.class as usize].push(free.since(pkt.arrival).as_f64());
-        let finish = free + Dur::from_ticks(tx_ticks(pkt.size, rate));
-        if P::ENABLED {
-            let id = PacketId::single_link(pkt.seq, pkt.class, pkt.size);
-            probe.on_decision(free, scheduler.name(), id, &values);
-            probe.on_depart(id, pkt.arrival, free, finish, true);
-        }
-        free = finish;
+        (!self.rt.link_up(0)).then(restored)
     }
-    report
-}
-
-/// [`run_sources_probed`](crate::run_sources_probed) with a perturbation
-/// timeline. Load surges are realized by wrapping each source in a
-/// [`SurgedSource`] carrying its class's gap-scale breakpoints; since an
-/// empty breakpoint list is the identity, sources of unperturbed classes
-/// draw exactly their stationary arrivals.
-#[allow(clippy::too_many_arguments)] // internal dispatch point; callers go through `Session`
-pub(crate) fn run_sources_scenario_probed<S, F, P>(
-    scheduler: &mut S,
-    sources: &[ClassSource],
-    horizon: Time,
-    base_seed: u64,
-    rate: f64,
-    scenario: &Scenario,
-    on_depart: F,
-    probe: &mut P,
-) where
-    S: Scheduler + ?Sized,
-    F: FnMut(&Departure),
-    P: Probe,
-{
-    if scenario.is_empty() {
-        let stream = MergedStream::per_source(sources.to_vec(), base_seed, horizon);
-        return run_trace_probed(scheduler, stream, rate, on_depart, probe);
-    }
-    let surged: Vec<SurgedSource<ClassSource>> = sources
-        .iter()
-        .map(|s| SurgedSource::new(s.clone(), scenario.gap_scale_breakpoints(s.class())))
-        .collect();
-    let stream = MergedStream::per_source(surged, base_seed, horizon);
-    run_trace_scenario_probed(scheduler, stream, rate, scenario, on_depart, probe);
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use scenario::DownPolicy;
+    use crate::{LossMode, Session};
+    use scenario::{DownPolicy, Scenario};
     use sched::{Fcfs, SchedulerKind, Sdp};
-    use telemetry::NoopProbe;
+    use simcore::Time;
+    use traffic::{ClassSource, Trace, TraceEntry};
 
     fn trace(entries: &[(u64, u8, u32)]) -> Trace {
         Trace::from_entries(
@@ -408,24 +108,14 @@ mod tests {
             .unwrap();
         let mut with = Vec::new();
         let mut s = SchedulerKind::Wtp.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
-        run_trace_scenario_probed(
-            s.as_mut(),
-            tr.entries().iter().copied(),
-            1.0,
-            &sc,
-            |d| with.push(d.packet.class),
-            &mut NoopProbe,
-        );
+        Session::trace(&tr, 1.0)
+            .scenario(sc.clone())
+            .run(s.as_mut(), |d| with.push(d.packet.class));
         let mut without = Vec::new();
         let mut s = SchedulerKind::Wtp.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
-        run_trace_scenario_probed(
-            s.as_mut(),
-            tr.entries().iter().copied(),
-            1.0,
-            &Scenario::empty(),
-            |d| without.push(d.packet.class),
-            &mut NoopProbe,
-        );
+        Session::trace(&tr, 1.0)
+            .scenario(Scenario::empty())
+            .run(s.as_mut(), |d| without.push(d.packet.class));
         assert_eq!(
             without,
             vec![1, 0, 1],
@@ -445,14 +135,9 @@ mod tests {
             .unwrap();
         let mut finishes = Vec::new();
         let mut s = Fcfs::new(1);
-        run_trace_scenario_probed(
-            &mut s,
-            tr.entries().iter().copied(),
-            1.0,
-            &sc,
-            |d| finishes.push(d.finish.ticks()),
-            &mut NoopProbe,
-        );
+        Session::trace(&tr, 1.0)
+            .scenario(sc.clone())
+            .run(&mut s, |d| finishes.push(d.finish.ticks()));
         // First two at rate 1 (0→100, 100→200; the event at t=150 fires at
         // the t=100 decision? No: due events are applied at decision
         // instants, so at t=100 the rate is still 1), third at rate 2.
@@ -472,14 +157,9 @@ mod tests {
             .unwrap();
         let mut out = Vec::new();
         let mut s = Fcfs::new(1);
-        run_trace_scenario_probed(
-            &mut s,
-            tr.entries().iter().copied(),
-            1.0,
-            &sc,
-            |d| out.push((d.start.ticks(), d.finish.ticks())),
-            &mut NoopProbe,
-        );
+        Session::trace(&tr, 1.0)
+            .scenario(sc.clone())
+            .run(&mut s, |d| out.push((d.start.ticks(), d.finish.ticks())));
         assert_eq!(out, vec![(300, 400), (400, 500)]);
     }
 
@@ -497,14 +177,10 @@ mod tests {
         let mut out = Vec::new();
         let mut s = Fcfs::new(1);
         let mut counter = telemetry::CountingProbe::new(1);
-        run_trace_scenario_probed(
-            &mut s,
-            tr.entries().iter().copied(),
-            1.0,
-            &sc,
-            |d| out.push(d.start.ticks()),
-            &mut counter,
-        );
+        Session::trace(&tr, 1.0)
+            .probe(&mut counter)
+            .scenario(sc.clone())
+            .run(&mut s, |d| out.push(d.start.ticks()));
         assert_eq!(out, vec![0, 400]);
         let report = counter.report();
         assert_eq!(report.classes[0].arrivals, 3);
@@ -522,14 +198,9 @@ mod tests {
             .unwrap();
         let mut served = 0;
         let mut s = Fcfs::new(2);
-        run_trace_scenario_probed(
-            &mut s,
-            tr.entries().iter().copied(),
-            1.0,
-            &sc,
-            |_| served += 1,
-            &mut NoopProbe,
-        );
+        Session::trace(&tr, 1.0)
+            .scenario(sc.clone())
+            .run(&mut s, |_| served += 1);
         assert_eq!(served, 2, "the t=100 arrival fell in the leave window");
     }
 
@@ -542,15 +213,10 @@ mod tests {
             .build()
             .unwrap();
         let mut s = SchedulerKind::Wtp.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
-        let r = run_trace_lossy_scenario_probed(
-            s.as_mut(),
-            &tr,
-            1.0,
-            10_000,
-            LossMode::TailDrop,
-            &sc,
-            &mut NoopProbe,
-        );
+        let r = Session::trace(&tr, 1.0)
+            .scenario(sc)
+            .lossy(10_000, LossMode::TailDrop)
+            .run(s.as_mut());
         assert_eq!(r.arrivals, vec![2, 2]);
         assert_eq!(r.drops, vec![1, 1], "both downtime arrivals discarded");
         assert_eq!(r.delays[0].count() + r.delays[1].count(), 2);
@@ -569,28 +235,14 @@ mod tests {
             .unwrap();
         let mut n_plain = 0u64;
         let mut s = Fcfs::new(1);
-        run_sources_scenario_probed(
-            &mut s,
-            &sources,
-            t(10_000),
-            7,
-            1.0,
-            &Scenario::empty(),
-            |_| n_plain += 1,
-            &mut NoopProbe,
-        );
+        Session::sources(&sources, t(10_000), 7, 1.0)
+            .scenario(Scenario::empty())
+            .run(&mut s, |_| n_plain += 1);
         let mut n_surged = 0u64;
         let mut s = Fcfs::new(1);
-        run_sources_scenario_probed(
-            &mut s,
-            &sources,
-            t(10_000),
-            7,
-            1.0,
-            &sc,
-            |_| n_surged += 1,
-            &mut NoopProbe,
-        );
+        Session::sources(&sources, t(10_000), 7, 1.0)
+            .scenario(sc.clone())
+            .run(&mut s, |_| n_surged += 1);
         // 100 arrivals stationary; the surge quarters the gap from t=5000,
         // so the second half packs ~4x the arrivals in.
         assert_eq!(n_plain, 100);
@@ -606,14 +258,9 @@ mod tests {
             .build()
             .unwrap();
         let mut s = SchedulerKind::Wtp.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
-        run_trace_scenario_probed(
-            s.as_mut(),
-            tr.entries().iter().copied(),
-            1.0,
-            &sc,
-            |_| {},
-            &mut NoopProbe,
-        );
+        Session::trace(&tr, 1.0)
+            .scenario(sc.clone())
+            .run(s.as_mut(), |_| {});
     }
 
     #[test]
@@ -626,14 +273,9 @@ mod tests {
             .unwrap();
         let mut s = Fcfs::new(1);
         let mut n = 0;
-        run_trace_scenario_probed(
-            &mut s,
-            tr.entries().iter().copied(),
-            1.0,
-            &sc,
-            |_| n += 1,
-            &mut NoopProbe,
-        );
+        Session::trace(&tr, 1.0)
+            .scenario(sc.clone())
+            .run(&mut s, |_| n += 1);
         assert_eq!(n, 2);
     }
 }

@@ -1,8 +1,8 @@
-//! The single-link replay loop.
+//! The single-link service loop and its policy axes.
 
 use sched::{Packet, Scheduler};
 use simcore::{Dur, Time};
-use telemetry::{NoopProbe, PacketId, Probe};
+use telemetry::{PacketId, Probe};
 use traffic::TraceEntry;
 
 /// One packet departure from the link.
@@ -35,62 +35,128 @@ fn tx_ticks(size: u32, rate: f64) -> u64 {
     ((size as f64 / rate).round() as u64).max(1)
 }
 
-/// Replays any stream of time-ordered arrivals through any scheduler on a
-/// link of `rate` bytes/tick, invoking `on_depart` for every departure in
-/// order.
+/// The buffer in front of the scheduler, and the ledger behind it. The
+/// defaults are the §3 lossless regime ([`Unbounded`]);
+/// [`Buffer`](crate::lossy::Buffer) is the §7 finite one.
+pub(crate) trait Admission {
+    /// Divergence (a): behind unbounded queues a backlogged scheduler must
+    /// yield a packet; behind a finite buffer a `None` from `dequeue` is
+    /// tolerated and the instant retried.
+    const BOUNDED: bool;
+
+    /// Whether arrival `e` is to be enqueued; every packet dropped on the
+    /// way — `e` or what it pushes out — is reported here. `fault` is set
+    /// while the link is down under `DownPolicy::Drop`: `e` is lost
+    /// whatever the buffer holds.
+    #[inline]
+    fn admit<S: Scheduler + ?Sized, P: Probe>(
+        &mut self,
+        scheduler: &mut S,
+        e: &TraceEntry,
+        id: PacketId,
+        fault: bool,
+        probe: &mut P,
+    ) -> bool {
+        // Divergence (b): without a buffer a fault drop reports limit 0 — a
+        // fault, not a buffer limit — and is counted nowhere.
+        if fault && P::ENABLED {
+            probe.on_drop(e.at, id, scheduler.total_backlog_bytes(), 0);
+        }
+        !fault
+    }
+
+    /// Observes the queue at a decision instant, before the dequeue.
+    fn at_decision<S: Scheduler + ?Sized>(&mut self, _scheduler: &S) {}
+
+    /// Receives every departure, in order.
+    fn delivered(&mut self, d: &Departure);
+}
+
+/// Unbounded queues: everything offered is enqueued, and departures go to
+/// the caller's closure.
+pub(crate) struct Unbounded<F>(pub(crate) F);
+
+impl<F: FnMut(&Departure)> Admission for Unbounded<F> {
+    const BOUNDED: bool = false;
+
+    #[inline]
+    fn delivered(&mut self, d: &Departure) {
+        (self.0)(d)
+    }
+}
+
+/// The link's state over time. The defaults are the stationary link
+/// ([`NoScenario`]); [`Live`](crate::scenario_run::Live) follows a scenario.
+pub(crate) trait Timeline {
+    /// Whether anything ever changes; `false` folds every visit away.
+    const LIVE: bool;
+
+    /// The link rate in force, bytes/tick.
+    fn rate(&self) -> f64;
+
+    /// Applies every event due at or before `now`.
+    fn advance<S: Scheduler + ?Sized, P: Probe>(&mut self, _now: Time, _s: &mut S, _p: &mut P) {}
+
+    /// Whether `class` is present (has not left).
+    fn admits(&self, _class: u8) -> bool {
+        true
+    }
+
+    /// Whether the link is down under `DownPolicy::Drop`.
+    fn dropping(&self) -> bool {
+        false
+    }
+
+    /// While the link is down, the instant of the next timeline event.
+    fn down_until(&self) -> Option<Time> {
+        None
+    }
+}
+
+/// A stationary link of fixed rate.
+pub(crate) struct NoScenario(pub(crate) f64);
+
+impl Timeline for NoScenario {
+    const LIVE: bool = false;
+
+    #[inline]
+    fn rate(&self) -> f64 {
+        self.0
+    }
+}
+
+/// The single-link service loop — the one definition of the link model.
+/// Serves time-ordered `arrivals` through `scheduler`:
 ///
-/// Semantics (matching the paper's model):
 /// * non-preemptive: once transmission starts it completes;
 /// * work-conserving: the link never idles while a packet is queued;
 /// * arrivals at exactly a decision instant are enqueued *before* the
-///   decision (arrival-before-departure tie rule);
-/// * queues are unbounded (the §3 lossless ECN-regulated regime).
+///   decision (arrival-before-departure tie rule).
 ///
-/// Both the scheduler and the arrival source are statically dispatched, so
-/// the per-packet enqueue/dequeue calls inline into the loop. `arrivals`
-/// may be a materialized trace (`trace.entries().iter().copied()`) or a
-/// lazy generator such as [`traffic::MergedStream`], which replays the
-/// identical workload in O(sources) memory.
-/// [`qsim::Session::trace`](crate::Session::trace) is the trace-level
-/// front door over this loop.
+/// The rest is policy, statically dispatched so that what a run does not
+/// use folds away: buffer ([`Admission`]), perturbations ([`Timeline`]),
+/// arrival source, and [`Probe`] (every call behind [`Probe::ENABLED`]).
+/// With [`Unbounded`], [`NoScenario`] and `NoopProbe` what remains is
+/// enqueue, dequeue and the clock.
 ///
-/// `arrivals` must yield entries in nondecreasing time order; the k-way
-/// merge and the trace generators both guarantee that.
+/// Probe events per packet (`span == seq`, `hop` 0): `on_arrival` then
+/// `on_enqueue` or `on_drop`; `on_decision` with the scheduler's
+/// `decision_values` audit; `on_depart` with `eol = true`.
 #[inline]
-pub fn run_trace_on<S, I, F>(scheduler: &mut S, arrivals: I, rate: f64, on_depart: F)
-where
-    S: Scheduler + ?Sized,
-    I: IntoIterator<Item = TraceEntry>,
-    F: FnMut(&Departure),
-{
-    run_trace_probed(scheduler, arrivals, rate, on_depart, &mut NoopProbe)
-}
-
-/// [`run_trace_on`] with a [`Probe`] observing the packet lifecycle.
-///
-/// Every probe interaction is gated on the associated constant
-/// [`Probe::ENABLED`], so with [`NoopProbe`] this monomorphizes to exactly
-/// the uninstrumented loop — [`run_trace_on`] *is* this function with the
-/// no-op probe, and the tracked perf baseline holds the overhead to zero.
-///
-/// Probe event stream per packet (single link, so `span == seq`, `hop` 0):
-/// `on_arrival` and `on_enqueue` at the arrival instant (unbounded queues —
-/// everything offered is admitted), `on_decision` at the decision instant
-/// with the scheduler's [`decision_values`](Scheduler::decision_values)
-/// audit record, and `on_depart` with `eol = true` at the finish instant.
-#[inline]
-pub fn run_trace_probed<S, I, F, P>(
+pub(crate) fn serve<S, I, T, A, P>(
     scheduler: &mut S,
     arrivals: I,
-    rate: f64,
-    mut on_depart: F,
+    mut timeline: T,
+    admission: &mut A,
     probe: &mut P,
 ) where
     S: Scheduler + ?Sized,
     I: IntoIterator<Item = TraceEntry>,
-    F: FnMut(&Departure),
+    T: Timeline,
+    A: Admission,
     P: Probe,
 {
+    let rate = timeline.rate();
     assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
     let mut arrivals = arrivals.into_iter().peekable();
     let mut free = Time::ZERO;
@@ -99,39 +165,62 @@ pub fn run_trace_probed<S, I, F, P>(
     let mut values: Vec<(usize, f64)> = Vec::new();
     loop {
         if scheduler.is_empty() {
-            let Some(e) = arrivals.next() else { break };
-            if P::ENABLED {
-                let id = PacketId::single_link(seq, e.class, e.size);
-                probe.on_arrival(e.at, id);
-                probe.on_enqueue(e.at, id);
-            }
-            scheduler.enqueue(Packet::new(seq, e.class, e.size, e.at));
-            seq += 1;
+            // Idle: the clock jumps to the next arrival, if there is one.
+            let Some(e) = arrivals.peek() else { break };
             free = free.max(e.at);
         }
         while let Some(e) = arrivals.next_if(|e| e.at <= free) {
-            if P::ENABLED {
-                let id = PacketId::single_link(seq, e.class, e.size);
-                probe.on_arrival(e.at, id);
-                probe.on_enqueue(e.at, id);
+            timeline.advance(e.at, scheduler, probe);
+            // Divergence (c): an arrival of a departed class leaves no
+            // record and consumes no sequence number (the source is simply
+            // gone); a dropped arrival was offered and consumes one.
+            if !timeline.admits(e.class) {
+                continue;
             }
-            scheduler.enqueue(Packet::new(seq, e.class, e.size, e.at));
+            let id = PacketId::single_link(seq, e.class, e.size);
             seq += 1;
+            if P::ENABLED {
+                probe.on_arrival(e.at, id);
+            }
+            if admission.admit(scheduler, &e, id, timeline.dropping(), probe) {
+                if P::ENABLED {
+                    probe.on_enqueue(e.at, id);
+                }
+                scheduler.enqueue(Packet::new(id.seq, e.class, e.size, e.at));
+            }
         }
+        if T::LIVE {
+            if scheduler.is_empty() {
+                continue; // everything at this instant was filtered or dropped
+            }
+            timeline.advance(free, scheduler, probe);
+            if let Some(next) = timeline.down_until() {
+                // A downed link stalls service until the next timeline
+                // event; validation guarantees a restoring LinkUp.
+                free = next;
+                continue;
+            }
+        }
+        // Divergence (d): the buffer's high-water mark is sampled here, at
+        // decision instants only — never between the arrivals of a batch.
+        admission.at_decision(scheduler);
         if P::ENABLED && P::WANTS_DECISION_VALUES {
             values.clear();
             scheduler.decision_values(free, &mut values);
         }
-        let pkt = scheduler
-            .dequeue(free)
-            .expect("work-conserving scheduler with backlog must dequeue");
-        let finish = free + Dur::from_ticks(tx_ticks(pkt.size, rate));
+        let Some(pkt) = scheduler.dequeue(free) else {
+            if A::BOUNDED {
+                continue;
+            }
+            panic!("work-conserving scheduler with backlog must dequeue");
+        };
+        let finish = free + Dur::from_ticks(tx_ticks(pkt.size, timeline.rate()));
         if P::ENABLED {
             let id = PacketId::single_link(pkt.seq, pkt.class, pkt.size);
             probe.on_decision(free, scheduler.name(), id, &values);
             probe.on_depart(id, pkt.arrival, free, finish, true);
         }
-        on_depart(&Departure {
+        admission.delivered(&Departure {
             packet: pkt,
             start: free,
             finish,
@@ -254,13 +343,9 @@ mod tests {
         let mut s = SchedulerKind::Wtp.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
         let mut tape = Tape::default();
         let mut deps = Vec::new();
-        run_trace_probed(
-            s.as_mut(),
-            tr.entries().iter().copied(),
-            1.0,
-            |d| deps.push(d.packet.class),
-            &mut tape,
-        );
+        crate::Session::trace(&tr, 1.0)
+            .probe(&mut tape)
+            .run(s.as_mut(), |d| deps.push(d.packet.class));
         assert_eq!(deps, vec![1, 0]);
         assert_eq!(
             tape.0,
@@ -300,13 +385,11 @@ mod tests {
             let mut probed = Vec::new();
             let mut s = kind.build(&Sdp::paper_default(), 1.0);
             let mut counter = telemetry::CountingProbe::new(4);
-            run_trace_probed(
-                s.as_mut(),
-                tr.entries().iter().copied(),
-                1.0,
-                |d| probed.push((d.packet.seq, d.start, d.finish)),
-                &mut counter,
-            );
+            crate::Session::trace(&tr, 1.0)
+                .probe(&mut counter)
+                .run(s.as_mut(), |d| {
+                    probed.push((d.packet.seq, d.start, d.finish))
+                });
             assert_eq!(plain, probed, "{} diverged under probing", kind.name());
             let report = counter.report();
             assert_eq!(report.total_departures(), 5, "{}", kind.name());

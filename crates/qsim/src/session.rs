@@ -1,73 +1,93 @@
-//! The unified single-link entry point.
-//!
-//! Historically every combination of workload (materialized trace vs live
-//! sources), instrumentation (probed vs not), and buffering (lossless vs
-//! lossy) had its own `run_*` function — ten entry points for one replay
-//! loop. A [`Session`] composes those axes instead:
-//!
-//! ```
-//! use qsim::Session;
-//! use sched::{Sdp, SchedulerKind};
-//! use simcore::Time;
-//! use traffic::{Trace, TraceEntry};
-//!
-//! // Two same-time arrivals: WTP serves the higher class first.
-//! let trace = Trace::from_entries(vec![
-//!     TraceEntry { at: Time::ZERO, class: 0, size: 100 },
-//!     TraceEntry { at: Time::ZERO, class: 1, size: 100 },
-//! ]);
-//! let mut sched = SchedulerKind::Wtp.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
-//! let mut order = Vec::new();
-//! Session::trace(&trace, 1.0).run(sched.as_mut(), |d| order.push(d.packet.class));
-//! assert_eq!(order, vec![1, 0]);
-//! ```
-//!
-//! Optional axes chain before `run`:
-//!
-//! * [`probe`](Session::probe) attaches any [`telemetry::Probe`] (pass
-//!   `&mut sink` to keep ownership for `finish()`);
-//! * [`scenario`](Session::scenario) attaches a perturbation timeline
-//!   ([`scenario::Scenario`]) — live SDP swaps, link faults, load surges;
-//! * [`lossy`](Session::lossy) bounds the buffer (trace workloads only).
-//!
-//! Run metrics are a first-class output: [`run_metered`](Session::run_metered)
-//! attaches a [`telemetry::MetricsRegistry`] and returns it alongside the
-//! departures, and [`run_monitored`](Session::run_monitored) adds the
-//! online [`telemetry::PddMonitor`] conformance check.
-//!
-//! The default configuration (no probe, empty scenario) monomorphizes to
-//! exactly the historical uninstrumented loop — the golden determinism
-//! tests and the perf baseline's A/B gate both pin this.
+//! The single-link entry point: a [`Session`] composes workload × probe
+//! × scenario × buffer and instantiates the one service loop
+//! ([`serve`](crate::server::serve)) over them. Nothing else runs a link.
 
-use scenario::Scenario;
+use scenario::{Scenario, ScenarioRuntime};
 use sched::Scheduler;
 use simcore::Time;
 use telemetry::{MetricsRegistry, MonitorConfig, NoopProbe, PddMonitor, Probe, Tee};
-use traffic::{ClassSource, Trace};
+use traffic::{ClassSource, MergedStream, SurgedSource, Trace, TraceEntry};
 
-use crate::lossy::{LossMode, LossyReport};
-use crate::scenario_run::{
-    run_sources_scenario_probed, run_trace_lossy_scenario_probed, run_trace_scenario_probed,
-};
-use crate::server::Departure;
+use crate::lossy::{Buffer, LossMode, LossyReport};
+use crate::scenario_run::Live;
+use crate::server::{serve, Admission, Departure, NoScenario, Unbounded};
 
-/// A materialized-trace workload (replay identical input through many
-/// schedulers).
-#[derive(Debug)]
-pub struct TraceWorkload<'a> {
-    trace: &'a Trace,
+/// What a [`Session`] replays: time-ordered arrivals, as they are or
+/// re-timed by a scenario's load surges. Every
+/// `IntoIterator<Item = TraceEntry>` is one (recorded arrivals: their
+/// instants are data, a surge is refused); so are live [`Sources`].
+pub trait Workload {
+    /// The arrivals of the stationary workload.
+    fn arrivals(self) -> impl Iterator<Item = TraceEntry>;
+
+    /// The arrivals under `scenario`'s load surges.
+    fn surged(self, scenario: &Scenario) -> impl Iterator<Item = TraceEntry>;
 }
 
-/// A live-source workload (O(sources) memory, arrivals drawn on the fly).
+impl<I: IntoIterator<Item = TraceEntry>> Workload for I {
+    fn arrivals(self) -> impl Iterator<Item = TraceEntry> {
+        self.into_iter()
+    }
+
+    fn surged(self, scenario: &Scenario) -> impl Iterator<Item = TraceEntry> {
+        assert!(
+            !scenario.has_load_surge(),
+            "load_surge cannot re-time a prerecorded trace; use Session::sources"
+        );
+        self.into_iter()
+    }
+}
+
+/// A live-source workload (O(sources) memory, arrivals drawn on the fly by
+/// a [`MergedStream`] k-way merge).
 #[derive(Debug)]
-pub struct SourcesWorkload<'a> {
+pub struct Sources<'a> {
     sources: &'a [ClassSource],
     horizon: Time,
     base_seed: u64,
 }
 
+impl Workload for Sources<'_> {
+    fn arrivals(self) -> impl Iterator<Item = TraceEntry> {
+        MergedStream::per_source(self.sources.to_vec(), self.base_seed, self.horizon)
+    }
+
+    /// Each source draws through a [`SurgedSource`] carrying its class's
+    /// gap-scale breakpoints; with none it is the identity, so unperturbed
+    /// classes keep exactly their stationary arrivals.
+    fn surged(self, scenario: &Scenario) -> impl Iterator<Item = TraceEntry> {
+        let surged: Vec<SurgedSource<ClassSource>> = self
+            .sources
+            .iter()
+            .map(|s| SurgedSource::new(s.clone(), scenario.gap_scale_breakpoints(s.class())))
+            .collect();
+        MergedStream::per_source(surged, self.base_seed, self.horizon)
+    }
+}
+
 /// A composable single-link simulation run: workload × probe × scenario
-/// (× buffer). See the crate docs for the axes.
+/// (× buffer), the only way to run a link.
+///
+/// ```
+/// use qsim::Session;
+/// use sched::{Sdp, SchedulerKind};
+/// use simcore::Time;
+/// use traffic::{Trace, TraceEntry};
+///
+/// // Two same-time arrivals: WTP serves the higher class first.
+/// let trace = Trace::from_entries(vec![
+///     TraceEntry { at: Time::ZERO, class: 0, size: 100 },
+///     TraceEntry { at: Time::ZERO, class: 1, size: 100 },
+/// ]);
+/// let mut sched = SchedulerKind::Wtp.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
+/// let mut order = Vec::new();
+/// Session::trace(&trace, 1.0).run(sched.as_mut(), |d| order.push(d.packet.class));
+/// assert_eq!(order, vec![1, 0]);
+/// ```
+///
+/// [`probe`](Session::probe), [`scenario`](Session::scenario) and
+/// [`lossy`](Session::lossy) chain before `run`; each axis left at its
+/// default folds away at monomorphization.
 #[derive(Debug)]
 pub struct Session<W, P = NoopProbe> {
     workload: W,
@@ -76,101 +96,19 @@ pub struct Session<W, P = NoopProbe> {
     probe: P,
 }
 
-impl<'a> Session<TraceWorkload<'a>> {
-    /// Replays `trace` on a link of `rate` bytes/tick.
-    pub fn trace(trace: &'a Trace, rate: f64) -> Self {
+impl<W: Workload> Session<W> {
+    /// Serves `arrivals` — any iterator of entries in nondecreasing time
+    /// order — on a link of `rate` bytes/tick.
+    pub fn arrivals(arrivals: W, rate: f64) -> Self {
         Session {
-            workload: TraceWorkload { trace },
+            workload: arrivals,
             rate,
             scenario: Scenario::empty(),
             probe: NoopProbe,
         }
     }
-}
 
-impl<'a> Session<SourcesWorkload<'a>> {
-    /// Streams `sources` until `horizon` on a link of `rate` bytes/tick,
-    /// seeding source *i* with [`traffic::per_source_seed`]`(base_seed, i)`
-    /// — the workload is identical to replaying
-    /// [`Trace::generate_per_source`] with the same arguments.
-    pub fn sources(sources: &'a [ClassSource], horizon: Time, base_seed: u64, rate: f64) -> Self {
-        Session {
-            workload: SourcesWorkload {
-                sources,
-                horizon,
-                base_seed,
-            },
-            rate,
-            scenario: Scenario::empty(),
-            probe: NoopProbe,
-        }
-    }
-}
-
-impl<W, P: Probe> Session<W, P> {
-    /// Attaches a probe observing the packet lifecycle (and scenario
-    /// events). Pass `&mut sink` to keep ownership of sinks that need a
-    /// `finish()` call.
-    pub fn probe<Q: Probe>(self, probe: Q) -> Session<W, Q> {
-        Session {
-            workload: self.workload,
-            rate: self.rate,
-            scenario: self.scenario,
-            probe,
-        }
-    }
-
-    /// Attaches a perturbation timeline. An empty scenario (the default)
-    /// costs nothing: the run dispatches to the stationary loop.
-    pub fn scenario(mut self, scenario: Scenario) -> Self {
-        self.scenario = scenario;
-        self
-    }
-}
-
-impl<'a, P: Probe> Session<TraceWorkload<'a>, P> {
-    /// Runs the replay, invoking `on_depart` for every departure in order.
-    ///
-    /// # Panics
-    /// Panics if the scenario contains a load surge (a prerecorded trace's
-    /// arrival instants are data, not a rate process — use
-    /// [`Session::sources`]) or if a scenario SDP's class count does not
-    /// match the scheduler's.
-    pub fn run<S: Scheduler + ?Sized>(
-        mut self,
-        scheduler: &mut S,
-        on_depart: impl FnMut(&Departure),
-    ) {
-        assert!(
-            !self.scenario.has_load_surge(),
-            "load_surge cannot re-time a prerecorded trace; use Session::sources"
-        );
-        run_trace_scenario_probed(
-            scheduler,
-            self.workload.trace.entries().iter().copied(),
-            self.rate,
-            &self.scenario,
-            on_depart,
-            &mut self.probe,
-        );
-    }
-
-    /// Bounds the shared buffer to `buffer_bytes` with drop policy `mode`,
-    /// turning the run lossy (the §7 extension).
-    pub fn lossy(self, buffer_bytes: u64, mode: LossMode) -> LossySession<'a, P> {
-        LossySession {
-            trace: self.workload.trace,
-            rate: self.rate,
-            scenario: self.scenario,
-            probe: self.probe,
-            buffer_bytes,
-            mode,
-        }
-    }
-}
-
-impl<'a> Session<TraceWorkload<'a>> {
-    /// Runs the replay with a [`MetricsRegistry`] attached and returns it
+    /// Runs the session with a [`MetricsRegistry`] attached and returns it
     /// — run metrics as a first-class output next to the departures.
     pub fn run_metered<S: Scheduler + ?Sized>(
         self,
@@ -182,9 +120,8 @@ impl<'a> Session<TraceWorkload<'a>> {
         registry
     }
 
-    /// Runs the replay with both a [`MetricsRegistry`] and an online
-    /// [`PddMonitor`] (configured by `cfg`) attached; the monitor is
-    /// finalized before it is returned.
+    /// [`run_metered`](Session::run_metered) plus an online [`PddMonitor`]
+    /// configured by `cfg`, finalized before it is returned.
     pub fn run_monitored<S: Scheduler + ?Sized>(
         self,
         cfg: MonitorConfig,
@@ -200,91 +137,109 @@ impl<'a> Session<TraceWorkload<'a>> {
     }
 }
 
-impl<'a> Session<SourcesWorkload<'a>> {
-    /// Runs the streaming replay with a [`MetricsRegistry`] attached and
-    /// returns it.
-    pub fn run_metered<S: Scheduler + ?Sized>(
-        self,
-        scheduler: &mut S,
-        on_depart: impl FnMut(&Departure),
-    ) -> MetricsRegistry {
-        let mut registry = MetricsRegistry::new();
-        self.probe(&mut registry).run(scheduler, on_depart);
-        registry
-    }
-
-    /// Runs the streaming replay with both a [`MetricsRegistry`] and an
-    /// online [`PddMonitor`] attached; the monitor is finalized before it
-    /// is returned.
-    pub fn run_monitored<S: Scheduler + ?Sized>(
-        self,
-        cfg: MonitorConfig,
-        scheduler: &mut S,
-        on_depart: impl FnMut(&Departure),
-    ) -> (MetricsRegistry, PddMonitor) {
-        let mut registry = MetricsRegistry::new();
-        let mut monitor = PddMonitor::new(cfg);
-        self.probe(Tee(&mut registry, &mut monitor))
-            .run(scheduler, on_depart);
-        monitor.finish();
-        (registry, monitor)
+impl<'a> Session<std::iter::Copied<std::slice::Iter<'a, TraceEntry>>> {
+    /// Replays `trace` (identical input through many schedulers).
+    pub fn trace(trace: &'a Trace, rate: f64) -> Self {
+        Session::arrivals(trace.entries().iter().copied(), rate)
     }
 }
 
-impl<'a, P: Probe> Session<SourcesWorkload<'a>, P> {
-    /// Runs the streaming replay, invoking `on_depart` for every departure
-    /// in order. Scenario load surges re-time the sources via
-    /// [`traffic::SurgedSource`].
-    pub fn run<S: Scheduler + ?Sized>(
-        mut self,
-        scheduler: &mut S,
-        on_depart: impl FnMut(&Departure),
-    ) {
-        run_sources_scenario_probed(
-            scheduler,
-            self.workload.sources,
-            self.workload.horizon,
-            self.workload.base_seed,
-            self.rate,
-            &self.scenario,
-            on_depart,
-            &mut self.probe,
-        );
+impl<'a> Session<Sources<'a>> {
+    /// Streams `sources` until `horizon`, seeding source *i* with
+    /// [`traffic::per_source_seed`]`(base_seed, i)` — the same workload,
+    /// and so the same event stream, as replaying
+    /// [`Trace::generate_per_source`] with the same arguments.
+    pub fn sources(sources: &'a [ClassSource], horizon: Time, base_seed: u64, rate: f64) -> Self {
+        let workload = Sources {
+            sources,
+            horizon,
+            base_seed,
+        };
+        Session::arrivals(workload, rate)
+    }
+}
+
+impl<W, P: Probe> Session<W, P> {
+    /// Attaches a probe observing the packet lifecycle and scenario events.
+    /// Pass `&mut sink` to keep ownership of sinks that need `finish()`.
+    pub fn probe<Q: Probe>(self, probe: Q) -> Session<W, Q> {
+        Session {
+            workload: self.workload,
+            rate: self.rate,
+            scenario: self.scenario,
+            probe,
+        }
+    }
+
+    /// Attaches a perturbation timeline: live SDP swaps, link faults, load
+    /// surges. An empty scenario (the default) runs the stationary loop.
+    pub fn scenario(mut self, scenario: Scenario) -> Self {
+        self.scenario = scenario;
+        self
+    }
+
+    /// Bounds the shared buffer to `buffer_bytes` with drop policy `mode`,
+    /// turning the run lossy (the §7 extension).
+    pub fn lossy(self, buffer_bytes: u64, mode: LossMode) -> LossySession<W, P> {
+        LossySession {
+            session: self,
+            buffer_bytes,
+            mode,
+        }
+    }
+}
+
+impl<W: Workload, P: Probe> Session<W, P> {
+    /// Runs the session, invoking `on_depart` for every departure in order.
+    ///
+    /// # Panics
+    /// Panics if the scenario holds a load surge and the arrivals are
+    /// recorded, or if a scenario SDP's class count is not the scheduler's.
+    pub fn run<S: Scheduler + ?Sized>(self, scheduler: &mut S, on_depart: impl FnMut(&Departure)) {
+        self.run_with(scheduler, &mut Unbounded(on_depart));
+    }
+
+    /// Instantiates the loop: the stationary one unless a timeline is set.
+    fn run_with<S: Scheduler + ?Sized, A: Admission>(self, scheduler: &mut S, buffer: &mut A) {
+        // Taken apart by value: borrowing fields would pin the session in
+        // memory and keep `rate` — a literal at most call sites — from
+        // folding the transmission-time division away.
+        let Session {
+            workload,
+            rate,
+            scenario,
+            mut probe,
+        } = self;
+        if scenario.is_empty() {
+            let arrivals = workload.arrivals();
+            serve(scheduler, arrivals, NoScenario(rate), buffer, &mut probe);
+        } else {
+            let arrivals = workload.surged(&scenario);
+            let rt = ScenarioRuntime::new(&scenario, 1, scheduler.num_classes());
+            serve(scheduler, arrivals, Live { rt, rate }, buffer, &mut probe);
+        }
     }
 }
 
 /// A [`Session`] with a finite buffer; built by [`Session::lossy`].
 #[derive(Debug)]
-pub struct LossySession<'a, P = NoopProbe> {
-    trace: &'a Trace,
-    rate: f64,
-    scenario: Scenario,
-    probe: P,
+pub struct LossySession<W, P = NoopProbe> {
+    session: Session<W, P>,
     buffer_bytes: u64,
     mode: LossMode,
 }
 
-impl<'a, P: Probe> LossySession<'a, P> {
-    /// Runs the lossy replay and reports per-class arrivals, drops, and
-    /// delivered-packet delay summaries.
+impl<W: Workload, P: Probe> LossySession<W, P> {
+    /// Runs the lossy session. Under a scenario, arrivals held by a
+    /// `DownPolicy::Hold` fault still respect the buffer and
+    /// `DownPolicy::Drop` fault drops count like buffer drops.
     ///
     /// # Panics
-    /// Panics under the same conditions as [`Session::run`], or if the
-    /// buffer cannot hold the largest packet in the trace.
-    pub fn run(mut self, scheduler: &mut dyn Scheduler) -> LossyReport {
-        assert!(
-            !self.scenario.has_load_surge(),
-            "load_surge cannot re-time a prerecorded trace; use Session::sources"
-        );
-        run_trace_lossy_scenario_probed(
-            scheduler,
-            self.trace,
-            self.rate,
-            self.buffer_bytes,
-            self.mode,
-            &self.scenario,
-            &mut self.probe,
-        )
+    /// Panics as [`Session::run`] does, or if a packet exceeds the buffer.
+    pub fn run<S: Scheduler + ?Sized>(self, scheduler: &mut S) -> LossyReport {
+        let mut buffer = Buffer::new(self.buffer_bytes, self.mode, scheduler.num_classes());
+        self.session.run_with(scheduler, &mut buffer);
+        buffer.report
     }
 }
 
@@ -314,7 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn default_session_equals_the_probed_loop_with_noop_probe() {
+    fn default_session_equals_the_session_with_an_explicit_noop_probe() {
         let tr = small_trace();
         let mut via_session = Vec::new();
         let mut s = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
@@ -323,13 +278,11 @@ mod tests {
         });
         let mut via_probed = Vec::new();
         let mut s = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
-        crate::run_trace_probed(
-            s.as_mut(),
-            tr.entries().iter().copied(),
-            1.0,
-            |d| via_probed.push((d.packet.seq, d.start, d.finish)),
-            &mut NoopProbe,
-        );
+        Session::arrivals(tr.entries().iter().copied(), 1.0)
+            .probe(&mut NoopProbe)
+            .run(s.as_mut(), |d| {
+                via_probed.push((d.packet.seq, d.start, d.finish))
+            });
         assert_eq!(via_session, via_probed);
     }
 
@@ -478,5 +431,58 @@ mod tests {
         Session::trace(&tr, 1.0)
             .scenario(sc)
             .run(s.as_mut(), |_| {});
+    }
+
+    fn paper_sources(rho: f64) -> Vec<ClassSource> {
+        traffic::LoadPlan::paper_study_a(rho)
+            .unwrap()
+            .pareto_sources()
+            .unwrap()
+    }
+
+    #[test]
+    fn streaming_equals_trace_replay() {
+        let horizon = Time::from_ticks(2_000_000);
+        let sources = paper_sources(0.9);
+        // Trace path.
+        let mut src_copy = sources.clone();
+        let trace = Trace::generate_per_source(&mut src_copy, horizon, 21);
+        let mut s1 = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
+        let mut trace_deps = Vec::new();
+        Session::trace(&trace, 1.0).run(s1.as_mut(), |d| {
+            trace_deps.push((d.packet.class, d.packet.arrival, d.start));
+        });
+        // Streaming path.
+        let mut s2 = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
+        let mut stream_deps = Vec::new();
+        Session::sources(&sources, horizon, 21, 1.0).run(s2.as_mut(), |d| {
+            stream_deps.push((d.packet.class, d.packet.arrival, d.start));
+        });
+        assert_eq!(trace_deps.len(), stream_deps.len());
+        assert_eq!(trace_deps, stream_deps);
+    }
+
+    #[test]
+    fn streaming_handles_single_source() {
+        let sources = vec![ClassSource::new(
+            0,
+            IatDist::deterministic(100.0).unwrap(),
+            SizeDist::fixed(50),
+        )];
+        let mut s = SchedulerKind::Fcfs.build(&Sdp::new(&[1.0, 1.0]).unwrap(), 1.0);
+        let mut count = 0;
+        Session::sources(&sources, Time::from_ticks(1_000), 0, 1.0).run(s.as_mut(), |d| {
+            count += 1;
+            assert_eq!(d.wait().ticks(), 0); // load 0.5, deterministic: no queueing
+        });
+        assert_eq!(count, 10);
+    }
+
+    #[test]
+    fn empty_sources_do_nothing() {
+        let mut s = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
+        let mut count = 0;
+        Session::sources(&[], Time::from_ticks(100), 0, 1.0).run(s.as_mut(), |_| count += 1);
+        assert_eq!(count, 0);
     }
 }

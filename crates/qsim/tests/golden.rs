@@ -1,8 +1,8 @@
 //! Golden-determinism regression test for the optimized replay paths.
 //!
-//! The perf work introduced three ways to drive the same single-link
-//! simulation: the `dyn` trace replay (`Session::trace`), the
-//! monomorphized generic loop (`run_trace_on` via
+//! There are three ways to drive the same single-link simulation: the
+//! `dyn` trace replay (`Session::trace` over a boxed scheduler), the
+//! monomorphized loop (`Session::trace` over an unboxed one, via
 //! `SchedulerKind::build_and_visit`), and the streaming source path
 //! (`Session::sources`, O(sources) memory). They must be **bit-identical**: for
 //! a fixed seed, every scheduler must produce exactly the same departure
@@ -11,7 +11,7 @@
 //! The full `(seq, class, start, finish)` stream is FNV-hashed so a
 //! mismatch anywhere in hundreds of thousands of departures fails loudly.
 
-use qsim::{run_trace_on, Departure, Session};
+use qsim::{Departure, Session};
 use sched::{Scheduler, SchedulerKind, SchedulerVisitor, Sdp};
 use simcore::Time;
 use traffic::{LoadPlan, Trace};
@@ -19,13 +19,27 @@ use traffic::{LoadPlan, Trace};
 const HORIZON_TICKS: u64 = 2_000_000;
 const SEEDS: [u64; 2] = [11, 42];
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a: folds `bytes` into the running hash `h`.
+fn fnv1a_extend(h: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(h, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
 /// FNV-1a over the departure stream.
 #[derive(Default)]
 struct DepartureHash(u64);
 
 impl DepartureHash {
     fn new() -> Self {
-        DepartureHash(0xcbf2_9ce4_8422_2325)
+        DepartureHash(FNV_OFFSET)
     }
 
     fn push(&mut self, d: &Departure) {
@@ -37,10 +51,7 @@ impl DepartureHash {
             d.start.ticks(),
             d.finish.ticks(),
         ] {
-            for b in word.to_le_bytes() {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-            }
+            self.0 = fnv1a_extend(self.0, word.to_le_bytes());
         }
     }
 }
@@ -78,7 +89,7 @@ fn generic_trace_hash(kind: SchedulerKind, rho: f64, seed: u64) -> (u64, usize) 
         fn visit<S: Scheduler>(self, mut s: S) -> (u64, usize) {
             let mut h = DepartureHash::new();
             let mut n = 0usize;
-            run_trace_on(&mut s, self.trace.entries().iter().copied(), 1.0, |d| {
+            Session::trace(&self.trace, 1.0).run(&mut s, |d| {
                 h.push(d);
                 n += 1;
             });
@@ -161,7 +172,6 @@ fn jsonl_trace_is_byte_identical_across_replay_paths() {
     // and from the streaming (O(sources) memory) replay are the same
     // bytes. A small deterministic workload keeps the assertion readable
     // when it fails.
-    use qsim::{run_sources_probed, run_trace_probed};
     use telemetry::JsonlSink;
 
     let horizon = Time::from_ticks(300_000);
@@ -171,26 +181,16 @@ fn jsonl_trace_is_byte_identical_across_replay_paths() {
     let trace = Trace::generate_per_source(&mut src_copy, horizon, seed);
     let mut s1 = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
     let mut sink1 = JsonlSink::new(Vec::new());
-    run_trace_probed(
-        s1.as_mut(),
-        trace.entries().iter().copied(),
-        1.0,
-        |_| {},
-        &mut sink1,
-    );
+    Session::trace(&trace, 1.0)
+        .probe(&mut sink1)
+        .run(s1.as_mut(), |_| {});
     let from_trace = sink1.finish().unwrap();
 
     let mut s2 = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
     let mut sink2 = JsonlSink::new(Vec::new());
-    run_sources_probed(
-        s2.as_mut(),
-        &sources(0.9),
-        horizon,
-        seed,
-        1.0,
-        |_| {},
-        &mut sink2,
-    );
+    Session::sources(&sources(0.9), horizon, seed, 1.0)
+        .probe(&mut sink2)
+        .run(s2.as_mut(), |_| {});
     let from_stream = sink2.finish().unwrap();
 
     assert!(!from_trace.is_empty(), "workload produced no events");
@@ -225,7 +225,6 @@ fn noop_scenario_is_byte_identical_on_the_trace_path() {
     // not perturb a single departure or telemetry byte: after stripping
     // the scenario-event records themselves, the JSONL export and the
     // departure stream match the scenario-free run exactly.
-    use qsim::run_trace_probed;
     use telemetry::JsonlSink;
 
     let horizon = Time::from_ticks(300_000);
@@ -234,13 +233,9 @@ fn noop_scenario_is_byte_identical_on_the_trace_path() {
     let mut s1 = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
     let mut sink1 = JsonlSink::new(Vec::new());
     let mut plain = DepartureHash::new();
-    run_trace_probed(
-        s1.as_mut(),
-        trace.entries().iter().copied(),
-        1.0,
-        |d| plain.push(d),
-        &mut sink1,
-    );
+    Session::trace(&trace, 1.0)
+        .probe(&mut sink1)
+        .run(s1.as_mut(), |d| plain.push(d));
     let baseline = sink1.finish().unwrap();
 
     let sc = scenario::Scenario::builder()
@@ -274,7 +269,6 @@ fn noop_scenario_is_byte_identical_on_the_streaming_path() {
     // Same guarantee on the O(sources) path, including a unit load surge
     // (scale 1.0 routes every source through SurgedSource, which must be
     // an exact identity).
-    use qsim::run_sources_probed;
     use telemetry::JsonlSink;
 
     let horizon = Time::from_ticks(300_000);
@@ -283,15 +277,9 @@ fn noop_scenario_is_byte_identical_on_the_streaming_path() {
     let mut s1 = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
     let mut sink1 = JsonlSink::new(Vec::new());
     let mut plain = DepartureHash::new();
-    run_sources_probed(
-        s1.as_mut(),
-        &sources(0.9),
-        horizon,
-        seed,
-        1.0,
-        |d| plain.push(d),
-        &mut sink1,
-    );
+    Session::sources(&sources(0.9), horizon, seed, 1.0)
+        .probe(&mut sink1)
+        .run(s1.as_mut(), |d| plain.push(d));
     let baseline = sink1.finish().unwrap();
 
     let sc = scenario::Scenario::builder()
@@ -334,3 +322,233 @@ fn strip_scenario_lines(jsonl: &[u8]) -> Vec<u8> {
     }
     out.into_bytes()
 }
+
+/// The JSONL export of one run of the ρ = 0.9, 300 000-tick, seed-21
+/// workload the byte-identity tests share; `run` drives a session with
+/// the sink attached.
+fn jsonl_of(run: impl FnOnce(&mut telemetry::JsonlSink<Vec<u8>>)) -> Vec<u8> {
+    let mut sink = telemetry::JsonlSink::new(Vec::new());
+    run(&mut sink);
+    let bytes = sink.finish().unwrap();
+    assert!(bytes.len() > 10_000, "workload too small to be a golden");
+    bytes
+}
+
+#[test]
+fn unbounded_buffer_is_byte_identical_to_lossless_for_every_scheduler() {
+    // A buffer that never fills is the `Unbounded` admission policy: same
+    // loop, same event stream, for every discipline.
+    let trace = Trace::generate_per_source(&mut sources(0.9), Time::from_ticks(300_000), 21);
+    for kind in SchedulerKind::ALL
+        .into_iter()
+        .chain(SchedulerKind::PIFO_ALL)
+    {
+        let lossless = jsonl_of(|sink| {
+            let mut s = kind.build(&Sdp::paper_default(), 1.0);
+            Session::trace(&trace, 1.0)
+                .probe(sink)
+                .run(s.as_mut(), |_| {});
+        });
+        let lossy = jsonl_of(|sink| {
+            let mut s = kind.build(&Sdp::paper_default(), 1.0);
+            let report = Session::trace(&trace, 1.0)
+                .probe(sink)
+                .lossy(u64::MAX, qsim::LossMode::TailDrop)
+                .run(s.as_mut());
+            assert_eq!(report.total_drops(), 0, "{kind}");
+        });
+        assert!(
+            lossless == lossy,
+            "{kind}: a never-full buffer changed the stream"
+        );
+    }
+}
+
+#[test]
+fn noop_scenario_is_byte_identical_on_the_lossy_path() {
+    // The identity timeline of the lossless tests above, under real buffer
+    // pressure: the `Live` timeline must not move a drop or a departure.
+    let trace = pinned_trace();
+    let run = |sc: scenario::Scenario| {
+        let mut report = None;
+        let bytes = jsonl_of(|sink| {
+            let mut s = SchedulerKind::Wtp.build(&Sdp::paper_default(), PINNED_RATE);
+            let mode = qsim::LossMode::Plr(sched::PlrDropper::new(&[8.0, 4.0, 2.0, 1.0]).unwrap());
+            report = Some(
+                Session::trace(&trace, PINNED_RATE)
+                    .probe(sink)
+                    .scenario(sc)
+                    .lossy(PINNED_BUFFER_BYTES, mode)
+                    .run(s.as_mut()),
+            );
+        });
+        (bytes, report_digest(&report.unwrap()))
+    };
+    let (baseline, baseline_report) = run(scenario::Scenario::empty());
+    let (with_scenario, report) = run(scenario::Scenario::builder()
+        .set_sdp(Time::from_ticks(100_000), Sdp::paper_default())
+        .set_link_rate(Time::from_ticks(150_000), 0, PINNED_RATE)
+        .build()
+        .unwrap());
+    let stripped = strip_scenario_lines(&with_scenario);
+    assert!(
+        with_scenario.len() > stripped.len(),
+        "scenario events were never recorded"
+    );
+    assert!(
+        baseline == stripped,
+        "identity scenario perturbed the telemetry stream"
+    );
+    assert_eq!(
+        baseline_report, report,
+        "identity scenario changed the report"
+    );
+}
+
+#[test]
+fn lossy_streaming_equals_lossy_trace_replay() {
+    // The buffer takes any arrival iterator, so the O(sources) path can be
+    // lossy too — and must agree with the materialized one byte for byte.
+    let horizon = Time::from_ticks(300_000);
+    let run = |from_trace: bool| {
+        let mut report = None;
+        let bytes = jsonl_of(|sink| {
+            let mut s = SchedulerKind::Wtp.build(&Sdp::paper_default(), PINNED_RATE);
+            let mode = qsim::LossMode::TailDrop;
+            report = Some(if from_trace {
+                let trace = Trace::generate_per_source(&mut sources(0.95), horizon, 21);
+                Session::trace(&trace, PINNED_RATE)
+                    .probe(sink)
+                    .lossy(PINNED_BUFFER_BYTES, mode)
+                    .run(s.as_mut())
+            } else {
+                Session::sources(&sources(0.95), horizon, 21, PINNED_RATE)
+                    .probe(sink)
+                    .lossy(PINNED_BUFFER_BYTES, mode)
+                    .run(s.as_mut())
+            });
+        });
+        (bytes, report.unwrap())
+    };
+    let (from_trace, trace_report) = run(true);
+    let (from_stream, stream_report) = run(false);
+    assert!(trace_report.total_drops() > 0, "no buffer pressure");
+    assert!(from_trace == from_stream, "lossy replay paths diverged");
+    assert_eq!(report_digest(&trace_report), report_digest(&stream_report));
+}
+
+/// FNV-1a over every field of a [`qsim::LossyReport`].
+fn report_digest(r: &qsim::LossyReport) -> u64 {
+    let delays = r.delays.iter().flat_map(|d| {
+        [
+            d.count(),
+            d.sum().to_bits(),
+            d.min().unwrap_or(-1.0).to_bits(),
+            d.max().unwrap_or(-1.0).to_bits(),
+        ]
+    });
+    let words = (r.arrivals.iter().copied())
+        .chain(r.drops.iter().copied())
+        .chain(delays)
+        .chain([r.max_backlog_bytes]);
+    fnv1a(words.flat_map(u64::to_le_bytes))
+}
+
+/// The pinned workload: the ρ = 0.95 paper sources on a link slowed to
+/// 0.7 B/tick — offered load ≈ 1.36, and a non-unit rate in the
+/// transmission-time rounding.
+const PINNED_RATE: f64 = 0.7;
+const PINNED_BUFFER_BYTES: u64 = 20_000;
+
+fn pinned_trace() -> Trace {
+    Trace::generate_per_source(&mut sources(0.95), Time::from_ticks(300_000), 21)
+}
+
+/// A `DownPolicy::Drop` flap followed by a class leaving and rejoining.
+fn pinned_flap() -> scenario::Scenario {
+    scenario::Scenario::builder()
+        .link_down(Time::from_ticks(100_000), 0, scenario::DownPolicy::Drop)
+        .link_up(Time::from_ticks(130_000), 0)
+        .class_leave(Time::from_ticks(150_000), 2)
+        .class_join(Time::from_ticks(200_000), 2)
+        .build()
+        .unwrap()
+}
+
+// The three digests below were captured at the commit *before* the five
+// hand-written service loops became one. They hold the loops' documented
+// divergences byte for byte: which `limit` a fault drop reports, what it
+// counts into, that it bypasses the PLR dropper, which arrivals consume a
+// sequence number, and where `max_backlog_bytes` is sampled.
+
+#[test]
+fn pinned_lossy_plr_wtp_under_overload() {
+    use telemetry::JsonlSink;
+    let mut s = SchedulerKind::Wtp.build(&Sdp::paper_default(), PINNED_RATE);
+    let mut sink = JsonlSink::new(Vec::new());
+    let mode = qsim::LossMode::Plr(sched::PlrDropper::new(&[8.0, 4.0, 2.0, 1.0]).unwrap());
+    let report = Session::trace(&pinned_trace(), PINNED_RATE)
+        .probe(&mut sink)
+        .lossy(PINNED_BUFFER_BYTES, mode)
+        .run(s.as_mut());
+    let jsonl = sink.finish().unwrap();
+    assert!(report.drops.iter().all(|&d| d > 0), "{:?}", report.drops);
+    assert_eq!(report.max_backlog_bytes, PINNED_BUFFER_BYTES);
+    assert_eq!(
+        (fnv1a(jsonl), report_digest(&report)),
+        (PINNED_PLR_JSONL, PINNED_PLR_REPORT)
+    );
+}
+
+#[test]
+fn pinned_lossy_tail_drop_through_a_drop_flap_and_class_churn() {
+    use telemetry::JsonlSink;
+    let mut s = SchedulerKind::Wtp.build(&Sdp::paper_default(), PINNED_RATE);
+    let mut sink = JsonlSink::new(Vec::new());
+    let report = Session::trace(&pinned_trace(), PINNED_RATE)
+        .probe(&mut sink)
+        .scenario(pinned_flap())
+        .lossy(PINNED_BUFFER_BYTES, qsim::LossMode::TailDrop)
+        .run(s.as_mut());
+    let jsonl = sink.finish().unwrap();
+    let text = std::str::from_utf8(&jsonl).unwrap();
+    // Fault drops report the buffer as their limit on this path.
+    let drops = text.matches("\"ev\":\"drop\"").count() as u64;
+    assert_eq!(drops, report.total_drops());
+    let at_limit = format!("\"buffer\":{PINNED_BUFFER_BYTES}}}");
+    assert_eq!(text.matches(at_limit.as_str()).count() as u64, drops);
+    assert_eq!(text.matches("\"ev\":\"scenario\"").count(), 4);
+    assert_eq!(
+        (fnv1a(jsonl), report_digest(&report)),
+        (PINNED_FLAP_LOSSY_JSONL, PINNED_FLAP_LOSSY_REPORT)
+    );
+}
+
+#[test]
+fn pinned_lossless_through_a_drop_flap_and_class_churn() {
+    use telemetry::JsonlSink;
+    let mut s = SchedulerKind::Wtp.build(&Sdp::paper_default(), PINNED_RATE);
+    let mut sink = JsonlSink::new(Vec::new());
+    let mut departures = DepartureHash::new();
+    Session::trace(&pinned_trace(), PINNED_RATE)
+        .probe(&mut sink)
+        .scenario(pinned_flap())
+        .run(s.as_mut(), |d| departures.push(d));
+    let jsonl = sink.finish().unwrap();
+    let text = std::str::from_utf8(&jsonl).unwrap();
+    // Every drop on the lossless path is a fault drop: limit 0.
+    let drops = text.matches("\"ev\":\"drop\"").count();
+    assert!(drops > 0);
+    assert_eq!(text.matches("\"buffer\":0}").count(), drops);
+    assert_eq!(
+        (fnv1a(jsonl), departures.0),
+        (PINNED_FLAP_LOSSLESS_JSONL, PINNED_FLAP_LOSSLESS_DEPARTURES)
+    );
+}
+
+const PINNED_PLR_JSONL: u64 = 0x32ad_63b3_a5df_86df;
+const PINNED_PLR_REPORT: u64 = 0x7246_d4af_de3c_8ee8;
+const PINNED_FLAP_LOSSY_JSONL: u64 = 0x981c_909b_8e90_ee2a;
+const PINNED_FLAP_LOSSY_REPORT: u64 = 0xc4b7_6aa6_00f6_5729;
+const PINNED_FLAP_LOSSLESS_JSONL: u64 = 0x1360_23b3_9781_9e69;
+const PINNED_FLAP_LOSSLESS_DEPARTURES: u64 = 0xfb8d_065e_8b16_ffea;

@@ -107,7 +107,7 @@ impl SchedulerKind {
     ///
     /// This is the static-dispatch counterpart of [`SchedulerKind::build`]:
     /// hot loops written against a generic `S: Scheduler` (such as
-    /// `qsim::run_trace_on`) get devirtualized per-packet calls while the
+    /// `qsim::Session::run`) get devirtualized per-packet calls while the
     /// scheduler choice stays a runtime value.
     pub fn build_and_visit<V: SchedulerVisitor>(&self, sdp: &Sdp, link_rate: f64, v: V) -> V::Out {
         match self {

@@ -12,8 +12,9 @@
 //!   behind the associated constant [`Probe::ENABLED`], so the no-op probe
 //!   compiles to the uninstrumented loop.
 //! * [`NoopProbe`] — the zero-cost default ([`Probe::ENABLED`] ` = false`).
-//!   The `perf_baseline` binary proves the "zero" empirically and records
-//!   the overhead in `BENCH_propdiff.json`.
+//!   The repo benchmark (`benchmark/run.sh`) times the loops instantiated
+//!   with it, and its `telemetry.registry_*` rows price a real probe
+//!   against them.
 //! * [`MetricsRegistry`] — the mergeable metrics substrate: per-link
 //!   per-class counters, gauges with high-water marks, and log-bucketed
 //!   delay/backlog histograms, all with exact lossless

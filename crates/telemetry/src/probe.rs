@@ -43,7 +43,7 @@ impl PacketId {
 /// `if P::ENABLED { … }`. With [`NoopProbe`] that constant is `false`, the
 /// branches fold away at monomorphization time, and the instrumented loop
 /// compiles to the uninstrumented one — *zero*-cost, not merely cheap
-/// (verified against the tracked perf baseline).
+/// (that instantiation is what the repo benchmark's replay workloads time).
 ///
 /// All methods default to no-ops so probes implement only what they need.
 /// Within one hop, events for a packet arrive in lifecycle order
