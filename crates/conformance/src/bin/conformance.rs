@@ -7,10 +7,9 @@
 //! Runs every named check over seeds `0..N` (default 5). Exit code 0 means
 //! the suite passed. With `--expect-detect` the polarity flips: the run
 //! succeeds only if at least one check FAILS — that mode, combined with
-//! building against `--features mutated` (which flips WTP's tie-break in
-//! `sched`) or `--features mutated-pifo` (which flips the rank core's
-//! tie-break), is the proof that the harness is non-vacuous. CI runs all
-//! polarities.
+//! building against `--features mutated` (which flips the rank core's
+//! tie-break in `sched`), is the proof that the harness is non-vacuous.
+//! CI runs both polarities.
 
 use std::process::ExitCode;
 
@@ -36,8 +35,6 @@ fn main() -> ExitCode {
     }
 
     let mutated = if cfg!(feature = "mutated") {
-        " [MUTATED build: sched/mutate-wtp-tiebreak active]"
-    } else if cfg!(feature = "mutated-pifo") {
         " [MUTATED build: sched/mutate-pifo-rank active]"
     } else {
         ""

@@ -6,29 +6,25 @@
 //! silently change results when they drift. This crate judges the
 //! production schedulers the way "Universal Packet Scheduling" judges
 //! candidate algorithms — by replaying identical workloads against
-//! independently written references — in three layers:
+//! independently written references — in four layers:
 //!
 //! * [`oracle`] — a from-scratch WTP reference that recomputes every
 //!   class's priority at each decision instant and diffs departure
-//!   sequences (and per-decision winners, via [`sched::Wtp::peek_winner`])
-//!   against `sched::wtp`; plus an Eq. (7) feasibility cross-check: the
+//!   sequences (and per-decision winners, via
+//!   [`sched::PifoCore::peek_winner`]) against the production WTP — the
+//!   rank core every head-of-line discipline runs on; plus an Eq. (7)
+//!   feasibility cross-check: the
 //!   delays any work-conserving scheduler *achieves* must be a feasible
 //!   point of `stats::check_feasibility`.
 //! * [`fluid`] — a Proposition-1 tracker bounding packetized BPR's
 //!   per-class service lag against the exact fluid server
 //!   ([`sched::FluidBpr`]): a few max-packets within draining busy
 //!   periods, float-noise reconciliation whenever the backlog empties.
-//! * [`metamorphic`] — properties over all 11 bespoke
-//!   [`sched::SchedulerKind`]s plus the rank-core `Pifo(_)` kinds: the
-//!   Eq. 5 conservation audit on overloaded traffic, exact time/size
+//! * [`metamorphic`] — properties over every [`sched::SchedulerKind`]:
+//!   the Eq. 5 conservation audit on overloaded traffic, exact time/size
 //!   rescaling invariance, statistical class-label permutation invariance
 //!   of delay ratios, and trace-replay ↔ streaming `MergedStream`
 //!   interleave equivalence.
-//! * [`rank_diff`] — the rank-core differential: every bespoke scheduler
-//!   replayed in lockstep against its `sched::rank` PIFO twin, asserting
-//!   bit-identical per-decision winners (via decision-value audits and
-//!   `peek_winner` hooks) and departure timestamps on both the trace and
-//!   streaming replay paths.
 //! * [`decompose`] — the mesh-decomposition differential: the link-level
 //!   decomposition engine vs the exact mesh engine on seeded small
 //!   fabrics (exact packet conservation at any load, per-class
@@ -51,7 +47,6 @@ pub mod decompose;
 pub mod fluid;
 pub mod metamorphic;
 pub mod oracle;
-pub mod rank_diff;
 pub mod suite;
 
 use rand::rngs::StdRng;

@@ -1,5 +1,5 @@
-//! Metamorphic properties over all 11 bespoke [`SchedulerKind`]s plus the
-//! rank-core `Pifo(_)` kinds.
+//! Metamorphic properties over every [`SchedulerKind`]: the 11 paper
+//! schedulers plus the two `Pifo(_)` names.
 //!
 //! Each property transforms a workload in a way with a *known* effect on
 //! the output and fails if the implementation disagrees:
@@ -10,8 +10,8 @@
 //! * **time rescaling** — arrival times ×k and link rate ÷k (k a power of
 //!   two, so every float operation is an exact exponent shift) must scale
 //!   every departure time by exactly k and keep the departure order
-//!   bit-for-bit. Holds for every scheduler except **Additive** (and its
-//!   rank twin), whose priority `w + s` is inhomogeneous in time — the
+//!   bit-for-bit. Holds for every scheduler except **Additive**, whose
+//!   priority `w + s` is inhomogeneous in time — the
 //!   paper's own §4.2 critique of Eq. 3 — and **LSTF**, whose slack
 //!   budgets are likewise absolute tick offsets;
 //! * **size rescaling** — sizes ×k and times ×k at fixed rate likewise
@@ -80,9 +80,9 @@ pub fn conservation_audit(sdp: &Sdp, arrivals: &[Arrival]) -> Result<(), String>
 
 /// Schedulers for which time rescaling is an exact invariance.
 ///
-/// Excluded: Additive and its rank twin (priority `w + s` mixes ticks
-/// with dimensionless offsets) and LSTF (slack budgets are absolute tick
-/// offsets) — the same time-inhomogeneity, expressed as a rank.
+/// Excluded: Additive (priority `w + s` mixes ticks with dimensionless
+/// offsets) and LSTF (slack budgets are absolute tick offsets) — the
+/// same time-inhomogeneity in two rank functions.
 pub fn time_rescale_kinds() -> Vec<SchedulerKind> {
     SchedulerKind::ALL
         .iter()
@@ -91,9 +91,7 @@ pub fn time_rescale_kinds() -> Vec<SchedulerKind> {
         .filter(|k| {
             !matches!(
                 k,
-                SchedulerKind::Additive
-                    | SchedulerKind::Pifo(RankKind::Additive)
-                    | SchedulerKind::Pifo(RankKind::Lstf)
+                SchedulerKind::Additive | SchedulerKind::Pifo(RankKind::Lstf)
             )
         })
         .collect()
@@ -108,10 +106,7 @@ pub fn size_rescale_kinds() -> Vec<SchedulerKind> {
         .filter(|k| {
             !matches!(
                 k,
-                SchedulerKind::Additive
-                    | SchedulerKind::Drr
-                    | SchedulerKind::Pifo(RankKind::Additive)
-                    | SchedulerKind::Pifo(RankKind::Lstf)
+                SchedulerKind::Additive | SchedulerKind::Drr | SchedulerKind::Pifo(RankKind::Lstf)
             )
         })
         .collect()
@@ -268,17 +263,9 @@ pub fn permutation_check(
     Ok(())
 }
 
-/// The proportional schedulers the permutation metamorphic applies to —
-/// the bespoke trio and their rank-core twins.
-pub fn proportional_kinds() -> [SchedulerKind; 6] {
-    [
-        SchedulerKind::Wtp,
-        SchedulerKind::Pad,
-        SchedulerKind::Hpd,
-        SchedulerKind::Pifo(RankKind::Wtp),
-        SchedulerKind::Pifo(RankKind::Pad),
-        SchedulerKind::Pifo(RankKind::Hpd),
-    ]
+/// The proportional schedulers the permutation metamorphic applies to.
+pub fn proportional_kinds() -> [SchedulerKind; 3] {
+    [SchedulerKind::Wtp, SchedulerKind::Pad, SchedulerKind::Hpd]
 }
 
 struct StreamRun {

@@ -1,7 +1,7 @@
 //! Oracle differentials: a from-scratch WTP reference diffed against the
 //! production scheduler, and the Eq. (7) feasibility witness check.
 //!
-//! The oracle deliberately shares **no code** with `sched::wtp` or the
+//! The oracle deliberately shares **no code** with `sched::rank` or the
 //! `qsim` replay loop: it keeps its own per-class FIFO queues, recomputes
 //! every backlogged class's priority `w_i(t)·s_i` from scratch at each
 //! decision instant, and applies the paper's rules directly — highest
@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use sched::{Scheduler, SchedulerKind, Sdp, Wtp};
+use sched::{PifoCore, Scheduler, SchedulerKind, Sdp, WtpRank};
 use simcore::Time;
 
 use crate::{class_mean_waits, replay, Arrival, Dep};
@@ -186,11 +186,12 @@ impl fmt::Display for Divergence {
     }
 }
 
-/// Diffs `sched::wtp` against the oracle on one workload, at three levels:
+/// Diffs the production WTP — [`WtpRank`] on the rank core — against the
+/// oracle on one workload, at three levels:
 ///
-/// 1. **decision instants** — a manual drive of the concrete [`Wtp`]
-///    checks [`Wtp::peek_winner`] against [`WtpOracle::winner`] at every
-///    service decision *before* dequeuing;
+/// 1. **decision instants** — a manual drive of the concrete
+///    [`PifoCore<WtpRank>`] checks [`PifoCore::peek_winner`] against
+///    [`WtpOracle::winner`] at every service decision *before* dequeuing;
 /// 2. **departure sequence** — the `(seq, class, start)` record of that
 ///    drive must equal the oracle's;
 /// 3. **replay path** — the production `qsim::Session::trace` path must produce
@@ -207,7 +208,7 @@ pub fn diff_wtp(sdp: &Sdp, arrivals: &[Arrival], rate: f64) -> Result<(), Diverg
     // The ring buffer keeps the last few decision audits so a divergence
     // report shows *why* the scheduler chose as it did, not just that the
     // choice differed.
-    let mut wtp = Wtp::new(sdp.clone());
+    let mut wtp = PifoCore::new("WTP", sdp.num_classes(), WtpRank::new(sdp.clone()));
     let mut oracle = WtpOracle::new(sdp);
     let mut next = 0usize;
     let mut free = 0u64;
@@ -437,6 +438,7 @@ mod tests {
         let err = diff_wtp(&sdp, &[(0, 0, 100), (0, 1, 100)], 1.0)
             .expect_err("flipped tie-break must be caught");
         assert_eq!(err.index, 0, "{err}");
+        assert_eq!(err.stage, "decision instant (peek_winner)", "{err}");
     }
 
     #[test]

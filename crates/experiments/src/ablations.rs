@@ -12,7 +12,7 @@
 
 use pdd::model::{Ddp, ProportionalModel};
 use pdd::qsim::Experiment;
-use pdd::sched::{Packet, Scheduler, SchedulerKind, Sdp, Wtp};
+use pdd::sched::{Packet, PifoCore, Scheduler, SchedulerKind, Sdp, WtpRank};
 use pdd::simcore::{Dur, Time};
 use pdd::stats::Table;
 use pdd::traffic::Trace;
@@ -186,7 +186,8 @@ pub fn starvation() -> Vec<StarvationProbe> {
     [1.2, 1.5, 1.9, 2.0, 2.1, 3.0, 4.0, 8.0]
         .into_iter()
         .map(|ratio| {
-            let mut s = Wtp::new(Sdp::new(&[1.0, ratio]).expect("static"));
+            let sdp = Sdp::new(&[1.0, ratio]).expect("static");
+            let mut s = PifoCore::new("WTP", 2, WtpRank::new(sdp));
             // Victim arrives at t0 = 0; burst packets at R1 = 2R (gap 50
             // ticks for 100-tick services).
             s.enqueue(Packet::new(0, 0, 100, Time::ZERO));

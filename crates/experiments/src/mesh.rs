@@ -35,8 +35,9 @@ use pdd::sched::{RankKind, SchedulerKind, Sdp};
 use crate::{parallel_map_on, Scale};
 
 /// Schedulers the mesh suite sweeps: the paper's WTP, its HPD refinement,
-/// and the rank-function twin of WTP on the PIFO core (the mesh is the
-/// one suite where the programmable core runs at fabric scale).
+/// and WTP again under its rank-core name — one scheduler, two published
+/// cells, so the suite doubles as a check that the two names agree at
+/// fabric scale.
 pub const SCHEDULERS: [SchedulerKind; 3] = [
     SchedulerKind::Wtp,
     SchedulerKind::Hpd,

@@ -29,8 +29,8 @@ use pdd::telemetry::{NoopProbe, Probe};
 
 use crate::{banner, fig1, parallel_map, Scale};
 
-/// The two schedulers each cell compares: the static-slack LSTF rank core
-/// and bespoke WTP (the proportional reference).
+/// The two schedulers each cell compares: static-slack LSTF and WTP (the
+/// proportional reference).
 pub const SCHEDULERS: [SchedulerKind; 2] =
     [SchedulerKind::Pifo(RankKind::Lstf), SchedulerKind::Wtp];
 

@@ -789,11 +789,11 @@ mod tests {
     }
 
     #[test]
-    fn rank_core_twin_is_exact_through_the_mesh() {
+    fn pifo_wtp_is_wtp_through_the_mesh() {
         use sched::{RankKind, SchedulerKind};
-        // The rank-core WTP twin is bit-identical to bespoke WTP per
-        // decision (see `conformance::rank_diff`), so swapping every hop's
-        // scheduler must reproduce the exact same multi-hop waits.
+        // `Pifo(RankKind::Wtp)` is WTP under its rank-core name, so
+        // renaming every hop's scheduler must reproduce the exact same
+        // multi-hop waits.
         let mut wtp = tiny(3, 0.95);
         wtp.experiments = 4;
         let mut pifo = wtp.clone();
@@ -803,15 +803,17 @@ mod tests {
         };
         let w_wtp = waits(&crate::Session::study_b(&wtp).run().0);
         let w_pifo = waits(&crate::Session::study_b(&pifo).run().0);
-        assert_eq!(w_wtp, w_pifo, "rank-core twin diverged through the mesh");
+        assert_eq!(
+            w_wtp, w_pifo,
+            "PIFO(WTP) diverged from WTP through the mesh"
+        );
     }
 
     #[test]
     fn lstf_hop_schedules_through_the_mesh() {
         use sched::{RankKind, SchedulerKind};
-        // LSTF has no bespoke twin; this exercises the new kind through
-        // the full multi-hop engine and checks it still delivers and
-        // orders the classes.
+        // Exercises LSTF through the full multi-hop engine and checks it
+        // still delivers and orders the classes.
         let mut cfg = tiny(2, 0.95);
         cfg.experiments = 6;
         cfg.link_schedulers = Some(vec![SchedulerKind::Pifo(RankKind::Lstf); 2]);

@@ -674,6 +674,12 @@ mod tests {
         LinkSpec::new(MBPS25, SchedulerKind::Wtp)
     }
 
+    /// The concrete scheduler behind [`wtp_link`].
+    fn wtp_scheduler(cfg: &MeshConfig) -> sched::PifoCore<sched::WtpRank> {
+        let rank = sched::WtpRank::new(cfg.sdp.clone());
+        sched::PifoCore::new("WTP", cfg.sdp.num_classes(), rank)
+    }
+
     fn probe(route: Vec<usize>, class: u8, start: u64) -> MeshFlow {
         MeshFlow {
             route,
@@ -870,7 +876,7 @@ mod tests {
             .build()
             .unwrap();
         let mut counter = telemetry::CountingProbe::new(4);
-        let wtp = vec![sched::Wtp::new(cfg.sdp.clone())];
+        let wtp = vec![wtp_scheduler(&cfg)];
         let (out, slots) = run_engine(&cfg, &sc, &mut counter, wtp);
         assert_eq!(slots, 1, "a dropped packet's slot must be recycled");
         assert!(
@@ -964,6 +970,55 @@ mod tests {
         assert_eq!(out.per_flow_waits[3], vec![0]);
     }
 
+    #[test]
+    fn fcfs_on_a_downstream_link_serves_in_link_arrival_order() {
+        // `Packet::seq` is the emission id, so on link 2 of this Y it is
+        // *not* the arrival order: A is emitted first but queues behind a
+        // pre-loaded link 0, and reaches link 2 after the later-emitted B.
+        // Two blockers keep link 2 busy until both are queued there, so
+        // one decision sees both heads — and FCFS must take B, whatever
+        // the classes and emission ids say.
+        const TX: u64 = 160_000; // 500 B at 25 Mb/s
+        let once = |route: Vec<usize>, class, start_ticks| MeshFlow {
+            route,
+            class,
+            packet_bytes: 500,
+            model: FlowModel::Periodic {
+                gap_ticks: 1,
+                count: 1,
+            },
+            start_ticks,
+        };
+        let cfg = MeshConfig {
+            sdp: Sdp::paper_default(),
+            links: vec![
+                wtp_link(),
+                wtp_link(),
+                LinkSpec::new(MBPS25, SchedulerKind::Fcfs),
+            ],
+            flows: vec![
+                once(vec![0], 1, 0),          // span 0: pre-loads link 0 until TX
+                once(vec![0, 2], 3, 1),       // span 1, A: on link 2 at 2·TX
+                once(vec![1, 2], 0, 10),      // span 2, B: on link 2 at TX + 10
+                once(vec![2], 1, TX / 2),     // span 3: link 2 busy until 3·TX/2
+                once(vec![2], 1, TX / 2 + 1), // span 4: … and until 5·TX/2
+            ],
+            seed: 0,
+        };
+        let mut log = Recorder::default();
+        crate::Session::mesh(&cfg).probe(&mut log).run();
+        let on_link_2 = |span| {
+            let hit = log.arrivals.iter().find(|a| a.1 == span && a.2 == 2);
+            hit.expect("crosses link 2").0
+        };
+        assert_eq!((on_link_2(1), on_link_2(2)), (2 * TX, TX + 10));
+        let served: Vec<u64> = (log.departs.iter())
+            .filter(|d| d.1 == 2)
+            .map(|d| d.0)
+            .collect();
+        assert_eq!(served, vec![3, 4, 2, 1]);
+    }
+
     /// A two-link mesh of `kind_a`/`kind_b` links of unequal rates: probes
     /// across both, Pareto background on each.
     fn two_link_mesh(kind_a: SchedulerKind, kind_b: SchedulerKind) -> MeshConfig {
@@ -1016,7 +1071,7 @@ mod tests {
     fn spans_follow_emission_order_and_routes_while_slots_are_reused() {
         let cfg = two_link_mesh(SchedulerKind::Wtp, SchedulerKind::Wtp);
         let mut log = Recorder::default();
-        let wtp = vec![sched::Wtp::new(cfg.sdp.clone()); 2];
+        let wtp = vec![wtp_scheduler(&cfg); 2];
         let (out, slots) = run_engine(&cfg, &Scenario::empty(), &mut log, wtp);
         let packets: usize = out.per_flow_waits.iter().map(Vec::len).sum();
         assert!(

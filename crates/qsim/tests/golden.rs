@@ -552,3 +552,109 @@ const PINNED_FLAP_LOSSY_JSONL: u64 = 0x981c_909b_8e90_ee2a;
 const PINNED_FLAP_LOSSY_REPORT: u64 = 0xc4b7_6aa6_00f6_5729;
 const PINNED_FLAP_LOSSLESS_JSONL: u64 = 0x1360_23b3_9781_9e69;
 const PINNED_FLAP_LOSSLESS_DEPARTURES: u64 = 0xfb8d_065e_8b16_ffea;
+
+// The digests below were captured from the hand-written `Pad`, `Hpd`,
+// `Additive` and `StrictPriority` at the commit *before* those types were
+// deleted in favour of rank functions on `PifoCore`. They are the
+// independent record of what the deleted code computed, bit for bit — the
+// reason the rank expressions must stay verbatim, operand order included.
+// (WTP's independent record is the from-scratch `conformance::oracle`.)
+
+/// Same-tick batches across all four classes, in rotating class order,
+/// at ρ ≈ 1.15 with a drain gap after every eighth batch. Sizes are
+/// 100/200/400 bytes, so waits are mostly multiples of 100 and ranks
+/// cross **exactly**: of 20 000 decisions the two best ranks are equal
+/// 1 500 times under `w·s` (s = 1, 2, 4, 8) and, thanks to the 1-, 2-
+/// and 4-tick stragglers, 750 times under `w + s`. PAD and HPD tie only
+/// while their per-class histories are still symmetric (the all-zero
+/// ranks of the first batch, a handful after) — the rest of their
+/// digest pins the history arithmetic instead.
+fn tie_burst_trace() -> Trace {
+    const SIZES: [u32; 3] = [100, 200, 400];
+    const STRAGGLE: [u64; 4] = [0, 1, 2, 4];
+    let mut entries = Vec::new();
+    let mut at = 0u64;
+    for k in 0..4_000u64 {
+        for j in 0..4u64 {
+            entries.push(traffic::TraceEntry {
+                at: Time::from_ticks(at),
+                class: ((k + j) % 4) as u8,
+                size: SIZES[((k + 2 * j) % 3) as usize],
+            });
+        }
+        entries.push(traffic::TraceEntry {
+            at: Time::from_ticks(at + STRAGGLE[(k / 4 % 4) as usize]),
+            class: (k % 4) as u8,
+            size: 100,
+        });
+        at += if k % 8 == 7 { 4_000 } else { 900 };
+    }
+    Trace::from_entries(entries)
+}
+
+fn departures_digest(kind: SchedulerKind, trace: &Trace, sc: scenario::Scenario) -> u64 {
+    let mut s = kind.build(&Sdp::paper_default(), 1.0);
+    let mut h = DepartureHash::new();
+    Session::trace(trace, 1.0)
+        .scenario(sc)
+        .run(s.as_mut(), |d| h.push(d));
+    h.0
+}
+
+/// The four disciplines whose hand-written types were deleted.
+const PINNED_KINDS: [SchedulerKind; 4] = [
+    SchedulerKind::Pad,
+    SchedulerKind::Hpd,
+    SchedulerKind::Additive,
+    SchedulerKind::Strict,
+];
+/// Per [`PINNED_KINDS`] entry: the Pareto ρ = 0.95, seed-11 trace.
+const PINNED_PARETO: [u64; 4] = [
+    0x6b60_aacb_4b6b_e5fa,
+    0xb14a_3a52_9d2e_ed62,
+    0x3dc5_1077_5fb8_b75a,
+    0x36a0_2779_9b6a_7c52,
+];
+/// Per [`PINNED_KINDS`] entry: [`tie_burst_trace`].
+const PINNED_TIE_BURSTS: [u64; 4] = [
+    0x351b_0728_8e0d_8cd5,
+    0xbd29_9f15_fa62_d2bd,
+    0x2e1a_f895_e4c6_0a8d,
+    0xfef6_160d_6033_34a5,
+];
+/// PAD and HPD on the Pareto trace with the SDPs swapped to
+/// `[1, 4, 16, 64]` at mid-run; both keep their per-class departure
+/// history across the swap.
+const PINNED_SDP_SWAP: [u64; 2] = [0x1a62_e214_5ff5_536a, 0x3e91_34bf_2c5f_2a46];
+
+#[test]
+fn pinned_pad_hpd_additive_strict_departures() {
+    let ties = tie_burst_trace();
+    let pareto = PINNED_KINDS.map(|kind| dyn_trace_hash(kind, 0.95, 11).0);
+    let tie_bursts =
+        PINNED_KINDS.map(|kind| departures_digest(kind, &ties, scenario::Scenario::empty()));
+    assert_eq!(pareto, PINNED_PARETO, "Pareto: {pareto:#018x?}");
+    assert_eq!(
+        tie_bursts, PINNED_TIE_BURSTS,
+        "tie bursts: {tie_bursts:#018x?}"
+    );
+}
+
+#[test]
+fn pinned_pad_hpd_keep_history_across_a_live_sdp_swap() {
+    let trace = Trace::generate_per_source(&mut sources(0.95), Time::from_ticks(HORIZON_TICKS), 11);
+    let got = [PINNED_KINDS[0], PINNED_KINDS[1]].map(|kind| {
+        let swap = scenario::Scenario::builder()
+            .set_sdp(
+                Time::from_ticks(HORIZON_TICKS / 2),
+                Sdp::geometric(4, 4.0).unwrap(),
+            )
+            .build()
+            .unwrap();
+        departures_digest(kind, &trace, swap)
+    });
+    assert_eq!(got, PINNED_SDP_SWAP, "{got:#018x?}");
+    // The swap took effect: neither run equals its unswapped digest.
+    assert_ne!(got[0], PINNED_PARETO[0]);
+    assert_ne!(got[1], PINNED_PARETO[1]);
+}

@@ -4,20 +4,17 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::additive::Additive;
 use crate::bpr::Bpr;
 use crate::class::Sdp;
 use crate::drr::Drr;
 use crate::fcfs::Fcfs;
-use crate::hpd::Hpd;
-use crate::pad::Pad;
-use crate::rank::RankKind;
+use crate::rank::{
+    AdditiveRank, HpdRank, LstfRank, PadRank, PifoCore, RankFn, RankKind, StrictRank, WtpRank,
+};
 use crate::scfq::Scfq;
 use crate::scheduler::Scheduler;
-use crate::strict::StrictPriority;
 use crate::wf2q::Wf2q;
 use crate::wfq::Wfq;
-use crate::wtp::Wtp;
 
 /// Every scheduler this crate can build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,7 +41,9 @@ pub enum SchedulerKind {
     Pad,
     /// Hybrid Proportional Delay with g = 0.875 (extension).
     Hpd,
-    /// A rank-function discipline on the PIFO core (`sched::rank`).
+    /// A rank function under its rank-core name (`sched::rank`):
+    /// `Pifo(RankKind::Wtp)` is [`SchedulerKind::Wtp`] printed as
+    /// `PIFO(WTP)`, `Pifo(RankKind::Lstf)` is LSTF.
     Pifo(RankKind),
 }
 
@@ -64,19 +63,18 @@ impl SchedulerKind {
         SchedulerKind::Hpd,
     ];
 
-    /// Every rank-core kind, in [`RankKind::ALL`] order. Kept separate
+    /// The `Pifo(_)` kinds, in [`RankKind::ALL`] order. Kept separate
     /// from [`SchedulerKind::ALL`] so the paper-report iterations stay
-    /// over the eleven bespoke schedulers; conformance and the `rank`
-    /// experiment suite iterate this list.
-    pub const PIFO_ALL: [SchedulerKind; 7] = [
-        SchedulerKind::Pifo(RankKind::Fcfs),
-        SchedulerKind::Pifo(RankKind::Strict),
-        SchedulerKind::Pifo(RankKind::Additive),
+    /// over the eleven paper schedulers; the test matrices chain both.
+    pub const PIFO_ALL: [SchedulerKind; 2] = [
         SchedulerKind::Pifo(RankKind::Wtp),
-        SchedulerKind::Pifo(RankKind::Pad),
-        SchedulerKind::Pifo(RankKind::Hpd),
         SchedulerKind::Pifo(RankKind::Lstf),
     ];
+
+    /// The rank core for this kind: `rank` under this kind's display name.
+    fn core<R: RankFn>(&self, sdp: &Sdp, rank: R) -> PifoCore<R> {
+        PifoCore::new(self.name(), sdp.num_classes(), rank)
+    }
 
     /// Builds a boxed scheduler.
     ///
@@ -88,17 +86,21 @@ impl SchedulerKind {
     pub fn build(&self, sdp: &Sdp, link_rate: f64) -> Box<dyn Scheduler> {
         match self {
             SchedulerKind::Fcfs => Box::new(Fcfs::new(sdp.num_classes())),
-            SchedulerKind::Strict => Box::new(StrictPriority::new(sdp.num_classes())),
-            SchedulerKind::Wtp => Box::new(Wtp::new(sdp.clone())),
+            SchedulerKind::Strict => Box::new(self.core(sdp, StrictRank)),
+            SchedulerKind::Wtp | SchedulerKind::Pifo(RankKind::Wtp) => {
+                Box::new(self.core(sdp, WtpRank::new(sdp.clone())))
+            }
             SchedulerKind::Bpr => Box::new(Bpr::new(sdp.clone(), link_rate)),
             SchedulerKind::Wfq => Box::new(Wfq::new(sdp.clone(), link_rate)),
             SchedulerKind::Wf2q => Box::new(Wf2q::new(sdp.clone())),
             SchedulerKind::Scfq => Box::new(Scfq::new(sdp.clone())),
             SchedulerKind::Drr => Box::new(Drr::new(sdp.clone(), 1500)),
-            SchedulerKind::Additive => Box::new(Additive::new(sdp.clone())),
-            SchedulerKind::Pad => Box::new(Pad::new(sdp.clone())),
-            SchedulerKind::Hpd => Box::new(Hpd::with_default_g(sdp.clone())),
-            SchedulerKind::Pifo(rk) => rk.build(sdp),
+            SchedulerKind::Additive => Box::new(self.core(sdp, AdditiveRank::new(sdp.clone()))),
+            SchedulerKind::Pad => Box::new(self.core(sdp, PadRank::new(sdp.clone()))),
+            SchedulerKind::Hpd => Box::new(self.core(sdp, HpdRank::with_default_g(sdp.clone()))),
+            SchedulerKind::Pifo(RankKind::Lstf) => {
+                Box::new(self.core(sdp, LstfRank::with_default_base(sdp.clone())))
+            }
         }
     }
 
@@ -112,17 +114,21 @@ impl SchedulerKind {
     pub fn build_and_visit<V: SchedulerVisitor>(&self, sdp: &Sdp, link_rate: f64, v: V) -> V::Out {
         match self {
             SchedulerKind::Fcfs => v.visit(Fcfs::new(sdp.num_classes())),
-            SchedulerKind::Strict => v.visit(StrictPriority::new(sdp.num_classes())),
-            SchedulerKind::Wtp => v.visit(Wtp::new(sdp.clone())),
+            SchedulerKind::Strict => v.visit(self.core(sdp, StrictRank)),
+            SchedulerKind::Wtp | SchedulerKind::Pifo(RankKind::Wtp) => {
+                v.visit(self.core(sdp, WtpRank::new(sdp.clone())))
+            }
             SchedulerKind::Bpr => v.visit(Bpr::new(sdp.clone(), link_rate)),
             SchedulerKind::Wfq => v.visit(Wfq::new(sdp.clone(), link_rate)),
             SchedulerKind::Wf2q => v.visit(Wf2q::new(sdp.clone())),
             SchedulerKind::Scfq => v.visit(Scfq::new(sdp.clone())),
             SchedulerKind::Drr => v.visit(Drr::new(sdp.clone(), 1500)),
-            SchedulerKind::Additive => v.visit(Additive::new(sdp.clone())),
-            SchedulerKind::Pad => v.visit(Pad::new(sdp.clone())),
-            SchedulerKind::Hpd => v.visit(Hpd::with_default_g(sdp.clone())),
-            SchedulerKind::Pifo(rk) => rk.build_and_visit(sdp, v),
+            SchedulerKind::Additive => v.visit(self.core(sdp, AdditiveRank::new(sdp.clone()))),
+            SchedulerKind::Pad => v.visit(self.core(sdp, PadRank::new(sdp.clone()))),
+            SchedulerKind::Hpd => v.visit(self.core(sdp, HpdRank::with_default_g(sdp.clone()))),
+            SchedulerKind::Pifo(RankKind::Lstf) => {
+                v.visit(self.core(sdp, LstfRank::with_default_base(sdp.clone())))
+            }
         }
     }
 
@@ -180,17 +186,12 @@ impl FromStr for SchedulerKind {
             "additive" => Ok(SchedulerKind::Additive),
             "pad" => Ok(SchedulerKind::Pad),
             "hpd" => Ok(SchedulerKind::Hpd),
-            // Rank-core kinds: both the display form ("pifo(wtp)") and the
+            // Rank-core names: both the display form ("pifo(wtp)") and the
             // filesystem-safe slug ("pifo-wtp") parse.
-            "pifo(fcfs)" | "pifo-fcfs" => Ok(SchedulerKind::Pifo(RankKind::Fcfs)),
-            "pifo(strict)" | "pifo-strict" => Ok(SchedulerKind::Pifo(RankKind::Strict)),
-            "pifo(additive)" | "pifo-additive" => Ok(SchedulerKind::Pifo(RankKind::Additive)),
             "pifo(wtp)" | "pifo-wtp" => Ok(SchedulerKind::Pifo(RankKind::Wtp)),
-            "pifo(pad)" | "pifo-pad" => Ok(SchedulerKind::Pifo(RankKind::Pad)),
-            "pifo(hpd)" | "pifo-hpd" => Ok(SchedulerKind::Pifo(RankKind::Hpd)),
             "lstf" | "pifo(lstf)" | "pifo-lstf" => Ok(SchedulerKind::Pifo(RankKind::Lstf)),
             other => Err(format!(
-                "unknown scheduler '{other}' (expected one of: fcfs, strict, wtp, bpr, wfq, wf2q, scfq, drr, additive, pad, hpd, pifo-<rank>, lstf)"
+                "unknown scheduler '{other}' (expected one of: fcfs, strict, wtp, bpr, wfq, wf2q, scfq, drr, additive, pad, hpd, pifo-wtp, lstf)"
             )),
         }
     }
@@ -224,6 +225,35 @@ mod tests {
     fn from_str_rejects_unknown() {
         assert!("nope".parse::<SchedulerKind>().is_err());
         assert!("pifo(bpr)".parse::<SchedulerKind>().is_err());
+        // Second names for core-backed kinds are gone, and PIFO(FCFS) with
+        // them: the error lists the spellings that remain.
+        for gone in [
+            "pifo-pad",
+            "pifo-hpd",
+            "pifo-additive",
+            "pifo-strict",
+            "pifo-fcfs",
+        ] {
+            let err = gone.parse::<SchedulerKind>().unwrap_err();
+            assert!(err.contains("pifo-wtp, lstf"), "{err}");
+        }
+    }
+
+    #[test]
+    fn wtp_and_pifo_wtp_are_one_scheduler_under_two_names() {
+        struct Identify;
+        impl SchedulerVisitor for Identify {
+            type Out = (&'static str, &'static str);
+            fn visit<S: Scheduler>(self, s: S) -> Self::Out {
+                (std::any::type_name::<S>(), s.name())
+            }
+        }
+        let sdp = Sdp::paper_default();
+        let (wtp, wtp_name) = SchedulerKind::Wtp.build_and_visit(&sdp, 1.0, Identify);
+        let (pifo, pifo_name) =
+            SchedulerKind::Pifo(RankKind::Wtp).build_and_visit(&sdp, 1.0, Identify);
+        assert_eq!(wtp, pifo);
+        assert_eq!((wtp_name, pifo_name), ("WTP", "PIFO(WTP)"));
     }
 
     #[test]
@@ -239,41 +269,25 @@ mod tests {
     }
 
     #[test]
-    fn pifo_reconfigure_mirrors_the_rank_support_matrix() {
-        use crate::scheduler::ReconfigureError;
-        let sdp = Sdp::paper_default();
-        let steeper = Sdp::geometric(4, 4.0).unwrap();
-        for rk in RankKind::ALL {
-            let mut s = SchedulerKind::Pifo(rk).build(&sdp, 1.0);
-            let got = s.reconfigure(&steeper);
-            if rk.supports_reconfigure() {
-                assert_eq!(got, Ok(()), "{} should accept reconfigure", rk.name());
-            } else {
-                assert_eq!(
-                    got,
-                    Err(ReconfigureError::Unsupported(rk.name())),
-                    "{} should refuse reconfigure",
-                    rk.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn reconfigure_support_matrix() {
         use crate::scheduler::ReconfigureError;
-        // The proportional family accepts live SDP swaps; the baselines
-        // refuse with Unsupported naming themselves.
+        // The proportional family and LSTF accept live SDP swaps; the
+        // baselines refuse with Unsupported naming themselves.
         let supported = [
             SchedulerKind::Wtp,
             SchedulerKind::Bpr,
             SchedulerKind::Pad,
             SchedulerKind::Hpd,
             SchedulerKind::Additive,
+            SchedulerKind::Pifo(RankKind::Wtp),
+            SchedulerKind::Pifo(RankKind::Lstf),
         ];
         let sdp = Sdp::paper_default();
         let steeper = Sdp::geometric(4, 4.0).unwrap();
-        for kind in SchedulerKind::ALL {
+        for kind in SchedulerKind::ALL
+            .into_iter()
+            .chain(SchedulerKind::PIFO_ALL)
+        {
             let mut s = kind.build(&sdp, 1.0);
             let got = s.reconfigure(&steeper);
             if supported.contains(&kind) {

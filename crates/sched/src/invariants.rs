@@ -1,13 +1,15 @@
 //! Cross-scheduler property tests: invariants every work-conserving,
 //! non-preemptive, lossless scheduler must satisfy, checked under random
-//! traffic for all ten implementations.
+//! traffic for every [`SchedulerKind`].
 
 use proptest::prelude::*;
 
 use crate::class::Sdp;
 use crate::factory::SchedulerKind;
-use crate::rank::{PifoCore, RankFn};
-use crate::testutil::{all_schedulers, arrivals_strategy, drive, drive_streaming, sorted};
+use crate::rank::{PifoCore, RankFn, RankKind};
+use crate::testutil::{
+    all_schedulers, arrivals_strategy, drive, drive_streaming, drive_with, sorted,
+};
 
 /// A rank function where every rank ties: every decision falls through to
 /// the core's tie-break, exposing it directly to the property tests.
@@ -18,11 +20,21 @@ impl RankFn for ConstRank {
     fn rank(&self, _class: usize, _head: &crate::packet::Packet, _now: simcore::Time) -> f64 {
         0.0
     }
-
-    fn name(&self) -> &'static str {
-        "PIFO(Const)"
-    }
 }
+
+/// Every kind whose `decision_values` audit its decision — the five
+/// disciplines on the rank core, LSTF and BPR — with the sign that turns
+/// its value into "largest wins": ranks are served by argmax, BPR's
+/// remaining virtual work `L_i − v_i` by argmin.
+const AUDITED_KINDS: [(SchedulerKind, f64); 7] = [
+    (SchedulerKind::Strict, 1.0),
+    (SchedulerKind::Additive, 1.0),
+    (SchedulerKind::Wtp, 1.0),
+    (SchedulerKind::Pad, 1.0),
+    (SchedulerKind::Hpd, 1.0),
+    (SchedulerKind::Pifo(RankKind::Lstf), 1.0),
+    (SchedulerKind::Bpr, -1.0),
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -131,9 +143,9 @@ proptest! {
     )]
     fn prop_pifo_equal_ranks_depart_in_arrival_order(arrivals in arrivals_strategy()) {
         let arrivals = sorted(arrivals);
-        let mut trace_core = PifoCore::new(4, ConstRank);
+        let mut trace_core = PifoCore::new("PIFO(Const)", 4, ConstRank);
         let trace_deps = drive(&mut trace_core, &arrivals);
-        let mut stream_core = PifoCore::new(4, ConstRank);
+        let mut stream_core = PifoCore::new("PIFO(Const)", 4, ConstRank);
         let stream_deps = drive_streaming(&mut stream_core, arrivals.iter().copied());
         prop_assert_eq!(&trace_deps, &stream_deps, "replay paths diverged");
         for class in 0..4u8 {
@@ -150,6 +162,49 @@ proptest! {
         let mut strict = SchedulerKind::Strict.build(&Sdp::paper_default(), 1.0);
         let strict_deps = drive(strict.as_mut(), &arrivals);
         prop_assert_eq!(&trace_deps, &strict_deps, "all-ties core is not strict priority");
+    }
+
+    /// The decision audit has teeth: at every decision instant the
+    /// winner re-derived from `decision_values` under the documented tie
+    /// rule (largest value, ties to the **higher** class) is the class
+    /// `dequeue` then serves, and reading the values is read-only. A
+    /// tie-break drift inside a scheduler cannot hide behind agreeing
+    /// values.
+    #[test]
+    #[cfg_attr(
+        feature = "mutate-pifo-rank",
+        ignore = "tie rule deliberately flipped by the mutation feature"
+    )]
+    fn prop_decision_values_predict_the_winner(arrivals in arrivals_strategy()) {
+        let arrivals = sorted(arrivals);
+        let sdp = Sdp::paper_default();
+        for (kind, sign) in AUDITED_KINDS {
+            let mut s = kind.build(&sdp, 1.0);
+            let mut disagreements = Vec::new();
+            let (mut values, mut again) = (Vec::new(), Vec::new());
+            drive_with(s.as_mut(), &arrivals, |s, now| {
+                values.clear();
+                again.clear();
+                s.decision_values(now, &mut values);
+                s.decision_values(now, &mut again);
+                let mut predicted: Option<(usize, f64)> = None;
+                for &(c, v) in &values {
+                    if predicted.is_none_or(|(_, best)| sign * v >= sign * best) {
+                        predicted = Some((c, v));
+                    }
+                }
+                let pkt = s.dequeue(now);
+                let served = pkt.map(|p| p.class as usize);
+                if values != again || predicted.map(|(c, _)| c) != served {
+                    disagreements.push(format!(
+                        "t={now:?}: values {values:?} (re-read {again:?}) predict \
+                         {predicted:?}, dequeue served class {served:?}"
+                    ));
+                }
+                pkt
+            });
+            prop_assert!(disagreements.is_empty(), "{}: {}", kind.name(), disagreements[0]);
+        }
     }
 
     /// Every shipped rank kind keeps FIFO within a class and produces

@@ -3,26 +3,28 @@
 //! This crate implements the scheduling machinery of the SIGCOMM '99
 //! *Proportional Differentiated Services* paper:
 //!
-//! * [`Wtp`] — **Waiting-Time Priority** (§4.2, Kleinrock's
-//!   Time-Dependent Priorities): head-of-line priority `p_i(t) = w_i(t)·s_i`.
+//! * The **rank-function core** ([`PifoCore`], [`RankFn`]): every
+//!   head-of-line discipline is per-class FIFOs, an argmax over the
+//!   backlogged heads and one expression, so each is one rank function on
+//!   one engine — [`WtpRank`] (**Waiting-Time Priority**, §4.2,
+//!   Kleinrock's Time-Dependent Priorities: `p_i(t) = w_i(t)·s_i`),
+//!   [`AdditiveRank`] (`p_i(t) = w_i(t) + s_i`, Eq. 3), [`StrictRank`]
+//!   (§2.1), the extensions the paper's §7 calls for — [`PadRank`]
+//!   (Proportional Average Delay) and [`HpdRank`] (Hybrid Proportional
+//!   Delay), which hold the proportional model even at moderate loads —
+//!   and [`LstfRank`] (least-slack-time-first, from the Universal Packet
+//!   Scheduling line).
 //! * [`Bpr`] — **Backlog-Proportional Rate** (§4.1), in the packetized form
 //!   of Appendix 3 (virtual service functions, `argmin(L_i − v_i)`).
 //! * [`FluidBpr`] — the exact fluid BPR server, used to verify
 //!   Proposition 1 (simultaneous queue clearing).
-//! * Baselines from §2.1: [`Fcfs`], [`StrictPriority`], capacity
-//!   differentiation via [`Wfq`], [`Wf2q`], [`Scfq`] and [`Drr`], and the
-//!   [`Additive`] scheduler (`p_i(t) = w_i(t) + s_i`, Eq. 3).
-//! * Extensions the paper's §7 calls for: [`Pad`] (Proportional Average
-//!   Delay) and [`Hpd`] (Hybrid Proportional Delay) — the schedulers that
-//!   hold the proportional model even at moderate loads — plus the
-//!   [`PlrDropper`] (proportional loss-rate differentiation) and simple
-//!   buffer policies for lossy operation.
-//! * The **rank-function PIFO core** ([`PifoCore`], [`RankFn`],
-//!   [`RankKind`]): one programmable engine that re-expresses WTP, PAD,
-//!   HPD, Additive, Strict and FCFS as rank functions (each differentially
-//!   verified against its bespoke twin by `conformance::rank_diff`) and
-//!   hosts [LSTF](RankKind::Lstf) — least-slack-time-first, from the
-//!   Universal Packet Scheduling line — as a rank-only discipline.
+//! * Baselines from §2.1 that keep their own state: [`Fcfs`] (one shared
+//!   FIFO) and capacity differentiation via [`Wfq`], [`Wf2q`], [`Scfq`]
+//!   and [`Drr`].
+//! * The [`PlrDropper`] (proportional loss-rate differentiation) and
+//!   simple buffer policies for lossy operation.
+//!
+//! [`SchedulerKind`] builds any of them by name.
 //!
 //! All schedulers are **pure data structures**: they own per-class FIFO
 //! queues and answer `enqueue`/`dequeue(now)` queries. A link/server owner
@@ -40,7 +42,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod additive;
 mod bpr;
 mod bpr_fluid;
 mod class;
@@ -48,18 +49,13 @@ mod dropper;
 mod drr;
 mod factory;
 mod fcfs;
-mod hpd;
 mod packet;
-mod pad;
 mod rank;
 mod scfq;
 mod scheduler;
-mod strict;
 mod wf2q;
 mod wfq;
-mod wtp;
 
-pub use additive::Additive;
 pub use bpr::Bpr;
 pub use bpr_fluid::FluidBpr;
 pub use class::{Sdp, SdpError};
@@ -67,19 +63,15 @@ pub use dropper::{BufferPolicy, DropDecision, PlrDropper};
 pub use drr::Drr;
 pub use factory::{SchedulerKind, SchedulerVisitor};
 pub use fcfs::Fcfs;
-pub use hpd::Hpd;
 pub use packet::Packet;
-pub use pad::Pad;
 pub use rank::{
-    AdditiveRank, FcfsRank, HpdRank, LstfRank, PadRank, PifoCore, RankFn, RankKind, StrictRank,
-    WtpRank, DEFAULT_SLACK_BASE_TICKS,
+    AdditiveRank, HpdRank, LstfRank, PadRank, PifoCore, RankFn, RankKind, StrictRank, WtpRank,
+    DEFAULT_SLACK_BASE_TICKS,
 };
 pub use scfq::Scfq;
 pub use scheduler::{ClassQueues, ReconfigureError, Scheduler};
-pub use strict::StrictPriority;
 pub use wf2q::Wf2q;
 pub use wfq::Wfq;
-pub use wtp::Wtp;
 
 #[cfg(test)]
 mod invariants;

@@ -9,7 +9,11 @@ use simcore::Time;
 /// multi-hop simulator stores a flow/packet correlation id in it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
-    /// Monotone sequence number assigned by the producer (unique per hop).
+    /// Packet id assigned by the producer, for correlation (probe spans,
+    /// departure records). Single-link harnesses number packets in
+    /// admission order; `netsim::mesh` numbers them at *emission*, so on a
+    /// downstream link `seq` does not follow arrival order and no
+    /// scheduler may rank on it.
     pub seq: u64,
     /// Service class, 0-based; higher index = higher class.
     pub class: u8,

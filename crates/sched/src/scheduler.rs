@@ -102,9 +102,10 @@ pub trait Scheduler {
     /// class in class order. Read-only: must not change what a subsequent
     /// [`dequeue`](Scheduler::dequeue) at the same `now` returns.
     ///
-    /// The value's meaning is per scheduler — WTP reports the normalized
-    /// head-of-line priority `w_i(t)·s_i`, BPR the head's remaining virtual
-    /// work `L_i − v_i(t)`. Schedulers without an audit hook append nothing
+    /// The value's meaning is per scheduler — the rank core reports each
+    /// head's rank (for WTP the normalized head-of-line priority
+    /// `w_i(t)·s_i`), BPR the head's remaining virtual work
+    /// `L_i − v_i(t)`. Schedulers without an audit hook append nothing
     /// (the default), which telemetry renders as an empty record.
     ///
     /// `out` is caller-owned scratch so instrumented replay loops can reuse

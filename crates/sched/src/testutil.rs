@@ -66,6 +66,17 @@ impl Departure {
 /// link. Arrivals at or before a decision instant are enqueued before the
 /// decision (arrival-before-departure tie rule).
 pub(crate) fn drive(s: &mut dyn Scheduler, arrivals: &[(u64, u8, u32)]) -> Vec<Departure> {
+    drive_with(s, arrivals, |s, now| s.dequeue(now))
+}
+
+/// [`drive`] with the decision handed to `decide`, which must dequeue from
+/// the (backlogged) scheduler at the given instant — and may inspect it
+/// first.
+pub(crate) fn drive_with(
+    s: &mut dyn Scheduler,
+    arrivals: &[(u64, u8, u32)],
+    mut decide: impl FnMut(&mut dyn Scheduler, Time) -> Option<Packet>,
+) -> Vec<Departure> {
     debug_assert!(arrivals.windows(2).all(|w| w[0].0 <= w[1].0));
     let mut out = Vec::with_capacity(arrivals.len());
     let mut next = 0usize;
@@ -88,8 +99,7 @@ pub(crate) fn drive(s: &mut dyn Scheduler, arrivals: &[(u64, u8, u32)]) -> Vec<D
             s.enqueue(Packet::new(seq, c, sz, Time::from_ticks(t)));
             seq += 1;
         }
-        let pkt = s
-            .dequeue(Time::from_ticks(free))
+        let pkt = decide(s, Time::from_ticks(free))
             .expect("work conservation: backlogged scheduler must yield a packet");
         out.push(Departure {
             seq: pkt.seq,

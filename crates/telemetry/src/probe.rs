@@ -81,10 +81,13 @@ pub trait Probe {
     ///
     /// `values` is the scheduler's internal decision record — per-class
     /// `(class, value)` pairs in class order, covering at least the
-    /// backlogged classes. The meaning of `value` is per scheduler: WTP
-    /// reports the normalized head-of-line priority `w_i(t)·s_i`, BPR the
-    /// head's remaining virtual work `L_i − v_i(t)` (its service-share
-    /// deficit). Schedulers without an audit hook report an empty slice.
+    /// backlogged classes. The meaning of `value` is per scheduler: the
+    /// rank-core disciplines (WTP, PAD, HPD, Additive, Strict, LSTF)
+    /// report each head's rank — for WTP the normalized head-of-line
+    /// priority `w_i(t)·s_i` — and BPR the head's remaining virtual work
+    /// `L_i − v_i(t)` (its service-share deficit). Schedulers without an
+    /// audit hook (FCFS, the fair-queueing baselines) report an empty
+    /// slice.
     fn on_decision(
         &mut self,
         at: Time,

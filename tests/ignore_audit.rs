@@ -4,9 +4,12 @@
 //! `crates/sched/src/factory.rs`, and `crates/sched/src/fcfs.rs`, which
 //! were reported to carry ignored tests) found **no** unconditionally
 //! ignored tests anywhere — nothing to re-enable. The only ignores in the
-//! tree are the conditional `cfg_attr(feature = "mutated", ignore = ...)`
-//! gates in the conformance layer, which exist so the seeded-mutation
-//! build does not report its *intended* failures as test failures.
+//! tree are conditional on the one seeded mutation:
+//! `cfg_attr(feature = "mutate-pifo-rank", ignore = ...)` on the tie-rule
+//! tests in `sched::{rank, invariants}` and
+//! `cfg_attr(feature = "mutated", ignore = ...)` (the feature that turns
+//! it on) in the conformance layer. They exist so the mutated build does
+//! not report its *intended* failures as test failures.
 //!
 //! This test keeps it that way: every `ignore` in every crate's sources
 //! must carry a `= "reason"` string, so a silently parked test can never
