@@ -6,9 +6,10 @@
 //! shape — and composes per-flow end-to-end delay from the per-hop
 //! results:
 //!
-//! 1. Every flow's emission instants are precomputed exactly as the mesh
-//!    engine would generate them (same per-flow RNG streams, same
-//!    rounding), so the two engines agree on the offered load.
+//! 1. Every flow's emission instants are precomputed from the clock the
+//!    mesh engine's `Emit` events read (`emission::ParetoClock` — the same
+//!    code, not a copy of it), so the two engines agree on the offered
+//!    load.
 //! 2. A packet's arrival at hop *h* is its emission time shifted by the
 //!    sum of upstream *transmission + propagation* times — upstream
 //!    **queueing is ignored**. This is the decomposition approximation:
@@ -32,12 +33,11 @@
 //! quantified by `crates/conformance` against the exact engine on small
 //! topologies; the tolerance rationale lives in ARCHITECTURE.md.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use simcore::Time;
 use stats::{Histogram, Summary};
-use traffic::{IatDist, TraceEntry};
+use traffic::TraceEntry;
 
+use crate::emission::ParetoClock;
 use crate::mesh::{FlowModel, MeshConfig};
 
 /// Per-link simulation result: everything needed to compose end-to-end
@@ -111,9 +111,8 @@ pub struct DecomposeInput {
     assignments: Vec<Vec<(u32, u64)>>,
 }
 
-/// Flow `i`'s emission instants, generated exactly as the mesh engine
-/// schedules its `Emit` events (same seed derivation, same f64 clock and
-/// rounding), so both engines offer identical load.
+/// Flow `i`'s emission instants: the schedule the mesh engine's `Emit`
+/// events follow, read off the same [`ParetoClock`].
 fn flow_emissions(cfg: &MeshConfig, i: usize, f: &crate::mesh::MeshFlow) -> Vec<u64> {
     match f.model {
         FlowModel::Periodic { gap_ticks, count } => (0..count as u64)
@@ -123,24 +122,10 @@ fn flow_emissions(cfg: &MeshConfig, i: usize, f: &crate::mesh::MeshFlow) -> Vec<
             mean_gap_ticks,
             until_ticks,
         } => {
-            let mut rng =
-                StdRng::seed_from_u64(cfg.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let dist = IatDist::paper_pareto(mean_gap_ticks).expect("validated gap");
-            let mut clock = f.start_ticks as f64;
-            let mut prev = f.start_ticks;
             // The first packet goes out at the start instant unconditionally,
             // exactly like the engine's initial Emit event.
-            let mut out = vec![f.start_ticks];
-            loop {
-                clock += dist.sample(&mut rng);
-                let next = clock.round().max(prev as f64 + 1.0);
-                if next as u64 > until_ticks {
-                    break;
-                }
-                prev = next as u64;
-                out.push(prev);
-            }
-            out
+            let clock = ParetoClock::new(cfg.seed, i, f.start_ticks, mean_gap_ticks, until_ticks);
+            std::iter::once(f.start_ticks).chain(clock).collect()
         }
     }
 }
@@ -378,6 +363,69 @@ mod tests {
             dec.link_departures[0] > 10,
             "horizon should fit many packets"
         );
+    }
+
+    /// Per-link arrival ticks: with one single-hop flow per link, flow
+    /// `l`'s `Emit` instants as the mesh engine handled them.
+    #[derive(Default)]
+    struct EmitLog(Vec<Vec<u64>>);
+
+    impl telemetry::Probe for EmitLog {
+        const WANTS_DECISION_VALUES: bool = false;
+        fn on_arrival(&mut self, at: Time, id: telemetry::PacketId) {
+            self.0[id.hop as usize].push(at.ticks());
+        }
+    }
+
+    /// FNV-1a over the three flows' emission instants, flow by flow —
+    /// captured at the commit *before* the mesh engine's `Emit` clock and
+    /// `flow_emissions` became one clock over `traffic`'s block sampler.
+    const PINNED_PARETO_EMISSIONS: u64 = 0x2695_baa1_f3f1_343c;
+
+    #[test]
+    fn mesh_emit_instants_are_the_decomposed_emissions() {
+        // One Pareto flow per link. Flow 1's mean gap of 1.3 ticks rounds
+        // many successive emissions onto one tick, so the `max(prev + 1)`
+        // nudge is exercised hundreds of times.
+        let pareto = |link, class, mean_gap_ticks, until_ticks, start_ticks| MeshFlow {
+            route: vec![link],
+            class,
+            packet_bytes: 500,
+            model: FlowModel::Pareto {
+                mean_gap_ticks,
+                until_ticks,
+            },
+            start_ticks,
+        };
+        let cfg = MeshConfig {
+            sdp: Sdp::paper_default(),
+            links: vec![LinkSpec::new(MBPS25, SchedulerKind::Wtp); 3],
+            flows: vec![
+                pareto(0, 0, 250_000.0, 400_000_000, 1),
+                pareto(1, 2, 1.3, 2_000, 7),
+                pareto(2, 3, 1_000_000.0, 400_000_000, 123_456),
+            ],
+            seed: 11,
+        };
+        let mut log = EmitLog(vec![Vec::new(); 3]);
+        crate::Session::mesh(&cfg).probe(&mut log).run();
+        let input = DecomposeInput::new(&cfg).unwrap();
+        assert_eq!(log.0, input.emissions);
+        let nudged = (input.emissions[1].windows(2))
+            .filter(|w| w[1] == w[0] + 1)
+            .count();
+        assert!(nudged > 300, "{nudged} adjacent emissions");
+        assert!(input.emissions.iter().all(|e| e.len() > 300));
+        let digest = input
+            .emissions
+            .iter()
+            .flatten()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, t| {
+                (t.to_le_bytes().iter()).fold(h, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+                })
+            });
+        assert_eq!(digest, PINNED_PARETO_EMISSIONS, "digest {digest:#018x}");
     }
 
     #[test]

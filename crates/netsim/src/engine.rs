@@ -272,7 +272,11 @@ impl<P: Probe> Model for Net<'_, P> {
                     let idx = node as usize * self.cfg.cross_sources + src as usize;
                     let gap = match self.cfg.cross_model.clone() {
                         // Fresh Pareto gap, accumulated in f64 to avoid
-                        // rounding drift.
+                        // rounding drift. One gap at a time, not a block
+                        // from `IatDist::fill`: every source, and every
+                        // class draw, takes its words from the one
+                        // `self.rng` in event order, so a block drawn
+                        // ahead for one source would shift all the rest.
                         CrossModel::Pareto => self.cross_iat[node as usize].sample(&mut self.rng),
                         CrossModel::EcnAdaptive {
                             mark_threshold_bytes,

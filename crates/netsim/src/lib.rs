@@ -36,6 +36,7 @@
 mod analysis;
 mod config;
 pub mod decompose;
+mod emission;
 mod engine;
 mod link;
 pub mod mesh;

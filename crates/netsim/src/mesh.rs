@@ -18,15 +18,13 @@
 //! [`MeshConfig::materialize_cross`] before the engine will accept the
 //! config, so the event loop only ever sees one kind of traffic.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use scenario::{Command, DownPolicy, Scenario, ScenarioRuntime};
 use sched::{Packet, ReconfigureError, Scheduler, SchedulerVisitor, Sdp};
 use simcore::{Context, Dur, Model, Simulation, Time};
 use telemetry::{PacketId, Probe};
-use traffic::IatDist;
 
 use crate::config::CrossModel;
+use crate::emission::ParetoClock;
 use crate::link::LinkSpec;
 
 /// How a flow emits packets.
@@ -324,8 +322,8 @@ struct Mesh<'p, S: Scheduler, P: Probe> {
     free: Vec<u32>,
     emitted: u64,
     waits: Vec<Vec<u64>>,
-    /// Per-Pareto-flow (rng, cumulative clock, gap distribution).
-    pareto: Vec<(StdRng, f64, IatDist)>,
+    /// The Pareto flows' emission clocks, by `HotFlow::sampler`.
+    pareto: Vec<ParetoClock>,
     probe: &'p mut P,
     rt: ScenarioRuntime,
     cmd_buf: Vec<Command>,
@@ -472,15 +470,9 @@ impl<S: Scheduler, P: Probe> Model for Mesh<'_, S, P> {
                             );
                         }
                     }
-                    FlowModel::Pareto { until_ticks, .. } => {
-                        let (rng, clock, gaps) = &mut self.pareto[f.sampler as usize];
-                        *clock += gaps.sample(rng);
-                        let next = clock.round().max(ctx.now().ticks() as f64 + 1.0);
-                        if next as u64 <= until_ticks {
-                            ctx.schedule(
-                                Time::from_ticks(next as u64),
-                                Ev::Emit { flow, idx: idx + 1 },
-                            );
+                    FlowModel::Pareto { .. } => {
+                        if let Some(next) = self.pareto[f.sampler as usize].next() {
+                            ctx.schedule(Time::from_ticks(next), Ev::Emit { flow, idx: idx + 1 });
                         }
                     }
                 }
@@ -599,7 +591,8 @@ fn run_engine<S: Scheduler, P: Probe>(
     let hops: usize = cfg.flows.iter().map(|f| f.route.len()).sum();
     assert!(u32::try_from(hops).is_ok(), "route table exceeds u32");
     let mut routes = Vec::with_capacity(hops);
-    let mut pareto = Vec::new();
+    let is_pareto = |f: &&MeshFlow| matches!(f.model, FlowModel::Pareto { .. });
+    let mut pareto = Vec::with_capacity(cfg.flows.iter().filter(is_pareto).count());
     let mut flows = Vec::with_capacity(cfg.flows.len());
     for (i, f) in cfg.flows.iter().enumerate() {
         let at = routes.len() as u32;
@@ -618,11 +611,17 @@ fn run_engine<S: Scheduler, P: Probe>(
             model: f.model,
             sampler: pareto.len() as u32,
         });
-        if let FlowModel::Pareto { mean_gap_ticks, .. } = f.model {
-            pareto.push((
-                StdRng::seed_from_u64(cfg.seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                f.start_ticks as f64,
-                IatDist::paper_pareto(mean_gap_ticks).expect("validated gap"),
+        if let FlowModel::Pareto {
+            mean_gap_ticks,
+            until_ticks,
+        } = f.model
+        {
+            pareto.push(ParetoClock::new(
+                cfg.seed,
+                i,
+                f.start_ticks,
+                mean_gap_ticks,
+                until_ticks,
             ));
         }
     }

@@ -658,3 +658,30 @@ fn pinned_pad_hpd_keep_history_across_a_live_sdp_swap() {
     assert_ne!(got[0], PINNED_PARETO[0]);
     assert_ne!(got[1], PINNED_PARETO[1]);
 }
+
+// Captured at the commit *before* `traffic` began drawing arrivals a block
+// at a time: the scalar `next_arrival` chain and the per-`next()` linear
+// merge computed exactly this stream.
+
+/// FNV-1a over the first 10⁶ `(at, class, size)` of the Study-A ρ = 0.95
+/// merged stream, seed `SEEDS[0]`.
+const PINNED_MERGED_STREAM_PREFIX: u64 = 0x18f9_1513_9dd9_86c0;
+
+#[test]
+fn pinned_study_a_merged_stream_prefix() {
+    let stream =
+        traffic::MergedStream::per_source(sources(0.95), SEEDS[0], Time::from_ticks(600_000_000));
+    let mut n = 0u32;
+    let mut h = FNV_OFFSET;
+    for e in stream.take(1_000_000) {
+        for word in [e.at.ticks(), u64::from(e.class), u64::from(e.size)] {
+            h = fnv1a_extend(h, word.to_le_bytes());
+        }
+        n += 1;
+    }
+    assert_eq!(
+        (n, h),
+        (1_000_000, PINNED_MERGED_STREAM_PREFIX),
+        "digest {h:#018x}"
+    );
+}

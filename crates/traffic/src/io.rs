@@ -4,7 +4,7 @@
 //! Format: a `ticks,class,size` header line followed by one row per packet
 //! arrival, time-sorted.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::Path;
 
 use simcore::Time;
@@ -35,7 +35,8 @@ impl Trace {
         let mut out = String::with_capacity(16 * self.len() + 16);
         out.push_str("ticks,class,size\n");
         for e in self.entries() {
-            out.push_str(&format!("{},{},{}\n", e.at.ticks(), e.class, e.size));
+            writeln!(out, "{},{},{}", e.at.ticks(), e.class, e.size)
+                .expect("writing to a String cannot fail");
         }
         out
     }

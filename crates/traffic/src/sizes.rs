@@ -55,12 +55,11 @@ impl SizeDist {
             SizeDist::Fixed(s) => *s,
             SizeDist::Empirical(table) => {
                 let u: f64 = rng.random();
-                for &(size, cum) in table {
-                    if u < cum {
-                        return size;
-                    }
-                }
-                table.last().expect("nonempty").0
+                // The first entry with `u < cum`, found by counting the
+                // entries before it: `cum` never decreases, and a count
+                // does not branch on the random `u`.
+                let before = table.iter().filter(|&&(_, cum)| u >= cum).count();
+                table[before.min(table.len() - 1)].0
             }
         }
     }
@@ -111,6 +110,24 @@ mod tests {
         assert!((f(counts[0]) - 0.4).abs() < 0.01);
         assert!((f(counts[1]) - 0.5).abs() < 0.01);
         assert!((f(counts[2]) - 0.1).abs() < 0.01);
+    }
+
+    #[test]
+    fn sample_takes_the_first_entry_whose_cumulative_exceeds_the_draw() {
+        // Zero-weight entries repeat a cumulative value, at the front, in
+        // the middle and at the end.
+        let weights = [(10, 0.0), (20, 0.3), (30, 0.0), (40, 0.7), (50, 0.0)];
+        for d in [SizeDist::empirical(&weights).unwrap(), SizeDist::paper()] {
+            let SizeDist::Empirical(table) = &d else {
+                unreachable!()
+            };
+            let (mut sampled, mut drawn) = (StdRng::seed_from_u64(6), StdRng::seed_from_u64(6));
+            for _ in 0..50_000 {
+                let u: f64 = drawn.random();
+                let scanned = table.iter().find(|&&(_, cum)| u < cum).unwrap().0;
+                assert_eq!(d.sample(&mut sampled), scanned);
+            }
+        }
     }
 
     #[test]

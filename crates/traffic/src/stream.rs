@@ -4,11 +4,16 @@
 //! for replaying identical input through several schedulers, but O(packets)
 //! memory. The iterators here generate the *same* arrival sequence lazily:
 //! [`SourceStream`] walks one source, and [`MergedStream`] k-way-merges
-//! several with the `(time, source index)` tie-break that
-//! [`Trace::generate_per_source`](crate::Trace::generate_per_source) gets
-//! from its stable sort. For equal sources, horizon and base seed,
-//! `MergedStream::per_source` yields exactly that trace's entries, one at a
-//! time, in O(sources) memory.
+//! several, ties going to the lower source index.
+//! [`Trace::generate_per_source`](crate::Trace::generate_per_source) *is*
+//! `MergedStream::per_source` collected, so for equal sources, horizon and
+//! base seed the two agree entry for entry by construction.
+//!
+//! Every stream owns its RNG, which is what lets it draw a block of
+//! arrivals at a time ([`ArrivalSource::fill_until`]): what the block
+//! drawn across the horizon took from the RNG is never missed, and nobody
+//! else's draws shift. Memory is O(sources): a block of 64 arrivals, 1 KiB,
+//! per source, plus one cached head tick per source in the merge.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,7 +21,7 @@ use simcore::Time;
 
 use crate::onoff::OnOffSource;
 use crate::source::ClassSource;
-use crate::trace::{per_source_seed, TraceEntry};
+use crate::trace::{last_instant, per_source_seed, TraceEntry};
 
 /// An unbounded generator of timestamped packet arrivals — the common face
 /// of [`ClassSource`] and [`OnOffSource`] that lets the streaming
@@ -27,6 +32,27 @@ pub trait ArrivalSource {
 
     /// Draws the next arrival: `(time, size_bytes)`.
     fn draw(&mut self, rng: &mut StdRng) -> (Time, u32);
+
+    /// Draws arrivals into the non-empty `out` until it is full or one
+    /// lies past `horizon`, and returns how many were written: exactly
+    /// what that many [`draw`](Self::draw) calls return. An arrival past
+    /// the horizon is the last one written.
+    ///
+    /// Filling `out` leaves source and `rng` where that many `draw` calls
+    /// do. Passing the horizon ends the stream `rng` belongs to, and only
+    /// what was written is promised: a source that draws its words a block
+    /// at a time has taken the rest of the block's from `rng`, and a
+    /// wrapper's inner source has run ahead. ([`ClassSource`] still stops
+    /// its clock at that last arrival, as `draw` does.)
+    fn fill_until(&mut self, rng: &mut StdRng, horizon: Time, out: &mut [(Time, u32)]) -> usize {
+        for (n, slot) in out.iter_mut().enumerate() {
+            *slot = self.draw(rng);
+            if slot.0 > horizon {
+                return n + 1;
+            }
+        }
+        out.len()
+    }
 }
 
 impl ArrivalSource for ClassSource {
@@ -36,6 +62,10 @@ impl ArrivalSource for ClassSource {
 
     fn draw(&mut self, rng: &mut StdRng) -> (Time, u32) {
         self.next_arrival(rng)
+    }
+
+    fn fill_until(&mut self, rng: &mut StdRng, horizon: Time, out: &mut [(Time, u32)]) -> usize {
+        ClassSource::fill_until(self, rng, horizon, out)
     }
 }
 
@@ -49,26 +79,101 @@ impl ArrivalSource for OnOffSource {
     }
 }
 
+/// A borrowed source streams in place, which is how
+/// [`Trace::generate_per_source`](crate::Trace::generate_per_source)
+/// leaves its caller's sources advanced.
+impl<S: ArrivalSource + ?Sized> ArrivalSource for &mut S {
+    fn class(&self) -> u8 {
+        (**self).class()
+    }
+
+    fn draw(&mut self, rng: &mut StdRng) -> (Time, u32) {
+        (**self).draw(rng)
+    }
+
+    fn fill_until(&mut self, rng: &mut StdRng, horizon: Time, out: &mut [(Time, u32)]) -> usize {
+        (**self).fill_until(rng, horizon, out)
+    }
+}
+
+/// Arrivals a stream draws at a time once it is running.
+const BLOCK: usize = 64;
+/// A stream's first block. Blocks double from here to [`BLOCK`], so a
+/// stream that ends after a handful of arrivals (a Bench-scale cell, a
+/// horizon of 0) has not paid for 64.
+const FIRST_BLOCK: usize = 8;
+
 /// Iterator over one source's arrivals up to an inclusive `horizon`.
 ///
 /// The first arrival past the horizon ends the stream (matching the trace
-/// generators, which discard it).
+/// generators, which discard it), and an arrival at `u64::MAX` ticks —
+/// where a source's clock saturates — is past every horizon.
 #[derive(Debug, Clone)]
 pub struct SourceStream<S> {
     source: S,
     rng: StdRng,
     horizon: Time,
-    done: bool,
+    /// `block[pos..len]` are drawn, within the horizon, and not yet taken.
+    /// Empty only once the stream has ended, and then `block[pos]` is at
+    /// [`Time::MAX`]: the head is always `block[pos]`.
+    block: [(Time, u32); BLOCK],
+    pos: usize,
+    len: usize,
+    /// Length of the next block to draw; 0 once the horizon is passed.
+    want: usize,
 }
 
 impl<S: ArrivalSource> SourceStream<S> {
     /// Streams `source`'s arrivals from its own RNG seeded with `seed`.
+    /// The first block is drawn here.
     pub fn new(source: S, seed: u64, horizon: Time) -> Self {
-        SourceStream {
+        let mut stream = SourceStream {
             source,
             rng: StdRng::seed_from_u64(seed),
-            horizon,
-            done: false,
+            horizon: last_instant(horizon),
+            block: [(Time::ZERO, 0); BLOCK],
+            pos: 0,
+            len: 0,
+            want: FIRST_BLOCK,
+        };
+        stream.refill();
+        stream
+    }
+
+    /// Draws the next block. The arrival that passes the horizon, always
+    /// the last one drawn, becomes the end mark.
+    fn refill(&mut self) {
+        let out = &mut self.block[..self.want];
+        let n = (self.source).fill_until(&mut self.rng, self.horizon, out);
+        let last = &mut self.block[n - 1].0;
+        let passed = *last > self.horizon;
+        if passed {
+            *last = Time::MAX;
+        }
+        self.pos = 0;
+        self.len = n - usize::from(passed);
+        self.want = if passed { 0 } else { BLOCK.min(2 * self.want) };
+    }
+
+    /// The tick of the arrival [`next`](Iterator::next) would return, or
+    /// `u64::MAX` — which no arrival within a horizon has — at the end.
+    #[inline]
+    fn head(&self) -> u64 {
+        self.block[self.pos].0.ticks()
+    }
+
+    /// Takes the head arrival, which must be within the horizon.
+    #[inline]
+    fn pop(&mut self) -> TraceEntry {
+        let (at, size) = self.block[self.pos];
+        self.pos += 1;
+        if self.pos == self.len && self.want > 0 {
+            self.refill();
+        }
+        TraceEntry {
+            at,
+            class: self.source.class(),
+            size,
         }
     }
 }
@@ -77,36 +182,23 @@ impl<S: ArrivalSource> Iterator for SourceStream<S> {
     type Item = TraceEntry;
 
     fn next(&mut self) -> Option<TraceEntry> {
-        if self.done {
-            return None;
-        }
-        let (at, size) = self.source.draw(&mut self.rng);
-        if at > self.horizon {
-            self.done = true;
-            return None;
-        }
-        Some(TraceEntry {
-            at,
-            class: self.source.class(),
-            size,
-        })
+        (self.pos < self.len).then(|| self.pop())
     }
 }
 
 /// K-way merge of several [`SourceStream`]s into one time-ordered arrival
 /// stream.
 ///
-/// Ties are broken by source index, which is exactly the order the stable
-/// sort in [`Trace::from_entries`](crate::Trace::from_entries) gives
-/// per-source-generated traces — so the merged stream replays
-/// [`Trace::generate_per_source`](crate::Trace::generate_per_source)
-/// entry-for-entry without materializing it. One arrival per source is
-/// buffered; the linear scan per `next()` is cheap for the handful of
-/// sources the experiments use.
+/// Ties are broken by source index — the order a stable sort by time gives
+/// per-source arrivals laid end to end, which is how
+/// [`Trace::generate_per_source`](crate::Trace::generate_per_source) was
+/// first defined. Each `next()` scans one cached integer key per source;
+/// the arrivals behind the keys sit in the streams' blocks.
 #[derive(Debug, Clone)]
 pub struct MergedStream<S> {
     streams: Vec<SourceStream<S>>,
-    pending: Vec<Option<TraceEntry>>,
+    /// `heads[i]` = `streams[i].head()`.
+    heads: Vec<u64>,
 }
 
 impl<S: ArrivalSource> MergedStream<S> {
@@ -123,26 +215,31 @@ impl<S: ArrivalSource> MergedStream<S> {
     }
 
     /// Merges already-constructed streams (for custom per-source seeds).
-    pub fn from_streams(mut streams: Vec<SourceStream<S>>) -> Self {
-        let pending = streams.iter_mut().map(Iterator::next).collect();
-        MergedStream { streams, pending }
+    pub fn from_streams(streams: Vec<SourceStream<S>>) -> Self {
+        let heads = streams.iter().map(SourceStream::head).collect();
+        MergedStream { streams, heads }
     }
 }
 
 impl<S: ArrivalSource> Iterator for MergedStream<S> {
     type Item = TraceEntry;
 
+    #[inline]
     fn next(&mut self) -> Option<TraceEntry> {
-        let winner = self
-            .pending
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| e.map(|e| (e.at, i)))
-            .min()?
-            .1;
-        let entry = self.pending[winner].take();
-        self.pending[winner] = self.streams[winner].next();
-        entry
+        // Earliest head; of equal ones, the first.
+        let (mut winner, mut at) = (0, u64::MAX);
+        for (i, &head) in self.heads.iter().enumerate() {
+            if head < at {
+                (winner, at) = (i, head);
+            }
+        }
+        if at == u64::MAX {
+            return None;
+        }
+        let stream = &mut self.streams[winner];
+        let entry = stream.pop();
+        self.heads[winner] = stream.head();
+        Some(entry)
     }
 }
 

@@ -10,7 +10,7 @@
 //! identity the no-op-scenario determinism tests pin.
 
 use rand::rngs::StdRng;
-use simcore::{Dur, Time};
+use simcore::Time;
 
 use crate::stream::ArrivalSource;
 
@@ -27,6 +27,11 @@ pub struct SurgedSource<S> {
     inner: S,
     /// `(from, scale)` in time order; scale 1 before the first entry.
     schedule: Vec<(Time, f64)>,
+    /// Breakpoints already behind the emitted clock, which never runs
+    /// backwards: `schedule[..passed]`.
+    passed: usize,
+    /// The scale in force at `clock`: that of `schedule[passed - 1]`.
+    scale: f64,
     /// Last arrival emitted by the *inner* source.
     prev_inner: Time,
     /// Last arrival emitted by *this* source (the rescaled clock).
@@ -53,18 +58,27 @@ impl<S: ArrivalSource> SurgedSource<S> {
         SurgedSource {
             inner,
             schedule,
+            passed: 0,
+            scale: 1.0,
             prev_inner: Time::ZERO,
             clock: Time::ZERO,
         }
     }
 
-    /// The scale in force at `at` on the emitted timeline.
-    fn scale_at(&self, at: Time) -> f64 {
-        self.schedule
-            .iter()
-            .take_while(|&&(from, _)| from <= at)
-            .last()
-            .map_or(1.0, |&(_, s)| s)
+    /// Moves the inner source's arrival `at` onto the emitted timeline:
+    /// its gap, scaled by what is in force at the gap's start.
+    fn retime(&mut self, at: Time) -> Time {
+        while let Some(&(from, scale)) = self.schedule.get(self.passed) {
+            if from > self.clock {
+                break;
+            }
+            (self.passed, self.scale) = (self.passed + 1, scale);
+        }
+        let gap = at.saturating_since(self.prev_inner).ticks();
+        self.prev_inner = at;
+        let scaled = (gap as f64 * self.scale).round() as u64;
+        self.clock = Time::from_ticks(self.clock.ticks().saturating_add(scaled));
+        self.clock
     }
 }
 
@@ -75,11 +89,22 @@ impl<S: ArrivalSource> ArrivalSource for SurgedSource<S> {
 
     fn draw(&mut self, rng: &mut StdRng) -> (Time, u32) {
         let (at, size) = self.inner.draw(rng);
-        let gap = at.saturating_since(self.prev_inner).ticks();
-        self.prev_inner = at;
-        let scaled = (gap as f64 * self.scale_at(self.clock)).round() as u64;
-        self.clock += Dur::from_ticks(scaled);
-        (self.clock, size)
+        (self.retime(at), size)
+    }
+
+    /// The inner source's block, retimed in place: its draws never depend
+    /// on the emitted clock. The horizon is one of the emitted timeline, so
+    /// the inner source is asked for the whole block (and, where the
+    /// emitted clock passes the horizon mid-block, left ahead of it).
+    fn fill_until(&mut self, rng: &mut StdRng, horizon: Time, out: &mut [(Time, u32)]) -> usize {
+        let drawn = self.inner.fill_until(rng, Time::MAX, out);
+        for (n, slot) in out[..drawn].iter_mut().enumerate() {
+            slot.0 = self.retime(slot.0);
+            if slot.0 > horizon {
+                return n + 1;
+            }
+        }
+        drawn
     }
 }
 

@@ -6,11 +6,11 @@
 //! shoot-out ablation require. Traces are also the input to the Eq. (7)
 //! feasibility checker, which replays class subsets through an FCFS server.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use simcore::Time;
 
 use crate::source::ClassSource;
+use crate::stream::MergedStream;
 
 /// One recorded packet arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,6 +22,10 @@ pub struct TraceEntry {
     /// Packet length in bytes.
     pub size: u32,
 }
+
+/// Most entries [`Trace::generate_per_source`] reserves ahead (64 MiB): a
+/// horizon near `u64::MAX` must not turn into an allocation of that size.
+const MAX_RESERVED: usize = 1 << 22;
 
 /// A time-sorted sequence of packet arrivals.
 #[derive(Debug, Clone, Default)]
@@ -44,18 +48,23 @@ impl Trace {
 
     /// Generates a merged trace by running every source until `horizon`.
     ///
-    /// Sources draw from the shared `rng` in round-robin-by-next-arrival
-    /// order, so the merged trace is deterministic for a given seed.
+    /// The sources share `rng`: each is run to the horizon in turn, one
+    /// [`next_arrival`](ClassSource::next_arrival) at a time, so the merged
+    /// trace is deterministic for a given seed. A block drawn across the
+    /// horizon would take words the next source is due, so this generator
+    /// cannot use [`ClassSource::fill`]; where generation time matters, use
+    /// [`Trace::generate_per_source`].
     pub fn generate<R: Rng + ?Sized>(
         sources: &mut [ClassSource],
         horizon: Time,
         rng: &mut R,
     ) -> Self {
+        let last = last_instant(horizon);
         let mut entries = Vec::new();
         for src in sources.iter_mut() {
             loop {
                 let (at, size) = src.next_arrival(rng);
-                if at > horizon {
+                if at > last {
                     break;
                 }
                 entries.push(TraceEntry {
@@ -73,23 +82,24 @@ impl Trace {
     /// source *i* is then independent of how many samples the other
     /// sources draw — which is what lets the streaming runner in `qsim`
     /// reproduce the identical workload without materializing the trace.
+    ///
+    /// This is [`MergedStream::per_source`] over the borrowed sources,
+    /// collected: arrivals at one instant are in source order. Each source
+    /// is left with its clock at its first arrival past the horizon.
     pub fn generate_per_source(sources: &mut [ClassSource], horizon: Time, base_seed: u64) -> Self {
-        let mut entries = Vec::new();
-        for (i, src) in sources.iter_mut().enumerate() {
-            let mut rng = StdRng::seed_from_u64(per_source_seed(base_seed, i));
-            loop {
-                let (at, size) = src.next_arrival(&mut rng);
-                if at > horizon {
-                    break;
-                }
-                entries.push(TraceEntry {
-                    at,
-                    class: src.class(),
-                    size,
-                });
-            }
-        }
-        Trace::from_entries(entries)
+        // Reserved once, an eighth above the expected count, so that the
+        // entries are as good as never copied while the vector grows;
+        // reserved pages that are never written cost nothing.
+        let expected: f64 = (sources.iter())
+            .map(|s| horizon.as_f64() / s.mean_gap())
+            .sum();
+        let mut entries = Vec::with_capacity(((expected * 1.125) as usize).min(MAX_RESERVED) + 16);
+        entries.extend(MergedStream::per_source(
+            sources.iter_mut().collect(),
+            base_seed,
+            horizon,
+        ));
+        Trace { entries }
     }
 
     /// The entries, in nondecreasing time order.
@@ -156,6 +166,14 @@ impl Trace {
             .map(|c| c as f64 / span)
             .collect()
     }
+}
+
+/// The last instant a generator bounded by `horizon` may emit at. A source
+/// whose `f64` clock has passed 2⁶⁴ saturates at `u64::MAX` ticks and stays
+/// there, so an arrival at `u64::MAX` is past every horizon — otherwise a
+/// horizon of [`Time::MAX`] would never end such a source's stream.
+pub(crate) fn last_instant(horizon: Time) -> Time {
+    horizon.min(Time::from_ticks(u64::MAX - 1))
 }
 
 /// The derived seed for source `index` under `base_seed` (shared with the
