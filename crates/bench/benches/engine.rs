@@ -1,8 +1,11 @@
 //! Engine throughput benches: packets/second through the single-link
-//! replay loop and events/second through the multi-hop simulator.
+//! replay loop, events/second through the multi-hop simulator, and
+//! packet-hops/second through the coupled mesh as its open-loop flows
+//! multiply.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pdd::netsim::{Session as NetSession, StudyBConfig};
+use pdd::netsim::mesh::{FlowModel, MeshConfig, MeshFlow};
+use pdd::netsim::{LinkSpec, Session as NetSession, StudyBConfig};
 use pdd::qsim::{Experiment, Session};
 use pdd::sched::{SchedulerKind, Sdp};
 
@@ -33,9 +36,57 @@ fn bench_netsim_throughput(c: &mut Criterion) {
     });
 }
 
+/// Eight 1 Gb/s WTP links at ρ = 0.55, the load cut into `flows`
+/// single-link Pareto flows (round-robin over links and classes) that emit
+/// about 200 000 packets of 500 bytes between them, whatever `flows` is.
+fn open_loop_mesh(flows: usize) -> MeshConfig {
+    const LINKS: usize = 8;
+    const PACKETS: f64 = 200_000.0;
+    let link = LinkSpec::new(1e9, SchedulerKind::Wtp);
+    // Ticks (ns) between a link's packets, then between one flow's.
+    let link_gap = 500.0 / (0.55 * link.bytes_per_tick());
+    let mean_gap_ticks = link_gap * (flows / LINKS) as f64;
+    let flows = (0..flows)
+        .map(|i| MeshFlow {
+            route: vec![i % LINKS],
+            class: (i / LINKS % 4) as u8,
+            packet_bytes: 500,
+            model: FlowModel::Pareto {
+                mean_gap_ticks,
+                until_ticks: (PACKETS / LINKS as f64 * link_gap) as u64,
+            },
+            start_ticks: 1,
+        })
+        .collect();
+    MeshConfig {
+        sdp: Sdp::paper_default(),
+        links: vec![link; LINKS],
+        flows,
+        seed: 1,
+    }
+}
+
+/// Per-hop cost against the number of open-loop flows at a fixed packet
+/// budget: 32, 256 (Study B lowered onto the mesh: 64 sources × 4
+/// classes) and 3 072 (the k = 4 fat-tree of the repo benchmark). Their
+/// emissions wait in the emission lane, not in the event heap, so the
+/// cost should be flat.
+fn bench_mesh_open_loop_flows(c: &mut Criterion) {
+    for flows in [32usize, 256, 3_072] {
+        let cfg = open_loop_mesh(flows);
+        let hops: u64 = NetSession::mesh(&cfg).run().link_departures.iter().sum();
+        let mut group = c.benchmark_group("mesh");
+        group.throughput(Throughput::Elements(hops));
+        group.bench_function(&format!("open_loop_flows/{flows}"), |b| {
+            b.iter(|| NetSession::mesh(&cfg).run().link_departures);
+        });
+        group.finish();
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_qsim_throughput, bench_netsim_throughput
+    targets = bench_qsim_throughput, bench_netsim_throughput, bench_mesh_open_loop_flows
 }
 criterion_main!(benches);

@@ -8,7 +8,7 @@
 //! the suite passed. With `--expect-detect` the polarity flips: the run
 //! succeeds only if at least one check FAILS — that mode, combined with
 //! building against `--features mutated` (which flips the rank core's
-//! tie-break in `sched`), is the proof that the harness is non-vacuous.
+//! tie-break in `sched` and the emission lane's in `netsim`), is the proof that the harness is non-vacuous.
 //! CI runs both polarities.
 
 use std::process::ExitCode;
@@ -35,7 +35,7 @@ fn main() -> ExitCode {
     }
 
     let mutated = if cfg!(feature = "mutated") {
-        " [MUTATED build: sched/mutate-pifo-rank active]"
+        " [MUTATED build: sched/mutate-pifo-rank and netsim/mutate-lane-tie active]"
     } else {
         ""
     };

@@ -6,7 +6,7 @@
 //! silently change results when they drift. This crate judges the
 //! production schedulers the way "Universal Packet Scheduling" judges
 //! candidate algorithms — by replaying identical workloads against
-//! independently written references — in four layers:
+//! independently written references — in five layers:
 //!
 //! * [`oracle`] — a from-scratch WTP reference that recomputes every
 //!   class's priority at each decision instant and diffs departure
@@ -32,6 +32,10 @@
 //!   from-scratch ECMP route-hash oracle, shard-schedule invariance, and
 //!   a byte-axis dilation metamorphic check.
 //!
+//! * [`order`] — the exact mesh engine's event order: same-tick emissions
+//!   inherit the order of their predecessors, whether they wait in the
+//!   event queue or in the emission lane — checked from a probe's log.
+//!
 //! [`suite`] names each check so the `conformance` binary (the **mutation
 //! smoke-runner**) can run them all and prove the net catches a seeded
 //! tie-break flip (`--features mutated`, see `src/bin/conformance.rs`).
@@ -47,6 +51,7 @@ pub mod decompose;
 pub mod fluid;
 pub mod metamorphic;
 pub mod oracle;
+pub mod order;
 pub mod suite;
 
 use rand::rngs::StdRng;

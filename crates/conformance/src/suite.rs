@@ -13,7 +13,7 @@ use crate::metamorphic::{
 };
 use crate::oracle::{diff_wtp, feasibility_witness, oracle_self_check};
 use crate::overloaded_arrivals;
-use crate::{decompose, fluid, Arrival};
+use crate::{decompose, fluid, order, Arrival};
 
 /// One named conformance check, runnable on any seed.
 pub struct Check {
@@ -122,6 +122,10 @@ fn check_mesh_dilation(seed: u64) -> Result<(), String> {
     decompose::size_rate_rescale(&decompose::scenario(seed, 0.7))
 }
 
+fn check_mesh_emission_order(seed: u64) -> Result<(), String> {
+    order::emission_order(&order::scenario(seed))
+}
+
 /// Every check in the suite, in execution order (cheapest first).
 pub fn all_checks() -> Vec<Check> {
     vec![
@@ -156,6 +160,10 @@ pub fn all_checks() -> Vec<Check> {
         Check {
             name: "ecmp-route-oracle",
             run: check_ecmp_route_oracle,
+        },
+        Check {
+            name: "mesh-emission-order",
+            run: check_mesh_emission_order,
         },
         Check {
             name: "mesh-packet-conservation",
@@ -236,6 +244,10 @@ mod tests {
         assert!(
             failures.iter().any(|f| f.check == "wtp-oracle-diff"),
             "the oracle diff must catch the flipped tie-break; failures: {failures:#?}"
+        );
+        assert!(
+            failures.iter().any(|f| f.check == "mesh-emission-order"),
+            "the emission order must catch the lane's tie rule; failures: {failures:#?}"
         );
     }
 }

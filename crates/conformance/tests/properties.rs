@@ -12,8 +12,9 @@ use conformance::metamorphic::{
     time_rescale_kinds,
 };
 use conformance::oracle::{diff_wtp, feasibility_witness, oracle_self_check};
+use conformance::order::emission_order;
 use conformance::Arrival;
-use netsim::mesh::FlowModel;
+use netsim::mesh::{FlowModel, MeshConfig, MeshFlow};
 use netsim::{HostFlow, LinkSpec, Topology, TopologyConfig};
 use proptest::prelude::*;
 use sched::{SchedulerKind, Sdp};
@@ -217,6 +218,60 @@ proptest! {
         let spec = LinkSpec::new(25_000_000.0, SchedulerKind::Wtp);
         let topology = Topology::leaf_spine(leaves, spines, 2, &spec).expect("valid dims");
         if let Err(e) = route_oracle(&topology, seed, 3) {
+            prop_assert!(false, "{e}");
+        }
+    }
+}
+
+/// Raw material for a tie-heavy single-hop mesh, a tuple per flow:
+/// `(periodic: 1, gap in tenths of a tick, start tick, link)`. Plain tuples,
+/// so a failing mesh shrinks toward two flows that share one tick.
+fn tie_mesh_strategy() -> impl Strategy<Value = Vec<(u8, u32, u64, usize)>> {
+    prop::collection::vec((0u8..2, 10u32..30, 0u64..4, 0usize..3), 2..10)
+}
+
+/// Lowers [`tie_mesh_strategy`]'s tuples: flow `i` sends packets of
+/// `i + 1` bytes ([`emission_order`] tells flows apart by them), Pareto
+/// flows emit until tick 300, periodic ones 120 packets.
+fn lower_tie_mesh(raw: &[(u8, u32, u64, usize)], seed: u64) -> MeshConfig {
+    let flows = (raw.iter().enumerate())
+        .map(|(i, &(periodic, gap_tenths, start_ticks, link))| MeshFlow {
+            route: vec![link],
+            class: (i % 4) as u8,
+            packet_bytes: i as u32 + 1,
+            model: if periodic == 1 {
+                FlowModel::Periodic {
+                    gap_ticks: (gap_tenths / 10) as u64,
+                    count: 120,
+                }
+            } else {
+                FlowModel::Pareto {
+                    mean_gap_ticks: gap_tenths as f64 / 10.0,
+                    until_ticks: 300,
+                }
+            },
+            start_ticks,
+        })
+        .collect();
+    MeshConfig {
+        sdp: Sdp::paper_default(),
+        links: vec![LinkSpec::new(25_000_000.0, SchedulerKind::Wtp); 3],
+        flows,
+        seed,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Same-tick emissions inherit the order of their predecessors —
+    /// `simcore`'s `(time, seq)` order seen from outside — whether they
+    /// wait in the event queue (periodic flows) or in the emission lane
+    /// (Pareto flows). Under `netsim/mutate-lane-tie` this is the property
+    /// that fails.
+    #[test]
+    fn prop_mesh_emission_order(raw in tie_mesh_strategy(), seed in 0u64..1_000) {
+        if let Err(e) = emission_order(&lower_tie_mesh(&raw, seed)) {
             prop_assert!(false, "{e}");
         }
     }

@@ -87,6 +87,10 @@ struct Link {
 
 struct Net<'p, P: Probe> {
     cfg: StudyBConfig,
+    /// `cfg.user_hops()` and `cfg.user_packet_gap_ticks()`, derived once:
+    /// every user packet reads them.
+    user_hops: (usize, usize),
+    user_gap: Dur,
     rng: StdRng,
     links: Vec<Link>,
     metas: Vec<UserMeta>,
@@ -270,7 +274,7 @@ impl<P: Probe> Model for Net<'_, P> {
                         self.arrive(node as usize, class, CROSS_TAG, ctx);
                     }
                     let idx = node as usize * self.cfg.cross_sources + src as usize;
-                    let gap = match self.cfg.cross_model.clone() {
+                    let gap = match self.cfg.cross_model {
                         // Fresh Pareto gap, accumulated in f64 to avoid
                         // rounding drift. One gap at a time, not a block
                         // from `IatDist::fill`: every source, and every
@@ -311,7 +315,7 @@ impl<P: Probe> Model for Net<'_, P> {
                 }
             }
             Ev::UserPacket { exp, class, idx } => {
-                let (entry, exit) = self.cfg.user_hops();
+                let (entry, exit) = self.user_hops;
                 if self.rt.admits(class) {
                     let tag = self.metas.len() as u64;
                     self.metas.push(UserMeta {
@@ -324,7 +328,7 @@ impl<P: Probe> Model for Net<'_, P> {
                 }
                 if idx + 1 < self.cfg.flow_len {
                     ctx.schedule_in(
-                        Dur::from_ticks(self.cfg.user_packet_gap_ticks()),
+                        self.user_gap,
                         Ev::UserPacket {
                             exp,
                             class,
@@ -459,6 +463,8 @@ pub fn run_study_b_scenario_probed<P: Probe>(
 
     let net = Net {
         cfg: cfg.clone(),
+        user_hops: cfg.user_hops(),
+        user_gap: Dur::from_ticks(cfg.user_packet_gap_ticks()),
         rng: StdRng::seed_from_u64(cfg.seed),
         links,
         metas: Vec::new(),

@@ -20,11 +20,11 @@
 
 use scenario::{Command, DownPolicy, Scenario, ScenarioRuntime};
 use sched::{Packet, ReconfigureError, Scheduler, SchedulerVisitor, Sdp};
-use simcore::{Context, Dur, Model, Simulation, Time};
+use simcore::{Context, Dur, EventKey, Model, Simulation, Time};
 use telemetry::{PacketId, Probe};
 
 use crate::config::CrossModel;
-use crate::emission::ParetoClock;
+use crate::emission::{EmissionLane, LaneFlow};
 use crate::link::LinkSpec;
 
 /// How a flow emits packets.
@@ -262,7 +262,8 @@ impl MeshOutcome {
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// Flow `flow` emits packet `idx`.
+    /// Flow `flow` emits packet `idx`. Scheduled for `Periodic` flows
+    /// only: a Pareto flow's come out of the [`EmissionLane`] (`idx` 0).
     Emit { flow: u32, idx: u32 },
     /// Link finished its in-flight packet.
     TxDone { link: u16 },
@@ -281,8 +282,8 @@ struct HotFlow {
     /// What each of the flow's packets starts out as.
     first: PacketMeta,
     model: FlowModel,
-    /// A Pareto flow's index into `Mesh::pareto`.
-    sampler: u32,
+    /// A Pareto flow's clock in `Mesh::lane`.
+    clock: u32,
 }
 
 /// A packet in flight. Its slot index, reused after delivery or drop, is
@@ -322,8 +323,8 @@ struct Mesh<'p, S: Scheduler, P: Probe> {
     free: Vec<u32>,
     emitted: u64,
     waits: Vec<Vec<u64>>,
-    /// The Pareto flows' emission clocks, by `HotFlow::sampler`.
-    pareto: Vec<ParetoClock>,
+    /// The Pareto flows' emissions, clocks by `HotFlow::clock`.
+    lane: EmissionLane,
     probe: &'p mut P,
     rt: ScenarioRuntime,
     cmd_buf: Vec<Command>,
@@ -460,7 +461,10 @@ impl<S: Scheduler, P: Probe> Model for Mesh<'_, S, P> {
                     self.metas[slot as usize] = meta;
                     self.arrive(slot, ctx);
                 }
-                // Schedule the next emission.
+                // The next emission: scheduled, or already in the lane and
+                // given the sequence number scheduling it here would have
+                // (a flow's last emission takes one too; unused, it orders
+                // nothing).
                 match f.model {
                     FlowModel::Periodic { gap_ticks, count } => {
                         if idx + 1 < count {
@@ -470,11 +474,7 @@ impl<S: Scheduler, P: Probe> Model for Mesh<'_, S, P> {
                             );
                         }
                     }
-                    FlowModel::Pareto { .. } => {
-                        if let Some(next) = self.pareto[f.sampler as usize].next() {
-                            ctx.schedule(Time::from_ticks(next), Ev::Emit { flow, idx: idx + 1 });
-                        }
-                    }
+                    FlowModel::Pareto { .. } => self.lane.stamp(f.clock, ctx.reserve_seq()),
                 }
             }
             Ev::TxDone { link } => {
@@ -513,6 +513,18 @@ impl<S: Scheduler, P: Probe> Model for Mesh<'_, S, P> {
                 }
             }
         }
+    }
+
+    #[inline]
+    fn lane_peek(&mut self) -> Option<EventKey> {
+        let (at, seq) = self.lane.peek()?;
+        Some(EventKey::new(Time::from_ticks(at), seq))
+    }
+
+    #[inline]
+    fn lane_pop(&mut self) -> Ev {
+        let flow = self.lane.pop();
+        Ev::Emit { flow, idx: 0 }
     }
 }
 
@@ -571,13 +583,14 @@ impl<P: Probe> SchedulerVisitor for UniformMesh<'_, P> {
 }
 
 /// Runs the validated `cfg` with `schedulers[l]` serving link `l`. Also
-/// returns the packet slots it allocated: the peak of packets in flight.
+/// returns the packet slots it allocated — the peak of packets in flight —
+/// and the deepest the event queue got (the emission lane is not in it).
 fn run_engine<S: Scheduler, P: Probe>(
     cfg: &MeshConfig,
     scenario: &Scenario,
     probe: &mut P,
     schedulers: Vec<S>,
-) -> (MeshOutcome, usize) {
+) -> (MeshOutcome, usize, usize) {
     let links = (cfg.links.iter().zip(schedulers))
         .map(|(l, scheduler)| LinkState {
             scheduler,
@@ -591,8 +604,22 @@ fn run_engine<S: Scheduler, P: Probe>(
     let hops: usize = cfg.flows.iter().map(|f| f.route.len()).sum();
     assert!(u32::try_from(hops).is_ok(), "route table exceeds u32");
     let mut routes = Vec::with_capacity(hops);
-    let is_pareto = |f: &&MeshFlow| matches!(f.model, FlowModel::Pareto { .. });
-    let mut pareto = Vec::with_capacity(cfg.flows.iter().filter(is_pareto).count());
+    let pareto: Vec<LaneFlow> = (cfg.flows.iter().enumerate())
+        .filter_map(|(flow, f)| match f.model {
+            FlowModel::Pareto {
+                mean_gap_ticks,
+                until_ticks,
+            } => Some(LaneFlow {
+                flow,
+                start_ticks: f.start_ticks,
+                mean_gap_ticks,
+                until_ticks,
+            }),
+            FlowModel::Periodic { .. } => None,
+        })
+        .collect();
+    let lane = EmissionLane::new(cfg.seed, &pareto);
+    let mut clocks = 0;
     let mut flows = Vec::with_capacity(cfg.flows.len());
     for (i, f) in cfg.flows.iter().enumerate() {
         let at = routes.len() as u32;
@@ -609,21 +636,9 @@ fn run_engine<S: Scheduler, P: Probe>(
         flows.push(HotFlow {
             first,
             model: f.model,
-            sampler: pareto.len() as u32,
+            clock: clocks,
         });
-        if let FlowModel::Pareto {
-            mean_gap_ticks,
-            until_ticks,
-        } = f.model
-        {
-            pareto.push(ParetoClock::new(
-                cfg.seed,
-                i,
-                f.start_ticks,
-                mean_gap_ticks,
-                until_ticks,
-            ));
-        }
+        clocks += u32::from(matches!(f.model, FlowModel::Pareto { .. }));
     }
     let mesh = Mesh {
         flows,
@@ -633,33 +648,43 @@ fn run_engine<S: Scheduler, P: Probe>(
         free: Vec::new(),
         emitted: 0,
         waits: vec![Vec::new(); cfg.flows.len()],
-        pareto,
+        lane,
         probe,
         rt: ScenarioRuntime::new(scenario, cfg.links.len(), cfg.sdp.num_classes()),
         cmd_buf: Vec::new(),
         audit_buf: Vec::new(),
     };
     let mut sim = Simulation::new(mesh);
+    // Every flow's first emission takes a sequence number in flow order;
+    // a Pareto flow's is already in the lane and only needs the number.
     for (i, f) in cfg.flows.iter().enumerate() {
-        sim.schedule(
-            Time::from_ticks(f.start_ticks),
-            Ev::Emit {
-                flow: i as u32,
-                idx: 0,
-            },
-        );
+        match f.model {
+            FlowModel::Periodic { .. } => sim.schedule(
+                Time::from_ticks(f.start_ticks),
+                Ev::Emit {
+                    flow: i as u32,
+                    idx: 0,
+                },
+            ),
+            FlowModel::Pareto { .. } => {
+                let seq = sim.reserve_seq();
+                let mesh = sim.model_mut();
+                mesh.lane.stamp(mesh.flows[i].clock, seq);
+            }
+        }
     }
     // Arm the perturbation timeline (no-op for empty scenarios).
     if let Some(at) = sim.model_mut().rt.next_at() {
         sim.schedule(at, Ev::ScenarioTick);
     }
     sim.run();
+    let queue = sim.heap_high_water();
     let mesh = sim.into_model();
     let outcome = MeshOutcome {
         per_flow_waits: mesh.waits,
         link_departures: mesh.links.iter().map(|l| l.departures).collect(),
     };
-    (outcome, mesh.metas.len())
+    (outcome, mesh.metas.len(), queue)
 }
 
 #[cfg(test)]
@@ -876,7 +901,7 @@ mod tests {
             .unwrap();
         let mut counter = telemetry::CountingProbe::new(4);
         let wtp = vec![wtp_scheduler(&cfg)];
-        let (out, slots) = run_engine(&cfg, &sc, &mut counter, wtp);
+        let (out, slots, _) = run_engine(&cfg, &sc, &mut counter, wtp);
         assert_eq!(slots, 1, "a dropped packet's slot must be recycled");
         assert!(
             out.per_flow_waits[0].len() < 50,
@@ -1046,7 +1071,8 @@ mod tests {
             let boxed: Vec<Box<dyn Scheduler>> = (cfg.links.iter())
                 .map(|l| l.scheduler.build(&cfg.sdp, l.bytes_per_tick()))
                 .collect();
-            let (boxed, _) = run_engine(&cfg, &Scenario::empty(), &mut telemetry::NoopProbe, boxed);
+            let (boxed, ..) =
+                run_engine(&cfg, &Scenario::empty(), &mut telemetry::NoopProbe, boxed);
             assert_eq!(concrete.per_flow_waits, boxed.per_flow_waits, "{kind}");
             assert_eq!(concrete.link_departures, boxed.link_departures, "{kind}");
             assert!(concrete.mean_wait(0) > 0.0, "{kind}: the mesh must queue");
@@ -1071,7 +1097,7 @@ mod tests {
         let cfg = two_link_mesh(SchedulerKind::Wtp, SchedulerKind::Wtp);
         let mut log = Recorder::default();
         let wtp = vec![wtp_scheduler(&cfg); 2];
-        let (out, slots) = run_engine(&cfg, &Scenario::empty(), &mut log, wtp);
+        let (out, slots, _) = run_engine(&cfg, &Scenario::empty(), &mut log, wtp);
         let packets: usize = out.per_flow_waits.iter().map(Vec::len).sum();
         assert!(
             packets > 10_000 && slots < 200,
@@ -1231,6 +1257,252 @@ mod tests {
         };
         let err = cfg.materialize_cross(crate::TICKS_PER_SEC).unwrap_err();
         assert!(err.contains("Pareto cross traffic"), "{err}");
+    }
+
+    /// FNV-1a over a [`MeshOutcome`]: per flow its packet count and its
+    /// waits in delivery order, then the link departures.
+    fn outcome_digest(out: &MeshOutcome) -> u64 {
+        let per_flow = (out.per_flow_waits.iter())
+            .flat_map(|w| std::iter::once(w.len() as u64).chain(w.iter().copied()));
+        per_flow.chain(out.link_departures.iter().copied()).fold(
+            0xcbf2_9ce4_8422_2325,
+            |h, word| {
+                (word.to_le_bytes().iter()).fold(h, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+                })
+            },
+        )
+    }
+
+    /// Emissions of the tie-heavy mesh stop here.
+    const TIE_HORIZON: u64 = 80_000;
+
+    /// A mesh built for same-tick events: six 25 Mb/s links (link 1
+    /// propagates for 777 ticks), twelve Pareto flows with mean
+    /// gaps of 1–3 ticks, same-class pairs sharing first links so the
+    /// order of two same-tick `Emit`s decides who queues behind whom, and
+    /// eight two-packet probes started on ticks the Pareto flows start or
+    /// emit on. Packets of 1–3 bytes take 320–960 ticks, so a few thousand
+    /// `TxDone`s and `Arrive`s land inside the emission horizon, on ticks
+    /// that nearly all carry an `Emit`.
+    fn tie_heavy(kinds: [SchedulerKind; 6]) -> MeshConfig {
+        let pareto = |route: &[usize], class, packet_bytes, mean_gap_ticks, start_ticks| MeshFlow {
+            route: route.to_vec(),
+            class,
+            packet_bytes,
+            model: FlowModel::Pareto {
+                mean_gap_ticks,
+                until_ticks: TIE_HORIZON,
+            },
+            start_ticks,
+        };
+        let two = |route: &[usize], class, gap_ticks, start_ticks| MeshFlow {
+            route: route.to_vec(),
+            class,
+            packet_bytes: 1,
+            model: FlowModel::Periodic {
+                gap_ticks,
+                count: 2,
+            },
+            start_ticks,
+        };
+        let flows = vec![
+            pareto(&[0, 2], 0, 1, 2.0, 1),
+            two(&[0, 2], 0, 7, 1),
+            pareto(&[0, 2], 0, 1, 3.0, 1),
+            pareto(&[0, 3], 2, 2, 2.5, 5),
+            two(&[1, 3], 1, 320, 1),
+            pareto(&[1, 2], 3, 1, 1.5, 1),
+            pareto(&[1, 3], 1, 1, 3.0, 2),
+            two(&[2], 3, 1, 1),
+            pareto(&[1, 4], 3, 2, 2.0, 1),
+            pareto(&[2], 0, 1, 3.0, 1),
+            two(&[5, 3], 2, 640, 400),
+            pareto(&[2], 3, 1, 2.0, 3),
+            pareto(&[3], 2, 1, 1.0, 1),
+            two(&[0, 3], 2, 3, 5),
+            pareto(&[4, 5], 1, 1, 2.0, 1),
+            two(&[4, 5], 1, 960, 1),
+            pareto(&[5], 1, 3, 3.0, 1),
+            two(&[1, 2], 3, 2, 1_000),
+            pareto(&[5, 3], 2, 1, 1.2, 400),
+            two(&[3], 2, 5, 1_000),
+        ];
+        let mut links: Vec<LinkSpec> = kinds.iter().map(|&k| LinkSpec::new(MBPS25, k)).collect();
+        links[1] = links[1].clone().with_propagation(777);
+        MeshConfig {
+            sdp: Sdp::paper_default(),
+            links,
+            flows,
+            seed: 16,
+        }
+    }
+
+    const ALL_WTP: [SchedulerKind; 6] = [SchedulerKind::Wtp; 6];
+    /// Links of unlike kinds: the `Box<dyn Scheduler>` instantiation.
+    const MIXED: [SchedulerKind; 6] = [
+        SchedulerKind::Wtp,
+        SchedulerKind::Bpr,
+        SchedulerKind::Hpd,
+        SchedulerKind::Fcfs,
+        SchedulerKind::Wtp,
+        SchedulerKind::Strict,
+    ];
+
+    /// Ticks of the events of a tie-heavy run: emissions (a span's first
+    /// arrival), `TxDone`s, and `Arrive`s off the propagating link 1.
+    #[derive(Default)]
+    struct TieLog {
+        emits: Vec<u64>,
+        tx_dones: Vec<u64>,
+        arrives: Vec<u64>,
+        spans: u64,
+    }
+
+    impl Probe for TieLog {
+        const WANTS_DECISION_VALUES: bool = false;
+        fn on_arrival(&mut self, at: Time, id: PacketId) {
+            if id.span == self.spans {
+                self.spans += 1;
+                self.emits.push(at.ticks());
+            }
+        }
+        fn on_depart(&mut self, id: PacketId, _arrival: Time, _start: Time, end: Time, eol: bool) {
+            self.tx_dones.push(end.ticks());
+            if id.hop == 1 && !eol {
+                self.arrives.push(end.ticks() + 777);
+            }
+        }
+    }
+
+    /// [`outcome_digest`]s of the meshes below, captured at the commit
+    /// *before* Pareto emissions moved from the event queue to the
+    /// emission lane; identical in debug and release.
+    const PINNED_TIE_HEAVY: [u64; 2] = [0x4210_de60_2402_9543, 0x234c_45fc_687e_7a69];
+    const PINNED_TIE_HEAVY_HOLD: [u64; 2] = [0xe052_82bb_2321_d67c, 0x405f_2ac3_7ed0_3fbc];
+    const PINNED_TIE_HEAVY_DROP_LEAVE: [u64; 2] = [0x417d_c8d7_af47_1583, 0x8c2c_d89d_1a1c_acda];
+    const PINNED_FAT_TREE: u64 = 0xc75e_821f_b227_948a;
+
+    #[test]
+    fn tie_heavy_mesh_outcomes_are_pinned() {
+        let mut log = TieLog::default();
+        let wtp = crate::Session::mesh(&tie_heavy(ALL_WTP))
+            .probe(&mut log)
+            .run();
+        // Same-tick events, counted by tick: emissions sharing a tick with
+        // an earlier emission, `TxDone`s and `Arrive`s on an emission tick.
+        let emit_ticks: std::collections::HashSet<u64> = log.emits.iter().copied().collect();
+        let shared = |ticks: &[u64]| ticks.iter().filter(|t| emit_ticks.contains(t)).count();
+        let emit_emit = log.emits.len() - emit_ticks.len();
+        let (emit_txdone, emit_arrive) = (shared(&log.tx_dones), shared(&log.arrives));
+        assert!(emit_emit > 100_000, "{emit_emit} same-tick Emit pairs");
+        assert!(emit_txdone > 1_000, "{emit_txdone} Emit/TxDone ties");
+        assert!(emit_arrive > 100, "{emit_arrive} Emit/Arrive ties");
+        let mixed = crate::Session::mesh(&tie_heavy(MIXED)).run();
+        for (out, pinned) in [wtp, mixed].iter().zip(PINNED_TIE_HEAVY) {
+            let digest = outcome_digest(out);
+            assert_eq!(digest, pinned, "digest {digest:#018x}");
+        }
+    }
+
+    #[test]
+    fn no_pareto_emission_enters_the_event_queue() {
+        // What the queue holds at its deepest: a `TxDone` per link, one
+        // pending `Emit` per probe, and the `Arrive`s of packets crossing
+        // link 1 (777 ticks, sent at least 320 apart) — however many
+        // Pareto flows there are. Were their `Emit`s queued, the deepest
+        // would grow by one per flow: 12, then 36.
+        let base = tie_heavy(ALL_WTP);
+        let is_pareto = |f: &&MeshFlow| matches!(f.model, FlowModel::Pareto { .. });
+        let paretos: Vec<MeshFlow> = base.flows.iter().filter(is_pareto).cloned().collect();
+        let probes = base.flows.len() - paretos.len();
+        let mut tripled = base.clone();
+        tripled
+            .flows
+            .extend(paretos.iter().chain(&paretos).cloned());
+        for cfg in [base, tripled] {
+            let wtp = vec![wtp_scheduler(&cfg); cfg.links.len()];
+            let (_, _, queued) =
+                run_engine(&cfg, &Scenario::empty(), &mut telemetry::NoopProbe, wtp);
+            assert!(
+                queued <= cfg.links.len() + probes + 3,
+                "{queued} events queued at once"
+            );
+        }
+    }
+
+    #[test]
+    fn tie_heavy_mesh_outcomes_under_scenarios_are_pinned() {
+        // The emission clocks keep ticking through an outage and while a
+        // class is away: `rt.admits` gates arrivals, not `Emit`s.
+        let at = Time::from_ticks;
+        let hold = Scenario::builder()
+            .link_down(at(4_000), 3, DownPolicy::Hold)
+            .link_up(at(9_000), 3)
+            .build()
+            .unwrap();
+        let drop_leave = Scenario::builder()
+            .class_leave(at(3_000), 1)
+            .link_down(at(5_000), 2, DownPolicy::Drop)
+            .link_up(at(11_000), 2)
+            .class_join(at(15_000), 1)
+            .build()
+            .unwrap();
+        for (sc, pinned) in [
+            (hold, PINNED_TIE_HEAVY_HOLD),
+            (drop_leave, PINNED_TIE_HEAVY_DROP_LEAVE),
+        ] {
+            for (kinds, pinned) in [ALL_WTP, MIXED].into_iter().zip(pinned) {
+                let cfg = tie_heavy(kinds);
+                let out = crate::Session::mesh(&cfg).scenario(sc.clone()).run();
+                let digest = outcome_digest(&out);
+                assert_eq!(digest, pinned, "digest {digest:#018x}");
+            }
+        }
+    }
+
+    #[test]
+    fn small_fat_tree_outcome_is_pinned() {
+        // The `mesh-coupled` benchmark workload at 1/20 size: a k = 4
+        // fat-tree of 1 Gb/s WTP links under the paper's cross mix at
+        // 0.55, 3 000 two-packet probes over a 3 ms horizon, seed 1.
+        use crate::topology::splitmix64;
+        const HORIZON: u64 = 3_000_000;
+        let cross = crate::CrossTraffic::paper(0.55);
+        let spec = LinkSpec::new(1e9, SchedulerKind::Wtp).with_cross(cross);
+        let topology = crate::Topology::fat_tree(4, &spec).unwrap();
+        let hosts = topology.hosts();
+        let h = hosts.len() as u64;
+        let flows = (0..3_000u64)
+            .map(|i| {
+                let key = splitmix64(1 ^ i);
+                let src = key % h;
+                let dst = (src + 1 + splitmix64(key) % (h - 1)) % h;
+                crate::HostFlow {
+                    src: hosts[src as usize],
+                    dst: hosts[dst as usize],
+                    class: (i % 4) as u8,
+                    packet_bytes: 100,
+                    model: FlowModel::Periodic {
+                        gap_ticks: 500_000,
+                        count: 2,
+                    },
+                    start_ticks: 1 + splitmix64(key ^ 0xABCD) % (HORIZON / 2),
+                }
+            })
+            .collect();
+        let cfg = crate::TopologyConfig {
+            topology,
+            sdp: Sdp::paper_default(),
+            flows,
+            seed: 1,
+            cross_horizon_ticks: HORIZON,
+        };
+        let out = crate::Session::topology(&cfg).unwrap().run();
+        assert_eq!(out.per_flow_waits.len(), 3_000 + 3_072);
+        assert!(out.link_departures.iter().sum::<u64>() > 60_000);
+        let digest = outcome_digest(&out);
+        assert_eq!(digest, PINNED_FAT_TREE, "digest {digest:#018x}");
     }
 
     #[test]

@@ -5,6 +5,30 @@ use std::collections::BinaryHeap;
 
 use crate::time::Time;
 
+/// An event's place in the run: its time, then its *sequence number* —
+/// a number every scheduled event takes from one counter, so that events
+/// of one tick are handled in the order they were scheduled. Keys compare
+/// in that `(time, seq)` order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct EventKey(
+    /// `time << 64 | seq`: the whole order in one branch-free compare.
+    u128,
+);
+
+impl EventKey {
+    /// The key of an event at `at` holding sequence number `seq`.
+    #[inline]
+    pub fn new(at: Time, seq: u64) -> Self {
+        EventKey((at.ticks() as u128) << 64 | seq as u128)
+    }
+
+    /// The event's time.
+    #[inline]
+    pub fn time(self) -> Time {
+        Time::from_ticks((self.0 >> 64) as u64)
+    }
+}
+
 /// A time-ordered event queue with FIFO tie-breaking.
 ///
 /// Events popped from the queue come out in nondecreasing time order, and
@@ -29,15 +53,8 @@ pub struct EventQueue<E> {
 
 #[derive(Debug)]
 struct Entry<E> {
-    /// `time << 64 | seq`: the whole order in one branch-free compare.
-    key: u128,
+    key: EventKey,
     event: E,
-}
-
-impl<E> Entry<E> {
-    fn time(&self) -> Time {
-        Time::from_ticks((self.key >> 64) as u64)
-    }
 }
 
 // Reverse ordering so the BinaryHeap (a max-heap) pops the earliest entry.
@@ -80,7 +97,7 @@ impl<E> EventQueue<E> {
     /// Schedules `event` at absolute time `at`.
     pub fn push(&mut self, at: Time, event: E) {
         let entry = Entry {
-            key: (at.ticks() as u128) << 64 | self.seq as u128,
+            key: EventKey::new(at, self.seq),
             event,
         };
         self.seq += 1;
@@ -89,6 +106,19 @@ impl<E> EventQueue<E> {
         } else {
             self.lane.push(entry);
         }
+    }
+
+    /// The sequence number the next [`push`](Self::push) takes.
+    pub fn next_seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Passes over the next `n` sequence numbers: pushes from here on are
+    /// ordered as if `n` events had been pushed first. Whoever holds such
+    /// an event elsewhere (a [`Model`](crate::Model) lane) keys it with
+    /// the number passed over.
+    pub fn skip_seqs(&mut self, n: u64) {
+        self.seq += n;
     }
 
     /// Closes the start lane at the first pop. `Entry`'s order is reversed
@@ -122,9 +152,15 @@ impl<E> EventQueue<E> {
     /// `None` means either "empty" or "next event is past the horizon"
     /// (disambiguate with [`EventQueue::is_empty`]).
     pub fn pop_at_or_before(&mut self, horizon: Time) -> Option<(Time, E)> {
+        self.pop_up_to(EventKey::new(horizon, u64::MAX))
+    }
+
+    /// [`pop_at_or_before`](Self::pop_at_or_before) on the whole order:
+    /// removes the earliest event unless its key is past `bound`.
+    pub fn pop_up_to(&mut self, bound: EventKey) -> Option<(Time, E)> {
         self.start();
         let (next, from_lane) = self.next()?;
-        if next.time() > horizon {
+        if next.key > bound {
             return None;
         }
         let e = if from_lane {
@@ -132,16 +168,16 @@ impl<E> EventQueue<E> {
         } else {
             self.heap.pop()
         }?;
-        Some((e.time(), e.event))
+        Some((e.key.time(), e.event))
     }
 
     /// Timestamp of the earliest pending event, if any. Before the first
     /// pop this scans the start lane, which is not sorted yet.
     pub fn peek_time(&self) -> Option<Time> {
         if self.started {
-            self.next().map(|(e, _)| e.time())
+            self.next().map(|(e, _)| e.key.time())
         } else {
-            self.lane.iter().map(|e| e.time()).min()
+            self.lane.iter().map(|e| e.key.time()).min()
         }
     }
 
@@ -240,6 +276,26 @@ mod tests {
         );
         assert_eq!(q.pop_at_or_before(Time::from_ticks(u64::MAX)), None);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_skipped_sequence_number_sits_between_the_pushes_around_it() {
+        let at = Time::from_ticks(5);
+        let mut q = EventQueue::new();
+        q.push(at, "before");
+        let held = q.next_seq();
+        q.skip_seqs(1);
+        q.push(at, "after");
+        q.push(Time::from_ticks(4), "earlier tick");
+        // An event kept elsewhere under `(5, held)` is due after "before"
+        // and ahead of "after": a pop bounded by its key says so.
+        let bound = EventKey::new(at, held);
+        assert!(EventKey::new(Time::from_ticks(4), u64::MAX) < bound);
+        assert_eq!(q.pop_up_to(bound).unwrap().1, "earlier tick");
+        assert_eq!(q.pop_up_to(bound).unwrap().1, "before");
+        assert_eq!(q.pop_up_to(bound), None);
+        assert_eq!((q.len(), bound.time()), (1, at));
+        assert_eq!(q.pop().unwrap().1, "after");
     }
 
     #[test]

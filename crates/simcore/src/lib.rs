@@ -46,6 +46,6 @@ mod event;
 mod sim;
 mod time;
 
-pub use event::EventQueue;
+pub use event::{EventKey, EventQueue};
 pub use sim::{Context, HeartbeatFn, Model, RunOutcome, Simulation};
 pub use time::{Dur, Time};

@@ -1,19 +1,44 @@
 //! The simulation runner: an event loop over a [`Model`].
 
-use crate::event::EventQueue;
+use crate::event::{EventKey, EventQueue};
 use crate::time::{Dur, Time};
 
 /// A discrete-event model.
 ///
 /// The model owns all mutable simulation state; the runner feeds it one
-/// event at a time, in timestamp order, and collects the follow-up events
-/// the model schedules through [`Context`].
+/// event at a time, in `(time, seq)` order ([`EventKey`]), and collects the
+/// follow-up events the model schedules through [`Context`].
+///
+/// A model may also hold events of its own in a *lane*: events whose times
+/// it can work out ahead of the run because they depend on nothing the run
+/// does — an open-loop source's emissions, say — and which it can therefore
+/// keep sorted in bulk instead of sifting each through the event queue. The
+/// runner handles, at every step, the smaller key of the queue's earliest
+/// event and [`lane_peek`](Model::lane_peek), so a lane changes where events
+/// wait, never the order they are handled in — provided each lane event is
+/// keyed with the sequence number scheduling it would have taken
+/// ([`Context::reserve_seq`], [`Simulation::reserve_seq`]). The defaults
+/// describe a model without a lane.
 pub trait Model {
     /// The event alphabet of this model.
     type Event;
 
     /// Handles one event occurring at `ctx.now()`.
     fn handle(&mut self, event: Self::Event, ctx: &mut Context<Self::Event>);
+
+    /// Key of the lane's earliest event, if the model keeps a lane and it
+    /// is not empty. Called between events only, so whatever the handlers
+    /// reserved for that event is settled.
+    #[inline]
+    fn lane_peek(&mut self) -> Option<EventKey> {
+        None
+    }
+
+    /// Removes and returns the event [`lane_peek`](Model::lane_peek) just
+    /// reported; the runner hands it to [`handle`](Model::handle) next.
+    fn lane_pop(&mut self) -> Self::Event {
+        unreachable!("a model without a lane reports no lane event")
+    }
 }
 
 /// Handle given to [`Model::handle`] for reading the clock and scheduling
@@ -22,6 +47,10 @@ pub struct Context<E> {
     now: Time,
     pending: Vec<(Time, E)>,
     stop: bool,
+    /// The sequence number `pending[0]` takes when the runner queues it.
+    next_seq: u64,
+    /// Numbers reserved after the last `pending` entry.
+    reserved: u64,
 }
 
 impl<E> Context<E> {
@@ -43,12 +72,27 @@ impl<E> Context<E> {
             self.now,
             at
         );
+        debug_assert!(self.reserved == 0, "scheduled after reserve_seq");
         self.pending.push((at, event));
     }
 
     /// Schedules `event` after a relative delay.
     pub fn schedule_in(&mut self, delay: Dur, event: E) {
+        debug_assert!(self.reserved == 0, "scheduled after reserve_seq");
         self.pending.push((self.now + delay, event));
+    }
+
+    /// Takes the sequence number a `schedule` call here would have given
+    /// its event, without scheduling one: for an event the model keeps in
+    /// its lane ([`Model::lane_peek`]) and keys with the number returned.
+    ///
+    /// Must follow every `schedule`/`schedule_in` call of the handler — a
+    /// reservation is counted, not interleaved with the scheduled events
+    /// (checked in debug builds).
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq + self.pending.len() as u64 + self.reserved;
+        self.reserved += 1;
+        seq
     }
 
     /// Requests that the run loop stop after this event is handled.
@@ -60,7 +104,7 @@ impl<E> Context<E> {
 /// Why a [`Simulation`] run loop returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
-    /// The event queue drained completely.
+    /// No event is pending: the queue (and the model's lane) drained.
     Drained,
     /// The horizon passed to [`Simulation::run_until`] was reached.
     HorizonReached,
@@ -71,6 +115,7 @@ pub enum RunOutcome {
 }
 
 /// A heartbeat observer: `(virtual time, events handled, queue depth)`.
+/// The depth counts scheduled events; a model's lane is its own business.
 ///
 /// `simcore` sits below the telemetry crate in the dependency graph, so the
 /// hook is a plain boxed callback; telemetry adapts it onto its probe
@@ -125,7 +170,9 @@ impl<M: Model> Simulation<M> {
     }
 
     /// The deepest the event queue has ever been — a pressure diagnostic
-    /// for models that fan events out faster than they retire them.
+    /// for models that fan events out faster than they retire them. Like
+    /// [`queue_depth`](Self::queue_depth) and the heartbeat's depth, it
+    /// counts scheduled events only, not what a model holds in its lane.
     pub fn heap_high_water(&self) -> usize {
         self.heap_high_water
     }
@@ -171,14 +218,37 @@ impl<M: Model> Simulation<M> {
         self.queue.push(at, event);
     }
 
-    /// Handles a single event. Returns `false` if the queue was empty.
+    /// [`Context::reserve_seq`] from outside the model: the sequence
+    /// number a [`schedule`](Self::schedule) call here would have given
+    /// its event, for an initial event that starts out in the model's lane.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.queue.next_seq();
+        self.queue.skip_seqs(1);
+        seq
+    }
+
+    /// Handles a single event. Returns `false` if none was pending.
     pub fn step(&mut self) -> bool {
         self.step_inner().is_some()
     }
 
     fn step_inner(&mut self) -> Option<bool> {
-        let (t, ev) = self.queue.pop()?;
+        let (t, ev) = self.next_event(Time::MAX)?;
         Some(self.dispatch(t, ev))
+    }
+
+    /// Removes the next event — of the queue's earliest and the model's
+    /// lane head, the one with the smaller `(time, seq)` key — if it is
+    /// due at or before `horizon`. Every run loop selects through here.
+    #[inline]
+    fn next_event(&mut self, horizon: Time) -> Option<(Time, M::Event)> {
+        let horizon = EventKey::new(horizon, u64::MAX);
+        // A queued event goes first if it is due and ahead of the lane.
+        let lane = self.model.lane_peek().filter(|&lane| lane <= horizon);
+        if let Some(queued) = self.queue.pop_up_to(lane.unwrap_or(horizon)) {
+            return Some(queued);
+        }
+        lane.map(|lane| (lane.time(), self.model.lane_pop()))
     }
 
     /// Hands one already-popped event to the model and reschedules its
@@ -190,12 +260,15 @@ impl<M: Model> Simulation<M> {
             now: t,
             pending: std::mem::take(&mut self.pending_buf),
             stop: false,
+            next_seq: self.queue.next_seq(),
+            reserved: 0,
         };
         self.model.handle(ev, &mut ctx);
         self.handled += 1;
         for (at, ev) in ctx.pending.drain(..) {
             self.queue.push(at, ev);
         }
+        self.queue.skip_seqs(ctx.reserved);
         self.pending_buf = ctx.pending;
         if self.queue.len() > self.heap_high_water {
             self.heap_high_water = self.queue.len();
@@ -208,7 +281,7 @@ impl<M: Model> Simulation<M> {
         ctx.stop
     }
 
-    /// Runs until the event queue drains or the model stops the loop.
+    /// Runs until no event is pending or the model stops the loop.
     pub fn run(&mut self) -> RunOutcome {
         loop {
             match self.step_inner() {
@@ -220,16 +293,18 @@ impl<M: Model> Simulation<M> {
     }
 
     /// Runs until no pending event is at or before `horizon` (events *at*
-    /// the horizon are handled), the queue drains, or the model stops.
+    /// the horizon are handled), none is pending at all, or the model stops.
     pub fn run_until(&mut self, horizon: Time) -> RunOutcome {
         loop {
-            match self.queue.pop_at_or_before(horizon) {
+            match self.next_event(horizon) {
                 Some((t, ev)) => {
                     if self.dispatch(t, ev) {
                         return RunOutcome::Stopped;
                     }
                 }
-                None if self.queue.is_empty() => return RunOutcome::Drained,
+                None if self.queue.is_empty() && self.model.lane_peek().is_none() => {
+                    return RunOutcome::Drained
+                }
                 None => return RunOutcome::HorizonReached,
             }
         }
@@ -476,6 +551,229 @@ mod tests {
         sim.schedule(Time::from_ticks(5), 6);
         assert_eq!(sim.run(), RunOutcome::Drained);
         assert_eq!(sim.model().0, vec![1, 6, 2, 3, 5, 4]);
+    }
+
+    /// Open-loop sources — each a strictly increasing list of instants
+    /// known before the run — beside closed-loop `Noise` events that
+    /// reschedule themselves. The sources' emissions live in the event
+    /// queue (`lane: None`) or in a lane sorted by `(instant, source)`.
+    struct Sources {
+        instants: Vec<Vec<u64>>,
+        /// Per source, how many of its emissions were handled.
+        emitted: Vec<usize>,
+        lane: Option<Lane>,
+        log: Vec<(u64, SourceEv)>,
+    }
+
+    struct Lane {
+        entries: Vec<(u64, usize)>,
+        cursor: usize,
+        /// Per source, the sequence number of its next emission.
+        stamps: Vec<u64>,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum SourceEv {
+        Emit(usize),
+        Noise(u32),
+    }
+
+    impl Model for Sources {
+        type Event = SourceEv;
+
+        fn handle(&mut self, ev: SourceEv, ctx: &mut Context<SourceEv>) {
+            self.log.push((ctx.now().ticks(), ev));
+            match ev {
+                SourceEv::Noise(0) => {}
+                SourceEv::Noise(n) => {
+                    ctx.schedule_in(Dur::from_ticks(n as u64 % 3), SourceEv::Noise(n - 1))
+                }
+                SourceEv::Emit(s) => {
+                    // Something closed-loop first, then the next emission.
+                    ctx.schedule_in(Dur::from_ticks(s as u64 % 2), SourceEv::Noise(2));
+                    self.emitted[s] += 1;
+                    let next = self.instants[s].get(self.emitted[s]);
+                    match (&mut self.lane, next) {
+                        (Some(lane), _) => lane.stamps[s] = ctx.reserve_seq(),
+                        (None, Some(&at)) => ctx.schedule(Time::from_ticks(at), ev),
+                        (None, None) => {}
+                    }
+                }
+            }
+        }
+
+        fn lane_peek(&mut self) -> Option<EventKey> {
+            let lane = self.lane.as_mut()?;
+            let run = &mut lane.entries[lane.cursor..];
+            let at = run.first()?.0;
+            let first = (0..run.len())
+                .take_while(|&i| run[i].0 == at)
+                .min_by_key(|&i| lane.stamps[run[i].1])?;
+            run.swap(0, first);
+            Some(EventKey::new(Time::from_ticks(at), lane.stamps[run[0].1]))
+        }
+
+        fn lane_pop(&mut self) -> SourceEv {
+            let lane = self.lane.as_mut().expect("peeked");
+            lane.cursor += 1;
+            SourceEv::Emit(lane.entries[lane.cursor - 1].1)
+        }
+    }
+
+    /// The simulation over `instants`, emissions in a lane or not, with a
+    /// `Noise(n)` scheduled at `t` for each of `noise`: every first
+    /// emission and every noise event takes its sequence number in turn.
+    fn sources(instants: &[Vec<u64>], noise: &[(u64, u32)], in_lane: bool) -> Simulation<Sources> {
+        let mut entries: Vec<(u64, usize)> = (instants.iter().enumerate())
+            .flat_map(|(s, at)| at.iter().map(move |&at| (at, s)))
+            .collect();
+        entries.sort_unstable();
+        let lane = in_lane.then(|| Lane {
+            entries,
+            cursor: 0,
+            stamps: vec![0; instants.len()],
+        });
+        let mut sim = Simulation::new(Sources {
+            instants: instants.to_vec(),
+            emitted: vec![0; instants.len()],
+            lane,
+            log: Vec::new(),
+        });
+        for s in 0..instants.len().max(noise.len()) {
+            match (instants.get(s).and_then(|at| at.first()), in_lane) {
+                (Some(_), true) => {
+                    let seq = sim.reserve_seq();
+                    sim.model_mut().lane.as_mut().unwrap().stamps[s] = seq;
+                }
+                (Some(&at), false) => sim.schedule(Time::from_ticks(at), SourceEv::Emit(s)),
+                (None, _) => {}
+            }
+            if let Some(&(at, n)) = noise.get(s) {
+                sim.schedule(Time::from_ticks(at), SourceEv::Noise(n));
+            }
+        }
+        sim
+    }
+
+    #[test]
+    fn run_until_handles_a_lane_event_at_the_horizon_and_not_one_past_it() {
+        let mut sim = sources(&[vec![10, 11]], &[], true);
+        assert_eq!(sim.queue_depth(), 0, "the lane is not the queue");
+        assert_eq!(
+            sim.run_until(Time::from_ticks(9)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(sim.events_handled(), 0);
+        // The emission at 10 and the noise it set off on that tick; the
+        // emission at 11 stays in the lane — pending, so not `Drained`.
+        assert_eq!(
+            sim.run_until(Time::from_ticks(10)),
+            RunOutcome::HorizonReached
+        );
+        let emits = |sim: &Simulation<Sources>| {
+            let log = &sim.model().log;
+            log.iter()
+                .filter(|e| matches!(e.1, SourceEv::Emit(_)))
+                .count()
+        };
+        assert_eq!((emits(&sim), sim.now().ticks()), (1, 10));
+        assert_eq!(
+            sim.run_until(Time::from_ticks(11)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(emits(&sim), 2);
+        assert_eq!(sim.run_until(Time::from_ticks(99)), RunOutcome::Drained);
+    }
+
+    #[test]
+    fn a_tick_shared_by_lane_and_queue_goes_to_the_smaller_sequence_number() {
+        // Source 0 takes sequence number 0, the noise 1: the lane wins.
+        let mut sim = sources(&[vec![5]], &[(5, 0)], true);
+        sim.run_for_events(2);
+        let first_two = |sim: &Simulation<Sources>| [sim.model().log[0].1, sim.model().log[1].1];
+        assert_eq!(first_two(&sim), [SourceEv::Emit(0), SourceEv::Noise(0)]);
+        // No source 0; the noise takes 0 and source 1 takes 1: the queue wins.
+        let mut sim = sources(&[vec![], vec![5]], &[(5, 0)], true);
+        sim.run_for_events(2);
+        assert_eq!(first_two(&sim), [SourceEv::Noise(0), SourceEv::Emit(1)]);
+    }
+
+    #[test]
+    fn every_run_loop_drains_whichever_of_lane_and_queue_lasts_longer() {
+        type Drive = fn(&mut Simulation<Sources>);
+        let drives: [Drive; 4] = [
+            |sim| assert_eq!(sim.run(), RunOutcome::Drained),
+            |sim| assert_eq!(sim.run_until(Time::MAX), RunOutcome::Drained),
+            |sim| assert_eq!(sim.run_for_events(u64::MAX), RunOutcome::Drained),
+            |sim| while sim.step() {},
+        ];
+        for drive in drives {
+            // From tick 7 to 900 the queue is empty and the lane is not;
+            // then the reverse, from tick 6 to 700. (An emission sets off
+            // three ticks of noise.)
+            for (instants, noise, last) in [
+                (vec![vec![2, 900]], vec![(1, 3)], 903),
+                (vec![vec![2, 3]], vec![(700, 2)], 703),
+            ] {
+                let mut sim = sources(&instants, &noise, true);
+                drive(&mut sim);
+                assert_eq!(sim.now().ticks(), last);
+                let mut queued = sources(&instants, &noise, false);
+                drive(&mut queued);
+                assert_eq!(sim.model().log, queued.model().log);
+                assert!(!sim.step(), "drained");
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "scheduled after reserve_seq")]
+    fn scheduling_after_a_reservation_is_caught_in_debug_builds() {
+        struct Late;
+        impl Model for Late {
+            type Event = ();
+            fn handle(&mut self, _ev: (), ctx: &mut Context<()>) {
+                ctx.reserve_seq();
+                ctx.schedule_in(Dur::from_ticks(1), ());
+            }
+        }
+        let mut sim = Simulation::new(Late);
+        sim.schedule(Time::ZERO, ());
+        sim.step();
+    }
+
+    proptest::proptest! {
+        /// The contract a lane rests on: moving the open-loop emissions
+        /// out of the queue changes nothing about the order events are
+        /// handled in, ties included, however the run is driven.
+        #[test]
+        fn prop_a_lane_changes_no_event_order(
+            gaps in proptest::collection::vec(proptest::collection::vec(1u64..4, 0..12), 0..6),
+            starts in proptest::collection::vec(0u64..6, 6..7),
+            noise in proptest::collection::vec((0u64..20, 0u32..5), 0..6),
+            chunks in proptest::collection::vec((0u8..3, 0u64..9), 0..12),
+        ) {
+            let instants: Vec<Vec<u64>> = (gaps.iter().zip(&starts))
+                .map(|(gaps, &start)| {
+                    gaps.iter().scan(start, |at, gap| { *at += gap; Some(*at) }).collect()
+                })
+                .collect();
+            let mut sims = [sources(&instants, &noise, false), sources(&instants, &noise, true)];
+            for sim in &mut sims {
+                for &(how, n) in &chunks {
+                    match how {
+                        0 => { sim.run_until(sim.now() + Dur::from_ticks(n)); }
+                        1 => { sim.run_for_events(n); }
+                        _ => { sim.step(); }
+                    }
+                }
+                sim.run();
+            }
+            let [queued, laned] = sims;
+            proptest::prop_assert_eq!(&queued.model().log, &laned.model().log);
+            proptest::prop_assert_eq!(queued.events_handled(), laned.events_handled());
+        }
     }
 
     #[test]
