@@ -1,31 +1,33 @@
 //! Regeneration benches for the single-link figures: each bench runs the
-//! full pipeline (traffic generation → scheduling → statistics) that
-//! produces the corresponding figure, at bench scale.
+//! full pipeline (traffic generation → scheduling → statistics) of one
+//! representative cell of the corresponding figure, at bench scale — the
+//! cells the repo benchmark's ladder times.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::{ablations, fig1, fig2, fig3, fig45, Scale};
+use pdd::sched::SchedulerKind;
 
 fn bench_fig1(c: &mut Criterion) {
-    c.bench_function("fig1_delay_ratio_vs_utilization", |b| {
-        b.iter(|| fig1::run(Scale::Bench))
+    c.bench_function("fig1_cell_s2_u095", |b| {
+        b.iter(|| fig1::cell(2.0, 0.95, Scale::Bench))
     });
 }
 
 fn bench_fig2(c: &mut Criterion) {
-    c.bench_function("fig2_delay_ratio_vs_load_split", |b| {
-        b.iter(|| fig2::run(Scale::Bench))
+    c.bench_function("fig2_cell_s2_skewed_split", |b| {
+        b.iter(|| fig2::cell(2.0, fig2::DISTRIBUTIONS[3], Scale::Bench))
     });
 }
 
 fn bench_fig3(c: &mut Criterion) {
-    c.bench_function("fig3_rd_percentiles_vs_timescale", |b| {
-        b.iter(|| fig3::run(Scale::Bench))
+    c.bench_function("fig3_cell_wtp_tau_ladder", |b| {
+        b.iter(|| fig3::cell(SchedulerKind::Wtp, Scale::Bench))
     });
 }
 
 fn bench_fig45(c: &mut Criterion) {
-    c.bench_function("fig45_microscopic_views", |b| {
-        b.iter(|| fig45::run(Scale::Bench))
+    c.bench_function("fig45_cell_bpr_microscopic_views", |b| {
+        b.iter(|| fig45::cell(SchedulerKind::Bpr, Scale::Bench))
     });
 }
 
@@ -36,8 +38,8 @@ fn bench_ablation_schedulers(c: &mut Criterion) {
 }
 
 fn bench_ablation_feasibility(c: &mut Criterion) {
-    c.bench_function("ablation_feasibility_region", |b| {
-        b.iter(|| ablations::feasibility(Scale::Bench))
+    c.bench_function("ablation_feasibility_cell_u095_s2", |b| {
+        b.iter(|| ablations::feasibility_cell(0.95, 2.0, Scale::Bench))
     });
 }
 

@@ -3,29 +3,18 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::{table1, Scale};
-use pdd::netsim::{analyze, packet_time_tolerance, Session, StudyBConfig};
 
-/// One representative cell (K=4, ρ=0.95, F=10, R_u=200) at bench scale.
+/// One representative cell (K=4, ρ=0.95, F=100, R_u=200) at bench scale —
+/// the cell the repo benchmark's ladder times.
 fn bench_table1_cell(c: &mut Criterion) {
-    c.bench_function("table1_single_cell", |b| {
-        b.iter(|| {
-            let mut cfg = StudyBConfig::paper(4, 0.95, 10, 200.0);
-            cfg.experiments = 4;
-            cfg.warmup_secs = 2.0;
-            let (records, _) = Session::study_b(&cfg).run();
-            analyze(&records, cfg.num_classes(), packet_time_tolerance(&cfg))
-        })
+    c.bench_function("table1_cell_k4_u095_f100_r200", |b| {
+        b.iter(|| table1::cell_run(4, 0.95, 100, 200.0, Scale::Bench))
     });
-}
-
-/// The full sixteen-cell grid at bench scale.
-fn bench_table1_grid(c: &mut Criterion) {
-    c.bench_function("table1_full_grid", |b| b.iter(|| table1::run(Scale::Bench)));
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_table1_cell, bench_table1_grid
+    targets = bench_table1_cell
 }
 criterion_main!(benches);

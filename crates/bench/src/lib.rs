@@ -4,10 +4,10 @@
 //!
 //! * `schedulers` — enqueue/dequeue throughput of every scheduler under a
 //!   saturated 4-class workload.
-//! * `figures` — regenerates Fig. 1, Fig. 2, Fig. 3, and Figs. 4–5 at
-//!   bench scale, timing the full pipeline (traffic generation →
-//!   scheduling → statistics).
-//! * `table1` — regenerates the Table-1 multi-hop study at bench scale.
+//! * `figures` — one representative cell each of Fig. 1, Fig. 2, Fig. 3
+//!   and Figs. 4–5 (plus two ablations) at bench scale, timing the full
+//!   pipeline (traffic generation → scheduling → statistics).
+//! * `table1` — one Table-1 multi-hop cell at bench scale.
 //!
 //! This library exposes the small shared helpers those benches use.
 #![deny(missing_docs)]

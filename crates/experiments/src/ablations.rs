@@ -3,21 +3,54 @@
 //! * [`schedulers`] — every scheduler on identical traffic: shows why §2.1
 //!   rejects strict priority and capacity differentiation, and how the PAD
 //!   and HPD extensions repair WTP's moderate-load undershoot.
-//! * [`feasibility`] — maps the feasible DDP region of Eq. (7) by sweeping
-//!   spacing ratios and utilizations.
+//! * [`feasibility_cell`] — maps the feasible DDP region of Eq. (7) by
+//!   sweeping spacing ratios and utilizations.
 //! * [`starvation`] — Proposition 2 demonstrated empirically: the SDP-ratio
 //!   threshold at which a high-class burst starves lower classes.
-//! * [`moderate_load`] — quantifies the ρ = 0.70 "ratio ≈ 1.5 when it
+//! * [`moderate_load_cell`] — quantifies the ρ = 0.70 "ratio ≈ 1.5 when it
 //!   should be 2" observation across schedulers.
+//! * [`plr_cell`], [`additive`], [`analytic`], [`mixed_path_cell`] — the
+//!   §7 loss extension, the Eq. (3) contrast, the M/G/1 cross-check, and
+//!   partial deployment.
+//!
+//! Each study is its own suite: the measurement function, then its grid,
+//! [`Cell`] and markdown block.
 
 use pdd::model::{Ddp, ProportionalModel};
 use pdd::qsim::Experiment;
 use pdd::sched::{Packet, PifoCore, Scheduler, SchedulerKind, Sdp, WtpRank};
 use pdd::simcore::{Dur, Time};
-use pdd::stats::Table;
+use pdd::telemetry::json::Json;
 use pdd::traffic::Trace;
 
-use crate::{banner, parallel_map, Scale};
+use crate::cell::{self, Cell, Partial};
+use crate::{parallel_map, Scale};
+
+/// A suite of one parameterless cell: `run` measures and encodes it.
+struct Whole {
+    group: &'static str,
+    run: fn(Scale) -> Json,
+}
+
+impl Whole {
+    fn cells(group: &'static str, run: fn(Scale) -> Json) -> Vec<Box<dyn Cell>> {
+        vec![Box::new(Whole { group, run })]
+    }
+}
+
+impl Cell for Whole {
+    fn id(&self) -> String {
+        self.group.into()
+    }
+
+    fn params(&self) -> Json {
+        cell::params(self.group, vec![])
+    }
+
+    fn execute_shard(&self, scale: Scale, _shard: usize) -> Partial {
+        ((self.run)(scale), None)
+    }
+}
 
 /// Result of the scheduler shoot-out.
 #[derive(Debug, Clone)]
@@ -42,33 +75,6 @@ pub fn schedulers(scale: Scale) -> SchedulerShootout {
 }
 
 impl SchedulerShootout {
-    /// Renders the comparison table.
-    pub fn render(&self) -> String {
-        let mut out =
-            banner("Ablation: all schedulers on identical traffic (rho=0.95, target ratio 2)");
-        let mut t = Table::new([
-            "scheduler",
-            "d1/d2",
-            "d2/d3",
-            "d3/d4",
-            "mean |dev| from 2.0",
-        ]);
-        for (k, ratios, dev) in &self.rows {
-            let mut cells = vec![k.name().to_string()];
-            cells.extend(ratios.iter().map(|r| format!("{r:.2}")));
-            cells.push(format!("{:.1}%", dev * 100.0));
-            t.row(cells);
-        }
-        out.push_str(&t.to_string());
-        out.push_str(
-            "\nreading: FCFS ~1.0 (no differentiation); Strict is huge and\n\
-             untunable; WFQ/SCFQ/DRR ratios drift with load (capacity, not\n\
-             delay, differentiation); Additive spaces differences, not ratios;\n\
-             WTP/BPR approximate 2.0; PAD/HPD (extensions) pin it.\n",
-        );
-        out
-    }
-
     /// Deviation of one scheduler.
     pub fn deviation(&self, kind: SchedulerKind) -> f64 {
         self.rows
@@ -77,6 +83,57 @@ impl SchedulerShootout {
             .map(|(_, _, d)| *d)
             .expect("kind present")
     }
+}
+
+/// The `shootout` suite: one cell.
+pub fn shootout_cells() -> Vec<Box<dyn Cell>> {
+    Whole::cells("shootout", |scale| {
+        let rows = schedulers(scale)
+            .rows
+            .iter()
+            .map(|(k, ratios, dev)| {
+                Json::obj(vec![
+                    ("scheduler", Json::Str(k.name().into())),
+                    ("ratios", Json::nums(ratios)),
+                    ("deviation", Json::num(*dev)),
+                ])
+            })
+            .collect();
+        Json::obj(vec![("rows", Json::Arr(rows))])
+    })
+}
+
+/// The `shootout` block.
+pub fn shootout_table(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "shootout");
+    let r = cell::result(cells.first()?);
+    let rows = r
+        .get("rows")
+        .and_then(Json::as_arr)?
+        .iter()
+        .map(|row| {
+            let mut out = vec![cell::scheduler_name(row)];
+            out.extend(cell::ratio_cells(row, "ratios"));
+            out.push(format!(
+                "{:.1}%",
+                row.get("deviation")
+                    .and_then(Json::as_f64)
+                    .unwrap_or(f64::NAN)
+                    * 100.0
+            ));
+            out
+        })
+        .collect();
+    Some(cell::markdown_table(
+        &[
+            "scheduler",
+            "d1/d2",
+            "d2/d3",
+            "d3/d4",
+            "mean \\|dev\\| from 2.0",
+        ],
+        rows,
+    ))
 }
 
 /// One feasibility-region probe.
@@ -127,41 +184,93 @@ pub fn feasibility_cell(rho: f64, spacing: f64, scale: Scale) -> FeasibilityProb
     }
 }
 
-/// Sweeps DDP spacing × utilization and checks Eq. (7) on a recorded trace.
-pub fn feasibility(scale: Scale) -> Vec<FeasibilityProbe> {
-    let mut jobs = Vec::new();
-    for &rho in &FEASIBILITY_UTILS {
-        for &r in &FEASIBILITY_SPACINGS {
-            jobs.push(move || feasibility_cell(rho, r, scale));
-        }
-    }
-    parallel_map(jobs)
+/// One (utilization, spacing) probe of the Eq. (7) feasibility region.
+struct FeasibilityCell {
+    utilization: f64,
+    spacing: f64,
 }
 
-/// Renders the feasibility sweep.
-pub fn render_feasibility(probes: &[FeasibilityProbe]) -> String {
-    let mut out =
-        banner("Ablation: Eq. (7) feasibility of Eq. (6) targets (4 classes, 40/30/20/10 loads)");
-    let mut t = Table::new(["util", "spacing", "feasible", "worst subset slack"]);
-    for p in probes {
-        t.row([
-            format!("{:.0}%", p.utilization * 100.0),
-            format!("{:.1}", p.spacing),
-            if p.feasible {
-                "yes".into()
-            } else {
-                "NO".to_string()
-            },
-            format!("{:+.3}", p.worst_slack),
-        ]);
+/// The `feasibility` suite: utilizations × spacings, utilization-major.
+pub fn feasibility_cells() -> Vec<Box<dyn Cell>> {
+    let mut cells: Vec<Box<dyn Cell>> = Vec::new();
+    for utilization in FEASIBILITY_UTILS {
+        for spacing in FEASIBILITY_SPACINGS {
+            cells.push(Box::new(FeasibilityCell {
+                utilization,
+                spacing,
+            }));
+        }
     }
-    out.push_str(&t.to_string());
-    out.push_str(
-        "\nreading: the Fig.1/Fig.2 operating points (spacing 2 and 4) are\n\
-         feasible; very wide spacings push the top class below its FCFS\n\
-         lower bound and leave the feasible region.\n",
-    );
-    out
+    cells
+}
+
+impl Cell for FeasibilityCell {
+    fn id(&self) -> String {
+        cell::sanitize(format!(
+            "feasibility-u{}-s{}",
+            self.utilization, self.spacing
+        ))
+    }
+
+    fn params(&self) -> Json {
+        cell::params(
+            "feasibility",
+            vec![
+                ("utilization", Json::num(self.utilization)),
+                ("spacing", Json::num(self.spacing)),
+            ],
+        )
+    }
+
+    fn execute_shard(&self, scale: Scale, _shard: usize) -> Partial {
+        let p = feasibility_cell(self.utilization, self.spacing, scale);
+        let result = Json::obj(vec![
+            ("utilization", Json::num(p.utilization)),
+            ("spacing", Json::num(p.spacing)),
+            ("feasible", Json::Bool(p.feasible)),
+            ("worst_slack", Json::num(p.worst_slack)),
+        ]);
+        (result, None)
+    }
+}
+
+/// The `feasibility` block.
+pub fn feasibility_table(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "feasibility");
+    if cells.is_empty() {
+        return None;
+    }
+    let rows = cells
+        .iter()
+        .map(|c| {
+            let r = cell::result(c);
+            vec![
+                format!(
+                    "{:.0}%",
+                    r.get("utilization").and_then(Json::as_f64).unwrap_or(0.0) * 100.0
+                ),
+                format!(
+                    "{:.1}",
+                    r.get("spacing").and_then(Json::as_f64).unwrap_or(0.0)
+                ),
+                if r.get("feasible").and_then(Json::as_bool).unwrap_or(false) {
+                    "yes".into()
+                } else {
+                    "**NO**".to_string()
+                },
+                format!(
+                    "{:+.3}",
+                    r.get("worst_slack")
+                        .and_then(Json::as_f64)
+                        .unwrap_or(f64::NAN)
+                ),
+            ]
+        })
+        .collect();
+    Some(cell::markdown_table(
+        &["util", "spacing", "feasible", "worst subset slack"],
+        rows,
+    ))
 }
 
 /// One starvation probe: does a class-2 burst fully starve class 1?
@@ -217,33 +326,63 @@ pub fn starvation() -> Vec<StarvationProbe> {
         .collect()
 }
 
-/// Renders the starvation probes.
-pub fn render_starvation(probes: &[StarvationProbe]) -> String {
-    let mut out = banner("Ablation: Proposition 2 — WTP short-term starvation (R1 = 2R)");
-    let mut t = Table::new(["s2/s1", "1-R/R1", "s1/s2", "predicted", "observed"]);
-    for p in probes {
-        t.row([
-            format!("{:.1}", p.sdp_ratio),
-            format!("{:.2}", p.condition_lhs),
-            format!("{:.2}", p.condition_rhs),
-            if p.predicted { "starve" } else { "-" }.to_string(),
-            if p.observed { "starve" } else { "-" }.to_string(),
-        ]);
-    }
-    out.push_str(&t.to_string());
-    out.push_str(
-        "\nreading: for s2/s1 > 2 = 1/(1-R/R1), an arbitrarily long class-2\n\
-         burst is fully serviced before a class-1 packet that arrived with\n\
-         its first packet — exactly Proposition 2's threshold.\n",
-    );
-    out
+/// The `starvation` suite: one pure cell (no scale).
+pub fn starvation_cells() -> Vec<Box<dyn Cell>> {
+    Whole::cells("starvation", |_scale| {
+        let rows = starvation()
+            .iter()
+            .map(|p| {
+                Json::obj(vec![
+                    ("sdp_ratio", Json::num(p.sdp_ratio)),
+                    ("condition_lhs", Json::num(p.condition_lhs)),
+                    ("condition_rhs", Json::num(p.condition_rhs)),
+                    ("predicted", Json::Bool(p.predicted)),
+                    ("observed", Json::Bool(p.observed)),
+                ])
+            })
+            .collect();
+        Json::obj(vec![("probes", Json::Arr(rows))])
+    })
 }
 
-/// Moderate-load undershoot comparison.
-#[derive(Debug, Clone)]
-pub struct ModerateLoad {
-    /// `(utilization, rows)` where each row is `(scheduler, mean ratio)`.
-    pub points: Vec<(f64, Vec<(SchedulerKind, f64)>)>,
+/// The `starvation` block.
+pub fn starvation_table(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "starvation");
+    let r = cell::result(cells.first()?);
+    let rows = r
+        .get("probes")
+        .and_then(Json::as_arr)?
+        .iter()
+        .map(|p| {
+            let flag = |key: &str| {
+                if p.get(key).and_then(Json::as_bool).unwrap_or(false) {
+                    "starve".to_string()
+                } else {
+                    "-".to_string()
+                }
+            };
+            vec![
+                format!(
+                    "{:.1}",
+                    p.get("sdp_ratio").and_then(Json::as_f64).unwrap_or(0.0)
+                ),
+                format!(
+                    "{:.2}",
+                    p.get("condition_lhs").and_then(Json::as_f64).unwrap_or(0.0)
+                ),
+                format!(
+                    "{:.2}",
+                    p.get("condition_rhs").and_then(Json::as_f64).unwrap_or(0.0)
+                ),
+                flag("predicted"),
+                flag("observed"),
+            ]
+        })
+        .collect();
+    Some(cell::markdown_table(
+        &["s2/s1", "1−R/R₁", "s1/s2", "predicted", "observed"],
+        rows,
+    ))
 }
 
 /// The utilizations swept by the moderate-load ablation.
@@ -268,52 +407,90 @@ pub fn moderate_load_cell(rho: f64, scale: Scale) -> (f64, Vec<(SchedulerKind, f
     (rho, rows)
 }
 
-/// Quantifies the moderate-load undershoot for WTP/BPR and shows the
-/// PAD/HPD extensions holding the target (target ratio 2).
-pub fn moderate_load(scale: Scale) -> ModerateLoad {
-    let jobs: Vec<_> = MODERATE_LOAD_UTILS
-        .into_iter()
-        .map(|rho| move || moderate_load_cell(rho, scale))
+/// One utilization point of the moderate-load undershoot ablation.
+struct ModerateLoadCell {
+    utilization: f64,
+}
+
+/// The `moderate-load` suite: one cell per utilization.
+pub fn moderate_load_cells() -> Vec<Box<dyn Cell>> {
+    MODERATE_LOAD_UTILS
+        .iter()
+        .map(|&utilization| Box::new(ModerateLoadCell { utilization }) as Box<dyn Cell>)
+        .collect()
+}
+
+impl Cell for ModerateLoadCell {
+    fn id(&self) -> String {
+        cell::sanitize(format!("moderate-load-u{}", self.utilization))
+    }
+
+    fn params(&self) -> Json {
+        cell::params(
+            "moderate-load",
+            vec![("utilization", Json::num(self.utilization))],
+        )
+    }
+
+    fn execute_shard(&self, scale: Scale, _shard: usize) -> Partial {
+        let (rho, rows) = moderate_load_cell(self.utilization, scale);
+        let rows = rows
+            .iter()
+            .map(|(k, mean)| {
+                Json::obj(vec![
+                    ("scheduler", Json::Str(k.name().into())),
+                    ("mean_ratio", Json::num(*mean)),
+                ])
+            })
+            .collect();
+        let result = Json::obj(vec![
+            ("utilization", Json::num(rho)),
+            ("rows", Json::Arr(rows)),
+        ]);
+        (result, None)
+    }
+}
+
+/// The `moderate-load` block.
+pub fn moderate_load_table(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "moderate-load");
+    if cells.is_empty() {
+        return None;
+    }
+    let rows = cells
+        .iter()
+        .map(|c| {
+            let r = cell::result(c);
+            let mut row = vec![format!(
+                "{:.0}%",
+                r.get("utilization").and_then(Json::as_f64).unwrap_or(0.0) * 100.0
+            )];
+            for entry in r.get("rows").and_then(Json::as_arr).unwrap_or_default() {
+                row.push(format!(
+                    "{:.2}",
+                    entry
+                        .get("mean_ratio")
+                        .and_then(Json::as_f64)
+                        .unwrap_or(f64::NAN)
+                ));
+            }
+            row
+        })
         .collect();
-    ModerateLoad {
-        points: parallel_map(jobs),
-    }
-}
-
-impl ModerateLoad {
-    /// Renders the undershoot table.
-    pub fn render(&self) -> String {
-        let mut out =
-            banner("Ablation: moderate-load accuracy (mean successive ratio, target 2.0)");
-        let mut t = Table::new(["util", "WTP", "BPR", "PAD", "HPD"]);
-        for (rho, rows) in &self.points {
-            let mut cells = vec![format!("{:.0}%", rho * 100.0)];
-            cells.extend(rows.iter().map(|(_, r)| format!("{r:.2}")));
-            t.row(cells);
-        }
-        out.push_str(&t.to_string());
-        out.push_str(
-            "\nreading: WTP/BPR undershoot at 70-80% (the paper's \"about 1.5\n\
-             when it should be 2\"); PAD holds the long-term target at every\n\
-             load, HPD sits between — the §7 open problem and its later fix.\n",
-        );
-        out
-    }
-}
-
-/// PLR vs tail-drop loss differentiation on an overloaded lossy link.
-#[derive(Debug, Clone)]
-pub struct PlrStudy {
-    /// `(sigma_ratio, plr_loss_ratio, taildrop_loss_ratio, delay_ratio)`
-    /// rows for a 2-class WTP link at offered load ≈ 1.3.
-    pub rows: Vec<(f64, f64, f64, f64)>,
+    Some(cell::markdown_table(
+        &["util", "WTP", "BPR", "PAD", "HPD"],
+        rows,
+    ))
 }
 
 /// The loss-spacing targets σ₁/σ₂ swept by the PLR ablation.
 pub const PLR_SIGMAS: [f64; 4] = [1.0, 2.0, 4.0, 8.0];
 
-/// Measures one PLR point: `(sigma_ratio, plr_loss_ratio,
-/// taildrop_loss_ratio, delay_ratio)` for one target loss spacing.
+/// Measures one point of the §7 coupled delay+loss extension on a
+/// 2-class WTP link at offered load ≈ 1.3: `(sigma_ratio, plr_loss_ratio,
+/// taildrop_loss_ratio, delay_ratio)` for one target loss spacing. WTP
+/// spaces the delays while the PLR dropper spaces the losses; tail-drop
+/// is the uncontrolled baseline.
 pub fn plr_cell(sigma_ratio: f64, scale: Scale) -> (f64, f64, f64, f64) {
     use pdd::qsim::{LossMode, Session};
     use pdd::sched::PlrDropper;
@@ -356,46 +533,74 @@ pub fn plr_cell(sigma_ratio: f64, scale: Scale) -> (f64, f64, f64, f64) {
     )
 }
 
-/// Runs the §7 coupled delay+loss extension: WTP spaces the delays while
-/// the PLR dropper spaces the losses; tail-drop is the uncontrolled
-/// baseline.
-pub fn plr(scale: Scale) -> PlrStudy {
-    let jobs: Vec<_> = PLR_SIGMAS
-        .into_iter()
-        .map(|sigma_ratio| move || plr_cell(sigma_ratio, scale))
-        .collect();
-    PlrStudy {
-        rows: parallel_map(jobs),
+/// One target loss-spacing point of the PLR ablation.
+struct PlrCell {
+    sigma: f64,
+}
+
+/// The `plr` suite: one cell per target loss spacing.
+pub fn plr_cells() -> Vec<Box<dyn Cell>> {
+    PLR_SIGMAS
+        .iter()
+        .map(|&sigma| Box::new(PlrCell { sigma }) as Box<dyn Cell>)
+        .collect()
+}
+
+impl Cell for PlrCell {
+    fn id(&self) -> String {
+        cell::sanitize(format!("plr-s{}", self.sigma))
+    }
+
+    fn params(&self) -> Json {
+        cell::params("plr", vec![("sigma", Json::num(self.sigma))])
+    }
+
+    fn execute_shard(&self, scale: Scale, _shard: usize) -> Partial {
+        let (s, plr_ratio, tail_ratio, delay_ratio) = plr_cell(self.sigma, scale);
+        let result = Json::obj(vec![
+            ("sigma", Json::num(s)),
+            ("plr_loss_ratio", Json::num(plr_ratio)),
+            ("taildrop_loss_ratio", Json::num(tail_ratio)),
+            ("delay_ratio", Json::num(delay_ratio)),
+        ]);
+        (result, None)
     }
 }
 
-/// Renders the PLR study.
-pub fn render_plr(study: &PlrStudy) -> String {
-    let mut out = banner(
-        "Ablation: proportional loss differentiation (2 classes, WTP, offered load 1.3, 6 kB buffer)",
-    );
-    let mut t = Table::new([
-        "target sigma1/sigma2",
-        "PLR loss ratio",
-        "tail-drop loss ratio",
-        "PLR delay ratio (target 2)",
-    ]);
-    for (sigma, plr, tail, delay) in &study.rows {
-        t.row([
-            format!("{sigma:.1}"),
-            format!("{plr:.2}"),
-            format!("{tail:.2}"),
-            format!("{delay:.2}"),
-        ]);
+/// The `plr` block.
+pub fn plr_table(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "plr");
+    if cells.is_empty() {
+        return None;
     }
-    out.push_str(&t.to_string());
-    out.push_str(
-        "\nreading: the PLR push-out pins the class loss-fraction ratio to the\n\
-         chosen sigma spacing while tail-drop leaves it near 1 (uncontrolled);\n\
-         WTP keeps spacing the queueing delays on the same lossy link — the\n\
-         first step toward the paper's coupled delay+loss future work.\n",
-    );
-    out
+    let num = |r: &Json, key: &str| match r.get(key).and_then(Json::as_f64) {
+        Some(v) => format!("{v:.2}"),
+        None => "n/a".into(),
+    };
+    let rows = cells
+        .iter()
+        .map(|c| {
+            let r = cell::result(c);
+            vec![
+                format!(
+                    "{:.0}",
+                    r.get("sigma").and_then(Json::as_f64).unwrap_or(0.0)
+                ),
+                num(r, "plr_loss_ratio"),
+                num(r, "taildrop_loss_ratio"),
+                num(r, "delay_ratio"),
+            ]
+        })
+        .collect();
+    Some(cell::markdown_table(
+        &[
+            "target σ1/σ2",
+            "PLR loss ratio",
+            "tail-drop loss ratio",
+            "delay ratio (target 2)",
+        ],
+        rows,
+    ))
 }
 
 /// The additive differentiation model (Eq. 3) measured at heavy load.
@@ -433,30 +638,42 @@ pub fn additive(scale: Scale) -> AdditiveStudy {
     }
 }
 
-/// Renders the additive study.
-pub fn render_additive(study: &AdditiveStudy) -> String {
+/// The `additive` suite: one cell.
+pub fn additive_cells() -> Vec<Box<dyn Cell>> {
+    Whole::cells("additive", |scale| {
+        let a = additive(scale);
+        Json::obj(vec![
+            ("offsets", Json::nums(&a.offsets)),
+            ("delays", Json::nums(&a.delays)),
+            ("differences", Json::nums(&a.differences)),
+            ("targets", Json::nums(&a.targets)),
+        ])
+    })
+}
+
+/// The `additive` block.
+pub fn additive_table(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "additive");
+    let r = cell::result(cells.first()?);
     let p = pdd::traffic::PAPER_MEAN_PACKET_BYTES;
-    let mut out = banner("Ablation: additive differentiation (Eq. 3) at rho = 0.995");
-    let mut t = Table::new([
-        "pair",
-        "measured d_i - d_j (p-units)",
-        "target s_j - s_i (p-units)",
-    ]);
-    for (i, (diff, target)) in study.differences.iter().zip(&study.targets).enumerate() {
-        t.row([
-            format!("{}/{}", i + 1, i + 2),
-            format!("{:.1}", diff / p),
-            format!("{:.1}", target / p),
-        ]);
-    }
-    out.push_str(&t.to_string());
-    out.push_str(
-        "\nreading: with p_i(t) = w_i(t) + s_i the heavy-load class delays are\n\
-         spaced by constant differences D_ij ~= s_j - s_i (the paper's Eq. 3\n\
-         observation), not constant ratios — the contrast that motivates the\n\
-         proportional model.\n",
-    );
-    out
+    let diffs = r.get("differences").and_then(Json::as_arr)?;
+    let targets = r.get("targets").and_then(Json::as_arr)?;
+    let rows = diffs
+        .iter()
+        .zip(targets)
+        .enumerate()
+        .map(|(i, (d, t))| {
+            vec![
+                format!("{}/{}", i + 1, i + 2),
+                format!("{:.1}", d.as_f64().unwrap_or(f64::NAN) / p),
+                format!("{:.1}", t.as_f64().unwrap_or(f64::NAN) / p),
+            ]
+        })
+        .collect();
+    Some(cell::markdown_table(
+        &["pair", "measured dᵢ−dⱼ (p-units)", "target sⱼ−sᵢ (p-units)"],
+        rows,
+    ))
 }
 
 /// Simulator-vs-theory comparison under Poisson arrivals.
@@ -528,34 +745,52 @@ pub fn analytic(scale: Scale) -> AnalyticCheck {
     AnalyticCheck { rows }
 }
 
-/// Renders the analytic check.
-pub fn render_analytic(check: &AnalyticCheck) -> String {
-    let mut out =
-        banner("Ablation: simulator vs exact M/G/1 theory (Poisson arrivals, rho = 0.9, p-units)");
-    let mut t = Table::new(["scheduler", "class", "simulated", "theory", "error"]);
-    for (kind, c, m, p) in &check.rows {
-        t.row([
-            kind.name().to_string(),
-            format!("{}", c + 1),
-            format!("{m:.1}"),
-            format!("{p:.1}"),
-            format!("{:+.1}%", (m / p - 1.0) * 100.0),
-        ]);
-    }
-    out.push_str(&t.to_string());
-    out.push_str(
-        "\nreading: FCFS matches Pollaczek-Khinchine, strict priority matches\n\
-         Cobham, and WTP matches Kleinrock's Time-Dependent Priorities — the\n\
-         simulator agrees with independent closed forms to Monte-Carlo noise.\n",
-    );
-    out
+/// The `analytic` suite: one cell.
+pub fn analytic_cells() -> Vec<Box<dyn Cell>> {
+    Whole::cells("analytic", |scale| {
+        let rows = analytic(scale)
+            .rows
+            .iter()
+            .map(|(kind, class, m, p)| {
+                Json::obj(vec![
+                    ("scheduler", Json::Str(kind.name().into())),
+                    ("class", Json::Int(*class as i64 + 1)),
+                    ("simulated", Json::num(*m)),
+                    ("theory", Json::num(*p)),
+                ])
+            })
+            .collect();
+        Json::obj(vec![("rows", Json::Arr(rows))])
+    })
 }
 
-/// End-to-end differentiation on partially deployed paths.
-#[derive(Debug, Clone)]
-pub struct MixedPath {
-    /// `(label, R_D, inconsistent experiments)` per deployment scenario.
-    pub rows: Vec<(&'static str, f64, usize)>,
+/// The `analytic` block.
+pub fn analytic_table(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "analytic");
+    let r = cell::result(cells.first()?);
+    let rows = r
+        .get("rows")
+        .and_then(Json::as_arr)?
+        .iter()
+        .map(|row| {
+            let m = row
+                .get("simulated")
+                .and_then(Json::as_f64)
+                .unwrap_or(f64::NAN);
+            let p = row.get("theory").and_then(Json::as_f64).unwrap_or(f64::NAN);
+            vec![
+                cell::scheduler_name(row),
+                format!("{}", row.get("class").and_then(Json::as_i64).unwrap_or(0)),
+                format!("{m:.1}"),
+                format!("{p:.1}"),
+                format!("{:+.1}%", (m / p - 1.0) * 100.0),
+            ]
+        })
+        .collect();
+    Some(cell::markdown_table(
+        &["scheduler", "class", "simulated", "theory", "error"],
+        rows,
+    ))
 }
 
 /// The mixed-path deployment scenarios: `(label, per-hop schedulers)`.
@@ -584,7 +819,10 @@ pub fn mixed_path_scenarios() -> Vec<(&'static str, Vec<SchedulerKind>)> {
     ]
 }
 
-/// Measures one mixed-path scenario by its [`mixed_path_scenarios`] index.
+/// Measures one mixed-path scenario by its [`mixed_path_scenarios`] index
+/// — all-WTP vs one FCFS hop vs half FCFS vs all-FCFS on a 4-hop Figure-6
+/// chain at ρ = 0.95 — showing how legacy (FCFS) hops dilute the
+/// end-to-end differentiation: `(label, R_D, inconsistent experiments)`.
 pub fn mixed_path_cell(scenario: usize, scale: Scale) -> (&'static str, f64, usize) {
     use pdd::netsim::{analyze, packet_time_tolerance, Session, StudyBConfig};
 
@@ -603,34 +841,74 @@ pub fn mixed_path_cell(scenario: usize, scale: Scale) -> (&'static str, f64, usi
     (label, r.rd, r.inconsistent_experiments)
 }
 
-/// Measures how a path with legacy (FCFS) hops dilutes the end-to-end
-/// differentiation: all-WTP vs one FCFS hop vs half FCFS vs all-FCFS, on a
-/// 4-hop Figure-6 chain at ρ = 0.95.
-pub fn mixed_path(scale: Scale) -> MixedPath {
-    let jobs: Vec<_> = (0..mixed_path_scenarios().len())
-        .map(|i| move || mixed_path_cell(i, scale))
-        .collect();
-    MixedPath {
-        rows: parallel_map(jobs),
+/// One deployment scenario of the mixed-path ablation.
+struct MixedPathCell {
+    /// Index into [`mixed_path_scenarios`].
+    scenario: usize,
+}
+
+/// The `mixed-path` suite: one cell per deployment scenario.
+pub fn mixed_path_cells() -> Vec<Box<dyn Cell>> {
+    (0..mixed_path_scenarios().len())
+        .map(|scenario| Box::new(MixedPathCell { scenario }) as Box<dyn Cell>)
+        .collect()
+}
+
+impl Cell for MixedPathCell {
+    fn id(&self) -> String {
+        format!("mixed-path-{}", self.scenario)
+    }
+
+    fn params(&self) -> Json {
+        cell::params(
+            "mixed-path",
+            vec![("scenario", Json::Int(self.scenario as i64))],
+        )
+    }
+
+    fn execute_shard(&self, scale: Scale, _shard: usize) -> Partial {
+        let (label, rd, inconsistent) = mixed_path_cell(self.scenario, scale);
+        let result = Json::obj(vec![
+            ("label", Json::Str(label.into())),
+            ("rd", Json::num(rd)),
+            ("inconsistent_experiments", Json::Int(inconsistent as i64)),
+        ]);
+        (result, None)
     }
 }
 
-/// Renders the mixed-path study.
-pub fn render_mixed_path(study: &MixedPath) -> String {
-    let mut out = banner(
-        "Ablation: partially deployed differentiation (4-hop path, rho = 0.95, ideal R_D 2.0)",
-    );
-    let mut t = Table::new(["per-hop schedulers", "end-to-end R_D", "inconsistent exps"]);
-    for (label, rd, inc) in &study.rows {
-        t.row([label.to_string(), format!("{rd:.2}"), format!("{inc}")]);
+/// The `mixed-path` block.
+pub fn mixed_path_table(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "mixed-path");
+    if cells.is_empty() {
+        return None;
     }
-    out.push_str(&t.to_string());
-    out.push_str(
-        "\nreading: every legacy FCFS hop pulls the end-to-end ratio toward 1;\n\
-         differentiation survives partial deployment but weakens per legacy\n\
-         hop — deployment coverage is itself a tuning knob.\n",
-    );
-    out
+    let rows = cells
+        .iter()
+        .map(|c| {
+            let r = cell::result(c);
+            vec![
+                r.get("label")
+                    .and_then(Json::as_str)
+                    .unwrap_or("?")
+                    .to_string(),
+                format!(
+                    "{:.2}",
+                    r.get("rd").and_then(Json::as_f64).unwrap_or(f64::NAN)
+                ),
+                format!(
+                    "{}",
+                    r.get("inconsistent_experiments")
+                        .and_then(Json::as_i64)
+                        .unwrap_or(0)
+                ),
+            ]
+        })
+        .collect();
+    Some(cell::markdown_table(
+        &["per-hop schedulers", "end-to-end R_D", "inconsistent exps"],
+        rows,
+    ))
 }
 
 #[cfg(test)]
@@ -658,7 +936,6 @@ mod tests {
         assert!(s.deviation(SchedulerKind::Wtp) < s.deviation(SchedulerKind::Fcfs));
         // PAD holds the target at least as well as WTP does.
         assert!(s.deviation(SchedulerKind::Pad) < s.deviation(SchedulerKind::Wtp) + 0.05);
-        assert!(s.render().contains("scheduler"));
     }
 
     #[test]
@@ -676,28 +953,25 @@ mod tests {
                 p.sdp_ratio, p.predicted, p.observed
             );
         }
-        assert!(render_starvation(&probes).contains("Proposition 2"));
     }
 
     #[test]
     fn paper_operating_points_are_feasible() {
-        let probes = feasibility(Scale::Bench);
-        for p in probes.iter().filter(|p| p.spacing <= 4.0) {
-            assert!(
-                p.feasible,
-                "spacing {} at {}% should be feasible",
-                p.spacing,
-                p.utilization * 100.0
-            );
+        for rho in FEASIBILITY_UTILS {
+            for spacing in FEASIBILITY_SPACINGS.into_iter().filter(|&s| s <= 4.0) {
+                assert!(
+                    feasibility_cell(rho, spacing, Scale::Bench).feasible,
+                    "spacing {spacing} at {}% should be feasible",
+                    rho * 100.0
+                );
+            }
         }
-        assert!(render_feasibility(&probes).contains("feasibility"));
     }
 
     #[test]
     fn pad_fixes_moderate_load_undershoot() {
-        let m = moderate_load(Scale::Bench);
-        let (rho, rows) = &m.points[0];
-        assert!((*rho - 0.70).abs() < 1e-9);
+        let (rho, rows) = moderate_load_cell(MODERATE_LOAD_UTILS[0], Scale::Bench);
+        assert!((rho - 0.70).abs() < 1e-9);
         let get = |kind| {
             rows.iter()
                 .find(|(k, _)| *k == kind)
@@ -711,13 +985,12 @@ mod tests {
             (pad - 2.0).abs() < (wtp - 2.0).abs() + 0.05,
             "PAD {pad} should be closer to 2.0 than WTP {wtp}"
         );
-        assert!(m.render().contains("moderate-load"));
     }
 
     #[test]
     fn plr_controls_losses_tail_drop_does_not() {
-        let study = plr(Scale::Bench);
-        for (sigma, plr_ratio, tail_ratio, delay_ratio) in &study.rows {
+        for sigma in PLR_SIGMAS {
+            let (sigma, plr_ratio, tail_ratio, delay_ratio) = plr_cell(sigma, Scale::Bench);
             assert!(
                 (plr_ratio - sigma).abs() / sigma < 0.35,
                 "sigma {sigma}: PLR ratio {plr_ratio}"
@@ -726,9 +999,8 @@ mod tests {
                 (tail_ratio - 1.0).abs() < 0.4,
                 "tail-drop ratio {tail_ratio} should stay near 1"
             );
-            assert!(*delay_ratio > 1.3, "WTP still differentiates delays");
+            assert!(delay_ratio > 1.3, "WTP still differentiates delays");
         }
-        assert!(render_plr(&study).contains("loss"));
     }
 
     #[test]
@@ -746,7 +1018,6 @@ mod tests {
                 "difference {diff} vs target {target}"
             );
         }
-        assert!(render_additive(&study).contains("additive"));
     }
 
     #[test]
@@ -759,15 +1030,15 @@ mod tests {
                 kind.name()
             );
         }
-        assert!(render_analytic(&check).contains("theory"));
     }
 
     #[test]
     fn mixed_paths_interpolate_between_wtp_and_fcfs() {
-        let m = mixed_path(Scale::Bench);
+        let rows: Vec<_> = (0..mixed_path_scenarios().len())
+            .map(|i| mixed_path_cell(i, Scale::Bench))
+            .collect();
         let rd = |label: &str| {
-            m.rows
-                .iter()
+            rows.iter()
                 .find(|(l, _, _)| *l == label)
                 .map(|(_, r, _)| *r)
                 .unwrap()
@@ -778,6 +1049,5 @@ mod tests {
         assert!(full > one, "full {full} vs one-FCFS {one}");
         assert!(one > none, "one-FCFS {one} vs FCFS {none}");
         assert!((none - 1.0).abs() < 0.25, "all-FCFS R_D {none}");
-        assert!(render_mixed_path(&m).contains("partially deployed"));
     }
 }

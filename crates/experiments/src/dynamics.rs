@@ -24,10 +24,12 @@ use pdd::qsim::Session;
 use pdd::scenario::{DownPolicy, Scenario};
 use pdd::sched::{SchedulerKind, Sdp};
 use pdd::simcore::Time;
-use pdd::stats::{reconvergence_times, ReconvergenceConfig, Table};
+use pdd::stats::{reconvergence_times, ReconvergenceConfig};
+use pdd::telemetry::json::Json;
 use pdd::traffic::{LoadPlan, SizeDist, PAPER_MEAN_PACKET_BYTES};
 
-use crate::{banner, parallel_map, Scale};
+use crate::cell::{self, Cell, Merged, Partial};
+use crate::Scale;
 
 /// Utilization for all dynamics cells — high enough that the schedulers
 /// track their targets tightly once converged.
@@ -217,56 +219,149 @@ pub fn merge_seeds(
     }
 }
 
-/// The full study: both schedulers × both perturbations.
-#[derive(Debug, Clone)]
-pub struct Dynamics {
-    /// One row per (scheduler, perturbation), scheduler-major.
-    pub rows: Vec<DynamicsRow>,
+/// One (scheduler, perturbation) reconvergence cell.
+struct DynamicsCell {
+    kind: SchedulerKind,
+    perturbation: Perturbation,
 }
 
-/// Regenerates the dynamics study.
-pub fn run(scale: Scale) -> Dynamics {
-    let mut jobs = Vec::new();
-    for &scheduler in &SCHEDULERS {
-        for &perturbation in &PERTURBATIONS {
-            jobs.push(move || cell(scheduler, perturbation, scale));
+/// The study's grid: both schedulers × both perturbations,
+/// scheduler-major.
+pub fn cells() -> Vec<Box<dyn Cell>> {
+    let mut cells: Vec<Box<dyn Cell>> = Vec::new();
+    for kind in SCHEDULERS {
+        for perturbation in PERTURBATIONS {
+            cells.push(Box::new(DynamicsCell { kind, perturbation }));
         }
     }
-    Dynamics {
-        rows: parallel_map(jobs),
+    cells
+}
+
+impl Cell for DynamicsCell {
+    fn id(&self) -> String {
+        format!(
+            "dynamics-{}-{}",
+            cell::kind_slug(self.kind),
+            self.perturbation.name()
+        )
+    }
+
+    fn params(&self) -> Json {
+        cell::params(
+            "dynamics",
+            vec![
+                ("scheduler", Json::Str(self.kind.name().into())),
+                ("perturbation", Json::Str(self.perturbation.name().into())),
+            ],
+        )
+    }
+
+    fn shard_count(&self, scale: Scale) -> usize {
+        scale.seeds().len()
+    }
+
+    fn execute_shard(&self, scale: Scale, shard: usize) -> Partial {
+        let times = cell_seed(self.kind, self.perturbation, scale, scale.seeds()[shard])
+            .iter()
+            .map(|t| t.map(|v| Json::Int(v as i64)).unwrap_or(Json::Null))
+            .collect();
+        (Json::obj(vec![("times", Json::Arr(times))]), None)
+    }
+
+    fn merge(&self, _scale: Scale, shards: &[Partial]) -> Result<Merged, String> {
+        let id = self.id();
+        let per_seed: Vec<Vec<Option<u64>>> = shards
+            .iter()
+            .map(|(p, _)| {
+                let arr = p
+                    .get("times")
+                    .and_then(Json::as_arr)
+                    .ok_or_else(|| format!("{id}: shard lacks `times`"))?;
+                arr.iter()
+                    .map(|t| match t {
+                        Json::Null => Ok(None),
+                        other => other
+                            .as_i64()
+                            .map(|v| Some(v as u64))
+                            .ok_or_else(|| format!("{id}: bad settle time")),
+                    })
+                    .collect()
+            })
+            .collect::<Result<_, String>>()?;
+        let row = merge_seeds(self.kind, self.perturbation, &per_seed);
+        let pairs = row
+            .mean_settle_punits
+            .iter()
+            .zip(&row.settled)
+            .map(|(mean, &settled)| {
+                Json::obj(vec![
+                    (
+                        "mean_settle_punits",
+                        mean.map(Json::num).unwrap_or(Json::Null),
+                    ),
+                    ("settled", Json::Int(settled as i64)),
+                ])
+            })
+            .collect();
+        let result = Json::obj(vec![
+            ("scheduler", Json::Str(row.scheduler.name().into())),
+            ("perturbation", Json::Str(row.perturbation.name().into())),
+            ("seeds", Json::Int(row.seeds as i64)),
+            ("pairs", Json::Arr(pairs)),
+            (
+                "headline_punits",
+                row.headline_punits().map(Json::num).unwrap_or(Json::Null),
+            ),
+        ]);
+        Ok((result, None, None))
     }
 }
 
-impl Dynamics {
-    /// Renders the reconvergence table.
-    pub fn render(&self) -> String {
-        let mut out = banner("Dynamics: reconvergence after live perturbations (ρ = 0.95)");
-        let mut t = Table::new(["scheduler", "perturbation", "1/2", "2/3", "3/4", "mean"]);
-        for row in &self.rows {
-            let mut cells = vec![
-                row.scheduler.name().to_string(),
-                row.perturbation.name().to_string(),
+/// The `dynamics` block: per-pair settling times per cell.
+pub fn table(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "dynamics");
+    if cells.is_empty() {
+        return None;
+    }
+    let rows = cells
+        .iter()
+        .map(|c| {
+            let r = cell::result(c);
+            let seeds = r.get("seeds").and_then(Json::as_i64).unwrap_or(0);
+            let mut row = vec![
+                cell::scheduler_name(r),
+                r.get("perturbation")
+                    .and_then(Json::as_str)
+                    .unwrap_or("?")
+                    .to_string(),
             ];
-            for (mean, &k) in row.mean_settle_punits.iter().zip(&row.settled) {
-                cells.push(match mean {
-                    Some(m) => format!("{m:.0} p ({k}/{})", row.seeds),
-                    None => "—".into(),
-                });
+            for pair in r.get("pairs").and_then(Json::as_arr).unwrap_or_default() {
+                let settled = pair.get("settled").and_then(Json::as_i64).unwrap_or(0);
+                row.push(
+                    match pair.get("mean_settle_punits").and_then(Json::as_f64) {
+                        Some(m) => format!("{m:.0} ({settled}/{seeds})"),
+                        None => "not settled".into(),
+                    },
+                );
             }
-            cells.push(match row.headline_punits() {
-                Some(m) => format!("{m:.0} p"),
+            row.push(match r.get("headline_punits").and_then(Json::as_f64) {
+                Some(m) => format!("**{m:.0}**"),
                 None => "—".into(),
             });
-            t.row(cells);
-        }
-        out.push_str(&t.to_string());
-        out.push_str(
-            "\nSettling time from the perturbation to the start of the first run of\n\
-             3 consecutive 250-p-unit windows whose achieved ratio stays within\n\
-             ±25 % of target; (k/N) = seeds that settled within the horizon.\n",
-        );
-        out
-    }
+            row
+        })
+        .collect();
+    Some(cell::markdown_table(
+        &[
+            "scheduler",
+            "perturbation",
+            "1/2 (p-units)",
+            "2/3 (p-units)",
+            "3/4 (p-units)",
+            "mean",
+        ],
+        rows,
+    ))
 }
 
 #[cfg(test)]
@@ -299,27 +394,50 @@ mod tests {
     }
 
     #[test]
-    fn render_mentions_both_schedulers() {
-        let d = Dynamics {
-            rows: vec![
-                DynamicsRow {
-                    scheduler: SchedulerKind::Wtp,
-                    perturbation: Perturbation::SdpStep,
-                    seeds: 2,
-                    settled: vec![2, 1, 0],
-                    mean_settle_punits: vec![Some(500.0), Some(1000.0), None],
-                },
-                DynamicsRow {
-                    scheduler: SchedulerKind::Hpd,
-                    perturbation: Perturbation::SdpStep,
-                    seeds: 2,
-                    settled: vec![0, 0, 0],
-                    mean_settle_punits: vec![None, None, None],
-                },
-            ],
+    fn table_marks_settled_and_unsettled_pairs() {
+        let cell = |sched: &str, pairs: Vec<(Option<f64>, i64)>, headline: Option<f64>| {
+            let pairs = pairs
+                .into_iter()
+                .map(|(mean, settled)| {
+                    Json::obj(vec![
+                        (
+                            "mean_settle_punits",
+                            mean.map(Json::num).unwrap_or(Json::Null),
+                        ),
+                        ("settled", Json::Int(settled)),
+                    ])
+                })
+                .collect();
+            Json::obj(vec![
+                ("group", Json::Str("dynamics".into())),
+                (
+                    "result",
+                    Json::obj(vec![
+                        ("scheduler", Json::Str(sched.into())),
+                        ("perturbation", Json::Str("sdp-step".into())),
+                        ("seeds", Json::Int(2)),
+                        ("pairs", Json::Arr(pairs)),
+                        (
+                            "headline_punits",
+                            headline.map(Json::num).unwrap_or(Json::Null),
+                        ),
+                    ]),
+                ),
+            ])
         };
-        let s = d.render();
+        let merged = Json::obj(vec![(
+            "cells",
+            Json::Arr(vec![
+                cell(
+                    "WTP",
+                    vec![(Some(500.0), 2), (Some(1000.0), 1), (None, 0)],
+                    Some(750.0),
+                ),
+                cell("HPD", vec![(None, 0); 3], None),
+            ]),
+        )]);
+        let s = table(&merged).expect("renders");
         assert!(s.contains("WTP") && s.contains("HPD"));
-        assert!(s.contains("500 p"));
+        assert!(s.contains("500 (2/2)") && s.contains("not settled"));
     }
 }

@@ -7,10 +7,14 @@
 
 use pdd::qsim::Experiment;
 use pdd::sched::{SchedulerKind, Sdp};
-use pdd::stats::{AsciiPlot, Table};
+use pdd::telemetry::json::Json;
 use pdd::telemetry::{NoopProbe, Probe};
 
-use crate::{banner, parallel_map, Scale};
+use crate::cell::{self, Cell, Merged, Partial};
+use crate::Scale;
+
+/// The SDP spacings of panels a and b.
+pub const SDP_RATIOS: [f64; 2] = [2.0, 4.0];
 
 /// The utilizations swept by the paper's Fig. 1 x-axis.
 pub const UTILIZATIONS: [f64; 7] = [0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 0.999];
@@ -26,44 +30,18 @@ pub struct Fig1Row {
     pub bpr: Vec<f64>,
 }
 
-/// One panel (one SDP spacing).
-#[derive(Debug, Clone)]
-pub struct Fig1Panel {
-    /// The spacing ratio (2 for Fig. 1a, 4 for Fig. 1b).
-    pub sdp_ratio: f64,
-    /// Rows, one per utilization.
-    pub rows: Vec<Fig1Row>,
-}
-
-/// Both panels.
-#[derive(Debug, Clone)]
-pub struct Fig1 {
-    /// Panels a (ratio 2) and b (ratio 4).
-    pub panels: Vec<Fig1Panel>,
-}
-
 /// Measures one Figure-1 cell: one SDP spacing × one utilization, both
 /// schedulers, averaged over the scale's seeds.
-pub fn cell(sdp_ratio: f64, utilization: f64, scale: Scale) -> Fig1Row {
-    cell_probed(sdp_ratio, utilization, scale, &mut NoopProbe)
-}
-
-/// As [`cell`], streaming packet-lifecycle events into `probe`.
 ///
 /// Implemented as the canonical shard pipeline — each seed measured by
 /// [`cell_seed_probed`], partials folded by [`merge_seeds`] in seed order
 /// — so a multi-process run that ships per-seed partials between workers
 /// reproduces this bit-for-bit.
-pub fn cell_probed<P: Probe>(
-    sdp_ratio: f64,
-    utilization: f64,
-    scale: Scale,
-    probe: &mut P,
-) -> Fig1Row {
+pub fn cell(sdp_ratio: f64, utilization: f64, scale: Scale) -> Fig1Row {
     let per_seed: Vec<Vec<Vec<f64>>> = scale
         .seeds()
         .iter()
-        .map(|&seed| cell_seed_probed(sdp_ratio, utilization, scale, seed, probe))
+        .map(|&seed| cell_seed_probed(sdp_ratio, utilization, scale, seed, &mut NoopProbe))
         .collect();
     merge_seeds(utilization, &per_seed)
 }
@@ -98,85 +76,92 @@ pub fn merge_seeds(utilization: f64, per_seed: &[Vec<Vec<f64>>]) -> Fig1Row {
     }
 }
 
-/// Regenerates Figure 1.
-pub fn run(scale: Scale) -> Fig1 {
-    let panels = [2.0, 4.0]
-        .into_iter()
-        .map(|ratio| {
-            let jobs: Vec<_> = UTILIZATIONS
-                .iter()
-                .map(|&rho| move || cell(ratio, rho, scale))
-                .collect();
-            Fig1Panel {
-                sdp_ratio: ratio,
-                rows: parallel_map(jobs),
-            }
-        })
-        .collect();
-    Fig1 { panels }
+/// One (SDP spacing, utilization) point of Figure 1 (WTP and BPR).
+struct Fig1Cell {
+    sdp_ratio: f64,
+    utilization: f64,
 }
 
-impl Fig1 {
-    /// Renders both panels as the paper's series.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for panel in &self.panels {
-            out.push_str(&banner(&format!(
-                "Figure 1{}: desired average-delay ratio = {:.1} (SDPs {})",
-                if panel.sdp_ratio == 2.0 { "a" } else { "b" },
-                panel.sdp_ratio,
-                (0..4)
-                    .map(|i| format!("{}", panel.sdp_ratio.powi(i) as u64))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            )));
-            let mut t = Table::new([
-                "util", "WTP 1/2", "WTP 2/3", "WTP 3/4", "BPR 1/2", "BPR 2/3", "BPR 3/4",
-            ]);
-            for row in &panel.rows {
-                let mut cells = vec![format!("{:.1}%", row.utilization * 100.0)];
-                cells.extend(row.wtp.iter().map(|r| format!("{r:.2}")));
-                cells.extend(row.bpr.iter().map(|r| format!("{r:.2}")));
-                t.row(cells);
-            }
-            out.push_str(&t.to_string());
-            // Plot the mean successive ratio per scheduler against the
-            // target line — the visual shape of the paper's figure.
-            let mean = |v: &Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
-            let wtp: Vec<(f64, f64)> = panel
-                .rows
-                .iter()
-                .map(|r| (r.utilization * 100.0, mean(&r.wtp)))
-                .collect();
-            let bpr: Vec<(f64, f64)> = panel
-                .rows
-                .iter()
-                .map(|r| (r.utilization * 100.0, mean(&r.bpr)))
-                .collect();
-            out.push_str(
-                "\n  mean successive ratio vs utilization (W = WTP, B = BPR, --- = target):\n",
-            );
-            out.push_str(
-                &AsciiPlot::new(56, 14)
-                    .series('W', &wtp)
-                    .series('B', &bpr)
-                    .hline(panel.sdp_ratio)
-                    .render(),
-            );
+/// The Figure-1 grid: both panels × the utilization sweep.
+pub fn cells() -> Vec<Box<dyn Cell>> {
+    let mut cells: Vec<Box<dyn Cell>> = Vec::new();
+    for sdp_ratio in SDP_RATIOS {
+        for utilization in UTILIZATIONS {
+            cells.push(Box::new(Fig1Cell {
+                sdp_ratio,
+                utilization,
+            }));
         }
-        out.push_str(
-            "\npaper shape: ratios rise toward the target as utilization -> 100%;\n\
-             WTP converges more exactly than BPR; at 70% the ratio undershoots\n\
-             (~1.5 for target 2, ~1.7 for target 4).\n",
-        );
-        out
+    }
+    cells
+}
+
+impl Cell for Fig1Cell {
+    fn id(&self) -> String {
+        cell::sanitize(format!("fig1-s{}-u{}", self.sdp_ratio, self.utilization))
     }
 
-    /// The highest-load row of a panel — used by tests/benches to assert
-    /// convergence.
-    pub fn heaviest_row(&self, panel: usize) -> &Fig1Row {
-        self.panels[panel].rows.last().expect("nonempty sweep")
+    fn params(&self) -> Json {
+        cell::params(
+            "fig1",
+            vec![
+                ("sdp_ratio", Json::num(self.sdp_ratio)),
+                ("utilization", Json::num(self.utilization)),
+            ],
+        )
     }
+
+    fn shard_count(&self, scale: Scale) -> usize {
+        scale.seeds().len()
+    }
+
+    fn execute_shard(&self, scale: Scale, shard: usize) -> Partial {
+        let seed = scale.seeds()[shard];
+        cell::probed_rows_shard(|probe| {
+            cell_seed_probed(self.sdp_ratio, self.utilization, scale, seed, probe)
+        })
+    }
+
+    fn merge(&self, _scale: Scale, shards: &[Partial]) -> Result<Merged, String> {
+        cell::probed_rows_merge(&self.id(), shards, |per_seed| {
+            let row = merge_seeds(self.utilization, per_seed);
+            Json::obj(vec![
+                ("utilization", Json::num(row.utilization)),
+                ("wtp", Json::nums(&row.wtp)),
+                ("bpr", Json::nums(&row.bpr)),
+            ])
+        })
+    }
+}
+
+/// The `fig1a` / `fig1b` block: one panel's ratios per utilization.
+pub fn table(merged: &Json, sdp_ratio: f64) -> Option<String> {
+    let cells: Vec<_> = cell::group_cells(merged, "fig1")
+        .into_iter()
+        .filter(|c| cell::param_f64(c, "sdp_ratio") == Some(sdp_ratio))
+        .collect();
+    if cells.is_empty() {
+        return None;
+    }
+    let rows = cells
+        .iter()
+        .map(|c| {
+            let r = cell::result(c);
+            let mut row = vec![format!(
+                "{:.1}%",
+                r.get("utilization").and_then(Json::as_f64).unwrap_or(0.0) * 100.0
+            )];
+            row.extend(cell::ratio_cells(r, "wtp"));
+            row.extend(cell::ratio_cells(r, "bpr"));
+            row
+        })
+        .collect();
+    Some(cell::markdown_table(
+        &[
+            "util", "WTP 1/2", "WTP 2/3", "WTP 3/4", "BPR 1/2", "BPR 2/3", "BPR 3/4",
+        ],
+        rows,
+    ))
 }
 
 #[cfg(test)]
@@ -187,24 +172,54 @@ mod tests {
     fn bench_scale_reproduces_the_shape() {
         // One bench-scale seed is too noisy at rho = 0.999 for the 0.5
         // convergence tolerance; averaging four seeds stabilizes it.
-        let f = run(Scale::Custom {
+        let scale = Scale::Custom {
             punits: 6_000,
             nseeds: 4,
-        });
-        assert_eq!(f.panels.len(), 2);
-        assert_eq!(f.panels[0].rows.len(), UTILIZATIONS.len());
+        };
         // Convergence at the heaviest load, panel a (target 2).
-        let heavy = f.heaviest_row(0);
+        let heavy = cell(SDP_RATIOS[0], UTILIZATIONS[UTILIZATIONS.len() - 1], scale);
         for r in &heavy.wtp {
             assert!((r - 2.0).abs() < 0.5, "WTP heavy-load ratio {r}");
         }
         // Undershoot at the lightest load.
-        let light = &f.panels[0].rows[0];
+        let light = cell(SDP_RATIOS[0], UTILIZATIONS[0], scale);
         let mean = light.wtp.iter().sum::<f64>() / light.wtp.len() as f64;
         assert!(mean < 1.95, "expected undershoot at 70%, got {mean}");
-        // Rendering mentions both panels.
-        let text = f.render();
-        assert!(text.contains("Figure 1a"));
-        assert!(text.contains("Figure 1b"));
+    }
+
+    #[test]
+    fn grid_covers_both_panels() {
+        let ids: Vec<String> = cells().iter().map(|c| c.id()).collect();
+        assert_eq!(ids.len(), SDP_RATIOS.len() * UTILIZATIONS.len());
+        assert_eq!(ids[0], "fig1-s2-u0_7");
+        assert_eq!(ids[ids.len() - 1], "fig1-s4-u0_999");
+    }
+
+    #[test]
+    fn table_renders_one_panel_from_synthetic_results() {
+        let cell = Json::obj(vec![
+            ("id", Json::Str("fig1-s2-u0_7".into())),
+            ("group", Json::Str("fig1".into())),
+            (
+                "params",
+                Json::obj(vec![
+                    ("group", Json::Str("fig1".into())),
+                    ("sdp_ratio", Json::Int(2)),
+                    ("utilization", Json::Float(0.7)),
+                ]),
+            ),
+            (
+                "result",
+                Json::obj(vec![
+                    ("utilization", Json::Float(0.7)),
+                    ("wtp", Json::nums(&[1.49, 1.43, 1.27])),
+                    ("bpr", Json::nums(&[1.33, 1.26, 1.12])),
+                ]),
+            ),
+        ]);
+        let merged = Json::obj(vec![("cells", Json::Arr(vec![cell]))]);
+        let table = table(&merged, 2.0).expect("renders");
+        assert!(table.contains("| 70.0% | 1.49 | 1.43 | 1.27 | 1.33 | 1.26 | 1.12 |"));
+        assert!(super::table(&merged, 4.0).is_none(), "no panel-b cells");
     }
 }

@@ -7,10 +7,11 @@
 
 use pdd::qsim::Experiment;
 use pdd::sched::{SchedulerKind, Sdp};
-use pdd::stats::Table;
+use pdd::telemetry::json::Json;
 use pdd::telemetry::{NoopProbe, Probe};
 
-use crate::{banner, parallel_map, Scale};
+use crate::cell::{self, Cell, Merged, Partial};
+use crate::{fig1, Scale};
 
 /// The seven class-load distributions on the paper's x-axis (percent per
 /// class, class 1 first).
@@ -35,43 +36,17 @@ pub struct Fig2Row {
     pub bpr: Vec<f64>,
 }
 
-/// One panel (one SDP spacing).
-#[derive(Debug, Clone)]
-pub struct Fig2Panel {
-    /// The spacing ratio (2 for Fig. 2a, 4 for Fig. 2b).
-    pub sdp_ratio: f64,
-    /// Rows, one per distribution.
-    pub rows: Vec<Fig2Row>,
-}
-
-/// Both panels.
-#[derive(Debug, Clone)]
-pub struct Fig2 {
-    /// Panels a and b.
-    pub panels: Vec<Fig2Panel>,
-}
-
 /// Measures one Figure-2 cell: one SDP spacing × one class-load split at
 /// ρ = 0.95, both schedulers, averaged over the scale's seeds.
-pub fn cell(sdp_ratio: f64, fractions: [f64; 4], scale: Scale) -> Fig2Row {
-    cell_probed(sdp_ratio, fractions, scale, &mut NoopProbe)
-}
-
-/// As [`cell`], streaming packet-lifecycle events into `probe`.
 ///
 /// Implemented as the canonical shard pipeline ([`cell_seed_probed`] per
 /// seed, folded by [`merge_seeds`] in seed order), so multi-process runs
 /// reproduce it bit-for-bit.
-pub fn cell_probed<P: Probe>(
-    sdp_ratio: f64,
-    fractions: [f64; 4],
-    scale: Scale,
-    probe: &mut P,
-) -> Fig2Row {
+pub fn cell(sdp_ratio: f64, fractions: [f64; 4], scale: Scale) -> Fig2Row {
     let per_seed: Vec<Vec<Vec<f64>>> = scale
         .seeds()
         .iter()
-        .map(|&seed| cell_seed_probed(sdp_ratio, fractions, scale, seed, probe))
+        .map(|&seed| cell_seed_probed(sdp_ratio, fractions, scale, seed, &mut NoopProbe))
         .collect();
     merge_seeds(fractions, &per_seed)
 }
@@ -105,76 +80,96 @@ pub fn merge_seeds(fractions: [f64; 4], per_seed: &[Vec<Vec<f64>>]) -> Fig2Row {
     }
 }
 
-/// Regenerates Figure 2 (utilization fixed at 95 %).
-pub fn run(scale: Scale) -> Fig2 {
-    let panels = [2.0, 4.0]
-        .into_iter()
-        .map(|ratio| {
-            let jobs: Vec<_> = DISTRIBUTIONS
-                .iter()
-                .map(|&fractions| move || cell(ratio, fractions, scale))
-                .collect();
-            Fig2Panel {
-                sdp_ratio: ratio,
-                rows: parallel_map(jobs),
-            }
-        })
-        .collect();
-    Fig2 { panels }
+/// One (SDP spacing, load split) point of Figure 2 at ρ = 0.95.
+struct Fig2Cell {
+    sdp_ratio: f64,
+    /// Index into [`DISTRIBUTIONS`].
+    dist: usize,
 }
 
-impl Fig2 {
-    /// Renders both panels.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for panel in &self.panels {
-            out.push_str(&banner(&format!(
-                "Figure 2{}: desired ratio = {:.1}, utilization 95%",
-                if panel.sdp_ratio == 2.0 { "a" } else { "b" },
-                panel.sdp_ratio
-            )));
-            let mut t = Table::new([
-                "loads %", "WTP 1/2", "WTP 2/3", "WTP 3/4", "BPR 1/2", "BPR 2/3", "BPR 3/4",
-            ]);
-            for row in &panel.rows {
-                let label = row
-                    .fractions
-                    .iter()
-                    .map(|f| format!("{}", (f * 100.0).round() as u64))
-                    .collect::<Vec<_>>()
-                    .join("/");
-                let mut cells = vec![label];
-                cells.extend(row.wtp.iter().map(|r| format!("{r:.2}")));
-                cells.extend(row.bpr.iter().map(|r| format!("{r:.2}")));
-                t.row(cells);
-            }
-            out.push_str(&t.to_string());
+/// The Figure-2 grid: both panels × the seven load splits.
+pub fn cells() -> Vec<Box<dyn Cell>> {
+    let mut cells: Vec<Box<dyn Cell>> = Vec::new();
+    for sdp_ratio in fig1::SDP_RATIOS {
+        for dist in 0..DISTRIBUTIONS.len() {
+            cells.push(Box::new(Fig2Cell { sdp_ratio, dist }));
         }
-        out.push_str(
-            "\npaper shape: WTP holds the target ratio across every load split;\n\
-             BPR drifts when class loads are skewed.\n",
-        );
-        out
+    }
+    cells
+}
+
+impl Cell for Fig2Cell {
+    fn id(&self) -> String {
+        cell::sanitize(format!("fig2-s{}-d{}", self.sdp_ratio, self.dist))
     }
 
-    /// Mean absolute deviation from the panel's target across all rows and
-    /// pairs, per scheduler: `(wtp_dev, bpr_dev)`.
-    pub fn deviations(&self, panel: usize) -> (f64, f64) {
-        let p = &self.panels[panel];
-        let target = p.sdp_ratio;
-        let dev = |rows: &[Fig2Row], pick: fn(&Fig2Row) -> &Vec<f64>| {
-            let mut sum = 0.0;
-            let mut n = 0.0;
-            for r in rows {
-                for v in pick(r) {
-                    sum += (v - target).abs() / target;
-                    n += 1.0;
-                }
-            }
-            sum / n
-        };
-        (dev(&p.rows, |r| &r.wtp), dev(&p.rows, |r| &r.bpr))
+    fn params(&self) -> Json {
+        cell::params(
+            "fig2",
+            vec![
+                ("sdp_ratio", Json::num(self.sdp_ratio)),
+                ("dist", Json::Int(self.dist as i64)),
+                ("fractions", Json::nums(&DISTRIBUTIONS[self.dist])),
+            ],
+        )
     }
+
+    fn shard_count(&self, scale: Scale) -> usize {
+        scale.seeds().len()
+    }
+
+    fn execute_shard(&self, scale: Scale, shard: usize) -> Partial {
+        let seed = scale.seeds()[shard];
+        cell::probed_rows_shard(|probe| {
+            cell_seed_probed(self.sdp_ratio, DISTRIBUTIONS[self.dist], scale, seed, probe)
+        })
+    }
+
+    fn merge(&self, _scale: Scale, shards: &[Partial]) -> Result<Merged, String> {
+        cell::probed_rows_merge(&self.id(), shards, |per_seed| {
+            let row = merge_seeds(DISTRIBUTIONS[self.dist], per_seed);
+            Json::obj(vec![
+                ("fractions", Json::nums(&row.fractions)),
+                ("wtp", Json::nums(&row.wtp)),
+                ("bpr", Json::nums(&row.bpr)),
+            ])
+        })
+    }
+}
+
+/// The `fig2a` block: one panel's ratios per load split.
+pub fn table(merged: &Json, sdp_ratio: f64) -> Option<String> {
+    let cells: Vec<_> = cell::group_cells(merged, "fig2")
+        .into_iter()
+        .filter(|c| cell::param_f64(c, "sdp_ratio") == Some(sdp_ratio))
+        .collect();
+    if cells.is_empty() {
+        return None;
+    }
+    let rows = cells
+        .iter()
+        .map(|c| {
+            let r = cell::result(c);
+            let label = r
+                .get("fractions")
+                .and_then(Json::as_arr)
+                .unwrap_or_default()
+                .iter()
+                .map(|f| format!("{}", (f.as_f64().unwrap_or(0.0) * 100.0).round() as u64))
+                .collect::<Vec<_>>()
+                .join("/");
+            let mut row = vec![label];
+            row.extend(cell::ratio_cells(r, "wtp"));
+            row.extend(cell::ratio_cells(r, "bpr"));
+            row
+        })
+        .collect();
+    Some(cell::markdown_table(
+        &[
+            "loads %", "WTP 1/2", "WTP 2/3", "WTP 3/4", "BPR 1/2", "BPR 2/3", "BPR 3/4",
+        ],
+        rows,
+    ))
 }
 
 #[cfg(test)]
@@ -183,8 +178,18 @@ mod tests {
 
     #[test]
     fn wtp_is_load_distribution_insensitive() {
-        let f = run(Scale::Bench);
-        let (wtp_dev, bpr_dev) = f.deviations(0);
+        // Mean absolute relative deviation from the panel-a target across
+        // every load split and class pair, per scheduler.
+        let target = fig1::SDP_RATIOS[0];
+        let rows: Vec<Fig2Row> = DISTRIBUTIONS
+            .iter()
+            .map(|&fractions| cell(target, fractions, Scale::Bench))
+            .collect();
+        let dev = |pick: fn(&Fig2Row) -> &Vec<f64>| {
+            let all: Vec<f64> = rows.iter().flat_map(|r| pick(r).iter().copied()).collect();
+            all.iter().map(|v| (v - target).abs() / target).sum::<f64>() / all.len() as f64
+        };
+        let (wtp_dev, bpr_dev) = (dev(|r| &r.wtp), dev(|r| &r.bpr));
         // WTP within a loose band of the target for every split at 95%.
         assert!(wtp_dev < 0.25, "WTP deviation {wtp_dev}");
         // The paper's qualitative claim: WTP beats BPR in this regime.
@@ -192,6 +197,5 @@ mod tests {
             wtp_dev < bpr_dev + 0.05,
             "WTP dev {wtp_dev} vs BPR dev {bpr_dev}"
         );
-        assert!(f.render().contains("Figure 2a"));
     }
 }

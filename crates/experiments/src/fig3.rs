@@ -8,18 +8,13 @@
 
 use pdd::qsim::{ShortTimescale, TimescaleResult};
 use pdd::sched::SchedulerKind;
-use pdd::stats::{AsciiPlot, Table};
+use pdd::telemetry::json::Json;
 
-use crate::{banner, parallel_map, Scale};
+use crate::cell::{self, Cell, Merged, Partial};
+use crate::Scale;
 
-/// Results for both schedulers across the τ ladder.
-#[derive(Debug, Clone)]
-pub struct Fig3 {
-    /// WTP results, one per τ.
-    pub wtp: Vec<TimescaleResult>,
-    /// BPR results, one per τ.
-    pub bpr: Vec<TimescaleResult>,
-}
+/// The schedulers compared, in the figure's order.
+pub const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::Wtp, SchedulerKind::Bpr];
 
 /// The τ ladder measured at `scale`: the τ = 10000 column needs enough
 /// horizon to produce intervals, so small scales drop it rather than
@@ -67,73 +62,86 @@ pub fn merge_seeds(
     st.finalize(kind, per_seed)
 }
 
-/// Regenerates Figure 3.
-pub fn run(scale: Scale) -> Fig3 {
-    let mut results = parallel_map(vec![
-        Box::new(move || cell(SchedulerKind::Wtp, scale)) as Box<dyn FnOnce() -> _ + Send>,
-        Box::new(move || cell(SchedulerKind::Bpr, scale)),
-    ]);
-    let bpr = results.pop().expect("two jobs");
-    let wtp = results.pop().expect("two jobs");
-    Fig3 { wtp, bpr }
+/// One scheduler's full τ ladder of Figure 3.
+struct Fig3Cell {
+    kind: SchedulerKind,
 }
 
-impl Fig3 {
-    /// Renders the percentile table (target R_D = 2.0).
-    pub fn render(&self) -> String {
-        let mut out = banner("Figure 3: R_D percentiles vs monitoring timescale (target 2.0)");
-        let mut t = Table::new([
-            "sched",
-            "tau (p-units)",
-            "p5",
-            "p25",
-            "median",
-            "p75",
-            "p95",
-            "intervals",
-        ]);
-        for (name, results) in [("WTP", &self.wtp), ("BPR", &self.bpr)] {
-            for r in results.iter() {
-                let f = r.five_number;
-                t.row([
-                    name.to_string(),
-                    format!("{}", r.tau_punits),
-                    format!("{:.2}", f[0]),
-                    format!("{:.2}", f[1]),
-                    format!("{:.2}", f[2]),
-                    format!("{:.2}", f[3]),
-                    format!("{:.2}", f[4]),
-                    format!("{}", r.intervals),
-                ]);
-            }
-        }
-        out.push_str(&t.to_string());
-        // Plot the interquartile band edges vs tau (log x), per scheduler.
-        let edge = |rs: &[TimescaleResult], idx: usize| -> Vec<(f64, f64)> {
-            rs.iter()
-                .map(|r| (r.tau_punits as f64, r.five_number[idx]))
-                .collect()
-        };
-        let (w_lo, w_hi) = (edge(&self.wtp, 1), edge(&self.wtp, 3));
-        let (b_lo, b_hi) = (edge(&self.bpr, 1), edge(&self.bpr, 3));
-        out.push_str("\n  interquartile band (25%..75%) of R_D vs tau (w/W = WTP, b/B = BPR):\n");
-        out.push_str(
-            &AsciiPlot::new(56, 14)
-                .log_x()
-                .series('w', &w_lo)
-                .series('W', &w_hi)
-                .series('b', &b_lo)
-                .series('B', &b_hi)
-                .hline(2.0)
-                .render(),
-        );
-        out.push_str(
-            "\npaper shape: percentile boxes tighten around 2.0 as tau grows;\n\
-             WTP's interquartile range is tight even at tens of p-units,\n\
-             BPR stays spread until hundreds of p-units.\n",
-        );
-        out
+/// The Figure-3 grid: one cell per scheduler.
+pub fn cells() -> Vec<Box<dyn Cell>> {
+    SCHEDULERS
+        .iter()
+        .map(|&kind| Box::new(Fig3Cell { kind }) as Box<dyn Cell>)
+        .collect()
+}
+
+impl Cell for Fig3Cell {
+    fn id(&self) -> String {
+        format!("fig3-{}", cell::kind_slug(self.kind))
     }
+
+    fn params(&self) -> Json {
+        cell::params(
+            "fig3",
+            vec![("scheduler", Json::Str(self.kind.name().into()))],
+        )
+    }
+
+    fn shard_count(&self, scale: Scale) -> usize {
+        scale.seeds().len()
+    }
+
+    fn execute_shard(&self, scale: Scale, shard: usize) -> Partial {
+        let rows = cell_seed(self.kind, scale, scale.seeds()[shard]);
+        (Json::obj(vec![("rows", cell::rows_json(&rows))]), None)
+    }
+
+    fn merge(&self, scale: Scale, shards: &[Partial]) -> Result<Merged, String> {
+        let per_seed = cell::decode_shard_rows(shards)?;
+        let taus = merge_seeds(self.kind, scale, &per_seed)
+            .iter()
+            .map(|r| {
+                Json::obj(vec![
+                    ("tau_punits", Json::Int(r.tau_punits as i64)),
+                    ("five_number", Json::nums(&r.five_number)),
+                    ("intervals", Json::Int(r.intervals as i64)),
+                ])
+            })
+            .collect();
+        let result = Json::obj(vec![
+            ("scheduler", Json::Str(self.kind.name().into())),
+            ("taus", Json::Arr(taus)),
+        ]);
+        Ok((result, None, None))
+    }
+}
+
+/// The `fig3` block: R_D percentiles per scheduler and τ.
+pub fn table(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "fig3");
+    if cells.is_empty() {
+        return None;
+    }
+    let mut rows = Vec::new();
+    for c in cells {
+        let r = cell::result(c);
+        let sched = r.get("scheduler").and_then(Json::as_str).unwrap_or("?");
+        for tau in r.get("taus").and_then(Json::as_arr).unwrap_or_default() {
+            let mut row = vec![
+                sched.to_string(),
+                format!(
+                    "{}",
+                    tau.get("tau_punits").and_then(Json::as_i64).unwrap_or(0)
+                ),
+            ];
+            row.extend(cell::ratio_cells(tau, "five_number"));
+            rows.push(row);
+        }
+    }
+    Some(cell::markdown_table(
+        &["sched", "τ (p-units)", "p5", "p25", "median", "p75", "p95"],
+        rows,
+    ))
 }
 
 #[cfg(test)]
@@ -142,10 +150,10 @@ mod tests {
 
     #[test]
     fn boxes_tighten_with_tau_and_wtp_beats_bpr() {
-        let f = run(Scale::Bench);
+        let [wtp, bpr] = SCHEDULERS.map(|kind| cell(kind, Scale::Bench));
         // IQR shrinks from the shortest to the longest measured τ for WTP.
-        let first = f.wtp.first().expect("has taus");
-        let last = f.wtp.last().expect("has taus");
+        let first = wtp.first().expect("has taus");
+        let last = wtp.last().expect("has taus");
         assert!(last.iqr() <= first.iqr() + 1e-9);
         // Medians near the target at the longest τ.
         assert!(
@@ -154,8 +162,7 @@ mod tests {
             last.median()
         );
         // WTP tighter than BPR at the shortest τ (paper's headline claim).
-        let bpr_first = f.bpr.first().expect("has taus");
+        let bpr_first = bpr.first().expect("has taus");
         assert!(first.iqr() < bpr_first.iqr() * 1.25);
-        assert!(f.render().contains("Figure 3"));
     }
 }

@@ -10,18 +10,13 @@
 
 use pdd::qsim::{MicroViews, Microscope};
 use pdd::sched::SchedulerKind;
-use pdd::stats::{AsciiPlot, Table};
+use pdd::telemetry::json::Json;
 
-use crate::{banner, Scale};
+use crate::cell::{self, Cell, Partial};
+use crate::Scale;
 
-/// Both figures' data.
-#[derive(Debug, Clone)]
-pub struct Fig45 {
-    /// Fig. 4: BPR microscopic views.
-    pub bpr: MicroViews,
-    /// Fig. 5: WTP microscopic views.
-    pub wtp: MicroViews,
-}
+/// The schedulers viewed: BPR is Figure 4, WTP Figure 5.
+pub const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::Bpr, SchedulerKind::Wtp];
 
 /// Measures one Figures-4/5 cell: the microscopic views of one scheduler
 /// (BPR for Fig. 4, WTP for Fig. 5) on the shared packet stream.
@@ -29,110 +24,97 @@ pub fn cell(kind: SchedulerKind, scale: Scale) -> MicroViews {
     Microscope::paper(scale.punits(), 7).run(kind)
 }
 
-/// Regenerates Figures 4 and 5 (same arriving packet streams for both
-/// schedulers, as in the paper).
-pub fn run(scale: Scale) -> Fig45 {
-    Fig45 {
-        bpr: cell(SchedulerKind::Bpr, scale),
-        wtp: cell(SchedulerKind::Wtp, scale),
+/// One scheduler's microscopic views (Figure 4 for BPR, 5 for WTP).
+struct Fig45Cell {
+    kind: SchedulerKind,
+}
+
+/// The Figures-4/5 grid: one cell per scheduler, on the same arriving
+/// packet stream, as in the paper.
+pub fn cells() -> Vec<Box<dyn Cell>> {
+    SCHEDULERS
+        .iter()
+        .map(|&kind| Box::new(Fig45Cell { kind }) as Box<dyn Cell>)
+        .collect()
+}
+
+impl Cell for Fig45Cell {
+    fn id(&self) -> String {
+        format!("fig45-{}", cell::kind_slug(self.kind))
+    }
+
+    fn params(&self) -> Json {
+        cell::params(
+            "fig45",
+            vec![("scheduler", Json::Str(self.kind.name().into()))],
+        )
+    }
+
+    fn execute_shard(&self, scale: Scale, _shard: usize) -> Partial {
+        let v = cell(self.kind, scale);
+        let view1 = v
+            .view1
+            .iter()
+            .map(|(start, avgs)| {
+                Json::Arr(vec![
+                    Json::Int(*start as i64),
+                    Json::Arr(
+                        avgs.iter()
+                            .map(|a| a.map(Json::num).unwrap_or(Json::Null))
+                            .collect(),
+                    ),
+                ])
+            })
+            .collect();
+        let view2 = v
+            .view2
+            .iter()
+            .map(|&(t, c, d)| {
+                Json::Arr(vec![Json::Int(t as i64), Json::Int(c as i64), Json::num(d)])
+            })
+            .collect();
+        let result = Json::obj(vec![
+            ("scheduler", Json::Str(v.kind.name().into())),
+            ("roughness", Json::nums(&v.roughness)),
+            ("mean_roughness", Json::num(v.mean_roughness())),
+            ("view1", Json::Arr(view1)),
+            ("view2", Json::Arr(view2)),
+        ]);
+        (result, None)
     }
 }
 
-impl Fig45 {
-    /// Renders the summary table plus a view-I excerpt per scheduler.
-    pub fn render(&self) -> String {
-        let mut out = banner("Figures 4-5: microscopic views (3 classes, s = 1,2,4, rho = 0.95)");
-        let mut t = Table::new([
-            "sched",
-            "rough c1",
-            "rough c2",
-            "rough c3",
-            "mean roughness",
-        ]);
-        for v in [&self.bpr, &self.wtp] {
-            t.row([
-                v.kind.name().to_string(),
-                format!("{:.3}", v.roughness[0]),
-                format!("{:.3}", v.roughness[1]),
-                format!("{:.3}", v.roughness[2]),
-                format!("{:.3}", v.mean_roughness()),
-            ]);
-        }
-        out.push_str(&t.to_string());
-        out.push_str(
-            "\nview I excerpt (interval start in p-units; class avg delays in p-units):\n",
-        );
-        for v in [&self.bpr, &self.wtp] {
-            out.push_str(&format!("  {}:\n", v.kind.name()));
-            let p = pdd::traffic::PAPER_MEAN_PACKET_BYTES;
-            for (start, avgs) in v.view1.iter().skip(v.view1.len() / 2).take(8) {
-                let cells: Vec<String> = avgs
-                    .iter()
-                    .map(|a| match a {
-                        Some(d) => format!("{:8.1}", d / p),
-                        None => "       -".into(),
-                    })
-                    .collect();
-                out.push_str(&format!(
-                    "    t={:>8.0}  {}\n",
-                    *start as f64 / p,
-                    cells.join(" ")
-                ));
+/// The `fig45` block: per-class roughness per scheduler.
+pub fn table(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "fig45");
+    if cells.is_empty() {
+        return None;
+    }
+    let rows = cells
+        .iter()
+        .map(|c| {
+            let r = cell::result(c);
+            let mut row = vec![cell::scheduler_name(r)];
+            for v in r
+                .get("roughness")
+                .and_then(Json::as_arr)
+                .unwrap_or_default()
+            {
+                row.push(format!("{:.3}", v.as_f64().unwrap_or(f64::NAN)));
             }
-        }
-        // View-I plot: class average delays over a mid-run window
-        // (1 = lowest class, 3 = highest), one panel per scheduler.
-        let p = pdd::traffic::PAPER_MEAN_PACKET_BYTES;
-        for v in [&self.bpr, &self.wtp] {
-            let window: Vec<_> = v.view1.iter().skip(v.view1.len() / 2).take(40).collect();
-            let series = |class: usize| -> Vec<(f64, f64)> {
-                window
-                    .iter()
-                    .filter_map(|(start, avgs)| avgs[class].map(|d| (*start as f64 / p, d / p)))
-                    .collect()
-            };
-            out.push_str(&format!(
-                "\n  {} view I (x = time in p-units, y = class avg delay in p-units):\n",
-                v.kind.name()
+            row.push(format!(
+                "**{:.3}**",
+                r.get("mean_roughness")
+                    .and_then(Json::as_f64)
+                    .unwrap_or(f64::NAN)
             ));
-            out.push_str(
-                &AsciiPlot::new(60, 12)
-                    .series('1', &series(0))
-                    .series('2', &series(1))
-                    .series('3', &series(2))
-                    .render(),
-            );
-        }
-        out.push_str(
-            "\npaper shape: BPR's per-packet delays show sawtooth noise (higher\n\
-             roughness); WTP tracks the 2x spacing smoothly in both views.\n",
-        );
-        out
-    }
-
-    /// Writes both views of both figures as CSV files under `dir`
-    /// (`fig4_view1.csv`, `fig4_view2.csv`, `fig5_view1.csv`,
-    /// `fig5_view2.csv`) for external plotting.
-    pub fn write_csvs(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        for (fig, v) in [("fig4", &self.bpr), ("fig5", &self.wtp)] {
-            let mut v1 = String::from("interval_start_ticks,class1,class2,class3\n");
-            for (start, avgs) in &v.view1 {
-                let cells: Vec<String> = avgs
-                    .iter()
-                    .map(|a| a.map(|d| format!("{d:.1}")).unwrap_or_default())
-                    .collect();
-                v1.push_str(&format!("{start},{}\n", cells.join(",")));
-            }
-            std::fs::write(dir.join(format!("{fig}_view1.csv")), v1)?;
-            let mut v2 = String::from("departure_ticks,class,delay_ticks\n");
-            for &(t, c, d) in &v.view2 {
-                v2.push_str(&format!("{t},{},{d:.1}\n", c + 1));
-            }
-            std::fs::write(dir.join(format!("{fig}_view2.csv")), v2)?;
-        }
-        Ok(())
-    }
+            row
+        })
+        .collect();
+    Some(cell::markdown_table(
+        &["scheduler", "class 1", "class 2", "class 3", "mean"],
+        rows,
+    ))
 }
 
 #[cfg(test)]
@@ -141,32 +123,13 @@ mod tests {
 
     #[test]
     fn bpr_sawtooth_exceeds_wtp_smoothness() {
-        let f = run(Scale::Bench);
+        let [bpr, wtp] = SCHEDULERS.map(|kind| cell(kind, Scale::Bench));
         assert!(
-            f.bpr.mean_roughness() > f.wtp.mean_roughness(),
+            bpr.mean_roughness() > wtp.mean_roughness(),
             "BPR {} vs WTP {}",
-            f.bpr.mean_roughness(),
-            f.wtp.mean_roughness()
+            bpr.mean_roughness(),
+            wtp.mean_roughness()
         );
-        let text = f.render();
-        assert!(text.contains("BPR"));
-        assert!(text.contains("WTP"));
-    }
-
-    #[test]
-    fn csvs_are_written() {
-        let f = run(Scale::Bench);
-        let dir = std::env::temp_dir().join("pdd_fig45_test");
-        f.write_csvs(&dir).unwrap();
-        for name in [
-            "fig4_view1.csv",
-            "fig4_view2.csv",
-            "fig5_view1.csv",
-            "fig5_view2.csv",
-        ] {
-            let content = std::fs::read_to_string(dir.join(name)).unwrap();
-            assert!(content.lines().count() > 1, "{name} is empty");
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(!bpr.view1.is_empty() && !bpr.view2.is_empty());
     }
 }

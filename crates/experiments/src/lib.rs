@@ -1,12 +1,13 @@
 //! # experiments — the table/figure regeneration harness
 //!
-//! One module per experiment in the paper's evaluation; each exposes a
-//! `run(scale)` returning structured results plus a `render()`d report that
-//! prints the same rows/series the paper shows, and per-cell `cell(...)`
-//! functions that the orchestrator crate schedules, caches, and merges.
-//! The bench crate regenerates the same experiments at [`Scale::Bench`];
-//! the `propdiff-run` and `all_experiments` binaries live in the
-//! orchestrator crate.
+//! One module per experiment in the paper's evaluation. Each is a whole
+//! suite in one file: per-cell measurement functions (`cell(...)`), the
+//! sweep grid (`cells()`), the [`cell::Cell`] impl that shards, merges and
+//! encodes a cell's result, and the markdown block rendered from merged
+//! results. [`cell::SUITES`] lists them; the orchestrator crate's
+//! `propdiff-run` schedules, caches, and merges the cells and prints or
+//! checks the blocks. The bench crate times representative cells at
+//! [`Scale::Bench`].
 //!
 //! | module | reproduces |
 //! |--------|------------|
@@ -24,6 +25,7 @@
 #![forbid(unsafe_code)]
 
 pub mod ablations;
+pub mod cell;
 pub mod dynamics;
 pub mod fig1;
 pub mod fig2;
@@ -113,11 +115,6 @@ impl Scale {
             }
         }
     }
-}
-
-/// Prints a titled section banner.
-pub fn banner(title: &str) -> String {
-    format!("\n=== {title} ===\n")
 }
 
 /// Runs `jobs` closures on up to `std::thread::available_parallelism()`

@@ -31,7 +31,9 @@ use pdd::netsim::mesh::{FlowModel, MeshConfig};
 use pdd::netsim::topology::splitmix64;
 use pdd::netsim::{CrossTraffic, HostFlow, LinkSpec, Topology, TopologyConfig};
 use pdd::sched::{RankKind, SchedulerKind, Sdp};
+use pdd::telemetry::json::Json;
 
+use crate::cell::{self, Cell, Merged, Partial};
 use crate::{parallel_map_on, Scale};
 
 /// Schedulers the mesh suite sweeps: the paper's WTP, its HPD refinement,
@@ -46,7 +48,7 @@ pub const SCHEDULERS: [SchedulerKind; 3] = [
 
 /// Process-shard count of a mesh cell: links are dealt round-robin to a
 /// fixed number of shards (part of the shard-cache key via
-/// `CellSpec::shard_count`), so the farm and the threaded runner replay
+/// [`Cell::shard_count`]), so the farm and the threaded runner replay
 /// identical partials at every scale.
 pub const SHARDS: usize = 4;
 
@@ -353,8 +355,8 @@ pub fn cell_row(kind: SchedulerKind, scale: Scale, total: &MeshShard) -> MeshRow
 }
 
 /// Runs the whole cell in-process: every shard in order, folded. The
-/// orchestrator's `CellSpec::Mesh` replays exactly this arithmetic from
-/// cached shard partials.
+/// suite's [`Cell`] replays exactly this arithmetic from cached shard
+/// partials.
 pub fn cell(kind: SchedulerKind, scale: Scale) -> MeshRow {
     let shards: Vec<MeshShard> = (0..SHARDS)
         .map(|s| cell_shard(kind, scale, s, SHARDS))
@@ -362,49 +364,152 @@ pub fn cell(kind: SchedulerKind, scale: Scale) -> MeshRow {
     cell_row(kind, scale, &merge_shards(&shards))
 }
 
-/// The full mesh study: one row per scheduler in [`SCHEDULERS`].
-#[derive(Debug, Clone)]
-pub struct MeshStudy {
-    /// Rows in [`SCHEDULERS`] order.
-    pub rows: Vec<MeshRow>,
+/// One scheduler's decomposed fat-tree fabric cell (links dealt
+/// round-robin across [`SHARDS`] process shards).
+struct MeshCell {
+    kind: SchedulerKind,
 }
 
-/// Runs the study at `scale` (cells in sequence; each cell's links
-/// already fan out through the decomposition).
-pub fn run(scale: Scale) -> MeshStudy {
-    MeshStudy {
-        rows: SCHEDULERS.iter().map(|&k| cell(k, scale)).collect(),
+/// The study's grid: one cell per scheduler in [`SCHEDULERS`].
+pub fn cells() -> Vec<Box<dyn Cell>> {
+    SCHEDULERS
+        .iter()
+        .map(|&kind| Box::new(MeshCell { kind }) as Box<dyn Cell>)
+        .collect()
+}
+
+impl Cell for MeshCell {
+    fn id(&self) -> String {
+        format!("mesh-{}", cell::kind_slug(self.kind))
+    }
+
+    fn params(&self) -> Json {
+        // The fabric dimensions are scale-derived at execution time;
+        // keying the quick-scale shape here means any change to the
+        // generator invalidates cached results.
+        cell::params(
+            "mesh",
+            vec![
+                ("scheduler", Json::Str(self.kind.name().into())),
+                ("fat_tree_k", Json::Int(dims(Scale::Quick).k as i64)),
+                ("probe_packets", Json::Int(PROBE_PACKETS as i64)),
+            ],
+        )
+    }
+
+    /// Mesh cells shard by link (round-robin), not by seed.
+    fn shard_count(&self, _scale: Scale) -> usize {
+        SHARDS
+    }
+
+    fn execute_shard(&self, scale: Scale, shard: usize) -> Partial {
+        let s = cell_shard(self.kind, scale, shard, SHARDS);
+        // Integer sums only, so transport is lossless by construction.
+        let ints = |v: &[u64]| Json::Arr(v.iter().map(|&x| Json::Int(x as i64)).collect());
+        let partial = Json::obj(vec![
+            ("links", Json::Int(s.links as i64)),
+            ("departures", Json::Int(s.departures as i64)),
+            ("class_hop_packets", ints(&s.class_hop_packets)),
+            ("class_hop_wait_sum", ints(&s.class_hop_wait_sum)),
+            ("probe_wait_sum", ints(&s.probe_wait_sum)),
+            ("probe_hop_packets", ints(&s.probe_hop_packets)),
+        ]);
+        (partial, None)
+    }
+
+    fn merge(&self, scale: Scale, shards: &[Partial]) -> Result<Merged, String> {
+        let id = self.id();
+        let parts: Vec<MeshShard> = shards
+            .iter()
+            .map(|(p, _)| decode_shard(p, &id))
+            .collect::<Result<_, String>>()?;
+        let row = cell_row(self.kind, scale, &merge_shards(&parts));
+        let result = Json::obj(vec![
+            ("scheduler", Json::Str(row.scheduler.name().into())),
+            ("links", Json::Int(row.links as i64)),
+            ("flows", Json::Int(row.flows as i64)),
+            ("probe_flows", Json::Int(row.probe_flows as i64)),
+            ("packet_hops", Json::Int(row.packet_hops as i64)),
+            ("class_mean_hop_wait", Json::nums(&row.class_mean_hop_wait)),
+            ("class_mean_e2e", Json::nums(&row.class_mean_e2e)),
+            ("hop_ratios", Json::nums(&row.hop_ratios())),
+            ("e2e_ratios", Json::nums(&row.e2e_ratios())),
+        ]);
+        Ok((result, None, None))
     }
 }
 
-impl MeshStudy {
-    /// Renders the study as an aligned text table.
-    pub fn render(&self) -> String {
-        let mut out = crate::banner("Datacenter mesh — decomposed fat-tree, per-class PDD");
-        for r in &self.rows {
-            let fmt = |v: &[f64]| {
-                v.iter()
-                    .map(|x| format!("{x:.2}"))
-                    .collect::<Vec<_>>()
-                    .join(" / ")
-            };
-            out.push_str(&format!(
-                "{:<14} links {:>5}  flows {:>8}  packet-hops {:>10}  hop ratios {}  e2e ratios {}\n",
-                r.scheduler.name(),
-                r.links,
-                r.flows,
-                r.packet_hops,
-                fmt(&r.hop_ratios()),
-                fmt(&r.e2e_ratios()),
-            ));
-        }
-        out.push_str(
-            "\nEach link is simulated independently (link-level decomposition); \
-             per-class end-to-end waits compose per-hop means over each probe \
-             flow's ECMP route. Ratios target the SDP spacing (2.0).\n",
-        );
-        out
+/// Decodes a mesh shard partial, rejecting anything malformed so the
+/// runner treats it as a cache miss.
+fn decode_shard(partial: &Json, id: &str) -> Result<MeshShard, String> {
+    let int = |field: &str| -> Result<u64, String> {
+        partial
+            .get(field)
+            .and_then(Json::as_i64)
+            .map(|v| v as u64)
+            .ok_or_else(|| format!("{id}: shard lacks `{field}`"))
+    };
+    let ints = |field: &str| -> Result<Vec<u64>, String> {
+        partial
+            .get(field)
+            .and_then(Json::as_arr)
+            .ok_or_else(|| format!("{id}: shard lacks `{field}`"))?
+            .iter()
+            .map(|v| {
+                v.as_i64()
+                    .map(|x| x as u64)
+                    .ok_or_else(|| format!("{id}: non-integer entry in `{field}`"))
+            })
+            .collect()
+    };
+    Ok(MeshShard {
+        links: int("links")?,
+        departures: int("departures")?,
+        class_hop_packets: ints("class_hop_packets")?,
+        class_hop_wait_sum: ints("class_hop_wait_sum")?,
+        probe_wait_sum: ints("probe_wait_sum")?,
+        probe_hop_packets: ints("probe_hop_packets")?,
+    })
+}
+
+/// The `mesh` block: fabric size and per-hop / end-to-end ratios per
+/// scheduler.
+pub fn table(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "mesh");
+    if cells.is_empty() {
+        return None;
     }
+    let rows = cells
+        .iter()
+        .map(|c| {
+            let r = cell::result(c);
+            let int = |key: &str| r.get(key).and_then(Json::as_i64).unwrap_or(0);
+            let mut row = vec![
+                cell::scheduler_name(r),
+                format!("{}", int("links")),
+                format!("{}", int("flows")),
+                format!("{}", int("packet_hops")),
+            ];
+            row.extend(cell::ratio_cells(r, "hop_ratios"));
+            row.extend(cell::ratio_cells(r, "e2e_ratios"));
+            row
+        })
+        .collect();
+    Some(cell::markdown_table(
+        &[
+            "scheduler",
+            "links",
+            "flows",
+            "packet-hops",
+            "hop 1/2",
+            "hop 2/3",
+            "hop 3/4",
+            "e2e 1/2",
+            "e2e 2/3",
+            "e2e 3/4",
+        ],
+        rows,
+    ))
 }
 
 #[cfg(test)]

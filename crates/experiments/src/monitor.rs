@@ -32,12 +32,13 @@ use pdd::qsim::Session;
 use pdd::scenario::Scenario;
 use pdd::sched::{SchedulerKind, Sdp};
 use pdd::simcore::Time;
-use pdd::stats::Table;
+use pdd::telemetry::json::Json;
 use pdd::telemetry::{MetricsRegistry, MonitorConfig};
 use pdd::traffic::{LoadPlan, SizeDist, PAPER_MEAN_PACKET_BYTES};
 
+use crate::cell::{self, Cell, Merged, Partial};
 use crate::dynamics::{start_sdp, SCHEDULERS, UTILIZATION};
-use crate::{banner, parallel_map, Scale};
+use crate::Scale;
 
 /// The SDP the mid-run swap switches to (spacing 3 — see the module docs
 /// for why not the dynamics study's spacing 4).
@@ -117,7 +118,7 @@ pub fn cell(scheduler: SchedulerKind, window_punits: u64, scale: Scale) -> Monit
     cell_metered(scheduler, window_punits, scale).0
 }
 
-/// Like [`cell`], but also returns the per-seed metrics registries merged
+/// Like [`cell()`], but also returns the per-seed metrics registries merged
 /// into one — the production use of the registry's exact merge, and the
 /// per-cell metrics artifact the orchestrator writes next to its cache
 /// entry.
@@ -246,67 +247,163 @@ pub fn merge_seeds(
     (row, merged)
 }
 
-/// The full study: both schedulers × the window ladder.
-#[derive(Debug, Clone)]
-pub struct MonitorStudy {
-    /// One row per (scheduler, window), scheduler-major.
-    pub rows: Vec<MonitorRow>,
+/// One (scheduler, window) cell of the monitor study.
+struct MonitorCell {
+    kind: SchedulerKind,
+    window_punits: u64,
 }
 
-/// Regenerates the monitor study.
-pub fn run(scale: Scale) -> MonitorStudy {
-    let mut jobs = Vec::new();
-    for &scheduler in &SCHEDULERS {
-        for &window in &WINDOW_LADDER {
-            jobs.push(move || cell(scheduler, window, scale));
+/// The study's grid: both schedulers × the window ladder,
+/// scheduler-major.
+pub fn cells() -> Vec<Box<dyn Cell>> {
+    let mut cells: Vec<Box<dyn Cell>> = Vec::new();
+    for kind in SCHEDULERS {
+        for window_punits in WINDOW_LADDER {
+            cells.push(Box::new(MonitorCell {
+                kind,
+                window_punits,
+            }));
         }
     }
-    MonitorStudy {
-        rows: parallel_map(jobs),
+    cells
+}
+
+impl Cell for MonitorCell {
+    fn id(&self) -> String {
+        format!(
+            "monitor-{}-w{}",
+            cell::kind_slug(self.kind),
+            self.window_punits
+        )
+    }
+
+    fn params(&self) -> Json {
+        cell::params(
+            "monitor",
+            vec![
+                ("scheduler", Json::Str(self.kind.name().into())),
+                ("window_punits", Json::Int(self.window_punits as i64)),
+            ],
+        )
+    }
+
+    fn shard_count(&self, scale: Scale) -> usize {
+        scale.seeds().len()
+    }
+
+    fn execute_shard(&self, scale: Scale, shard: usize) -> Partial {
+        let seed = scale.seeds()[shard];
+        let (s, registry) = cell_seed_metered(self.kind, self.window_punits, scale, seed);
+        let partial = Json::obj(vec![
+            ("windows_closed", Json::Int(s.windows_closed as i64)),
+            ("pairs_evaluated", Json::Int(s.pairs_evaluated as i64)),
+            ("steady_violations", Json::Int(s.steady_violations as i64)),
+            (
+                "transient_violations",
+                Json::Int(s.transient_violations as i64),
+            ),
+            ("inversions", Json::Int(s.inversions as i64)),
+            ("quiet_punits", Json::num(s.quiet_punits)),
+            ("max_drift", Json::num(s.max_drift)),
+        ]);
+        (partial, Some(registry.to_json()))
+    }
+
+    fn merge(&self, _scale: Scale, shards: &[Partial]) -> Result<Merged, String> {
+        let id = self.id();
+        let per_seed: Vec<(MonitorSeed, MetricsRegistry)> = shards
+            .iter()
+            .map(|shard| {
+                let registry = cell::shard_registry(&id, shard)?;
+                let p = &shard.0;
+                let int = |field: &str| -> Result<i64, String> {
+                    p.get(field)
+                        .and_then(Json::as_i64)
+                        .ok_or_else(|| format!("{id}: shard lacks `{field}`"))
+                };
+                let num = |field: &str| -> Result<f64, String> {
+                    match p.get(field) {
+                        Some(Json::Null) => Ok(f64::NAN),
+                        Some(v) => v.as_f64().ok_or_else(|| format!("{id}: bad `{field}`")),
+                        None => Err(format!("{id}: shard lacks `{field}`")),
+                    }
+                };
+                Ok((
+                    MonitorSeed {
+                        windows_closed: int("windows_closed")? as u64,
+                        pairs_evaluated: int("pairs_evaluated")? as u64,
+                        steady_violations: int("steady_violations")? as usize,
+                        transient_violations: int("transient_violations")? as usize,
+                        inversions: int("inversions")? as usize,
+                        quiet_punits: num("quiet_punits")?,
+                        max_drift: num("max_drift")?,
+                    },
+                    registry,
+                ))
+            })
+            .collect::<Result<_, String>>()?;
+        let (row, registry) = merge_seeds(self.kind, self.window_punits, &per_seed);
+        let result = Json::obj(vec![
+            ("scheduler", Json::Str(row.scheduler.name().into())),
+            ("window_punits", Json::Int(row.window_punits as i64)),
+            ("seeds", Json::Int(row.seeds as i64)),
+            ("windows_closed", Json::Int(row.windows_closed as i64)),
+            ("pairs_evaluated", Json::Int(row.pairs_evaluated as i64)),
+            ("steady_violations", Json::Int(row.steady_violations as i64)),
+            (
+                "transient_violations",
+                Json::Int(row.transient_violations as i64),
+            ),
+            ("inversions", Json::Int(row.inversions as i64)),
+            ("violation_rate", Json::num(row.violation_rate())),
+            ("mean_quiet_punits", Json::num(row.mean_quiet_punits)),
+            ("max_drift", Json::num(row.max_drift)),
+        ]);
+        Ok((result, None, Some(registry.to_json())))
     }
 }
 
-impl MonitorStudy {
-    /// Renders the ratio-drift-vs-window-size table.
-    pub fn render(&self) -> String {
-        let mut out = banner(
-            "Monitor: conformance violations vs monitoring timescale (SDP swap 2→3 at mid-run)",
-        );
-        let mut t = Table::new([
+/// The `monitor` block: violation tallies per scheduler and window.
+pub fn table(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "monitor");
+    if cells.is_empty() {
+        return None;
+    }
+    let rows = cells
+        .iter()
+        .map(|c| {
+            let r = cell::result(c);
+            let int = |key: &str| r.get(key).and_then(Json::as_i64).unwrap_or(0);
+            let num = |key: &str| r.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
+            vec![
+                cell::scheduler_name(r),
+                format!("{}", int("window_punits")),
+                format!("{}", int("pairs_evaluated")),
+                format!("{}", int("steady_violations")),
+                format!("{:.3}", num("violation_rate")),
+                format!(
+                    "{} ({} inv)",
+                    int("transient_violations"),
+                    int("inversions")
+                ),
+                format!("{:.0}", num("mean_quiet_punits")),
+                format!("{:.2}", num("max_drift")),
+            ]
+        })
+        .collect();
+    Some(cell::markdown_table(
+        &[
             "scheduler",
-            "window",
+            "window (p)",
             "eval pairs",
             "steady viol",
             "viol rate",
             "transient viol",
-            "quiet after",
+            "quiet after (p)",
             "max drift",
-        ]);
-        for row in &self.rows {
-            t.row([
-                row.scheduler.name().to_string(),
-                format!("{} p", row.window_punits),
-                row.pairs_evaluated.to_string(),
-                row.steady_violations.to_string(),
-                format!("{:.3}", row.violation_rate()),
-                format!("{} ({} inv)", row.transient_violations, row.inversions),
-                format!("{:.0} p", row.mean_quiet_punits),
-                format!("{:.2}", row.max_drift),
-            ]);
-        }
-        out.push_str(&t.to_string());
-        out.push_str(
-            "\nEach run swaps the SDP spacing 2 → 3 at mid-horizon (ρ = 0.95). A\n\
-             (window, pair) violates when the achieved delay ratio drifts more than\n\
-             ±25 % from the target in force at the window start; steady = windows\n\
-             ending before the swap, transient = after. Short windows flag\n\
-             constantly (the paper's short-timescale noise); long windows flag only\n\
-             the genuine transient, and \"quiet after\" — the last violating\n\
-             window's end minus the swap — upper-bounds reconvergence at that\n\
-             timescale.\n",
-        );
-        out
-    }
+        ],
+        rows,
+    ))
 }
 
 #[cfg(test)]
@@ -363,15 +460,5 @@ mod tests {
         let departures: u64 = (0..4).map(|c| reg.class_total(c).departures).sum();
         assert!(departures > 0, "merged registry is empty");
         assert!(reg.to_json().contains("propdiff-metrics-v1"));
-    }
-
-    #[test]
-    fn render_lists_every_row() {
-        let study = MonitorStudy {
-            rows: vec![cell(SchedulerKind::Wtp, 250, TEST_SCALE)],
-        };
-        let s = study.render();
-        assert!(s.contains("WTP") && s.contains("250 p"));
-        assert!(s.contains("quiet after"));
     }
 }

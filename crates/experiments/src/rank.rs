@@ -24,18 +24,16 @@
 
 use pdd::qsim::Experiment;
 use pdd::sched::{RankKind, SchedulerKind, Sdp};
-use pdd::stats::Table;
+use pdd::telemetry::json::Json;
 use pdd::telemetry::{NoopProbe, Probe};
 
-use crate::{banner, fig1, parallel_map, Scale};
+use crate::cell::{self, Cell, Merged, Partial};
+use crate::{fig1, Scale};
 
 /// The two schedulers each cell compares: static-slack LSTF and WTP (the
 /// proportional reference).
 pub const SCHEDULERS: [SchedulerKind; 2] =
     [SchedulerKind::Pifo(RankKind::Lstf), SchedulerKind::Wtp];
-
-/// The SDP spacings probed (the Figure-1 panels).
-pub const SDP_RATIOS: [f64; 2] = [2.0, 4.0];
 
 /// One (spacing, utilization) measurement of the probe.
 #[derive(Debug, Clone)]
@@ -57,25 +55,15 @@ pub fn mean_deviation(ratios: &[f64], target: f64) -> f64 {
 
 /// Measures one probe cell: one spacing × one utilization, LSTF and WTP,
 /// averaged over the scale's seeds.
-pub fn cell(sdp_ratio: f64, utilization: f64, scale: Scale) -> RankRow {
-    cell_probed(sdp_ratio, utilization, scale, &mut NoopProbe)
-}
-
-/// As [`cell`], streaming packet-lifecycle events into `probe`.
 ///
 /// Implemented as the canonical shard pipeline ([`cell_seed_probed`] per
 /// seed, folded by [`merge_seeds`] in seed order), so multi-process runs
 /// reproduce it bit-for-bit.
-pub fn cell_probed<P: Probe>(
-    sdp_ratio: f64,
-    utilization: f64,
-    scale: Scale,
-    probe: &mut P,
-) -> RankRow {
+pub fn cell(sdp_ratio: f64, utilization: f64, scale: Scale) -> RankRow {
     let per_seed: Vec<Vec<Vec<f64>>> = scale
         .seeds()
         .iter()
-        .map(|&seed| cell_seed_probed(sdp_ratio, utilization, scale, seed, probe))
+        .map(|&seed| cell_seed_probed(sdp_ratio, utilization, scale, seed, &mut NoopProbe))
         .collect();
     merge_seeds(sdp_ratio, utilization, &per_seed)
 }
@@ -110,58 +98,109 @@ pub fn merge_seeds(sdp_ratio: f64, utilization: f64, per_seed: &[Vec<Vec<f64>>])
     }
 }
 
-/// The full probe: both spacings × the Figure-1 utilization sweep.
-#[derive(Debug, Clone)]
-pub struct RankStudy {
-    /// Rows, spacing-major then utilization-ascending.
-    pub rows: Vec<RankRow>,
+/// One (SDP spacing, utilization) point of the LSTF universality probe.
+struct RankCell {
+    sdp_ratio: f64,
+    utilization: f64,
 }
 
-/// Regenerates the rank study.
-pub fn run(scale: Scale) -> RankStudy {
-    let mut jobs = Vec::new();
-    for &sdp_ratio in &SDP_RATIOS {
-        for &utilization in &fig1::UTILIZATIONS {
-            jobs.push(move || cell(sdp_ratio, utilization, scale));
+/// The probe's grid: the Figure-1 panels × the Figure-1 utilization sweep.
+pub fn cells() -> Vec<Box<dyn Cell>> {
+    let mut cells: Vec<Box<dyn Cell>> = Vec::new();
+    for sdp_ratio in fig1::SDP_RATIOS {
+        for utilization in fig1::UTILIZATIONS {
+            cells.push(Box::new(RankCell {
+                sdp_ratio,
+                utilization,
+            }));
         }
     }
-    RankStudy {
-        rows: parallel_map(jobs),
+    cells
+}
+
+impl Cell for RankCell {
+    fn id(&self) -> String {
+        cell::sanitize(format!("rank-s{}-u{}", self.sdp_ratio, self.utilization))
+    }
+
+    fn params(&self) -> Json {
+        cell::params(
+            "rank",
+            vec![
+                ("sdp_ratio", Json::num(self.sdp_ratio)),
+                ("utilization", Json::num(self.utilization)),
+            ],
+        )
+    }
+
+    fn shard_count(&self, scale: Scale) -> usize {
+        scale.seeds().len()
+    }
+
+    fn execute_shard(&self, scale: Scale, shard: usize) -> Partial {
+        let seed = scale.seeds()[shard];
+        cell::probed_rows_shard(|probe| {
+            cell_seed_probed(self.sdp_ratio, self.utilization, scale, seed, probe)
+        })
+    }
+
+    fn merge(&self, _scale: Scale, shards: &[Partial]) -> Result<Merged, String> {
+        cell::probed_rows_merge(&self.id(), shards, |per_seed| {
+            let row = merge_seeds(self.sdp_ratio, self.utilization, per_seed);
+            Json::obj(vec![
+                ("sdp_ratio", Json::num(row.sdp_ratio)),
+                ("utilization", Json::num(row.utilization)),
+                ("lstf", Json::nums(&row.lstf)),
+                ("wtp", Json::nums(&row.wtp)),
+            ])
+        })
     }
 }
 
-impl RankStudy {
-    /// Renders the universality table.
-    pub fn render(&self) -> String {
-        let mut out = banner("Rank suite: static-slack LSTF vs WTP across the Fig.-1 load grid");
-        let mut t = Table::new([
-            "target", "util", "LSTF 1/2", "LSTF 2/3", "LSTF 3/4", "LSTF dev", "WTP dev",
-        ]);
-        for row in &self.rows {
-            let mut cells = vec![
-                format!("{:.0}", row.sdp_ratio),
-                format!("{:.1}%", row.utilization * 100.0),
+/// The `rank` block: LSTF's ratios and both schedulers' deviation from
+/// the target, per spacing and utilization.
+pub fn table(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "rank");
+    if cells.is_empty() {
+        return None;
+    }
+    let dev = |r: &Json, key: &str, target: f64| -> String {
+        let ratios: Vec<f64> = r
+            .get(key)
+            .and_then(Json::as_arr)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(Json::as_f64)
+            .collect();
+        if ratios.is_empty() || target == 0.0 {
+            return "—".into();
+        }
+        format!("{:.0}%", mean_deviation(&ratios, target) * 100.0)
+    };
+    let rows = cells
+        .iter()
+        .map(|c| {
+            let r = cell::result(c);
+            let target = r.get("sdp_ratio").and_then(Json::as_f64).unwrap_or(0.0);
+            let mut row = vec![
+                format!("{target:.0}"),
+                format!(
+                    "{:.1}%",
+                    r.get("utilization").and_then(Json::as_f64).unwrap_or(0.0) * 100.0
+                ),
             ];
-            cells.extend(row.lstf.iter().map(|r| format!("{r:.2}")));
-            cells.push(format!(
-                "{:.0}%",
-                mean_deviation(&row.lstf, row.sdp_ratio) * 100.0
-            ));
-            cells.push(format!(
-                "{:.0}%",
-                mean_deviation(&row.wtp, row.sdp_ratio) * 100.0
-            ));
-            t.row(cells);
-        }
-        out.push_str(&t.to_string());
-        out.push_str(
-            "\nLSTF's static slack budgets (∝ 1/s_i) impose constant delay offsets:\n\
-             the achieved ratios drift with load instead of holding the target,\n\
-             while WTP's deviation stays small across the sweep — one static slack\n\
-             assignment is not universal over unknown loads.\n",
-        );
-        out
-    }
+            row.extend(cell::ratio_cells(r, "lstf"));
+            row.push(dev(r, "lstf", target));
+            row.push(dev(r, "wtp", target));
+            row
+        })
+        .collect();
+    Some(cell::markdown_table(
+        &[
+            "target", "util", "LSTF 1/2", "LSTF 2/3", "LSTF 3/4", "LSTF dev", "WTP dev",
+        ],
+        rows,
+    ))
 }
 
 #[cfg(test)]
@@ -191,14 +230,12 @@ mod tests {
     }
 
     #[test]
-    fn render_lists_the_full_grid() {
-        let s = run(Scale::Custom {
-            punits: 1_000,
-            nseeds: 1,
-        });
-        assert_eq!(s.rows.len(), SDP_RATIOS.len() * fig1::UTILIZATIONS.len());
-        let text = s.render();
-        assert!(text.contains("LSTF"));
-        assert!(text.contains("99.9%"));
+    fn grid_is_the_figure_one_grid() {
+        let cells = cells();
+        assert_eq!(
+            cells.len(),
+            fig1::SDP_RATIOS.len() * fig1::UTILIZATIONS.len()
+        );
+        assert_eq!(cells[cells.len() - 1].id(), "rank-s4-u0_999");
     }
 }

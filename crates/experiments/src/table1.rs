@@ -7,10 +7,19 @@
 //! differentiation.
 
 use pdd::netsim::{analyze, packet_time_tolerance, run_study_b_probed, StudyBConfig, StudyBResult};
-use pdd::stats::Table;
-use pdd::telemetry::{NoopProbe, Probe};
+use pdd::telemetry::json::Json;
+use pdd::telemetry::{CountingProbe, NoopProbe, Probe};
 
-use crate::{banner, parallel_map, Scale};
+use crate::cell::{self, Merged, Partial};
+use crate::Scale;
+
+/// Hop counts K.
+pub const K_HOPS: [usize; 2] = [4usize, 8];
+/// Link utilizations ρ.
+pub const UTILIZATIONS: [f64; 2] = [0.85, 0.95];
+/// `(F packets, R_u kbps)` user-flow columns, as the paper prints them
+/// left to right.
+pub const FLOWS: [(u32, f64); 4] = [(10, 50.0), (10, 200.0), (100, 50.0), (100, 200.0)];
 
 /// One Table-1 cell.
 #[derive(Debug, Clone)]
@@ -25,13 +34,6 @@ pub struct Cell {
     pub flow_rate_kbps: f64,
     /// The analyzed outcome.
     pub result: StudyBResult,
-}
-
-/// The whole table.
-#[derive(Debug, Clone)]
-pub struct Table1 {
-    /// All sixteen cells (paper prints (K, ρ) rows × (F, R_u) columns).
-    pub cells: Vec<Cell>,
 }
 
 /// Measures one Table-1 cell: one (K, ρ, F, R_u) Study-B run.
@@ -64,88 +66,165 @@ pub fn cell_run_probed<P: Probe>(
     }
 }
 
-/// Regenerates Table 1.
-pub fn run(scale: Scale) -> Table1 {
-    let mut jobs = Vec::new();
-    for &k in &[4usize, 8] {
-        for &rho in &[0.85, 0.95] {
-            for &flow_len in &[10u32, 100] {
-                for &rate in &[50.0, 200.0] {
-                    jobs.push(move || cell_run(k, rho, flow_len, rate, scale));
-                }
+/// The Table-1 grid, K-major, then ρ, then the flow columns.
+pub fn cells() -> Vec<Box<dyn cell::Cell>> {
+    let mut cells: Vec<Box<dyn cell::Cell>> = Vec::new();
+    for k_hops in K_HOPS {
+        for utilization in UTILIZATIONS {
+            for (flow_len, flow_rate_kbps) in FLOWS {
+                cells.push(Box::new(Table1Cell {
+                    k_hops,
+                    utilization,
+                    flow_len,
+                    flow_rate_kbps,
+                }));
             }
         }
     }
-    Table1 {
-        cells: parallel_map(jobs),
+    cells
+}
+
+/// One (K, ρ, F, R_u) Study-B cell of Table 1.
+struct Table1Cell {
+    k_hops: usize,
+    utilization: f64,
+    flow_len: u32,
+    flow_rate_kbps: f64,
+}
+
+impl Table1Cell {
+    fn num_classes(&self) -> usize {
+        StudyBConfig::paper(
+            self.k_hops,
+            self.utilization,
+            self.flow_len,
+            self.flow_rate_kbps,
+        )
+        .num_classes()
     }
 }
 
-impl Table1 {
-    /// Renders the paper's grid: rows (K, ρ), columns (F, R_u), entries
-    /// R_D (ideal 2.00).
-    pub fn render(&self) -> String {
-        let mut out = banner("Table 1: end-to-end R_D (ideal 2.00), WTP, Figure-6 topology");
-        let mut t = Table::new([
-            "",
-            "F=10 Ru=50",
-            "F=10 Ru=200",
-            "F=100 Ru=50",
-            "F=100 Ru=200",
+impl cell::Cell for Table1Cell {
+    fn id(&self) -> String {
+        cell::sanitize(format!(
+            "table1-k{}-u{}-f{}-r{}",
+            self.k_hops, self.utilization, self.flow_len, self.flow_rate_kbps
+        ))
+    }
+
+    fn params(&self) -> Json {
+        cell::params(
+            "table1",
+            vec![
+                ("k_hops", Json::Int(self.k_hops as i64)),
+                ("utilization", Json::num(self.utilization)),
+                ("flow_len", Json::Int(self.flow_len as i64)),
+                ("flow_rate_kbps", Json::num(self.flow_rate_kbps)),
+            ],
+        )
+    }
+
+    fn execute_shard(&self, scale: Scale, _shard: usize) -> Partial {
+        let mut probe = CountingProbe::new(self.num_classes());
+        let r = cell_run_probed(
+            self.k_hops,
+            self.utilization,
+            self.flow_len,
+            self.flow_rate_kbps,
+            scale,
+            &mut probe,
+        )
+        .result;
+        let result = Json::obj(vec![
+            ("rd", Json::num(r.rd)),
+            ("experiments", Json::Int(r.experiments as i64)),
+            (
+                "inconsistent_experiments",
+                Json::Int(r.inconsistent_experiments as i64),
+            ),
+            (
+                "inconsistent_strict",
+                Json::Int(r.inconsistent_strict as i64),
+            ),
+            ("skipped_ratios", Json::Int(r.skipped_ratios as i64)),
+            ("class_median_ticks", Json::nums(&r.class_median_ticks)),
         ]);
-        for &k in &[4usize, 8] {
-            for &rho in &[0.85, 0.95] {
-                let mut cells = vec![format!("K={k} rho={:.0}%", rho * 100.0)];
-                for &(f, r) in &[(10u32, 50.0), (10, 200.0), (100, 50.0), (100, 200.0)] {
-                    let cell = self.cell(k, rho, f, r).expect("all sixteen cells present");
-                    cells.push(format!("{:.1}", cell.result.rd));
-                }
-                t.row(cells);
+        (result, Some(probe.registry().to_json()))
+    }
+
+    fn merge(&self, _scale: Scale, shards: &[Partial]) -> Result<Merged, String> {
+        let (partial, registry_text) = &shards[0];
+        let report = match registry_text {
+            Some(_) => {
+                Some(cell::shard_registry(&self.id(), &shards[0])?.report(self.num_classes(), 0.0))
             }
+            None => None,
+        };
+        Ok((partial.clone(), report, registry_text.clone()))
+    }
+}
+
+/// The `table1` block: the paper's grid — rows (K, ρ), columns (F, R_u),
+/// entries R_D (ideal 2.00).
+pub fn grid(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "table1");
+    if cells.is_empty() {
+        return None;
+    }
+    let lookup = |k: i64, rho: f64, f: i64, rate: f64| -> Option<f64> {
+        let matches = |c: &&&Json| -> Option<bool> {
+            let p = c.get("params")?;
+            Some(
+                p.get("k_hops")?.as_i64()? == k
+                    && (p.get("utilization")?.as_f64()? - rho).abs() < 1e-9
+                    && p.get("flow_len")?.as_i64()? == f
+                    && (p.get("flow_rate_kbps")?.as_f64()? - rate).abs() < 1e-9,
+            )
+        };
+        cells
+            .iter()
+            .find(|c| matches(c).unwrap_or(false))
+            .and_then(|c| cell::result(c).get("rd").and_then(Json::as_f64))
+    };
+    let mut rows = Vec::new();
+    for k in K_HOPS {
+        for rho in UTILIZATIONS {
+            let mut row = vec![format!("K={k} ρ={:.0}%", rho * 100.0)];
+            for (f, rate) in FLOWS {
+                row.push(match lookup(k as i64, rho, f as i64, rate) {
+                    Some(rd) => format!("{rd:.1}"),
+                    None => "—".into(),
+                });
+            }
+            rows.push(row);
         }
-        out.push_str(&t.to_string());
-        let inconsistent: usize = self
-            .cells
-            .iter()
-            .map(|c| c.result.inconsistent_experiments)
-            .sum();
-        let strict: usize = self
-            .cells
-            .iter()
-            .map(|c| c.result.inconsistent_strict)
-            .sum();
-        let total: usize = self.cells.iter().map(|c| c.result.experiments).sum();
-        out.push_str(&format!(
-            "\ninconsistent differentiation cases: {inconsistent} of {total} user experiments\n\
-             ({strict} at strict ns resolution; the paper reports zero. 'inconsistent' =\n\
-             a higher class worse than a lower class in any end-to-end delay\n\
-             percentile by more than one packet transmission time per hop)\n"
-        ));
-        out
     }
+    Some(cell::markdown_table(
+        &["", "F=10 R=50", "F=10 R=200", "F=100 R=50", "F=100 R=200"],
+        rows,
+    ))
+}
 
-    /// Looks up one cell.
-    pub fn cell(&self, k: usize, rho: f64, flow_len: u32, rate: f64) -> Option<&Cell> {
-        self.cells.iter().find(|c| {
-            c.k_hops == k
-                && (c.utilization - rho).abs() < 1e-9
-                && c.flow_len == flow_len
-                && (c.flow_rate_kbps - rate).abs() < 1e-9
-        })
+/// The `table1-consistency` block: inconsistent-differentiation totals.
+pub fn consistency(merged: &Json) -> Option<String> {
+    let cells = cell::group_cells(merged, "table1");
+    if cells.is_empty() {
+        return None;
     }
-
-    /// Mean R_D across all cells.
-    pub fn mean_rd(&self) -> f64 {
-        self.cells.iter().map(|c| c.result.rd).sum::<f64>() / self.cells.len() as f64
-    }
-
-    /// Total inconsistent experiments across all cells.
-    pub fn total_inconsistent(&self) -> usize {
-        self.cells
+    let sum = |key: &str| -> i64 {
+        cells
             .iter()
-            .map(|c| c.result.inconsistent_experiments)
+            .filter_map(|c| cell::result(c).get(key).and_then(Json::as_i64))
             .sum()
-    }
+    };
+    let total = sum("experiments");
+    let inconsistent = sum("inconsistent_experiments");
+    let strict = sum("inconsistent_strict");
+    Some(format!(
+        "Inconsistent differentiation: **{inconsistent} of {total}** user experiments \
+         beyond one packet transmission time per hop ({strict} at strict nanosecond \
+         resolution); the paper reports zero."
+    ))
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@
 //! default, or on `--workers N` separate worker *processes* fed over a
 //! stdin/stdout JSONL protocol — caches every shard and merged cell under
 //! `--cache-dir`, and writes the merged JSON (manifest order,
-//! byte-identical at any thread or worker count) to `--out`. A warm re-run
-//! does zero simulation work; `--expect-all-cached` turns that into an
+//! byte-identical at any thread or worker count) to `--out`, and prints the
+//! suite's rendered tables — the blocks `render` writes into EXPERIMENTS.md
+//! — on stdout unless `--quiet`. A warm re-run does zero simulation work; `--expect-all-cached` turns that into an
 //! assertion. `--max-cells N` bounds how many uncached cells run, so an
 //! interrupted sweep resumes where it left off; a crashed run resumes from
 //! whatever shards it had already banked.
@@ -27,6 +28,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use experiments::cell::suite_names;
 use experiments::Scale;
 use orchestrator::cache::scale_tag;
 use orchestrator::{manifest, render, runner};
@@ -38,22 +40,35 @@ fn arg_value(args: &[String], key: &str) -> Option<String> {
         .cloned()
 }
 
-fn options_from_args(args: &[String]) -> runner::RunOptions {
+/// The value of a count flag, `None` when the flag is absent. A missing
+/// or non-numeric value is a usage error, never a silent default.
+fn count_arg(args: &[String], key: &str) -> Result<Option<usize>, String> {
+    let Some(i) = args.iter().position(|a| a == key) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("usage: {key} expects a count"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("usage: {key} expects a count, got `{value}`"))
+}
+
+fn options_from_args(args: &[String]) -> Result<runner::RunOptions, String> {
     let mut opts = runner::RunOptions::new(Scale::from_args());
-    if let Some(n) = arg_value(args, "--threads") {
-        opts.workers = n.parse().unwrap_or(0);
+    if let Some(n) = count_arg(args, "--threads")? {
+        opts.workers = n;
     }
-    if let Some(n) = arg_value(args, "--workers") {
-        opts.process_workers = n.parse().unwrap_or(0);
+    if let Some(n) = count_arg(args, "--workers")? {
+        opts.process_workers = n;
     }
     if let Some(dir) = arg_value(args, "--cache-dir") {
         opts.cache_dir = PathBuf::from(dir);
     }
-    if let Some(n) = arg_value(args, "--max-cells") {
-        opts.max_cells = n.parse().ok();
-    }
+    opts.max_cells = count_arg(args, "--max-cells")?;
     opts.quiet = args.iter().any(|a| a == "--quiet");
-    opts
+    Ok(opts)
 }
 
 fn load_suite(args: &[String]) -> Result<manifest::Manifest, String> {
@@ -61,14 +76,14 @@ fn load_suite(args: &[String]) -> Result<manifest::Manifest, String> {
     manifest::suite(&name).ok_or_else(|| {
         format!(
             "unknown suite `{name}` (expected one of: {})",
-            manifest::SUITES.join(", ")
+            suite_names().join(", ")
         )
     })
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let suite = load_suite(args)?;
-    let opts = options_from_args(args);
+    let opts = options_from_args(args)?;
     let started = std::time::Instant::now();
     let report = runner::run(&suite, &opts);
     eprintln!(
@@ -108,6 +123,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| PathBuf::from("out"));
     runner::write_fig45_csvs(&report.merged, &csv_dir)
         .map_err(|e| format!("write fig45 CSVs: {e}"))?;
+    if !opts.quiet {
+        for (name, body) in render::suite_blocks(&report.merged) {
+            println!("## {name}\n\n{body}\n");
+        }
+    }
     if !report.complete() {
         return Err(format!(
             "incomplete: {} cells remain (re-run to resume)",
@@ -119,7 +139,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 
 fn cmd_render(args: &[String]) -> Result<(), String> {
     let suite = load_suite(args)?;
-    let mut opts = options_from_args(args);
+    let mut opts = options_from_args(args)?;
     opts.quiet = true;
     let report = runner::run(&suite, &opts);
     let doc_path = arg_value(args, "--doc")
@@ -147,7 +167,7 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_list() {
-    for name in manifest::SUITES {
+    for name in suite_names() {
         let m = manifest::suite(name).expect("known suite");
         println!("{name:<14} {:>3} cells", m.cells.len());
     }

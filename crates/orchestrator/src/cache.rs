@@ -9,7 +9,7 @@
 //! ```
 //!
 //! where `<scale-tag>` is `quick`, `paper`, `bench`, or `p<punits>s<seeds>`
-//! for custom scales, and `<cell-id>` is [`CellSpec::id`]. Each cell file
+//! for custom scales, and `<cell-id>` is [`Cell::id`]. Each cell file
 //! holds `{"key": "<16 hex digits>", "cell": {...params...}, "result":
 //! {...}}`.
 //!
@@ -35,11 +35,11 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
+use experiments::cell::Cell;
 use experiments::Scale;
+use pdd::telemetry::json::Json;
 
-use crate::cell::CellSpec;
 use crate::fingerprint::Fnv;
-use crate::json::Json;
 
 /// Bumped whenever the cell result JSON layout changes, so stale shapes
 /// can never be replayed into a newer reader.
@@ -77,7 +77,7 @@ impl Cache {
     }
 
     /// The content key a valid entry for `cell` at `scale` must carry.
-    pub fn key(&self, cell: &CellSpec, scale: Scale) -> u64 {
+    pub fn key(&self, cell: &dyn Cell, scale: Scale) -> u64 {
         let mut h = Fnv::new();
         h.write(cell.params().serialize().as_bytes());
         h.write(b"\0");
@@ -88,13 +88,13 @@ impl Cache {
         h.finish()
     }
 
-    fn path(&self, cell: &CellSpec, scale: Scale) -> PathBuf {
+    fn path(&self, cell: &dyn Cell, scale: Scale) -> PathBuf {
         self.dir.join(scale_tag(scale)).join(cell.id() + ".json")
     }
 
     /// Loads the cached result for `cell`, or `None` on a miss (absent,
     /// unreadable, or carrying a stale key).
-    pub fn load(&self, cell: &CellSpec, scale: Scale) -> Option<Json> {
+    pub fn load(&self, cell: &dyn Cell, scale: Scale) -> Option<Json> {
         let text = std::fs::read_to_string(self.path(cell, scale)).ok()?;
         let entry = Json::parse(&text).ok()?;
         let stored_key = entry.get("key")?.as_str()?;
@@ -109,7 +109,7 @@ impl Cache {
     /// The write goes through a same-directory temp file and rename, so an
     /// interrupted run leaves either the old entry or the new one — never
     /// a torn file — and resuming re-runs only genuinely missing cells.
-    pub fn store(&self, cell: &CellSpec, scale: Scale, result: &Json) -> io::Result<()> {
+    pub fn store(&self, cell: &dyn Cell, scale: Scale, result: &Json) -> io::Result<()> {
         let path = self.path(cell, scale);
         let parent = path.parent().expect("cache path has a parent");
         std::fs::create_dir_all(parent)?;
@@ -126,7 +126,7 @@ impl Cache {
     /// The content key a shard entry must carry: the cell key extended
     /// with the shard coordinates, so a partial can never be replayed into
     /// a different shard split (or a different shard of the same split).
-    pub fn shard_key(&self, cell: &CellSpec, scale: Scale, shard: usize, shards: usize) -> u64 {
+    pub fn shard_key(&self, cell: &dyn Cell, scale: Scale, shard: usize, shards: usize) -> u64 {
         let mut h = Fnv::new();
         h.write(&self.key(cell, scale).to_le_bytes());
         h.write(b"\0shard\0");
@@ -135,7 +135,7 @@ impl Cache {
         h.finish()
     }
 
-    fn shard_path(&self, cell: &CellSpec, scale: Scale, shard: usize, shards: usize) -> PathBuf {
+    fn shard_path(&self, cell: &dyn Cell, scale: Scale, shard: usize, shards: usize) -> PathBuf {
         self.dir
             .join(scale_tag(scale))
             .join("shards")
@@ -146,7 +146,7 @@ impl Cache {
     /// JSON plus its optional registry snapshot — or `None` on a miss.
     pub fn load_shard(
         &self,
-        cell: &CellSpec,
+        cell: &dyn Cell,
         scale: Scale,
         shard: usize,
         shards: usize,
@@ -170,7 +170,7 @@ impl Cache {
     /// moment the worker that produced it finishes.
     pub fn store_shard(
         &self,
-        cell: &CellSpec,
+        cell: &dyn Cell,
         scale: Scale,
         shard: usize,
         shards: usize,
@@ -203,7 +203,7 @@ impl Cache {
 
     /// Best-effort removal of a cell's shard entries once its merged entry
     /// is stored; the steady state stays one file per cell per scale.
-    pub fn remove_shards(&self, cell: &CellSpec, scale: Scale, shards: usize) {
+    pub fn remove_shards(&self, cell: &dyn Cell, scale: Scale, shards: usize) {
         for shard in 0..shards {
             let _ = std::fs::remove_file(self.shard_path(cell, scale, shard, shards));
         }
@@ -217,7 +217,7 @@ impl Cache {
     /// simulation entirely — leaves the previous snapshot in place. They
     /// also stay out of the merged results document, which must remain
     /// byte-stable across cold and warm runs.
-    pub fn store_metrics(&self, cell: &CellSpec, scale: Scale, snapshot: &str) -> io::Result<()> {
+    pub fn store_metrics(&self, cell: &dyn Cell, scale: Scale, snapshot: &str) -> io::Result<()> {
         let path = self
             .dir
             .join(scale_tag(scale))
@@ -239,17 +239,22 @@ mod tests {
         Cache::new(dir, fingerprint)
     }
 
-    fn cell() -> CellSpec {
-        CellSpec::Plr { sigma: 2.0 }
+    /// The `plr` suite's σ = 2 and σ = 4 cells.
+    fn plr_cells() -> Vec<Box<dyn Cell>> {
+        experiments::cell::suite_cells("plr").expect("plr suite")
+    }
+
+    fn cell() -> Box<dyn Cell> {
+        plr_cells().remove(1)
     }
 
     #[test]
     fn store_then_load_hits() {
         let cache = temp_cache("hit", 7);
         let result = Json::obj(vec![("x", Json::Int(1))]);
-        assert!(cache.load(&cell(), Scale::Bench).is_none(), "cold miss");
-        cache.store(&cell(), Scale::Bench, &result).unwrap();
-        assert_eq!(cache.load(&cell(), Scale::Bench), Some(result));
+        assert!(cache.load(&*cell(), Scale::Bench).is_none(), "cold miss");
+        cache.store(&*cell(), Scale::Bench, &result).unwrap();
+        assert_eq!(cache.load(&*cell(), Scale::Bench), Some(result));
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -257,10 +262,10 @@ mod tests {
     fn cell_change_misses() {
         let cache = temp_cache("cellchange", 7);
         let result = Json::Int(1);
-        cache.store(&cell(), Scale::Bench, &result).unwrap();
+        cache.store(&*cell(), Scale::Bench, &result).unwrap();
         // A different cell of the same group stores under a different file.
-        let other = CellSpec::Plr { sigma: 4.0 };
-        assert!(cache.load(&other, Scale::Bench).is_none());
+        let other = plr_cells().remove(2);
+        assert!(cache.load(&*other, Scale::Bench).is_none());
         // Same id, different parameters ⇒ different key ⇒ miss. Simulate a
         // parameter change by writing `other`'s entry over `cell()`'s file.
         let dir = cache.dir().join(scale_tag(Scale::Bench));
@@ -270,8 +275,8 @@ mod tests {
         )
         .ok();
         assert_ne!(
-            cache.key(&cell(), Scale::Bench),
-            cache.key(&other, Scale::Bench)
+            cache.key(&*cell(), Scale::Bench),
+            cache.key(&*other, Scale::Bench)
         );
         let _ = std::fs::remove_dir_all(cache.dir());
     }
@@ -280,27 +285,27 @@ mod tests {
     fn scale_and_fingerprint_changes_miss() {
         let cache = temp_cache("fp", 7);
         let result = Json::Int(1);
-        cache.store(&cell(), Scale::Bench, &result).unwrap();
+        cache.store(&*cell(), Scale::Bench, &result).unwrap();
         // Same dir, same cell, different scale ⇒ different subdirectory.
-        assert!(cache.load(&cell(), Scale::Quick).is_none());
+        assert!(cache.load(&*cell(), Scale::Quick).is_none());
         // Same dir, same cell, different source fingerprint ⇒ key mismatch.
         let other_sources = Cache::new(cache.dir().to_path_buf(), 8);
-        assert!(other_sources.load(&cell(), Scale::Bench).is_none());
+        assert!(other_sources.load(&*cell(), Scale::Bench).is_none());
         // And the original still hits.
-        assert!(cache.load(&cell(), Scale::Bench).is_some());
+        assert!(cache.load(&*cell(), Scale::Bench).is_some());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
     fn corrupt_entries_are_misses() {
         let cache = temp_cache("corrupt", 7);
-        cache.store(&cell(), Scale::Bench, &Json::Int(1)).unwrap();
+        cache.store(&*cell(), Scale::Bench, &Json::Int(1)).unwrap();
         let path = cache
             .dir()
             .join(scale_tag(Scale::Bench))
             .join(cell().id() + ".json");
         std::fs::write(&path, "{not json").unwrap();
-        assert!(cache.load(&cell(), Scale::Bench).is_none());
+        assert!(cache.load(&*cell(), Scale::Bench).is_none());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -309,7 +314,7 @@ mod tests {
         let cache = temp_cache("sidecar", 7);
         let snapshot = "{\"schema\":\"propdiff-metrics-v1\"}";
         cache
-            .store_metrics(&cell(), Scale::Bench, snapshot)
+            .store_metrics(&*cell(), Scale::Bench, snapshot)
             .unwrap();
         let path = cache
             .dir()
@@ -317,7 +322,7 @@ mod tests {
             .join(cell().id() + ".metrics.json");
         assert_eq!(std::fs::read_to_string(path).unwrap(), snapshot);
         // The sidecar is not a cache entry.
-        assert!(cache.load(&cell(), Scale::Bench).is_none());
+        assert!(cache.load(&*cell(), Scale::Bench).is_none());
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -325,24 +330,24 @@ mod tests {
     fn shard_entries_round_trip_and_respect_their_split() {
         let cache = temp_cache("shard", 7);
         let partial = Json::obj(vec![("rows", Json::Arr(vec![Json::Int(3)]))]);
-        assert!(cache.load_shard(&cell(), Scale::Bench, 1, 4).is_none());
+        assert!(cache.load_shard(&*cell(), Scale::Bench, 1, 4).is_none());
         cache
-            .store_shard(&cell(), Scale::Bench, 1, 4, &partial, Some("{\"x\":1}"))
+            .store_shard(&*cell(), Scale::Bench, 1, 4, &partial, Some("{\"x\":1}"))
             .unwrap();
         assert_eq!(
-            cache.load_shard(&cell(), Scale::Bench, 1, 4),
+            cache.load_shard(&*cell(), Scale::Bench, 1, 4),
             Some((partial.clone(), Some("{\"x\":1}".into())))
         );
         // Same shard index under a different split is a different entry.
-        assert!(cache.load_shard(&cell(), Scale::Bench, 1, 2).is_none());
+        assert!(cache.load_shard(&*cell(), Scale::Bench, 1, 2).is_none());
         // The merged-entry namespace is untouched.
-        assert!(cache.load(&cell(), Scale::Bench).is_none());
+        assert!(cache.load(&*cell(), Scale::Bench).is_none());
         // A registry-less shard loads back with `None`.
         cache
-            .store_shard(&cell(), Scale::Bench, 0, 4, &partial, None)
+            .store_shard(&*cell(), Scale::Bench, 0, 4, &partial, None)
             .unwrap();
         assert_eq!(
-            cache.load_shard(&cell(), Scale::Bench, 0, 4),
+            cache.load_shard(&*cell(), Scale::Bench, 0, 4),
             Some((partial, None))
         );
         let _ = std::fs::remove_dir_all(cache.dir());
@@ -354,12 +359,12 @@ mod tests {
         let partial = Json::Int(1);
         for shard in 0..3 {
             cache
-                .store_shard(&cell(), Scale::Bench, shard, 3, &partial, None)
+                .store_shard(&*cell(), Scale::Bench, shard, 3, &partial, None)
                 .unwrap();
         }
-        cache.remove_shards(&cell(), Scale::Bench, 3);
+        cache.remove_shards(&*cell(), Scale::Bench, 3);
         for shard in 0..3 {
-            assert!(cache.load_shard(&cell(), Scale::Bench, shard, 3).is_none());
+            assert!(cache.load_shard(&*cell(), Scale::Bench, shard, 3).is_none());
         }
         let _ = std::fs::remove_dir_all(cache.dir());
     }

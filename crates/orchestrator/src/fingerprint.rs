@@ -3,17 +3,20 @@
 //! A cached cell is valid only while the code that produced it is
 //! unchanged. Rather than hashing the whole repository (so editing docs or
 //! the orchestrator itself would needlessly invalidate every result), the
-//! fingerprint covers exactly the crates whose code can change a simulated
-//! number: the simulation substrate, the schedulers, the statistics, and
-//! the experiment definitions.
+//! fingerprint covers exactly the crates whose code can change a byte of a
+//! cached result: the simulation substrate, the schedulers, the
+//! statistics, and the experiment definitions — which own every
+//! `impl Cell`, every shard-merge fold and every result encoding.
 
 use std::path::{Path, PathBuf};
 
 /// Crates (directory names under `crates/`) whose sources feed the
-/// fingerprint. The orchestrator is deliberately absent — the runner only
-/// schedules. Telemetry joined the list when the conformance monitor
-/// became a result producer: a monitor cell's violation counts are
-/// computed by telemetry code, so edits there must invalidate its cells.
+/// fingerprint. The orchestrator is deliberately absent: it sees cells
+/// only as `&dyn Cell` and schedules, caches and ships what they return
+/// (CI checks that no type outside `experiments` implements `Cell`).
+/// Telemetry is listed because the conformance monitor computes a monitor
+/// cell's violation counts and `telemetry::json` is the result codec, so
+/// edits there must invalidate cached cells.
 pub const FINGERPRINT_CRATES: [&str; 9] = [
     "simcore",
     "traffic",

@@ -3,9 +3,11 @@
 //! Every figure, table, and ablation in the reproduction is expressed as a
 //! cell in a sweep [`manifest`]: one independent unit of simulation work
 //! (one utilization point of Figure 1, one Table-1 topology configuration,
-//! one PLR σ target, …). Seed-swept cells further split into deterministic
-//! per-seed *shards* (`CellSpec::execute_shard` / `merge_shards`), and the
-//! [`runner`] executes uncached shards either on worker threads (the
+//! one PLR σ target, …). A cell is an `experiments::cell::Cell`: the
+//! experiment crate owns its identity, parameters, sharding, merge fold and
+//! result encoding, and this crate only schedules, caches and ships it.
+//! Seed-swept cells split into deterministic per-seed *shards*
+//! (`Cell::execute_shard` / `Cell::merge`), and the [`runner`] executes uncached shards either on worker threads (the
 //! experiment crate's work-stealing `parallel_map_on`) or — with
 //! `--workers N` — on a farm of separate `propdiff-run worker` processes
 //! fed over the stdin/stdout JSONL [`protocol`] by the parent-side pool in
@@ -19,24 +21,19 @@
 //! coordination substrate — exactly-once work, crash-resume, and zero-work
 //! warm merges. A warm re-run does zero simulation work.
 //!
-//! Two binaries front this crate:
-//!
-//! - `propdiff-run` — the cached, parallel path (`run`, `render`, `list`
-//!   subcommands; see its `--help`).
-//! - `all_experiments` — the sequential compatibility wrapper, printing the
-//!   same reports the retired per-figure binaries printed.
+//! One binary fronts this crate: `propdiff-run` (`run`, `render`, `list`
+//! subcommands; see its `--help`).
 //!
 //! The [`render`] module closes the docs loop: measured-number tables in
 //! `EXPERIMENTS.md` live between `<!-- generated:NAME -->` markers and are
-//! regenerated from cached cell results, so the document cannot silently
-//! drift from the code.
+//! regenerated from cached cell results by each suite's block renderer —
+//! the same blocks `propdiff-run run` prints — so the document cannot
+//! silently drift from the code.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod cell;
 pub mod fingerprint;
-pub mod json;
 pub mod manifest;
 pub mod protocol;
 pub mod render;

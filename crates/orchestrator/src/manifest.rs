@@ -1,207 +1,15 @@
-//! Declarative sweep manifests: every figure, table, and ablation as a
-//! list of [`CellSpec`]s built from the experiment crate's own sweep
-//! constants, so the manifest can never drift from the harness.
+//! Sweep manifests: a named suite's cells, looked up in the experiment
+//! crate's one suite table ([`experiments::cell::SUITES`]) so the manifest
+//! can never drift from the harness.
 
-use experiments::{ablations, dynamics, fig1, fig2, mesh, monitor, rank};
-use pdd::sched::SchedulerKind;
-
-use crate::cell::CellSpec;
+use experiments::cell::{suite_cells, Cell};
 
 /// A named sweep: the unit `propdiff-run` executes.
-#[derive(Debug, Clone)]
 pub struct Manifest {
     /// The suite name this manifest was built from.
     pub suite: String,
     /// Cells in canonical (merge) order.
-    pub cells: Vec<CellSpec>,
-}
-
-/// The suite names [`suite`] accepts, in canonical order.
-pub const SUITES: [&str; 20] = [
-    "all",
-    "figures",
-    "ablations",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig45",
-    "table1",
-    "shootout",
-    "feasibility",
-    "starvation",
-    "moderate-load",
-    "plr",
-    "additive",
-    "analytic",
-    "mixed-path",
-    "dynamics",
-    "rank",
-    "monitor",
-    "mesh",
-];
-
-fn fig1_cells() -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for sdp_ratio in [2.0, 4.0] {
-        for &utilization in &fig1::UTILIZATIONS {
-            cells.push(CellSpec::Fig1 {
-                sdp_ratio,
-                utilization,
-            });
-        }
-    }
-    cells
-}
-
-fn fig2_cells() -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for sdp_ratio in [2.0, 4.0] {
-        for dist in 0..fig2::DISTRIBUTIONS.len() {
-            cells.push(CellSpec::Fig2 { sdp_ratio, dist });
-        }
-    }
-    cells
-}
-
-fn fig3_cells() -> Vec<CellSpec> {
-    vec![
-        CellSpec::Fig3 {
-            kind: SchedulerKind::Wtp,
-        },
-        CellSpec::Fig3 {
-            kind: SchedulerKind::Bpr,
-        },
-    ]
-}
-
-fn fig45_cells() -> Vec<CellSpec> {
-    vec![
-        CellSpec::Fig45 {
-            kind: SchedulerKind::Bpr,
-        },
-        CellSpec::Fig45 {
-            kind: SchedulerKind::Wtp,
-        },
-    ]
-}
-
-fn table1_cells() -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for k_hops in [4usize, 8] {
-        for utilization in [0.85, 0.95] {
-            for flow_len in [10u32, 100] {
-                for flow_rate_kbps in [50.0, 200.0] {
-                    cells.push(CellSpec::Table1 {
-                        k_hops,
-                        utilization,
-                        flow_len,
-                        flow_rate_kbps,
-                    });
-                }
-            }
-        }
-    }
-    cells
-}
-
-fn feasibility_cells() -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for &utilization in &ablations::FEASIBILITY_UTILS {
-        for &spacing in &ablations::FEASIBILITY_SPACINGS {
-            cells.push(CellSpec::Feasibility {
-                utilization,
-                spacing,
-            });
-        }
-    }
-    cells
-}
-
-fn moderate_load_cells() -> Vec<CellSpec> {
-    ablations::MODERATE_LOAD_UTILS
-        .iter()
-        .map(|&utilization| CellSpec::ModerateLoad { utilization })
-        .collect()
-}
-
-fn plr_cells() -> Vec<CellSpec> {
-    ablations::PLR_SIGMAS
-        .iter()
-        .map(|&sigma| CellSpec::Plr { sigma })
-        .collect()
-}
-
-fn mixed_path_cells() -> Vec<CellSpec> {
-    (0..ablations::mixed_path_scenarios().len())
-        .map(|scenario| CellSpec::MixedPath { scenario })
-        .collect()
-}
-
-fn dynamics_cells() -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for &kind in &dynamics::SCHEDULERS {
-        for &perturbation in &dynamics::PERTURBATIONS {
-            cells.push(CellSpec::Dynamics { kind, perturbation });
-        }
-    }
-    cells
-}
-
-fn rank_cells() -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for &sdp_ratio in &rank::SDP_RATIOS {
-        for &utilization in &fig1::UTILIZATIONS {
-            cells.push(CellSpec::Rank {
-                sdp_ratio,
-                utilization,
-            });
-        }
-    }
-    cells
-}
-
-fn monitor_cells() -> Vec<CellSpec> {
-    let mut cells = Vec::new();
-    for &kind in &dynamics::SCHEDULERS {
-        for &window_punits in &monitor::WINDOW_LADDER {
-            cells.push(CellSpec::Monitor {
-                kind,
-                window_punits,
-            });
-        }
-    }
-    cells
-}
-
-fn mesh_cells() -> Vec<CellSpec> {
-    mesh::SCHEDULERS
-        .iter()
-        .map(|&kind| CellSpec::Mesh { kind })
-        .collect()
-}
-
-fn figures_cells() -> Vec<CellSpec> {
-    let mut cells = fig1_cells();
-    cells.extend(fig2_cells());
-    cells.extend(fig3_cells());
-    cells.extend(fig45_cells());
-    cells.extend(table1_cells());
-    cells
-}
-
-fn ablation_cells() -> Vec<CellSpec> {
-    let mut cells = vec![CellSpec::Shootout];
-    cells.extend(feasibility_cells());
-    cells.push(CellSpec::Starvation);
-    cells.extend(moderate_load_cells());
-    cells.extend(plr_cells());
-    cells.push(CellSpec::Additive);
-    cells.push(CellSpec::Analytic);
-    cells.extend(mixed_path_cells());
-    cells.extend(dynamics_cells());
-    cells.extend(rank_cells());
-    cells.extend(monitor_cells());
-    cells
+    pub cells: Vec<Box<dyn Cell>>,
 }
 
 /// Builds the manifest for a suite name, or `None` for an unknown name.
@@ -211,70 +19,40 @@ fn ablation_cells() -> Vec<CellSpec> {
 /// the online conformance-monitor study; `mesh` the fat-tree decomposition
 /// study; `all` everything; the remaining names select one experiment each.
 pub fn suite(name: &str) -> Option<Manifest> {
-    let cells = match name {
-        "all" => {
-            let mut cells = figures_cells();
-            cells.extend(ablation_cells());
-            cells.extend(mesh_cells());
-            cells
-        }
-        "figures" => figures_cells(),
-        "ablations" => ablation_cells(),
-        "fig1" => fig1_cells(),
-        "fig2" => fig2_cells(),
-        "fig3" => fig3_cells(),
-        "fig45" => fig45_cells(),
-        "table1" => table1_cells(),
-        "shootout" => vec![CellSpec::Shootout],
-        "feasibility" => feasibility_cells(),
-        "starvation" => vec![CellSpec::Starvation],
-        "moderate-load" => moderate_load_cells(),
-        "plr" => plr_cells(),
-        "additive" => vec![CellSpec::Additive],
-        "analytic" => vec![CellSpec::Analytic],
-        "mixed-path" => mixed_path_cells(),
-        "dynamics" => dynamics_cells(),
-        "rank" => rank_cells(),
-        "monitor" => monitor_cells(),
-        "mesh" => mesh_cells(),
-        _ => return None,
-    };
     Some(Manifest {
         suite: name.to_string(),
-        cells,
+        cells: suite_cells(name)?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use experiments::cell::suite_names;
 
     #[test]
-    fn every_suite_name_resolves() {
-        for name in SUITES {
-            let m = suite(name).unwrap_or_else(|| panic!("suite {name}"));
-            assert!(!m.cells.is_empty(), "{name} is empty");
-        }
+    fn unknown_suites_do_not_resolve() {
         assert!(suite("nope").is_none());
+        assert_eq!(suite("plr").expect("plr suite").suite, "plr");
     }
 
+    /// Pinned at the commit before the suites moved behind [`Cell`]: the
+    /// suite name order and every `all` cell's id and canonical params.
+    /// Cache keys, worker job indices and the merged document's cell
+    /// order all hang off these bytes.
     #[test]
-    fn all_is_figures_plus_ablations_plus_mesh() {
-        let all = suite("all").unwrap().cells.len();
-        let figures = suite("figures").unwrap().cells.len();
-        let ablations = suite("ablations").unwrap().cells.len();
-        let mesh = suite("mesh").unwrap().cells.len();
-        assert_eq!(all, figures + ablations + mesh);
-        // The sweep sizes the per-figure binaries used to run.
-        assert_eq!(suite("fig1").unwrap().cells.len(), 14);
-        assert_eq!(suite("fig2").unwrap().cells.len(), 14);
-        assert_eq!(suite("table1").unwrap().cells.len(), 16);
-        assert_eq!(suite("feasibility").unwrap().cells.len(), 18);
-        assert_eq!(suite("dynamics").unwrap().cells.len(), 4);
-        assert_eq!(suite("rank").unwrap().cells.len(), 14);
-        assert_eq!(suite("monitor").unwrap().cells.len(), 8);
-        assert_eq!(figures, 48);
-        assert_eq!(ablations, 60);
-        assert_eq!(mesh, 3);
+    fn suite_names_ids_and_params_are_pinned() {
+        let mut h = crate::fingerprint::Fnv::new();
+        for name in suite_names() {
+            h.write(name.as_bytes());
+            h.write(b"\n");
+        }
+        for cell in &suite("all").unwrap().cells {
+            h.write(cell.id().as_bytes());
+            h.write(b"\n");
+            h.write(cell.params().serialize().as_bytes());
+            h.write(b"\n");
+        }
+        assert_eq!(h.finish(), 0xd77d_f240_e653_37f6);
     }
 }

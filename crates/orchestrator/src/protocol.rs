@@ -7,22 +7,22 @@
 //! deliberately minimal:
 //!
 //! - A job names its cell by **suite name + manifest index** (plus the
-//!   cell id as a cross-check), so the worker rebuilds the [`CellSpec`]
-//!   from the same `manifest::suite` table the parent used — no cell
+//!   cell id as a cross-check), so the worker rebuilds the [`Cell`] from
+//!   the same `manifest::suite` table the parent used — no cell
 //!   serialization, no drift between the two sides of the pipe.
 //! - The scale travels as its [`scale_tag`] string; [`parse_scale_tag`]
 //!   is the exact inverse.
-//! - A reply carries the shard's partial-result JSON verbatim. The
-//!   orchestrator's [`Json`] satisfies `parse ∘ serialize = identity`, so
+//! - A reply carries the shard's partial-result JSON verbatim. [`Json`]
+//!   satisfies `parse ∘ serialize = identity`, so
 //!   shipping a partial through the pipe cannot change any value — the
 //!   foundation of the farm's byte-identity guarantee.
 //!
-//! [`CellSpec`]: crate::cell::CellSpec
+//! [`Cell`]: experiments::cell::Cell
 
 use experiments::Scale;
+use pdd::telemetry::json::Json;
 
 use crate::cache::scale_tag;
-use crate::json::Json;
 
 /// One shard-execution request, sent parent → worker as one line.
 #[derive(Debug, Clone, PartialEq)]

@@ -3,49 +3,34 @@
 //! markers and are rewritten from merged results, so the document can
 //! never silently drift from the code (CI regenerates and diffs).
 
-use crate::json::Json;
+use experiments::cell::{markdown_table, suite_names, SUITES};
+use pdd::telemetry::json::Json;
+
 use crate::manifest;
 
-/// Renders every generated block derivable from a merged results document
-/// as `(name, markdown body)` pairs.
+/// Renders the blocks of every suite with complete cells in a merged
+/// results document as `(name, markdown body)` pairs, in suite-table order
+/// — what `propdiff-run run` prints.
+pub fn suite_blocks(merged: &Json) -> Vec<(String, String)> {
+    SUITES
+        .iter()
+        .flat_map(|suite| suite.blocks)
+        .filter_map(|(name, render)| Some((name.to_string(), render(merged)?)))
+        .collect()
+}
+
+/// Every generated block a document may carry: the [`suite_blocks`] plus
+/// the suite catalog.
 pub fn generated_blocks(merged: &Json) -> Vec<(String, String)> {
-    let mut blocks = Vec::new();
-    let push = |blocks: &mut Vec<(String, String)>, name: &str, body: Option<String>| {
-        if let Some(body) = body {
-            blocks.push((name.to_string(), body));
-        }
-    };
-    push(&mut blocks, "fig1a", fig1_table(merged, 2.0));
-    push(&mut blocks, "fig1b", fig1_table(merged, 4.0));
-    push(&mut blocks, "fig2a", fig2_table(merged, 2.0));
-    push(&mut blocks, "fig3", fig3_table(merged));
-    push(&mut blocks, "fig45", fig45_table(merged));
-    push(&mut blocks, "table1", table1_grid(merged));
-    push(
-        &mut blocks,
-        "table1-consistency",
-        table1_consistency(merged),
-    );
-    push(&mut blocks, "shootout", shootout_table(merged));
-    push(&mut blocks, "feasibility", feasibility_table(merged));
-    push(&mut blocks, "starvation", starvation_table(merged));
-    push(&mut blocks, "moderate-load", moderate_load_table(merged));
-    push(&mut blocks, "plr", plr_table(merged));
-    push(&mut blocks, "additive", additive_table(merged));
-    push(&mut blocks, "analytic", analytic_table(merged));
-    push(&mut blocks, "mixed-path", mixed_path_table(merged));
-    push(&mut blocks, "dynamics", dynamics_table(merged));
-    push(&mut blocks, "rank", rank_table(merged));
-    push(&mut blocks, "monitor", monitor_table(merged));
-    push(&mut blocks, "mesh", mesh_table(merged));
-    push(&mut blocks, "suite-catalog", suite_catalog());
+    let mut blocks = suite_blocks(merged);
+    blocks.push(("suite-catalog".to_string(), suite_catalog()));
     blocks
 }
 
 /// The suite catalog, derived from the manifest itself (not from results),
 /// so hand-written cell totals in the docs can never drift from the code.
-fn suite_catalog() -> Option<String> {
-    let rows = manifest::SUITES
+fn suite_catalog() -> String {
+    let rows = suite_names()
         .iter()
         .map(|name| {
             let m = manifest::suite(name).expect("known suite");
@@ -61,10 +46,7 @@ fn suite_catalog() -> Option<String> {
             ]
         })
         .collect();
-    Some(markdown_table(
-        &["suite", "cells", "shards (quick scale)"],
-        rows,
-    ))
+    markdown_table(&["suite", "cells", "shards (quick scale)"], rows)
 }
 
 /// Rewrites every generated block that appears in `doc`.
@@ -121,691 +103,6 @@ pub fn substitute(doc: &str, name: &str, body: &str) -> Result<String, String> {
     ))
 }
 
-/// The result objects (with params) of every complete cell in a group.
-fn group_cells<'a>(merged: &'a Json, group: &str) -> Vec<&'a Json> {
-    merged
-        .get("cells")
-        .and_then(Json::as_arr)
-        .unwrap_or_default()
-        .iter()
-        .filter(|c| c.get("group").and_then(Json::as_str) == Some(group))
-        .filter(|c| c.get("result").is_some_and(|r| *r != Json::Null))
-        .collect()
-}
-
-fn param_f64(cell: &Json, key: &str) -> Option<f64> {
-    cell.get("params")?.get(key)?.as_f64()
-}
-
-fn result(cell: &Json) -> &Json {
-    cell.get("result").expect("complete cell")
-}
-
-fn fmt_row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
-}
-
-fn markdown_table(header: &[&str], rows: Vec<Vec<String>>) -> String {
-    let mut out = fmt_row(&header.iter().map(|h| h.to_string()).collect::<Vec<_>>());
-    out.push('\n');
-    out.push_str(&fmt_row(
-        &header.iter().map(|_| "---".to_string()).collect::<Vec<_>>(),
-    ));
-    for row in rows {
-        out.push('\n');
-        out.push_str(&fmt_row(&row));
-    }
-    out
-}
-
-fn ratio_cells(result: &Json, key: &str) -> Vec<String> {
-    result
-        .get(key)
-        .and_then(Json::as_arr)
-        .unwrap_or_default()
-        .iter()
-        .map(|r| format!("{:.2}", r.as_f64().unwrap_or(f64::NAN)))
-        .collect()
-}
-
-fn fig1_table(merged: &Json, sdp_ratio: f64) -> Option<String> {
-    let cells: Vec<_> = group_cells(merged, "fig1")
-        .into_iter()
-        .filter(|c| param_f64(c, "sdp_ratio") == Some(sdp_ratio))
-        .collect();
-    if cells.is_empty() {
-        return None;
-    }
-    let rows = cells
-        .iter()
-        .map(|c| {
-            let r = result(c);
-            let mut row = vec![format!(
-                "{:.1}%",
-                r.get("utilization").and_then(Json::as_f64).unwrap_or(0.0) * 100.0
-            )];
-            row.extend(ratio_cells(r, "wtp"));
-            row.extend(ratio_cells(r, "bpr"));
-            row
-        })
-        .collect();
-    Some(markdown_table(
-        &[
-            "util", "WTP 1/2", "WTP 2/3", "WTP 3/4", "BPR 1/2", "BPR 2/3", "BPR 3/4",
-        ],
-        rows,
-    ))
-}
-
-fn fig2_table(merged: &Json, sdp_ratio: f64) -> Option<String> {
-    let cells: Vec<_> = group_cells(merged, "fig2")
-        .into_iter()
-        .filter(|c| param_f64(c, "sdp_ratio") == Some(sdp_ratio))
-        .collect();
-    if cells.is_empty() {
-        return None;
-    }
-    let rows = cells
-        .iter()
-        .map(|c| {
-            let r = result(c);
-            let label = r
-                .get("fractions")
-                .and_then(Json::as_arr)
-                .unwrap_or_default()
-                .iter()
-                .map(|f| format!("{}", (f.as_f64().unwrap_or(0.0) * 100.0).round() as u64))
-                .collect::<Vec<_>>()
-                .join("/");
-            let mut row = vec![label];
-            row.extend(ratio_cells(r, "wtp"));
-            row.extend(ratio_cells(r, "bpr"));
-            row
-        })
-        .collect();
-    Some(markdown_table(
-        &[
-            "loads %", "WTP 1/2", "WTP 2/3", "WTP 3/4", "BPR 1/2", "BPR 2/3", "BPR 3/4",
-        ],
-        rows,
-    ))
-}
-
-fn fig3_table(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "fig3");
-    if cells.is_empty() {
-        return None;
-    }
-    let mut rows = Vec::new();
-    for c in cells {
-        let r = result(c);
-        let sched = r.get("scheduler").and_then(Json::as_str).unwrap_or("?");
-        for tau in r.get("taus").and_then(Json::as_arr).unwrap_or_default() {
-            let five: Vec<String> = tau
-                .get("five_number")
-                .and_then(Json::as_arr)
-                .unwrap_or_default()
-                .iter()
-                .map(|v| format!("{:.2}", v.as_f64().unwrap_or(f64::NAN)))
-                .collect();
-            let mut row = vec![
-                sched.to_string(),
-                format!(
-                    "{}",
-                    tau.get("tau_punits").and_then(Json::as_i64).unwrap_or(0)
-                ),
-            ];
-            row.extend(five);
-            rows.push(row);
-        }
-    }
-    Some(markdown_table(
-        &["sched", "τ (p-units)", "p5", "p25", "median", "p75", "p95"],
-        rows,
-    ))
-}
-
-fn fig45_table(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "fig45");
-    if cells.is_empty() {
-        return None;
-    }
-    let rows = cells
-        .iter()
-        .map(|c| {
-            let r = result(c);
-            let mut row = vec![r
-                .get("scheduler")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string()];
-            for v in r
-                .get("roughness")
-                .and_then(Json::as_arr)
-                .unwrap_or_default()
-            {
-                row.push(format!("{:.3}", v.as_f64().unwrap_or(f64::NAN)));
-            }
-            row.push(format!(
-                "**{:.3}**",
-                r.get("mean_roughness")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(f64::NAN)
-            ));
-            row
-        })
-        .collect();
-    Some(markdown_table(
-        &["scheduler", "class 1", "class 2", "class 3", "mean"],
-        rows,
-    ))
-}
-
-fn table1_grid(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "table1");
-    if cells.is_empty() {
-        return None;
-    }
-    let lookup = |k: i64, rho: f64, f: i64, rate: f64| -> Option<f64> {
-        let matches = |c: &&&Json| -> Option<bool> {
-            let p = c.get("params")?;
-            Some(
-                p.get("k_hops")?.as_i64()? == k
-                    && (p.get("utilization")?.as_f64()? - rho).abs() < 1e-9
-                    && p.get("flow_len")?.as_i64()? == f
-                    && (p.get("flow_rate_kbps")?.as_f64()? - rate).abs() < 1e-9,
-            )
-        };
-        cells
-            .iter()
-            .find(|c| matches(c).unwrap_or(false))
-            .and_then(|c| result(c).get("rd").and_then(Json::as_f64))
-    };
-    let mut rows = Vec::new();
-    for k in [4i64, 8] {
-        for rho in [0.85, 0.95] {
-            let mut row = vec![format!("K={k} ρ={:.0}%", rho * 100.0)];
-            for (f, rate) in [(10i64, 50.0), (10, 200.0), (100, 50.0), (100, 200.0)] {
-                row.push(match lookup(k, rho, f, rate) {
-                    Some(rd) => format!("{rd:.1}"),
-                    None => "—".into(),
-                });
-            }
-            rows.push(row);
-        }
-    }
-    Some(markdown_table(
-        &["", "F=10 R=50", "F=10 R=200", "F=100 R=50", "F=100 R=200"],
-        rows,
-    ))
-}
-
-fn table1_consistency(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "table1");
-    if cells.is_empty() {
-        return None;
-    }
-    let sum = |key: &str| -> i64 {
-        cells
-            .iter()
-            .filter_map(|c| result(c).get(key).and_then(Json::as_i64))
-            .sum()
-    };
-    let total = sum("experiments");
-    let inconsistent = sum("inconsistent_experiments");
-    let strict = sum("inconsistent_strict");
-    Some(format!(
-        "Inconsistent differentiation: **{inconsistent} of {total}** user experiments \
-         beyond one packet transmission time per hop ({strict} at strict nanosecond \
-         resolution); the paper reports zero."
-    ))
-}
-
-fn shootout_table(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "shootout");
-    let r = result(cells.first()?);
-    let rows = r
-        .get("rows")
-        .and_then(Json::as_arr)?
-        .iter()
-        .map(|row| {
-            let mut out = vec![row
-                .get("scheduler")
-                .and_then(Json::as_str)
-                .unwrap_or("?")
-                .to_string()];
-            out.extend(ratio_cells(row, "ratios"));
-            out.push(format!(
-                "{:.1}%",
-                row.get("deviation")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(f64::NAN)
-                    * 100.0
-            ));
-            out
-        })
-        .collect();
-    Some(markdown_table(
-        &[
-            "scheduler",
-            "d1/d2",
-            "d2/d3",
-            "d3/d4",
-            "mean \\|dev\\| from 2.0",
-        ],
-        rows,
-    ))
-}
-
-fn feasibility_table(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "feasibility");
-    if cells.is_empty() {
-        return None;
-    }
-    let rows = cells
-        .iter()
-        .map(|c| {
-            let r = result(c);
-            vec![
-                format!(
-                    "{:.0}%",
-                    r.get("utilization").and_then(Json::as_f64).unwrap_or(0.0) * 100.0
-                ),
-                format!(
-                    "{:.1}",
-                    r.get("spacing").and_then(Json::as_f64).unwrap_or(0.0)
-                ),
-                if r.get("feasible").and_then(Json::as_bool).unwrap_or(false) {
-                    "yes".into()
-                } else {
-                    "**NO**".to_string()
-                },
-                format!(
-                    "{:+.3}",
-                    r.get("worst_slack")
-                        .and_then(Json::as_f64)
-                        .unwrap_or(f64::NAN)
-                ),
-            ]
-        })
-        .collect();
-    Some(markdown_table(
-        &["util", "spacing", "feasible", "worst subset slack"],
-        rows,
-    ))
-}
-
-fn starvation_table(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "starvation");
-    let r = result(cells.first()?);
-    let rows = r
-        .get("probes")
-        .and_then(Json::as_arr)?
-        .iter()
-        .map(|p| {
-            let flag = |key: &str| {
-                if p.get(key).and_then(Json::as_bool).unwrap_or(false) {
-                    "starve".to_string()
-                } else {
-                    "-".to_string()
-                }
-            };
-            vec![
-                format!(
-                    "{:.1}",
-                    p.get("sdp_ratio").and_then(Json::as_f64).unwrap_or(0.0)
-                ),
-                format!(
-                    "{:.2}",
-                    p.get("condition_lhs").and_then(Json::as_f64).unwrap_or(0.0)
-                ),
-                format!(
-                    "{:.2}",
-                    p.get("condition_rhs").and_then(Json::as_f64).unwrap_or(0.0)
-                ),
-                flag("predicted"),
-                flag("observed"),
-            ]
-        })
-        .collect();
-    Some(markdown_table(
-        &["s2/s1", "1−R/R₁", "s1/s2", "predicted", "observed"],
-        rows,
-    ))
-}
-
-fn moderate_load_table(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "moderate-load");
-    if cells.is_empty() {
-        return None;
-    }
-    let rows = cells
-        .iter()
-        .map(|c| {
-            let r = result(c);
-            let mut row = vec![format!(
-                "{:.0}%",
-                r.get("utilization").and_then(Json::as_f64).unwrap_or(0.0) * 100.0
-            )];
-            for entry in r.get("rows").and_then(Json::as_arr).unwrap_or_default() {
-                row.push(format!(
-                    "{:.2}",
-                    entry
-                        .get("mean_ratio")
-                        .and_then(Json::as_f64)
-                        .unwrap_or(f64::NAN)
-                ));
-            }
-            row
-        })
-        .collect();
-    Some(markdown_table(&["util", "WTP", "BPR", "PAD", "HPD"], rows))
-}
-
-fn plr_table(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "plr");
-    if cells.is_empty() {
-        return None;
-    }
-    let num = |r: &Json, key: &str| match r.get(key).and_then(Json::as_f64) {
-        Some(v) => format!("{v:.2}"),
-        None => "n/a".into(),
-    };
-    let rows = cells
-        .iter()
-        .map(|c| {
-            let r = result(c);
-            vec![
-                format!(
-                    "{:.0}",
-                    r.get("sigma").and_then(Json::as_f64).unwrap_or(0.0)
-                ),
-                num(r, "plr_loss_ratio"),
-                num(r, "taildrop_loss_ratio"),
-                num(r, "delay_ratio"),
-            ]
-        })
-        .collect();
-    Some(markdown_table(
-        &[
-            "target σ1/σ2",
-            "PLR loss ratio",
-            "tail-drop loss ratio",
-            "delay ratio (target 2)",
-        ],
-        rows,
-    ))
-}
-
-fn additive_table(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "additive");
-    let r = result(cells.first()?);
-    let p = pdd::traffic::PAPER_MEAN_PACKET_BYTES;
-    let diffs = r.get("differences").and_then(Json::as_arr)?;
-    let targets = r.get("targets").and_then(Json::as_arr)?;
-    let rows = diffs
-        .iter()
-        .zip(targets)
-        .enumerate()
-        .map(|(i, (d, t))| {
-            vec![
-                format!("{}/{}", i + 1, i + 2),
-                format!("{:.1}", d.as_f64().unwrap_or(f64::NAN) / p),
-                format!("{:.1}", t.as_f64().unwrap_or(f64::NAN) / p),
-            ]
-        })
-        .collect();
-    Some(markdown_table(
-        &["pair", "measured dᵢ−dⱼ (p-units)", "target sⱼ−sᵢ (p-units)"],
-        rows,
-    ))
-}
-
-fn analytic_table(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "analytic");
-    let r = result(cells.first()?);
-    let rows = r
-        .get("rows")
-        .and_then(Json::as_arr)?
-        .iter()
-        .map(|row| {
-            let m = row
-                .get("simulated")
-                .and_then(Json::as_f64)
-                .unwrap_or(f64::NAN);
-            let p = row.get("theory").and_then(Json::as_f64).unwrap_or(f64::NAN);
-            vec![
-                row.get("scheduler")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                format!("{}", row.get("class").and_then(Json::as_i64).unwrap_or(0)),
-                format!("{m:.1}"),
-                format!("{p:.1}"),
-                format!("{:+.1}%", (m / p - 1.0) * 100.0),
-            ]
-        })
-        .collect();
-    Some(markdown_table(
-        &["scheduler", "class", "simulated", "theory", "error"],
-        rows,
-    ))
-}
-
-fn mixed_path_table(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "mixed-path");
-    if cells.is_empty() {
-        return None;
-    }
-    let rows = cells
-        .iter()
-        .map(|c| {
-            let r = result(c);
-            vec![
-                r.get("label")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                format!(
-                    "{:.2}",
-                    r.get("rd").and_then(Json::as_f64).unwrap_or(f64::NAN)
-                ),
-                format!(
-                    "{}",
-                    r.get("inconsistent_experiments")
-                        .and_then(Json::as_i64)
-                        .unwrap_or(0)
-                ),
-            ]
-        })
-        .collect();
-    Some(markdown_table(
-        &["per-hop schedulers", "end-to-end R_D", "inconsistent exps"],
-        rows,
-    ))
-}
-
-fn dynamics_table(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "dynamics");
-    if cells.is_empty() {
-        return None;
-    }
-    let rows = cells
-        .iter()
-        .map(|c| {
-            let r = result(c);
-            let seeds = r.get("seeds").and_then(Json::as_i64).unwrap_or(0);
-            let mut row = vec![
-                r.get("scheduler")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                r.get("perturbation")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-            ];
-            for pair in r.get("pairs").and_then(Json::as_arr).unwrap_or_default() {
-                let settled = pair.get("settled").and_then(Json::as_i64).unwrap_or(0);
-                row.push(
-                    match pair.get("mean_settle_punits").and_then(Json::as_f64) {
-                        Some(m) => format!("{m:.0} ({settled}/{seeds})"),
-                        None => "not settled".into(),
-                    },
-                );
-            }
-            row.push(match r.get("headline_punits").and_then(Json::as_f64) {
-                Some(m) => format!("**{m:.0}**"),
-                None => "—".into(),
-            });
-            row
-        })
-        .collect();
-    Some(markdown_table(
-        &[
-            "scheduler",
-            "perturbation",
-            "1/2 (p-units)",
-            "2/3 (p-units)",
-            "3/4 (p-units)",
-            "mean",
-        ],
-        rows,
-    ))
-}
-
-fn rank_table(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "rank");
-    if cells.is_empty() {
-        return None;
-    }
-    let dev = |r: &Json, key: &str, target: f64| -> String {
-        let ratios: Vec<f64> = r
-            .get(key)
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-            .iter()
-            .filter_map(Json::as_f64)
-            .collect();
-        if ratios.is_empty() || target == 0.0 {
-            return "—".into();
-        }
-        let mean =
-            ratios.iter().map(|v| (v / target - 1.0).abs()).sum::<f64>() / ratios.len() as f64;
-        format!("{:.0}%", mean * 100.0)
-    };
-    let rows = cells
-        .iter()
-        .map(|c| {
-            let r = result(c);
-            let target = r.get("sdp_ratio").and_then(Json::as_f64).unwrap_or(0.0);
-            let mut row = vec![
-                format!("{target:.0}"),
-                format!(
-                    "{:.1}%",
-                    r.get("utilization").and_then(Json::as_f64).unwrap_or(0.0) * 100.0
-                ),
-            ];
-            row.extend(ratio_cells(r, "lstf"));
-            row.push(dev(r, "lstf", target));
-            row.push(dev(r, "wtp", target));
-            row
-        })
-        .collect();
-    Some(markdown_table(
-        &[
-            "target", "util", "LSTF 1/2", "LSTF 2/3", "LSTF 3/4", "LSTF dev", "WTP dev",
-        ],
-        rows,
-    ))
-}
-
-fn monitor_table(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "monitor");
-    if cells.is_empty() {
-        return None;
-    }
-    let rows = cells
-        .iter()
-        .map(|c| {
-            let r = result(c);
-            let int = |key: &str| r.get(key).and_then(Json::as_i64).unwrap_or(0);
-            let num = |key: &str| r.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
-            vec![
-                r.get("scheduler")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                format!("{}", int("window_punits")),
-                format!("{}", int("pairs_evaluated")),
-                format!("{}", int("steady_violations")),
-                format!("{:.3}", num("violation_rate")),
-                format!(
-                    "{} ({} inv)",
-                    int("transient_violations"),
-                    int("inversions")
-                ),
-                format!("{:.0}", num("mean_quiet_punits")),
-                format!("{:.2}", num("max_drift")),
-            ]
-        })
-        .collect();
-    Some(markdown_table(
-        &[
-            "scheduler",
-            "window (p)",
-            "eval pairs",
-            "steady viol",
-            "viol rate",
-            "transient viol",
-            "quiet after (p)",
-            "max drift",
-        ],
-        rows,
-    ))
-}
-
-fn mesh_table(merged: &Json) -> Option<String> {
-    let cells = group_cells(merged, "mesh");
-    if cells.is_empty() {
-        return None;
-    }
-    let rows = cells
-        .iter()
-        .map(|c| {
-            let r = result(c);
-            let int = |key: &str| r.get(key).and_then(Json::as_i64).unwrap_or(0);
-            let mut row = vec![
-                r.get("scheduler")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string(),
-                format!("{}", int("links")),
-                format!("{}", int("flows")),
-                format!("{}", int("packet_hops")),
-            ];
-            row.extend(ratio_cells(r, "hop_ratios"));
-            row.extend(ratio_cells(r, "e2e_ratios"));
-            row
-        })
-        .collect();
-    Some(markdown_table(
-        &[
-            "scheduler",
-            "links",
-            "flows",
-            "packet-hops",
-            "hop 1/2",
-            "hop 2/3",
-            "hop 3/4",
-            "e2e 1/2",
-            "e2e 2/3",
-            "e2e 3/4",
-        ],
-        rows,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -843,7 +140,7 @@ mod tests {
 
     #[test]
     fn suite_catalog_tracks_the_manifest() {
-        let table = suite_catalog().expect("always renders");
+        let table = suite_catalog();
         let all = manifest::suite("all").unwrap();
         assert!(
             table.contains(&format!("| `all` | {} |", all.cells.len())),
@@ -851,36 +148,8 @@ mod tests {
         );
         assert_eq!(
             table.lines().count(),
-            manifest::SUITES.len() + 2,
+            suite_names().len() + 2,
             "one row per suite plus header"
         );
-    }
-
-    #[test]
-    fn tables_render_from_synthetic_results() {
-        let cell = Json::obj(vec![
-            ("id", Json::Str("fig1-s2-u0_7".into())),
-            ("group", Json::Str("fig1".into())),
-            (
-                "params",
-                Json::obj(vec![
-                    ("group", Json::Str("fig1".into())),
-                    ("sdp_ratio", Json::Int(2)),
-                    ("utilization", Json::Float(0.7)),
-                ]),
-            ),
-            (
-                "result",
-                Json::obj(vec![
-                    ("utilization", Json::Float(0.7)),
-                    ("wtp", Json::nums(&[1.49, 1.43, 1.27])),
-                    ("bpr", Json::nums(&[1.33, 1.26, 1.12])),
-                ]),
-            ),
-        ]);
-        let merged = Json::obj(vec![("cells", Json::Arr(vec![cell]))]);
-        let table = fig1_table(&merged, 2.0).expect("renders");
-        assert!(table.contains("| 70.0% | 1.49 | 1.43 | 1.27 | 1.33 | 1.26 | 1.12 |"));
-        assert!(fig1_table(&merged, 4.0).is_none(), "no panel-b cells");
     }
 }

@@ -15,12 +15,12 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use experiments::cell::{Cell, Partial};
 use experiments::{parallel_map_on, Scale};
+use pdd::telemetry::json::Json;
 
 use crate::cache::{scale_tag, Cache, SCHEMA_VERSION};
-use crate::cell::CellSpec;
 use crate::fingerprint::{source_fingerprint, workspace_root};
-use crate::json::Json;
 use crate::manifest::Manifest;
 use crate::worker::{run_pool, ShardJob};
 
@@ -90,8 +90,8 @@ impl RunReport {
 /// some possibly pre-filled from the shard cache.
 struct Work<'a> {
     idx: usize,
-    cell: &'a CellSpec,
-    slots: Vec<Option<(Json, Option<String>)>>,
+    cell: &'a dyn Cell,
+    slots: Vec<Option<Partial>>,
     secs: f64,
 }
 
@@ -106,14 +106,14 @@ pub fn run(manifest: &Manifest, opts: &RunOptions) -> RunReport {
     let scale = opts.scale;
 
     // Phase 1: merged-entry cache lookups, in manifest order.
-    let lookups: Vec<(usize, &CellSpec, Option<Json>)> = manifest
+    let lookups: Vec<(usize, &dyn Cell, Option<Json>)> = manifest
         .cells
         .iter()
         .enumerate()
-        .map(|(i, cell)| (i, cell, cache.load(cell, scale)))
+        .map(|(i, cell)| (i, cell.as_ref(), cache.load(cell.as_ref(), scale)))
         .collect();
     let cached = lookups.iter().filter(|(_, _, r)| r.is_some()).count();
-    let misses: Vec<(usize, &CellSpec)> = lookups
+    let misses: Vec<(usize, &dyn Cell)> = lookups
         .iter()
         .filter(|(_, _, r)| r.is_none())
         .map(|&(i, cell, _)| (i, cell))
@@ -191,7 +191,7 @@ pub fn run(manifest: &Manifest, opts: &RunOptions) -> RunReport {
                 let cache = &cache;
                 let on_done = &on_done;
                 move || {
-                    let cell = &manifest.cells[job.cell];
+                    let cell = manifest.cells[job.cell].as_ref();
                     let started = std::time::Instant::now();
                     let (partial, registry) = cell.execute_shard(scale, job.shard);
                     if let Err(e) = cache.store_shard(
@@ -219,7 +219,7 @@ pub fn run(manifest: &Manifest, opts: &RunOptions) -> RunReport {
     let shards_executed = shard_results.len();
 
     // Phase 3: slot the finished shards home, then merge each cell in seed
-    // order — the same arithmetic `CellSpec::execute` runs single-process,
+    // order — the same arithmetic `Cell::execute` runs single-process,
     // so the merged result is byte-identical to a run with no farm at all.
     let work_of: HashMap<usize, usize> = works
         .iter()
@@ -236,7 +236,7 @@ pub fn run(manifest: &Manifest, opts: &RunOptions) -> RunReport {
     let mut results: Vec<Option<Json>> = lookups.into_iter().map(|(_, _, r)| r).collect();
     for work in works {
         let shards = work.slots.len();
-        let parts: Vec<(Json, Option<String>)> = work
+        let parts: Vec<Partial> = work
             .slots
             .into_iter()
             .map(|s| s.expect("every shard executed or resumed"))
@@ -291,10 +291,11 @@ pub fn run(manifest: &Manifest, opts: &RunOptions) -> RunReport {
         .iter()
         .zip(&results)
         .map(|(cell, result)| {
+            let params = cell.params();
             Json::obj(vec![
                 ("id", Json::Str(cell.id())),
-                ("group", Json::Str(cell.group().into())),
-                ("params", cell.params()),
+                ("group", params.get("group").cloned().unwrap_or(Json::Null)),
+                ("params", params),
                 ("result", result.clone().unwrap_or(Json::Null)),
             ])
         })

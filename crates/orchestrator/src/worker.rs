@@ -25,10 +25,11 @@ use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use experiments::cell::Cell;
 use experiments::Scale;
+use pdd::telemetry::json::Json;
 
 use crate::cache::Cache;
-use crate::json::Json;
 use crate::manifest::{self, Manifest};
 use crate::protocol::{Job, Reply};
 
@@ -221,7 +222,7 @@ pub(crate) fn run_pool(
                     let Some((job, attempt)) = queue.lock().expect("queue lock").pop_front() else {
                         break;
                     };
-                    let spec = &manifest.cells[job.cell];
+                    let spec = manifest.cells[job.cell].as_ref();
                     let wire = Job {
                         suite: manifest.suite.clone(),
                         cell: job.cell,
@@ -333,7 +334,7 @@ pub(crate) fn run_pool(
 /// Stores a finished shard, reports progress, and records the result.
 #[allow(clippy::too_many_arguments)]
 fn finish(
-    spec: &crate::cell::CellSpec,
+    spec: &dyn Cell,
     scale: Scale,
     job: ShardJob,
     partial: Json,

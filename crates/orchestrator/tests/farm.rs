@@ -144,7 +144,7 @@ fn a_new_run_resumes_from_shards_banked_by_an_interrupted_one() {
     // into the cache before dying.
     let cache_dir = dir.join("cache");
     let cache = Cache::new(cache_dir.clone(), source_fingerprint(&workspace_root()));
-    let cell = &m.cells[0];
+    let cell = m.cells[0].as_ref();
     let shards = cell.shard_count(SCALE);
     assert_eq!(shards, 3, "fig3 cells shard per seed");
     for shard in [0, 2] {
@@ -168,5 +168,56 @@ fn a_new_run_resumes_from_shards_banked_by_an_interrupted_one() {
     // And the merged document is still exactly the from-scratch answer.
     let reference = threaded_reference("fig3", &dir.join("fresh_cache"));
     assert_eq!(report.merged.serialize(), reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `propdiff-run <args>` in a private directory: exit success, stdout,
+/// stderr.
+fn cli(dir: &Path, args: &[&str]) -> (bool, String, String) {
+    let out = Command::new(PROPDIFF_RUN)
+        .args(args)
+        .arg("--cache-dir")
+        .arg(dir.join("cache"))
+        .arg("--out")
+        .arg(dir.join("out.json"))
+        .arg("--csv-dir")
+        .arg(dir.join("csv"))
+        .output()
+        .expect("spawn propdiff-run");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn non_numeric_counts_are_usage_errors_not_silent_defaults() {
+    let dir = fresh_dir("usage");
+    for flag in ["--threads", "--workers", "--max-cells"] {
+        let (ok, _, stderr) = cli(&dir, &["run", "--suite", "starvation", flag, "x"]);
+        assert!(!ok, "`{flag} x` must exit non-zero");
+        assert!(
+            stderr.contains("usage:") && stderr.contains(flag),
+            "`{flag} x` must name the flag: {stderr}"
+        );
+    }
+    assert!(
+        !dir.join("out.json").exists(),
+        "a usage error must not run the suite"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_prints_the_suites_rendered_blocks_unless_quiet() {
+    let dir = fresh_dir("stdout");
+    let (ok, stdout, _) = cli(&dir, &["run", "--suite", "starvation"]);
+    assert!(ok);
+    assert!(stdout.starts_with("## starvation\n\n| s2/s1 |"), "{stdout}");
+    assert!(!stdout.contains("suite-catalog"));
+    let (ok, stdout, _) = cli(&dir, &["run", "--suite", "starvation", "--quiet"]);
+    assert!(ok);
+    assert!(stdout.is_empty(), "--quiet must silence stdout: {stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }

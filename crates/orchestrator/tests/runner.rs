@@ -7,7 +7,8 @@ use std::path::PathBuf;
 
 use experiments::Scale;
 use orchestrator::manifest::suite;
-use orchestrator::runner::{run, RunOptions};
+use orchestrator::runner::{run, write_fig45_csvs, RunOptions};
+use pdd::telemetry::json::Json;
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pdd_runner_test_{name}"));
@@ -106,7 +107,7 @@ fn incomplete_merge_marks_skipped_cells_null() {
     let cells = partial
         .merged
         .get("cells")
-        .and_then(orchestrator::json::Json::as_arr)
+        .and_then(Json::as_arr)
         .expect("cells array");
     assert_eq!(
         cells.len(),
@@ -115,12 +116,27 @@ fn incomplete_merge_marks_skipped_cells_null() {
     );
     let nulls = cells
         .iter()
-        .filter(|c| c.get("result") == Some(&orchestrator::json::Json::Null))
+        .filter(|c| c.get("result") == Some(&Json::Null))
         .count();
     assert_eq!(nulls, m.cells.len() - 1);
-    assert_eq!(
-        partial.merged.get("complete"),
-        Some(&orchestrator::json::Json::Bool(false))
-    );
+    assert_eq!(partial.merged.get("complete"), Some(&Json::Bool(false)));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn fig45_csvs_are_written_from_the_merged_document() {
+    let m = suite("fig45").expect("fig45 suite");
+    let dir = temp_dir("fig45csv");
+    let report = run(&m, &opts(dir.join("cache")));
+    write_fig45_csvs(&report.merged, &dir.join("csv")).unwrap();
+    for name in [
+        "fig4_view1.csv",
+        "fig4_view2.csv",
+        "fig5_view1.csv",
+        "fig5_view2.csv",
+    ] {
+        let content = std::fs::read_to_string(dir.join("csv").join(name)).unwrap();
+        assert!(content.lines().count() > 1, "{name} is empty");
+    }
     let _ = std::fs::remove_dir_all(dir);
 }

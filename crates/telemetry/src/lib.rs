@@ -38,6 +38,8 @@
 //!   span id across hops, so an end-to-end packet is a single track.
 //! * [`schema`] — a dependency-free validator for the JSONL export, used
 //!   by the `propdiff-trace --validate` flag and the CI telemetry job.
+//! * [`json`] — the byte-stable JSON value the experiment cells encode
+//!   their results in and the orchestrator caches, ships and merges.
 //!
 //! Dependency-wise this crate sits near the bottom of the workspace
 //! (`simcore` for time, `stats` for the mergeable histogram), so every
@@ -46,6 +48,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod json;
 mod metrics;
 mod monitor;
 mod probe;

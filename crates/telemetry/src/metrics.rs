@@ -107,9 +107,20 @@ impl CountingProbe {
 
     /// Freezes the counters into a [`MetricsReport`].
     pub fn report(&self) -> MetricsReport {
-        let classes = (0..self.num_classes)
+        self.registry
+            .report(self.num_classes, self.started.elapsed().as_secs_f64())
+    }
+}
+
+impl MetricsRegistry {
+    /// The flat [`MetricsReport`] snapshot of classes `0..num_classes`.
+    /// The registry is wall-clock-free (that is what keeps it mergeable),
+    /// so the caller supplies `wall_secs` — zero when the shards it was
+    /// merged from ran concurrently or in other processes.
+    pub fn report(&self, num_classes: usize, wall_secs: f64) -> MetricsReport {
+        let classes = (0..num_classes)
             .map(|c| {
-                let t = self.registry.class_total(c);
+                let t = self.class_total(c);
                 ClassMetrics {
                     arrivals: t.arrivals,
                     enqueues: t.enqueues,
@@ -127,13 +138,13 @@ impl CountingProbe {
             .collect();
         MetricsReport {
             classes,
-            decisions: self.registry.decisions(),
-            probe_events: self.registry.probe_events(),
-            heartbeats: self.registry.heartbeats(),
-            scenario_events: self.registry.scenario_events(),
-            heap_high_water: self.registry.heap_high_water(),
-            virtual_span_ticks: self.registry.virtual_span_ticks(),
-            wall_secs: self.started.elapsed().as_secs_f64(),
+            decisions: self.decisions(),
+            probe_events: self.probe_events(),
+            heartbeats: self.heartbeats(),
+            scenario_events: self.scenario_events(),
+            heap_high_water: self.heap_high_water(),
+            virtual_span_ticks: self.virtual_span_ticks(),
+            wall_secs,
         }
     }
 }
