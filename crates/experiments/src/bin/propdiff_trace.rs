@@ -377,6 +377,7 @@ fn cmd_studyb(args: &[String]) -> Result<(), String> {
 
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
     use pdd::scenario::Scenario;
+    use pdd::telemetry::json::Json;
     use pdd::telemetry::{validate_prometheus, MonitorConfig};
     use pdd::traffic::{SizeDist, PAPER_MEAN_PACKET_BYTES};
 
@@ -461,12 +462,13 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
         say!("prometheus -> {path}");
     }
     if let Some(path) = opt(args, "--json") {
-        let bundle = format!(
-            "{{\"schema\":\"propdiff-metrics-bundle-v1\",\"metrics\":{},\"monitor\":{}}}",
-            registry.to_json(),
-            monitor.to_json()
-        );
-        std::fs::write(path, bundle).map_err(|e| format!("cannot write {path}: {e}"))?;
+        let bundle = Json::obj(vec![
+            ("schema", Json::Str("propdiff-metrics-bundle-v1".into())),
+            ("metrics", registry.snapshot()),
+            ("monitor", monitor.snapshot()),
+        ]);
+        std::fs::write(path, bundle.serialize())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         say!("snapshot -> {path}");
     }
     if flag(args, "--expect-violations") && monitor.violations().is_empty() {

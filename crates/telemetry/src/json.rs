@@ -1,4 +1,6 @@
-//! A minimal JSON value with byte-stable serialization.
+//! The workspace's one JSON codec: a value with byte-stable
+//! serialization, a linear-time parser with a nesting cap, and the string
+//! escaper the trace sinks share.
 //!
 //! The orchestrator's cache files and merged results must be *byte*-stable:
 //! a warm re-run re-serializes parsed cache entries and has to reproduce
@@ -13,9 +15,21 @@
 //! * objects keep insertion order — no hash-map reordering.
 //!
 //! Floats print via Rust's `Display`, which emits the shortest decimal
-//! string that round-trips, so re-parsing loses nothing.
+//! string that round-trips, so re-parsing loses nothing. Counters are
+//! `u64`s and keep every digit: what does not fit [`Json::Int`] is a
+//! [`Json::UInt`], never a float and never wrapped.
+//!
+//! Cache files and worker replies are outside input: [`Json::parse`]
+//! returns `Err` on anything malformed, including nesting deeper than
+//! [`MAX_DEPTH`] (the parser recurses, and an unbounded `[[[[…` tower would
+//! otherwise overflow the stack).
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The documents
+/// this workspace writes nest less than ten deep.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,6 +40,10 @@ pub enum Json {
     Bool(bool),
     /// An integer (whole finite numbers normalize here).
     Int(i64),
+    /// An integer above `i64::MAX`. Build it with [`Json::uint`], which —
+    /// like the parser — picks [`Json::Int`] whenever the value fits, so
+    /// equal numbers stay equal values.
+    UInt(u64),
     /// A non-whole finite number.
     Float(f64),
     /// A string.
@@ -47,6 +65,17 @@ impl Json {
         } else {
             Json::Float(v)
         }
+    }
+
+    /// [`Json::num`] of `v` at the precision `{v:.decimals$}` prints, for
+    /// exports that publish a rounded reading.
+    pub fn rounded(v: f64, decimals: usize) -> Json {
+        Json::num(format!("{v:.decimals$}").parse().unwrap_or(f64::NAN))
+    }
+
+    /// An unsigned counter with every digit kept.
+    pub fn uint(v: u64) -> Json {
+        i64::try_from(v).map_or(Json::UInt(v), Json::Int)
     }
 
     /// An object from key/value pairs (order preserved).
@@ -71,15 +100,25 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Int(i) => Some(*i as f64),
+            Json::UInt(u) => Some(*u as f64),
             Json::Float(f) => Some(*f),
             _ => None,
         }
     }
 
-    /// The integer value, if this is an integer.
+    /// The integer value, if this is an integer that fits `i64`.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Json::Int(i) => Some(*i),
+            _ => None,
+        }
+    }
+
+    /// The integer value, if this is a non-negative integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(i) => u64::try_from(*i).ok(),
+            Json::UInt(u) => Some(*u),
             _ => None,
         }
     }
@@ -122,10 +161,13 @@ impl Json {
             Json::Int(i) => {
                 let _ = write!(out, "{i}");
             }
+            Json::UInt(u) => {
+                let _ = write!(out, "{u}");
+            }
             Json::Float(f) => {
                 let _ = write!(out, "{f}");
             }
-            Json::Str(s) => write_escaped(out, s),
+            Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -142,7 +184,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
+                    write_string(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -152,21 +194,27 @@ impl Json {
     }
 
     /// Parses a JSON document (the subset this crate writes, which is all
-    /// of JSON minus exponent-notation floats in odd cases).
+    /// of JSON minus exponent-notation floats in odd cases), in time
+    /// linear in `text.len()`.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let v = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing content at byte {pos}"));
         }
         Ok(v)
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
+/// Escapes `s` for the inside of a JSON string literal (the caller writes
+/// the surrounding quotes): `"`, `\` and the control bytes, nothing else.
+/// Borrows when there is nothing to escape.
+pub fn escape(s: &str) -> Cow<'_, str> {
+    if !s.bytes().any(|b| matches!(b, b'"' | b'\\' | 0..=0x1f)) {
+        return Cow::Borrowed(s);
+    }
+    let mut out = String::with_capacity(s.len() + 16);
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -180,6 +228,12 @@ fn write_escaped(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+    Cow::Owned(out)
+}
+
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    out.push_str(&escape(s));
     out.push('"');
 }
 
@@ -198,14 +252,18 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -215,7 +273,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -237,10 +295,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -257,49 +315,43 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     expect(bytes, pos, "\"")?;
     let mut out = String::new();
     loop {
-        let rest = &bytes[*pos..];
-        let Some(&b) = rest.first() else {
-            return Err("unterminated string".into());
-        };
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
-            }
-            b'\\' => {
-                let esc = rest.get(1).ok_or("unterminated escape")?;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = std::str::from_utf8(rest.get(2..6).ok_or("short \\u escape")?)
-                            .map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("unknown escape at byte {pos}")),
-                }
-                *pos += 2;
-            }
-            _ => {
-                // Consume one UTF-8 character.
-                let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                let c = s.chars().next().expect("nonempty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy the run up to the next quote or backslash in one piece: the
+        // input is a `&str` and both stops are ASCII, so the run is whole
+        // characters. (Validating the rest of the input per character made
+        // this quadratic.)
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        match bytes.get(*pos + 1).ok_or("unterminated escape")? {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b't' => out.push('\t'),
+            b'r' => out.push('\r'),
+            b'b' => out.push('\u{8}'),
+            b'f' => out.push('\u{c}'),
+            b'u' => {
+                let hex = text.get(*pos + 2..*pos + 6).ok_or("short \\u escape")?;
+                let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
+                *pos += 4;
+            }
+            _ => return Err(format!("unknown escape at byte {pos}")),
+        }
+        *pos += 2;
     }
 }
 
@@ -317,6 +369,9 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     if !text.contains(['.', 'e', 'E']) {
         if let Ok(i) = text.parse::<i64>() {
             return Ok(Json::Int(i));
+        }
+        if let Ok(u) = text.parse::<u64>() {
+            return Ok(Json::UInt(u));
         }
     }
     // Route through `num` so the parsed form re-serializes identically.
@@ -381,5 +436,172 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn escape_covers_quotes_backslashes_and_controls() {
+        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
+        assert_eq!(escape("x\ny\tz\r"), "x\\ny\\tz\\r");
+        assert_eq!(escape("\u{1}é\u{1f}"), "\\u0001é\\u001f");
+        assert!(matches!(escape("WTP → class 2"), Cow::Borrowed(_)));
+    }
+
+    #[test]
+    fn counters_keep_every_digit() {
+        assert_eq!(Json::uint(7), Json::Int(7));
+        let big = Json::uint(u64::MAX - 1);
+        assert_eq!(big, Json::UInt(u64::MAX - 1));
+        assert_eq!(big.serialize(), "18446744073709551614");
+        assert_eq!(Json::parse("18446744073709551614").unwrap(), big);
+        assert_eq!(big.as_u64(), Some(u64::MAX - 1));
+        assert_eq!(big.as_i64(), None);
+        assert_eq!(Json::Int(-1).as_u64(), None);
+        // One past `u64::MAX` is a measurement, not a counter.
+        let past = Json::parse("18446744073709551616").unwrap();
+        assert_eq!(past, Json::Float(18446744073709551616.0));
+    }
+
+    #[test]
+    fn rounded_reads_what_the_format_spec_prints() {
+        assert_eq!(Json::rounded(1.4671459, 6).serialize(), "1.467146");
+        assert_eq!(Json::rounded(2.0, 6), Json::Int(2));
+        assert_eq!(
+            Json::rounded(1234.5, 0).serialize(),
+            format!("{:.0}", 1234.5)
+        );
+        assert_eq!(Json::rounded(f64::INFINITY, 6), Json::Null);
+        assert_eq!(Json::rounded(f64::NAN, 3), Json::Null);
+    }
+
+    #[test]
+    fn whole_floats_past_2_pow_53_keep_their_bytes_not_their_variant() {
+        // `Display` pads the shortest digits with zeros, so the text of a
+        // huge whole float is an integer literal: the bytes are stable
+        // across a round trip, the variant is not.
+        let text = Json::num(1.0e19).serialize();
+        assert_eq!(text, "10000000000000000000");
+        let back = Json::parse(&text).unwrap();
+        assert_eq!(back, Json::UInt(10_000_000_000_000_000_000));
+        assert_eq!(back.serialize(), text);
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        // Both towers aborted the process before the cap.
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let err = Json::parse(&"{\"a\":".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let deep = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&deep(MAX_DEPTH + 1)).is_err());
+    }
+
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        // 4 MiB in one string value, the shape of a worker reply carrying a
+        // snapshot. The per-character revalidation this guards against
+        // needed minutes here; the bound is ~100x what a debug build takes.
+        let piece = "snapshot \\\"bytes\\\" é→ ";
+        let reps = 4 * 1024 * 1024 / piece.len();
+        let body = piece.repeat(reps);
+        let text = format!("{{\"ok\":true,\"metrics\":\"{body}\"}}");
+        let started = std::time::Instant::now();
+        let doc = Json::parse(&text).expect("parses");
+        let took = started.elapsed();
+        let value = doc.get("metrics").and_then(Json::as_str).expect("string");
+        assert_eq!(value.len(), body.len() - 2 * reps);
+        assert!(took.as_secs() < 10, "4 MiB string took {took:?}");
+    }
+
+    mod round_trip {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Every class of character the escaper and the parser treat
+        /// differently: the two escaped punctuation marks, all 32 control
+        /// bytes, the solidus, DEL, and 2-, 3- and 4-byte UTF-8.
+        fn text(genes: &mut impl Iterator<Item = u64>) -> String {
+            let len = genes.next().unwrap_or(0) % 12;
+            genes
+                .take(len as usize)
+                .map(|g| match g % 8 {
+                    0 => '"',
+                    1 => '\\',
+                    2 | 3 => char::from((g >> 8) as u8 % 0x20),
+                    4 => ['/', '\u{7f}', 'é', '→', '😀', 'u'][(g >> 8) as usize % 6],
+                    _ => char::from(b'a' + (g >> 8) as u8 % 26),
+                })
+                .collect()
+        }
+
+        /// An arbitrary tree in canonical form, spent from a gene stream so
+        /// the shim's vector shrinking shrinks the tree.
+        fn tree(genes: &mut impl Iterator<Item = u64>, depth: usize) -> Json {
+            let Some(g) = genes.next() else {
+                return Json::Null;
+            };
+            let scalars = if depth >= 5 { 7 } else { 9 };
+            match g % scalars {
+                0 => Json::Null,
+                1 => Json::Bool(g & 16 != 0),
+                2 => Json::Int((g >> 3) as i64 - (1 << 59)),
+                3 => Json::Int(genes.next().unwrap_or(0) as i64),
+                4 => Json::uint(genes.next().unwrap_or(0)),
+                5 => {
+                    // Whole floats past 2^53 are outside the tree property
+                    // (pinned above); fold them back under it.
+                    let x = f64::from_bits(genes.next().unwrap_or(0));
+                    Json::num(if x.abs() >= 9.0e15 { 1.0 / x } else { x })
+                }
+                6 => Json::Str(text(genes)),
+                7 => {
+                    let n = (g >> 8) % 5;
+                    Json::Arr((0..n).map(|_| tree(genes, depth + 1)).collect())
+                }
+                _ => {
+                    let n = (g >> 8) % 5;
+                    let pairs = (0..n).map(|_| (text(genes), tree(genes, depth + 1)));
+                    Json::Obj(pairs.collect())
+                }
+            }
+        }
+
+        proptest! {
+            /// `parse ∘ serialize` is the identity on trees and
+            /// `serialize ∘ parse` the identity on what `serialize` writes.
+            #[test]
+            fn parse_inverts_serialize(
+                genes in prop::collection::vec(0u64..u64::MAX, 1..120),
+            ) {
+                let v = tree(&mut genes.into_iter(), 0);
+                let bytes = v.serialize();
+                let back = Json::parse(&bytes).expect("own output parses");
+                prop_assert_eq!(&back, &v);
+                prop_assert_eq!(back.serialize(), bytes);
+            }
+
+            /// A string spelled with any mix of raw characters, short
+            /// escapes and `\uXXXX` escapes reads back as the same string.
+            #[test]
+            fn every_spelling_of_a_string_parses_to_it(
+                genes in prop::collection::vec(0u64..u64::MAX, 1..40),
+                spelling in prop::collection::vec(0u8..3, 40..41),
+            ) {
+                let want = text(&mut genes.into_iter());
+                let mut literal = String::from("\"");
+                for (c, how) in want.chars().zip(spelling) {
+                    match (how, c as u32) {
+                        (0, code @ 0..=0xffff) => literal.push_str(&format!("\\u{code:04X}")),
+                        (1, 0x2f) => literal.push_str("\\/"),
+                        (1, 0x08) => literal.push_str("\\b"),
+                        (1, 0x0c) => literal.push_str("\\f"),
+                        _ => literal.push_str(&escape(c.encode_utf8(&mut [0; 4]))),
+                    }
+                }
+                literal.push('"');
+                prop_assert_eq!(Json::parse(&literal), Ok(Json::Str(want)));
+            }
+        }
     }
 }

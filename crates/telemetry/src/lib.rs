@@ -36,10 +36,10 @@
 //!   async begin/end span keyed by its span id, with scheduler decisions
 //!   and drops as instant events. Multi-hop journeys (Study B) share one
 //!   span id across hops, so an end-to-end packet is a single track.
-//! * [`schema`] — a dependency-free validator for the JSONL export, used
-//!   by the `propdiff-trace --validate` flag and the CI telemetry job.
-//! * [`json`] — the byte-stable JSON value the experiment cells encode
-//!   their results in and the orchestrator caches, ships and merges.
+//! * [`schema`] — the validator for the JSONL export (a walk over the
+//!   parsed line), used by `propdiff-trace --validate` and the CI job.
+//! * [`json`] — the one JSON codec: the byte-stable value every snapshot
+//!   here and every experiment result is built from, parsed and escaped by.
 //!
 //! Dependency-wise this crate sits near the bottom of the workspace
 //! (`simcore` for time, `stats` for the mergeable histogram), so every

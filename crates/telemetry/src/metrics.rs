@@ -5,6 +5,7 @@ use std::time::Instant;
 
 use simcore::Time;
 
+use crate::json::Json;
 use crate::probe::{PacketId, Probe};
 use crate::registry::MetricsRegistry;
 
@@ -234,42 +235,34 @@ impl MetricsReport {
         self.classes.iter().map(|c| c.drops).sum()
     }
 
-    /// Renders the report as a compact JSON object (stable key order, no
-    /// dependencies), for machine consumption next to the JSONL trace.
+    /// Renders the report as a compact JSON object (stable key order), for
+    /// machine consumption next to the JSONL trace.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"decisions\":{},", self.decisions));
-        s.push_str(&format!("\"probe_events\":{},", self.probe_events));
-        s.push_str(&format!("\"heartbeats\":{},", self.heartbeats));
-        s.push_str(&format!("\"scenario_events\":{},", self.scenario_events));
-        s.push_str(&format!("\"heap_high_water\":{},", self.heap_high_water));
-        s.push_str(&format!(
-            "\"virtual_span_ticks\":{},",
-            self.virtual_span_ticks
-        ));
-        s.push_str(&format!("\"wall_secs\":{},", self.wall_secs));
-        s.push_str(&format!("\"events_per_sec\":{:.0},", self.events_per_sec()));
-        s.push_str("\"classes\":[");
-        for (i, c) in self.classes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"class\":{i},\"arrivals\":{},\"departures\":{},\"drops\":{},\
-                 \"decisions_won\":{},\"mean_wait_ticks\":{:.3},\"loss_fraction\":{:.6},\
-                 \"depth_high_water\":{},\"backlog_bytes_high_water\":{}}}",
-                c.arrivals,
-                c.departures,
-                c.drops,
-                c.decisions_won,
-                c.mean_wait(),
-                c.loss_fraction(),
-                c.depth_high_water,
-                c.backlog_high_water,
-            ));
-        }
-        s.push_str("]}");
-        s
+        let classes = self.classes.iter().enumerate().map(|(i, c)| {
+            Json::obj(vec![
+                ("class", Json::uint(i as u64)),
+                ("arrivals", Json::uint(c.arrivals)),
+                ("departures", Json::uint(c.departures)),
+                ("drops", Json::uint(c.drops)),
+                ("decisions_won", Json::uint(c.decisions_won)),
+                ("mean_wait_ticks", Json::rounded(c.mean_wait(), 3)),
+                ("loss_fraction", Json::rounded(c.loss_fraction(), 6)),
+                ("depth_high_water", Json::Int(c.depth_high_water)),
+                ("backlog_bytes_high_water", Json::Int(c.backlog_high_water)),
+            ])
+        });
+        Json::obj(vec![
+            ("decisions", Json::uint(self.decisions)),
+            ("probe_events", Json::uint(self.probe_events)),
+            ("heartbeats", Json::uint(self.heartbeats)),
+            ("scenario_events", Json::uint(self.scenario_events)),
+            ("heap_high_water", Json::uint(self.heap_high_water as u64)),
+            ("virtual_span_ticks", Json::uint(self.virtual_span_ticks)),
+            ("wall_secs", Json::num(self.wall_secs)),
+            ("events_per_sec", Json::rounded(self.events_per_sec(), 0)),
+            ("classes", Json::Arr(classes.collect())),
+        ])
+        .serialize()
     }
 }
 

@@ -23,6 +23,7 @@
 
 use simcore::Time;
 
+use crate::json::Json;
 use crate::probe::{PacketId, Probe};
 
 /// Which way a window failed conformance.
@@ -69,18 +70,22 @@ impl Violation {
         (self.achieved / self.target - 1.0).abs()
     }
 
-    /// One JSON object per violation (stable key order, one line).
+    /// The violation as a [`Json`] object (stable key order), ratios at six
+    /// decimals.
+    fn snapshot(&self) -> Json {
+        Json::obj(vec![
+            ("window_start_ticks", Json::uint(self.window_start_ticks)),
+            ("window_ticks", Json::uint(self.window_ticks)),
+            ("pair", Json::uint(self.pair as u64)),
+            ("achieved", Json::rounded(self.achieved, 6)),
+            ("target", Json::rounded(self.target, 6)),
+            ("kind", Json::Str(self.kind.name().into())),
+        ])
+    }
+
+    /// One JSON object per violation, on one line.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"window_start_ticks\":{},\"window_ticks\":{},\"pair\":{},\
-             \"achieved\":{:.6},\"target\":{:.6},\"kind\":\"{}\"}}",
-            self.window_start_ticks,
-            self.window_ticks,
-            self.pair,
-            self.achieved,
-            self.target,
-            self.kind.name()
-        )
+        self.snapshot().serialize()
     }
 }
 
@@ -293,24 +298,24 @@ impl PddMonitor {
             .fold(0.0, f64::max)
     }
 
-    /// The monitor state as one JSON object (stable key order).
+    /// The monitor state as a [`Json`] object (stable key order).
+    pub fn snapshot(&self) -> Json {
+        let violations = self.violations.iter().map(Violation::snapshot);
+        Json::obj(vec![
+            ("schema", Json::Str("propdiff-monitor-v1".into())),
+            ("window_ticks", Json::uint(self.cfg.window_ticks)),
+            ("epsilon", Json::rounded(self.cfg.epsilon, 6)),
+            ("min_samples", Json::uint(self.cfg.min_samples)),
+            ("windows_closed", Json::uint(self.windows_closed)),
+            ("pairs_evaluated", Json::uint(self.pairs_evaluated)),
+            ("violation_count", Json::uint(self.violations.len() as u64)),
+            ("violations", Json::Arr(violations.collect())),
+        ])
+    }
+
+    /// The monitor state as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"schema\":\"propdiff-monitor-v1\",");
-        s.push_str(&format!("\"window_ticks\":{},", self.cfg.window_ticks));
-        s.push_str(&format!("\"epsilon\":{:.6},", self.cfg.epsilon));
-        s.push_str(&format!("\"min_samples\":{},", self.cfg.min_samples));
-        s.push_str(&format!("\"windows_closed\":{},", self.windows_closed));
-        s.push_str(&format!("\"pairs_evaluated\":{},", self.pairs_evaluated));
-        s.push_str(&format!("\"violation_count\":{},", self.violations.len()));
-        s.push_str("\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&v.to_json());
-        }
-        s.push_str("]}");
-        s
+        self.snapshot().serialize()
     }
 
     /// Monitor counters in the Prometheus text exposition format
@@ -491,6 +496,26 @@ mod tests {
         let prom = m.to_prometheus();
         assert!(crate::registry::validate_prometheus(&prom).is_ok());
         assert!(prom.contains("pair=\"0\",kind=\"drift\"} 1"));
+    }
+
+    #[test]
+    fn an_infinite_ratio_is_still_valid_json_and_exposition() {
+        // The faster class saw zero delay all window: achieved = x/0 = inf,
+        // a drift, which `"achieved":inf` made unparseable.
+        let mut m = PddMonitor::new(MonitorConfig::new(1_000, 0.25, vec![2.0]));
+        for i in 0..200 {
+            m.record(i, 0, 5.0);
+            m.record(i, 1, 0.0);
+        }
+        m.finish();
+        assert_eq!(m.violations().len(), 1);
+        assert!(m.violations()[0].achieved.is_infinite());
+        let doc = Json::parse(&m.to_json()).expect("monitor JSON parses");
+        let violation = &doc.get("violations").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(violation.get("achieved"), Some(&Json::Null));
+        assert_eq!(violation.get("target"), Some(&Json::Int(2)));
+        // The exposition carries counts only, never the ratio.
+        assert!(crate::registry::validate_prometheus(&m.to_prometheus()).is_ok());
     }
 
     #[test]

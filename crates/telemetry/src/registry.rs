@@ -20,6 +20,7 @@
 use simcore::Time;
 use stats::Histogram;
 
+use crate::json::Json;
 use crate::probe::{PacketId, Probe};
 
 /// Counters, gauges, and histograms for one (link, class) channel.
@@ -301,12 +302,24 @@ impl MetricsRegistry {
     /// arrival, enqueue, decision, hop departure, drop, heartbeat, or
     /// scenario event), so the hot path pays nothing for it.
     pub fn probe_events(&self) -> u64 {
-        let per_channel: u64 = self
-            .channels
-            .iter()
-            .map(|c| c.arrivals + c.enqueues + c.decisions_won + c.hop_departures + c.drops)
-            .sum();
-        per_channel + self.heartbeats + self.scenario_events
+        self.checked_probe_events()
+            .expect("fewer than 2^64 probe events")
+    }
+
+    /// [`probe_events`](Self::probe_events), or `None` past `u64::MAX` —
+    /// which counters read from a snapshot can reach.
+    fn checked_probe_events(&self) -> Option<u64> {
+        let per_channel = self.channels.iter().flat_map(|c| {
+            [
+                c.arrivals,
+                c.enqueues,
+                c.decisions_won,
+                c.hop_departures,
+                c.drops,
+            ]
+        });
+        let mut events = per_channel.chain([self.heartbeats, self.scenario_events]);
+        events.try_fold(0u64, |total, n| total.checked_add(n))
     }
 
     /// Heartbeats received from the discrete-event runner.
@@ -434,95 +447,98 @@ impl MetricsRegistry {
         self.last_event_ticks = self.last_event_ticks.max(other.last_event_ticks);
     }
 
-    /// Serializes the full registry as deterministic JSON (stable key
-    /// order, integers only — byte-identical for identical event streams).
-    pub fn to_json(&self) -> String {
+    /// The full registry as a [`Json`] value: the `propdiff-metrics-v1`
+    /// snapshot, stable key order, integers only.
+    pub fn snapshot(&self) -> Json {
+        let index = |i: usize| Json::uint(i as u64);
         let hist = |h: &Histogram| {
-            let bins = h
-                .bins()
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            format!("{{\"count\":{},\"bins\":[{bins}]}}", h.count())
+            Json::obj(vec![
+                ("count", Json::uint(h.count())),
+                (
+                    "bins",
+                    Json::Arr(h.bins().iter().map(|&b| Json::uint(b)).collect()),
+                ),
+            ])
         };
-        let mut s = String::from("{\"schema\":\"propdiff-metrics-v1\",");
-        s.push_str(&format!("\"decisions\":{},", self.decisions()));
-        s.push_str(&format!("\"probe_events\":{},", self.probe_events()));
-        s.push_str(&format!("\"heartbeats\":{},", self.heartbeats));
-        s.push_str(&format!("\"scenario_events\":{},", self.scenario_events));
-        s.push_str(&format!("\"heap_high_water\":{},", self.heap_high_water));
-        match self.first_event_ticks() {
-            Some(t) => s.push_str(&format!("\"first_event_ticks\":{t},")),
-            None => s.push_str("\"first_event_ticks\":null,"),
-        }
-        s.push_str(&format!("\"last_event_ticks\":{},", self.last_event_ticks));
-        s.push_str(&format!(
-            "\"virtual_span_ticks\":{},",
-            self.virtual_span_ticks()
-        ));
-        s.push_str("\"class_gauges\":[");
-        for (c, g) in self.class_gauges().iter().enumerate() {
-            if c > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"class\":{c},\"depth\":{},\"depth_high_water\":{},\
-                 \"backlog_bytes\":{},\"backlog_high_water\":{}}}",
-                g.depth, g.depth_high_water, g.backlog_bytes, g.backlog_high_water
-            ));
-        }
-        s.push_str("],\"links\":[");
-        for (i, row) in self.channels.chunks(self.num_classes.max(1)).enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let link_decisions: u64 = row.iter().map(|c| c.decisions_won).sum();
-            s.push_str(&format!("{{\"link\":{i},\"decisions\":{link_decisions},"));
-            s.push_str("\"classes\":[");
-            for (c, ch) in row.iter().enumerate() {
-                if c > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"class\":{c},\"arrivals\":{},\"enqueues\":{},\"departures\":{},\
-                     \"hop_departures\":{},\"drops\":{},\"decisions_won\":{},\
-                     \"wait_ticks_sum\":{},\"bytes_delivered\":{},\"backlog_bytes_sum\":{},\
-                     \"depth\":{},\"depth_high_water\":{},\"backlog_bytes\":{},\
-                     \"backlog_high_water\":{},\"delay_hist\":{},\"backlog_hist\":{}}}",
-                    ch.arrivals,
-                    ch.enqueues,
-                    ch.departures,
-                    ch.hop_departures,
-                    ch.drops,
-                    ch.decisions_won,
-                    ch.wait_ticks_sum,
-                    ch.bytes_delivered,
-                    ch.backlog_bytes_sum,
-                    ch.depth,
-                    ch.depth_high_water,
-                    ch.backlog_bytes,
-                    ch.backlog_high_water,
-                    hist(&ch.delay_hist),
-                    hist(&ch.backlog_hist),
-                ));
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
-        s
+        let gauges = self.class_gauges().into_iter().enumerate().map(|(c, g)| {
+            Json::obj(vec![
+                ("class", index(c)),
+                ("depth", Json::Int(g.depth)),
+                ("depth_high_water", Json::Int(g.depth_high_water)),
+                ("backlog_bytes", Json::Int(g.backlog_bytes)),
+                ("backlog_high_water", Json::Int(g.backlog_high_water)),
+            ])
+        });
+        let channel = |(c, ch): (usize, &ChannelMetrics)| {
+            Json::obj(vec![
+                ("class", index(c)),
+                ("arrivals", Json::uint(ch.arrivals)),
+                ("enqueues", Json::uint(ch.enqueues)),
+                ("departures", Json::uint(ch.departures)),
+                ("hop_departures", Json::uint(ch.hop_departures)),
+                ("drops", Json::uint(ch.drops)),
+                ("decisions_won", Json::uint(ch.decisions_won)),
+                ("wait_ticks_sum", Json::uint(ch.wait_ticks_sum)),
+                ("bytes_delivered", Json::uint(ch.bytes_delivered)),
+                ("backlog_bytes_sum", Json::uint(ch.backlog_bytes_sum)),
+                ("depth", Json::Int(ch.depth)),
+                ("depth_high_water", Json::Int(ch.depth_high_water)),
+                ("backlog_bytes", Json::Int(ch.backlog_bytes)),
+                ("backlog_high_water", Json::Int(ch.backlog_high_water)),
+                ("delay_hist", hist(&ch.delay_hist)),
+                ("backlog_hist", hist(&ch.backlog_hist)),
+            ])
+        };
+        let rows = self.channels.chunks(self.num_classes.max(1));
+        let links = rows.enumerate().map(|(i, row)| {
+            Json::obj(vec![
+                ("link", index(i)),
+                (
+                    "decisions",
+                    Json::uint(row.iter().map(|c| c.decisions_won).sum()),
+                ),
+                (
+                    "classes",
+                    Json::Arr(row.iter().enumerate().map(channel).collect()),
+                ),
+            ])
+        });
+        Json::obj(vec![
+            ("schema", Json::Str("propdiff-metrics-v1".into())),
+            ("decisions", Json::uint(self.decisions())),
+            ("probe_events", Json::uint(self.probe_events())),
+            ("heartbeats", Json::uint(self.heartbeats)),
+            ("scenario_events", Json::uint(self.scenario_events)),
+            ("heap_high_water", index(self.heap_high_water)),
+            (
+                "first_event_ticks",
+                self.first_event_ticks().map_or(Json::Null, Json::uint),
+            ),
+            ("last_event_ticks", Json::uint(self.last_event_ticks)),
+            ("virtual_span_ticks", Json::uint(self.virtual_span_ticks())),
+            ("class_gauges", Json::Arr(gauges.collect())),
+            ("links", Json::Arr(links.collect())),
+        ])
+    }
+
+    /// Serializes the full registry as deterministic JSON — the
+    /// [`snapshot`](Self::snapshot), byte-identical for identical event
+    /// streams.
+    pub fn to_json(&self) -> String {
+        self.snapshot().serialize()
     }
 
     /// Reconstructs a registry from the exact JSON [`to_json`](Self::to_json)
     /// emits — the deserialization half of shipping per-shard metrics
     /// sidecars between worker processes.
     ///
-    /// The parser is a strict sequential scanner over the deterministic
-    /// snapshot format (fixed key order, integers only, no whitespace):
-    /// anything else is rejected. Derived fields (`decisions`,
-    /// `probe_events`, `virtual_span_ticks`, per-link `decisions`,
-    /// histogram `count`) are cross-checked against the reconstructed
-    /// state, so corruption fails loudly instead of merging quietly.
+    /// Strict: the stored fields are read from the parsed tree, and the
+    /// rebuilt registry must then write the input back byte for byte. That
+    /// one comparison rejects everything that is not a snapshot of its own
+    /// contents — whitespace, reordered, repeated or extra keys, and a
+    /// derived field (`decisions`, `probe_events`, `virtual_span_ticks`,
+    /// per-link `decisions`, histogram `count`) that disagrees with the
+    /// counters — so corruption fails loudly instead of merging quietly.
     ///
     /// Round trip is exact: `from_json(r.to_json())` rebuilds a registry
     /// whose own `to_json` is byte-identical, and which merges exactly
@@ -541,90 +557,64 @@ impl MetricsRegistry {
     /// assert_eq!(rebuilt.to_json(), r.to_json());
     /// ```
     pub fn from_json(s: &str) -> Result<MetricsRegistry, String> {
-        let mut c = Cursor { s, pos: 0 };
-        c.lit("{\"schema\":\"propdiff-metrics-v1\",\"decisions\":")?;
-        let decisions = c.u64()?;
-        c.lit(",\"probe_events\":")?;
-        let probe_events = c.u64()?;
-        c.lit(",\"heartbeats\":")?;
-        let heartbeats = c.u64()?;
-        c.lit(",\"scenario_events\":")?;
-        let scenario_events = c.u64()?;
-        c.lit(",\"heap_high_water\":")?;
-        let heap_high_water = c.u64()? as usize;
-        c.lit(",\"first_event_ticks\":")?;
-        let first_event_ticks = if c.peek("null") {
-            c.lit("null")?;
-            u64::MAX
-        } else {
-            c.u64()?
+        let doc = Json::parse(s).map_err(|e| format!("metrics JSON: {e}"))?;
+        match Self::from_snapshot(&doc) {
+            Some(r) if r.to_json() == s => Ok(r),
+            _ => Err(
+                "metrics JSON: not a propdiff-metrics-v1 snapshot of its own \
+                      contents: a field is missing or mistyped, a total passes u64, \
+                      or the rebuilt registry serializes differently"
+                    .into(),
+            ),
+        }
+    }
+
+    /// The stored (non-derived) fields of a parsed snapshot.
+    fn from_snapshot(doc: &Json) -> Option<MetricsRegistry> {
+        let uint = |v: &Json, key: &str| v.get(key)?.as_u64();
+        let int = |v: &Json, key: &str| v.get(key)?.as_i64();
+        let hist = |v: &Json, key: &str| {
+            let bins = v.get(key)?.get("bins")?.as_arr()?;
+            let bins: Vec<u64> = bins.iter().map(Json::as_u64).collect::<Option<_>>()?;
+            bins.iter()
+                .try_fold(0u64, |total, &n| total.checked_add(n))?;
+            Some(Histogram::from_bins(bins))
         };
-        c.lit(",\"last_event_ticks\":")?;
-        let last_event_ticks = c.u64()?;
-        c.lit(",\"virtual_span_ticks\":")?;
-        let span = c.u64()?;
-        c.lit(",\"class_gauges\":[")?;
-        let mut gauges: Vec<ClassGauges> = Vec::new();
-        while !c.peek("]") {
-            if !gauges.is_empty() {
-                c.lit(",")?;
-            }
-            c.lit(&format!("{{\"class\":{},\"depth\":", gauges.len()))?;
-            let depth = c.i64()?;
-            c.lit(",\"depth_high_water\":")?;
-            let depth_high_water = c.i64()?;
-            c.lit(",\"backlog_bytes\":")?;
-            let backlog_bytes = c.i64()?;
-            c.lit(",\"backlog_high_water\":")?;
-            let backlog_high_water = c.i64()?;
-            c.lit("}")?;
+        let mut gauges = Vec::new();
+        for g in doc.get("class_gauges")?.as_arr()? {
             gauges.push(ClassGauges {
-                depth,
-                depth_high_water,
-                backlog_bytes,
-                backlog_high_water,
+                depth: int(g, "depth")?,
+                depth_high_water: int(g, "depth_high_water")?,
+                backlog_bytes: int(g, "backlog_bytes")?,
+                backlog_high_water: int(g, "backlog_high_water")?,
             });
         }
-        let num_classes = gauges.len();
-        c.lit("],\"links\":[")?;
-        let mut channels: Vec<ChannelMetrics> = Vec::new();
-        let mut num_links = 0usize;
-        while !c.peek("]") {
-            if num_links > 0 {
-                c.lit(",")?;
+        let links = doc.get("links")?.as_arr()?;
+        let mut channels = Vec::new();
+        for link in links {
+            for ch in link.get("classes")?.as_arr()? {
+                channels.push(ChannelMetrics {
+                    arrivals: uint(ch, "arrivals")?,
+                    enqueues: uint(ch, "enqueues")?,
+                    departures: uint(ch, "departures")?,
+                    hop_departures: uint(ch, "hop_departures")?,
+                    drops: uint(ch, "drops")?,
+                    decisions_won: uint(ch, "decisions_won")?,
+                    wait_ticks_sum: uint(ch, "wait_ticks_sum")?,
+                    bytes_delivered: uint(ch, "bytes_delivered")?,
+                    backlog_bytes_sum: uint(ch, "backlog_bytes_sum")?,
+                    depth: int(ch, "depth")?,
+                    depth_high_water: int(ch, "depth_high_water")?,
+                    backlog_bytes: int(ch, "backlog_bytes")?,
+                    backlog_high_water: int(ch, "backlog_high_water")?,
+                    delay_hist: hist(ch, "delay_hist")?,
+                    backlog_hist: hist(ch, "backlog_hist")?,
+                });
             }
-            c.lit(&format!("{{\"link\":{num_links},\"decisions\":"))?;
-            let link_decisions = c.u64()?;
-            c.lit(",\"classes\":[")?;
-            let mut classes_this_link = 0usize;
-            let mut link_decisions_sum = 0u64;
-            while !c.peek("]") {
-                if classes_this_link > 0 {
-                    c.lit(",")?;
-                }
-                let ch = c.channel(classes_this_link)?;
-                link_decisions_sum += ch.decisions_won;
-                channels.push(ch);
-                classes_this_link += 1;
-            }
-            c.lit("]}")?;
-            if classes_this_link != num_classes {
-                return Err(format!(
-                    "metrics JSON: link {num_links} has {classes_this_link} classes, \
-                     class_gauges has {num_classes}"
-                ));
-            }
-            if link_decisions != link_decisions_sum {
-                return Err(format!(
-                    "metrics JSON: link {num_links} decisions {link_decisions} != \
-                     per-class sum {link_decisions_sum}"
-                ));
-            }
-            num_links += 1;
         }
-        c.lit("]}")?;
-        if c.pos != s.len() {
-            return Err(format!("metrics JSON: trailing bytes at {}", c.pos));
+        let (num_links, num_classes) = (links.len(), gauges.len());
+        if channels.len() != num_links * num_classes {
+            return None;
         }
         let multi_link = num_links > 1;
         let r = MetricsRegistry {
@@ -640,31 +630,19 @@ impl MetricsRegistry {
             num_links,
             num_classes,
             multi_link,
-            heartbeats,
-            scenario_events,
-            heap_high_water,
-            first_event_ticks,
-            last_event_ticks,
+            heartbeats: uint(doc, "heartbeats")?,
+            scenario_events: uint(doc, "scenario_events")?,
+            heap_high_water: usize::try_from(uint(doc, "heap_high_water")?).ok()?,
+            first_event_ticks: match doc.get("first_event_ticks")? {
+                Json::Null => u64::MAX,
+                ticks => ticks.as_u64()?,
+            },
+            last_event_ticks: uint(doc, "last_event_ticks")?,
         };
-        if r.decisions() != decisions {
-            return Err(format!(
-                "metrics JSON: decisions {decisions} != reconstructed {}",
-                r.decisions()
-            ));
-        }
-        if r.probe_events() != probe_events {
-            return Err(format!(
-                "metrics JSON: probe_events {probe_events} != reconstructed {}",
-                r.probe_events()
-            ));
-        }
-        if r.virtual_span_ticks() != span {
-            return Err(format!(
-                "metrics JSON: virtual_span_ticks {span} != reconstructed {}",
-                r.virtual_span_ticks()
-            ));
-        }
-        Ok(r)
+        // `probe_events` is the largest total a snapshot derives; if it
+        // fits, so do `decisions` and every per-link tally.
+        r.checked_probe_events()?;
+        Some(r)
     }
 
     /// Renders the registry in the Prometheus text exposition format
@@ -852,127 +830,6 @@ impl MetricsRegistry {
             ));
         }
         out
-    }
-}
-
-/// Strict sequential scanner over the deterministic snapshot format —
-/// every structural byte is matched literally, so any deviation from
-/// [`MetricsRegistry::to_json`]'s output is a parse error.
-struct Cursor<'a> {
-    s: &'a str,
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn lit(&mut self, lit: &str) -> Result<(), String> {
-        if self.s[self.pos..].starts_with(lit) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            let found = &self.s[self.pos..self.s.len().min(self.pos + 24)];
-            Err(format!(
-                "metrics JSON: expected {lit:?} at byte {}, found {found:?}",
-                self.pos
-            ))
-        }
-    }
-
-    fn peek(&self, lit: &str) -> bool {
-        self.s[self.pos..].starts_with(lit)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let rest = &self.s[self.pos..];
-        let len = rest.bytes().take_while(u8::is_ascii_digit).count();
-        let v = rest[..len]
-            .parse()
-            .map_err(|e| format!("metrics JSON: bad integer at byte {}: {e}", self.pos))?;
-        self.pos += len;
-        Ok(v)
-    }
-
-    fn i64(&mut self) -> Result<i64, String> {
-        let rest = &self.s[self.pos..];
-        let sign = usize::from(rest.starts_with('-'));
-        let len = sign + rest[sign..].bytes().take_while(u8::is_ascii_digit).count();
-        let v = rest[..len]
-            .parse()
-            .map_err(|e| format!("metrics JSON: bad integer at byte {}: {e}", self.pos))?;
-        self.pos += len;
-        Ok(v)
-    }
-
-    fn histogram(&mut self) -> Result<Histogram, String> {
-        self.lit("{\"count\":")?;
-        let count = self.u64()?;
-        self.lit(",\"bins\":[")?;
-        let mut bins = Vec::new();
-        while !self.peek("]") {
-            if !bins.is_empty() {
-                self.lit(",")?;
-            }
-            bins.push(self.u64()?);
-        }
-        self.lit("]}")?;
-        let h = Histogram::from_bins(bins);
-        if h.count() != count {
-            return Err(format!(
-                "metrics JSON: histogram count {count} != bin sum {}",
-                h.count()
-            ));
-        }
-        Ok(h)
-    }
-
-    fn channel(&mut self, class: usize) -> Result<ChannelMetrics, String> {
-        self.lit(&format!("{{\"class\":{class},\"arrivals\":"))?;
-        let arrivals = self.u64()?;
-        self.lit(",\"enqueues\":")?;
-        let enqueues = self.u64()?;
-        self.lit(",\"departures\":")?;
-        let departures = self.u64()?;
-        self.lit(",\"hop_departures\":")?;
-        let hop_departures = self.u64()?;
-        self.lit(",\"drops\":")?;
-        let drops = self.u64()?;
-        self.lit(",\"decisions_won\":")?;
-        let decisions_won = self.u64()?;
-        self.lit(",\"wait_ticks_sum\":")?;
-        let wait_ticks_sum = self.u64()?;
-        self.lit(",\"bytes_delivered\":")?;
-        let bytes_delivered = self.u64()?;
-        self.lit(",\"backlog_bytes_sum\":")?;
-        let backlog_bytes_sum = self.u64()?;
-        self.lit(",\"depth\":")?;
-        let depth = self.i64()?;
-        self.lit(",\"depth_high_water\":")?;
-        let depth_high_water = self.i64()?;
-        self.lit(",\"backlog_bytes\":")?;
-        let backlog_bytes = self.i64()?;
-        self.lit(",\"backlog_high_water\":")?;
-        let backlog_high_water = self.i64()?;
-        self.lit(",\"delay_hist\":")?;
-        let delay_hist = self.histogram()?;
-        self.lit(",\"backlog_hist\":")?;
-        let backlog_hist = self.histogram()?;
-        self.lit("}")?;
-        Ok(ChannelMetrics {
-            arrivals,
-            enqueues,
-            departures,
-            hop_departures,
-            drops,
-            decisions_won,
-            wait_ticks_sum,
-            bytes_delivered,
-            backlog_bytes_sum,
-            depth,
-            depth_high_water,
-            backlog_bytes,
-            backlog_high_water,
-            delay_hist,
-            backlog_hist,
-        })
     }
 }
 
@@ -1419,10 +1276,86 @@ mod tests {
         assert!(MetricsRegistry::from_json("{}").is_err());
         assert!(MetricsRegistry::from_json(&good[..good.len() - 1]).is_err());
         assert!(MetricsRegistry::from_json(&format!("{good} ")).is_err());
-        // A tampered derived field is caught by the cross-check.
-        let tampered = good.replacen("\"decisions\":1", "\"decisions\":9", 1);
-        assert_ne!(tampered, good);
-        assert!(MetricsRegistry::from_json(&tampered).is_err());
+        // A tampered derived field is caught by the cross-check: the
+        // rebuilt registry does not write these bytes.
+        let reject = |from: &str, to: &str| {
+            let tampered = good.replacen(from, to, 1);
+            assert_ne!(tampered, good, "{from} not found");
+            let err = MetricsRegistry::from_json(&tampered).unwrap_err();
+            assert!(err.starts_with("metrics JSON: "), "{err}");
+        };
+        reject("\"decisions\":1", "\"decisions\":9");
+        reject("\"probe_events\":4", "\"probe_events\":5");
+        reject("\"virtual_span_ticks\":103", "\"virtual_span_ticks\":104");
+        reject("{\"count\":1,", "{\"count\":2,");
+        reject("\"link\":0,\"decisions\":1", "\"link\":0,\"decisions\":0");
+        // Valid JSON that is not byte-for-byte the snapshot.
+        reject("\"heartbeats\":0", "\"heartbeats\": 0");
+        reject("\"heartbeats\":0", "\"heartbeats\":0,\"heartbeats\":0");
+        reject("\"heartbeats\":0", "\"heartbeats\":0,\"extra\":0");
+        reject(
+            "\"heartbeats\":0,\"scenario_events\":0",
+            "\"scenario_events\":0,\"heartbeats\":0",
+        );
+        reject("\"heartbeats\":0", "\"heartbeats\":0.0");
+        reject("propdiff-metrics-v1", "propdiff-metrics-v2");
+        // Mistyped or missing stored fields.
+        reject("\"arrivals\":1", "\"arrivals\":-1");
+        reject("\"arrivals\":1", "\"arrivals\":\"1\"");
+        reject("\"last_event_ticks\":108,", "");
+        reject("\"class\":1,\"arrivals\"", "\"class\":7,\"arrivals\"");
+        // Counters whose derived totals pass u64::MAX are refused, not
+        // summed.
+        reject("\"arrivals\":1", "\"arrivals\":18446744073709551615");
+        reject("\"bins\":[0,0,1]", "\"bins\":[18446744073709551615,0,1]");
+    }
+
+    #[test]
+    fn u64_counters_keep_their_digits() {
+        let mut r = MetricsRegistry::with_shape(1, 1);
+        r.channels[0].wait_ticks_sum = u64::MAX - 1;
+        let j = r.to_json();
+        assert!(j.contains("\"wait_ticks_sum\":18446744073709551614"), "{j}");
+        let back = MetricsRegistry::from_json(&j).unwrap();
+        assert_eq!(back.channels[0].wait_ticks_sum, u64::MAX - 1);
+    }
+
+    mod round_trip {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// `from_json ∘ to_json` rebuilds a registry that writes the
+            /// same bytes, whatever lifecycle drove it: 1–4 links, 1–6
+            /// classes, every probe call, one counter near `u64::MAX`.
+            #[test]
+            fn from_json_inverts_to_json(
+                events in prop::collection::vec((0u8..7, 0u16..4, 0u8..6, 0u64..5_000), 0..200),
+                shape in (1u16..5, 1u8..7),
+            ) {
+                let (links, classes) = shape;
+                let mut r = MetricsRegistry::new();
+                for (seq, (what, hop, class, ticks)) in events.into_iter().enumerate() {
+                    let p = hop_id(seq as u64, class % classes, 40 + ticks as u32, hop % links);
+                    let at = Time::from_ticks(ticks);
+                    match what {
+                        0 => r.on_arrival(at, p),
+                        1 => r.on_enqueue(at, p),
+                        2 => r.on_decision(at, "WTP", p, &[]),
+                        3 => r.on_depart(p, at, at, Time::from_ticks(ticks + 40), seq % 2 == 0),
+                        4 => r.on_drop(at, p, ticks, 2 * ticks),
+                        5 => r.on_heartbeat(at, seq as u64, ticks as usize),
+                        _ => r.on_scenario_event(at, hop, "set_sdp", 0.0),
+                    }
+                }
+                if let Some(ch) = r.channels.last_mut() {
+                    ch.bytes_delivered = u64::MAX - 1;
+                }
+                let bytes = r.to_json();
+                let back = MetricsRegistry::from_json(&bytes);
+                prop_assert_eq!(back.map(|b| b.to_json()), Ok(bytes));
+            }
+        }
     }
 
     #[test]

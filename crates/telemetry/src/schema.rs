@@ -2,12 +2,12 @@
 //!
 //! `propdiff-trace --validate` and the CI telemetry job run every emitted
 //! line through [`validate_line`], so a malformed exporter fails loudly
-//! instead of producing a trace no tool can read. The checker is a small
-//! recursive-descent JSON parser (syntax) plus per-event required-key
-//! tables (vocabulary) — exactly the contract documented on
+//! instead of producing a trace no tool can read. The checker is
+//! [`Json::parse`] (syntax) plus a walk over the tree against per-event
+//! required-key tables (vocabulary) — exactly the contract documented on
 //! [`crate::JsonlSink`].
 
-use std::collections::BTreeMap;
+use crate::json::Json;
 
 /// The JSON value kinds the schema distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,182 +39,29 @@ impl std::fmt::Display for SchemaError {
     }
 }
 
-// ---- minimal JSON scanner -------------------------------------------------
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(s: &'a str) -> Self {
-        Scanner {
-            bytes: s.as_bytes(),
-            pos: 0,
+/// The kind of `v`, after refusing what [`Json::parse`] accepts and the
+/// trace schema does not, at any depth: `null` and a repeated object key.
+fn kind_of(v: &Json) -> Result<Kind, String> {
+    match v {
+        // A number too large for a double also parses to `Null`.
+        Json::Null => Err("null (or a non-finite number) is not part of the trace schema".into()),
+        Json::Bool(_) => Ok(Kind::Bool),
+        Json::Int(_) | Json::UInt(_) | Json::Float(_) => Ok(Kind::Number),
+        Json::Str(_) => Ok(Kind::String),
+        Json::Arr(items) => {
+            items.iter().try_for_each(|item| kind_of(item).map(drop))?;
+            Ok(Kind::Array)
         }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        match self.bump() {
-            Some(got) if got == b => Ok(()),
-            Some(got) => Err(format!(
-                "expected '{}' at byte {}, found '{}'",
-                b as char,
-                self.pos - 1,
-                got as char
-            )),
-            None => Err(format!("expected '{}', found end of input", b as char)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'u') => {
-                        for _ in 0..4 {
-                            match self.bump() {
-                                Some(h) if h.is_ascii_hexdigit() => {}
-                                _ => return Err("bad \\u escape".into()),
-                            }
-                        }
-                        out.push('?');
-                    }
-                    Some(e @ (b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't')) => {
-                        out.push(e as char)
-                    }
-                    _ => return Err("bad escape".into()),
-                },
-                Some(b) => out.push(b as char),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut digits = 0;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-            digits += 1;
-        }
-        if digits == 0 {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map_err(|_| format!("bad number literal '{text}'"))?;
-        Ok(())
-    }
-
-    /// Consumes one JSON value, returning its kind.
-    fn value(&mut self) -> Result<Kind, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => {
-                self.string()?;
-                Ok(Kind::String)
-            }
-            Some(b'{') => self.object().map(|_| Kind::Object),
-            Some(b'[') => {
-                self.expect(b'[')?;
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.bump();
-                    return Ok(Kind::Array);
+        Json::Obj(pairs) => {
+            for (i, (key, value)) in pairs.iter().enumerate() {
+                if pairs[..i].iter().any(|(earlier, _)| earlier == key) {
+                    return Err(format!("duplicate key \"{key}\""));
                 }
-                loop {
-                    self.value()?;
-                    self.skip_ws();
-                    match self.bump() {
-                        Some(b',') => {}
-                        Some(b']') => return Ok(Kind::Array),
-                        _ => return Err("expected ',' or ']' in array".into()),
-                    }
-                }
+                kind_of(value)?;
             }
-            Some(b't') => self.literal("true").map(|_| Kind::Bool),
-            Some(b'f') => self.literal("false").map(|_| Kind::Bool),
-            Some(b'n') => Err("null is not part of the trace schema".into()),
-            Some(_) => {
-                self.number()?;
-                Ok(Kind::Number)
-            }
-            None => Err("expected a value, found end of input".into()),
+            Ok(Kind::Object)
         }
     }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        for &b in lit.as_bytes() {
-            if self.bump() != Some(b) {
-                return Err(format!("bad literal (expected '{lit}')"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Consumes one object, returning its top-level keys and value kinds.
-    fn object(&mut self) -> Result<BTreeMap<String, Kind>, String> {
-        self.expect(b'{')?;
-        let mut keys = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.bump();
-            return Ok(keys);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let kind = self.value()?;
-            if keys.insert(key.clone(), kind).is_some() {
-                return Err(format!("duplicate key \"{key}\""));
-            }
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => {}
-                Some(b'}') => return Ok(keys),
-                _ => return Err("expected ',' or '}' in object".into()),
-            }
-        }
-    }
-}
-
-/// Parses `line` as a single JSON object, returning top-level keys → kinds.
-fn parse_object(line: &str) -> Result<BTreeMap<String, Kind>, String> {
-    let mut sc = Scanner::new(line);
-    let keys = sc.object()?;
-    sc.skip_ws();
-    if sc.peek().is_some() {
-        return Err("trailing bytes after the JSON object".into());
-    }
-    Ok(keys)
 }
 
 /// Required `key → kind` table for each event type.
@@ -283,38 +130,28 @@ fn required(ev: &str) -> Option<&'static [(&'static str, Kind)]> {
 /// type, and every required field present with the right kind.
 pub fn validate_line(line: &str) -> Result<(), SchemaError> {
     let fail = |message: String| SchemaError { line: 0, message };
-    let keys = parse_object(line).map_err(fail)?;
-    match keys.get("ev") {
-        Some(Kind::String) => {}
+    let doc = Json::parse(line).map_err(fail)?;
+    if kind_of(&doc).map_err(fail)? != Kind::Object {
+        return Err(fail("a trace line must be a JSON object".into()));
+    }
+    let ev = match doc.get("ev") {
+        Some(Json::Str(ev)) => ev,
         Some(_) => return Err(fail("\"ev\" must be a string".into())),
         None => return Err(fail("missing \"ev\" field".into())),
-    }
-    // Re-scan just the ev value (the scanner above discarded string text
-    // positions; cheapest is a targeted extraction).
-    let ev = extract_ev(line).ok_or_else(|| fail("cannot extract \"ev\" value".into()))?;
-    let table = required(&ev).ok_or_else(|| fail(format!("unknown event type \"{ev}\"")))?;
+    };
+    let table = required(ev).ok_or_else(|| fail(format!("unknown event type \"{ev}\"")))?;
     for (key, kind) in table {
-        match keys.get(*key) {
-            Some(k) if k == kind => {}
-            Some(k) => {
-                return Err(fail(format!(
-                    "\"{ev}\" field \"{key}\" has kind {k:?}, expected {kind:?}"
-                )))
-            }
-            None => return Err(fail(format!("\"{ev}\" event missing field \"{key}\""))),
+        let value = doc
+            .get(key)
+            .ok_or_else(|| fail(format!("\"{ev}\" event missing field \"{key}\"")))?;
+        let found = kind_of(value).map_err(fail)?;
+        if found != *kind {
+            return Err(fail(format!(
+                "\"{ev}\" field \"{key}\" has kind {found:?}, expected {kind:?}"
+            )));
         }
     }
     Ok(())
-}
-
-/// Extracts the value of the `"ev"` key (first occurrence).
-fn extract_ev(line: &str) -> Option<String> {
-    let idx = line.find("\"ev\":")?;
-    let rest = &line[idx + 5..];
-    let open = rest.find('"')?;
-    let rest = &rest[open + 1..];
-    let close = rest.find('"')?;
-    Some(rest[..close].to_string())
 }
 
 /// Validates a whole JSONL document (one event per line; blank lines are
@@ -411,5 +248,36 @@ mod tests {
              \"values\":[[0,-1.5e3]]}",
         )
         .unwrap();
+    }
+
+    #[test]
+    fn ev_is_read_from_the_tree_not_found_by_substring() {
+        // Legal whitespace after the key: "cannot extract" before the walk.
+        validate_line("{\"ev\" : \"heartbeat\",\"t\":9,\"events\":100,\"heap\":4}").unwrap();
+        // A nested "ev" is somebody's argument, not the event type: the
+        // substring search judged this line by "nonsense".
+        validate_line(
+            "{\"args\":{\"ev\":\"nonsense\"},\"ev\":\"heartbeat\",\"t\":9,\"events\":1,\"heap\":4}",
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn rejects_what_the_codec_accepts_and_the_schema_does_not() {
+        let e =
+            validate_line("{\"ev\":\"heartbeat\",\"t\":null,\"events\":1,\"heap\":0}").unwrap_err();
+        assert!(e.message.contains("null"), "{e}");
+        let e = validate_line(
+            "{\"ev\":\"heartbeat\",\"t\":1,\"events\":1,\"heap\":0,\"args\":[{\"x\":null}]}",
+        )
+        .unwrap_err();
+        assert!(e.message.contains("null"), "{e}");
+        let e = validate_line(
+            "{\"ev\":\"heartbeat\",\"t\":1,\"events\":1,\"heap\":0,\"args\":{\"x\":1,\"x\":2}}",
+        )
+        .unwrap_err();
+        assert!(e.message.contains("duplicate key \"x\""), "{e}");
+        let e = validate_line("[{\"ev\":\"heartbeat\"}]").unwrap_err();
+        assert!(e.message.contains("must be a JSON object"), "{e}");
     }
 }

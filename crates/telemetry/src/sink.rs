@@ -4,21 +4,8 @@ use std::io::{self, Write};
 
 use simcore::Time;
 
+use crate::json::escape;
 use crate::probe::{PacketId, Probe};
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Formats the shared identity fields of a packet event.
 fn id_fields(id: PacketId) -> String {
@@ -431,12 +418,6 @@ mod tests {
         let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         assert!(text.contains("\"ph\":\"n\""));
         assert!(!text.contains("\"ph\":\"e\""));
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_controls() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("x\ny"), "x\\u000ay");
     }
 
     #[test]
