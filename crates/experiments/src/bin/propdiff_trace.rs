@@ -352,10 +352,11 @@ fn cmd_studyb(args: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|e| format!("bad --seed: {e}"))?;
 
-    let mut cfg = StudyBConfig::paper(hops, rho, 10, 200.0);
-    cfg.experiments = experiments;
-    cfg.warmup_secs = 2.0;
-    cfg.seed = seed;
+    let cfg = StudyBConfig::builder(hops, rho, 10, 200.0)
+        .experiments(experiments)
+        .warmup_secs(2.0)
+        .seed(seed)
+        .build()?;
 
     let sinks = Sinks::open(args)?;
     let mut probe = Tee(CountingProbe::new(cfg.num_classes()), sinks);

@@ -148,3 +148,30 @@ fn buffer_smaller_than_the_largest_packet_is_a_usage_error() {
         );
     }
 }
+
+#[test]
+fn studyb_flags_no_chain_can_satisfy_are_usage_errors() {
+    // The config builder refuses each; past it, the engine's answer to an
+    // invalid configuration is a panic.
+    for (flag, value, says) in [
+        ("--hops", "0", "at least one hop"),
+        ("--rho", "0.001", "exceeds the utilization target"),
+        ("--experiments", "0", "must be positive"),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_propdiff-trace"))
+            .args(["studyb", flag, value])
+            .output()
+            .expect("propdiff-trace should launch");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "{flag} {value} must be refused, not crash: {stderr}"
+        );
+        assert!(stderr.contains(says), "{flag} {value}: {stderr}");
+        assert!(
+            !stderr.contains("panicked at"),
+            "{flag} {value} panicked: {stderr}"
+        );
+    }
+}
