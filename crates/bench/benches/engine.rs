@@ -1,11 +1,11 @@
 //! Engine throughput benches: packets/second through the single-link
-//! replay loop, events/second through the multi-hop simulator, and
-//! packet-hops/second through the coupled mesh as its open-loop flows
-//! multiply.
+//! replay loop, events/second through the multi-hop simulator and through
+//! its cross-traffic generator alone, and packet-hops/second through the
+//! coupled mesh as its open-loop flows multiply.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pdd::netsim::mesh::{FlowModel, MeshConfig, MeshFlow};
-use pdd::netsim::{LinkSpec, Session as NetSession, StudyBConfig};
+use pdd::netsim::{count_cross_events, LinkSpec, Session as NetSession, StudyBConfig};
 use pdd::qsim::{Experiment, Session};
 use pdd::sched::{SchedulerKind, Sdp};
 
@@ -34,6 +34,21 @@ fn bench_netsim_throughput(c: &mut Criterion) {
             NetSession::study_b(&cfg).run().0
         });
     });
+}
+
+/// The chain's cross-traffic generator alone — block-drawn words, the
+/// K·C-way merge, no link behind it — for the K = 8 Table-1 cell at bench
+/// scale (64 sources): `Cross` events a second.
+fn bench_chain_cross_stream(c: &mut Criterion) {
+    let mut cfg = StudyBConfig::paper(8, 0.95, 100, 50.0);
+    cfg.experiments = 6;
+    cfg.warmup_secs = 4.0;
+    let mut group = c.benchmark_group("chain");
+    group.throughput(Throughput::Elements(count_cross_events(&cfg)));
+    group.bench_function("cross_stream", |b| {
+        b.iter(|| count_cross_events(&cfg));
+    });
+    group.finish();
 }
 
 /// Eight 1 Gb/s WTP links at ρ = 0.55, the load cut into `flows`
@@ -87,6 +102,7 @@ fn bench_mesh_open_loop_flows(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_qsim_throughput, bench_netsim_throughput, bench_mesh_open_loop_flows
+    targets = bench_qsim_throughput, bench_netsim_throughput, bench_chain_cross_stream,
+        bench_mesh_open_loop_flows
 }
 criterion_main!(benches);

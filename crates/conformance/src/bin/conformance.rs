@@ -8,7 +8,8 @@
 //! the suite passed. With `--expect-detect` the polarity flips: the run
 //! succeeds only if at least one check FAILS — that mode, combined with
 //! building against `--features mutated` (which flips the rank core's
-//! tie-break in `sched` and the emission lane's in `netsim`), is the proof that the harness is non-vacuous.
+//! tie-break in `sched`, and in `netsim` the emission lane's and the chain's
+//! cross stream's), is the proof that the harness is non-vacuous.
 //! CI runs both polarities.
 
 use std::process::ExitCode;
@@ -35,7 +36,7 @@ fn main() -> ExitCode {
     }
 
     let mutated = if cfg!(feature = "mutated") {
-        " [MUTATED build: sched/mutate-pifo-rank and netsim/mutate-lane-tie active]"
+        " [MUTATED build: sched/mutate-pifo-rank, netsim/mutate-lane-tie and netsim/mutate-chain-tie active]"
     } else {
         ""
     };

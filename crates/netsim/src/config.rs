@@ -2,8 +2,13 @@
 
 use sched::{SchedulerKind, Sdp};
 
+use crate::emission::MAX_STREAM_SOURCES;
 use crate::link::{CrossTraffic, LinkSpec};
 use crate::TICKS_PER_SEC;
+
+/// Hops a chain may have: the engine counts a packet's remaining hops, and
+/// numbers links, in a `u16`.
+const MAX_HOPS: usize = u16::MAX as usize;
 
 /// How cross-traffic sources generate load.
 #[derive(Debug, Clone, PartialEq)]
@@ -259,6 +264,21 @@ impl StudyBConfig {
         if self.k_hops == 0 {
             return Err("need at least one hop".into());
         }
+        // The engine numbers hops and cross sources in 16 bits; beyond
+        // them a source would silently feed another node's link.
+        if self.k_hops > MAX_HOPS {
+            return Err(format!(
+                "k_hops {} exceeds the chain engine's {MAX_HOPS} hops",
+                self.k_hops
+            ));
+        }
+        let sources = self.k_hops.checked_mul(self.cross_sources);
+        if sources.is_none_or(|n| n > MAX_STREAM_SOURCES) {
+            return Err(format!(
+                "{} hops x {} cross sources exceed the chain engine's {MAX_STREAM_SOURCES} sources",
+                self.k_hops, self.cross_sources
+            ));
+        }
         if !(self.utilization > 0.0 && self.utilization < 1.0) {
             return Err(format!(
                 "utilization must be in (0,1), got {}",
@@ -468,6 +488,24 @@ mod tests {
         c.user_path = Some((3, 3));
         assert!(c.validate().is_err());
         c.user_path = Some((0, 5));
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn oversize_chains_are_rejected_not_aliased() {
+        // 70 000 hops used to validate, and cross sources of node
+        // 65 536 + n fed link n (`node as u16`).
+        let err = StudyBConfig::builder(70_000, 0.9, 10, 50.0)
+            .build()
+            .unwrap_err();
+        assert!(err.contains("k_hops 70000"), "{err}");
+        // Within the hop limit, the sources' index is what runs out.
+        let mut c = StudyBConfig::paper(8_192, 0.9, 10, 50.0);
+        assert!(c.validate().is_ok());
+        c.cross_sources = 9;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("8192 hops x 9 cross sources"), "{err}");
+        c.cross_sources = usize::MAX;
         assert!(c.validate().is_err());
     }
 

@@ -1,11 +1,15 @@
+//! Open-loop emissions, kept out of the event queue.
+//!
 //! The emission clock of a Pareto [`MeshFlow`](crate::MeshFlow) — the one
 //! definition both mesh engines read, so the exact engine's `Emit` events
 //! and the decomposition's precomputed schedules are the same instants by
 //! construction — and the [`EmissionLane`] the exact engine reads its
-//! clocks through.
+//! clocks through; the chain's [`CrossStream`], whose sources share one
+//! RNG; and the [`TournamentTree`] a lane keeps a fixed few pending keys
+//! in.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use traffic::{per_source_seed, IatDist};
 
 /// Instants computed at a time once a clock is running: [`IatDist::fill`]
@@ -287,6 +291,342 @@ impl EmissionLane {
     }
 }
 
+/// The earliest of a fixed number of keyed slots, any one of which can be
+/// rewritten in `log₂ slots` comparisons — a tournament tree: the slots are
+/// the leaves of a complete binary tree and every inner node names the
+/// slots that won and lost the match between its two subtrees' winners, so
+/// rewriting a slot replays only the matches on its path to the root. An
+/// empty slot holds the `vacant` key the tree was made with, which must
+/// compare above every key in use.
+///
+/// The losers are there for [`replace_min`](Self::replace_min), which is
+/// all a merge ever does: the minimum beat, on its way up, exactly the
+/// losers on its path, so its replacement meets them again — each read
+/// from the node it is written back to, where [`set`](Self::set) has to
+/// read both children's winners, the one below just written.
+pub(crate) struct TournamentTree<K> {
+    /// A key per leaf; leaves past the slots asked for stay vacant.
+    keys: Vec<K>,
+    /// Per node `n` of the implicit tree — root 1, children `2n` and
+    /// `2n + 1`, leaf `i` at `keys.len() + i` its own winner — the slots of
+    /// the smaller and of the larger of its children's winning keys.
+    winner: Vec<u32>,
+    loser: Vec<u32>,
+}
+
+impl<K: Copy + Ord> TournamentTree<K> {
+    /// `slots` empty slots.
+    pub(crate) fn new(slots: usize, vacant: K) -> Self {
+        let leaves = slots.next_power_of_two();
+        // All keys equal: of a node's children, either may have won.
+        let mut winner: Vec<u32> = (0..2 * leaves as u32)
+            .map(|n| n.saturating_sub(leaves as u32))
+            .collect();
+        let mut loser = vec![0; leaves];
+        for node in (1..leaves).rev() {
+            (winner[node], loser[node]) = (winner[2 * node], winner[2 * node + 1]);
+        }
+        TournamentTree {
+            keys: vec![vacant; leaves],
+            winner,
+            loser,
+        }
+    }
+
+    /// Rewrites `slot`'s key.
+    #[inline]
+    pub(crate) fn set(&mut self, slot: usize, key: K) {
+        self.keys[slot] = key;
+        let mut node = (self.keys.len() + slot) / 2;
+        while node > 0 {
+            let (a, b) = (self.winner[2 * node], self.winner[2 * node + 1]);
+            let a_wins = self.keys[a as usize] <= self.keys[b as usize];
+            (self.winner[node], self.loser[node]) = if a_wins { (a, b) } else { (b, a) };
+            node /= 2;
+        }
+    }
+
+    /// Rewrites the key of the slot [`min`](Self::min) reports — with the
+    /// vacant key to empty it.
+    #[inline]
+    pub(crate) fn replace_min(&mut self, key: K) {
+        use std::hint::select_unpredictable as select;
+        let (mut slot, mut key) = (self.winner[1], key);
+        self.keys[slot as usize] = key;
+        let mut node = (self.keys.len() + slot as usize) / 2;
+        while node > 0 {
+            // Near the leaves a match is a coin toss: selected, not
+            // branched on.
+            let other = self.loser[node];
+            let other_key = self.keys[other as usize];
+            let other_wins = other_key < key;
+            self.loser[node] = select(other_wins, slot, other);
+            slot = select(other_wins, other, slot);
+            key = select(other_wins, other_key, key);
+            self.winner[node] = slot;
+            node /= 2;
+        }
+    }
+
+    /// The slot holding the smallest key, and that key: the vacant one
+    /// when every slot is empty.
+    #[inline]
+    pub(crate) fn min(&self) -> (usize, K) {
+        let slot = self.winner[1] as usize;
+        (slot, self.keys[slot])
+    }
+}
+
+/// The class a cross packet takes for the uniform word `u`: the first whose
+/// cumulative share of `fractions` exceeds it, the last if none does —
+/// counted, not searched, since `u` makes any branch here a coin toss.
+#[inline]
+pub(crate) fn cross_class(u: f64, fractions: &[f64]) -> u8 {
+    let mut cum = 0.0;
+    let mut class = 0;
+    for &f in &fractions[..fractions.len() - 1] {
+        cum += f;
+        class += u8::from(u >= cum);
+    }
+    class
+}
+
+/// Emissions a [`CrossStream`] works out at a time: long enough that the
+/// `pow` calls of a block overlap and its arrays stay in L2.
+const STREAM_BLOCK: usize = 4_096;
+
+/// What a [`CrossStream`] source may index: a `u16`.
+pub(crate) const MAX_STREAM_SOURCES: usize = 1 << 16;
+
+/// The tick of cross source `source`'s first emission: the chain's sources
+/// start at staggered phases.
+pub(crate) fn first_cross_tick(source: usize) -> u64 {
+    1 + source as u64 * 131
+}
+
+/// One `Cross` event of the chain.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CrossEmission {
+    pub(crate) at: u64,
+    /// The source, numbered `node * sources_per_node + src`.
+    pub(crate) source: u16,
+    pub(crate) node: u16,
+    /// The packet's class; `None` for the one instant a source can be
+    /// nudged to past the stream's end, which is handled and emits nothing.
+    pub(crate) class: Option<u8>,
+    /// Whether the source emits again: if so the handler takes the next
+    /// emission's sequence number ([`CrossStream::stamp`]).
+    pub(crate) successor: bool,
+}
+
+/// Every Pareto `Cross` event of a Study-B chain, in the order the event
+/// queue would have handled them — without any of them entering it.
+///
+/// The chain's sources share one RNG: the `i`-th `Cross` handled takes
+/// words `2i` (its class) and `2i + 1` (its source's next gap), whichever
+/// source it belongs to. That fixes which *event* gets which words, not
+/// when they are drawn: with one Pareto shape a gap is `scale[node] · p`
+/// where `p = u^(−1/α)` depends on the word alone, so a block of words is
+/// drawn and `pow`-ed at once and only handed out in event order. And the
+/// order needs nothing but the stream: a `Cross` takes its sequence number
+/// while its source's previous one is handled, so of two on one tick the
+/// one whose predecessor came first goes first (first emissions: in source
+/// order) — `conformance::order`'s law. The stream therefore merges its
+/// sources on `(instant, emission count at the predecessor)`, which orders
+/// them as the true sequence numbers do, and runs ahead of the simulation
+/// a block at a time.
+///
+/// Like the [`EmissionLane`], it learns each emission's true sequence
+/// number ([`stamp`](Self::stamp)) when the predecessor is handled, which
+/// is before it can head the stream.
+pub(crate) struct CrossStream {
+    rng: StdRng,
+    /// The gap distribution at unit scale: every node's shape.
+    unit_gaps: IatDist,
+    /// Per source: its node's Pareto scale, its node, its unrounded clock,
+    /// the sequence number of its next emission.
+    scales: Vec<f64>,
+    nodes: Vec<u16>,
+    clocks: Vec<f64>,
+    stamps: Vec<u64>,
+    class_fractions: Vec<f64>,
+    /// Last instant at which a source emits a packet.
+    until: u64,
+    /// Per source, `instant << 64 | order` of its next emission.
+    pending: TournamentTree<u128>,
+    /// Emissions merged so far: the `order` of the next successor.
+    merged: u64,
+    /// The class word of the next emission (a block's gap words are drawn
+    /// through [`IatDist::fill_with`], whose hook runs *after* each).
+    class_word: f64,
+    block: Vec<CrossEmission>,
+    cursor: usize,
+    /// Sources whose next emission has not been popped.
+    live: usize,
+}
+
+impl CrossStream {
+    /// The chain's cross sources, `sources_per_node` at each node, node
+    /// `n`'s gaps Pareto with mean `mean_gap_ticks[n]`: source `i` first
+    /// emits at [`first_cross_tick`]`(i)`, and none emits a packet after
+    /// `until`.
+    ///
+    /// # Panics
+    /// Panics on a non-positive mean gap and on more than
+    /// [`MAX_STREAM_SOURCES`] sources.
+    pub(crate) fn new(
+        seed: u64,
+        mean_gap_ticks: &[f64],
+        sources_per_node: usize,
+        class_fractions: &[f64],
+        until: u64,
+    ) -> Self {
+        let sources = mean_gap_ticks.len() * sources_per_node;
+        assert!(sources <= MAX_STREAM_SOURCES, "{sources} cross sources");
+        let scale = |mean| match IatDist::paper_pareto(mean).expect("positive gap") {
+            IatDist::Pareto { scale, .. } => scale,
+            _ => unreachable!("paper_pareto is Pareto"),
+        };
+        let node_of = |source| source / sources_per_node;
+        let mut pending = TournamentTree::new(sources, u128::MAX);
+        for source in 0..sources {
+            let first = first_cross_tick(source);
+            pending.set(source, Self::merge_key(first, source as u64, source));
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let class_word = rng.random();
+        let mut stream = CrossStream {
+            rng,
+            unit_gaps: IatDist::Pareto {
+                shape: traffic::PAPER_PARETO_SHAPE,
+                scale: 1.0,
+            },
+            scales: (0..sources)
+                .map(|s| scale(mean_gap_ticks[node_of(s)]))
+                .collect(),
+            nodes: (0..sources).map(|s| node_of(s) as u16).collect(),
+            clocks: (0..sources).map(|s| first_cross_tick(s) as f64).collect(),
+            stamps: vec![0; sources],
+            class_fractions: class_fractions.to_vec(),
+            until,
+            pending,
+            merged: sources as u64,
+            class_word,
+            block: Vec::with_capacity(STREAM_BLOCK),
+            cursor: 0,
+            live: sources,
+        };
+        stream.refill();
+        stream
+    }
+
+    /// The merge key of an emission at `at`: same-tick emissions go in the
+    /// order their predecessors were merged in. (By source under the
+    /// `mutate-chain-tie` mutant — the order a merge gets when it forgets
+    /// that the event queue breaks ties by scheduling order.)
+    #[inline]
+    fn merge_key(at: u64, order: u64, source: usize) -> u128 {
+        let tie = if cfg!(feature = "mutate-chain-tie") {
+            source as u64
+        } else {
+            order
+        };
+        (at as u128) << 64 | tie as u128
+    }
+
+    /// Number of sources.
+    pub(crate) fn sources(&self) -> usize {
+        self.stamps.len()
+    }
+
+    /// Sources whose next emission is still to be popped: what the event
+    /// queue would hold of them.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Records `seq` as the sequence number of `source`'s next emission.
+    #[inline]
+    pub(crate) fn stamp(&mut self, source: u16, seq: u64) {
+        self.stamps[source as usize] = seq;
+    }
+
+    /// `(instant, sequence number)` of the next emission; `None` once every
+    /// source has ended. Call between events only: the head's predecessor
+    /// has then been handled and its stamp is the head's.
+    #[inline]
+    pub(crate) fn peek(&self) -> Option<(u64, u64)> {
+        let head = self.block.get(self.cursor)?;
+        Some((head.at, self.stamps[head.source as usize]))
+    }
+
+    /// Removes and returns the emission [`peek`](Self::peek) reported.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> CrossEmission {
+        let head = self.block[self.cursor];
+        self.cursor += 1;
+        self.live -= usize::from(!head.successor);
+        if self.cursor == self.block.len() {
+            self.refill();
+        }
+        head
+    }
+
+    /// Works out the next block: draws its words in the engine's order —
+    /// class, gap, class, gap — takes the gap words to their power at unit
+    /// scale, then merges that many emissions, each pushing its successor
+    /// back. Emissions past `until` take no words, and nothing follows
+    /// them, so the words drawn for their places go unused.
+    fn refill(&mut self) {
+        let mut class_words = [0.0; STREAM_BLOCK];
+        let mut pows = [0.0; STREAM_BLOCK];
+        let mut class_word = self.class_word;
+        (self.unit_gaps).fill_with(&mut self.rng, &mut pows, |i, rng| {
+            class_words[i] = class_word;
+            class_word = rng.random();
+        });
+        self.class_word = class_word;
+        self.block.clear();
+        self.cursor = 0;
+        for (&u, &pow) in class_words.iter().zip(&pows) {
+            let (source, key) = self.pending.min();
+            if key == u128::MAX {
+                break;
+            }
+            let at = (key >> 64) as u64;
+            let mut emission = CrossEmission {
+                at,
+                source: source as u16,
+                node: self.nodes[source],
+                class: None,
+                successor: false,
+            };
+            let mut next_key = u128::MAX;
+            if at <= self.until {
+                emission.class = Some(cross_class(u, &self.class_fractions));
+                // The clock accumulates unrounded, to avoid rounding drift.
+                let clock = &mut self.clocks[source];
+                *clock += self.scales[source] * pow;
+                let mut next = clock.round() as u64;
+                // Rounded to a tick not after this one: nudged to the tick
+                // after it, even when that is one past `until`.
+                let nudged = next <= at;
+                if nudged {
+                    next = at + 1;
+                    *clock = at as f64 + 1.0;
+                }
+                if nudged || next <= self.until {
+                    emission.successor = true;
+                    next_key = Self::merge_key(next, self.merged, source);
+                }
+            }
+            self.merged += 1;
+            self.pending.replace_min(next_key);
+            self.block.push(emission);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,6 +799,153 @@ mod tests {
             })
             .collect();
             assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn a_tournament_tree_is_an_indexed_minimum() {
+        // Against a plain scan, over slot counts on both sides of a power
+        // of two: slots rewritten and emptied in a scrambled order, the
+        // minimum replaced and removed.
+        for slots in [1usize, 2, 3, 8, 13, 64] {
+            let mut tree = TournamentTree::new(slots, u64::MAX);
+            let mut plain = vec![u64::MAX; slots];
+            assert_eq!(tree.min().1, u64::MAX);
+            for step in 0..4_000u64 {
+                let word = crate::topology::splitmix64(step ^ slots as u64);
+                let slot = (word % slots as u64) as usize;
+                // Distinct keys: the slot in the low bits.
+                let key = |slot: usize| (word >> 8) % 50 * 64 + slot as u64;
+                match word >> 60 {
+                    0 => {
+                        tree.set(slot, u64::MAX);
+                        plain[slot] = u64::MAX;
+                    }
+                    1..=6 => {
+                        let (min, _) = tree.min();
+                        let to = if word >> 60 == 1 { u64::MAX } else { key(min) };
+                        tree.replace_min(to);
+                        plain[min] = to;
+                    }
+                    _ => {
+                        tree.set(slot, key(slot));
+                        plain[slot] = key(slot);
+                    }
+                }
+                let (want_slot, want) = (plain.iter().copied().enumerate())
+                    .min_by_key(|&(_, key)| key)
+                    .unwrap();
+                let (slot, key) = tree.min();
+                assert_eq!(key, want, "{slots} slots, step {step}");
+                // Any slot may stand for an empty tree.
+                assert!(slot == want_slot || want == u64::MAX);
+            }
+        }
+    }
+
+    /// The chain's cross process as the engine ran it before the stream:
+    /// one heap entry per source keyed `(instant, seq)`, each `Cross`
+    /// drawing its class and its source's next gap from the shared RNG,
+    /// one scalar draw at a time.
+    fn heap_cross(
+        seed: u64,
+        mean_gaps: &[f64],
+        per_node: usize,
+        fractions: &[f64],
+        until: u64,
+    ) -> Vec<CrossEmission> {
+        use std::cmp::Reverse;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dists: Vec<IatDist> = (mean_gaps.iter())
+            .map(|&m| IatDist::paper_pareto(m).unwrap())
+            .collect();
+        let sources = mean_gaps.len() * per_node;
+        let mut cum: Vec<f64> = (0..sources).map(|s| 1.0 + s as f64 * 131.0).collect();
+        let mut heap = std::collections::BinaryHeap::new();
+        let mut seq = 0u64;
+        for source in 0..sources {
+            heap.push(Reverse((1 + source as u64 * 131, seq, source)));
+            seq += 1;
+        }
+        let mut out = Vec::new();
+        while let Some(Reverse((now, _, source))) = heap.pop() {
+            let node = source / per_node;
+            let mut emission = CrossEmission {
+                at: now,
+                source: source as u16,
+                node: node as u16,
+                class: None,
+                successor: false,
+            };
+            if now <= until {
+                emission.class = Some(cross_class(rng.random(), fractions));
+                cum[source] += dists[node].sample(&mut rng);
+                let next = cum[source].round() as u64;
+                if next > now && next <= until {
+                    heap.push(Reverse((next, seq, source)));
+                } else if next <= until {
+                    heap.push(Reverse((now + 1, seq, source)));
+                    cum[source] = now as f64 + 1.0;
+                }
+                emission.successor = next <= until;
+                seq += u64::from(emission.successor);
+            }
+            out.push(emission);
+        }
+        out
+    }
+
+    /// Drains a stream the way the chain does, stamping each successor.
+    fn drain_cross(mut stream: CrossStream) -> Vec<CrossEmission> {
+        let mut seq = 0;
+        for source in 0..stream.sources() {
+            stream.stamp(source as u16, seq);
+            seq += 1;
+        }
+        let mut out = Vec::new();
+        while let Some((at, stamp)) = stream.peek() {
+            let emission = stream.pop();
+            assert_eq!(at, emission.at);
+            if emission.successor {
+                stream.stamp(emission.source, seq);
+                seq += 1;
+            }
+            // Stamps rise along the stream within a tick: the lane's key
+            // order is the stream's order.
+            if let Some(&(prev_at, prev_stamp)) = out.last().map(|(_, k)| k) {
+                assert!(
+                    (prev_at, prev_stamp) < (at, stamp),
+                    "stream out of key order"
+                );
+            }
+            out.push((emission, (at, stamp)));
+        }
+        assert_eq!(stream.live(), 0);
+        out.into_iter().map(|(e, _)| e).collect()
+    }
+
+    #[test]
+    fn the_cross_stream_is_the_all_heap_cross_process() {
+        let fractions = [0.4, 0.3, 0.2, 0.1];
+        // Twelve sources a tick or two apart for 40 000 ticks: most ticks
+        // carry several emissions, many gaps round to nothing and are
+        // nudged, and sources standing on the last tick are nudged past it.
+        let gaps = [1.4, 2.2, 0.7];
+        let got = drain_cross(CrossStream::new(7, &gaps, 4, &fractions, 40_000));
+        assert!(got.len() > 200_000, "{} emissions", got.len());
+        let ties = got.windows(2).filter(|w| w[0].at == w[1].at).count();
+        assert!(ties > 100_000, "{ties} same-tick neighbours");
+        let past_end = got.iter().filter(|e| e.class.is_none()).count();
+        assert!(past_end > 0, "no source was nudged past the end");
+        assert!(got.iter().all(|e| e.class.is_some() == (e.at <= 40_000)));
+        assert!(got == heap_cross(7, &gaps, 4, &fractions, 40_000));
+        // Sixty-four sources at the chain's own scale (gaps of a
+        // millisecond and more, a tie now and then), one per node, and a
+        // stream that ends before its later sources start.
+        let gaps: Vec<f64> = (0..8).map(|n| 1.2e6 + 1e5 * n as f64).collect();
+        for (per_node, until) in [(8, 2_000_000_000), (1, 3_000_000_000), (8, 4_000)] {
+            let got = drain_cross(CrossStream::new(11, &gaps, per_node, &fractions, until));
+            assert!(got == heap_cross(11, &gaps, per_node, &fractions, until));
         }
     }
 

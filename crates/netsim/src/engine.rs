@@ -4,12 +4,12 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use scenario::{Command, DownPolicy, Scenario, ScenarioRuntime};
 use sched::{Packet, ReconfigureError, Scheduler};
-use simcore::{Context, Dur, Model, RunOutcome, Simulation, Time};
+use simcore::{Context, Dur, EventKey, Model, RunOutcome, Simulation, Time};
 use telemetry::{PacketId, Probe};
-use traffic::IatDist;
 
 use crate::analysis::ExperimentRecord;
 use crate::config::{CrossModel, StudyBConfig};
+use crate::emission::{cross_class, first_cross_tick, CrossEmission, CrossStream, TournamentTree};
 use crate::TICKS_PER_SEC;
 
 /// Sentinel tag for cross-traffic packets (no per-packet bookkeeping).
@@ -25,12 +25,15 @@ const HEARTBEAT_EVERY: u64 = 65_536;
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
-    /// Cross-traffic source `src` at node `node` emits a packet.
+    /// A Pareto cross source emits a packet; out of the lane.
+    Emit(CrossEmission),
+    /// ECN-adaptive cross source `src` at node `node` emits a packet.
     Cross { node: u16, src: u16 },
     /// Packet `idx` of the flow (experiment `exp`, class `class`) enters
     /// the first link.
     UserPacket { exp: u32, class: u8, idx: u32 },
-    /// The link finished transmitting its in-flight packet.
+    /// The link finished transmitting its in-flight packet; out of the
+    /// lane.
     TxDone { link: u16 },
     /// A user packet finished propagating to its next hop.
     Propagated { link: u16, class: u8, tag: u64 },
@@ -75,8 +78,9 @@ struct UserMeta {
 
 struct Link {
     scheduler: Box<dyn Scheduler>,
-    /// Current transmission rate in bytes per tick (scenario-adjustable).
-    rate: f64,
+    /// Ticks a packet takes at the current transmission rate (scenario-
+    /// adjustable): every packet of the chain has `cfg.packet_bytes`.
+    tx: Dur,
     in_flight: Option<Packet>,
     /// Start of the in-flight transmission (valid while `in_flight` is
     /// `Some`); transmissions keep the rate they started with.
@@ -85,28 +89,45 @@ struct Link {
     busy_ticks: u64,
 }
 
+/// AIMD state of [`CrossModel::EcnAdaptive`] sources, indexed
+/// `node * cross_sources + src` unless noted. A source's gap reads its
+/// link's backlog, so its `Cross` events are scheduled one at a time.
+struct EcnSources {
+    mark_threshold_bytes: u64,
+    increase_bps: f64,
+    /// Per node, the rate a source never falls below, bits/s.
+    floor_bps: Vec<f64>,
+    /// Current rate, bits/s.
+    rate: Vec<f64>,
+    /// Cumulative arrival clock, unrounded.
+    cum: Vec<f64>,
+    /// Draws every source's classes, in event order.
+    rng: StdRng,
+}
+
+/// The key of no event: past every key a transmission or an emission takes.
+const NO_EVENT: EventKey = EventKey::new(Time::MAX, u64::MAX);
+
 struct Net<'p, P: Probe> {
     cfg: StudyBConfig,
     /// `cfg.user_hops()` and `cfg.user_packet_gap_ticks()`, derived once:
     /// every user packet reads them.
     user_hops: (usize, usize),
     user_gap: Dur,
-    rng: StdRng,
+    /// The Pareto sources' `Cross` events, worked out ahead of the run and
+    /// read from the lane; without sources under the ECN model.
+    cross: CrossStream,
+    ecn: Option<EcnSources>,
     links: Vec<Link>,
+    /// Per link, the key of its pending `TxDone`: a link has at most one
+    /// transmission in flight, so the event waits here, not in the queue.
+    tx_done: TournamentTree<EventKey>,
     metas: Vec<UserMeta>,
     probe: &'p mut P,
     /// Scratch for the scheduler decision audit, reused across decisions.
     audit_buf: Vec<(usize, f64)>,
     /// Delivered end-to-end waits: `records[exp][class]` in ticks.
     records: Vec<Vec<Vec<u64>>>,
-    /// Per-node cross-source interarrival distribution (nodes can have
-    /// different utilization targets).
-    cross_iat: Vec<IatDist>,
-    /// Per-(node, source) cumulative arrival clock, indexed
-    /// `node * cross_sources + src`.
-    cross_cum: Vec<f64>,
-    /// Per-(node, source) current rate in bits/s (ECN model only).
-    cross_rate: Vec<f64>,
     /// Last instant at which cross sources may emit.
     cross_end: Time,
     /// Perturbation timeline state (empty scenarios are all-pass).
@@ -141,18 +162,6 @@ fn packet_id(pkt: &Packet, link: usize) -> PacketId {
 }
 
 impl<P: Probe> Net<'_, P> {
-    fn sample_cross_class(&mut self) -> u8 {
-        let u: f64 = self.rng.random();
-        let mut cum = 0.0;
-        for (c, &f) in self.cfg.cross_class_fractions.iter().enumerate() {
-            cum += f;
-            if u < cum {
-                return c as u8;
-            }
-        }
-        (self.cfg.cross_class_fractions.len() - 1) as u8
-    }
-
     /// Delivers a packet into a link's queue and starts transmission if the
     /// link is idle. A packet reaching a down link is dropped (fault drop)
     /// under [`DownPolicy::Drop`], buffered under [`DownPolicy::Hold`].
@@ -218,10 +227,28 @@ impl<P: Probe> Net<'_, P> {
         if pkt.tag != CROSS_TAG {
             self.metas[pkt.tag as usize].acc_wait += wait;
         }
-        let tx = ((pkt.size as f64 / self.links[link].rate).round() as u64).max(1);
         self.links[link].in_flight = Some(pkt);
         self.links[link].tx_start = now;
-        ctx.schedule_in(Dur::from_ticks(tx), Ev::TxDone { link: link as u16 });
+        let done = EventKey::new(now + self.links[link].tx, ctx.reserve_seq());
+        self.tx_done.set(link, done);
+    }
+
+    /// Keys of the earliest pending `TxDone` and of the next `Cross` in the
+    /// stream, [`NO_EVENT`] where there is none.
+    #[inline]
+    fn lane_heads(&self) -> (EventKey, EventKey) {
+        let (_, tx_done) = self.tx_done.min();
+        let cross = (self.cross.peek()).map_or(NO_EVENT, |(at, seq)| {
+            EventKey::new(Time::from_ticks(at), seq)
+        });
+        (tx_done, cross)
+    }
+
+    /// What the lane holds that the event queue would: a `Cross` per live
+    /// Pareto source and a `TxDone` per busy link.
+    fn lane_depth(&self) -> usize {
+        let busy = self.links.iter().filter(|l| l.in_flight.is_some()).count();
+        self.cross.live() + busy
     }
 
     /// Applies every scenario command due at `now` to the network.
@@ -243,7 +270,7 @@ impl<P: Probe> Net<'_, P> {
                 }
                 Command::SetLinkRate { link, rate } => {
                     let l = &mut self.links[link as usize];
-                    l.rate = rate;
+                    l.tx = tx_time(self.cfg.packet_bytes, rate);
                     l.scheduler.set_link_rate(rate);
                 }
                 Command::LinkDown { .. } => {
@@ -267,50 +294,47 @@ impl<P: Probe> Model for Net<'_, P> {
 
     fn handle(&mut self, ev: Ev, ctx: &mut Context<Ev>) {
         match ev {
+            Ev::Emit(emission) => {
+                if let Some(class) = emission.class {
+                    if self.rt.admits(class) {
+                        self.arrive(emission.node as usize, class, CROSS_TAG, ctx);
+                    }
+                }
+                // The source's next `Cross` is in the lane already: this
+                // is where it would have been scheduled.
+                if emission.successor {
+                    self.cross.stamp(emission.source, ctx.reserve_seq());
+                }
+            }
             Ev::Cross { node, src } => {
                 if ctx.now() <= self.cross_end {
-                    let class = self.sample_cross_class();
+                    let ecn = self.ecn.as_mut().expect("only ECN sources are scheduled");
+                    let class = cross_class(ecn.rng.random(), &self.cfg.cross_class_fractions);
                     if self.rt.admits(class) {
                         self.arrive(node as usize, class, CROSS_TAG, ctx);
                     }
+                    let ecn = self.ecn.as_mut().expect("only ECN sources are scheduled");
                     let idx = node as usize * self.cfg.cross_sources + src as usize;
-                    let gap = match self.cfg.cross_model {
-                        // Fresh Pareto gap, accumulated in f64 to avoid
-                        // rounding drift. One gap at a time, not a block
-                        // from `IatDist::fill`: every source, and every
-                        // class draw, takes its words from the one
-                        // `self.rng` in event order, so a block drawn
-                        // ahead for one source would shift all the rest.
-                        CrossModel::Pareto => self.cross_iat[node as usize].sample(&mut self.rng),
-                        CrossModel::EcnAdaptive {
-                            mark_threshold_bytes,
-                            increase_bps,
-                            min_rate_fraction,
-                        } => {
-                            // AIMD on the source's rate, driven by its own
-                            // link's queue depth (the ECN signal).
-                            let marked = self.links[node as usize].scheduler.total_backlog_bytes()
-                                > mark_threshold_bytes;
-                            let fair = self.cfg.cross_total_bps_for_link(node as usize)
-                                / self.cfg.cross_sources as f64;
-                            let rate = &mut self.cross_rate[idx];
-                            if marked {
-                                *rate = (*rate * 0.5).max(fair * min_rate_fraction);
-                            } else {
-                                *rate += increase_bps;
-                            }
-                            let bits = self.cfg.packet_bytes as f64 * 8.0;
-                            bits / *rate * crate::TICKS_PER_SEC as f64
-                        }
-                    };
-                    self.cross_cum[idx] += gap;
-                    let next = Time::from_ticks(self.cross_cum[idx].round() as u64);
+                    // AIMD on the source's rate, driven by its own link's
+                    // queue depth (the ECN signal).
+                    let marked = self.links[node as usize].scheduler.total_backlog_bytes()
+                        > ecn.mark_threshold_bytes;
+                    let rate = &mut ecn.rate[idx];
+                    if marked {
+                        *rate = (*rate * 0.5).max(ecn.floor_bps[node as usize]);
+                    } else {
+                        *rate += ecn.increase_bps;
+                    }
+                    let bits = self.cfg.packet_bytes as f64 * 8.0;
+                    // Accumulated in f64 to avoid rounding drift.
+                    ecn.cum[idx] += bits / *rate * crate::TICKS_PER_SEC as f64;
+                    let next = Time::from_ticks(ecn.cum[idx].round() as u64);
                     if next > ctx.now() && next <= self.cross_end {
                         ctx.schedule(next, Ev::Cross { node, src });
                     } else if next <= self.cross_end {
                         // Gap rounded to the past tick; nudge forward.
                         ctx.schedule_in(Dur::from_ticks(1), Ev::Cross { node, src });
-                        self.cross_cum[idx] = ctx.now().ticks() as f64 + 1.0;
+                        ecn.cum[idx] = ctx.now().ticks() as f64 + 1.0;
                     }
                 }
             }
@@ -394,6 +418,69 @@ impl<P: Probe> Model for Net<'_, P> {
             }
         }
     }
+
+    #[inline]
+    fn lane_peek(&mut self) -> Option<EventKey> {
+        let (tx_done, cross) = self.lane_heads();
+        let head = tx_done.min(cross);
+        (head != NO_EVENT).then_some(head)
+    }
+
+    #[inline]
+    fn lane_pop(&mut self) -> Ev {
+        let (tx_done, cross) = self.lane_heads();
+        if tx_done < cross {
+            let (link, _) = self.tx_done.min();
+            self.tx_done.replace_min(NO_EVENT);
+            Ev::TxDone { link: link as u16 }
+        } else {
+            Ev::Emit(self.cross.pop())
+        }
+    }
+}
+
+/// Transmission time of `bytes` at `rate` bytes per tick.
+fn tx_time(bytes: u32, rate: f64) -> Dur {
+    Dur::from_ticks(((bytes as f64 / rate).round() as u64).max(1))
+}
+
+/// The tick of the first experiment, and the last instant at which cross
+/// sources may emit: they keep the network loaded until well after the last
+/// user packet enters.
+fn timeline(cfg: &StudyBConfig) -> (u64, Time) {
+    let warmup_ticks = (cfg.warmup_secs * TICKS_PER_SEC as f64).round() as u64;
+    let last_exp_start = warmup_ticks + (cfg.experiments as u64 - 1) * TICKS_PER_SEC;
+    let flow_ticks = cfg.flow_len as u64 * cfg.user_packet_gap_ticks();
+    let cross_end = Time::from_ticks(last_exp_start + flow_ticks + 2 * TICKS_PER_SEC);
+    (warmup_ticks, cross_end)
+}
+
+/// The open-loop cross traffic of `cfg`'s chain.
+fn pareto_stream(cfg: &StudyBConfig, cross_end: Time) -> CrossStream {
+    let gaps: Vec<f64> = (0..cfg.k_hops)
+        .map(|l| cfg.cross_gap_ticks_for_link(l))
+        .collect();
+    CrossStream::new(
+        cfg.seed,
+        &gaps,
+        cfg.cross_sources,
+        &cfg.cross_class_fractions,
+        cross_end.ticks(),
+    )
+}
+
+/// Works out every Pareto `Cross` event of `cfg`'s chain, as a run does,
+/// and returns how many there are: the generator alone, for the
+/// `chain/cross_stream` bench.
+#[doc(hidden)]
+pub fn count_cross_events(cfg: &StudyBConfig) -> u64 {
+    let mut stream = pareto_stream(cfg, timeline(cfg).1);
+    let mut events = 0;
+    while stream.peek().is_some() {
+        stream.pop();
+        events += 1;
+    }
+    events
 }
 
 /// Stationary (scenario-free) probed run.
@@ -404,7 +491,8 @@ impl<P: Probe> Model for Net<'_, P> {
 /// traceable span, closed (`eol`) exactly once at the exit hop. Cross
 /// traffic gets single-hop spans with the top bit set. When the probe is
 /// enabled the runner also emits an `on_heartbeat` every
-/// 65 536 events (virtual time, events handled, event-queue depth).
+/// 65 536 events (virtual time, events handled, events pending — in the
+/// event queue or in the engine's lane).
 pub fn run_study_b_probed<P: Probe>(
     cfg: &StudyBConfig,
     probe: &mut P,
@@ -430,6 +518,17 @@ pub fn run_study_b_scenario_probed<P: Probe>(
     scenario: &Scenario,
     probe: &mut P,
 ) -> (Vec<ExperimentRecord>, Vec<LinkStats>) {
+    let (records, link_stats, _) = run_chain(cfg, scenario, probe);
+    (records, link_stats)
+}
+
+/// [`run_study_b_scenario_probed`]; also returns the deepest the event
+/// queue got (the lane is not in it).
+fn run_chain<P: Probe>(
+    cfg: &StudyBConfig,
+    scenario: &Scenario,
+    probe: &mut P,
+) -> (Vec<ExperimentRecord>, Vec<LinkStats>, usize) {
     cfg.validate().expect("invalid Study-B configuration");
     assert!(
         !scenario.has_load_surge(),
@@ -440,42 +539,55 @@ pub fn run_study_b_scenario_probed<P: Probe>(
     let links: Vec<Link> = (0..cfg.k_hops)
         .map(|l| Link {
             scheduler: cfg.scheduler_for_link(l).build(&cfg.sdp, rate),
-            rate,
+            tx: tx_time(cfg.packet_bytes, rate),
             in_flight: None,
             tx_start: Time::ZERO,
             busy_ticks: 0,
         })
         .collect();
-    // C independent Pareto streams per node — the superposition of C
-    // heavy-tailed sources is *not* equivalent to one source at C× rate,
-    // so each source keeps its own clock. Gaps are per node so links can
-    // run at different utilizations.
-    let cross_iat: Vec<IatDist> = (0..cfg.k_hops)
-        .map(|l| IatDist::paper_pareto(cfg.cross_gap_ticks_for_link(l)).expect("positive gap"))
-        .collect();
+    let (warmup_ticks, cross_end) = timeline(cfg);
 
-    let warmup_ticks = (cfg.warmup_secs * TICKS_PER_SEC as f64).round() as u64;
-    let last_exp_start = warmup_ticks + (cfg.experiments as u64 - 1) * TICKS_PER_SEC;
-    let flow_ticks = cfg.flow_len as u64 * cfg.user_packet_gap_ticks();
-    // Cross traffic keeps the network loaded until well after the last user
-    // packet enters.
-    let cross_end = Time::from_ticks(last_exp_start + flow_ticks + 2 * TICKS_PER_SEC);
+    // C independent sources per node — the superposition of C heavy-tailed
+    // sources is *not* equivalent to one source at C× rate, so each source
+    // keeps its own clock. Gaps are per node so links can run at different
+    // utilizations; sources start at staggered phases.
+    let sources = cfg.k_hops * cfg.cross_sources;
+    let (cross, ecn) = match cfg.cross_model {
+        CrossModel::Pareto => (pareto_stream(cfg, cross_end), None),
+        CrossModel::EcnAdaptive {
+            mark_threshold_bytes,
+            increase_bps,
+            min_rate_fraction,
+        } => {
+            let fair = |node| cfg.cross_total_bps_for_link(node) / cfg.cross_sources as f64;
+            let ecn = EcnSources {
+                mark_threshold_bytes,
+                increase_bps,
+                floor_bps: (0..cfg.k_hops)
+                    .map(|node| fair(node) * min_rate_fraction)
+                    .collect(),
+                rate: (0..sources).map(|i| fair(i / cfg.cross_sources)).collect(),
+                cum: (0..sources).map(|i| first_cross_tick(i) as f64).collect(),
+                rng: StdRng::seed_from_u64(cfg.seed),
+            };
+            // No open-loop source: an empty lane.
+            let none = CrossStream::new(cfg.seed, &[], 0, &cfg.cross_class_fractions, 0);
+            (none, Some(ecn))
+        }
+    };
 
     let net = Net {
         cfg: cfg.clone(),
         user_hops: cfg.user_hops(),
         user_gap: Dur::from_ticks(cfg.user_packet_gap_ticks()),
-        rng: StdRng::seed_from_u64(cfg.seed),
+        cross,
+        ecn,
         links,
+        tx_done: TournamentTree::new(cfg.k_hops, NO_EVENT),
         metas: Vec::new(),
         probe,
         audit_buf: Vec::new(),
         records: vec![vec![Vec::new(); n_classes]; cfg.experiments as usize],
-        cross_iat,
-        cross_cum: vec![0.0; cfg.k_hops * cfg.cross_sources],
-        cross_rate: (0..cfg.k_hops * cfg.cross_sources)
-            .map(|i| cfg.cross_total_bps_for_link(i / cfg.cross_sources) / cfg.cross_sources as f64)
-            .collect(),
         cross_end,
         rt: ScenarioRuntime::new(scenario, cfg.k_hops, n_classes),
         cmd_buf: Vec::new(),
@@ -486,18 +598,22 @@ pub fn run_study_b_scenario_probed<P: Probe>(
     };
 
     let mut sim = Simulation::new(net);
-    // Kick off every cross source with a staggered phase.
-    for node in 0..cfg.k_hops {
-        for src in 0..cfg.cross_sources {
-            let phase = 1 + (node * cfg.cross_sources + src) as u64 * 131;
+    // Kick off every cross source, in source order: in the lane, under the
+    // sequence number scheduling it here would have taken, or scheduled.
+    for source in 0..sim.model().cross.sources() {
+        let seq = sim.reserve_seq();
+        sim.model_mut().cross.stamp(source as u16, seq);
+    }
+    if sim.model().ecn.is_some() {
+        for source in 0..sources {
+            let (node, src) = (source / cfg.cross_sources, source % cfg.cross_sources);
             sim.schedule(
-                Time::from_ticks(phase),
+                Time::from_ticks(first_cross_tick(source)),
                 Ev::Cross {
                     node: node as u16,
                     src: src as u16,
                 },
             );
-            sim.model_mut().cross_cum[node * cfg.cross_sources + src] = phase as f64;
         }
     }
     // Launch user experiments: one per second, one flow per class.
@@ -515,14 +631,16 @@ pub fn run_study_b_scenario_probed<P: Probe>(
         // Chunked run so the model's probe (mutably borrowed by the sim)
         // can hear a progress heartbeat between chunks.
         while sim.run_for_events(HEARTBEAT_EVERY) == RunOutcome::EventBudgetSpent {
-            let (now, handled, depth) = (sim.now(), sim.events_handled(), sim.queue_depth());
+            // Lane and queue together: the depth of an all-queue engine.
+            let depth = sim.queue_depth() + sim.model().lane_depth();
+            let (now, handled) = (sim.now(), sim.events_handled());
             sim.model_mut().probe.on_heartbeat(now, handled, depth);
         }
     } else {
         sim.run();
     }
 
-    let span = sim.now().ticks();
+    let (span, queued) = (sim.now().ticks(), sim.heap_high_water());
     let net = sim.into_model();
     let link_stats: Vec<LinkStats> = (0..cfg.k_hops)
         .map(|l| LinkStats {
@@ -560,7 +678,7 @@ pub fn run_study_b_scenario_probed<P: Probe>(
             }
         })
         .collect();
-    (records, link_stats)
+    (records, link_stats, queued)
 }
 
 #[cfg(test)]
@@ -1059,6 +1177,211 @@ mod tests {
             .build()
             .unwrap();
         let _ = crate::Session::study_b(&cfg).scenario(sc).run();
+    }
+
+    /// FNV-1a over a whole run: per experiment and class the packet count
+    /// and the waits in delivery order, then every [`LinkStats`] field,
+    /// `f64`s by their bits.
+    fn run_digest((recs, links): &(Vec<ExperimentRecord>, Vec<LinkStats>)) -> u64 {
+        let mut words: Vec<u64> = Vec::new();
+        for waits in recs.iter().flat_map(|r| &r.per_class_waits) {
+            words.push(waits.len() as u64);
+            words.extend(waits);
+        }
+        for l in links {
+            words.extend([l.departures, l.bytes, l.busy_ticks, l.span_ticks]);
+            words.extend(l.class_mean_wait.iter().map(|w| w.to_bits()));
+        }
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |h, word| {
+            (word.to_le_bytes().iter()).fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        })
+    }
+
+    fn assert_pinned(what: &str, run: &(Vec<ExperimentRecord>, Vec<LinkStats>), pinned: u64) {
+        let digest = run_digest(run);
+        assert_eq!(digest, pinned, "{what}: digest {digest:#018x}");
+    }
+
+    /// A Table-1 cell as `experiments::table1` runs it at `Scale::Bench`.
+    fn bench_cell(k: usize, rho: f64, flow_len: u32, rate: f64) -> StudyBConfig {
+        let mut c = StudyBConfig::paper(k, rho, flow_len, rate);
+        c.experiments = 6;
+        c.warmup_secs = 4.0;
+        c.seed = 1 + k as u64 * 1000 + (rho * 100.0) as u64;
+        c
+    }
+
+    // The digests below were captured at the commit *before* the chain's
+    // Pareto cross traffic and its `TxDone`s left the event queue — every
+    // event in `simcore::EventQueue`, one scalar gap per `Cross` — and are
+    // identical in debug and release.
+
+    #[test]
+    fn bench_scale_table1_cells_are_pinned() {
+        for (k, rho, flow_len, rate, pinned) in [
+            (8, 0.95, 100, 50.0, 0x53aa_ead0_d4b9_1cbau64),
+            (8, 0.85, 10, 200.0, 0x2be2_de19_f0b4_974f),
+            (4, 0.95, 100, 200.0, 0xe790_5963_898e_8009),
+            (4, 0.85, 10, 50.0, 0x3c20_e644_471e_5b2b),
+        ] {
+            let run = crate::Session::study_b(&bench_cell(k, rho, flow_len, rate)).run();
+            assert_pinned(
+                &format!("K={k} rho={rho} F={flow_len} R={rate}"),
+                &run,
+                pinned,
+            );
+        }
+    }
+
+    #[test]
+    fn chain_variants_are_pinned() {
+        use sched::SchedulerKind::{Fcfs, Wtp};
+        let mut per_link = tiny(3, 0.9);
+        per_link.utilization_per_link = Some(vec![0.4, 0.95, 0.4]);
+        let mut partial = tiny(4, 0.9);
+        partial.user_path = Some((1, 3));
+        let mut propagating = tiny(3, 0.9);
+        propagating.propagation_ns = 1_000_000;
+        let mut mixed = tiny(3, 0.95);
+        mixed.link_schedulers = Some(vec![Wtp, Fcfs, Wtp]);
+        let mut ecn = tiny(2, 0.95);
+        ecn.cross_model = CrossModel::default_ecn();
+        for (what, cfg, pinned) in [
+            ("per-link utilization", per_link, 0xb481_8077_2b68_30c8u64),
+            ("user path (1, 3) of 4", partial, 0x21cc_0629_fc26_1e87),
+            ("1 ms propagation", propagating, 0x983e_ae2e_0edf_5ac0),
+            ("WTP/FCFS/WTP", mixed, 0x2188_9ec8_b586_8a97),
+            ("ECN-adaptive cross traffic", ecn, 0x5875_a174_0163_0cc9),
+        ] {
+            assert_pinned(what, &crate::Session::study_b(&cfg).run(), pinned);
+        }
+    }
+
+    #[test]
+    fn chain_scenarios_are_pinned() {
+        use scenario::{DownPolicy, Scenario};
+        let secs = |s: f64| Time::from_ticks((s * TICKS_PER_SEC as f64) as u64);
+        let cfg = tiny(2, 0.85);
+        let sdp_step = Scenario::builder()
+            .set_sdp(secs(3.0), sched::Sdp::new(&[1.0, 1.0, 1.0, 1.0]).unwrap())
+            .build();
+        let hold = Scenario::builder()
+            .link_down(secs(3.0), 1, DownPolicy::Hold)
+            .link_up(secs(3.5), 1)
+            .build();
+        let drop = Scenario::builder()
+            .link_down(secs(3.0), 1, DownPolicy::Drop)
+            .link_up(secs(5.0), 1)
+            .build();
+        let rate = Scenario::builder()
+            .set_link_rate(secs(2.5), 0, cfg.link_bytes_per_tick() / 2.0)
+            .set_link_rate(secs(3.0), 0, cfg.link_bytes_per_tick())
+            .build();
+        let leave_join = Scenario::builder()
+            .class_leave(secs(2.5), 1)
+            .class_join(secs(4.5), 1)
+            .build();
+        for (what, sc, pinned) in [
+            ("SDP step", sdp_step, 0xf2df_efd9_6e5b_7272u64),
+            ("Hold flap", hold, 0x6efa_23a6_af8c_51d6),
+            ("Drop flap", drop, 0x7a77_c5b7_cd2b_709c),
+            ("link-rate change", rate, 0xdd63_35ba_05b5_ebf5),
+            ("class leave/join", leave_join, 0x113c_cf4e_f89b_4528),
+        ] {
+            let run = crate::Session::study_b(&cfg).scenario(sc.unwrap()).run();
+            assert_pinned(what, &run, pinned);
+        }
+    }
+
+    /// A chain built for same-tick events, as far as its one-experiment-a-
+    /// second timeline allows (cross traffic runs for two seconds past the
+    /// last flow, so events cannot be a few ticks apart throughout): one
+    /// byte takes 2 620 = 20 × 131 ticks, the first experiment starts on
+    /// tick 1 and its flows send every 131 ticks. So user packet `j`
+    /// shares its tick with the first emission of cross source `j` (tick
+    /// `1 + 131 j`), every twentieth with a `TxDone` of the busy period
+    /// that began on tick 1; and two million cross packets in three
+    /// seconds meet each other and the `TxDone`s by chance.
+    fn tie_heavy_chain() -> StudyBConfig {
+        let mut c = StudyBConfig::paper(2, 0.9, 200, 8.0 / 131e-9 / 1000.0);
+        c.packet_bytes = 1;
+        c.link_bps = 8e9 / 2_620.0;
+        c.experiments = 2;
+        c.warmup_secs = 1e-9;
+        c.seed = 20;
+        c
+    }
+
+    /// Ticks of the events of a tie-heavy run: cross emissions, user
+    /// packets entering the chain, `TxDone`s.
+    #[derive(Default)]
+    struct TieLog {
+        cross: Vec<u64>,
+        user: Vec<u64>,
+        tx_dones: Vec<u64>,
+    }
+
+    impl Probe for TieLog {
+        const WANTS_DECISION_VALUES: bool = false;
+        fn on_arrival(&mut self, at: Time, id: PacketId) {
+            if id.span & CROSS_SPAN_BIT != 0 {
+                self.cross.push(at.ticks());
+            } else if id.hop == 0 {
+                self.user.push(at.ticks());
+            }
+        }
+        fn on_depart(&mut self, _id: PacketId, _arrival: Time, _start: Time, end: Time, _: bool) {
+            self.tx_dones.push(end.ticks());
+        }
+    }
+
+    #[test]
+    fn tie_heavy_chain_is_pinned() {
+        use std::collections::HashSet;
+        let cfg = tie_heavy_chain();
+        assert_eq!(cfg.user_packet_gap_ticks(), 131);
+        let mut log = TieLog::default();
+        let run = run_study_b_probed(&cfg, &mut log);
+        // Same-tick pairs, counted by tick.
+        let cross: HashSet<u64> = log.cross.iter().copied().collect();
+        let tx_dones: HashSet<u64> = log.tx_dones.iter().copied().collect();
+        let cross_cross = log.cross.len() - cross.len();
+        let cross_tx_done = log.tx_dones.iter().filter(|t| cross.contains(t)).count();
+        let cross_user = log.user.iter().filter(|t| cross.contains(t)).count();
+        let tx_done_user = log.user.iter().filter(|t| tx_dones.contains(t)).count();
+        assert!(cross_cross > 300, "{cross_cross} Cross/Cross ties");
+        assert!(cross_tx_done > 300, "{cross_tx_done} Cross/TxDone ties");
+        assert!(cross_user >= 64, "{cross_user} Cross/UserPacket ties");
+        assert!(tx_done_user >= 36, "{tx_done_user} TxDone/UserPacket ties");
+        assert_pinned("tie-heavy chain", &run, 0x28e2_9523_964a_1b17);
+    }
+
+    #[test]
+    fn no_pareto_cross_and_no_tx_done_enters_the_event_queue() {
+        // What the queue holds at its deepest: the first `UserPacket` of
+        // every flow, scheduled up front (later ones replace them one for
+        // one), and the `ScenarioTick` — however many cross sources and
+        // links there are. Were `Cross`es or `TxDone`s queued, the deepest
+        // would grow by 16, then 64, and by up to one per link.
+        let sc = scenario::Scenario::builder()
+            .set_link_rate(Time::from_ticks(7), 0, 0.004)
+            .build()
+            .unwrap();
+        for (k, sources) in [(2, 8), (8, 8)] {
+            let mut cfg = tiny(k, 0.9);
+            cfg.cross_sources = sources;
+            let user_flows = (cfg.experiments as usize) * cfg.num_classes();
+            let (_, links, queued) = run_chain(&cfg, &sc, &mut telemetry::NoopProbe);
+            assert!(links.iter().all(|l| l.departures > 1_000));
+            assert!(queued <= user_flows + 3, "{queued} events queued at once");
+        }
+        // ECN-adaptive sources are closed-loop and stay scheduled.
+        let mut ecn = tiny(2, 0.9);
+        ecn.cross_model = CrossModel::default_ecn();
+        let (_, _, queued) = run_chain(&ecn, &sc, &mut telemetry::NoopProbe);
+        assert!(queued >= 16, "{queued} events queued at once");
     }
 
     #[test]

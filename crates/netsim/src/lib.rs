@@ -45,6 +45,8 @@ pub mod topology;
 
 pub use analysis::{analyze, packet_time_tolerance, ExperimentRecord, StudyBResult};
 pub use config::{CrossModel, StudyBConfig, StudyBConfigBuilder};
+#[doc(hidden)]
+pub use engine::count_cross_events;
 pub use engine::{run_study_b_probed, run_study_b_scenario_probed, LinkStats};
 pub use link::{CrossTraffic, LinkSpec};
 pub use session::{MeshWorkload, Session, StudyBWorkload, TopologyWorkload};

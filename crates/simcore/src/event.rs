@@ -18,13 +18,13 @@ pub struct EventKey(
 impl EventKey {
     /// The key of an event at `at` holding sequence number `seq`.
     #[inline]
-    pub fn new(at: Time, seq: u64) -> Self {
+    pub const fn new(at: Time, seq: u64) -> Self {
         EventKey((at.ticks() as u128) << 64 | seq as u128)
     }
 
     /// The event's time.
     #[inline]
-    pub fn time(self) -> Time {
+    pub const fn time(self) -> Time {
         Time::from_ticks((self.0 >> 64) as u64)
     }
 }
@@ -96,11 +96,16 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at absolute time `at`.
     pub fn push(&mut self, at: Time, event: E) {
-        let entry = Entry {
-            key: EventKey::new(at, self.seq),
-            event,
-        };
+        self.push_keyed(EventKey::new(at, self.seq), event);
         self.seq += 1;
+    }
+
+    /// Queues `event` under a key made ahead of the push: its sequence
+    /// number is one [`skip_seqs`](Self::skip_seqs) passes over, which is
+    /// how a run of pushes and lane reservations, numbered in the order
+    /// they were asked for, reaches the queue after the fact.
+    pub fn push_keyed(&mut self, key: EventKey, event: E) {
+        let entry = Entry { key, event };
         if self.started {
             self.heap.push(entry);
         } else {
@@ -116,7 +121,7 @@ impl<E> EventQueue<E> {
     /// Passes over the next `n` sequence numbers: pushes from here on are
     /// ordered as if `n` events had been pushed first. Whoever holds such
     /// an event elsewhere (a [`Model`](crate::Model) lane) keys it with
-    /// the number passed over.
+    /// the number passed over, as does a [`push_keyed`](Self::push_keyed).
     pub fn skip_seqs(&mut self, n: u64) {
         self.seq += n;
     }
@@ -296,6 +301,25 @@ mod tests {
         assert_eq!(q.pop_up_to(bound), None);
         assert_eq!((q.len(), bound.time()), (1, at));
         assert_eq!(q.pop().unwrap().1, "after");
+    }
+
+    #[test]
+    fn keyed_pushes_take_the_numbers_skipped_for_them() {
+        let at = Time::from_ticks(5);
+        let mut q = EventQueue::new();
+        q.push(at, "before");
+        let first = q.next_seq();
+        // Three numbers handed out ahead: the middle one stays elsewhere.
+        q.skip_seqs(3);
+        q.push(at, "after");
+        q.push_keyed(EventKey::new(at, first + 2), "third");
+        q.push_keyed(EventKey::new(at, first), "first");
+        let held = EventKey::new(at, first + 1);
+        assert_eq!(q.pop_up_to(held).unwrap().1, "before");
+        assert_eq!(q.pop_up_to(held).unwrap().1, "first");
+        assert_eq!(q.pop_up_to(held), None);
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(rest, ["third", "after"]);
     }
 
     #[test]

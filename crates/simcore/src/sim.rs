@@ -9,16 +9,17 @@ use crate::time::{Dur, Time};
 /// event at a time, in `(time, seq)` order ([`EventKey`]), and collects the
 /// follow-up events the model schedules through [`Context`].
 ///
-/// A model may also hold events of its own in a *lane*: events whose times
-/// it can work out ahead of the run because they depend on nothing the run
-/// does — an open-loop source's emissions, say — and which it can therefore
-/// keep sorted in bulk instead of sifting each through the event queue. The
-/// runner handles, at every step, the smaller key of the queue's earliest
-/// event and [`lane_peek`](Model::lane_peek), so a lane changes where events
-/// wait, never the order they are handled in — provided each lane event is
-/// keyed with the sequence number scheduling it would have taken
-/// ([`Context::reserve_seq`], [`Simulation::reserve_seq`]). The defaults
-/// describe a model without a lane.
+/// A model may also hold events of its own in a *lane*, where it can keep
+/// them more cheaply than the event queue would: events whose times it can
+/// work out ahead of the run because they depend on nothing the run does —
+/// an open-loop source's emissions, sorted in bulk — or events of which a
+/// fixed few are pending at once — a link's one transmission in flight, in
+/// a slot of its own. The runner handles, at every step, the smaller key of
+/// the queue's earliest event and [`lane_peek`](Model::lane_peek), so a
+/// lane changes where events wait, never the order they are handled in —
+/// provided each lane event is keyed with the sequence number scheduling it
+/// would have taken ([`Context::reserve_seq`], [`Simulation::reserve_seq`]).
+/// The defaults describe a model without a lane.
 pub trait Model {
     /// The event alphabet of this model.
     type Event;
@@ -45,12 +46,11 @@ pub trait Model {
 /// follow-up events.
 pub struct Context<E> {
     now: Time,
-    pending: Vec<(Time, E)>,
+    /// Events scheduled by this handler, each under its final key.
+    pending: Vec<(EventKey, E)>,
     stop: bool,
-    /// The sequence number `pending[0]` takes when the runner queues it.
+    /// The sequence number the next `schedule` or `reserve_seq` takes.
     next_seq: u64,
-    /// Numbers reserved after the last `pending` entry.
-    reserved: u64,
 }
 
 impl<E> Context<E> {
@@ -72,26 +72,27 @@ impl<E> Context<E> {
             self.now,
             at
         );
-        debug_assert!(self.reserved == 0, "scheduled after reserve_seq");
-        self.pending.push((at, event));
+        let key = EventKey::new(at, self.reserve_seq());
+        self.pending.push((key, event));
     }
 
     /// Schedules `event` after a relative delay.
     pub fn schedule_in(&mut self, delay: Dur, event: E) {
-        debug_assert!(self.reserved == 0, "scheduled after reserve_seq");
-        self.pending.push((self.now + delay, event));
+        let key = EventKey::new(self.now + delay, self.reserve_seq());
+        self.pending.push((key, event));
     }
 
     /// Takes the sequence number a `schedule` call here would have given
     /// its event, without scheduling one: for an event the model keeps in
     /// its lane ([`Model::lane_peek`]) and keys with the number returned.
     ///
-    /// Must follow every `schedule`/`schedule_in` call of the handler — a
-    /// reservation is counted, not interleaved with the scheduled events
-    /// (checked in debug builds).
+    /// Scheduled events and reservations draw on one counter in call
+    /// order, so a handler may reserve before, between and after its
+    /// `schedule` calls, exactly where the `schedule` it stands for was.
+    #[inline]
     pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq + self.pending.len() as u64 + self.reserved;
-        self.reserved += 1;
+        let seq = self.next_seq;
+        self.next_seq += 1;
         seq
     }
 
@@ -132,7 +133,7 @@ pub struct Simulation<M: Model> {
     // hot loop never allocates: it is moved into the `Context` for the
     // duration of `Model::handle` and taken back (drained, capacity kept)
     // afterwards.
-    pending_buf: Vec<(Time, M::Event)>,
+    pending_buf: Vec<(EventKey, M::Event)>,
     // Deepest the event queue has ever been (pressure diagnostic).
     heap_high_water: usize,
     // Progress callback fired every `.0` handled events, if installed.
@@ -256,19 +257,19 @@ impl<M: Model> Simulation<M> {
     fn dispatch(&mut self, t: Time, ev: M::Event) -> bool {
         debug_assert!(t >= self.now, "event queue went backwards");
         self.now = t;
+        let first_seq = self.queue.next_seq();
         let mut ctx = Context {
             now: t,
             pending: std::mem::take(&mut self.pending_buf),
             stop: false,
-            next_seq: self.queue.next_seq(),
-            reserved: 0,
+            next_seq: first_seq,
         };
         self.model.handle(ev, &mut ctx);
         self.handled += 1;
-        for (at, ev) in ctx.pending.drain(..) {
-            self.queue.push(at, ev);
+        for (key, ev) in ctx.pending.drain(..) {
+            self.queue.push_keyed(key, ev);
         }
-        self.queue.skip_seqs(ctx.reserved);
+        self.queue.skip_seqs(ctx.next_seq - first_seq);
         self.pending_buf = ctx.pending;
         if self.queue.len() > self.heap_high_water {
             self.heap_high_water = self.queue.len();
@@ -589,14 +590,22 @@ mod tests {
                     ctx.schedule_in(Dur::from_ticks(n as u64 % 3), SourceEv::Noise(n - 1))
                 }
                 SourceEv::Emit(s) => {
-                    // Something closed-loop first, then the next emission.
-                    ctx.schedule_in(Dur::from_ticks(s as u64 % 2), SourceEv::Noise(2));
+                    // Something closed-loop and the next emission: even
+                    // sources number them in that order, odd ones in the
+                    // other.
+                    let noise = (Dur::from_ticks(s as u64 % 2), SourceEv::Noise(2));
+                    if s % 2 == 0 {
+                        ctx.schedule_in(noise.0, noise.1);
+                    }
                     self.emitted[s] += 1;
                     let next = self.instants[s].get(self.emitted[s]);
                     match (&mut self.lane, next) {
                         (Some(lane), _) => lane.stamps[s] = ctx.reserve_seq(),
                         (None, Some(&at)) => ctx.schedule(Time::from_ticks(at), ev),
                         (None, None) => {}
+                    }
+                    if s % 2 == 1 {
+                        ctx.schedule_in(noise.0, noise.1);
                     }
                 }
             }
@@ -727,20 +736,39 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "scheduled after reserve_seq")]
-    fn scheduling_after_a_reservation_is_caught_in_debug_builds() {
-        struct Late;
-        impl Model for Late {
-            type Event = ();
-            fn handle(&mut self, _ev: (), ctx: &mut Context<()>) {
-                ctx.reserve_seq();
-                ctx.schedule_in(Dur::from_ticks(1), ());
+    fn a_reservation_sits_where_its_schedule_call_would_have() {
+        // One handler, three numbers on one tick: scheduled, reserved (the
+        // lane event), scheduled. They are handled in that order.
+        struct Mid {
+            held: Option<EventKey>,
+            log: Vec<&'static str>,
+        }
+        impl Model for Mid {
+            type Event = &'static str;
+            fn handle(&mut self, ev: &'static str, ctx: &mut Context<&'static str>) {
+                self.log.push(ev);
+                if ev == "root" {
+                    let at = ctx.now() + Dur::from_ticks(4);
+                    ctx.schedule(at, "before");
+                    self.held = Some(EventKey::new(at, ctx.reserve_seq()));
+                    ctx.schedule_in(Dur::from_ticks(4), "after");
+                }
+            }
+            fn lane_peek(&mut self) -> Option<EventKey> {
+                self.held
+            }
+            fn lane_pop(&mut self) -> &'static str {
+                self.held = None;
+                "held"
             }
         }
-        let mut sim = Simulation::new(Late);
-        sim.schedule(Time::ZERO, ());
-        sim.step();
+        let mut sim = Simulation::new(Mid {
+            held: None,
+            log: Vec::new(),
+        });
+        sim.schedule(Time::ZERO, "root");
+        assert_eq!(sim.run(), RunOutcome::Drained);
+        assert_eq!(sim.model().log, ["root", "before", "held", "after"]);
     }
 
     proptest::proptest! {

@@ -213,7 +213,7 @@ impl IatDist {
     /// the gaps': `between(i, rng)` runs right after gap `i`'s word is
     /// drawn (for variants that draw none, where it would have been).
     #[inline]
-    pub(crate) fn fill_with<R: Rng + ?Sized>(
+    pub fn fill_with<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         gaps: &mut [f64],
