@@ -1,6 +1,7 @@
-//! Engine throughput benches: packets/second through the single-link
-//! replay loop, events/second through the multi-hop simulator and through
-//! its cross-traffic generator alone, and packet-hops/second through the
+//! Engine throughput benches: events/second through the event queue under
+//! timers, packets/second through the single-link replay loop,
+//! events/second through the multi-hop simulator and through its
+//! cross-traffic generator alone, and packet-hops/second through the
 //! coupled mesh as its open-loop flows multiply.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -8,6 +9,56 @@ use pdd::netsim::mesh::{FlowModel, MeshConfig, MeshFlow};
 use pdd::netsim::{count_cross_events, LinkSpec, Session as NetSession, StudyBConfig};
 use pdd::qsim::{Experiment, Session};
 use pdd::sched::{SchedulerKind, Sdp};
+use pdd::simcore::{Context, Dur, Model, Simulation, Time};
+
+/// Timers beside near-future traffic: `SOURCES` events that each rearm a
+/// few ticks ahead — the heap's business — and 1 000 timers that rearm at
+/// one constant, far delay, so that their pushes come in key order and
+/// wait in the event queue's tail lane instead of under the sources' feet.
+/// With 96 sources (the `mesh-coupled` shape: a `TxDone` per link, a
+/// thousand probes' second emissions) the timers are most of what a heap
+/// would hold; with 4 096 they are a fifth of it, and what the bench reads
+/// is the lane's extra compare per push and pop.
+fn bench_simcore_fixed_delay_timers(c: &mut Criterion) {
+    const TIMERS: u64 = 1_000;
+    const TIMER_DELAY: u64 = 500_000;
+    const EVENTS: u64 = 1_000_000;
+    enum Ev {
+        Source(u32),
+        Timer,
+    }
+    struct Timers;
+    impl Model for Timers {
+        type Event = Ev;
+        fn handle(&mut self, ev: Ev, ctx: &mut Context<Ev>) {
+            match ev {
+                Ev::Source(i) => {
+                    let gap = 1 + u64::from(i) * 37 % 1_000;
+                    ctx.schedule_in(Dur::from_ticks(gap), Ev::Source(i));
+                }
+                Ev::Timer => ctx.schedule_in(Dur::from_ticks(TIMER_DELAY), Ev::Timer),
+            }
+        }
+    }
+    for sources in [96u32, 4_096] {
+        let mut group = c.benchmark_group("simcore");
+        group.throughput(Throughput::Elements(EVENTS));
+        group.bench_function(&format!("fixed_delay_timers/{sources}"), |b| {
+            b.iter(|| {
+                let mut sim = Simulation::new(Timers);
+                for i in 0..sources {
+                    sim.schedule(Time::from_ticks(u64::from(i)), Ev::Source(i));
+                }
+                for j in 0..TIMERS {
+                    sim.schedule(Time::from_ticks(j * TIMER_DELAY / TIMERS), Ev::Timer);
+                }
+                sim.run_for_events(EVENTS);
+                sim.now()
+            });
+        });
+        group.finish();
+    }
+}
 
 fn bench_qsim_throughput(c: &mut Criterion) {
     let e = Experiment::paper(0.95, Sdp::paper_default(), 10_000, vec![1]);
@@ -102,7 +153,7 @@ fn bench_mesh_open_loop_flows(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_qsim_throughput, bench_netsim_throughput, bench_chain_cross_stream,
-        bench_mesh_open_loop_flows
+    targets = bench_simcore_fixed_delay_timers, bench_qsim_throughput, bench_netsim_throughput,
+        bench_chain_cross_stream, bench_mesh_open_loop_flows
 }
 criterion_main!(benches);

@@ -411,7 +411,10 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let n = sdp.num_classes();
     let p = PAPER_MEAN_PACKET_BYTES as u64;
     let ratios = |sdp: &Sdp| -> Vec<f64> { (0..n - 1).map(|i| sdp.target_ratio(i)).collect() };
-    let mut cfg = MonitorConfig::new(window * p, epsilon, ratios(&sdp));
+    let window_ticks = (window.checked_mul(p))
+        .ok_or_else(|| format!("bad --window: {window} p-units overflow the clock"))?;
+    let mut cfg = MonitorConfig::try_new(window_ticks, epsilon, ratios(&sdp))
+        .map_err(|e| format!("bad --window or --epsilon: {e}"))?;
     let mut scenario = Scenario::empty();
     if let Some(spec) = opt(args, "--swap-sdp") {
         let swapped = parse_sdp(spec)?;

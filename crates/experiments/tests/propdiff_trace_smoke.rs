@@ -175,3 +175,31 @@ fn studyb_flags_no_chain_can_satisfy_are_usage_errors() {
         );
     }
 }
+
+#[test]
+fn metrics_flags_no_monitor_can_be_built_from_are_usage_errors() {
+    // Each reached an assertion in `MonitorConfig::new`.
+    for (flag, value, says) in [
+        ("--window", "0", "window must be positive"),
+        ("--window", "18446744073709551615", "overflow the clock"),
+        ("--epsilon", "-1", "tolerance must be positive and finite"),
+        ("--epsilon", "nan", "tolerance must be positive and finite"),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_propdiff-trace"))
+            .args(["metrics", "--punits", "50", flag, value])
+            .output()
+            .expect("propdiff-trace should launch");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "{flag} {value} must be refused, not crash: {stderr}"
+        );
+        assert!(stderr.contains(says), "{flag} {value}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag} {value}: {stderr}");
+        assert!(
+            !stderr.contains("panicked at"),
+            "{flag} {value} panicked: {stderr}"
+        );
+    }
+}

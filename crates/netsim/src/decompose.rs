@@ -38,6 +38,7 @@ use stats::{Histogram, Summary};
 use traffic::TraceEntry;
 
 use crate::emission::ParetoClock;
+use crate::link::tx_ticks;
 use crate::mesh::{FlowModel, MeshConfig};
 
 /// Per-link simulation result: everything needed to compose end-to-end
@@ -148,8 +149,7 @@ impl DecomposeInput {
             for &l in &f.route {
                 assignments[l].push((i as u32, offset));
                 let spec = &cfg.links[l];
-                let tx = ((f.packet_bytes as f64 / spec.bytes_per_tick()).round() as u64).max(1);
-                offset += tx + spec.propagation_ns;
+                offset += tx_ticks(f.packet_bytes, spec.bytes_per_tick()) + spec.propagation_ns;
             }
         }
         Ok(DecomposeInput {

@@ -10,6 +10,7 @@ use telemetry::{PacketId, Probe};
 use crate::analysis::ExperimentRecord;
 use crate::config::{CrossModel, StudyBConfig};
 use crate::emission::{cross_class, first_cross_tick, CrossEmission, CrossStream, TournamentTree};
+use crate::link::tx_ticks;
 use crate::TICKS_PER_SEC;
 
 /// Sentinel tag for cross-traffic packets (no per-packet bookkeeping).
@@ -441,7 +442,7 @@ impl<P: Probe> Model for Net<'_, P> {
 
 /// Transmission time of `bytes` at `rate` bytes per tick.
 fn tx_time(bytes: u32, rate: f64) -> Dur {
-    Dur::from_ticks(((bytes as f64 / rate).round() as u64).max(1))
+    Dur::from_ticks(tx_ticks(bytes, rate))
 }
 
 /// The tick of the first experiment, and the last instant at which cross

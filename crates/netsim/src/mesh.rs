@@ -18,6 +18,8 @@
 //! [`MeshConfig::materialize_cross`] before the engine will accept the
 //! config, so the event loop only ever sees one kind of traffic.
 
+use std::borrow::Cow;
+
 use scenario::{Command, DownPolicy, Scenario, ScenarioRuntime};
 use sched::{Packet, ReconfigureError, Scheduler, SchedulerVisitor, Sdp};
 use simcore::{Context, Dur, EventKey, Model, Simulation, Time};
@@ -25,7 +27,7 @@ use telemetry::{PacketId, Probe};
 
 use crate::config::CrossModel;
 use crate::emission::{EmissionLane, LaneFlow};
-use crate::link::LinkSpec;
+use crate::link::{tx_ticks, LinkSpec};
 
 /// How a flow emits packets.
 #[derive(Debug, Clone, Copy)]
@@ -166,11 +168,19 @@ impl MeshConfig {
     /// Rejects `EcnAdaptive` cross models (closed-loop sources cannot be
     /// expressed as open-loop flows) and invalid cross parameters.
     pub fn materialize_cross(&self, until_ticks: u64) -> Result<MeshConfig, String> {
-        let mut out = self.clone();
-        for (l, spec) in self.links.iter().enumerate() {
-            let Some(cross) = &spec.cross else { continue };
+        self.clone().into_materialized(until_ticks)
+    }
+
+    /// [`materialize_cross`](Self::materialize_cross) on a config the
+    /// caller gives up, so that no flow is copied.
+    pub(crate) fn into_materialized(mut self, until_ticks: u64) -> Result<MeshConfig, String> {
+        let num_classes = self.sdp.num_classes();
+        for (l, spec) in self.links.iter_mut().enumerate() {
+            let Some(cross) = spec.cross.take() else {
+                continue;
+            };
             cross
-                .validate(self.sdp.num_classes())
+                .validate(num_classes)
                 .map_err(|e| format!("link {l}: {e}"))?;
             if !matches!(cross.model, CrossModel::Pareto) {
                 return Err(format!(
@@ -186,7 +196,7 @@ impl MeshConfig {
                 let mean_gap_ticks =
                     cross.packet_bytes as f64 * 8.0 / per_source_bps * crate::TICKS_PER_SEC as f64;
                 for _ in 0..cross.sources {
-                    out.flows.push(MeshFlow {
+                    self.flows.push(MeshFlow {
                         route: vec![l],
                         class: c as u8,
                         packet_bytes: cross.packet_bytes,
@@ -198,10 +208,9 @@ impl MeshConfig {
                     });
                 }
             }
-            out.links[l].cross = None;
         }
-        out.validate()?;
-        Ok(out)
+        self.validate()?;
+        Ok(self)
     }
 }
 
@@ -302,6 +311,50 @@ struct PacketMeta {
     end: u32,
 }
 
+/// Every delivery of a run in the order it happened: one sequential
+/// 8-byte store per packet, where a `Vec` per flow costs a cold header and,
+/// for a flow's first packet, an allocation. A wait that does not fit 32
+/// bits goes to a side list, so any `u64` comes back exact.
+#[derive(Default)]
+struct DeliveryLog {
+    /// `flow << 32 | wait`; a wait of `u32::MAX` says "the next of `long`".
+    entries: Vec<u64>,
+    /// The waits of `u32::MAX` ticks and more, in log order.
+    long: Vec<u64>,
+}
+
+impl DeliveryLog {
+    #[inline]
+    fn push(&mut self, flow: u32, wait: u64) {
+        let short = u32::try_from(wait).unwrap_or(u32::MAX);
+        if short == u32::MAX {
+            self.long.push(wait);
+        }
+        self.entries.push(u64::from(flow) << 32 | u64::from(short));
+    }
+
+    /// Each of `flows` flows' waits, in delivery order.
+    fn into_per_flow(self, flows: usize) -> Vec<Vec<u64>> {
+        let mut counts = vec![0usize; flows];
+        for &e in &self.entries {
+            counts[(e >> 32) as usize] += 1;
+        }
+        let mut per_flow: Vec<Vec<u64>> = counts.into_iter().map(Vec::with_capacity).collect();
+        let mut longs = 0;
+        for e in self.entries {
+            let wait = match e as u32 {
+                u32::MAX => {
+                    longs += 1;
+                    self.long[longs - 1]
+                }
+                short => u64::from(short),
+            };
+            per_flow[(e >> 32) as usize].push(wait);
+        }
+        per_flow
+    }
+}
+
 struct LinkState<S> {
     scheduler: S,
     rate: f64,
@@ -322,7 +375,7 @@ struct Mesh<'p, S: Scheduler, P: Probe> {
     metas: Vec<PacketMeta>,
     free: Vec<u32>,
     emitted: u64,
-    waits: Vec<Vec<u64>>,
+    delivered: DeliveryLog,
     /// The Pareto flows' emissions, clocks by `HotFlow::clock`.
     lane: EmissionLane,
     probe: &'p mut P,
@@ -402,7 +455,7 @@ impl<S: Scheduler, P: Probe> Mesh<'_, S, P> {
         }
         let wait = now.since(pkt.arrival).ticks();
         self.metas[pkt.tag as usize].acc_wait += wait;
-        let tx = ((pkt.size as f64 / l.rate).round() as u64).max(1);
+        let tx = tx_ticks(pkt.size, l.rate);
         l.in_flight = Some(pkt);
         l.tx_start = now;
         ctx.schedule_in(Dur::from_ticks(tx), Ev::TxDone { link: link as u16 });
@@ -495,7 +548,7 @@ impl<S: Scheduler, P: Probe> Model for Mesh<'_, S, P> {
                     );
                 }
                 if delivered {
-                    self.waits[meta.flow as usize].push(meta.acc_wait);
+                    self.delivered.push(meta.flow, meta.acc_wait);
                     self.free.push(pkt.tag as u32);
                 } else if l.propagation > 0 {
                     let slot = pkt.tag as u32;
@@ -546,6 +599,17 @@ pub fn run_mesh_scenario_probed<P: Probe>(
     scenario: &Scenario,
     probe: &mut P,
 ) -> MeshOutcome {
+    run_mesh(Cow::Borrowed(cfg), scenario, probe)
+}
+
+/// [`run_mesh_scenario_probed`] on a config that may be the caller's to
+/// give up: an owned one is dropped once the engine has lowered it, before
+/// the run, so its flows and routes are not held through it.
+pub(crate) fn run_mesh<P: Probe>(
+    cfg: Cow<'_, MeshConfig>,
+    scenario: &Scenario,
+    probe: &mut P,
+) -> MeshOutcome {
     cfg.validate().expect("invalid mesh configuration");
     assert!(
         !scenario.has_load_surge(),
@@ -554,7 +618,8 @@ pub fn run_mesh_scenario_probed<P: Probe>(
     let kind = cfg.links[0].scheduler;
     if cfg.links.iter().all(|l| l.scheduler == kind) {
         let rate = cfg.links[0].bytes_per_tick();
-        kind.build_and_visit(&cfg.sdp, rate, UniformMesh(cfg, scenario, probe))
+        let sdp = cfg.sdp.clone();
+        kind.build_and_visit(&sdp, rate, UniformMesh(cfg, scenario, probe))
     } else {
         let schedulers = (cfg.links.iter())
             .map(|l| l.scheduler.build(&cfg.sdp, l.bytes_per_tick()))
@@ -565,7 +630,7 @@ pub fn run_mesh_scenario_probed<P: Probe>(
 
 /// The all-links-one-kind instantiation: one scheduler per link, cloned
 /// from the pristine prototype and told its own link's rate.
-struct UniformMesh<'a, P: Probe>(&'a MeshConfig, &'a Scenario, &'a mut P);
+struct UniformMesh<'a, P: Probe>(Cow<'a, MeshConfig>, &'a Scenario, &'a mut P);
 
 impl<P: Probe> SchedulerVisitor for UniformMesh<'_, P> {
     type Out = MeshOutcome;
@@ -582,15 +647,14 @@ impl<P: Probe> SchedulerVisitor for UniformMesh<'_, P> {
     }
 }
 
-/// Runs the validated `cfg` with `schedulers[l]` serving link `l`. Also
-/// returns the packet slots it allocated — the peak of packets in flight —
-/// and the deepest the event queue got (the emission lane is not in it).
-fn run_engine<S: Scheduler, P: Probe>(
+/// Lowers the validated `cfg` for the event loop — `schedulers[l]` serving
+/// link `l` — and schedules every flow's first emission.
+fn lower<'p, S: Scheduler, P: Probe>(
     cfg: &MeshConfig,
     scenario: &Scenario,
-    probe: &mut P,
+    probe: &'p mut P,
     schedulers: Vec<S>,
-) -> (MeshOutcome, usize, usize) {
+) -> Simulation<Mesh<'p, S, P>> {
     let links = (cfg.links.iter().zip(schedulers))
         .map(|(l, scheduler)| LinkState {
             scheduler,
@@ -647,7 +711,7 @@ fn run_engine<S: Scheduler, P: Probe>(
         metas: Vec::new(),
         free: Vec::new(),
         emitted: 0,
-        waits: vec![Vec::new(); cfg.flows.len()],
+        delivered: DeliveryLog::default(),
         lane,
         probe,
         rt: ScenarioRuntime::new(scenario, cfg.links.len(), cfg.sdp.num_classes()),
@@ -677,11 +741,28 @@ fn run_engine<S: Scheduler, P: Probe>(
     if let Some(at) = sim.model_mut().rt.next_at() {
         sim.schedule(at, Ev::ScenarioTick);
     }
+    sim
+}
+
+/// Runs the validated `cfg` with `schedulers[l]` serving link `l`. Also
+/// returns the packet slots it allocated — the peak of packets in flight —
+/// and the deepest the event queue got (the emission lane is not in it).
+fn run_engine<S: Scheduler, P: Probe>(
+    cfg: Cow<'_, MeshConfig>,
+    scenario: &Scenario,
+    probe: &mut P,
+    schedulers: Vec<S>,
+) -> (MeshOutcome, usize, usize) {
+    let mut sim = lower(&cfg, scenario, probe, schedulers);
+    // An owned config has been read for the last time: the run does not
+    // hold its flows and routes.
+    drop(cfg);
     sim.run();
     let queue = sim.heap_high_water();
     let mesh = sim.into_model();
+    // The one place a per-flow output is indexed: the handlers only log.
     let outcome = MeshOutcome {
-        per_flow_waits: mesh.waits,
+        per_flow_waits: mesh.delivered.into_per_flow(mesh.flows.len()),
         link_departures: mesh.links.iter().map(|l| l.departures).collect(),
     };
     (outcome, mesh.metas.len(), queue)
@@ -901,7 +982,7 @@ mod tests {
             .unwrap();
         let mut counter = telemetry::CountingProbe::new(4);
         let wtp = vec![wtp_scheduler(&cfg)];
-        let (out, slots, _) = run_engine(&cfg, &sc, &mut counter, wtp);
+        let (out, slots, _) = run_engine(Cow::Borrowed(&cfg), &sc, &mut counter, wtp);
         assert_eq!(slots, 1, "a dropped packet's slot must be recycled");
         assert!(
             out.per_flow_waits[0].len() < 50,
@@ -1071,8 +1152,12 @@ mod tests {
             let boxed: Vec<Box<dyn Scheduler>> = (cfg.links.iter())
                 .map(|l| l.scheduler.build(&cfg.sdp, l.bytes_per_tick()))
                 .collect();
-            let (boxed, ..) =
-                run_engine(&cfg, &Scenario::empty(), &mut telemetry::NoopProbe, boxed);
+            let (boxed, ..) = run_engine(
+                Cow::Borrowed(&cfg),
+                &Scenario::empty(),
+                &mut telemetry::NoopProbe,
+                boxed,
+            );
             assert_eq!(concrete.per_flow_waits, boxed.per_flow_waits, "{kind}");
             assert_eq!(concrete.link_departures, boxed.link_departures, "{kind}");
             assert!(concrete.mean_wait(0) > 0.0, "{kind}: the mesh must queue");
@@ -1097,7 +1182,7 @@ mod tests {
         let cfg = two_link_mesh(SchedulerKind::Wtp, SchedulerKind::Wtp);
         let mut log = Recorder::default();
         let wtp = vec![wtp_scheduler(&cfg); 2];
-        let (out, slots, _) = run_engine(&cfg, &Scenario::empty(), &mut log, wtp);
+        let (out, slots, _) = run_engine(Cow::Borrowed(&cfg), &Scenario::empty(), &mut log, wtp);
         let packets: usize = out.per_flow_waits.iter().map(Vec::len).sum();
         assert!(
             packets > 10_000 && slots < 200,
@@ -1359,6 +1444,21 @@ mod tests {
         spans: u64,
     }
 
+    impl TieLog {
+        /// Same-tick events, counted by tick: emissions sharing a tick with
+        /// an earlier emission, then `TxDone`s and `Arrive`s on an emission
+        /// tick.
+        fn ties(&self) -> (usize, usize, usize) {
+            let emit_ticks: std::collections::HashSet<u64> = self.emits.iter().copied().collect();
+            let shared = |ticks: &[u64]| ticks.iter().filter(|t| emit_ticks.contains(t)).count();
+            (
+                self.emits.len() - emit_ticks.len(),
+                shared(&self.tx_dones),
+                shared(&self.arrives),
+            )
+        }
+    }
+
     impl Probe for TieLog {
         const WANTS_DECISION_VALUES: bool = false;
         fn on_arrival(&mut self, at: Time, id: PacketId) {
@@ -1389,12 +1489,7 @@ mod tests {
         let wtp = crate::Session::mesh(&tie_heavy(ALL_WTP))
             .probe(&mut log)
             .run();
-        // Same-tick events, counted by tick: emissions sharing a tick with
-        // an earlier emission, `TxDone`s and `Arrive`s on an emission tick.
-        let emit_ticks: std::collections::HashSet<u64> = log.emits.iter().copied().collect();
-        let shared = |ticks: &[u64]| ticks.iter().filter(|t| emit_ticks.contains(t)).count();
-        let emit_emit = log.emits.len() - emit_ticks.len();
-        let (emit_txdone, emit_arrive) = (shared(&log.tx_dones), shared(&log.arrives));
+        let (emit_emit, emit_txdone, emit_arrive) = log.ties();
         assert!(emit_emit > 100_000, "{emit_emit} same-tick Emit pairs");
         assert!(emit_txdone > 1_000, "{emit_txdone} Emit/TxDone ties");
         assert!(emit_arrive > 100, "{emit_arrive} Emit/Arrive ties");
@@ -1422,8 +1517,12 @@ mod tests {
             .extend(paretos.iter().chain(&paretos).cloned());
         for cfg in [base, tripled] {
             let wtp = vec![wtp_scheduler(&cfg); cfg.links.len()];
-            let (_, _, queued) =
-                run_engine(&cfg, &Scenario::empty(), &mut telemetry::NoopProbe, wtp);
+            let (_, _, queued) = run_engine(
+                Cow::Borrowed(&cfg),
+                &Scenario::empty(),
+                &mut telemetry::NoopProbe,
+                wtp,
+            );
             assert!(
                 queued <= cfg.links.len() + probes + 3,
                 "{queued} events queued at once"
@@ -1461,11 +1560,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn small_fat_tree_outcome_is_pinned() {
-        // The `mesh-coupled` benchmark workload at 1/20 size: a k = 4
-        // fat-tree of 1 Gb/s WTP links under the paper's cross mix at
-        // 0.55, 3 000 two-packet probes over a 3 ms horizon, seed 1.
+    /// The `mesh-coupled` benchmark workload at 1/20 size: a k = 4
+    /// fat-tree of 1 Gb/s WTP links under the paper's cross mix at 0.55,
+    /// 3 000 two-packet probes over a 3 ms horizon, seed 1.
+    fn small_fat_tree() -> crate::TopologyConfig {
         use crate::topology::splitmix64;
         const HORIZON: u64 = 3_000_000;
         let cross = crate::CrossTraffic::paper(0.55);
@@ -1491,18 +1589,175 @@ mod tests {
                 }
             })
             .collect();
-        let cfg = crate::TopologyConfig {
+        crate::TopologyConfig {
             topology,
             sdp: Sdp::paper_default(),
             flows,
             seed: 1,
             cross_horizon_ticks: HORIZON,
-        };
-        let out = crate::Session::topology(&cfg).unwrap().run();
+        }
+    }
+
+    #[test]
+    fn small_fat_tree_outcome_is_pinned() {
+        let out = crate::Session::topology(&small_fat_tree()).unwrap().run();
         assert_eq!(out.per_flow_waits.len(), 3_000 + 3_072);
         assert!(out.link_departures.iter().sum::<u64>() > 60_000);
         let digest = outcome_digest(&out);
         assert_eq!(digest, PINNED_FAT_TREE, "digest {digest:#018x}");
+    }
+
+    #[test]
+    fn second_emissions_wait_in_the_tail_lane_not_in_the_heap() {
+        // Each probe's second `Emit` is scheduled 500 µs out while every
+        // `TxDone` is microseconds ahead: the former are pushed in key
+        // order and wait in the event queue's tail lane, so the binary
+        // heap holds the links' transmissions and little else. The events
+        // pending at the deepest are as many as before there was a tail.
+        let cfg = small_fat_tree().to_mesh().unwrap();
+        let wtp = vec![wtp_scheduler(&cfg); cfg.links.len()];
+        let mut probe = telemetry::NoopProbe;
+        let mut sim = lower(&cfg, &Scenario::empty(), &mut probe, wtp);
+        let mut deepest_heap = 0;
+        while sim.step() {
+            deepest_heap = deepest_heap.max(sim.heap_len());
+        }
+        assert!(
+            deepest_heap <= cfg.links.len() + 3,
+            "{deepest_heap} events in the heap at once"
+        );
+        assert_eq!(sim.heap_high_water(), 3_096);
+    }
+
+    #[test]
+    fn delivery_log_returns_every_wait_exact_and_in_delivery_order() {
+        const M: u64 = u32::MAX as u64;
+        // Around the 32-bit marker, flows interleaved; flow 1 delivers
+        // nothing, flow 3 is the last id the log is sized for.
+        let deliveries = [
+            (2, M - 1),
+            (0, M),
+            (2, 0),
+            (0, M + 1),
+            (3, u64::MAX / 2),
+            (2, M),
+            (0, 7),
+            (2, u64::MAX),
+            (3, M - 1),
+        ];
+        let mut log = DeliveryLog::default();
+        for (flow, wait) in deliveries {
+            log.push(flow, wait);
+        }
+        assert_eq!((log.entries.len(), log.long.len()), (9, 5));
+        let per_flow = log.into_per_flow(4);
+        let of = |flow| -> Vec<u64> {
+            let own = deliveries.iter().filter(|d| d.0 == flow);
+            own.map(|d| d.1).collect()
+        };
+        assert_eq!(per_flow, [of(0), of(1), of(2), of(3)]);
+        assert!(per_flow[1].is_empty() && per_flow[2].len() == 4);
+    }
+
+    /// [`outcome_digest`]s captured at the commit *before* deliveries moved
+    /// to one log and far-future pushes to the event queue's tail lane;
+    /// identical in debug and release.
+    const PINNED_LONG_WAITS: u64 = 0xf721_e5de_e9c9_189e;
+    const PINNED_PERIODIC_HEAVY: u64 = 0x5772_e434_9d62_e68c;
+
+    #[test]
+    fn waits_beyond_32_bits_are_pinned() {
+        // The Y topology with its shared link held down for 5.5 s: what
+        // reaches link 2 in the first 1.2 s of the outage waits longer
+        // than 2³² ticks (4.29 s), what comes later less, and the backlog
+        // drains in WTP's order, not in arrival order.
+        let periodic = |route: &[usize], class, gap_ticks, count, start_ticks| MeshFlow {
+            route: route.to_vec(),
+            class,
+            packet_bytes: 500,
+            model: FlowModel::Periodic { gap_ticks, count },
+            start_ticks,
+        };
+        let cfg = MeshConfig {
+            sdp: Sdp::paper_default(),
+            links: vec![wtp_link(), wtp_link(), wtp_link()],
+            flows: vec![
+                periodic(&[0, 2], 0, 190_000_000, 32, 0),
+                periodic(&[0, 2], 3, 210_000_000, 30, 7),
+                periodic(&[1, 2], 1, 170_000_000, 36, 0),
+                periodic(&[1, 2], 2, 230_000_000, 27, 160_000),
+                periodic(&[2], 3, 1_000_000_000, 7, 50_000_000),
+            ],
+            seed: 3,
+        };
+        let outage = Scenario::builder()
+            .link_down(Time::from_ticks(100_000_000), 2, DownPolicy::Hold)
+            .link_up(Time::from_ticks(5_600_000_000), 2)
+            .build()
+            .unwrap();
+        let out = crate::Session::mesh(&cfg).scenario(outage).run();
+        let all = || out.per_flow_waits.iter().flatten();
+        assert_eq!(all().count(), 32 + 30 + 36 + 27 + 7);
+        let long = all().filter(|&&w| w > u64::from(u32::MAX)).count();
+        let short = all().filter(|&&w| 0 < w && w < u64::from(u32::MAX)).count();
+        assert!(long >= 20 && short >= 20, "{long} long, {short} short");
+        let digest = outcome_digest(&out);
+        assert_eq!(digest, PINNED_LONG_WAITS, "digest {digest:#018x}");
+    }
+
+    /// A mesh of `Periodic` flows only: forty flows of 1–3-byte packets
+    /// (320–960 ticks a transmission) over the six links of [`tie_heavy`],
+    /// their gaps unequal — so the next `Emit` a handler schedules lands
+    /// now behind, now ahead of the ones already pending — and mostly
+    /// multiples of 160 ticks, like the starts and the transmissions, so
+    /// that ticks are shared. Link 1 propagates for 777 ticks, and a start
+    /// is off the 160-tick grid by up to two such delays, so `Arrive`s
+    /// share ticks too.
+    fn periodic_heavy() -> MeshConfig {
+        use crate::topology::splitmix64;
+        const ROUTES: [&[usize]; 8] = [
+            &[0, 2],
+            &[1, 3],
+            &[1, 2],
+            &[0, 3],
+            &[1, 4],
+            &[4, 5],
+            &[5, 3],
+            &[2],
+        ];
+        const GAPS: [u64; 8] = [320, 480, 777, 800, 1_120, 1_554, 2_240, 5_000];
+        let flows = (0..40u64)
+            .map(|i| {
+                let key = splitmix64(i);
+                MeshFlow {
+                    route: ROUTES[(key % 8) as usize].to_vec(),
+                    class: (i % 4) as u8,
+                    packet_bytes: 1 + (key >> 8) as u32 % 3,
+                    model: FlowModel::Periodic {
+                        gap_ticks: GAPS[(key >> 16) as usize % 8],
+                        count: 150 + (key >> 24) as u32 % 100,
+                    },
+                    start_ticks: 160 * ((key >> 32) % 50) + 777 * ((key >> 40) % 3),
+                }
+            })
+            .collect();
+        MeshConfig {
+            flows,
+            ..tie_heavy(ALL_WTP)
+        }
+    }
+
+    #[test]
+    fn periodic_heavy_mesh_outcome_is_pinned() {
+        let cfg = periodic_heavy();
+        let mut log = TieLog::default();
+        let out = crate::Session::mesh(&cfg).probe(&mut log).run();
+        let (emit_emit, emit_txdone, emit_arrive) = log.ties();
+        assert!(emit_emit > 2_000, "{emit_emit} same-tick Emit pairs");
+        assert!(emit_txdone > 1_000, "{emit_txdone} Emit/TxDone ties");
+        assert!(emit_arrive > 200, "{emit_arrive} Emit/Arrive ties");
+        let digest = outcome_digest(&out);
+        assert_eq!(digest, PINNED_PERIODIC_HEAVY, "digest {digest:#018x}");
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! assert_eq!(links.len(), 4);
 //! ```
 
+use std::borrow::Cow;
+
 use scenario::Scenario;
 use telemetry::{MetricsRegistry, NoopProbe, Probe};
 
@@ -27,7 +29,7 @@ use crate::analysis::ExperimentRecord;
 use crate::config::StudyBConfig;
 use crate::decompose::{DecomposeInput, DecomposedOutcome};
 use crate::engine::{run_study_b_scenario_probed, LinkStats};
-use crate::mesh::{run_mesh_scenario_probed, MeshConfig, MeshOutcome};
+use crate::mesh::{run_mesh, run_mesh_scenario_probed, MeshConfig, MeshOutcome};
 use crate::topology::TopologyConfig;
 
 /// The Figure-6 chain workload (a [`StudyBConfig`]).
@@ -149,9 +151,12 @@ impl<P: Probe> Session<TopologyWorkload, P> {
     }
 
     /// Runs the lowered mesh through the **exact** event loop — every
-    /// link coupled, tractable for small fabrics.
+    /// link coupled, tractable for small fabrics. The session owns the
+    /// lowered mesh and gives it up to the engine, which frees it before
+    /// the run.
     pub fn run(mut self) -> MeshOutcome {
-        run_mesh_scenario_probed(&self.workload.cfg, &self.scenario, &mut self.probe)
+        let cfg = Cow::Owned(self.workload.cfg);
+        run_mesh(cfg, &self.scenario, &mut self.probe)
     }
 
     /// Runs the **decomposed** approximation serially: independent

@@ -283,16 +283,16 @@ impl Topology {
         let mut n = src;
         while n != dst {
             // Equal-cost next hops, in ascending link-id order (adjacency
-            // lists are built in insertion order).
-            let candidates: Vec<usize> = self.adj[n]
-                .iter()
-                .copied()
-                .filter(|&l| {
+            // lists are built in insertion order): counted, then the
+            // hashed one taken on a second pass — no list is built.
+            let next_hops = || {
+                self.adj[n].iter().copied().filter(|&l| {
                     let m = self.links[l].dst;
                     dd[m] != u32::MAX && dd[m] + 1 == dd[n]
                 })
-                .collect();
-            let pick = candidates[(splitmix64(key ^ n as u64) % candidates.len() as u64) as usize];
+            };
+            let choice = splitmix64(key ^ n as u64) % next_hops().count() as u64;
+            let pick = (next_hops().nth(choice as usize)).expect("choice is below the count");
             path.push(pick);
             n = self.links[pick].dst;
         }
@@ -395,8 +395,7 @@ impl TopologyConfig {
                 "cross_horizon_ticks must be positive when links carry cross traffic".into(),
             );
         }
-        let cfg = cfg.materialize_cross(self.cross_horizon_ticks)?;
-        Ok(cfg)
+        cfg.into_materialized(self.cross_horizon_ticks)
     }
 }
 

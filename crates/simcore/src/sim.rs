@@ -183,6 +183,12 @@ impl<M: Model> Simulation<M> {
         self.queue.len()
     }
 
+    /// [`EventQueue::heap_len`]: the events in the queue's binary heap alone.
+    #[doc(hidden)]
+    pub fn heap_len(&self) -> usize {
+        self.queue.heap_len()
+    }
+
     /// Current virtual time (timestamp of the last handled event).
     pub fn now(&self) -> Time {
         self.now

@@ -108,25 +108,36 @@ impl MonitorConfig {
     /// A single-epoch config: `ratios` in force from tick 0.
     ///
     /// # Panics
-    /// Panics if `window_ticks` is 0, `epsilon` is not positive and
-    /// finite, or `ratios` is empty or contains a non-positive entry.
+    /// Panics where [`try_new`](Self::try_new) returns an error.
     pub fn new(window_ticks: u64, epsilon: f64, ratios: Vec<f64>) -> Self {
-        assert!(window_ticks > 0, "window must be positive");
-        assert!(
-            epsilon > 0.0 && epsilon.is_finite(),
-            "tolerance must be positive and finite"
-        );
-        assert!(!ratios.is_empty(), "need at least one class pair");
-        assert!(
-            ratios.iter().all(|&r| r > 0.0 && r.is_finite()),
-            "target ratios must be positive and finite"
-        );
-        MonitorConfig {
+        Self::try_new(window_ticks, epsilon, ratios).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new) for parameters that come from outside the
+    /// program: an error if `window_ticks` is 0, `epsilon` is not positive
+    /// and finite, or `ratios` is empty or contains an entry that is not
+    /// positive and finite.
+    pub fn try_new(window_ticks: u64, epsilon: f64, ratios: Vec<f64>) -> Result<Self, String> {
+        if window_ticks == 0 {
+            return Err("window must be positive".into());
+        }
+        if !(epsilon > 0.0 && epsilon.is_finite()) {
+            return Err(format!(
+                "tolerance must be positive and finite, got {epsilon}"
+            ));
+        }
+        if ratios.is_empty() {
+            return Err("need at least one class pair".into());
+        }
+        if !ratios.iter().all(|&r| r > 0.0 && r.is_finite()) {
+            return Err("target ratios must be positive and finite".into());
+        }
+        Ok(MonitorConfig {
             window_ticks,
             epsilon,
             min_samples: 5,
             targets: vec![(0, ratios)],
-        }
+        })
     }
 
     /// Appends a target epoch: `ratios` take effect for windows starting
