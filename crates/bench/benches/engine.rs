@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pdd::netsim::mesh::{FlowModel, MeshConfig, MeshFlow};
-use pdd::netsim::{count_cross_events, LinkSpec, Session as NetSession, StudyBConfig};
+use pdd::netsim::{LinkSpec, Session as NetSession, StudyBConfig};
 use pdd::qsim::{Experiment, Session};
 use pdd::sched::{SchedulerKind, Sdp};
 use pdd::simcore::{Context, Dur, Model, Simulation, Time};
@@ -87,21 +87,6 @@ fn bench_netsim_throughput(c: &mut Criterion) {
     });
 }
 
-/// The chain's cross-traffic generator alone — block-drawn words, the
-/// K·C-way merge, no link behind it — for the K = 8 Table-1 cell at bench
-/// scale (64 sources): `Cross` events a second.
-fn bench_chain_cross_stream(c: &mut Criterion) {
-    let mut cfg = StudyBConfig::paper(8, 0.95, 100, 50.0);
-    cfg.experiments = 6;
-    cfg.warmup_secs = 4.0;
-    let mut group = c.benchmark_group("chain");
-    group.throughput(Throughput::Elements(count_cross_events(&cfg)));
-    group.bench_function("cross_stream", |b| {
-        b.iter(|| count_cross_events(&cfg));
-    });
-    group.finish();
-}
-
 /// Eight 1 Gb/s WTP links at ρ = 0.55, the load cut into `flows`
 /// single-link Pareto flows (round-robin over links and classes) that emit
 /// about 200 000 packets of 500 bytes between them, whatever `flows` is.
@@ -154,6 +139,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_simcore_fixed_delay_timers, bench_qsim_throughput, bench_netsim_throughput,
-        bench_chain_cross_stream, bench_mesh_open_loop_flows
+        bench_mesh_open_loop_flows
 }
 criterion_main!(benches);

@@ -14,16 +14,17 @@
 //! `netsim/mutate-lane-tie` mutant does — or that compared itself with the
 //! queue on time alone would break exactly this law.
 //!
-//! The Study-B chain's cross stream (`netsim::emission::CrossStream`) rests
-//! on the same law — it merges its sources ahead of the run in the order
-//! their predecessors were merged — but this probe-log form does not carry
-//! over to it: a chain's probe events name the hop a cross packet arrives
-//! at, not the source that sent it (eight sources feed each link, with
-//! packets of one size), so the log cannot say whose predecessor came
-//! first. The chain's order is held instead by what the order decides:
-//! `netsim`'s stream ≡ all-heap reference test and its pinned tie-heavy
-//! chain digest, both of which the `netsim/mutate-chain-tie` mutant (same-
-//! tick cross emissions in source order) fails.
+//! The Study-B chain runs on the same engine, and its cross stream
+//! (`netsim::emission::CrossStream`, the lane's second head) rests on the
+//! same law — it merges its sources ahead of the run in the order their
+//! predecessors were merged — but this probe-log form does not carry over
+//! to it: a cross packet's probe events name the hop it arrives at, not
+//! the source that sent it (eight sources feed each link, with packets of
+//! one size), so the log cannot say whose predecessor came first. The
+//! stream's order is held instead by what the order decides: `netsim`'s
+//! stream ≡ all-heap reference test and its pinned tie-heavy chain digest
+//! and event ladder, which the `netsim/mutate-chain-tie` mutant (same-tick
+//! cross emissions in source order) fails.
 
 use netsim::mesh::{FlowModel, MeshConfig, MeshFlow};
 use netsim::topology::splitmix64;

@@ -41,7 +41,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
-use pdd::netsim::{run_study_b_probed, StudyBConfig};
+use pdd::netsim::{Session as NetSession, StudyBConfig};
 use pdd::qsim::{LossMode, Session};
 use pdd::sched::{Scheduler, SchedulerKind, SchedulerVisitor, Sdp};
 use pdd::simcore::Time;
@@ -361,7 +361,7 @@ fn cmd_studyb(args: &[String]) -> Result<(), String> {
     let sinks = Sinks::open(args)?;
     let mut probe = Tee(CountingProbe::new(cfg.num_classes()), sinks);
     say!("study B: {hops} hops at rho {rho}, {experiments} experiments");
-    let (records, links) = run_study_b_probed(&cfg, &mut probe);
+    let (records, links) = NetSession::study_b(&cfg).probe(&mut probe).run();
     say!("delivered {} experiment records", records.len());
     for (l, stats) in links.iter().enumerate() {
         say!(

@@ -6,7 +6,7 @@
 //! as load and hop count grow, and **zero** cases of inconsistent
 //! differentiation.
 
-use pdd::netsim::{analyze, packet_time_tolerance, run_study_b_probed, StudyBConfig, StudyBResult};
+use pdd::netsim::{analyze, packet_time_tolerance, Session, StudyBConfig, StudyBResult};
 use pdd::telemetry::json::Json;
 use pdd::telemetry::{CountingProbe, NoopProbe, Probe};
 
@@ -55,7 +55,7 @@ pub fn cell_run_probed<P: Probe>(
     cfg.experiments = experiments;
     cfg.warmup_secs = warmup;
     cfg.seed = 1 + k as u64 * 1000 + (rho * 100.0) as u64;
-    let (records, _links) = run_study_b_probed(&cfg, probe);
+    let (records, _links) = Session::study_b(&cfg).probe(probe).run();
     let result = analyze(&records, cfg.num_classes(), packet_time_tolerance(&cfg));
     Cell {
         k_hops: k,
@@ -230,7 +230,6 @@ pub fn consistency(merged: &Json) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdd::netsim::Session;
 
     /// One small cell rather than the full grid (the grid runs in the
     /// binary/bench); asserts the paper's two headline claims.

@@ -2,12 +2,12 @@
 
 use sched::{SchedulerKind, Sdp};
 
-use crate::emission::MAX_STREAM_SOURCES;
+use crate::emission::{CrossSources, CrossStream, EcnSources, MAX_STREAM_SOURCES};
 use crate::link::{CrossTraffic, LinkSpec};
+use crate::mesh::{FlowModel, MeshConfig, MeshFlow};
 use crate::TICKS_PER_SEC;
 
-/// Hops a chain may have: the engine counts a packet's remaining hops, and
-/// numbers links, in a `u16`.
+/// Hops a chain may have: the engine numbers links in a `u16`.
 const MAX_HOPS: usize = u16::MAX as usize;
 
 /// How cross-traffic sources generate load.
@@ -268,14 +268,14 @@ impl StudyBConfig {
         // them a source would silently feed another node's link.
         if self.k_hops > MAX_HOPS {
             return Err(format!(
-                "k_hops {} exceeds the chain engine's {MAX_HOPS} hops",
+                "k_hops {} exceeds the chain's {MAX_HOPS} hops",
                 self.k_hops
             ));
         }
         let sources = self.k_hops.checked_mul(self.cross_sources);
         if sources.is_none_or(|n| n > MAX_STREAM_SOURCES) {
             return Err(format!(
-                "{} hops x {} cross sources exceed the chain engine's {MAX_STREAM_SOURCES} sources",
+                "{} hops x {} cross sources exceed the chain's {MAX_STREAM_SOURCES} sources",
                 self.k_hops, self.cross_sources
             ));
         }
@@ -331,7 +331,100 @@ impl StudyBConfig {
                 .validate(self.num_classes())
                 .map_err(|e| format!("hop {l}: {e}"))?;
         }
-        Ok(())
+        self.timeline().map(|_| ())
+    }
+
+    /// The tick of the first experiment, and the last instant at which
+    /// cross sources may emit: they keep the network loaded until two
+    /// seconds after the last user flow has sent its last packet. `Err`
+    /// for rates and warm-ups that are not times, and for a timeline the
+    /// clock cannot hold.
+    fn timeline(&self) -> Result<(u64, u64), String> {
+        if !(self.flow_rate_kbps > 0.0 && self.flow_rate_kbps.is_finite()) {
+            return Err(format!(
+                "flow_rate_kbps must be positive and finite, got {}",
+                self.flow_rate_kbps
+            ));
+        }
+        if !(self.warmup_secs >= 0.0 && self.warmup_secs.is_finite()) {
+            return Err(format!(
+                "warmup_secs must be non-negative and finite, got {}",
+                self.warmup_secs
+            ));
+        }
+        let gap = self.user_packet_gap_ticks();
+        if gap == 0 {
+            return Err(format!(
+                "at {} kbit/s a flow's packets are less than a tick apart",
+                self.flow_rate_kbps
+            ));
+        }
+        // Both casts saturate, and a saturated term fails the sums below.
+        let warmup_ticks = (self.warmup_secs * TICKS_PER_SEC as f64).round() as u64;
+        let last_start = (u64::from(self.experiments) - 1) * TICKS_PER_SEC;
+        let cross_end = u64::from(self.flow_len)
+            .checked_mul(gap)
+            .and_then(|flow_ticks| flow_ticks.checked_add(2 * TICKS_PER_SEC))
+            .and_then(|tail| tail.checked_add(last_start))
+            .and_then(|after_warmup| after_warmup.checked_add(warmup_ticks));
+        match cross_end {
+            Some(cross_end) => Ok((warmup_ticks, cross_end)),
+            None => Err("the run does not end within 2^64 ticks".into()),
+        }
+    }
+
+    /// The chain as the coupled engine runs it: a link per hop;
+    /// `experiments × classes` periodic user flows over the user path, flow
+    /// `exp · classes + class` launched `exp` seconds after the warm-up;
+    /// and every node's cross traffic. `Err` as [`validate`](Self::validate).
+    pub(crate) fn lower(&self) -> Result<(MeshConfig, CrossSources), String> {
+        self.validate()?;
+        let (warmup_ticks, cross_end) = self.timeline()?;
+        let links = (0..self.k_hops)
+            .map(|l| {
+                LinkSpec::new(self.link_bps, self.scheduler_for_link(l))
+                    .with_propagation(self.propagation_ns)
+            })
+            .collect();
+        let (entry, exit) = self.user_hops();
+        let model = FlowModel::Periodic {
+            gap_ticks: self.user_packet_gap_ticks(),
+            count: self.flow_len,
+        };
+        let flows = (0..self.experiments)
+            .flat_map(|exp| {
+                (0..self.num_classes() as u8).map(move |class| MeshFlow {
+                    route: (entry..exit).collect(),
+                    class,
+                    packet_bytes: self.packet_bytes,
+                    model,
+                    start_ticks: warmup_ticks + u64::from(exp) * TICKS_PER_SEC,
+                })
+            })
+            .collect();
+        let mesh = MeshConfig {
+            sdp: self.sdp.clone(),
+            links,
+            flows,
+            seed: self.seed,
+        };
+        // C independent sources per node — the superposition of C
+        // heavy-tailed sources is *not* equivalent to one source at C×
+        // rate, so each keeps its own clock. Gaps are per node so links
+        // can run at different utilizations. Closed-loop sources leave no
+        // open-loop one: an empty stream.
+        let ecn = EcnSources::new(self, cross_end);
+        let open_loop = if ecn.is_some() { 0 } else { self.k_hops };
+        let gaps: Vec<f64> = (0..open_loop)
+            .map(|l| self.cross_gap_ticks_for_link(l))
+            .collect();
+        let (fractions, sources) = (&self.cross_class_fractions, self.cross_sources);
+        let cross = CrossSources {
+            stream: CrossStream::new(self.seed, &gaps, sources, fractions, cross_end),
+            ecn,
+            packet_bytes: self.packet_bytes,
+        };
+        Ok((mesh, cross))
     }
 }
 
@@ -555,6 +648,52 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.contains("(0,1)"), "{err}");
+    }
+
+    #[test]
+    fn flow_rates_that_are_not_rates_are_rejected() {
+        for rate in [0.0, -50.0, f64::NAN, f64::INFINITY] {
+            let err = StudyBConfig::builder(4, 0.9, 10, rate).build().unwrap_err();
+            assert!(err.contains("flow_rate_kbps"), "{rate}: {err}");
+        }
+    }
+
+    #[test]
+    fn warmups_that_are_not_times_are_rejected() {
+        for secs in [-3.0, f64::NAN, f64::INFINITY] {
+            let err = StudyBConfig::builder(4, 0.9, 10, 50.0)
+                .warmup_secs(secs)
+                .build()
+                .unwrap_err();
+            assert!(err.contains("warmup_secs"), "{secs}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_user_gap_under_one_tick_is_rejected() {
+        // 4 000 bits at 10^13 kbit/s: 0.0004 ticks apart.
+        let err = StudyBConfig::builder(4, 0.9, 10, 1e13).build().unwrap_err();
+        assert!(err.contains("less than a tick apart"), "{err}");
+        assert_eq!(
+            StudyBConfig::paper(4, 0.9, 10, 1e13).user_packet_gap_ticks(),
+            0
+        );
+    }
+
+    #[test]
+    fn a_timeline_past_the_end_of_the_clock_is_rejected() {
+        // A warm-up that saturates the clock, and gaps that do (no user
+        // load to speak of, so the utilization guard lets both through).
+        let late = StudyBConfig::builder(4, 0.9, 10, 50.0).warmup_secs(1e30);
+        let slow = StudyBConfig::builder(4, 0.9, 10, 1e-300);
+        // 1.8e19 ticks of warm-up, 8e17 of flow: each fits, the sum does not.
+        let both = StudyBConfig::builder(4, 0.9, 200, 1e-6).warmup_secs(1.8e10);
+        for (what, cfg) in [("warm-up", late), ("gap", slow), ("sum", both)] {
+            let err = cfg.build().unwrap_err();
+            assert!(err.contains("2^64 ticks"), "{what}: {err}");
+        }
+        let fits = StudyBConfig::builder(4, 0.9, 2, 1e-6).warmup_secs(1e9);
+        assert!(fits.build().is_ok());
     }
 
     #[test]

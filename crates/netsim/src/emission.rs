@@ -1,16 +1,19 @@
 //! Open-loop emissions, kept out of the event queue.
 //!
 //! The emission clock of a Pareto [`MeshFlow`](crate::MeshFlow) — the one
-//! definition both mesh engines read, so the exact engine's `Emit` events
-//! and the decomposition's precomputed schedules are the same instants by
-//! construction — and the [`EmissionLane`] the exact engine reads its
-//! clocks through; the chain's [`CrossStream`], whose sources share one
-//! RNG; and the [`TournamentTree`] a lane keeps a fixed few pending keys
-//! in.
+//! definition the exact engine and the decomposition read, so the former's
+//! `Emit` events and the latter's precomputed schedules are the same
+//! instants by construction — and the [`EmissionLane`] the exact engine
+//! reads its clocks through; the Study-B chain's [`CrossSources`] — the
+//! open-loop [`CrossStream`], whose sources share one RNG, and the
+//! closed-loop [`EcnSources`], which stay in the queue — and the
+//! [`TournamentTree`] the stream merges its sources in.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use traffic::{per_source_seed, IatDist};
+
+use crate::config::{CrossModel, StudyBConfig};
 
 /// Instants computed at a time once a clock is running: [`IatDist::fill`]
 /// lets their gaps' `pow` calls overlap. A coupled mesh holds one clock per
@@ -243,6 +246,18 @@ impl EmissionLane {
         run.swap(0, first);
     }
 
+    /// Clocks whose next emission is still to be popped: what the event
+    /// queue would hold of them. Counted when asked — a heartbeat's
+    /// business, not the run's.
+    pub(crate) fn live(&self) -> usize {
+        let mut pending = vec![false; self.clocks.len()];
+        let windowed = self.window[self.cursor..].iter().map(|&(_, c)| c);
+        for c in self.live.iter().copied().chain(windowed) {
+            pending[c as usize] = true;
+        }
+        pending.iter().filter(|&&p| p).count()
+    }
+
     /// Removes the emission [`peek`](Self::peek) reported and returns its
     /// mesh flow.
     #[inline]
@@ -291,19 +306,18 @@ impl EmissionLane {
     }
 }
 
-/// The earliest of a fixed number of keyed slots, any one of which can be
-/// rewritten in `log₂ slots` comparisons — a tournament tree: the slots are
-/// the leaves of a complete binary tree and every inner node names the
-/// slots that won and lost the match between its two subtrees' winners, so
-/// rewriting a slot replays only the matches on its path to the root. An
-/// empty slot holds the `vacant` key the tree was made with, which must
-/// compare above every key in use.
+/// The earliest of a fixed number of keyed slots, rewritten in `log₂ slots`
+/// comparisons — a tournament tree: the slots are the leaves of a complete
+/// binary tree and every inner node names the slots that won and lost the
+/// match between its two subtrees' winners, so rewriting a slot replays
+/// only the matches on its path to the root. An empty slot holds the
+/// `vacant` key the tree was made with, which must compare above every key
+/// in use.
 ///
 /// The losers are there for [`replace_min`](Self::replace_min), which is
 /// all a merge ever does: the minimum beat, on its way up, exactly the
 /// losers on its path, so its replacement meets them again — each read
-/// from the node it is written back to, where [`set`](Self::set) has to
-/// read both children's winners, the one below just written.
+/// from the node it is written back to.
 pub(crate) struct TournamentTree<K> {
     /// A key per leaf; leaves past the slots asked for stay vacant.
     keys: Vec<K>,
@@ -315,34 +329,23 @@ pub(crate) struct TournamentTree<K> {
 }
 
 impl<K: Copy + Ord> TournamentTree<K> {
-    /// `slots` empty slots.
-    pub(crate) fn new(slots: usize, vacant: K) -> Self {
-        let leaves = slots.next_power_of_two();
-        // All keys equal: of a node's children, either may have won.
+    /// A slot per key of `keys`; `vacant` is the key of an empty one.
+    pub(crate) fn new(mut keys: Vec<K>, vacant: K) -> Self {
+        let leaves = keys.len().next_power_of_two();
+        keys.resize(leaves, vacant);
         let mut winner: Vec<u32> = (0..2 * leaves as u32)
             .map(|n| n.saturating_sub(leaves as u32))
             .collect();
         let mut loser = vec![0; leaves];
         for node in (1..leaves).rev() {
-            (winner[node], loser[node]) = (winner[2 * node], winner[2 * node + 1]);
+            let (a, b) = (winner[2 * node], winner[2 * node + 1]);
+            let a_wins = keys[a as usize] <= keys[b as usize];
+            (winner[node], loser[node]) = if a_wins { (a, b) } else { (b, a) };
         }
         TournamentTree {
-            keys: vec![vacant; leaves],
+            keys,
             winner,
             loser,
-        }
-    }
-
-    /// Rewrites `slot`'s key.
-    #[inline]
-    pub(crate) fn set(&mut self, slot: usize, key: K) {
-        self.keys[slot] = key;
-        let mut node = (self.keys.len() + slot) / 2;
-        while node > 0 {
-            let (a, b) = (self.winner[2 * node], self.winner[2 * node + 1]);
-            let a_wins = self.keys[a as usize] <= self.keys[b as usize];
-            (self.winner[node], self.loser[node]) = if a_wins { (a, b) } else { (b, a) };
-            node /= 2;
         }
     }
 
@@ -488,11 +491,8 @@ impl CrossStream {
             _ => unreachable!("paper_pareto is Pareto"),
         };
         let node_of = |source| source / sources_per_node;
-        let mut pending = TournamentTree::new(sources, u128::MAX);
-        for source in 0..sources {
-            let first = first_cross_tick(source);
-            pending.set(source, Self::merge_key(first, source as u64, source));
-        }
+        let first = |source| Self::merge_key(first_cross_tick(source), source as u64, source);
+        let pending = TournamentTree::new((0..sources).map(first).collect(), u128::MAX);
         let mut rng = StdRng::seed_from_u64(seed);
         let class_word = rng.random();
         let mut stream = CrossStream {
@@ -578,6 +578,12 @@ impl CrossStream {
     /// back. Emissions past `until` take no words, and nothing follows
     /// them, so the words drawn for their places go unused.
     fn refill(&mut self) {
+        self.block.clear();
+        self.cursor = 0;
+        if self.pending.min().1 == u128::MAX {
+            // Nothing left to merge: no word drawn would be used.
+            return;
+        }
         let mut class_words = [0.0; STREAM_BLOCK];
         let mut pows = [0.0; STREAM_BLOCK];
         let mut class_word = self.class_word;
@@ -586,8 +592,6 @@ impl CrossStream {
             class_word = rng.random();
         });
         self.class_word = class_word;
-        self.block.clear();
-        self.cursor = 0;
         for (&u, &pow) in class_words.iter().zip(&pows) {
             let (source, key) = self.pending.min();
             if key == u128::MAX {
@@ -623,6 +627,122 @@ impl CrossStream {
             self.merged += 1;
             self.pending.replace_min(next_key);
             self.block.push(emission);
+        }
+    }
+}
+
+/// The closed-loop cross sources of a chain ([`CrossModel::EcnAdaptive`]):
+/// each sends at its current rate, halves it when its link's backlog is
+/// above the mark threshold and otherwise raises it additively. A source's
+/// next instant reads its link after its own packet arrived there, so its
+/// emissions are queued events, one at a time — never in a lane.
+pub(crate) struct EcnSources {
+    mark_threshold_bytes: u64,
+    increase_bps: f64,
+    /// Per node, the rate a source never falls below, bits/s.
+    floor_bps: Vec<f64>,
+    sources_per_node: usize,
+    /// Per source: current rate, bits/s, and unrounded arrival clock.
+    rate: Vec<f64>,
+    cum: Vec<f64>,
+    /// Draws every source's classes, in event order.
+    rng: StdRng,
+    class_fractions: Vec<f64>,
+    packet_bits: f64,
+    /// Last instant at which a source emits.
+    until: u64,
+}
+
+impl EcnSources {
+    /// The sources of `cfg`'s chain, if its cross model is the closed-loop
+    /// one: each starts at its fair share of its node's cross rate, source
+    /// `i` at [`first_cross_tick`]`(i)`, and none emits after `until`.
+    pub(crate) fn new(cfg: &StudyBConfig, until: u64) -> Option<Self> {
+        let CrossModel::EcnAdaptive {
+            mark_threshold_bytes,
+            increase_bps,
+            min_rate_fraction,
+        } = cfg.cross_model
+        else {
+            return None;
+        };
+        let fair = |node| cfg.cross_total_bps_for_link(node) / cfg.cross_sources as f64;
+        let sources = cfg.k_hops * cfg.cross_sources;
+        Some(EcnSources {
+            mark_threshold_bytes,
+            increase_bps,
+            floor_bps: (0..cfg.k_hops)
+                .map(|node| fair(node) * min_rate_fraction)
+                .collect(),
+            sources_per_node: cfg.cross_sources,
+            rate: (0..sources).map(|s| fair(s / cfg.cross_sources)).collect(),
+            cum: (0..sources).map(|s| first_cross_tick(s) as f64).collect(),
+            rng: StdRng::seed_from_u64(cfg.seed),
+            class_fractions: cfg.cross_class_fractions.clone(),
+            packet_bits: cfg.packet_bytes as f64 * 8.0,
+            until,
+        })
+    }
+
+    /// Number of sources.
+    pub(crate) fn sources(&self) -> usize {
+        self.rate.len()
+    }
+
+    /// The node `source` feeds and the class of the packet it emits at
+    /// `now`; `None` past the sources' end, where nothing is drawn.
+    pub(crate) fn emission(&mut self, source: u16, now: u64) -> Option<(u16, u8)> {
+        if now > self.until {
+            return None;
+        }
+        let node = source as usize / self.sources_per_node;
+        let class = cross_class(self.rng.random(), &self.class_fractions);
+        Some((node as u16, class))
+    }
+
+    /// AIMD on `source`'s rate, driven by its own link's queue depth (the
+    /// ECN signal) now that its packet is there; returns its next instant,
+    /// if it has one.
+    pub(crate) fn advance(&mut self, source: u16, now: u64, backlog_bytes: u64) -> Option<u64> {
+        let source = source as usize;
+        let rate = &mut self.rate[source];
+        if backlog_bytes > self.mark_threshold_bytes {
+            *rate = (*rate * 0.5).max(self.floor_bps[source / self.sources_per_node]);
+        } else {
+            *rate += self.increase_bps;
+        }
+        // Accumulated in f64 to avoid rounding drift.
+        self.cum[source] += self.packet_bits / *rate * crate::TICKS_PER_SEC as f64;
+        let next = self.cum[source].round() as u64;
+        if next > self.until {
+            None
+        } else if next > now {
+            Some(next)
+        } else {
+            // Gap rounded to the past tick; nudge forward.
+            self.cum[source] = now as f64 + 1.0;
+            Some(now + 1)
+        }
+    }
+}
+
+/// A chain's hop-local cross traffic, as the Study-B lowering hands it to
+/// the mesh engine: single-hop packets of one size entering at every node,
+/// from the open-loop stream or from the closed-loop sources. A mesh with
+/// no chain behind it has neither ([`Default`]): an empty stream, one
+/// compare per step.
+pub(crate) struct CrossSources {
+    pub(crate) stream: CrossStream,
+    pub(crate) ecn: Option<EcnSources>,
+    pub(crate) packet_bytes: u32,
+}
+
+impl Default for CrossSources {
+    fn default() -> Self {
+        CrossSources {
+            stream: CrossStream::new(0, &[], 0, &[], 0),
+            ecn: None,
+            packet_bytes: 0,
         }
     }
 }
@@ -805,11 +925,11 @@ mod tests {
     #[test]
     fn a_tournament_tree_is_an_indexed_minimum() {
         // Against a plain scan, over slot counts on both sides of a power
-        // of two: slots rewritten and emptied in a scrambled order, the
-        // minimum replaced and removed.
+        // of two: the minimum replaced and removed, and now and then a
+        // slot rewritten or emptied and the tree made anew.
         for slots in [1usize, 2, 3, 8, 13, 64] {
-            let mut tree = TournamentTree::new(slots, u64::MAX);
             let mut plain = vec![u64::MAX; slots];
+            let mut tree = TournamentTree::new(plain.clone(), u64::MAX);
             assert_eq!(tree.min().1, u64::MAX);
             for step in 0..4_000u64 {
                 let word = crate::topology::splitmix64(step ^ slots as u64);
@@ -818,8 +938,8 @@ mod tests {
                 let key = |slot: usize| (word >> 8) % 50 * 64 + slot as u64;
                 match word >> 60 {
                     0 => {
-                        tree.set(slot, u64::MAX);
                         plain[slot] = u64::MAX;
+                        tree = TournamentTree::new(plain.clone(), u64::MAX);
                     }
                     1..=6 => {
                         let (min, _) = tree.min();
@@ -828,8 +948,8 @@ mod tests {
                         plain[min] = to;
                     }
                     _ => {
-                        tree.set(slot, key(slot));
                         plain[slot] = key(slot);
+                        tree = TournamentTree::new(plain.clone(), u64::MAX);
                     }
                 }
                 let (want_slot, want) = (plain.iter().copied().enumerate())

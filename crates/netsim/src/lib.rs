@@ -14,7 +14,8 @@
 //!
 //! Beyond the paper's chain, the [`mesh`] module simulates arbitrary
 //! topologies (flows routed over explicit link sequences) so crossing
-//! paths and shared bottlenecks can be studied.
+//! paths and shared bottlenecks can be studied. It holds the crate's one
+//! coupled event loop: the chain runs as a lowering onto it.
 //!
 //! Beyond explicit meshes, the [`topology`] module generates datacenter
 //! fabrics (fat-tree, leaf-spine) with deterministic hashed ECMP routing,
@@ -37,17 +38,13 @@ mod analysis;
 mod config;
 pub mod decompose;
 mod emission;
-mod engine;
 mod link;
 pub mod mesh;
 mod session;
 pub mod topology;
 
-pub use analysis::{analyze, packet_time_tolerance, ExperimentRecord, StudyBResult};
+pub use analysis::{analyze, packet_time_tolerance, ExperimentRecord, LinkStats, StudyBResult};
 pub use config::{CrossModel, StudyBConfig, StudyBConfigBuilder};
-#[doc(hidden)]
-pub use engine::count_cross_events;
-pub use engine::{run_study_b_probed, run_study_b_scenario_probed, LinkStats};
 pub use link::{CrossTraffic, LinkSpec};
 pub use session::{MeshWorkload, Session, StudyBWorkload, TopologyWorkload};
 pub use topology::{HostFlow, NodeKind, Routes, TopoLink, Topology, TopologyConfig};

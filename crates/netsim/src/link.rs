@@ -1,6 +1,6 @@
 //! The shared per-link description.
 //!
-//! Every network simulator in this crate — the Study-B chain, the
+//! Every network configuration in this crate — the Study-B chain, the
 //! arbitrary [`mesh`](crate::mesh), and the [`topology`](crate::topology)
 //! generators — describes a link the same way: a capacity, a scheduler, a
 //! propagation delay, and an optional cross-traffic model. [`LinkSpec`] is
@@ -24,10 +24,10 @@ pub struct LinkSpec {
     /// Propagation delay in ns. Common to all classes and excluded from
     /// the queueing-delay metric, exactly as the paper measures.
     pub propagation_ns: u64,
-    /// Single-hop background traffic loading this link, if any. The chain
-    /// engine simulates it live; the mesh engine materializes it into
-    /// explicit flows via [`crate::mesh::MeshConfig::materialize_cross`]
-    /// (crate::mesh::MeshConfig::materialize_cross).
+    /// Single-hop background traffic loading this link, if any. A mesh
+    /// materializes it into explicit one-class flows
+    /// ([`MeshConfig::materialize_cross`](crate::mesh::MeshConfig::materialize_cross));
+    /// a Study-B chain describes its own, per-packet-class sources with it.
     pub cross: Option<CrossTraffic>,
 }
 
@@ -98,8 +98,8 @@ impl CrossTraffic {
 }
 
 /// Ticks a link of `rate` bytes per tick takes to transmit `bytes`: the
-/// quotient rounded half away from zero, and at least one tick. Both
-/// coupled engines and the decomposition time their transmissions here.
+/// quotient rounded half away from zero, and at least one tick. The
+/// coupled engine and the decomposition time their transmissions here.
 #[inline]
 pub(crate) fn tx_ticks(bytes: u32, rate: f64) -> u64 {
     ((bytes as f64 / rate).round() as u64).max(1)

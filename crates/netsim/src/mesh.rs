@@ -1,32 +1,36 @@
-//! General-topology simulation: flows routed over arbitrary link sets.
+//! General-topology simulation: flows routed over arbitrary link sets —
+//! the one coupled event loop of this crate.
 //!
 //! Study B's Figure-6 chain answers the paper's question for one path
-//! shape; this module generalizes the engine so *crossing* paths can be
-//! simulated — e.g. two user populations whose routes share a bottleneck
-//! link — and the §6 question ("consistent end-to-end differentiation,
-//! independent of the network path") can be probed on meshes.
+//! shape; here *crossing* paths can be simulated — e.g. two user
+//! populations whose routes share a bottleneck link — and the §6 question
+//! ("consistent end-to-end differentiation, independent of the network
+//! path") can be probed on meshes. The chain itself runs here too:
+//! [`Session::study_b`](crate::Session::study_b) lowers it to links, user
+//! flows and its own cross sources.
 //!
 //! The model stays deliberately simple: unidirectional links described by
 //! the shared [`LinkSpec`]; flows carry an explicit route (a sequence of
 //! link indices); propagation delay shifts arrivals between hops but is
-//! excluded from the queueing-wait metric; waits accumulate per hop
-//! exactly as in the chain engine.
+//! excluded from the queueing-wait metric; waits accumulate per hop.
 //!
 //! Background load is expressed either as explicit Pareto [`MeshFlow`]s or
 //! as a [`CrossTraffic`](crate::CrossTraffic) model on a [`LinkSpec`] —
 //! the latter must be expanded into flows via
 //! [`MeshConfig::materialize_cross`] before the engine will accept the
-//! config, so the event loop only ever sees one kind of traffic.
+//! config. (A lowered chain's per-packet-class cross sources are not a
+//! mode of [`MeshConfig`]: the lowering hands them to the engine itself.)
 
 use std::borrow::Cow;
 
 use scenario::{Command, DownPolicy, Scenario, ScenarioRuntime};
 use sched::{Packet, ReconfigureError, Scheduler, SchedulerVisitor, Sdp};
-use simcore::{Context, Dur, EventKey, Model, Simulation, Time};
+use simcore::{Context, Dur, EventKey, Model, RunOutcome, Simulation, Time};
 use telemetry::{PacketId, Probe};
 
+use crate::analysis::LinkStats;
 use crate::config::CrossModel;
-use crate::emission::{EmissionLane, LaneFlow};
+use crate::emission::{first_cross_tick, CrossSources, EmissionLane, LaneFlow};
 use crate::link::{tx_ticks, LinkSpec};
 
 /// How a flow emits packets.
@@ -274,6 +278,12 @@ enum Ev {
     /// Flow `flow` emits packet `idx`. Scheduled for `Periodic` flows
     /// only: a Pareto flow's come out of the [`EmissionLane`] (`idx` 0).
     Emit { flow: u32, idx: u32 },
+    /// The head of the cross stream is due. It stays in the stream for the
+    /// handler — the runner's next call — to pop: the event carries nothing.
+    Cross,
+    /// Closed-loop cross source `source` emits a packet. Scheduled: its
+    /// next instant is decided here.
+    EcnCross { source: u16 },
     /// Link finished its in-flight packet.
     TxDone { link: u16 },
     /// The packet in `slot` finished propagating and arrives at its next
@@ -295,11 +305,24 @@ struct HotFlow {
     clock: u32,
 }
 
+/// High bit of a cross packet's id, so a probe can tell the single-hop
+/// spans of cross traffic from a flow's.
+pub(crate) const CROSS_SPAN_BIT: u64 = 1 << 63;
+
+/// [`PacketMeta::flow`] of a cross packet: delivered to no flow, it is not
+/// logged and retains no wait. (No flow has this index: routes are
+/// counted in a `u32` and every flow has one.)
+const CROSS_FLOW: u32 = u32::MAX;
+
+/// Events handled between heartbeats when a probe is attached.
+const HEARTBEAT_EVERY: u64 = 65_536;
+
 /// A packet in flight. Its slot index, reused after delivery or drop, is
 /// `Packet::tag`.
 #[derive(Clone, Copy)]
 struct PacketMeta {
-    /// Monotone packet id (emission order): `Packet::seq`, the probe span.
+    /// Monotone packet id (emission order), under [`CROSS_SPAN_BIT`] for a
+    /// cross packet: `Packet::seq`, the probe span.
     id: u64,
     acc_wait: u64,
     flow: u32,
@@ -364,6 +387,9 @@ struct LinkState<S> {
     /// `Some`).
     tx_start: Time,
     departures: u64,
+    bytes: u64,
+    /// Accumulated transmitting time, ticks.
+    busy_ticks: u64,
 }
 
 struct Mesh<'p, S: Scheduler, P: Probe> {
@@ -378,6 +404,16 @@ struct Mesh<'p, S: Scheduler, P: Probe> {
     delivered: DeliveryLog,
     /// The Pareto flows' emissions, clocks by `HotFlow::clock`.
     lane: EmissionLane,
+    /// A lowered chain's hop-local cross traffic; the stream is the lane's
+    /// second head.
+    cross: CrossSources,
+    /// Where `routes` lists every link once, for cross packets: one at
+    /// node `n` is at `cross_routes + n`, on the last hop of its route.
+    cross_routes: u32,
+    /// Per link and class (`link · classes + class`), the waits of the
+    /// packets served: `(sum, count)`.
+    class_waits: Vec<(f64, u64)>,
+    classes: usize,
     probe: &'p mut P,
     rt: ScenarioRuntime,
     cmd_buf: Vec<Command>,
@@ -397,6 +433,42 @@ fn packet_id(pkt: &Packet, link: usize) -> PacketId {
 }
 
 impl<S: Scheduler, P: Probe> Mesh<'_, S, P> {
+    /// A packet starting out as `first` (its id 0, or [`CROSS_SPAN_BIT`])
+    /// is emitted: it takes the next id and a slot, and arrives at its
+    /// first link.
+    fn emit(&mut self, first: PacketMeta, ctx: &mut Context<Ev>) {
+        let meta = PacketMeta {
+            id: first.id | self.emitted,
+            ..first
+        };
+        self.emitted += 1;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.metas.push(meta);
+            self.metas.len() as u32 - 1
+        });
+        self.metas[slot as usize] = meta;
+        self.arrive(slot, ctx);
+    }
+
+    /// A cross source at `node` emits a packet of `class`, if the class is
+    /// admitted.
+    fn emit_cross(&mut self, node: u16, class: u8, ctx: &mut Context<Ev>) {
+        if !self.rt.admits(class) {
+            return;
+        }
+        let at = self.cross_routes + u32::from(node);
+        let first = PacketMeta {
+            id: CROSS_SPAN_BIT,
+            acc_wait: 0,
+            flow: CROSS_FLOW,
+            class,
+            bytes: self.cross.packet_bytes,
+            at,
+            end: at + 1,
+        };
+        self.emit(first, ctx);
+    }
+
     /// The packet in `slot` reaches the link its route cursor is at.
     fn arrive(&mut self, slot: u32, ctx: &mut Context<Ev>) {
         let meta = &self.metas[slot as usize];
@@ -455,6 +527,9 @@ impl<S: Scheduler, P: Probe> Mesh<'_, S, P> {
         }
         let wait = now.since(pkt.arrival).ticks();
         self.metas[pkt.tag as usize].acc_wait += wait;
+        let served = &mut self.class_waits[link * self.classes + pkt.class as usize];
+        served.0 += wait as f64;
+        served.1 += 1;
         let tx = tx_ticks(pkt.size, l.rate);
         l.in_flight = Some(pkt);
         l.tx_start = now;
@@ -502,17 +577,7 @@ impl<S: Scheduler, P: Probe> Model for Mesh<'_, S, P> {
             Ev::Emit { flow, idx } => {
                 let f = self.flows[flow as usize];
                 if self.rt.admits(f.first.class) {
-                    let meta = PacketMeta {
-                        id: self.emitted,
-                        ..f.first
-                    };
-                    self.emitted += 1;
-                    let slot = self.free.pop().unwrap_or_else(|| {
-                        self.metas.push(meta);
-                        self.metas.len() as u32 - 1
-                    });
-                    self.metas[slot as usize] = meta;
-                    self.arrive(slot, ctx);
+                    self.emit(f.first, ctx);
                 }
                 // The next emission: scheduled, or already in the lane and
                 // given the sequence number scheduling it here would have
@@ -530,11 +595,39 @@ impl<S: Scheduler, P: Probe> Model for Mesh<'_, S, P> {
                     FlowModel::Pareto { .. } => self.lane.stamp(f.clock, ctx.reserve_seq()),
                 }
             }
+            Ev::Cross => {
+                let emission = self.cross.stream.pop();
+                // `None`: the one instant a source can be nudged to past
+                // the stream's end.
+                if let Some(class) = emission.class {
+                    self.emit_cross(emission.node, class, ctx);
+                }
+                // The source's next emission is in the stream already; an
+                // ended source takes no number.
+                if emission.successor {
+                    let seq = ctx.reserve_seq();
+                    self.cross.stream.stamp(emission.source, seq);
+                }
+            }
+            Ev::EcnCross { source } => {
+                let now = ctx.now().ticks();
+                let ecn = self.cross.ecn.as_mut().expect("a scheduled source");
+                if let Some((node, class)) = ecn.emission(source, now) {
+                    self.emit_cross(node, class, ctx);
+                    let backlog = self.links[node as usize].scheduler.total_backlog_bytes();
+                    let ecn = self.cross.ecn.as_mut().expect("a scheduled source");
+                    if let Some(next) = ecn.advance(source, now, backlog) {
+                        ctx.schedule(Time::from_ticks(next), Ev::EcnCross { source });
+                    }
+                }
+            }
             Ev::TxDone { link } => {
                 let link = link as usize;
                 let l = &mut self.links[link];
                 let pkt = l.in_flight.take().expect("TxDone without in-flight packet");
                 l.departures += 1;
+                l.bytes += u64::from(pkt.size);
+                l.busy_ticks += ctx.now().since(l.tx_start).ticks();
                 let meta = &mut self.metas[pkt.tag as usize];
                 meta.at += 1;
                 let delivered = meta.at == meta.end;
@@ -548,7 +641,9 @@ impl<S: Scheduler, P: Probe> Model for Mesh<'_, S, P> {
                     );
                 }
                 if delivered {
-                    self.delivered.push(meta.flow, meta.acc_wait);
+                    if meta.flow != CROSS_FLOW {
+                        self.delivered.push(meta.flow, meta.acc_wait);
+                    }
                     self.free.push(pkt.tag as u32);
                 } else if l.propagation > 0 {
                     let slot = pkt.tag as u32;
@@ -568,48 +663,42 @@ impl<S: Scheduler, P: Probe> Model for Mesh<'_, S, P> {
         }
     }
 
+    /// The earlier of the two lanes' heads, each an `(instant, seq)`; a
+    /// mesh without a chain behind it never gets past the stream's `None`.
     #[inline]
     fn lane_peek(&mut self) -> Option<EventKey> {
-        let (at, seq) = self.lane.peek()?;
+        let flows = self.lane.peek();
+        let (at, seq) = match self.cross.stream.peek() {
+            Some(cross) if flows.is_none_or(|flows| cross < flows) => cross,
+            _ => flows?,
+        };
         Some(EventKey::new(Time::from_ticks(at), seq))
     }
 
     #[inline]
     fn lane_pop(&mut self) -> Ev {
-        let flow = self.lane.pop();
-        Ev::Emit { flow, idx: 0 }
+        match self.cross.stream.peek() {
+            Some(cross) if self.lane.peek().is_none_or(|flows| cross < flows) => Ev::Cross,
+            _ => Ev::Emit {
+                flow: self.lane.pop(),
+                idx: 0,
+            },
+        }
     }
 }
 
-/// [`Session::mesh`](crate::Session::mesh) under a perturbation timeline with a
-/// [`Probe`] observing every hop: scenario events (live SDP swaps,
-/// link-rate changes, link faults, class joins/leaves) apply to the whole
-/// mesh at their timestamps. With a non-empty scenario, flows may
-/// legitimately deliver fewer packets than they emitted.
-///
-/// The engine is generic over the scheduler like the `qsim` loop: links of
-/// one kind run on the concrete type, a mixed mesh on `Box<dyn Scheduler>`.
-///
-/// # Panics
-/// Panics if the configuration fails [`MeshConfig::validate`], if the
-/// scenario references a link or class the mesh does not define, or if it
-/// contains a load surge (mesh flows carry explicit emission models).
-pub fn run_mesh_scenario_probed<P: Probe>(
-    cfg: &MeshConfig,
-    scenario: &Scenario,
-    probe: &mut P,
-) -> MeshOutcome {
-    run_mesh(Cow::Borrowed(cfg), scenario, probe)
-}
-
-/// [`run_mesh_scenario_probed`] on a config that may be the caller's to
-/// give up: an owned one is dropped once the engine has lowered it, before
-/// the run, so its flows and routes are not held through it.
+/// Runs `cfg` — joined by `cross`, a lowered chain's hop-local cross
+/// traffic — under `scenario` with `probe` observing every hop; what
+/// [`Session`](crate::Session) documents. The engine is generic over the
+/// scheduler like the `qsim` loop: links of one kind run on the concrete
+/// type, a mixed mesh on `Box<dyn Scheduler>`. An owned config is dropped
+/// once the engine has lowered it, before the run.
 pub(crate) fn run_mesh<P: Probe>(
     cfg: Cow<'_, MeshConfig>,
+    cross: CrossSources,
     scenario: &Scenario,
     probe: &mut P,
-) -> MeshOutcome {
+) -> (MeshOutcome, Vec<LinkStats>) {
     cfg.validate().expect("invalid mesh configuration");
     assert!(
         !scenario.has_load_surge(),
@@ -619,23 +708,24 @@ pub(crate) fn run_mesh<P: Probe>(
     if cfg.links.iter().all(|l| l.scheduler == kind) {
         let rate = cfg.links[0].bytes_per_tick();
         let sdp = cfg.sdp.clone();
-        kind.build_and_visit(&sdp, rate, UniformMesh(cfg, scenario, probe))
+        kind.build_and_visit(&sdp, rate, UniformMesh(cfg, cross, scenario, probe))
     } else {
         let schedulers = (cfg.links.iter())
             .map(|l| l.scheduler.build(&cfg.sdp, l.bytes_per_tick()))
             .collect();
-        run_engine(cfg, scenario, probe, schedulers).0
+        let (outcome, links, ..) = run_engine(cfg, cross, scenario, probe, schedulers);
+        (outcome, links)
     }
 }
 
 /// The all-links-one-kind instantiation: one scheduler per link, cloned
 /// from the pristine prototype and told its own link's rate.
-struct UniformMesh<'a, P: Probe>(Cow<'a, MeshConfig>, &'a Scenario, &'a mut P);
+struct UniformMesh<'a, P: Probe>(Cow<'a, MeshConfig>, CrossSources, &'a Scenario, &'a mut P);
 
 impl<P: Probe> SchedulerVisitor for UniformMesh<'_, P> {
-    type Out = MeshOutcome;
+    type Out = (MeshOutcome, Vec<LinkStats>);
 
-    fn visit<S: Scheduler + Clone>(self, prototype: S) -> MeshOutcome {
+    fn visit<S: Scheduler + Clone>(self, prototype: S) -> Self::Out {
         let schedulers = (self.0.links.iter())
             .map(|l| {
                 let mut s = prototype.clone();
@@ -643,18 +733,21 @@ impl<P: Probe> SchedulerVisitor for UniformMesh<'_, P> {
                 s
             })
             .collect();
-        run_engine(self.0, self.1, self.2, schedulers).0
+        let (outcome, links, ..) = run_engine(self.0, self.1, self.2, self.3, schedulers);
+        (outcome, links)
     }
 }
 
 /// Lowers the validated `cfg` for the event loop — `schedulers[l]` serving
-/// link `l` — and schedules every flow's first emission.
+/// link `l` — and gives every source its first sequence number.
 fn lower<'p, S: Scheduler, P: Probe>(
     cfg: &MeshConfig,
+    cross: CrossSources,
     scenario: &Scenario,
     probe: &'p mut P,
     schedulers: Vec<S>,
 ) -> Simulation<Mesh<'p, S, P>> {
+    let classes = cfg.sdp.num_classes();
     let links = (cfg.links.iter().zip(schedulers))
         .map(|(l, scheduler)| LinkState {
             scheduler,
@@ -663,9 +756,11 @@ fn lower<'p, S: Scheduler, P: Probe>(
             in_flight: None,
             tx_start: Time::ZERO,
             departures: 0,
+            bytes: 0,
+            busy_ticks: 0,
         })
         .collect();
-    let hops: usize = cfg.flows.iter().map(|f| f.route.len()).sum();
+    let hops = cfg.flows.iter().map(|f| f.route.len()).sum::<usize>() + cfg.links.len();
     assert!(u32::try_from(hops).is_ok(), "route table exceeds u32");
     let mut routes = Vec::with_capacity(hops);
     let pareto: Vec<LaneFlow> = (cfg.flows.iter().enumerate())
@@ -704,6 +799,8 @@ fn lower<'p, S: Scheduler, P: Probe>(
         });
         clocks += u32::from(matches!(f.model, FlowModel::Pareto { .. }));
     }
+    let cross_routes = routes.len() as u32;
+    routes.extend((0..cfg.links.len()).map(|l| l as u16));
     let mesh = Mesh {
         flows,
         routes,
@@ -713,14 +810,30 @@ fn lower<'p, S: Scheduler, P: Probe>(
         emitted: 0,
         delivered: DeliveryLog::default(),
         lane,
+        cross,
+        cross_routes,
+        class_waits: vec![(0.0, 0); cfg.links.len() * classes],
+        classes,
         probe,
-        rt: ScenarioRuntime::new(scenario, cfg.links.len(), cfg.sdp.num_classes()),
+        rt: ScenarioRuntime::new(scenario, cfg.links.len(), classes),
         cmd_buf: Vec::new(),
         audit_buf: Vec::new(),
     };
     let mut sim = Simulation::new(mesh);
-    // Every flow's first emission takes a sequence number in flow order;
-    // a Pareto flow's is already in the lane and only needs the number.
+    // First emissions take their sequence numbers in this order
+    // (ARCHITECTURE.md, "One coupled engine"): the stream's sources, the
+    // closed-loop sources, the flows, each in index order. What waits in
+    // a lane only needs the number.
+    for source in 0..sim.model().cross.stream.sources() {
+        let seq = sim.reserve_seq();
+        sim.model_mut().cross.stream.stamp(source as u16, seq);
+    }
+    let ecn_sources = sim.model().cross.ecn.as_ref().map_or(0, |e| e.sources());
+    for source in 0..ecn_sources {
+        let at = Time::from_ticks(first_cross_tick(source));
+        let source = source as u16;
+        sim.schedule(at, Ev::EcnCross { source });
+    }
     for (i, f) in cfg.flows.iter().enumerate() {
         match f.model {
             FlowModel::Periodic { .. } => sim.schedule(
@@ -746,26 +859,51 @@ fn lower<'p, S: Scheduler, P: Probe>(
 
 /// Runs the validated `cfg` with `schedulers[l]` serving link `l`. Also
 /// returns the packet slots it allocated — the peak of packets in flight —
-/// and the deepest the event queue got (the emission lane is not in it).
+/// and the deepest the event queue got (the lanes are not in it).
 fn run_engine<S: Scheduler, P: Probe>(
     cfg: Cow<'_, MeshConfig>,
+    cross: CrossSources,
     scenario: &Scenario,
     probe: &mut P,
     schedulers: Vec<S>,
-) -> (MeshOutcome, usize, usize) {
-    let mut sim = lower(&cfg, scenario, probe, schedulers);
+) -> (MeshOutcome, Vec<LinkStats>, usize, usize) {
+    let mut sim = lower(&cfg, cross, scenario, probe, schedulers);
     // An owned config has been read for the last time: the run does not
     // hold its flows and routes.
     drop(cfg);
-    sim.run();
-    let queue = sim.heap_high_water();
+    if P::ENABLED {
+        // In chunks, so that the probe the model borrows can hear of
+        // progress between them.
+        while sim.run_for_events(HEARTBEAT_EVERY) == RunOutcome::EventBudgetSpent {
+            // Lanes and queue together: the depth of an all-queue engine.
+            let mesh = sim.model();
+            let depth = sim.queue_depth() + mesh.lane.live() + mesh.cross.stream.live();
+            let (now, handled) = (sim.now(), sim.events_handled());
+            sim.model_mut().probe.on_heartbeat(now, handled, depth);
+        }
+    } else {
+        sim.run();
+    }
+    let (span_ticks, queue_high_water) = (sim.now().ticks(), sim.heap_high_water());
     let mesh = sim.into_model();
+    let links: Vec<LinkStats> = (mesh.links.iter())
+        .zip(mesh.class_waits.chunks(mesh.classes))
+        .map(|(l, class_waits)| LinkStats {
+            departures: l.departures,
+            bytes: l.bytes,
+            busy_ticks: l.busy_ticks,
+            span_ticks,
+            class_mean_wait: (class_waits.iter())
+                .map(|&(sum, n)| if n == 0 { 0.0 } else { sum / n as f64 })
+                .collect(),
+        })
+        .collect();
     // The one place a per-flow output is indexed: the handlers only log.
     let outcome = MeshOutcome {
         per_flow_waits: mesh.delivered.into_per_flow(mesh.flows.len()),
-        link_departures: mesh.links.iter().map(|l| l.departures).collect(),
+        link_departures: links.iter().map(|l| l.departures).collect(),
     };
-    (outcome, mesh.metas.len(), queue)
+    (outcome, links, mesh.metas.len(), queue_high_water)
 }
 
 #[cfg(test)]
@@ -982,7 +1120,13 @@ mod tests {
             .unwrap();
         let mut counter = telemetry::CountingProbe::new(4);
         let wtp = vec![wtp_scheduler(&cfg)];
-        let (out, slots, _) = run_engine(Cow::Borrowed(&cfg), &sc, &mut counter, wtp);
+        let (out, _, slots, _) = run_engine(
+            Cow::Borrowed(&cfg),
+            CrossSources::default(),
+            &sc,
+            &mut counter,
+            wtp,
+        );
         assert_eq!(slots, 1, "a dropped packet's slot must be recycled");
         assert!(
             out.per_flow_waits[0].len() < 50,
@@ -997,6 +1141,21 @@ mod tests {
             "dropped + delivered must cover the flow"
         );
         assert_eq!(report.scenario_events, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "load_surge is not supported")]
+    fn load_surge_is_rejected_by_the_mesh() {
+        let cfg = MeshConfig::builder(Sdp::paper_default())
+            .link(wtp_link())
+            .flow(probe(vec![0], 2, 0))
+            .build()
+            .unwrap();
+        let sc = Scenario::builder()
+            .load_surge(Time::from_ticks(1), 0, 0.5)
+            .build()
+            .unwrap();
+        let _ = crate::Session::mesh(&cfg).scenario(sc).run();
     }
 
     /// Arrival and departure log: `(tick, span, link)` / `(span, link, eol)`.
@@ -1154,6 +1313,7 @@ mod tests {
                 .collect();
             let (boxed, ..) = run_engine(
                 Cow::Borrowed(&cfg),
+                CrossSources::default(),
                 &Scenario::empty(),
                 &mut telemetry::NoopProbe,
                 boxed,
@@ -1182,7 +1342,13 @@ mod tests {
         let cfg = two_link_mesh(SchedulerKind::Wtp, SchedulerKind::Wtp);
         let mut log = Recorder::default();
         let wtp = vec![wtp_scheduler(&cfg); 2];
-        let (out, slots, _) = run_engine(Cow::Borrowed(&cfg), &Scenario::empty(), &mut log, wtp);
+        let (out, _, slots, _) = run_engine(
+            Cow::Borrowed(&cfg),
+            CrossSources::default(),
+            &Scenario::empty(),
+            &mut log,
+            wtp,
+        );
         let packets: usize = out.per_flow_waits.iter().map(Vec::len).sum();
         assert!(
             packets > 10_000 && slots < 200,
@@ -1517,8 +1683,9 @@ mod tests {
             .extend(paretos.iter().chain(&paretos).cloned());
         for cfg in [base, tripled] {
             let wtp = vec![wtp_scheduler(&cfg); cfg.links.len()];
-            let (_, _, queued) = run_engine(
+            let (.., queued) = run_engine(
                 Cow::Borrowed(&cfg),
+                CrossSources::default(),
                 &Scenario::empty(),
                 &mut telemetry::NoopProbe,
                 wtp,
@@ -1528,6 +1695,102 @@ mod tests {
                 "{queued} events queued at once"
             );
         }
+    }
+
+    #[test]
+    fn no_pareto_cross_emission_enters_the_event_queue() {
+        // What a lowered chain's queue holds at its deepest: one `Emit`
+        // per user flow (the first scheduled up front, later ones replace
+        // them one for one), a `TxDone` per link, the `ScenarioTick` —
+        // however many cross sources there are. Were their emissions
+        // queued, the deepest would grow by 16, then 64.
+        let sc = Scenario::builder()
+            .set_link_rate(Time::from_ticks(7), 0, 0.004)
+            .build()
+            .unwrap();
+        let deepest = |cfg: &crate::StudyBConfig| {
+            let (mesh, cross) = cfg.lower().unwrap();
+            let wtp = vec![wtp_scheduler(&mesh); mesh.links.len()];
+            let (_, links, _, queued) =
+                run_engine(Cow::Owned(mesh), cross, &sc, &mut telemetry::NoopProbe, wtp);
+            assert!(links.iter().all(|l| l.departures > 1_000));
+            queued
+        };
+        let mut cfg = crate::StudyBConfig::paper(2, 0.9, 10, 200.0);
+        (cfg.experiments, cfg.warmup_secs, cfg.seed) = (5, 2.0, 42);
+        let user_flows = cfg.experiments as usize * cfg.num_classes();
+        for k in [2, 8] {
+            cfg.k_hops = k;
+            let queued = deepest(&cfg);
+            assert!(
+                queued <= user_flows + k + 3,
+                "{queued} events queued at once"
+            );
+        }
+        // ECN-adaptive sources are closed-loop and stay scheduled.
+        cfg.k_hops = 2;
+        cfg.cross_model = CrossModel::default_ecn();
+        let queued = deepest(&cfg);
+        assert!(queued >= 16, "{queued} events queued at once");
+    }
+
+    #[test]
+    fn a_probed_mesh_hears_heartbeats_counting_queue_and_lanes() {
+        /// Per heartbeat: its tick, event count and depth.
+        #[derive(Default)]
+        struct Beats(Vec<(u64, u64, usize)>);
+        impl Probe for Beats {
+            const WANTS_DECISION_VALUES: bool = false;
+            fn on_heartbeat(&mut self, at: Time, events: u64, depth: usize) {
+                self.0.push((at.ticks(), events, depth));
+            }
+        }
+        // Twelve Pareto flows with gaps of a few ticks: every clock is live
+        // through the first half of the emission horizon and none after
+        // it, while the links drain; no emission is ever in the queue.
+        let cfg = tie_heavy(ALL_WTP);
+        let paretos = (cfg.flows.iter())
+            .filter(|f| matches!(f.model, FlowModel::Pareto { .. }))
+            .count();
+        let mut beats = Beats::default();
+        let wtp = vec![wtp_scheduler(&cfg); cfg.links.len()];
+        let (out, .., queued) = run_engine(
+            Cow::Borrowed(&cfg),
+            CrossSources::default(),
+            &Scenario::empty(),
+            &mut beats,
+            wtp,
+        );
+        assert_eq!(outcome_digest(&out), PINNED_TIE_HEAVY[0]);
+        let (mut early, mut late) = (0, 0);
+        for (i, &(at, events, depth)) in beats.0.iter().enumerate() {
+            assert_eq!(events, (i as u64 + 1) * HEARTBEAT_EVERY);
+            if at <= TIE_HORIZON / 2 {
+                early += 1;
+                assert!(
+                    (paretos + 1..=paretos + queued).contains(&depth),
+                    "depth {depth} with {paretos} live clocks, {queued} queued at most"
+                );
+            } else if at > TIE_HORIZON {
+                late += 1;
+                assert!(
+                    (1..=queued).contains(&depth),
+                    "depth {depth} past the horizon"
+                );
+            }
+        }
+        assert!(
+            early >= 2 && late >= 1,
+            "{early} early, {late} late heartbeats"
+        );
+    }
+
+    #[test]
+    fn events_and_flow_models_keep_their_size() {
+        // An `Entry` of the event queue is a key and an event in 32 bytes;
+        // a `FlowModel` is paid per `MeshFlow` and `HostFlow`.
+        assert!(std::mem::size_of::<Ev>() <= 12);
+        assert_eq!(std::mem::size_of::<FlowModel>(), 24);
     }
 
     #[test]
@@ -1617,7 +1880,13 @@ mod tests {
         let cfg = small_fat_tree().to_mesh().unwrap();
         let wtp = vec![wtp_scheduler(&cfg); cfg.links.len()];
         let mut probe = telemetry::NoopProbe;
-        let mut sim = lower(&cfg, &Scenario::empty(), &mut probe, wtp);
+        let mut sim = lower(
+            &cfg,
+            CrossSources::default(),
+            &Scenario::empty(),
+            &mut probe,
+            wtp,
+        );
         let mut deepest_heap = 0;
         while sim.step() {
             deepest_heap = deepest_heap.max(sim.heap_len());
