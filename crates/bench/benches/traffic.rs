@@ -2,7 +2,11 @@
 //! path (`ClassSource::fill`, `MergedStream`, `Trace::generate_per_source`)
 //! on the Study-A ρ = 0.95 sources, at a Bench-scale cell's worth of
 //! arrivals (10⁴: first blocks and the over-drawn last ones count) and at
-//! a streaming 10⁶.
+//! a streaming 10⁶. `merged_stream/ahead` is the drain through
+//! `MergedStream::ahead`: at 10⁴ it never leaves the reader's thread and
+//! pays one out-of-line call and a countdown per arrival; at 10⁶ a reader
+//! with nothing else to do pays for a hand-over it cannot overlap with
+//! anything.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use pdd::simcore::Time;
@@ -53,6 +57,13 @@ fn bench_traffic(c: &mut Criterion) {
         group.bench_function(&format!("merged_stream_drain/{n}"), |b| {
             b.iter(|| {
                 MergedStream::per_source(sources(), SEED, horizon)
+                    .fold(0u64, |k, e| k + u64::from(black_box(e).size > 0))
+            });
+        });
+        group.bench_function(&format!("merged_stream/ahead/{n}"), |b| {
+            b.iter(|| {
+                MergedStream::per_source(sources(), SEED, horizon)
+                    .ahead()
                     .fold(0u64, |k, e| k + u64::from(black_box(e).size > 0))
             });
         });

@@ -36,7 +36,7 @@ fn main() -> ExitCode {
     }
 
     let mutated = if cfg!(feature = "mutated") {
-        " [MUTATED build: sched/mutate-pifo-rank, netsim/mutate-lane-tie and netsim/mutate-chain-tie active]"
+        " [MUTATED build: every mutant under `mutated` in crates/conformance/Cargo.toml is active]"
     } else {
         ""
     };

@@ -113,6 +113,17 @@ fn positional(args: &[String]) -> Option<&str> {
         .next()
 }
 
+/// `--punits` (or `default`) and its horizon on the clock.
+fn parse_punits(args: &[String], default: &str) -> Result<(u64, Time), String> {
+    let punits: u64 = opt(args, "--punits")
+        .unwrap_or(default)
+        .parse()
+        .map_err(|e| format!("bad --punits: {e}"))?;
+    let ticks = experiments::punits_to_ticks(punits)
+        .ok_or_else(|| format!("bad --punits: {punits} p-units overflow the clock"))?;
+    Ok((punits, Time::from_ticks(ticks)))
+}
+
 fn parse_sdp(s: &str) -> Result<Sdp, String> {
     let vals: Result<Vec<f64>, _> = s.split(',').map(str::parse::<f64>).collect();
     Sdp::new(&vals.map_err(|e| format!("bad sdp '{s}': {e}"))?).map_err(|e| e.to_string())
@@ -272,10 +283,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             .unwrap_or("0.9")
             .parse()
             .map_err(|e| format!("bad --rho: {e}"))?;
-        let punits: u64 = opt(args, "--punits")
-            .unwrap_or("2000")
-            .parse()
-            .map_err(|e| format!("bad --punits: {e}"))?;
+        let (_, horizon) = parse_punits(args, "2000")?;
         let seed: u64 = opt(args, "--seed")
             .unwrap_or("1")
             .parse()
@@ -284,7 +292,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?
             .pareto_sources()
             .map_err(|e| e.to_string())?;
-        Trace::generate_per_source(&mut sources, Time::from_ticks(punits * 441), seed)
+        Trace::generate_per_source(&mut sources, horizon, seed)
     };
     let max_class = trace.entries().iter().map(|e| e.class).max().unwrap_or(0) as usize;
     if max_class >= sdp.num_classes() {
@@ -391,10 +399,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
         .unwrap_or("0.95")
         .parse()
         .map_err(|e| format!("bad --rho: {e}"))?;
-    let punits: u64 = opt(args, "--punits")
-        .unwrap_or("4000")
-        .parse()
-        .map_err(|e| format!("bad --punits: {e}"))?;
+    let (punits, horizon) = parse_punits(args, "4000")?;
     let seed: u64 = opt(args, "--seed")
         .unwrap_or("1")
         .parse()
@@ -424,7 +429,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
                 swapped.num_classes()
             ));
         }
-        let mid = (punits / 2) * p;
+        let mid = (punits / 2) * p; // within the checked horizon
         cfg = cfg.retarget(mid, ratios(&swapped));
         scenario = Scenario::builder()
             .set_sdp(Time::from_ticks(mid), swapped)
@@ -442,7 +447,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
         "scheduler: {} at rho {rho} for {punits} p-units",
         kind.name()
     );
-    let (registry, monitor) = Session::sources(&sources, Time::from_ticks(punits * p), seed, 1.0)
+    let (registry, monitor) = Session::sources(&sources, horizon, seed, 1.0)
         .scenario(scenario)
         .run_monitored(cfg, scheduler.as_mut(), |_| {});
 

@@ -164,7 +164,7 @@ pub fn cell_seed(
     seed: u64,
 ) -> Vec<Option<u64>> {
     let p = PAPER_MEAN_PACKET_BYTES as u64;
-    let horizon = Time::from_ticks(scale.punits() * p);
+    let horizon = scale.horizon();
     let (sc, perturb_at, targets) = timeline(perturbation, scale);
     let sdp = start_sdp();
     let n = sdp.num_classes();

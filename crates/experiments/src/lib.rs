@@ -54,17 +54,38 @@ pub enum Scale {
     },
 }
 
+/// Ticks in a p-unit: the transmission time of the paper's mean packet
+/// (441 bytes) on the unit-rate link every Study-A run uses.
+pub const TICKS_PER_PUNIT: u64 = pdd::traffic::PAPER_MEAN_PACKET_BYTES as u64;
+
+/// The longest run a suite derives from a scale, in Study-A horizons: the
+/// M/G/1 validation (`ablations::tdp`) simulates four.
+const LONGEST_RUN_HORIZONS: u64 = 4;
+
+/// `punits` mean-packet transmission times in ticks, or `None` when that
+/// does not fit the 64-bit clock — the one place a user's `--punits`
+/// becomes a horizon.
+pub fn punits_to_ticks(punits: u64) -> Option<u64> {
+    punits.checked_mul(TICKS_PER_PUNIT)
+}
+
 impl Scale {
-    /// Parses the scale from argv: `--paper`, `--bench`, explicit
+    /// Parses the scale from the arguments: `--paper`, `--bench`, explicit
     /// `--punits N` / `--seeds K` overrides, or the `Quick` default (so the
     /// binaries finish in seconds).
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        let get = |key: &str| -> Option<u64> {
-            args.iter()
-                .position(|a| a == key)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
+    ///
+    /// # Errors
+    /// A usage message when `--punits` or `--seeds` has no value or one
+    /// that is not a count, or when the horizon of `--punits` (and the
+    /// four of them the longest suite runs) does not fit the clock.
+    pub fn try_from_args(args: &[String]) -> Result<Scale, String> {
+        let get = |key: &str| -> Result<Option<u64>, String> {
+            let Some(i) = args.iter().position(|a| a == key) else {
+                return Ok(None);
+            };
+            let value = (args.get(i + 1)).ok_or_else(|| format!("usage: {key} expects a count"))?;
+            (value.parse().map(Some))
+                .map_err(|_| format!("usage: {key} expects a count, got `{value}`"))
         };
         let base = if args.iter().any(|a| a == "--paper") {
             Scale::Paper
@@ -73,13 +94,33 @@ impl Scale {
         } else {
             Scale::Quick
         };
-        match (get("--punits"), get("--seeds")) {
+        let scale = match (get("--punits")?, get("--seeds")?) {
             (None, None) => base,
             (p, k) => Scale::Custom {
                 punits: p.unwrap_or(base.punits()).max(100),
                 nseeds: k.unwrap_or(base.seeds().len() as u64).clamp(1, 1000) as u16,
             },
-        }
+        };
+        let punits = scale.punits();
+        punits_to_ticks(punits)
+            .and_then(|ticks| ticks.checked_mul(LONGEST_RUN_HORIZONS))
+            .ok_or_else(|| {
+                format!(
+                    "usage: --punits {punits}: a horizon of {punits} × {TICKS_PER_PUNIT} ticks \
+                     (suites run up to {LONGEST_RUN_HORIZONS} of them) does not fit the 64-bit clock"
+                )
+            })?;
+        Ok(scale)
+    }
+
+    /// The Study-A horizon, [`punits`](Self::punits) on the clock.
+    ///
+    /// # Panics
+    /// Panics if it does not fit the clock, which
+    /// [`try_from_args`](Self::try_from_args) rules out.
+    pub fn horizon(self) -> pdd::simcore::Time {
+        let ticks = punits_to_ticks(self.punits()).expect("the scale's horizon fits the clock");
+        pdd::simcore::Time::from_ticks(ticks)
     }
 
     /// Study-A horizon in p-units.
@@ -217,6 +258,65 @@ mod tests {
         assert!(Scale::Paper.punits() > Scale::Quick.punits());
         assert!(Scale::Quick.punits() > Scale::Bench.punits());
         assert!(Scale::Paper.seeds().len() >= Scale::Quick.seeds().len());
+    }
+
+    fn parse(args: &[&str]) -> Result<Scale, String> {
+        Scale::try_from_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn scale_flags_parse() {
+        assert_eq!(parse(&["run", "--suite", "fig1"]), Ok(Scale::Quick));
+        assert_eq!(parse(&["--bench"]), Ok(Scale::Bench));
+        assert_eq!(
+            parse(&["--paper", "--seeds", "3"]),
+            Ok(Scale::Custom {
+                punits: Scale::Paper.punits(),
+                nseeds: 3
+            })
+        );
+        assert_eq!(
+            parse(&["--punits", "7", "--seeds", "5000"]),
+            Ok(Scale::Custom {
+                punits: 100,
+                nseeds: 1000
+            })
+        );
+    }
+
+    #[test]
+    fn a_value_that_is_not_a_count_is_a_usage_error_not_the_default() {
+        // `--seeds two` used to read as "no --seeds"; with a non-numeric
+        // `--punits` beside it the run reported `scale=quick`.
+        for args in [
+            &["--punits", "1e6", "--seeds", "two"][..],
+            &["--punits", "2000", "--seeds", "two"],
+            &["--seeds", "-1"],
+            &["--bench", "--punits"],
+        ] {
+            let err = parse(args).expect_err("must not parse");
+            assert!(err.starts_with("usage: --"), "{args:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_horizon_that_does_not_fit_the_clock_is_a_usage_error() {
+        // 41 829 351 641 064 743 × 441 = 2⁶⁴ + 47: a 47-tick horizon in
+        // release builds, an overflow panic in debug ones.
+        let err = parse(&["--punits", "41829351641064743"]).expect_err("wraps");
+        assert!(
+            err.starts_with("usage: --punits 41829351641064743"),
+            "{err}"
+        );
+        assert_eq!(punits_to_ticks(41_829_351_641_064_743), None);
+        // The largest horizon that fits is refused as well: a suite that
+        // runs four of them would wrap.
+        let fits = u64::MAX / TICKS_PER_PUNIT;
+        assert_eq!(punits_to_ticks(fits), Some(fits * 441));
+        assert!(parse(&["--punits", &fits.to_string()]).is_err());
+        let roomy = fits / 4;
+        let scale = parse(&["--punits", &roomy.to_string()]).expect("fits four times");
+        assert_eq!(scale.horizon().ticks(), roomy * 441);
     }
 
     #[test]

@@ -168,7 +168,7 @@ pub fn cell_seed_metered(
     seed: u64,
 ) -> (MonitorSeed, MetricsRegistry) {
     let p = PAPER_MEAN_PACKET_BYTES as u64;
-    let horizon = Time::from_ticks(scale.punits() * p);
+    let horizon = scale.horizon();
     let mid = (scale.punits() / 2) * p;
     let sdp = start_sdp();
     let sc = Scenario::builder()

@@ -203,3 +203,21 @@ fn metrics_flags_no_monitor_can_be_built_from_are_usage_errors() {
         );
     }
 }
+
+#[test]
+fn a_horizon_that_overflows_the_clock_is_refused() {
+    // 41 829 351 641 064 743 × 441 = 2⁶⁴ + 47: release builds used to run
+    // a 47-tick horizon and print 0 departures, debug builds panicked.
+    for subcommand in ["run", "metrics"] {
+        let output = Command::new(env!("CARGO_BIN_EXE_propdiff-trace"))
+            .args([subcommand, "--punits", "41829351641064743"])
+            .output()
+            .expect("propdiff-trace should launch");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{subcommand}: {stderr}");
+        assert!(
+            stderr.contains("bad --punits") && stderr.contains("overflow the clock"),
+            "{subcommand}: {stderr}"
+        );
+    }
+}

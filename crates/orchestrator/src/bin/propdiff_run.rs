@@ -56,7 +56,7 @@ fn count_arg(args: &[String], key: &str) -> Result<Option<usize>, String> {
 }
 
 fn options_from_args(args: &[String]) -> Result<runner::RunOptions, String> {
-    let mut opts = runner::RunOptions::new(Scale::from_args());
+    let mut opts = runner::RunOptions::new(Scale::try_from_args(args)?);
     if let Some(n) = count_arg(args, "--threads")? {
         opts.workers = n;
     }

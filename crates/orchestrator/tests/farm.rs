@@ -210,6 +210,31 @@ fn non_numeric_counts_are_usage_errors_not_silent_defaults() {
 }
 
 #[test]
+fn a_scale_that_cannot_be_run_is_a_usage_error_not_a_default_or_a_wrapped_horizon() {
+    let dir = fresh_dir("scale");
+    for (flags, named) in [
+        // Used to read as no flags at all: `scale=quick`, exit 0.
+        (&["--punits", "1e6", "--seeds", "two"][..], "--punits"),
+        (&["--seeds", "two"], "--seeds"),
+        // × 441 = 2⁶⁴ + 47: used to cache every cell of a 47-tick horizon.
+        (&["--punits", "41829351641064743"], "--punits"),
+    ] {
+        let args = [&["run", "--suite", "starvation"], flags].concat();
+        let (ok, _, stderr) = cli(&dir, &args);
+        assert!(!ok, "`{flags:?}` must exit non-zero");
+        assert!(
+            stderr.contains("usage:") && stderr.contains(named),
+            "`{flags:?}` must name {named}: {stderr}"
+        );
+    }
+    assert!(
+        !dir.join("out.json").exists() && !dir.join("cache").exists(),
+        "a usage error must not run the suite"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn run_prints_the_suites_rendered_blocks_unless_quiet() {
     let dir = fresh_dir("stdout");
     let (ok, stdout, _) = cli(&dir, &["run", "--suite", "starvation"]);

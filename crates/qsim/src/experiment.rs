@@ -4,7 +4,7 @@ use sched::{Scheduler, SchedulerKind, SchedulerVisitor, Sdp};
 use simcore::Time;
 use stats::{P2Quantile, Summary};
 use telemetry::{NoopProbe, Probe};
-use traffic::{ClassSource, LoadPlan, MergedStream, SizeDist, Trace, TraceEntry};
+use traffic::{Ahead, ClassSource, LoadPlan, MergedStream, SizeDist, Trace, TraceEntry};
 
 use crate::Session;
 
@@ -64,10 +64,12 @@ impl Experiment {
     }
 
     /// Streams the arrival workload for one seed lazily, in O(sources)
-    /// memory — identical entries to [`Experiment::trace_for_seed`].
-    pub fn arrivals_for_seed(&self, seed: u64) -> MergedStream<ClassSource> {
+    /// memory — identical entries to [`Experiment::trace_for_seed`], drawn
+    /// [ahead](MergedStream::ahead) of whoever reads them once the run
+    /// proves long.
+    pub fn arrivals_for_seed(&self, seed: u64) -> Ahead<MergedStream<ClassSource>> {
         let sources = self.plan().pareto_sources().expect("valid plan");
-        MergedStream::per_source(sources, seed, Time::from_ticks(self.horizon_ticks))
+        MergedStream::per_source(sources, seed, Time::from_ticks(self.horizon_ticks)).ahead()
     }
 
     /// Runs one scheduler over one pre-generated trace.

@@ -39,7 +39,8 @@ impl<I: IntoIterator<Item = TraceEntry>> Workload for I {
 }
 
 /// A live-source workload (O(sources) memory, arrivals drawn on the fly by
-/// a [`MergedStream`] k-way merge).
+/// a [`MergedStream`] k-way merge — a block [ahead](MergedStream::ahead) of
+/// the service loop, on a thread of its own, once the run proves long).
 #[derive(Debug)]
 pub struct Sources<'a> {
     sources: &'a [ClassSource],
@@ -49,7 +50,7 @@ pub struct Sources<'a> {
 
 impl Workload for Sources<'_> {
     fn arrivals(self) -> impl Iterator<Item = TraceEntry> {
-        MergedStream::per_source(self.sources.to_vec(), self.base_seed, self.horizon)
+        MergedStream::per_source(self.sources.to_vec(), self.base_seed, self.horizon).ahead()
     }
 
     /// Each source draws through a [`SurgedSource`] carrying its class's
@@ -61,7 +62,7 @@ impl Workload for Sources<'_> {
             .iter()
             .map(|s| SurgedSource::new(s.clone(), scenario.gap_scale_breakpoints(s.class())))
             .collect();
-        MergedStream::per_source(surged, self.base_seed, self.horizon)
+        MergedStream::per_source(surged, self.base_seed, self.horizon).ahead()
     }
 }
 
@@ -195,11 +196,15 @@ impl<W: Workload, P: Probe> Session<W, P> {
     /// # Panics
     /// Panics if the scenario holds a load surge and the arrivals are
     /// recorded, or if a scenario SDP's class count is not the scheduler's.
+    // Inlined into the caller, like `run_with`: that is what lets a literal
+    // `rate` fold the transmission-time division and `round` away.
+    #[inline]
     pub fn run<S: Scheduler + ?Sized>(self, scheduler: &mut S, on_depart: impl FnMut(&Departure)) {
         self.run_with(scheduler, &mut Unbounded(on_depart));
     }
 
     /// Instantiates the loop: the stationary one unless a timeline is set.
+    #[inline]
     fn run_with<S: Scheduler + ?Sized, A: Admission>(self, scheduler: &mut S, buffer: &mut A) {
         // Taken apart by value: borrowing fields would pin the session in
         // memory and keep `rate` — a literal at most call sites — from
@@ -333,15 +338,19 @@ mod tests {
             IatDist::deterministic(100.0).unwrap(),
             SizeDist::fixed(50),
         )];
-        let horizon = Time::from_ticks(1_000);
-        let trace = Trace::generate_per_source(&mut sources.clone(), horizon, 5);
-        let mut a = Vec::new();
-        let mut s = SchedulerKind::Fcfs.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
-        Session::trace(&trace, 1.0).run(s.as_mut(), |d| a.push(d.finish));
-        let mut b = Vec::new();
-        let mut s = SchedulerKind::Fcfs.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
-        Session::sources(&sources, horizon, 5, 1.0).run(s.as_mut(), |d| b.push(d.finish));
-        assert_eq!(a, b);
+        // 10 arrivals, and 30 000: past where the stream is handed to the
+        // helper thread (`traffic::Ahead`), several blocks deep.
+        for horizon in [1_000, 3_000_000].map(Time::from_ticks) {
+            let trace = Trace::generate_per_source(&mut sources.clone(), horizon, 5);
+            let mut a = Vec::new();
+            let mut s = SchedulerKind::Fcfs.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
+            Session::trace(&trace, 1.0).run(s.as_mut(), |d| a.push(d.finish));
+            let mut b = Vec::new();
+            let mut s = SchedulerKind::Fcfs.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
+            Session::sources(&sources, horizon, 5, 1.0).run(s.as_mut(), |d| b.push(d.finish));
+            assert_eq!(a.len() as u64, horizon.ticks() / 100);
+            assert_eq!(a, b);
+        }
     }
 
     #[test]
@@ -440,26 +449,83 @@ mod tests {
             .unwrap()
     }
 
+    /// `(class, arrival, start)` of every departure of a WTP session.
+    fn wtp_departures<W: Workload>(session: Session<W>) -> Vec<(u8, Time, Time)> {
+        let mut s = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
+        let mut deps = Vec::new();
+        session.run(s.as_mut(), |d| {
+            deps.push((d.packet.class, d.packet.arrival, d.start))
+        });
+        deps
+    }
+
+    /// Horizons of ≈ 4 000 arrivals and of ≈ 41 000: the second is past
+    /// where the stream moves to the helper thread (`traffic::Ahead`,
+    /// 16 384 entries), six blocks deep and ending inside a seventh.
+    const STREAM_HORIZONS: [u64; 2] = [2_000_000, 20_000_000];
+
     #[test]
     fn streaming_equals_trace_replay() {
-        let horizon = Time::from_ticks(2_000_000);
         let sources = paper_sources(0.9);
-        // Trace path.
-        let mut src_copy = sources.clone();
-        let trace = Trace::generate_per_source(&mut src_copy, horizon, 21);
-        let mut s1 = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
-        let mut trace_deps = Vec::new();
-        Session::trace(&trace, 1.0).run(s1.as_mut(), |d| {
-            trace_deps.push((d.packet.class, d.packet.arrival, d.start));
-        });
-        // Streaming path.
-        let mut s2 = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
-        let mut stream_deps = Vec::new();
-        Session::sources(&sources, horizon, 21, 1.0).run(s2.as_mut(), |d| {
-            stream_deps.push((d.packet.class, d.packet.arrival, d.start));
-        });
-        assert_eq!(trace_deps.len(), stream_deps.len());
-        assert_eq!(trace_deps, stream_deps);
+        for horizon in STREAM_HORIZONS.map(Time::from_ticks) {
+            let trace = Trace::generate_per_source(&mut sources.clone(), horizon, 21);
+            let trace_deps = wtp_departures(Session::trace(&trace, 1.0));
+            let stream_deps = wtp_departures(Session::sources(&sources, horizon, 21, 1.0));
+            assert_eq!(trace_deps.len(), trace.len());
+            assert_eq!(trace_deps.len(), stream_deps.len());
+            assert!(trace_deps == stream_deps, "horizon {horizon:?} differs");
+        }
+    }
+
+    #[test]
+    fn streaming_under_a_surge_equals_its_recorded_arrivals() {
+        // A surge is realized by the workload alone, so the session under
+        // it is the plain session over the re-timed arrivals, recorded.
+        let sources = paper_sources(0.9);
+        for horizon in STREAM_HORIZONS.map(Time::from_ticks) {
+            let sc = Scenario::builder()
+                .load_surge(Time::from_ticks(horizon.ticks() / 2), 0, 0.8)
+                .build()
+                .unwrap();
+            let surged = (sources.iter())
+                .map(|s| SurgedSource::new(s.clone(), sc.gap_scale_breakpoints(s.class())))
+                .collect();
+            let recorded: Vec<TraceEntry> = MergedStream::per_source(surged, 21, horizon).collect();
+            let stationary = Trace::generate_per_source(&mut sources.clone(), horizon, 21);
+            assert!(recorded.len() > stationary.len(), "the surge adds arrivals");
+            let recorded_deps = wtp_departures(Session::arrivals(recorded, 1.0));
+            let stream_deps =
+                wtp_departures(Session::sources(&sources, horizon, 21, 1.0).scenario(sc));
+            assert!(recorded_deps == stream_deps, "horizon {horizon:?} differs");
+        }
+    }
+
+    /// Arrivals every 10 ticks until the 20 000th, which it refuses.
+    struct Bomb(u64);
+
+    impl traffic::ArrivalSource for Bomb {
+        fn class(&self) -> u8 {
+            0
+        }
+
+        fn draw(&mut self, _rng: &mut rand::rngs::StdRng) -> (Time, u32) {
+            self.0 += 1;
+            assert!(self.0 < 20_000, "the source broke at {}", self.0);
+            (Time::from_ticks(10 * self.0), 5)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the source broke at 20000")]
+    fn a_source_that_panics_mid_block_panics_the_session() {
+        // Past the hand-over to the helper thread, inside its first block:
+        // were the helper's death read as the end of the stream, this
+        // would be a quiet run of 16 384 packets.
+        let arrivals = MergedStream::per_source(vec![Bomb(0)], 0, Time::MAX).ahead();
+        let mut s = SchedulerKind::Fcfs.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
+        let mut served = 0u64;
+        Session::arrivals(arrivals, 1.0).run(s.as_mut(), |_| served += 1);
+        unreachable!("the session ended after {served} packets");
     }
 
     #[test]

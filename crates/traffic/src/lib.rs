@@ -19,6 +19,8 @@
 //! * [`Trace`] — a recorded, mergeable, replayable arrival trace.
 //! * [`SourceStream`] / [`MergedStream`] — iterator-backed generation that
 //!   reproduces [`Trace::generate_per_source`] lazily in O(sources) memory.
+//! * [`Ahead`] — the same stream drawn a block ahead of its reader by a
+//!   helper thread, once it has shown itself to be long.
 //! * [`SurgedSource`] — piecewise gap rescaling of any source, the workload
 //!   half of dynamic scenarios' load-surge events.
 //! * [`LoadPlan`] — helper that converts (utilization, class shares, link
@@ -42,7 +44,7 @@ pub use load::LoadPlan;
 pub use onoff::OnOffSource;
 pub use sizes::SizeDist;
 pub use source::ClassSource;
-pub use stream::{ArrivalSource, MergedStream, SourceStream};
+pub use stream::{ahead_helpers_started, Ahead, ArrivalSource, MergedStream, SourceStream};
 pub use surge::SurgedSource;
 pub use trace::{per_source_seed, Trace, TraceEntry};
 

@@ -14,6 +14,15 @@
 //! drawn across the horizon took from the RNG is never missed, and nobody
 //! else's draws shift. Memory is O(sources): a block of 64 arrivals, 1 KiB,
 //! per source, plus one cached head tick per source in the merge.
+//!
+//! Owning its RNG and never looking at the run it feeds is also what lets
+//! a long stream be drawn *ahead* of its reader: [`Ahead`] moves it to a
+//! helper thread that fills one block while the reader drains the other.
+
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -221,6 +230,14 @@ impl<S: ArrivalSource> MergedStream<S> {
     }
 }
 
+impl<S: ArrivalSource + Send + 'static> MergedStream<S> {
+    /// The same arrivals, drawn a block ahead of the reader once the
+    /// stream has shown itself to be long: see [`Ahead`].
+    pub fn ahead(self) -> Ahead<Self> {
+        Ahead::new(self)
+    }
+}
+
 impl<S: ArrivalSource> Iterator for MergedStream<S> {
     type Item = TraceEntry;
 
@@ -240,6 +257,291 @@ impl<S: ArrivalSource> Iterator for MergedStream<S> {
         let entry = stream.pop();
         self.heads[winner] = stream.head();
         Some(entry)
+    }
+}
+
+/// Calls of `next()` an [`Ahead`] stream answers in place before the rest
+/// moves to the helper thread: four blocks' worth. What the hand-over costs
+/// once — a thread started and joined, and the reader idle while the first
+/// block is drawn, ≈ 100–200 µs on the 2-vCPU box the benchmark runs on — is
+/// what several thousand entries drawn ahead save a session (≈ 26 ns each),
+/// so a stream should have shown that it runs that long before it is moved;
+/// and the threshold has to clear, with room, every source-driven session of
+/// a `Scale::Bench` farm cell (6 000 p-units, ≈ 5 700 arrivals at ρ = 0.95),
+/// whose workers run on cores that are already taken.
+const AHEAD_AFTER: usize = 16_384;
+/// Entries in a block. Handing one over costs the reader ≈ 12 µs (a futex
+/// wake that reaches a halted vCPU, and now and then a sleep of its own)
+/// whatever its length, so the length sets the price: two blocks of 2 048
+/// (64 KiB in flight) read 1.33× on `session-stream` but 5.6 % *behind* the
+/// in-place stream when both cores are already taken, two of 4 096
+/// (128 KiB, 16 bytes an entry) 1.42× and 2.7–3.9 % behind, for 0.06 MB
+/// more (PERFORMANCE.md, "Drawn ahead").
+const AHEAD_BLOCK: usize = 4096;
+/// The helper's stack: the merge, `pow` and a `Vec::extend`, nothing deep.
+const HELPER_STACK_BYTES: usize = 32 * 1024;
+
+/// Helper threads started by [`Ahead`] streams in this process.
+static HELPERS_STARTED: AtomicUsize = AtomicUsize::new(0);
+
+/// How many [`Ahead`] streams of this process have handed over to a helper
+/// thread so far — a statistic, for tests and reports.
+pub fn ahead_helpers_started() -> usize {
+    HELPERS_STARTED.load(Ordering::Relaxed)
+}
+
+/// An arrival stream drawn a block ahead of its reader.
+///
+/// Entry for entry the stream it wraps. The first 16 384 calls of
+/// `next()` are the inner stream's own; a stream still being read then is
+/// moved into a helper thread (`arrivals-ahead`), which fills one
+/// recycled block of 4 096 entries while the reader drains the
+/// other. Only a stream that owns everything it reads (`Send + 'static`:
+/// its sources and their RNGs) and whose entries do not depend on what the
+/// reader does with them can be drawn ahead; that is every
+/// [`MergedStream`] of owned sources.
+///
+/// * The end of the stream is an explicit mark set by the helper. A helper
+///   that panics — a source's assertion — never sets it, and the reader
+///   re-raises that panic from `next()` instead of ending early.
+/// * Dropping the reader (an early `take(n)`, a panic in the loop it
+///   feeds) tells the helper to stop at its next block and joins it.
+/// * On a host that reports one core the stream stays in place.
+#[derive(Debug)]
+pub struct Ahead<I>(State<I>);
+
+#[derive(Debug)]
+enum State<I> {
+    /// Drawn by the reader; `left` calls to go before the hand-over.
+    InPlace { stream: I, left: usize },
+    /// Drawn by the helper.
+    Piped(Pipe),
+    /// Between the two, while the stream is being moved.
+    Moving,
+}
+
+impl<I: Iterator<Item = TraceEntry> + Send + 'static> Ahead<I> {
+    /// Wraps `stream`. Nothing is started until it has been asked for
+    /// 16 384 entries.
+    pub fn new(stream: I) -> Self {
+        Ahead::on_cores(stream, host_cores())
+    }
+
+    /// [`new`](Self::new) on a host with `cores` cores.
+    fn on_cores(stream: I, cores: usize) -> Self {
+        let left = if cores > 1 { AHEAD_AFTER } else { usize::MAX };
+        Ahead(State::InPlace { stream, left })
+    }
+
+    /// Moves the stream into a helper thread.
+    #[cold]
+    fn hand_over(&mut self) {
+        let State::InPlace { stream, .. } = std::mem::replace(&mut self.0, State::Moving) else {
+            unreachable!("only a stream drawn in place is handed over");
+        };
+        self.0 = State::Piped(Pipe::start(stream));
+    }
+}
+
+/// Cores of this host, asked once (the answer reads cgroup files).
+fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+impl<I: Iterator<Item = TraceEntry> + Send + 'static> Iterator for Ahead<I> {
+    type Item = TraceEntry;
+
+    // Out of line on purpose. The reader is `qsim`'s service loop, which
+    // is fastest with the merge one call away (as it was before this
+    // wrapper existed): with the merge and the pipe inlined into it, a
+    // session in place read 77–79 ns a packet against 75 so and 73 bare.
+    #[inline(never)]
+    fn next(&mut self) -> Option<TraceEntry> {
+        if let State::InPlace { stream, left } = &mut self.0 {
+            if *left > 0 {
+                *left -= 1;
+                return stream.next();
+            }
+            self.hand_over();
+        }
+        match &mut self.0 {
+            State::Piped(pipe) => pipe.next(),
+            _ => unreachable!("the stream was handed over"),
+        }
+    }
+}
+
+/// What reader and helper share: the blocks not in either's hands.
+#[derive(Debug)]
+struct Shared {
+    lane: Mutex<Lane>,
+    /// Signalled on every change of `lane`; each side waits on it for the
+    /// other, so one wake reaches the one possible waiter.
+    changed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Lane {
+    /// Blocks drawn and not yet taken by the reader, oldest first; none is
+    /// empty.
+    filled: VecDeque<Vec<TraceEntry>>,
+    /// Blocks read to the end, for the helper to fill again.
+    spare: Vec<Vec<TraceEntry>>,
+    /// The end mark: the stream's last entry has been put in `filled`.
+    ended: bool,
+    /// The helper has left its loop — if `ended` is unset, by panicking.
+    helper_gone: bool,
+    /// The reader was dropped; the helper stops at its next block.
+    reader_gone: bool,
+}
+
+impl Shared {
+    /// The lane. No critical section below can panic half-way through an
+    /// update (each is a push, a pop or a flag), so a poisoned lock still
+    /// guards a valid lane — and `Drop` must not panic over it.
+    fn lane(&self) -> MutexGuard<'_, Lane> {
+        self.lane.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, lane: MutexGuard<'a, Lane>) -> MutexGuard<'a, Lane> {
+        (self.changed.wait(lane)).unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The helper's loop: take a spare block, fill it from `stream`, put it in
+/// `filled`; the block that comes up short goes with the end mark.
+fn draw_ahead(mut stream: impl Iterator<Item = TraceEntry>, shared: &Shared) {
+    /// Tells the reader the helper is gone, however it went.
+    struct Leaving<'a>(&'a Shared);
+    impl Drop for Leaving<'_> {
+        fn drop(&mut self) {
+            self.0.lane().helper_gone = true;
+            self.0.changed.notify_one();
+        }
+    }
+    let _leaving = Leaving(shared);
+    loop {
+        let mut lane = shared.lane();
+        let mut block = loop {
+            if lane.reader_gone {
+                return;
+            }
+            match lane.spare.pop() {
+                Some(block) => break block,
+                None => lane = shared.wait(lane),
+            }
+        };
+        drop(lane);
+        block.clear();
+        block.extend(stream.by_ref().take(AHEAD_BLOCK));
+        let ended = block.len() < AHEAD_BLOCK;
+        let mut lane = shared.lane();
+        if !block.is_empty() {
+            lane.filled.push_back(block);
+        }
+        lane.ended = ended;
+        drop(lane);
+        shared.changed.notify_one();
+        if ended {
+            return;
+        }
+    }
+}
+
+/// The reader's end of a stream drawn by a helper thread.
+#[derive(Debug)]
+struct Pipe {
+    shared: Arc<Shared>,
+    /// Joined at the end of the stream or on drop, whichever is first.
+    helper: Option<JoinHandle<()>>,
+    /// The block being read: `block[pos..]` is still to be yielded.
+    block: Vec<TraceEntry>,
+    pos: usize,
+}
+
+impl Pipe {
+    /// Starts the helper on `stream`, with one spare block; the reader's
+    /// own, still empty, is the other.
+    fn start(stream: impl Iterator<Item = TraceEntry> + Send + 'static) -> Pipe {
+        let shared = Arc::new(Shared {
+            lane: Mutex::new(Lane {
+                spare: vec![Vec::with_capacity(AHEAD_BLOCK)],
+                ..Lane::default()
+            }),
+            changed: Condvar::new(),
+        });
+        let theirs = Arc::clone(&shared);
+        let helper = thread::Builder::new()
+            .name("arrivals-ahead".into())
+            .stack_size(HELPER_STACK_BYTES)
+            .spawn(move || draw_ahead(stream, &theirs))
+            .expect("the host starts one more thread");
+        HELPERS_STARTED.fetch_add(1, Ordering::Relaxed);
+        Pipe {
+            shared,
+            helper: Some(helper),
+            block: Vec::with_capacity(AHEAD_BLOCK),
+            pos: 0,
+        }
+    }
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceEntry> {
+        // The `mutate-ahead-handover` mutant hands a block back with its
+        // last entry unread.
+        let unread = usize::from(cfg!(feature = "mutate-ahead-handover"));
+        if self.pos + unread >= self.block.len() && !self.swap() {
+            return None;
+        }
+        let entry = self.block[self.pos];
+        self.pos += 1;
+        Some(entry)
+    }
+
+    /// Hands the block just read back to the helper and takes the next
+    /// one; `false` at the end of the stream.
+    ///
+    /// # Panics
+    /// Re-raises the helper's panic, if that is how the stream ended.
+    #[inline(never)]
+    fn swap(&mut self) -> bool {
+        let mut lane = self.shared.lane();
+        lane.spare.push(std::mem::take(&mut self.block));
+        self.pos = 0;
+        self.shared.changed.notify_one();
+        loop {
+            if let Some(block) = lane.filled.pop_front() {
+                self.block = block;
+                return true;
+            }
+            if lane.ended || lane.helper_gone {
+                break;
+            }
+            lane = self.shared.wait(lane);
+        }
+        let ended = lane.ended;
+        drop(lane);
+        if let Some(Err(panic)) = self.helper.take().map(JoinHandle::join) {
+            std::panic::resume_unwind(panic);
+        }
+        assert!(
+            ended,
+            "the helper left without marking the end of the stream"
+        );
+        false
+    }
+}
+
+impl Drop for Pipe {
+    fn drop(&mut self) {
+        if let Some(helper) = self.helper.take() {
+            self.shared.lane().reader_gone = true;
+            self.shared.changed.notify_one();
+            // What the helper drew past the last entry read is nobody's
+            // business any more, a panic over it included.
+            let _ = helper.join();
+        }
     }
 }
 
@@ -318,5 +620,107 @@ mod tests {
     fn empty_merge_is_empty() {
         let mut m = MergedStream::<ClassSource>::per_source(Vec::new(), 0, Time::from_ticks(10));
         assert_eq!(m.next(), None);
+    }
+
+    /// The `i`-th entry of a stream with nothing to compute.
+    fn numbered(i: usize) -> TraceEntry {
+        TraceEntry {
+            at: Time::from_ticks(i as u64),
+            class: (i % 4) as u8,
+            size: (i % 1500) as u32,
+        }
+    }
+
+    /// `n` numbered entries drawn ahead on a host with two cores, and
+    /// whether a helper drew the last of them.
+    fn drawn_ahead(n: usize) -> (Vec<TraceEntry>, bool) {
+        let mut ahead = Ahead::on_cores((0..n).map(numbered), 2);
+        let entries: Vec<TraceEntry> = ahead.by_ref().collect();
+        let piped = matches!(ahead.0, State::Piped(_));
+        assert_eq!(ahead.next(), None, "a stream that ended stays ended");
+        (entries, piped)
+    }
+
+    #[test]
+    fn ahead_is_the_stream_at_every_length_around_the_hand_over() {
+        let (t, b) = (AHEAD_AFTER, AHEAD_BLOCK);
+        let mut lengths = vec![0, 1, t - 1, t, t + 1];
+        for k in 1..=3 {
+            lengths.extend([t + k * b - 1, t + k * b, t + k * b + 1]);
+        }
+        for n in lengths {
+            let (entries, piped) = drawn_ahead(n);
+            let inline: Vec<TraceEntry> = (0..n).map(numbered).collect();
+            assert_eq!(entries.len(), n);
+            assert!(entries == inline, "length {n} differs");
+            // The call after the `t`-th is what moves the stream.
+            assert_eq!(piped, n >= t, "length {n}");
+        }
+    }
+
+    #[test]
+    fn a_host_with_one_core_draws_in_place() {
+        let n = AHEAD_AFTER + 3 * AHEAD_BLOCK;
+        let mut ahead = Ahead::on_cores((0..n).map(numbered), 1);
+        assert_eq!(ahead.by_ref().count(), n);
+        assert!(matches!(ahead.0, State::InPlace { .. }));
+    }
+
+    #[test]
+    #[should_panic(expected = "the source broke at 20000")]
+    fn a_panic_in_the_helper_is_the_readers_panic() {
+        // Well past the hand-over and in the middle of a block: read as an
+        // end of stream this would be a run 20 000 arrivals long.
+        let stream = (0..).map(|i| {
+            assert!(i < 20_000, "the source broke at {i}");
+            numbered(i)
+        });
+        let served = Ahead::on_cores(stream, 2).count();
+        unreachable!("the stream ended after {served} entries");
+    }
+
+    #[test]
+    fn dropping_the_reader_stops_and_joins_the_helper() {
+        // The stream owns a token; the helper owns the stream. Once the
+        // reader is dropped nothing else may hold it: the helper has been
+        // told, has left its loop and has been joined — not detached.
+        let token = Arc::new(());
+        let held = Arc::clone(&token);
+        let endless = (0..).map(move |i| {
+            let _ = &held;
+            numbered(i)
+        });
+        let mut ahead = Ahead::on_cores(endless, 2);
+        let read = AHEAD_AFTER + AHEAD_BLOCK;
+        assert!(ahead.by_ref().take(read).eq((0..read).map(numbered)));
+        assert!(matches!(ahead.0, State::Piped(_)));
+        assert_eq!(Arc::strong_count(&token), 2);
+        drop(ahead);
+        assert_eq!(Arc::strong_count(&token), 1);
+    }
+
+    proptest::proptest! {
+        /// Arbitrary source sets over horizons on both sides of the
+        /// hand-over (four sources at these gaps reach it near 400 000
+        /// ticks), read to the end or dropped part-way.
+        #[test]
+        fn ahead_is_the_merged_stream(
+            gaps in proptest::collection::vec(40u32..400, 0..5),
+            seed in 0u64..1 << 32,
+            horizon in proptest::prop_oneof![0u64..50_000, 0u64..2_000_000],
+            cut in 0usize..60_000,
+        ) {
+            let horizon = Time::from_ticks(horizon);
+            let mk = || -> Vec<ClassSource> {
+                (gaps.iter().enumerate())
+                    .map(|(i, &gap)| paper_source(i as u8, f64::from(gap)))
+                    .collect()
+            };
+            let inline: Vec<TraceEntry> = MergedStream::per_source(mk(), seed, horizon).collect();
+            let ahead = || Ahead::on_cores(MergedStream::per_source(mk(), seed, horizon), 2);
+            proptest::prop_assert!(ahead().eq(inline.iter().copied()));
+            let cut = cut.min(inline.len());
+            proptest::prop_assert!(ahead().take(cut).eq(inline[..cut].iter().copied()));
+        }
     }
 }
