@@ -1,8 +1,14 @@
-//! Packet-lifecycle tracing tool: replay a workload with the telemetry
-//! layer attached and export JSONL and/or Chrome `trace_event` traces plus
-//! a run-metrics summary.
+//! The single-link and tracing tool: generate, inspect and
+//! feasibility-check CSV packet traces (`ticks,class,size`, 1 tick = 1
+//! byte at link rate 1), and replay a workload with the telemetry layer
+//! attached, exporting JSONL and/or Chrome `trace_event` traces plus the
+//! registry's metrics snapshot.
 //!
 //! ```text
+//! propdiff-trace gen --out FILE.csv [--rho 0.9] [--punits 50000] [--seed 1]
+//!                    [--fractions 40,30,20,10] [--dist pareto|poisson]
+//! propdiff-trace stats FILE.csv
+//! propdiff-trace feasibility FILE.csv [--spacing 2.0]
 //! propdiff-trace run [--scheduler wtp] [--sdp 1,2,4,8] [--rho 0.9]
 //!                    [--punits 2000] [--seed 1] [--trace FILE.csv]
 //!                    [--buffer BYTES] [--jsonl FILE] [--chrome FILE]
@@ -18,9 +24,16 @@
 //! propdiff-trace validate FILE.jsonl
 //! ```
 //!
+//! `gen` writes a Study-A workload as a CSV trace; `stats` prints its
+//! class mix and burstiness, `feasibility` checks the Eq. (7) conditions
+//! for a geometric spacing against it.
+//!
 //! `run` replays a single-link Study-A workload (generated Pareto traffic,
-//! or a CSV trace via `--trace`) through a monomorphized scheduler;
+//! or a CSV trace via `--trace`) through a monomorphized scheduler and
+//! prints per-class counters, mean waits and successive mean-wait ratios;
 //! `--buffer` switches to the finite-buffer path so drops are traced too.
+//! `--metrics` writes the run's `propdiff-metrics-v1` registry snapshot,
+//! the format of the experiment farm's `*.metrics.json` sidecars.
 //! `studyb` runs the multi-hop engine: user packets keep one span id across
 //! hops, so a flow's journey renders as a single track in
 //! `chrome://tracing` / Perfetto. `--validate` re-reads the JSONL export
@@ -41,13 +54,16 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
+use pdd::model::{Ddp, ProportionalModel};
 use pdd::netsim::{Session as NetSession, StudyBConfig};
 use pdd::qsim::{LossMode, Session};
 use pdd::sched::{Scheduler, SchedulerKind, SchedulerVisitor, Sdp};
 use pdd::simcore::Time;
-use pdd::telemetry::{schema, ChromeTraceSink, CountingProbe, JsonlSink, PacketId, Probe, Tee};
-use pdd::traffic::{LoadPlan, Trace};
+use pdd::stats::{hurst_estimate, idc_curve, variance_time, Table};
+use pdd::telemetry::{schema, ChromeTraceSink, JsonlSink, MetricsRegistry, Probe, Tee};
+use pdd::traffic::{IatDist, LoadPlan, SizeDist, Trace};
 
+/// Prints to stdout, ignoring broken pipes (e.g. `propdiff-trace stats | head`).
 fn out(text: std::fmt::Arguments<'_>) {
     let stdout = std::io::stdout();
     let _ = writeln!(stdout.lock(), "{text}");
@@ -58,6 +74,10 @@ macro_rules! say {
 }
 
 const USAGE: &str = "usage:
+  propdiff-trace gen --out FILE.csv [--rho 0.9] [--punits 50000] [--seed 1]
+                     [--fractions 40,30,20,10] [--dist pareto|poisson]
+  propdiff-trace stats FILE.csv
+  propdiff-trace feasibility FILE.csv [--spacing 2.0]
   propdiff-trace run [--scheduler wtp] [--sdp 1,2,4,8] [--rho 0.9]
                      [--punits 2000] [--seed 1] [--trace FILE.csv]
                      [--buffer BYTES] [--jsonl FILE] [--chrome FILE]
@@ -75,6 +95,9 @@ const USAGE: &str = "usage:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
+        Some("gen") => cmd_gen(&args[1..]),
+        Some("stats") => cmd_stats(&args[1..]),
+        Some("feasibility") => cmd_feasibility(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("studyb") => cmd_studyb(&args[1..]),
         Some("metrics") => cmd_metrics(&args[1..]),
@@ -130,113 +153,51 @@ fn parse_sdp(s: &str) -> Result<Sdp, String> {
 }
 
 /// The file-backed sinks requested on the command line, as one probe.
-struct Sinks {
-    jsonl: Option<JsonlSink<BufWriter<File>>>,
-    chrome: Option<ChromeTraceSink<BufWriter<File>>>,
+type Sinks = Tee<Option<JsonlSink<BufWriter<File>>>, Option<ChromeTraceSink<BufWriter<File>>>>;
+
+fn open_sinks(args: &[String]) -> Result<Sinks, String> {
+    let open = |path: &str| -> Result<BufWriter<File>, String> {
+        File::create(path)
+            .map(BufWriter::new)
+            .map_err(|e| format!("cannot create {path}: {e}"))
+    };
+    Ok(Tee(
+        opt(args, "--jsonl")
+            .map(&open)
+            .transpose()?
+            .map(JsonlSink::new),
+        opt(args, "--chrome")
+            .map(&open)
+            .transpose()?
+            .map(ChromeTraceSink::new),
+    ))
 }
 
-impl Sinks {
-    fn open(args: &[String]) -> Result<Self, String> {
-        let open = |path: &str| -> Result<BufWriter<File>, String> {
-            File::create(path)
-                .map(BufWriter::new)
-                .map_err(|e| format!("cannot create {path}: {e}"))
-        };
-        Ok(Sinks {
-            jsonl: opt(args, "--jsonl")
-                .map(&open)
-                .transpose()?
-                .map(JsonlSink::new),
-            chrome: opt(args, "--chrome")
-                .map(&open)
-                .transpose()?
-                .map(ChromeTraceSink::new),
-        })
-    }
-
-    /// Flushes both sinks, reporting what was written.
-    fn finish(self, args: &[String]) -> Result<(), String> {
-        if let Some(sink) = self.jsonl {
-            let path = opt(args, "--jsonl").unwrap();
-            let lines = sink.lines();
-            sink.finish()
-                .and_then(|mut w| w.flush())
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            say!("jsonl:  {lines} events -> {path}");
-            if flag(args, "--validate") {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot re-read {path}: {e}"))?;
-                let n = schema::validate_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-                say!("schema: {n} lines valid");
-            }
-        }
-        if let Some(sink) = self.chrome {
-            let path = opt(args, "--chrome").unwrap();
-            let events = sink.events();
-            sink.finish()
-                .and_then(|mut w| w.flush())
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            say!("chrome: {events} trace events -> {path}");
-        }
-        Ok(())
-    }
-}
-
-impl Probe for Sinks {
-    fn on_arrival(&mut self, at: Time, id: PacketId) {
-        if let Some(s) = &mut self.jsonl {
-            s.on_arrival(at, id);
-        }
-        if let Some(s) = &mut self.chrome {
-            s.on_arrival(at, id);
+/// Flushes both sinks, reporting what was written.
+fn finish_sinks(Tee(jsonl, chrome): Sinks, args: &[String]) -> Result<(), String> {
+    if let Some(sink) = jsonl {
+        let path = opt(args, "--jsonl").expect("the JSONL sink was opened from --jsonl");
+        let lines = sink.lines();
+        sink.finish()
+            .and_then(|mut w| w.flush())
+            .map_err(|e| format!("writing {path}: {e}"))?;
+        say!("jsonl:  {lines} events -> {path}");
+        if flag(args, "--validate") {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot re-read {path}: {e}"))?;
+            let n = schema::validate_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
+            say!("schema: {n} lines valid");
         }
     }
-    fn on_enqueue(&mut self, at: Time, id: PacketId) {
-        if let Some(s) = &mut self.jsonl {
-            s.on_enqueue(at, id);
-        }
-        if let Some(s) = &mut self.chrome {
-            s.on_enqueue(at, id);
-        }
+    if let Some(sink) = chrome {
+        let path = opt(args, "--chrome").expect("the Chrome sink was opened from --chrome");
+        let events = sink.events();
+        sink.finish()
+            .and_then(|mut w| w.flush())
+            .map_err(|e| format!("writing {path}: {e}"))?;
+        say!("chrome: {events} trace events -> {path}");
     }
-    fn on_decision(
-        &mut self,
-        at: Time,
-        scheduler: &'static str,
-        winner: PacketId,
-        values: &[(usize, f64)],
-    ) {
-        if let Some(s) = &mut self.jsonl {
-            s.on_decision(at, scheduler, winner, values);
-        }
-        if let Some(s) = &mut self.chrome {
-            s.on_decision(at, scheduler, winner, values);
-        }
-    }
-    fn on_depart(&mut self, id: PacketId, arrival: Time, start: Time, finish: Time, eol: bool) {
-        if let Some(s) = &mut self.jsonl {
-            s.on_depart(id, arrival, start, finish, eol);
-        }
-        if let Some(s) = &mut self.chrome {
-            s.on_depart(id, arrival, start, finish, eol);
-        }
-    }
-    fn on_drop(&mut self, at: Time, id: PacketId, backlog_bytes: u64, buffer_bytes: u64) {
-        if let Some(s) = &mut self.jsonl {
-            s.on_drop(at, id, backlog_bytes, buffer_bytes);
-        }
-        if let Some(s) = &mut self.chrome {
-            s.on_drop(at, id, backlog_bytes, buffer_bytes);
-        }
-    }
-    fn on_heartbeat(&mut self, at: Time, events_handled: u64, heap_depth: usize) {
-        if let Some(s) = &mut self.jsonl {
-            s.on_heartbeat(at, events_handled, heap_depth);
-        }
-        if let Some(s) = &mut self.chrome {
-            s.on_heartbeat(at, events_handled, heap_depth);
-        }
-    }
+    Ok(())
 }
 
 /// Replays the trace through a statically-dispatched scheduler, probe
@@ -258,10 +219,51 @@ impl<P: Probe> SchedulerVisitor for ProbedReplay<'_, P> {
     }
 }
 
-fn write_metrics(args: &[String], report: &pdd::telemetry::MetricsReport) -> Result<(), String> {
-    say!("{report}");
+/// Prints the run's summary from the registry — per class the counters,
+/// the mean queueing wait of delivered packets and its ratio to the next
+/// class's (the paper's Eq. 2) — and writes `--metrics`.
+fn write_metrics(
+    args: &[String],
+    registry: &MetricsRegistry,
+    classes: usize,
+) -> Result<(), String> {
+    say!(
+        "run: {} probe events over {} virtual ticks ({} decisions, {} heartbeats, heap high-water {})",
+        registry.probe_events(),
+        registry.virtual_span_ticks(),
+        registry.decisions(),
+        registry.heartbeats(),
+        registry.heap_high_water()
+    );
+    let totals: Vec<_> = (0..classes).map(|c| registry.class_total(c)).collect();
+    let mean_wait: Vec<f64> = totals
+        .iter()
+        .map(|t| match t.departures {
+            0 => 0.0,
+            n => t.wait_ticks_sum as f64 / n as f64,
+        })
+        .collect();
+    for (c, t) in totals.iter().enumerate() {
+        let ratio = match mean_wait.get(c + 1) {
+            Some(&next) if next > 0.0 => format!("{:.2}", mean_wait[c] / next),
+            _ => "-".into(),
+        };
+        say!(
+            "class {}: arrivals {:>8}  departures {:>8}  drops {:>6}  mean wait {:>12.1}  \
+             depth hwm {:>6}  backlog hwm {:>9} B  ratio to next {ratio:>6}",
+            c + 1,
+            t.arrivals,
+            t.departures,
+            t.drops,
+            mean_wait[c],
+            t.depth_high_water,
+            t.backlog_high_water,
+        );
+    }
+    say!("");
     if let Some(path) = opt(args, "--metrics") {
-        std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, registry.to_json())
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
         say!("metrics -> {path}");
     }
     Ok(())
@@ -303,8 +305,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         ));
     }
 
-    let sinks = Sinks::open(args)?;
-    let mut probe = Tee(CountingProbe::new(sdp.num_classes()), sinks);
+    let classes = sdp.num_classes();
+    let mut probe = Tee(MetricsRegistry::with_shape(1, classes), open_sinks(args)?);
     say!("scheduler: {} on {} packets", kind.name(), trace.len());
 
     if let Some(buffer) = opt(args, "--buffer") {
@@ -337,9 +339,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         say!("lossless link: {departures} delivered");
     }
 
-    let Tee(counter, sinks) = probe;
-    write_metrics(args, &counter.report())?;
-    sinks.finish(args)
+    let Tee(registry, sinks) = probe;
+    write_metrics(args, &registry, classes)?;
+    finish_sinks(sinks, args)
 }
 
 fn cmd_studyb(args: &[String]) -> Result<(), String> {
@@ -366,8 +368,8 @@ fn cmd_studyb(args: &[String]) -> Result<(), String> {
         .seed(seed)
         .build()?;
 
-    let sinks = Sinks::open(args)?;
-    let mut probe = Tee(CountingProbe::new(cfg.num_classes()), sinks);
+    let classes = cfg.num_classes();
+    let mut probe = Tee(MetricsRegistry::with_shape(1, classes), open_sinks(args)?);
     say!("study B: {hops} hops at rho {rho}, {experiments} experiments");
     let (records, links) = NetSession::study_b(&cfg).probe(&mut probe).run();
     say!("delivered {} experiment records", records.len());
@@ -379,9 +381,9 @@ fn cmd_studyb(args: &[String]) -> Result<(), String> {
         );
     }
 
-    let Tee(counter, sinks) = probe;
-    write_metrics(args, &counter.report())?;
-    sinks.finish(args)
+    let Tee(registry, sinks) = probe;
+    write_metrics(args, &registry, classes)?;
+    finish_sinks(sinks, args)
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
@@ -493,5 +495,113 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let n = schema::validate_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
     say!("{path}: {n} lines valid");
+    Ok(())
+}
+
+fn parse_fractions(s: &str) -> Result<Vec<f64>, String> {
+    let parts: Result<Vec<f64>, _> = s.split(',').map(str::parse::<f64>).collect();
+    let parts = parts.map_err(|e| format!("bad fractions '{s}': {e}"))?;
+    let total: f64 = parts.iter().sum();
+    if total <= 0.0 {
+        return Err("fractions must sum to a positive value".into());
+    }
+    Ok(parts.iter().map(|f| f / total).collect())
+}
+
+fn load(args: &[String]) -> Result<Trace, String> {
+    let path = positional(args).ok_or("missing trace file argument")?;
+    Trace::load_csv(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))?
+        .map_err(|e| e.to_string())
+}
+
+fn cmd_gen(args: &[String]) -> Result<(), String> {
+    let out = opt(args, "--out").ok_or("gen requires --out FILE")?;
+    let rho: f64 = opt(args, "--rho")
+        .unwrap_or("0.9")
+        .parse()
+        .map_err(|e| format!("bad --rho: {e}"))?;
+    let (_, horizon) = parse_punits(args, "50000")?;
+    let seed: u64 = opt(args, "--seed")
+        .unwrap_or("1")
+        .parse()
+        .map_err(|e| format!("bad --seed: {e}"))?;
+    let fractions = parse_fractions(opt(args, "--fractions").unwrap_or("40,30,20,10"))?;
+    let dist = opt(args, "--dist").unwrap_or("pareto");
+
+    let plan = LoadPlan::new(1.0, rho, &fractions, SizeDist::paper()).map_err(|e| e.to_string())?;
+    let family = match dist {
+        "pareto" => IatDist::paper_pareto(1.0),
+        "poisson" => IatDist::exponential(1.0),
+        other => return Err(format!("unknown --dist '{other}' (pareto|poisson)")),
+    }
+    .map_err(|e| e.to_string())?;
+    let mut sources = plan.sources(&family).map_err(|e| e.to_string())?;
+    let trace = Trace::generate_per_source(&mut sources, horizon, seed);
+    trace
+        .save_csv(out)
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    say!(
+        "wrote {} packets ({} bytes of traffic, load {:.3}) to {out}",
+        trace.len(),
+        trace.total_bytes(),
+        trace.rate_bytes_per_tick()
+    );
+    Ok(())
+}
+
+fn cmd_stats(args: &[String]) -> Result<(), String> {
+    let trace = load(args)?;
+    if trace.is_empty() {
+        return Err("trace is empty".into());
+    }
+    say!("packets: {}", trace.len());
+    say!("bytes:   {}", trace.total_bytes());
+    say!("load:    {:.4} bytes/tick", trace.rate_bytes_per_tick());
+    let counts = trace.class_counts();
+    let mut t = Table::new(["class", "packets", "share"]);
+    for (c, n) in counts.iter().enumerate() {
+        t.row([
+            format!("{}", c + 1),
+            format!("{n}"),
+            format!("{:.1}%", 100.0 * *n as f64 / trace.len() as f64),
+        ]);
+    }
+    say!("{t}");
+    let times: Vec<u64> = trace.entries().iter().map(|e| e.at.ticks()).collect();
+    let curve = idc_curve(&times, 4410, 8);
+    if let (Some(first), Some(last)) = (curve.first(), curve.last()) {
+        say!(
+            "burstiness: IDC {:.2} -> {:.2} over windows {}..{} ticks",
+            first.1,
+            last.1,
+            first.0,
+            last.0
+        );
+    }
+    if let Some(h) = hurst_estimate(&variance_time(&times, 4410, 8)) {
+        say!("Hurst estimate: {h:.2} (0.5 = Poisson-like)");
+    }
+    Ok(())
+}
+
+fn cmd_feasibility(args: &[String]) -> Result<(), String> {
+    let trace = load(args)?;
+    let spacing: f64 = opt(args, "--spacing")
+        .unwrap_or("2.0")
+        .parse()
+        .map_err(|e| format!("bad --spacing: {e}"))?;
+    let n = trace.entries().iter().map(|e| e.class).max().unwrap_or(0) as usize + 1;
+    if n < 2 {
+        return Err("need at least two classes for feasibility".into());
+    }
+    let arrivals: Vec<(u64, u8, u32)> = trace
+        .entries()
+        .iter()
+        .map(|e| (e.at.ticks(), e.class, e.size))
+        .collect();
+    let model = ProportionalModel::new(Ddp::geometric(n, spacing).map_err(|e| e.to_string())?);
+    let report = model.check_feasibility(&arrivals, 1.0);
+    say!("{report}");
     Ok(())
 }

@@ -11,7 +11,7 @@
 
 use pdd::sched::SchedulerKind;
 use pdd::telemetry::json::Json;
-use pdd::telemetry::{CountingProbe, MetricsRegistry, MetricsReport};
+use pdd::telemetry::MetricsRegistry;
 
 use crate::{ablations, dynamics, fig1, fig2, fig3, fig45, mesh, monitor, rank, table1, Scale};
 
@@ -24,10 +24,10 @@ use crate::{ablations, dynamics, fig1, fig2, fig3, fig45, mesh, monitor, rank, t
 /// merging in-memory ones.
 pub type Partial = (Json, Option<String>);
 
-/// A merged cell: its result, its progress-report snapshot (probed cells;
-/// `wall_secs` is zero — the runner supplies wall time), and the merged
-/// metrics sidecar the runner writes as `<cell-id>.metrics.json`.
-pub type Merged = (Json, Option<MetricsReport>, Option<String>);
+/// A merged cell: its result and, for metered cells, the merged registry
+/// — the runner writes it as `<cell-id>.metrics.json` and reads its
+/// progress line from it.
+pub type Merged = (Json, Option<MetricsRegistry>);
 
 /// One independently runnable, independently cacheable unit of work.
 pub trait Cell: Send + Sync {
@@ -54,8 +54,11 @@ pub trait Cell: Send + Sync {
     /// that as a cache miss and re-executes. The default is the
     /// single-shard pass-through.
     fn merge(&self, _scale: Scale, shards: &[Partial]) -> Result<Merged, String> {
-        let (partial, registry) = &shards[0];
-        Ok((partial.clone(), None, registry.clone()))
+        let registry = match shards[0].1 {
+            Some(_) => Some(shard_registry(&self.id(), &shards[0])?),
+            None => None,
+        };
+        Ok((shards[0].0.clone(), registry))
     }
 }
 
@@ -308,14 +311,14 @@ pub fn shard_registry(id: &str, shard: &Partial) -> Result<MetricsRegistry, Stri
 }
 
 /// The shard half of the probed row-averaging cells (fig1, fig2, rank):
-/// one seed measured under a fresh [`CountingProbe`], its rows as the
-/// partial and the probe's registry as the snapshot.
-pub fn probed_rows_shard(seed: impl FnOnce(&mut CountingProbe) -> Vec<Vec<f64>>) -> Partial {
-    let mut probe = CountingProbe::new(4);
-    let rows = seed(&mut probe);
+/// one seed measured into a fresh four-class registry, its rows as the
+/// partial and the registry as the snapshot.
+pub fn probed_rows_shard(seed: impl FnOnce(&mut MetricsRegistry) -> Vec<Vec<f64>>) -> Partial {
+    let mut registry = MetricsRegistry::with_shape(1, 4);
+    let rows = seed(&mut registry);
     (
         Json::obj(vec![("rows", rows_json(&rows))]),
-        Some(probe.registry().to_json()),
+        Some(registry.to_json()),
     )
 }
 
@@ -333,11 +336,7 @@ pub fn probed_rows_merge(
     for shard in shards {
         registry.merge(&shard_registry(id, shard)?);
     }
-    Ok((
-        result,
-        Some(registry.report(4, 0.0)),
-        Some(registry.to_json()),
-    ))
+    Ok((result, Some(registry)))
 }
 
 /// The complete cells (with params and result) of one group in a merged
@@ -463,8 +462,8 @@ mod tests {
     #[test]
     fn starvation_cell_executes_without_scale_sensitivity() {
         let cell = &suite("starvation")[0];
-        let (bench, _, _) = cell.execute(Scale::Bench);
-        let (quick, _, _) = cell.execute(Scale::Quick);
+        let (bench, _) = cell.execute(Scale::Bench);
+        let (quick, _) = cell.execute(Scale::Quick);
         assert_eq!(bench.serialize(), quick.serialize());
         assert!(bench.get("probes").and_then(Json::as_arr).is_some());
     }
@@ -501,7 +500,7 @@ mod tests {
                     continue;
                 }
             }
-            let (direct, _, direct_registry) = cell.execute(scale);
+            let (direct, direct_registry) = cell.execute(scale);
             let shipped: Vec<(Json, Option<String>)> = (0..cell.shard_count(scale))
                 .map(|shard| {
                     let (partial, registry) = cell.execute_shard(scale, shard);
@@ -509,7 +508,7 @@ mod tests {
                     (Json::parse(&wire).expect("wire partial parses"), registry)
                 })
                 .collect();
-            let (merged, _, merged_registry) =
+            let (merged, merged_registry) =
                 cell.merge_shards(scale, &shipped).expect("shards merge");
             assert_eq!(
                 direct.serialize(),
@@ -518,8 +517,8 @@ mod tests {
                 cell.id()
             );
             assert_eq!(
-                direct_registry,
-                merged_registry,
+                direct_registry.map(|r| r.to_json()),
+                merged_registry.map(|r| r.to_json()),
                 "{} metrics sidecar drifted through transport",
                 cell.id()
             );

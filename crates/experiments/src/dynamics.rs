@@ -313,7 +313,7 @@ impl Cell for DynamicsCell {
                 row.headline_punits().map(Json::num).unwrap_or(Json::Null),
             ),
         ]);
-        Ok((result, None, None))
+        Ok((result, None))
     }
 }
 

@@ -112,7 +112,7 @@ impl Cell for Fig3Cell {
             ("scheduler", Json::Str(self.kind.name().into())),
             ("taus", Json::Arr(taus)),
         ]);
-        Ok((result, None, None))
+        Ok((result, None))
     }
 }
 

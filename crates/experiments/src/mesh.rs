@@ -435,7 +435,7 @@ impl Cell for MeshCell {
             ("hop_ratios", Json::nums(&row.hop_ratios())),
             ("e2e_ratios", Json::nums(&row.e2e_ratios())),
         ]);
-        Ok((result, None, None))
+        Ok((result, None))
     }
 }
 

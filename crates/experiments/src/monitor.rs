@@ -359,7 +359,7 @@ impl Cell for MonitorCell {
             ("mean_quiet_punits", Json::num(row.mean_quiet_punits)),
             ("max_drift", Json::num(row.max_drift)),
         ]);
-        Ok((result, None, Some(registry.to_json())))
+        Ok((result, Some(registry)))
     }
 }
 

@@ -8,9 +8,9 @@
 
 use pdd::netsim::{analyze, packet_time_tolerance, Session, StudyBConfig, StudyBResult};
 use pdd::telemetry::json::Json;
-use pdd::telemetry::{CountingProbe, NoopProbe, Probe};
+use pdd::telemetry::{MetricsRegistry, NoopProbe, Probe};
 
-use crate::cell::{self, Merged, Partial};
+use crate::cell::{self, Partial};
 use crate::Scale;
 
 /// Hop counts K.
@@ -125,14 +125,14 @@ impl cell::Cell for Table1Cell {
     }
 
     fn execute_shard(&self, scale: Scale, _shard: usize) -> Partial {
-        let mut probe = CountingProbe::new(self.num_classes());
+        let mut registry = MetricsRegistry::with_shape(1, self.num_classes());
         let r = cell_run_probed(
             self.k_hops,
             self.utilization,
             self.flow_len,
             self.flow_rate_kbps,
             scale,
-            &mut probe,
+            &mut registry,
         )
         .result;
         let result = Json::obj(vec![
@@ -149,18 +149,7 @@ impl cell::Cell for Table1Cell {
             ("skipped_ratios", Json::Int(r.skipped_ratios as i64)),
             ("class_median_ticks", Json::nums(&r.class_median_ticks)),
         ]);
-        (result, Some(probe.registry().to_json()))
-    }
-
-    fn merge(&self, _scale: Scale, shards: &[Partial]) -> Result<Merged, String> {
-        let (partial, registry_text) = &shards[0];
-        let report = match registry_text {
-            Some(_) => {
-                Some(cell::shard_registry(&self.id(), &shards[0])?.report(self.num_classes(), 0.0))
-            }
-            None => None,
-        };
-        Ok((partial.clone(), report, registry_text.clone()))
+        (result, Some(registry.to_json()))
     }
 }
 

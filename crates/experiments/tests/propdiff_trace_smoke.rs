@@ -207,17 +207,92 @@ fn metrics_flags_no_monitor_can_be_built_from_are_usage_errors() {
 #[test]
 fn a_horizon_that_overflows_the_clock_is_refused() {
     // 41 829 351 641 064 743 × 441 = 2⁶⁴ + 47: release builds used to run
-    // a 47-tick horizon and print 0 departures, debug builds panicked.
-    for subcommand in ["run", "metrics"] {
+    // a 47-tick horizon (and `gen` wrote a near-empty trace), debug builds
+    // panicked.
+    let csv = tmp("overflow.csv");
+    for args in [
+        vec!["run"],
+        vec!["metrics"],
+        vec!["gen", "--out", csv.to_str().unwrap()],
+    ] {
         let output = Command::new(env!("CARGO_BIN_EXE_propdiff-trace"))
-            .args([subcommand, "--punits", "41829351641064743"])
+            .args(&args)
+            .args(["--punits", "41829351641064743"])
             .output()
             .expect("propdiff-trace should launch");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(output.status.code(), Some(1), "{subcommand}: {stderr}");
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(
             stderr.contains("bad --punits") && stderr.contains("overflow the clock"),
-            "{subcommand}: {stderr}"
+            "{args:?}: {stderr}"
         );
     }
+    assert!(!csv.exists(), "a refused gen must write no trace");
+}
+
+/// Runs `propdiff-trace` with `args`, asserting success; returns stdout.
+fn run_ok(args: &[&str]) -> String {
+    let output = Command::new(env!("CARGO_BIN_EXE_propdiff-trace"))
+        .args(args)
+        .output()
+        .expect("propdiff-trace should launch");
+    assert!(
+        output.status.success(),
+        "propdiff-trace {args:?} failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    String::from_utf8(output.stdout).expect("UTF-8 stdout")
+}
+
+#[test]
+fn metrics_file_is_the_registry_snapshot_and_byte_stable() {
+    let (a, b) = (tmp("metrics_a.json"), tmp("metrics_b.json"));
+    for path in [&a, &b] {
+        let path = path.to_str().unwrap();
+        run_ok(&["run", "--punits", "400", "--seed", "7", "--metrics", path]);
+    }
+    let (a_bytes, b_bytes) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+    assert_eq!(a_bytes, b_bytes, "two runs wrote different --metrics files");
+    for path in [&a, &b] {
+        let text = std::fs::read_to_string(path).unwrap();
+        let registry = pdd::telemetry::MetricsRegistry::from_json(&text)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(registry.to_json(), text);
+        assert!(registry.class_total(0).departures > 0);
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn a_generated_trace_is_inspected_checked_and_replayed() {
+    let csv = tmp("gen.csv");
+    let path = csv.to_str().unwrap();
+    let wrote = run_ok(&["gen", "--out", path, "--punits", "2000", "--seed", "3"]);
+    assert!(
+        wrote.starts_with("wrote ") && wrote.contains(path),
+        "{wrote}"
+    );
+
+    let stats = run_ok(&["stats", path]);
+    assert!(stats.starts_with("packets: "), "{stats}");
+    assert!(stats.contains("burstiness: IDC"), "{stats}");
+
+    let feasibility = run_ok(&["feasibility", path, "--spacing", "2.0"]);
+    assert!(feasibility.starts_with("feasibility: "), "{feasibility}");
+
+    // The replay prints, per class, its mean wait and the ratio to the
+    // next class's; under WTP at rho 0.9 the ratios sit near the SDP's 2.
+    let run = run_ok(&["run", "--trace", path, "--scheduler", "wtp"]);
+    let ratios: Vec<&str> = run
+        .lines()
+        .filter(|l| l.starts_with("class "))
+        .map(|l| l.rsplit(' ').next().unwrap())
+        .collect();
+    assert_eq!(ratios.len(), 4, "{run}");
+    assert_eq!(ratios[3], "-", "the top class has no next class: {run}");
+    for r in &ratios[..3] {
+        let r: f64 = r.parse().unwrap_or_else(|_| panic!("ratio {r}: {run}"));
+        assert!((1.0..4.0).contains(&r), "ratio {r} far from 2: {run}");
+    }
+    let _ = std::fs::remove_file(&csv);
 }

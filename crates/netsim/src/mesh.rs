@@ -1118,13 +1118,13 @@ mod tests {
             .link_up(Time::from_ticks(500_000_000), 0)
             .build()
             .unwrap();
-        let mut counter = telemetry::CountingProbe::new(4);
+        let mut registry = telemetry::MetricsRegistry::with_shape(1, 4);
         let wtp = vec![wtp_scheduler(&cfg)];
         let (out, _, slots, _) = run_engine(
             Cow::Borrowed(&cfg),
             CrossSources::default(),
             &sc,
-            &mut counter,
+            &mut registry,
             wtp,
         );
         assert_eq!(slots, 1, "a dropped packet's slot must be recycled");
@@ -1133,14 +1133,13 @@ mod tests {
             "Drop outage delivered all {} packets",
             out.per_flow_waits[0].len()
         );
-        let report = counter.report();
-        let drops: u64 = report.classes.iter().map(|c| c.drops).sum();
+        let drops: u64 = (0..4).map(|c| registry.class_total(c).drops).sum();
         assert_eq!(
             drops as usize + out.per_flow_waits[0].len(),
             50,
             "dropped + delivered must cover the flow"
         );
-        assert_eq!(report.scenario_events, 2);
+        assert_eq!(registry.scenario_events(), 2);
     }
 
     #[test]

@@ -386,21 +386,20 @@ mod tests {
     fn probed_run_equals_unprobed_run() {
         let cfg = tiny(2, 0.9);
         let plain = crate::Session::study_b(&cfg).run().0;
-        let mut counter = telemetry::CountingProbe::new(4);
-        let (probed, _) = Session::study_b(&cfg).probe(&mut counter).run();
+        let mut registry = telemetry::MetricsRegistry::with_shape(1, 4);
+        let (probed, _) = Session::study_b(&cfg).probe(&mut registry).run();
         for (x, y) in plain.iter().zip(&probed) {
             assert_eq!(x.per_class_waits, y.per_class_waits);
         }
-        let report = counter.report();
         // Conservation across the whole network: everything enqueued at any
         // hop eventually departed that hop (lossless links, drained run).
-        for c in &report.classes {
+        for c in (0..4).map(|c| registry.class_total(c)) {
             assert_eq!(c.arrivals, c.enqueues, "lossless links admit everything");
             assert_eq!(c.depth, 0, "packets left in flight");
             assert_eq!(c.drops, 0);
             assert!(c.departures > 0);
         }
-        assert!(report.heap_high_water > 0);
+        assert!(registry.heap_high_water() > 0);
     }
 
     #[test]
@@ -696,10 +695,10 @@ mod tests {
             .link_up(up, 1)
             .build()
             .unwrap();
-        let mut counter = telemetry::CountingProbe::new(4);
+        let mut registry = telemetry::MetricsRegistry::with_shape(1, 4);
         let (recs, _) = Session::study_b(&cfg)
             .scenario(sc)
-            .probe(&mut counter)
+            .probe(&mut registry)
             .run();
         let delivered: usize = recs
             .iter()
@@ -710,10 +709,9 @@ mod tests {
             delivered < 5 * 4 * 10,
             "a 2 s Drop outage across the experiment window must lose packets"
         );
-        let report = counter.report();
-        let drops: u64 = report.classes.iter().map(|c| c.drops).sum();
+        let drops: u64 = (0..4).map(|c| registry.class_total(c).drops).sum();
         assert!(drops > 0, "fault drops must be probed");
-        assert_eq!(report.scenario_events, 2, "both flap edges recorded");
+        assert_eq!(registry.scenario_events(), 2, "both flap edges recorded");
     }
 
     #[test]

@@ -241,7 +241,7 @@ pub fn run(manifest: &Manifest, opts: &RunOptions) -> RunReport {
             .into_iter()
             .map(|s| s.expect("every shard executed or resumed"))
             .collect();
-        let (result, metrics, registry_json) = match work.cell.merge_shards(scale, &parts) {
+        let (result, registry) = match work.cell.merge_shards(scale, &parts) {
             Ok(merged) => merged,
             Err(e) => {
                 // Corrupt shard entries (e.g. a truncated cache file) are
@@ -256,8 +256,8 @@ pub fn run(manifest: &Manifest, opts: &RunOptions) -> RunReport {
         if let Err(e) = cache.store(work.cell, scale, &result) {
             eprintln!("warning: could not cache {}: {e}", work.cell.id());
         }
-        if let Some(snapshot) = &registry_json {
-            if let Err(e) = cache.store_metrics(work.cell, scale, snapshot) {
+        if let Some(registry) = &registry {
+            if let Err(e) = cache.store_metrics(work.cell, scale, &registry.to_json()) {
                 eprintln!(
                     "warning: could not write metrics sidecar for {}: {e}",
                     work.cell.id()
@@ -266,17 +266,19 @@ pub fn run(manifest: &Manifest, opts: &RunOptions) -> RunReport {
         }
         cache.remove_shards(work.cell, scale, shards);
         if !opts.quiet {
-            if let Some(m) = &metrics {
+            if let Some(r) = &registry {
+                let departures: u64 = (0..r.num_classes())
+                    .map(|c| r.class_total(c).departures)
+                    .sum();
                 let rate = if work.secs > 0.0 {
-                    m.probe_events as f64 / work.secs
+                    r.probe_events() as f64 / work.secs
                 } else {
                     0.0
                 };
                 let _ = writeln!(
                     std::io::stderr().lock(),
-                    "      {:<28} merged: {} departures, {:.1}M probe events/s",
+                    "      {:<28} merged: {departures} departures, {:.1}M probe events/s",
                     work.cell.id(),
-                    m.total_departures(),
                     rate / 1.0e6
                 );
             }

@@ -89,8 +89,9 @@ impl Experiment {
 
     /// [`Experiment::run_one_on`] with a telemetry [`Probe`] observing the
     /// replay. With [`NoopProbe`] this monomorphizes to exactly the
-    /// unobserved loop; with a counting probe the orchestrator turns the
-    /// event stream into per-cell progress without touching the results.
+    /// unobserved loop; with a `MetricsRegistry` the orchestrator turns the
+    /// event stream into per-cell sidecars and progress without touching
+    /// the results.
     pub fn run_one_probed<S, I, P>(
         &self,
         scheduler: &mut S,

@@ -379,23 +379,23 @@ mod tests {
     #[test]
     fn probed_lossy_run_reports_drops_with_occupancy() {
         let mut s = SchedulerKind::Wtp.build(&Sdp::new(&[1.0, 2.0]).unwrap(), 1.0);
-        let mut probe = telemetry::CountingProbe::new(2);
+        let mut registry = telemetry::MetricsRegistry::with_shape(1, 2);
         let r = crate::Session::trace(&overload_trace(3), 1.0)
-            .probe(&mut probe)
+            .probe(&mut registry)
             .lossy(4_000, LossMode::TailDrop)
             .run(s.as_mut());
-        let report = probe.report();
+        let classes: Vec<_> = (0..2).map(|c| registry.class_total(c)).collect();
         // The probe's ledger agrees with the report's, per class.
-        for c in 0..2 {
-            assert_eq!(report.classes[c].arrivals, r.arrivals[c]);
-            assert_eq!(report.classes[c].drops, r.drops[c]);
-            assert_eq!(report.classes[c].departures, r.delays[c].count());
+        for (c, t) in classes.iter().enumerate() {
+            assert_eq!(t.arrivals, r.arrivals[c]);
+            assert_eq!(t.drops, r.drops[c]);
+            assert_eq!(t.departures, r.delays[c].count());
         }
-        assert!(report.total_drops() > 1000);
+        assert!(classes.iter().map(|t| t.drops).sum::<u64>() > 1000);
         // Gauges saw the buffer pressure; no single class ever exceeded it.
-        assert!(report.classes.iter().any(|c| c.backlog_high_water > 0));
-        for c in &report.classes {
-            assert!(c.backlog_high_water as u64 <= 4_000);
+        assert!(classes.iter().any(|t| t.backlog_high_water > 0));
+        for t in &classes {
+            assert!(t.backlog_high_water as u64 <= 4_000);
         }
     }
 

@@ -176,16 +176,15 @@ mod tests {
             .unwrap();
         let mut out = Vec::new();
         let mut s = Fcfs::new(1);
-        let mut counter = telemetry::CountingProbe::new(1);
+        let mut registry = telemetry::MetricsRegistry::with_shape(1, 1);
         Session::trace(&tr, 1.0)
-            .probe(&mut counter)
+            .probe(&mut registry)
             .scenario(sc.clone())
             .run(&mut s, |d| out.push(d.start.ticks()));
         assert_eq!(out, vec![0, 400]);
-        let report = counter.report();
-        assert_eq!(report.classes[0].arrivals, 3);
-        assert_eq!(report.classes[0].drops, 1);
-        assert_eq!(report.scenario_events, 2);
+        assert_eq!(registry.class_total(0).arrivals, 3);
+        assert_eq!(registry.class_total(0).drops, 1);
+        assert_eq!(registry.scenario_events(), 2);
     }
 
     #[test]

@@ -384,16 +384,16 @@ mod tests {
             });
             let mut probed = Vec::new();
             let mut s = kind.build(&Sdp::paper_default(), 1.0);
-            let mut counter = telemetry::CountingProbe::new(4);
+            let mut registry = telemetry::MetricsRegistry::with_shape(1, 4);
             crate::Session::trace(&tr, 1.0)
-                .probe(&mut counter)
+                .probe(&mut registry)
                 .run(s.as_mut(), |d| {
                     probed.push((d.packet.seq, d.start, d.finish))
                 });
             assert_eq!(plain, probed, "{} diverged under probing", kind.name());
-            let report = counter.report();
-            assert_eq!(report.total_departures(), 5, "{}", kind.name());
-            assert_eq!(report.decisions, 5, "{}", kind.name());
+            let departures: u64 = (0..4).map(|c| registry.class_total(c).departures).sum();
+            assert_eq!(departures, 5, "{}", kind.name());
+            assert_eq!(registry.decisions(), 5, "{}", kind.name());
         }
     }
 

@@ -294,12 +294,13 @@ mod tests {
     #[test]
     fn probe_axis_observes_the_run() {
         let tr = small_trace();
-        let mut counter = telemetry::CountingProbe::new(4);
+        let mut registry = telemetry::MetricsRegistry::with_shape(1, 4);
         let mut s = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
         Session::trace(&tr, 1.0)
-            .probe(&mut counter)
+            .probe(&mut registry)
             .run(s.as_mut(), |_| {});
-        assert_eq!(counter.report().total_departures(), 4);
+        let departures: u64 = (0..4).map(|c| registry.class_total(c).departures).sum();
+        assert_eq!(departures, 4);
     }
 
     #[test]
@@ -394,16 +395,16 @@ mod tests {
     }
 
     #[test]
-    fn metered_registry_matches_counting_probe() {
+    fn metered_registry_matches_a_probed_registry() {
         let tr = small_trace();
         let mut s = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
         let reg = Session::trace(&tr, 1.0).run_metered(s.as_mut(), |_| {});
-        let mut counter = telemetry::CountingProbe::new(4);
+        let mut probed = telemetry::MetricsRegistry::with_shape(1, 4);
         let mut s = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);
         Session::trace(&tr, 1.0)
-            .probe(&mut counter)
+            .probe(&mut probed)
             .run(s.as_mut(), |_| {});
-        assert_eq!(reg.to_json(), counter.registry().to_json());
+        assert_eq!(reg.to_json(), probed.to_json());
     }
 
     #[test]

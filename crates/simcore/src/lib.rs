@@ -47,5 +47,5 @@ mod sim;
 mod time;
 
 pub use event::{EventKey, EventQueue};
-pub use sim::{Context, HeartbeatFn, Model, RunOutcome, Simulation};
+pub use sim::{Context, Model, RunOutcome, Simulation};
 pub use time::{Dur, Time};

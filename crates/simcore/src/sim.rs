@@ -115,14 +115,6 @@ pub enum RunOutcome {
     Stopped,
 }
 
-/// A heartbeat observer: `(virtual time, events handled, queue depth)`.
-/// The depth counts scheduled events; a model's lane is its own business.
-///
-/// `simcore` sits below the telemetry crate in the dependency graph, so the
-/// hook is a plain boxed callback; telemetry adapts it onto its probe
-/// vocabulary at the call site.
-pub type HeartbeatFn = Box<dyn FnMut(Time, u64, usize)>;
-
 /// A discrete-event simulation: a [`Model`] plus an event queue and a clock.
 pub struct Simulation<M: Model> {
     model: M,
@@ -136,8 +128,6 @@ pub struct Simulation<M: Model> {
     pending_buf: Vec<(EventKey, M::Event)>,
     // Deepest the event queue has ever been (pressure diagnostic).
     heap_high_water: usize,
-    // Progress callback fired every `.0` handled events, if installed.
-    heartbeat: Option<(u64, HeartbeatFn)>,
 }
 
 impl<M: Model> Simulation<M> {
@@ -150,30 +140,13 @@ impl<M: Model> Simulation<M> {
             handled: 0,
             pending_buf: Vec::new(),
             heap_high_water: 0,
-            heartbeat: None,
         }
-    }
-
-    /// Installs a progress heartbeat: `f(now, events_handled, queue_depth)`
-    /// fires after every `every`-th handled event, so long runs are
-    /// observably alive. Replaces any previous heartbeat.
-    ///
-    /// # Panics
-    /// Panics if `every` is zero.
-    pub fn set_heartbeat(&mut self, every: u64, f: impl FnMut(Time, u64, usize) + 'static) {
-        assert!(every > 0, "heartbeat interval must be positive");
-        self.heartbeat = Some((every, Box::new(f)));
-    }
-
-    /// Removes the heartbeat installed by [`set_heartbeat`](Self::set_heartbeat).
-    pub fn clear_heartbeat(&mut self) {
-        self.heartbeat = None;
     }
 
     /// The deepest the event queue has ever been — a pressure diagnostic
     /// for models that fan events out faster than they retire them. Like
-    /// [`queue_depth`](Self::queue_depth) and the heartbeat's depth, it
-    /// counts scheduled events only, not what a model holds in its lane.
+    /// [`queue_depth`](Self::queue_depth), it counts scheduled events only,
+    /// not what a model holds in its lane.
     pub fn heap_high_water(&self) -> usize {
         self.heap_high_water
     }
@@ -279,11 +252,6 @@ impl<M: Model> Simulation<M> {
         self.pending_buf = ctx.pending;
         if self.queue.len() > self.heap_high_water {
             self.heap_high_water = self.queue.len();
-        }
-        if let Some((every, f)) = &mut self.heartbeat {
-            if self.handled.is_multiple_of(*every) {
-                f(self.now, self.handled, self.queue.len());
-            }
         }
         ctx.stop
     }
@@ -463,30 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_fires_every_n_events_with_virtual_time() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let beats: Rc<RefCell<Vec<(u64, u64, usize)>>> = Rc::default();
-        let mut sim = Simulation::new(Ticker {
-            reps: 10,
-            gap: Dur::from_ticks(5),
-            fired_at: Vec::new(),
-        });
-        let sink = Rc::clone(&beats);
-        sim.set_heartbeat(4, move |now, handled, depth| {
-            sink.borrow_mut().push((now.ticks(), handled, depth));
-        });
-        sim.schedule(Time::ZERO, ());
-        assert_eq!(sim.run(), RunOutcome::Drained);
-        // 10 events → beats after events 4 and 8, at virtual times 15/35.
-        assert_eq!(*beats.borrow(), vec![(15, 4, 1), (35, 8, 1)]);
-        sim.clear_heartbeat();
-        sim.schedule(sim.now(), ());
-        sim.run();
-        assert_eq!(beats.borrow().len(), 2, "cleared heartbeat must not fire");
-    }
-
-    #[test]
     fn heap_high_water_tracks_peak_queue_depth() {
         // Fan out: the first event schedules 5 follow-ups, which retire
         // one by one. Peak depth is 5, final depth 0.
@@ -524,22 +468,21 @@ mod tests {
 
     #[test]
     fn depth_diagnostics_count_up_front_and_in_run_events() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let depths: Rc<RefCell<Vec<usize>>> = Rc::default();
         let mut sim = Simulation::new(Recorder(Vec::new()));
-        let sink = Rc::clone(&depths);
-        sim.set_heartbeat(1, move |_, _, depth| sink.borrow_mut().push(depth));
         for ev in 0..10 {
             sim.schedule(Time::from_ticks(ev as u64), ev);
         }
         assert_eq!(sim.queue_depth(), 10);
-        sim.run_for_events(2);
         // Nine up-front events still pending plus the three scheduled
         // in-run, then one fewer.
-        assert_eq!(*depths.borrow(), vec![12, 11]);
+        let depths: Vec<usize> = (0..2)
+            .map(|_| {
+                sim.run_for_events(1);
+                sim.queue_depth()
+            })
+            .collect();
+        assert_eq!(depths, vec![12, 11]);
         assert_eq!(sim.heap_high_water(), 12);
-        assert_eq!(sim.queue_depth(), 11);
     }
 
     #[test]
@@ -808,13 +751,6 @@ mod tests {
             proptest::prop_assert_eq!(&queued.model().log, &laned.model().log);
             proptest::prop_assert_eq!(queued.events_handled(), laned.events_handled());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "heartbeat interval must be positive")]
-    fn zero_heartbeat_interval_panics() {
-        let mut sim = Simulation::new(Stopper);
-        sim.set_heartbeat(0, |_, _, _| {});
     }
 
     #[test]

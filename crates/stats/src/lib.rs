@@ -27,7 +27,6 @@ mod burstiness;
 mod feasibility;
 mod histogram;
 mod percentile;
-mod plot;
 mod ratio;
 mod reconverge;
 mod series;
@@ -38,7 +37,6 @@ pub use burstiness::{hurst_estimate, idc_curve, variance_time};
 pub use feasibility::{check_feasibility, fcfs_mean_wait, FeasibilityReport, SubsetCheck};
 pub use histogram::Histogram;
 pub use percentile::{percentile, P2Quantile, Percentiles};
-pub use plot::AsciiPlot;
 pub use ratio::{rd_for_interval, successive_ratios, RdCollector};
 pub use reconverge::{reconvergence_times, ReconvergenceConfig};
 pub use series::IntervalSeries;

@@ -21,10 +21,12 @@
 //!   [`merge`](MetricsRegistry::merge) (shard N runs, merge, get the
 //!   single-stream registry bit-for-bit). Snapshots render to
 //!   deterministic JSON and to the Prometheus text format (checked by
-//!   [`validate_prometheus`]).
-//! * [`CountingProbe`] — an allocation-light metrics recorder: a thin
-//!   class-checked wrapper over the registry that adds wall-clock
-//!   throughput and the flat [`MetricsReport`] snapshot.
+//!   [`validate_prometheus`]). It is the one recorder that counts: every
+//!   metered path — experiment shards, the farm's `*.metrics.json`
+//!   sidecars, `propdiff-trace --metrics` — records into it and writes
+//!   its `propdiff-metrics-v1` snapshot.
+//! * [`Tee`] and `Option<P>` — fan-out: one run feeds the registry and any
+//!   requested trace sinks, still fully monomorphized.
 //! * [`PddMonitor`] — online PDD conformance: rolling-window per-class
 //!   average delays and successive-pair ratios (the paper's Eq. 2)
 //!   against a target-epoch schedule, emitting structured [`Violation`]
@@ -49,14 +51,12 @@
 #![forbid(unsafe_code)]
 
 pub mod json;
-mod metrics;
 mod monitor;
 mod probe;
 pub mod registry;
 pub mod schema;
 mod sink;
 
-pub use metrics::{ClassMetrics, CountingProbe, MetricsReport};
 pub use monitor::{MonitorConfig, PddMonitor, Violation, ViolationKind};
 pub use probe::{NoopProbe, PacketId, Probe, Tee};
 pub use registry::{

@@ -235,6 +235,61 @@ impl<A: Probe, B: Probe> Probe for Tee<A, B> {
     }
 }
 
+/// An optional probe: `Some` forwards every event, `None` drops them — a
+/// sink requested (or not) on a command line, still monomorphized.
+impl<P: Probe> Probe for Option<P> {
+    const ENABLED: bool = P::ENABLED;
+    const WANTS_DECISION_VALUES: bool = P::WANTS_DECISION_VALUES;
+
+    fn on_arrival(&mut self, at: Time, id: PacketId) {
+        if let Some(p) = self {
+            p.on_arrival(at, id);
+        }
+    }
+
+    fn on_enqueue(&mut self, at: Time, id: PacketId) {
+        if let Some(p) = self {
+            p.on_enqueue(at, id);
+        }
+    }
+
+    fn on_decision(
+        &mut self,
+        at: Time,
+        scheduler: &'static str,
+        winner: PacketId,
+        values: &[(usize, f64)],
+    ) {
+        if let Some(p) = self {
+            p.on_decision(at, scheduler, winner, values);
+        }
+    }
+
+    fn on_depart(&mut self, id: PacketId, arrival: Time, start: Time, finish: Time, eol: bool) {
+        if let Some(p) = self {
+            p.on_depart(id, arrival, start, finish, eol);
+        }
+    }
+
+    fn on_drop(&mut self, at: Time, id: PacketId, backlog_bytes: u64, buffer_bytes: u64) {
+        if let Some(p) = self {
+            p.on_drop(at, id, backlog_bytes, buffer_bytes);
+        }
+    }
+
+    fn on_heartbeat(&mut self, at: Time, events_handled: u64, heap_depth: usize) {
+        if let Some(p) = self {
+            p.on_heartbeat(at, events_handled, heap_depth);
+        }
+    }
+
+    fn on_scenario_event(&mut self, at: Time, link: u16, kind: &'static str, value: f64) {
+        if let Some(p) = self {
+            p.on_scenario_event(at, link, kind, value);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,10 +302,54 @@ mod tests {
         fn on_arrival(&mut self, _at: Time, _id: PacketId) {
             self.0.push("arrival");
         }
+        fn on_enqueue(&mut self, _at: Time, _id: PacketId) {
+            self.0.push("enqueue");
+        }
+        fn on_decision(&mut self, _at: Time, _s: &'static str, _w: PacketId, _v: &[(usize, f64)]) {
+            self.0.push("decision");
+        }
         fn on_depart(&mut self, _id: PacketId, _a: Time, _s: Time, _f: Time, _eol: bool) {
             self.0.push("depart");
         }
+        fn on_drop(&mut self, _at: Time, _id: PacketId, _backlog: u64, _buffer: u64) {
+            self.0.push("drop");
+        }
+        fn on_heartbeat(&mut self, _at: Time, _events: u64, _depth: usize) {
+            self.0.push("heartbeat");
+        }
+        fn on_scenario_event(&mut self, _at: Time, _link: u16, _kind: &'static str, _v: f64) {
+            self.0.push("scenario");
+        }
     }
+
+    /// A counter-only probe: opts out of the decision audit.
+    struct Quiet;
+
+    impl Probe for Quiet {
+        const WANTS_DECISION_VALUES: bool = false;
+    }
+
+    /// Calls every hook once, in declaration order.
+    fn every_hook(p: &mut impl Probe) {
+        let t = Time::from_ticks(3);
+        p.on_arrival(t, pid());
+        p.on_enqueue(t, pid());
+        p.on_decision(t, "WTP", pid(), &[(2, 1.0)]);
+        p.on_depart(pid(), t, t, Time::from_ticks(4), true);
+        p.on_drop(t, pid(), 10, 20);
+        p.on_heartbeat(t, 5, 1);
+        p.on_scenario_event(t, 0, "set_sdp", 0.0);
+    }
+
+    const ALL_HOOKS: [&str; 7] = [
+        "arrival",
+        "enqueue",
+        "decision",
+        "depart",
+        "drop",
+        "heartbeat",
+        "scenario",
+    ];
 
     fn pid() -> PacketId {
         PacketId::single_link(7, 2, 100)
@@ -291,6 +390,34 @@ mod tests {
         assert!(!Tee::<NoopProbe, NoopProbe>::ENABLED);
         assert!(Tee::<Recorder, NoopProbe>::ENABLED);
         assert!(Tee::<NoopProbe, Recorder>::ENABLED);
+    }
+
+    #[test]
+    fn option_forwards_every_hook_when_some_and_none_when_none() {
+        let mut some = Some(Recorder::default());
+        every_hook(&mut some);
+        assert_eq!(some.unwrap().0, ALL_HOOKS);
+        // A `None` of a recording type swallows every hook without a panic.
+        let mut none: Option<Recorder> = None;
+        every_hook(&mut none);
+        assert!(none.is_none());
+        // Beside a `Some` in a tee, only the `Some` side hears anything.
+        let mut tee = Tee(None::<Recorder>, Some(Recorder::default()));
+        every_hook(&mut tee);
+        assert!(tee.0.is_none());
+        assert_eq!(tee.1.unwrap().0, ALL_HOOKS);
+    }
+
+    // Compile-time wiring again: an `Option` takes its probe's constants.
+    #[test]
+    #[allow(clippy::assertions_on_constants)]
+    fn option_constants_are_the_inner_probes() {
+        assert!(<Option<Recorder>>::ENABLED);
+        assert!(<Option<Recorder>>::WANTS_DECISION_VALUES);
+        assert!(!<Option<NoopProbe>>::ENABLED);
+        assert!(!<Option<NoopProbe>>::WANTS_DECISION_VALUES);
+        assert!(<Option<Quiet>>::ENABLED);
+        assert!(!<Option<Quiet>>::WANTS_DECISION_VALUES);
     }
 
     #[test]

@@ -1159,6 +1159,96 @@ mod tests {
     }
 
     #[test]
+    fn a_drop_balances_the_lifecycle_and_sets_the_loss_fraction() {
+        let mut r = MetricsRegistry::with_shape(1, 2);
+        // Packet 0 (class 0): arrives, queues, wins, departs.
+        let p0 = id(0, 0, 100);
+        r.on_arrival(Time::ZERO, p0);
+        r.on_enqueue(Time::ZERO, p0);
+        r.on_decision(Time::from_ticks(5), "WTP", p0, &[(0, 5.0)]);
+        r.on_depart(
+            p0,
+            Time::ZERO,
+            Time::from_ticks(5),
+            Time::from_ticks(105),
+            true,
+        );
+        // Packet 1 (class 1): arrives and is dropped.
+        let p1 = id(1, 1, 50);
+        r.on_arrival(Time::from_ticks(10), p1);
+        r.on_drop(Time::from_ticks(10), p1, 100, 128);
+        let (c0, c1) = (r.class_total(0), r.class_total(1));
+        assert_eq!((c0.arrivals, c0.departures, c0.decisions_won), (1, 1, 1));
+        assert_eq!(c0.wait_ticks_sum, 5);
+        assert_eq!(
+            (c0.depth, c0.depth_high_water, c0.backlog_high_water),
+            (0, 1, 100)
+        );
+        assert_eq!((c1.arrivals, c1.departures, c1.drops), (1, 0, 1));
+        assert_eq!(c1.drops as f64 / c1.arrivals as f64, 1.0, "loss fraction");
+        for c in [&c0, &c1] {
+            assert_eq!(c.arrivals, c.departures + c.drops, "lifecycle balance");
+        }
+        assert_eq!(r.decisions(), 1);
+        assert_eq!(r.virtual_span_ticks(), 105);
+    }
+
+    #[test]
+    fn gauges_track_depth_and_backlog_high_water() {
+        let mut r = MetricsRegistry::with_shape(1, 1);
+        for s in 0..3 {
+            r.on_enqueue(Time::ZERO, id(s, 0, 100));
+        }
+        r.on_depart(
+            id(0, 0, 100),
+            Time::ZERO,
+            Time::ZERO,
+            Time::from_ticks(100),
+            true,
+        );
+        r.on_enqueue(Time::from_ticks(100), id(3, 0, 100));
+        let c = r.class_total(0);
+        assert_eq!((c.depth, c.depth_high_water), (3, 3));
+        assert_eq!((c.backlog_bytes, c.backlog_high_water), (300, 300));
+    }
+
+    #[test]
+    fn non_eol_hop_departures_keep_conservation() {
+        // A two-hop journey through one channel: hop 0's departure is not
+        // end-of-life, so only the second counts as a departure.
+        let mut r = MetricsRegistry::with_shape(1, 1);
+        let p = id(0, 0, 100);
+        r.on_arrival(Time::ZERO, p);
+        r.on_enqueue(Time::ZERO, p);
+        r.on_depart(p, Time::ZERO, Time::ZERO, Time::from_ticks(100), false);
+        r.on_enqueue(Time::from_ticks(100), p);
+        let (t100, t200) = (Time::from_ticks(100), Time::from_ticks(200));
+        r.on_depart(p, t100, t100, t200, true);
+        let c = r.class_total(0);
+        assert_eq!((c.arrivals, c.departures, c.drops), (1, 1, 0));
+        assert_eq!(c.arrivals, c.departures + c.drops);
+        assert_eq!((c.hop_departures, c.depth), (2, 0));
+    }
+
+    #[test]
+    fn heartbeats_track_the_heap_high_water() {
+        let mut r = MetricsRegistry::with_shape(1, 1);
+        r.on_heartbeat(Time::from_ticks(1), 100, 7);
+        r.on_heartbeat(Time::from_ticks(2), 200, 3);
+        assert_eq!((r.heartbeats(), r.heap_high_water()), (2, 7));
+        assert!(r.to_json().contains("\"heap_high_water\":7"));
+    }
+
+    #[test]
+    fn scenario_events_are_tallied() {
+        let mut r = MetricsRegistry::with_shape(1, 1);
+        r.on_scenario_event(Time::from_ticks(5), 0, "set_sdp", 0.0);
+        r.on_scenario_event(Time::from_ticks(9), 1, "link_down", 0.0);
+        assert_eq!((r.scenario_events(), r.probe_events()), (2, 2));
+        assert!(r.to_json().contains("\"scenario_events\":2"));
+    }
+
+    #[test]
     fn per_link_channels_are_separate() {
         let mut r = MetricsRegistry::new();
         let p0 = hop_id(0, 0, 100, 0);
