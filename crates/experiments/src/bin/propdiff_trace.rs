@@ -501,6 +501,14 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
 fn parse_fractions(s: &str) -> Result<Vec<f64>, String> {
     let parts: Result<Vec<f64>, _> = s.split(',').map(str::parse::<f64>).collect();
     let parts = parts.map_err(|e| format!("bad fractions '{s}': {e}"))?;
+    // Checked before normalizing: one NaN or ∞ would make every share NaN.
+    if let Some(c) = parts.iter().position(|f| !f.is_finite()) {
+        let share = parts[c];
+        return Err(format!(
+            "bad fractions '{s}': class {c} (0-based) has share {share}: \
+             every class share must be positive and finite"
+        ));
+    }
     let total: f64 = parts.iter().sum();
     if total <= 0.0 {
         return Err("fractions must sum to a positive value".into());

@@ -230,6 +230,33 @@ fn a_horizon_that_overflows_the_clock_is_refused() {
     assert!(!csv.exists(), "a refused gen must write no trace");
 }
 
+#[test]
+fn gen_names_the_class_share_it_refuses() {
+    // A negative and a zero share used to be reported as uniform bounds
+    // "[1, 1]"; a NaN share got past the load plan and failed later on a
+    // NaN mean.
+    let csv = tmp("bad_fractions.csv");
+    for (fractions, says) in [
+        ("50,-10,30,30", "class 1 (0-based) has share -0.1"),
+        ("40,30,20,10,0", "class 4 (0-based) has share 0"),
+        ("1,nan,1,1", "class 1 (0-based) has share NaN"),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_propdiff-trace"))
+            .args(["gen", "--out", csv.to_str().unwrap(), "--punits", "100"])
+            .args(["--fractions", fractions])
+            .output()
+            .expect("propdiff-trace should launch");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{fractions}: {stderr}");
+        assert!(
+            stderr.contains(says)
+                && stderr.contains("every class share must be positive and finite"),
+            "{fractions}: {stderr}"
+        );
+    }
+    assert!(!csv.exists(), "a refused gen must write no trace");
+}
+
 /// Runs `propdiff-trace` with `args`, asserting success; returns stdout.
 fn run_ok(args: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_propdiff-trace"))

@@ -12,6 +12,8 @@
 //! between departures, and `v_i` accrues from when the packet reaches the
 //! head of the queue in the *packet* scheduler.
 
+use std::hint::select_unpredictable;
+
 use simcore::Time;
 
 use crate::class::Sdp;
@@ -103,26 +105,25 @@ impl Scheduler for Bpr {
         // backlogged head's virtual service — resetting it if the head
         // arrived after the previous decision instant — and pick
         // argmin(L_i − v_i) in the same pass, ties to the higher class.
-        let mut winner = None;
-        let mut best = f64::INFINITY;
+        // Both are chosen by select, not by a branch: the winner changes
+        // from one decision to the next, so a branch would mispredict.
+        let (mut winner, mut best) = (usize::MAX, f64::INFINITY);
         let sweep = self.queues.heads().zip(self.v.iter_mut()).zip(&self.rates);
         for (c, ((head, v), &rate)) in sweep.enumerate() {
             let Some(head) = head else {
                 *v = 0.0;
                 continue;
             };
-            if head.arrival <= self.last_decision {
-                *v += rate * elapsed;
-            } else {
-                *v = 0.0;
-            }
+            let accrues = head.arrival <= self.last_decision;
+            *v = select_unpredictable(accrues, *v + rate * elapsed, 0.0);
             let remaining = head.size as f64 - *v;
-            if remaining <= best {
-                best = remaining;
-                winner = Some(c);
-            }
+            let take = remaining <= best;
+            winner = select_unpredictable(take, c, winner);
+            best = select_unpredictable(take, remaining, best);
         }
-        let winner = winner?;
+        if winner == usize::MAX {
+            return None;
+        }
         let pkt = self.queues.pop(winner);
         // The departing head's successor starts with zero virtual service.
         self.v[winner] = 0.0;
@@ -197,9 +198,96 @@ impl Scheduler for Bpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pkt(seq: u64, class: u8, size: u32, at: u64) -> Packet {
         Packet::new(seq, class, size, Time::from_ticks(at))
+    }
+
+    /// `Bpr::dequeue` as it was before its sweep chose by
+    /// `select_unpredictable`, kept line for line: the oracle the
+    /// equivalence property diffs the rewrite against.
+    fn dequeue_branchy(s: &mut Bpr, now: Time) -> Option<Packet> {
+        if s.queues.is_empty() {
+            return None;
+        }
+        let elapsed = now.saturating_since(s.last_decision).as_f64();
+        let mut winner = None;
+        let mut best = f64::INFINITY;
+        let sweep = s.queues.heads().zip(s.v.iter_mut()).zip(&s.rates);
+        for (c, ((head, v), &rate)) in sweep.enumerate() {
+            let Some(head) = head else {
+                *v = 0.0;
+                continue;
+            };
+            if head.arrival <= s.last_decision {
+                *v += rate * elapsed;
+            } else {
+                *v = 0.0;
+            }
+            let remaining = head.size as f64 - *v;
+            if remaining <= best {
+                best = remaining;
+                winner = Some(c);
+            }
+        }
+        let winner = winner?;
+        let pkt = s.queues.pop(winner);
+        s.v[winner] = 0.0;
+        s.recompute_rates();
+        s.last_decision = now;
+        pkt
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `Bpr` and a twin swept by the branchy oracle, driven through
+        /// one random sequence of enqueues (before and after decision
+        /// instants), dequeues and push-out drops, serve the same packet
+        /// every time and hold the same virtual service to the bit.
+        #[test]
+        fn prop_equivalence_bpr_matches_the_branchy_sweep(
+            ops in prop::collection::vec((0u8..5, 0u8..4, 0u8..3, 0u64..500), 1..300),
+            link in 0u8..3,
+        ) {
+            let link_rate = [1.0, 0.5, 3.0][link as usize];
+            let mut s = Bpr::new(Sdp::paper_default(), link_rate);
+            let mut twin = s.clone();
+            let bits = |s: &Bpr| s.virtual_service().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut now = 0u64;
+            for (seq, &(op, class, size, dt)) in ops.iter().enumerate() {
+                // A fifth of the steps take no time, so arrivals land on
+                // decision instants (the accrual's boundary case).
+                now += dt.saturating_sub(100);
+                match op {
+                    0..=2 => {
+                        let size = [40, 550, 1500][size as usize];
+                        s.enqueue(pkt(seq as u64, class, size, now));
+                        twin.enqueue(pkt(seq as u64, class, size, now));
+                    }
+                    3 => {
+                        let at = Time::from_ticks(now);
+                        prop_assert_eq!(s.dequeue(at), dequeue_branchy(&mut twin, at), "{:?}", ops);
+                    }
+                    // A dropped head leaves its class's virtual service
+                    // stale until a fresh head resets it.
+                    _ => {
+                        let class = class as usize;
+                        prop_assert_eq!(s.drop_newest(class), twin.drop_newest(class), "{:?}", ops);
+                    }
+                }
+                prop_assert_eq!(bits(&s), bits(&twin), "{:?}", ops);
+            }
+            // Drain what is left, one 550-byte transmission apart.
+            while !s.is_empty() {
+                now += 550;
+                let at = Time::from_ticks(now);
+                prop_assert_eq!(s.dequeue(at), dequeue_branchy(&mut twin, at), "{:?}", ops);
+                prop_assert_eq!(bits(&s), bits(&twin), "{:?}", ops);
+            }
+            prop_assert!(twin.is_empty());
+        }
     }
 
     #[test]

@@ -121,31 +121,8 @@ impl<R: RankFn> PifoCore<R> {
     /// without dequeuing — the decision-instant hook the conformance
     /// oracle diffs against.
     pub fn peek_winner(&self, now: Time) -> Option<usize> {
-        self.select_winner(now)
-    }
-
-    #[cfg(not(feature = "mutate-pifo-rank"))]
-    fn select_winner(&self, now: Time) -> Option<usize> {
         self.queues
             .select_by(|c, head| self.rank.rank(c, head, now))
-    }
-
-    /// MUTATED selection for the conformance smoke-runner: identical
-    /// ranks, but ties go to the **lower** class — the kind of silent
-    /// tie-break drift the oracle differential exists to catch.
-    #[cfg(feature = "mutate-pifo-rank")]
-    fn select_winner(&self, now: Time) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (c, head) in self.queues.heads().enumerate() {
-            let Some(head) = head else { continue };
-            let p = self.rank.rank(c, head, now);
-            match best {
-                // `<=` keeps the earlier (lower) class on ties.
-                Some((_, bp)) if p <= bp => {}
-                _ => best = Some((c, p)),
-            }
-        }
-        best.map(|(c, _)| c)
     }
 }
 
@@ -159,7 +136,7 @@ impl<R: RankFn> Scheduler for PifoCore<R> {
     }
 
     fn dequeue(&mut self, now: Time) -> Option<Packet> {
-        let winner = self.select_winner(now)?;
+        let winner = self.peek_winner(now)?;
         let pkt = self.queues.pop(winner)?;
         self.rank.on_depart(winner, &pkt, now);
         Some(pkt)

@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::hint::select_unpredictable;
 
 use simcore::Time;
 
@@ -270,24 +271,36 @@ impl ClassQueues {
     /// Unlike scanning [`ClassQueues::backlogged`] and re-fetching each
     /// head, the head-of-line packet is handed to the priority function
     /// directly: one queue access per class per decision.
+    ///
+    /// The winner changes from one decision to the next, so a branch on
+    /// the compare mispredicts; both the index and the value are chosen
+    /// with [`select_unpredictable`], from a `usize::MAX` sentinel.
     pub fn select_by<F: FnMut(usize, &Packet) -> f64>(&self, mut priority: F) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
+        let (mut best, mut best_p) = (usize::MAX, f64::NEG_INFINITY);
         for (c, queue) in self.queues.iter().enumerate() {
             let Some(head) = queue.front() else { continue };
             let p = priority(c, head);
-            match best {
-                // `>=` favors the later (higher) class on ties.
-                Some((_, bp)) if p < bp => {}
-                _ => best = Some((c, p)),
-            }
+            // Only a strictly lower rank keeps the best so far, so ties go
+            // to the later (higher) class; no rank, NaN included, is lower
+            // than the sentinel's −∞, so the first backlogged class is
+            // always taken.
+            #[cfg(not(feature = "mutate-pifo-rank"))]
+            let keep = p < best_p;
+            // MUTATED for the conformance smoke-runner: ties keep the
+            // **lower** class.
+            #[cfg(feature = "mutate-pifo-rank")]
+            let keep = best != usize::MAX && p <= best_p;
+            best = select_unpredictable(keep, best, c);
+            best_p = select_unpredictable(keep, best_p, p);
         }
-        best.map(|(c, _)| c)
+        (best != usize::MAX).then_some(best)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn pkt(seq: u64, class: u8, size: u32, at: u64) -> Packet {
         Packet::new(seq, class, size, Time::from_ticks(at))
@@ -334,7 +347,67 @@ mod tests {
         q.push(pkt(1, 5, 10, 0));
     }
 
+    /// The branchy arg-max `select_by` was before it chose by
+    /// `select_unpredictable`, kept verbatim: the oracle the equivalence
+    /// property diffs the rewrite against.
+    fn select_by_branchy<F: FnMut(usize, &Packet) -> f64>(
+        q: &ClassQueues,
+        mut priority: F,
+    ) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (c, queue) in q.queues.iter().enumerate() {
+            let Some(head) = queue.front() else { continue };
+            let p = priority(c, head);
+            match best {
+                // `>=` favors the later (higher) class on ties.
+                Some((_, bp)) if p < bp => {}
+                _ => best = Some((c, p)),
+            }
+        }
+        best.map(|(c, _)| c)
+    }
+
+    /// Ranks drawn from a small palette, so ties are common, with the
+    /// values an arg-max can trip on: ±∞, NaN and both zeros.
+    fn palette_rank(code: u8) -> f64 {
+        match code {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            c => f64::from(c) - 8.0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// `select_by` picks the branchy oracle's winner for 2–16 classes,
+        /// any of them empty, under ties, ±∞ and NaN ranks.
+        #[test]
+        #[cfg_attr(
+            feature = "mutate-pifo-rank",
+            ignore = "tie rule deliberately flipped by the mutation feature"
+        )]
+        fn prop_equivalence_select_by_matches_the_branchy_oracle(
+            classes in prop::collection::vec((prop::bool::ANY, 0u8..12), 2..17),
+        ) {
+            let mut q = ClassQueues::new(classes.len());
+            for (c, &(backlogged, _)) in classes.iter().enumerate() {
+                if backlogged {
+                    q.push(pkt(c as u64, c as u8, 100, 0));
+                }
+            }
+            let rank = |c: usize, _: &Packet| palette_rank(classes[c].1);
+            prop_assert_eq!(q.select_by(rank), select_by_branchy(&q, rank), "{:?}", classes);
+        }
+    }
+
     #[test]
+    #[cfg_attr(
+        feature = "mutate-pifo-rank",
+        ignore = "tie rule deliberately flipped by the mutation feature"
+    )]
     fn select_by_breaks_ties_toward_higher_class() {
         let mut q = ClassQueues::new(3);
         q.push(pkt(1, 0, 10, 0));

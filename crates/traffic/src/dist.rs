@@ -28,6 +28,15 @@ pub enum DistError {
         /// Upper bound supplied.
         hi: f64,
     },
+    /// A load plan's class shares break the rule: every class share is
+    /// positive and finite, and the shares sum to 1.
+    BadClassShare {
+        /// The first class (0-based) whose share is not positive and
+        /// finite; `None` when each share is but their sum is not 1.
+        class: Option<usize>,
+        /// That class's share, or else the sum of the shares.
+        share: f64,
+    },
 }
 
 impl fmt::Display for DistError {
@@ -44,6 +53,13 @@ impl fmt::Display for DistError {
                     f,
                     "uniform bounds must satisfy 0 <= lo <= hi, got [{lo}, {hi}]"
                 )
+            }
+            DistError::BadClassShare { class, share } => {
+                match class {
+                    Some(c) => write!(f, "class {c} (0-based) has share {share}")?,
+                    None => write!(f, "the class shares sum to {share}")?,
+                }
+                f.write_str(": every class share must be positive and finite; shares sum to 1")
             }
         }
     }

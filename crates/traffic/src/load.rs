@@ -35,12 +35,22 @@ impl LoadPlan {
         if !(utilization > 0.0 && utilization.is_finite()) {
             return Err(DistError::NonPositiveMean(utilization));
         }
-        let sum: f64 = class_fractions.iter().sum();
-        if class_fractions.is_empty()
-            || class_fractions.iter().any(|&f| f <= 0.0)
-            || (sum - 1.0).abs() > 1e-6
+        if let Some(c) = class_fractions
+            .iter()
+            .position(|&f| !(f > 0.0 && f.is_finite()))
         {
-            return Err(DistError::BadBounds { lo: sum, hi: 1.0 });
+            let share = class_fractions[c];
+            return Err(DistError::BadClassShare {
+                class: Some(c),
+                share,
+            });
+        }
+        let sum: f64 = class_fractions.iter().sum();
+        if class_fractions.is_empty() || (sum - 1.0).abs() > 1e-6 {
+            return Err(DistError::BadClassShare {
+                class: None,
+                share: sum,
+            });
         }
         Ok(LoadPlan {
             link_rate,
@@ -143,6 +153,42 @@ mod tests {
         assert!(LoadPlan::new(1.0, 0.9, &[0.5, 0.4], SizeDist::paper()).is_err());
         assert!(LoadPlan::new(1.0, 0.9, &[], SizeDist::paper()).is_err());
         assert!(LoadPlan::new(1.0, 0.9, &[1.5, -0.5], SizeDist::paper()).is_err());
+    }
+
+    fn share_error(fractions: &[f64]) -> (Option<usize>, f64, String) {
+        match LoadPlan::new(1.0, 0.9, fractions, SizeDist::paper()) {
+            Err(e @ DistError::BadClassShare { class, share }) => (class, share, e.to_string()),
+            other => panic!("{fractions:?}: expected a class-share error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_bad_class_share_is_named_with_the_rule() {
+        // A negative share and a zero share were reported as uniform
+        // bounds `[sum, 1]`; a NaN share was accepted.
+        let (class, share, message) = share_error(&[0.5, -0.1, 0.3, 0.3]);
+        assert_eq!((class, share), (Some(1), -0.1));
+        assert_eq!(
+            message,
+            "class 1 (0-based) has share -0.1: every class share must be positive and \
+             finite; shares sum to 1"
+        );
+        assert_eq!(share_error(&[0.4, 0.3, 0.2, 0.1, 0.0]).0, Some(4));
+        let (class, share, _) = share_error(&[0.5, f64::NAN, 0.25, 0.25]);
+        assert!(class == Some(1) && share.is_nan());
+        assert_eq!(share_error(&[0.5, f64::INFINITY]).0, Some(1));
+    }
+
+    #[test]
+    fn shares_that_miss_one_report_their_sum() {
+        let (class, share, message) = share_error(&[0.5, 0.25]);
+        assert_eq!((class, share), (None, 0.75));
+        assert!(
+            message.starts_with("the class shares sum to 0.75: "),
+            "{message}"
+        );
+        let (class, share, _) = share_error(&[]);
+        assert_eq!((class, share), (None, 0.0));
     }
 
     #[test]

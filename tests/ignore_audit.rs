@@ -6,7 +6,7 @@
 //! ignored tests anywhere — nothing to re-enable. The only ignores in the
 //! tree are conditional on the one seeded mutation:
 //! `cfg_attr(feature = "mutate-pifo-rank", ignore = ...)` on the tie-rule
-//! tests in `sched::{rank, invariants}` and
+//! tests in `sched::{scheduler, rank, invariants}` and
 //! `cfg_attr(feature = "mutated", ignore = ...)` (the feature that turns
 //! it on) in the conformance layer. They exist so the mutated build does
 //! not report its *intended* failures as test failures.
