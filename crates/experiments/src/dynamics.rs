@@ -263,7 +263,7 @@ impl Cell for DynamicsCell {
     fn execute_shard(&self, scale: Scale, shard: usize) -> Partial {
         let times = cell_seed(self.kind, self.perturbation, scale, scale.seeds()[shard])
             .iter()
-            .map(|t| t.map(|v| Json::Int(v as i64)).unwrap_or(Json::Null))
+            .map(|t| t.map(Json::uint).unwrap_or(Json::Null))
             .collect();
         (Json::obj(vec![("times", Json::Arr(times))]), None)
     }
@@ -281,8 +281,8 @@ impl Cell for DynamicsCell {
                     .map(|t| match t {
                         Json::Null => Ok(None),
                         other => other
-                            .as_i64()
-                            .map(|v| Some(v as u64))
+                            .as_u64()
+                            .map(Some)
                             .ok_or_else(|| format!("{id}: bad settle time")),
                     })
                     .collect()
@@ -391,6 +391,21 @@ mod tests {
             row.settled.iter().any(|&k| k > 0),
             "no pair settled after the flap: {row:?}"
         );
+    }
+
+    #[test]
+    fn a_negative_settle_time_is_a_cache_miss() {
+        let shard = |first: i64| {
+            let times = vec![Json::Int(first), Json::Null, Json::Int(7)];
+            (Json::obj(vec![("times", Json::Arr(times))]), None)
+        };
+        let cell = DynamicsCell {
+            kind: SchedulerKind::Wtp,
+            perturbation: Perturbation::SdpStep,
+        };
+        assert!(cell.merge(TEST_SCALE, &[shard(3), shard(5)]).is_ok());
+        let err = cell.merge(TEST_SCALE, &[shard(3), shard(-1)]).unwrap_err();
+        assert!(err.contains("bad settle time"), "{err}");
     }
 
     #[test]

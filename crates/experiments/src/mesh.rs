@@ -11,22 +11,19 @@
 //! statistics.
 //!
 //! Decomposition makes the cell embarrassingly parallel — the unit of
-//! work is the *link*, not the packet — so it shards two ways with
-//! byte-identical results:
-//!
-//! * **threads** — [`run_decomposed`] dispatches per-link jobs through
-//!   [`crate::parallel_map_on`] (results return in link
-//!   order, composition folds in link order);
-//! * **processes** — [`cell_shard`] computes the aggregate over links
-//!   `l ≡ shard (mod shards)`; [`merge_shards`] folds the shard
-//!   aggregates in shard order. Every aggregate field is an integer sum,
-//!   so the fold is exact and transport-safe.
+//! work is the *link*, not the packet — so it shards by link with
+//! byte-identical results: [`cell_shard`] computes the aggregate over
+//! links `l ≡ shard (mod shards)`, drawing only those links' arrivals, and
+//! [`merge_shards`] folds the shard aggregates in shard order. Every
+//! aggregate field is an integer sum, so the fold is exact and
+//! transport-safe; the runner executes the shards on threads or worker
+//! processes alike.
 //!
 //! The headline numbers are the per-class mean *per-hop* waits (which
 //! Eq. 2 predicts follow the SDP spacing) and the per-class mean
 //! *end-to-end* waits of the probe flows (the composition-law output).
 
-use pdd::netsim::decompose::{DecomposeInput, DecomposedOutcome};
+use pdd::netsim::decompose::DecomposeInput;
 use pdd::netsim::mesh::{FlowModel, MeshConfig};
 use pdd::netsim::topology::splitmix64;
 use pdd::netsim::{CrossTraffic, HostFlow, LinkSpec, Topology, TopologyConfig};
@@ -34,7 +31,7 @@ use pdd::sched::{RankKind, SchedulerKind, Sdp};
 use pdd::telemetry::json::Json;
 
 use crate::cell::{self, Cell, Merged, Partial};
-use crate::{parallel_map_on, Scale};
+use crate::Scale;
 
 /// Schedulers the mesh suite sweeps: the paper's WTP, its HPD refinement,
 /// and WTP again under its rank-core name — one scheduler, two published
@@ -165,24 +162,6 @@ pub fn cell_config(kind: SchedulerKind, scale: Scale) -> MeshConfig {
     }
     .to_mesh()
     .expect("generated mesh is valid by construction")
-}
-
-/// Runs the decomposition with per-link jobs on `workers` threads.
-///
-/// Byte-identical to [`DecomposeInput::run`]: `parallel_map_on` returns
-/// results in input (= link) order and `compose` folds in link order, so
-/// the worker count can never change a bit of the outcome (tested here
-/// and replayed cold/warm by CI).
-pub fn run_decomposed(cfg: &MeshConfig, workers: usize) -> Result<DecomposedOutcome, String> {
-    let input = DecomposeInput::new(cfg)?;
-    let jobs: Vec<_> = (0..input.num_links())
-        .map(|l| {
-            let input = &input;
-            move || input.link_report(l)
-        })
-        .collect();
-    let reports = parallel_map_on(jobs, workers);
-    Ok(input.compose(&reports))
 }
 
 /// One shard's (or the whole cell's) aggregate: integer sums over a set
@@ -354,16 +333,6 @@ pub fn cell_row(kind: SchedulerKind, scale: Scale, total: &MeshShard) -> MeshRow
     }
 }
 
-/// Runs the whole cell in-process: every shard in order, folded. The
-/// suite's [`Cell`] replays exactly this arithmetic from cached shard
-/// partials.
-pub fn cell(kind: SchedulerKind, scale: Scale) -> MeshRow {
-    let shards: Vec<MeshShard> = (0..SHARDS)
-        .map(|s| cell_shard(kind, scale, s, SHARDS))
-        .collect();
-    cell_row(kind, scale, &merge_shards(&shards))
-}
-
 /// One scheduler's decomposed fat-tree fabric cell (links dealt
 /// round-robin across [`SHARDS`] process shards).
 struct MeshCell {
@@ -405,10 +374,10 @@ impl Cell for MeshCell {
     fn execute_shard(&self, scale: Scale, shard: usize) -> Partial {
         let s = cell_shard(self.kind, scale, shard, SHARDS);
         // Integer sums only, so transport is lossless by construction.
-        let ints = |v: &[u64]| Json::Arr(v.iter().map(|&x| Json::Int(x as i64)).collect());
+        let ints = |v: &[u64]| Json::Arr(v.iter().map(|&x| Json::uint(x)).collect());
         let partial = Json::obj(vec![
-            ("links", Json::Int(s.links as i64)),
-            ("departures", Json::Int(s.departures as i64)),
+            ("links", Json::uint(s.links)),
+            ("departures", Json::uint(s.departures)),
             ("class_hop_packets", ints(&s.class_hop_packets)),
             ("class_hop_wait_sum", ints(&s.class_hop_wait_sum)),
             ("probe_wait_sum", ints(&s.probe_wait_sum)),
@@ -439,14 +408,13 @@ impl Cell for MeshCell {
     }
 }
 
-/// Decodes a mesh shard partial, rejecting anything malformed so the
-/// runner treats it as a cache miss.
+/// Decodes a mesh shard partial, rejecting anything malformed — a
+/// negative count included — so the runner treats it as a cache miss.
 fn decode_shard(partial: &Json, id: &str) -> Result<MeshShard, String> {
     let int = |field: &str| -> Result<u64, String> {
         partial
             .get(field)
-            .and_then(Json::as_i64)
-            .map(|v| v as u64)
+            .and_then(Json::as_u64)
             .ok_or_else(|| format!("{id}: shard lacks `{field}`"))
     };
     let ints = |field: &str| -> Result<Vec<u64>, String> {
@@ -456,9 +424,8 @@ fn decode_shard(partial: &Json, id: &str) -> Result<MeshShard, String> {
             .ok_or_else(|| format!("{id}: shard lacks `{field}`"))?
             .iter()
             .map(|v| {
-                v.as_i64()
-                    .map(|x| x as u64)
-                    .ok_or_else(|| format!("{id}: non-integer entry in `{field}`"))
+                v.as_u64()
+                    .ok_or_else(|| format!("{id}: non-count entry in `{field}`"))
             })
             .collect()
     };
@@ -550,28 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn run_decomposed_is_worker_invariant() {
-        let cfg = cell_config(SchedulerKind::Wtp, SCALE);
-        let one = run_decomposed(&cfg, 1).unwrap();
-        for workers in [2, 5] {
-            let many = run_decomposed(&cfg, workers).unwrap();
-            assert_eq!(
-                one.per_flow_mean_wait
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                many.per_flow_mean_wait
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect::<Vec<_>>(),
-                "workers={workers}"
-            );
-            assert_eq!(one.class_hop_wait_sum, many.class_hop_wait_sum);
-            assert_eq!(one.link_departures, many.link_departures);
-        }
-    }
-
-    #[test]
     fn shards_fold_to_the_monolithic_aggregate() {
         let kind = SchedulerKind::Wtp;
         let whole = cell_shard(kind, SCALE, 0, 1);
@@ -581,9 +526,60 @@ mod tests {
         assert_eq!(merge_shards(&parts), whole);
     }
 
+    /// FNV-1a over every field of the quick-scale WTP cell's four shard
+    /// aggregates, captured while the decomposition precomputed every
+    /// flow's emissions into one whole-fabric table.
+    const PINNED_DECOMPOSED_QUICK_SHARDS: u64 = 0x084e_cc3f_d284_c0bc;
+
+    #[test]
+    fn quick_shard_aggregates_are_pinned() {
+        let digest = (0..SHARDS)
+            .map(|s| cell_shard(SchedulerKind::Wtp, Scale::Quick, s, SHARDS))
+            .flat_map(|s| {
+                let mut w = vec![s.links, s.departures];
+                w.extend(s.class_hop_packets.iter().chain(&s.class_hop_wait_sum));
+                w.extend(s.probe_wait_sum.iter().chain(&s.probe_hop_packets));
+                w
+            })
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+                (w.to_le_bytes().iter()).fold(h, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+                })
+            });
+        assert_eq!(
+            digest, PINNED_DECOMPOSED_QUICK_SHARDS,
+            "digest {digest:#018x}"
+        );
+    }
+
+    #[test]
+    fn a_negative_count_is_a_cache_miss() {
+        let shard = |links: i64| {
+            let zeros = Json::Arr(vec![Json::Int(0); 4]);
+            let partial = Json::obj(vec![
+                ("links", Json::Int(links)),
+                ("departures", Json::Int(0)),
+                ("class_hop_packets", zeros.clone()),
+                ("class_hop_wait_sum", zeros.clone()),
+                ("probe_wait_sum", zeros.clone()),
+                ("probe_hop_packets", zeros),
+            ]);
+            (partial, None)
+        };
+        let cell = MeshCell {
+            kind: SchedulerKind::Wtp,
+        };
+        assert!(cell.merge(SCALE, &[shard(1), shard(0)]).is_ok());
+        let err = cell.merge(SCALE, &[shard(1), shard(-1)]).unwrap_err();
+        assert!(err.contains("`links`"), "{err}");
+    }
+
     #[test]
     fn probe_classes_see_differentiated_waits() {
-        let row = cell(SchedulerKind::Wtp, SCALE);
+        let shards: Vec<MeshShard> = (0..SHARDS)
+            .map(|s| cell_shard(SchedulerKind::Wtp, SCALE, s, SHARDS))
+            .collect();
+        let row = cell_row(SchedulerKind::Wtp, SCALE, &merge_shards(&shards));
         assert_eq!(row.links, 96);
         assert!(row.packet_hops > 0);
         assert!(

@@ -6,10 +6,10 @@
 //! shape — and composes per-flow end-to-end delay from the per-hop
 //! results:
 //!
-//! 1. Every flow's emission instants are precomputed from the clock the
-//!    mesh engine's `Emit` events read (`emission::ParetoClock` — the same
-//!    code, not a copy of it), so the two engines agree on the offered
-//!    load.
+//! 1. A link draws the emission instants of the flows crossing it — and
+//!    no others — when it is simulated, from the clock the mesh engine's
+//!    `Emit` events read (`emission::ParetoClock` — the same code, not a
+//!    copy of it), so the two engines agree on the offered load.
 //! 2. A packet's arrival at hop *h* is its emission time shifted by the
 //!    sum of upstream *transmission + propagation* times — upstream
 //!    **queueing is ignored**. This is the decomposition approximation:
@@ -26,8 +26,9 @@
 //! Because every [`LinkReport`] is a pure function of `(config, link)` and
 //! composition always folds in ascending link order, the outcome is
 //! **byte-identical** no matter how the per-link jobs are scheduled —
-//! serial, work-stealing threads, or process shards (the
-//! `experiments::mesh` driver and the orchestrator farm rely on this).
+//! serial, or link shards on threads or worker processes (the `mesh`
+//! suite's `experiments::mesh::cell_shard` and the orchestrator farm rely
+//! on this).
 //!
 //! The approximation error (upstream queueing shifts arrival phases) is
 //! quantified by `crates/conformance` against the exact engine on small
@@ -39,7 +40,7 @@ use traffic::TraceEntry;
 
 use crate::emission::ParetoClock;
 use crate::link::tx_ticks;
-use crate::mesh::{FlowModel, MeshConfig};
+use crate::mesh::{FlowModel, MeshConfig, MeshFlow};
 
 /// Per-link simulation result: everything needed to compose end-to-end
 /// delays, in mergeable form (plain sums and lossless histograms).
@@ -98,51 +99,44 @@ impl DecomposedOutcome {
     }
 }
 
-/// A mesh prepared for decomposition: per-flow emission schedules and
-/// per-link flow assignments, precomputed once so each
-/// [`link_report`](DecomposeInput::link_report) call is an independent,
-/// pure job.
+/// A mesh prepared for decomposition: per-link flow assignments, computed
+/// once so each [`link_report`](DecomposeInput::link_report) call is an
+/// independent, pure job.
 #[derive(Debug, Clone)]
 pub struct DecomposeInput {
     cfg: MeshConfig,
-    /// `emissions[f]` = flow f's packet emission instants, ascending.
-    emissions: Vec<Vec<u64>>,
     /// `assignments[l]` = `(flow, arrival_offset)` for every flow whose
     /// route crosses link `l`, ascending by flow.
     assignments: Vec<Vec<(u32, u64)>>,
 }
 
-/// Flow `i`'s emission instants: the schedule the mesh engine's `Emit`
-/// events follow, read off the same [`ParetoClock`].
-fn flow_emissions(cfg: &MeshConfig, i: usize, f: &crate::mesh::MeshFlow) -> Vec<u64> {
+/// Hands flow `i`'s emission instants, ascending, to `emit`: the schedule
+/// the mesh engine's `Emit` events follow, read off the same
+/// [`ParetoClock`].
+fn flow_emissions(cfg: &MeshConfig, i: usize, f: &MeshFlow, mut emit: impl FnMut(u64)) {
     match f.model {
-        FlowModel::Periodic { gap_ticks, count } => (0..count as u64)
-            .map(|n| f.start_ticks + n * gap_ticks)
-            .collect(),
+        FlowModel::Periodic { gap_ticks, count } => {
+            (0..u64::from(count)).for_each(|n| emit(f.start_ticks + n * gap_ticks));
+        }
         FlowModel::Pareto {
             mean_gap_ticks,
             until_ticks,
         } => {
             // The first packet goes out at the start instant unconditionally,
             // exactly like the engine's initial Emit event.
-            let clock = ParetoClock::new(cfg.seed, i, f.start_ticks, mean_gap_ticks, until_ticks);
-            std::iter::once(f.start_ticks).chain(clock).collect()
+            emit(f.start_ticks);
+            ParetoClock::new(cfg.seed, i, f.start_ticks, mean_gap_ticks, until_ticks)
+                .for_each(emit);
         }
     }
 }
 
 impl DecomposeInput {
-    /// Validates the mesh and precomputes emissions and link assignments.
-    /// The arrival offset of flow f at hop h is
+    /// Validates the mesh and assigns every flow to the links on its
+    /// route. The arrival offset of flow f at hop h is
     /// `Σ_{j<h} (tx_ticks(link_j) + propagation_ns(link_j))`.
     pub fn new(cfg: &MeshConfig) -> Result<DecomposeInput, String> {
         cfg.validate()?;
-        let emissions: Vec<Vec<u64>> = cfg
-            .flows
-            .iter()
-            .enumerate()
-            .map(|(i, f)| flow_emissions(cfg, i, f))
-            .collect();
         let mut assignments: Vec<Vec<(u32, u64)>> = vec![Vec::new(); cfg.links.len()];
         for (i, f) in cfg.flows.iter().enumerate() {
             let mut offset = 0u64;
@@ -154,14 +148,8 @@ impl DecomposeInput {
         }
         Ok(DecomposeInput {
             cfg: cfg.clone(),
-            emissions,
             assignments,
         })
-    }
-
-    /// The prepared mesh.
-    pub fn config(&self) -> &MeshConfig {
-        &self.cfg
     }
 
     /// Number of links (= number of independent jobs).
@@ -169,22 +157,28 @@ impl DecomposeInput {
         self.cfg.links.len()
     }
 
-    /// Simulates link `link` in isolation: merges the shifted emission
-    /// schedules of every flow crossing it (ties broken by flow index,
-    /// then emission index — fully deterministic), replays them through
-    /// the link's scheduler, and accumulates waits.
+    /// Simulates link `link` in isolation: draws the emission schedules of
+    /// the flows crossing it, shifts and merges them (ties broken by flow
+    /// index, then emission index — fully deterministic), replays them
+    /// through the link's scheduler, and accumulates waits.
     ///
     /// A pure function of `(self, link)`: safe to run in any order, on
     /// any thread or process.
     pub fn link_report(&self, link: usize) -> LinkReport {
         let spec = &self.cfg.links[link];
         let nc = self.cfg.sdp.num_classes();
-        // (arrival, flow): sorting pairs gives the (time, flow) tiebreak;
-        // per-flow emission order is preserved because each flow's shifted
-        // schedule is already ascending.
+        let assigned = &self.assignments[link];
+        let flows = &self.cfg.flows;
+        // (arrival, slot in `assigned`): the slots ascend by flow, so
+        // sorting pairs gives the (time, flow) tiebreak; per-flow emission
+        // order is preserved because each flow's shifted schedule is
+        // already ascending.
         let mut arrivals: Vec<(u64, u32)> = Vec::new();
-        for &(f, offset) in &self.assignments[link] {
-            arrivals.extend(self.emissions[f as usize].iter().map(|&e| (e + offset, f)));
+        for (slot, &(f, offset)) in assigned.iter().enumerate() {
+            let slot = slot as u32;
+            flow_emissions(&self.cfg, f as usize, &flows[f as usize], |e| {
+                arrivals.push((e + offset, slot));
+            });
         }
         arrivals.sort_unstable();
         let mut scheduler = spec.scheduler.build(&self.cfg.sdp, spec.bytes_per_tick());
@@ -196,30 +190,31 @@ impl DecomposeInput {
             class_hist: vec![Histogram::new(); nc],
             flow_wait: Vec::new(),
         };
-        let mut flow_acc: std::collections::HashMap<u32, (u64, u64)> = Default::default();
-        let flows = &self.cfg.flows;
-        let entries = arrivals.iter().map(|&(at, f)| TraceEntry {
-            at: Time::from_ticks(at),
-            class: flows[f as usize].class,
-            size: flows[f as usize].packet_bytes,
+        // (wait_sum, packets) per slot of `assigned`.
+        let mut flow_acc = vec![(0u64, 0u64); assigned.len()];
+        let entries = arrivals.iter().map(|&(at, slot)| {
+            let f = &flows[assigned[slot as usize].0 as usize];
+            TraceEntry {
+                at: Time::from_ticks(at),
+                class: f.class,
+                size: f.packet_bytes,
+            }
         });
         qsim::Session::arrivals(entries, spec.bytes_per_tick()).run(scheduler.as_mut(), |d| {
-            let (_, f) = arrivals[d.packet.seq as usize];
+            let (_, slot) = arrivals[d.packet.seq as usize];
             let wait = d.wait().ticks();
             let c = d.packet.class as usize;
             report.departures += 1;
             report.class_packets[c] += 1;
             report.class_wait_sum[c] += wait;
             report.class_hist[c].record_u64(wait);
-            let acc = flow_acc.entry(f).or_insert((0, 0));
+            let acc = &mut flow_acc[slot as usize];
             acc.0 += wait;
             acc.1 += 1;
         });
-        report.flow_wait = flow_acc
-            .into_iter()
-            .map(|(f, (sum, n))| (f, sum, n))
+        report.flow_wait = (assigned.iter().zip(flow_acc))
+            .map(|(&(f, _), (sum, n))| (f, sum, n))
             .collect();
-        report.flow_wait.sort_unstable();
         report
     }
 
@@ -272,9 +267,8 @@ impl DecomposeInput {
         out
     }
 
-    /// Serial convenience: every link in order, then compose. The parallel
-    /// driver lives in `experiments::mesh::run_decomposed` (work-stealing
-    /// over links) and produces byte-identical results.
+    /// Serial convenience: every link in order, then compose. Any other
+    /// schedule of the per-link jobs composes to the same bytes.
     pub fn run(&self) -> DecomposedOutcome {
         let reports: Vec<LinkReport> = (0..self.num_links()).map(|l| self.link_report(l)).collect();
         self.compose(&reports)
@@ -285,7 +279,6 @@ impl DecomposeInput {
 mod tests {
     use super::*;
     use crate::link::LinkSpec;
-    use crate::mesh::MeshFlow;
     use sched::{SchedulerKind, Sdp};
 
     const MBPS25: f64 = 25_000_000.0;
@@ -409,23 +402,116 @@ mod tests {
         };
         let mut log = EmitLog(vec![Vec::new(); 3]);
         crate::Session::mesh(&cfg).probe(&mut log).run();
-        let input = DecomposeInput::new(&cfg).unwrap();
-        assert_eq!(log.0, input.emissions);
-        let nudged = (input.emissions[1].windows(2))
+        let emissions: Vec<Vec<u64>> = (cfg.flows.iter().enumerate())
+            .map(|(i, f)| {
+                let mut e = Vec::new();
+                flow_emissions(&cfg, i, f, |t| e.push(t));
+                e
+            })
+            .collect();
+        assert_eq!(log.0, emissions);
+        let nudged = (emissions[1].windows(2))
             .filter(|w| w[1] == w[0] + 1)
             .count();
         assert!(nudged > 300, "{nudged} adjacent emissions");
-        assert!(input.emissions.iter().all(|e| e.len() > 300));
-        let digest = input
-            .emissions
-            .iter()
-            .flatten()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, t| {
-                (t.to_le_bytes().iter()).fold(h, |h, &b| {
-                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-                })
-            });
+        assert!(emissions.iter().all(|e| e.len() > 300));
+        let digest = fnv1a(emissions.into_iter().flatten());
         assert_eq!(digest, PINNED_PARETO_EMISSIONS, "digest {digest:#018x}");
+    }
+
+    /// FNV-1a over little-endian `u64` words.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, w| {
+            (w.to_le_bytes().iter()).fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        })
+    }
+
+    /// Every report's counts, wait sums, histogram bins and `flow_wait`
+    /// triples, then the composed outcome: flow mean bits and packets,
+    /// class hop sums and bins, flow-mean summaries, link departures.
+    fn decomposition_words(input: &DecomposeInput) -> Vec<u64> {
+        let reports: Vec<LinkReport> = (0..input.num_links())
+            .map(|l| input.link_report(l))
+            .collect();
+        let mut w = Vec::new();
+        for r in &reports {
+            w.extend([r.link as u64, r.departures]);
+            w.extend(r.class_packets.iter().chain(&r.class_wait_sum));
+            w.extend(r.class_hist.iter().flat_map(|h| h.bins().iter().copied()));
+            w.extend(
+                r.flow_wait
+                    .iter()
+                    .flat_map(|&(f, s, n)| [u64::from(f), s, n]),
+            );
+        }
+        let out = input.compose(&reports);
+        w.extend(out.per_flow_mean_wait.iter().map(|x| x.to_bits()));
+        w.extend(out.per_flow_packets.iter().chain(&out.class_hop_packets));
+        w.extend(&out.class_hop_wait_sum);
+        w.extend(
+            out.class_hop_hist
+                .iter()
+                .flat_map(|h| h.bins().iter().copied()),
+        );
+        w.extend((out.class_flow_e2e.iter()).flat_map(|s| [s.count(), s.mean().to_bits()]));
+        w.extend(&out.link_departures);
+        w
+    }
+
+    /// [`decomposition_words`] of [`tie_heavy_decomposition`]'s mesh,
+    /// captured while every flow's emissions were precomputed into one
+    /// whole-fabric table and a link sorted `(arrival, flow)` pairs.
+    const PINNED_DECOMPOSED_TIES: u64 = 0x869d_3a36_90d0_cb87;
+
+    #[test]
+    fn tie_heavy_decomposition_is_pinned() {
+        // Link 2 is shared by everything. Flows 0 and 1 (one class,
+        // different sizes) and flow 2 leave link 0 together and reach
+        // link 2 on one tick, where flow 5's periodic start joins them;
+        // flows 3 and 4 are multi-hop Pareto flows. Every link has its
+        // own propagation delay, so offsets differ per hop.
+        let flow = |route: Vec<usize>, class, packet_bytes, model, start_ticks| MeshFlow {
+            route,
+            class,
+            packet_bytes,
+            model,
+            start_ticks,
+        };
+        let every = |gap_ticks, count| FlowModel::Periodic { gap_ticks, count };
+        let pareto = |mean_gap_ticks| FlowModel::Pareto {
+            mean_gap_ticks,
+            until_ticks: 40_000_000,
+        };
+        let link = |kind, prop| LinkSpec::new(MBPS25, kind).with_propagation(prop);
+        let cfg = MeshConfig {
+            sdp: Sdp::paper_default(),
+            links: vec![
+                link(SchedulerKind::Wtp, 3_000),
+                link(SchedulerKind::Hpd, 7_000),
+                link(SchedulerKind::Wtp, 1_000),
+            ],
+            flows: vec![
+                flow(vec![0, 2], 1, 500, every(1_500_000, 30), 0),
+                flow(vec![0, 2], 1, 1_000, every(1_500_000, 30), 0),
+                flow(vec![0, 2], 3, 500, every(750_000, 60), 0),
+                flow(vec![1, 2], 0, 700, pareto(2_000_000.0), 5),
+                flow(vec![0, 1, 2], 2, 300, pareto(1_250_000.0), 0),
+                flow(vec![2], 0, 500, every(1_500_000, 30), 163_000),
+            ],
+            seed: 17,
+        };
+        let input = DecomposeInput::new(&cfg).unwrap();
+        let words = decomposition_words(&input);
+        // Ties really happen: the first hop's 500-byte packets reach link
+        // 2 on flow 5's start tick.
+        assert_eq!(
+            tx_ticks(500, cfg.links[0].bytes_per_tick()) + 3_000,
+            163_000
+        );
+        let digest = fnv1a(words);
+        assert_eq!(digest, PINNED_DECOMPOSED_TIES, "digest {digest:#018x}");
     }
 
     #[test]

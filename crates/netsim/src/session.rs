@@ -173,13 +173,6 @@ impl<'a, P: Probe> Session<MeshWorkload<'a>, P> {
 }
 
 impl<P: Probe> Session<TopologyWorkload, P> {
-    /// The lowered mesh (resolved routes, materialized cross traffic).
-    /// Useful for inspecting route choices or feeding the decomposition
-    /// engine directly.
-    pub fn mesh_config(&self) -> &MeshConfig {
-        &self.workload.cfg
-    }
-
     /// Runs the lowered mesh through the **exact** event loop — every
     /// link coupled, tractable for small fabrics. The session owns the
     /// lowered mesh and gives it up to the engine, which frees it before
@@ -192,9 +185,9 @@ impl<P: Probe> Session<TopologyWorkload, P> {
 
     /// Runs the **decomposed** approximation serially: independent
     /// per-link simulations composed in link order (see
-    /// [`decompose`](crate::decompose)). The parallel driver is
-    /// `experiments::mesh::run_decomposed`, which produces byte-identical
-    /// results.
+    /// [`decompose`](crate::decompose)). Each link's report depends on
+    /// nothing but the mesh and the link, so the `mesh` suite's process
+    /// shards (`experiments::mesh::cell_shard`) compute the same reports.
     ///
     /// # Panics
     /// Panics if a scenario is attached — the decomposition has no notion

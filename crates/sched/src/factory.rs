@@ -84,31 +84,22 @@ impl SchedulerKind {
     /// count). `link_rate` (bytes/tick) is needed by the rate-based
     /// schedulers.
     pub fn build(&self, sdp: &Sdp, link_rate: f64) -> Box<dyn Scheduler> {
-        match self {
-            SchedulerKind::Fcfs => Box::new(Fcfs::new(sdp.num_classes())),
-            SchedulerKind::Strict => Box::new(self.core(sdp, StrictRank)),
-            SchedulerKind::Wtp | SchedulerKind::Pifo(RankKind::Wtp) => {
-                Box::new(self.core(sdp, WtpRank::new(sdp.clone())))
-            }
-            SchedulerKind::Bpr => Box::new(Bpr::new(sdp.clone(), link_rate)),
-            SchedulerKind::Wfq => Box::new(Wfq::new(sdp.clone(), link_rate)),
-            SchedulerKind::Wf2q => Box::new(Wf2q::new(sdp.clone())),
-            SchedulerKind::Scfq => Box::new(Scfq::new(sdp.clone())),
-            SchedulerKind::Drr => Box::new(Drr::new(sdp.clone(), 1500)),
-            SchedulerKind::Additive => Box::new(self.core(sdp, AdditiveRank::new(sdp.clone()))),
-            SchedulerKind::Pad => Box::new(self.core(sdp, PadRank::new(sdp.clone()))),
-            SchedulerKind::Hpd => Box::new(self.core(sdp, HpdRank::with_default_g(sdp.clone()))),
-            SchedulerKind::Pifo(RankKind::Lstf) => {
-                Box::new(self.core(sdp, LstfRank::with_default_base(sdp.clone())))
+        struct Boxed;
+        impl SchedulerVisitor for Boxed {
+            type Out = Box<dyn Scheduler>;
+            fn visit<S: Scheduler + Clone + 'static>(self, scheduler: S) -> Self::Out {
+                Box::new(scheduler)
             }
         }
+        self.build_and_visit(sdp, link_rate, Boxed)
     }
 
     /// Builds the scheduler **unboxed** and hands it to `visitor`,
     /// monomorphizing the visitor's body once per concrete scheduler type.
     ///
-    /// This is the static-dispatch counterpart of [`SchedulerKind::build`]:
-    /// hot loops written against a generic `S: Scheduler` (such as
+    /// This is the one place a kind becomes a scheduler —
+    /// [`SchedulerKind::build`] is a visitor that boxes it — so hot loops
+    /// written against a generic `S: Scheduler` (such as
     /// `qsim::Session::run`) get devirtualized per-packet calls while the
     /// scheduler choice stays a runtime value.
     pub fn build_and_visit<V: SchedulerVisitor>(&self, sdp: &Sdp, link_rate: f64, v: V) -> V::Out {
@@ -161,7 +152,7 @@ pub trait SchedulerVisitor {
     /// concrete scheduler is `Clone`, so a visitor serving several links
     /// can clone the pristine one per link and
     /// [`set_link_rate`](Scheduler::set_link_rate) each.
-    fn visit<S: Scheduler + Clone>(self, scheduler: S) -> Self::Out;
+    fn visit<S: Scheduler + Clone + 'static>(self, scheduler: S) -> Self::Out;
 }
 
 impl fmt::Display for SchedulerKind {
