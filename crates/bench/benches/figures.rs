@@ -20,8 +20,9 @@ fn bench_fig2(c: &mut Criterion) {
 }
 
 fn bench_fig3(c: &mut Criterion) {
+    let wtp = &fig3::cells()[0];
     c.bench_function("fig3_cell_wtp_tau_ladder", |b| {
-        b.iter(|| fig3::cell(SchedulerKind::Wtp, Scale::Bench))
+        b.iter(|| wtp.execute(Scale::Bench))
     });
 }
 
@@ -32,8 +33,9 @@ fn bench_fig45(c: &mut Criterion) {
 }
 
 fn bench_ablation_schedulers(c: &mut Criterion) {
+    let shootout = &ablations::shootout_cells()[0];
     c.bench_function("ablation_scheduler_shootout", |b| {
-        b.iter(|| ablations::schedulers(Scale::Bench))
+        b.iter(|| shootout.execute(Scale::Bench))
     });
 }
 

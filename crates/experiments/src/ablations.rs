@@ -1,106 +1,98 @@
 //! Ablations: the design-choice studies DESIGN.md calls out.
 //!
-//! * [`schedulers`] — every scheduler on identical traffic: shows why §2.1
+//! * `shootout` — every scheduler on identical traffic: shows why §2.1
 //!   rejects strict priority and capacity differentiation, and how the PAD
 //!   and HPD extensions repair WTP's moderate-load undershoot.
 //! * [`feasibility_cell`] — maps the feasible DDP region of Eq. (7) by
 //!   sweeping spacing ratios and utilizations.
 //! * [`starvation`] — Proposition 2 demonstrated empirically: the SDP-ratio
 //!   threshold at which a high-class burst starves lower classes.
-//! * [`moderate_load_cell`] — quantifies the ρ = 0.70 "ratio ≈ 1.5 when it
+//! * `moderate-load` — quantifies the ρ = 0.70 "ratio ≈ 1.5 when it
 //!   should be 2" observation across schedulers.
-//! * [`plr_cell`], [`additive`], [`analytic`], [`mixed_path_cell`] — the
-//!   §7 loss extension, the Eq. (3) contrast, the M/G/1 cross-check, and
+//! * [`plr_cell`], `additive`, `analytic`, [`mixed_path_cell`] — the §7
+//!   loss extension, the Eq. (3) contrast, the M/G/1 cross-check, and
 //!   partial deployment.
 //!
-//! Each study is its own suite: the measurement function, then its grid,
-//! [`Cell`] and markdown block.
+//! Each study is its own suite: the measurement, then its grid, cell and
+//! markdown block. The seed-swept studies (`shootout`, `moderate-load`,
+//! `additive`, `analytic`) are [`SeedCell`]s, one shard per seed.
 
 use pdd::model::{Ddp, ProportionalModel};
-use pdd::qsim::Experiment;
+use pdd::qsim::{Experiment, SeedResult, Session};
 use pdd::sched::{Packet, PifoCore, Scheduler, SchedulerKind, Sdp, WtpRank};
 use pdd::simcore::{Dur, Time};
+use pdd::stats::Summary;
 use pdd::telemetry::json::Json;
-use pdd::traffic::Trace;
+use pdd::telemetry::{MetricsRegistry, NoopProbe};
+use pdd::traffic::{IatDist, LoadPlan, SizeDist, Trace, PAPER_MEAN_PACKET_BYTES};
 
-use crate::cell::{self, Cell, Partial};
-use crate::{parallel_map, Scale};
+use crate::cell::{self, Cell, Partial, Seed, SeedCell};
+use crate::Scale;
 
-/// A suite of one parameterless cell: `run` measures and encodes it.
-struct Whole {
-    group: &'static str,
-    run: fn(Scale) -> Json,
+/// Successive class pairs of the paper's four classes: a ratio row's width.
+const PAIRS: usize = 3;
+
+/// One seed of the paper's Study-A link at utilization `rho` (SDPs
+/// 1,2,4,8): each scheduler of `kinds` replaying the seed's trace, as its
+/// successive-class ratios.
+fn paper_ratio_rows(rho: f64, kinds: &[SchedulerKind], scale: Scale, seed: u64) -> Json {
+    let e = Experiment::paper(rho, Sdp::paper_default(), scale.punits(), vec![seed]);
+    cell::seed_rows(
+        &e,
+        kinds,
+        seed,
+        &mut NoopProbe,
+        SeedResult::successive_ratios,
+    )
 }
 
-impl Whole {
-    fn cells(group: &'static str, run: fn(Scale) -> Json) -> Vec<Box<dyn Cell>> {
-        vec![Box::new(Whole { group, run })]
-    }
-}
-
-impl Cell for Whole {
-    fn id(&self) -> String {
-        self.group.into()
-    }
-
-    fn params(&self) -> Json {
-        cell::params(self.group, vec![])
-    }
-
-    fn execute_shard(&self, scale: Scale, _shard: usize) -> Partial {
-        ((self.run)(scale), None)
-    }
-}
-
-/// Result of the scheduler shoot-out.
-#[derive(Debug, Clone)]
-pub struct SchedulerShootout {
-    /// `(scheduler, per-pair ratios, mean deviation from target)` at
-    /// ρ = 0.95, target spacing 2.
-    pub rows: Vec<(SchedulerKind, Vec<f64>, f64)>,
-}
-
-/// Runs every scheduler on the same traces (ρ = 0.95, SDPs 1,2,4,8).
-pub fn schedulers(scale: Scale) -> SchedulerShootout {
-    let e = Experiment::paper(0.95, Sdp::paper_default(), scale.punits(), scale.seeds());
-    let kinds = SchedulerKind::ALL;
-    let results = e.run_many(&kinds);
-    SchedulerShootout {
-        rows: kinds
-            .iter()
-            .zip(results)
-            .map(|(&k, r)| (k, r.ratios.clone(), r.ratio_deviation()))
-            .collect(),
-    }
-}
-
-impl SchedulerShootout {
-    /// Deviation of one scheduler.
-    pub fn deviation(&self, kind: SchedulerKind) -> f64 {
-        self.rows
-            .iter()
-            .find(|(k, _, _)| *k == kind)
-            .map(|(_, _, d)| *d)
-            .expect("kind present")
-    }
-}
+/// The scheduler shoot-out: every scheduler on the same traces (ρ = 0.95,
+/// SDPs 1,2,4,8), each one's ratios and mean deviation from the targets.
+struct ShootoutCell;
 
 /// The `shootout` suite: one cell.
 pub fn shootout_cells() -> Vec<Box<dyn Cell>> {
-    Whole::cells("shootout", |scale| {
-        let rows = schedulers(scale)
-            .rows
+    vec![Box::new(ShootoutCell)]
+}
+
+impl SeedCell for ShootoutCell {
+    fn id(&self) -> String {
+        "shootout".into()
+    }
+
+    fn params(&self) -> Json {
+        cell::params("shootout", vec![])
+    }
+
+    fn measure(&self, scale: Scale, seed: u64) -> (Json, Option<MetricsRegistry>) {
+        (
+            paper_ratio_rows(0.95, &SchedulerKind::ALL, scale, seed),
+            None,
+        )
+    }
+
+    /// Each scheduler's ratios averaged over the seeds, and their mean
+    /// absolute relative deviation from the targets.
+    fn fold(&self, _scale: Scale, seeds: &[Seed]) -> Result<Json, String> {
+        let targets = Sdp::paper_default().target_ratios();
+        let ratios = cell::average_seed_rows(seeds, SchedulerKind::ALL.len(), PAIRS)?;
+        let rows = SchedulerKind::ALL
             .iter()
-            .map(|(k, ratios, dev)| {
+            .zip(&ratios)
+            .map(|(k, ratios)| {
+                let deviation = (ratios.iter().zip(&targets))
+                    .map(|(r, t)| (r - t).abs() / t)
+                    .sum::<f64>()
+                    / ratios.len() as f64;
                 Json::obj(vec![
                     ("scheduler", Json::Str(k.name().into())),
                     ("ratios", Json::nums(ratios)),
-                    ("deviation", Json::num(*dev)),
+                    ("deviation", Json::num(deviation)),
                 ])
             })
             .collect();
-        Json::obj(vec![("rows", Json::Arr(rows))])
-    })
+        Ok(Json::obj(vec![("rows", Json::Arr(rows))]))
+    }
 }
 
 /// The `shootout` block.
@@ -326,9 +318,24 @@ pub fn starvation() -> Vec<StarvationProbe> {
         .collect()
 }
 
-/// The `starvation` suite: one pure cell (no scale).
+/// The Proposition-2 probes: one pure cell, the same at every scale.
+struct StarvationCell;
+
+/// The `starvation` suite: one cell.
 pub fn starvation_cells() -> Vec<Box<dyn Cell>> {
-    Whole::cells("starvation", |_scale| {
+    vec![Box::new(StarvationCell)]
+}
+
+impl Cell for StarvationCell {
+    fn id(&self) -> String {
+        "starvation".into()
+    }
+
+    fn params(&self) -> Json {
+        cell::params("starvation", vec![])
+    }
+
+    fn execute_shard(&self, _scale: Scale, _shard: usize) -> Partial {
         let rows = starvation()
             .iter()
             .map(|p| {
@@ -341,8 +348,8 @@ pub fn starvation_cells() -> Vec<Box<dyn Cell>> {
                 ])
             })
             .collect();
-        Json::obj(vec![("probes", Json::Arr(rows))])
-    })
+        (Json::obj(vec![("probes", Json::Arr(rows))]), None)
+    }
 }
 
 /// The `starvation` block.
@@ -388,24 +395,13 @@ pub fn starvation_table(merged: &Json) -> Option<String> {
 /// The utilizations swept by the moderate-load ablation.
 pub const MODERATE_LOAD_UTILS: [f64; 4] = [0.70, 0.80, 0.90, 0.95];
 
-/// Measures one moderate-load point: all four schedulers at one
-/// utilization, returning `(scheduler, mean successive ratio)` rows.
-pub fn moderate_load_cell(rho: f64, scale: Scale) -> (f64, Vec<(SchedulerKind, f64)>) {
-    let kinds = [
-        SchedulerKind::Wtp,
-        SchedulerKind::Bpr,
-        SchedulerKind::Pad,
-        SchedulerKind::Hpd,
-    ];
-    let e = Experiment::paper(rho, Sdp::paper_default(), scale.punits(), scale.seeds());
-    let results = e.run_many(&kinds);
-    let rows = kinds
-        .iter()
-        .zip(results)
-        .map(|(&k, r)| (k, r.ratios.iter().sum::<f64>() / r.ratios.len() as f64))
-        .collect();
-    (rho, rows)
-}
+/// The schedulers the moderate-load ablation compares.
+const MODERATE_LOAD_KINDS: [SchedulerKind; 4] = [
+    SchedulerKind::Wtp,
+    SchedulerKind::Bpr,
+    SchedulerKind::Pad,
+    SchedulerKind::Hpd,
+];
 
 /// One utilization point of the moderate-load undershoot ablation.
 struct ModerateLoadCell {
@@ -420,7 +416,7 @@ pub fn moderate_load_cells() -> Vec<Box<dyn Cell>> {
         .collect()
 }
 
-impl Cell for ModerateLoadCell {
+impl SeedCell for ModerateLoadCell {
     fn id(&self) -> String {
         cell::sanitize(format!("moderate-load-u{}", self.utilization))
     }
@@ -432,22 +428,30 @@ impl Cell for ModerateLoadCell {
         )
     }
 
-    fn execute_shard(&self, scale: Scale, _shard: usize) -> Partial {
-        let (rho, rows) = moderate_load_cell(self.utilization, scale);
-        let rows = rows
+    fn measure(&self, scale: Scale, seed: u64) -> (Json, Option<MetricsRegistry>) {
+        let rows = paper_ratio_rows(self.utilization, &MODERATE_LOAD_KINDS, scale, seed);
+        (rows, None)
+    }
+
+    /// Each scheduler's ratios averaged over the seeds, then over the
+    /// class pairs.
+    fn fold(&self, _scale: Scale, seeds: &[Seed]) -> Result<Json, String> {
+        let ratios = cell::average_seed_rows(seeds, MODERATE_LOAD_KINDS.len(), PAIRS)?;
+        let rows = MODERATE_LOAD_KINDS
             .iter()
-            .map(|(k, mean)| {
+            .zip(&ratios)
+            .map(|(k, ratios)| {
+                let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
                 Json::obj(vec![
                     ("scheduler", Json::Str(k.name().into())),
-                    ("mean_ratio", Json::num(*mean)),
+                    ("mean_ratio", Json::num(mean)),
                 ])
             })
             .collect();
-        let result = Json::obj(vec![
-            ("utilization", Json::num(rho)),
+        Ok(Json::obj(vec![
+            ("utilization", Json::num(self.utilization)),
             ("rows", Json::Arr(rows)),
-        ]);
-        (result, None)
+        ]))
     }
 }
 
@@ -495,7 +499,7 @@ pub fn plr_cell(sigma_ratio: f64, scale: Scale) -> (f64, f64, f64, f64) {
     use pdd::qsim::{LossMode, Session};
     use pdd::sched::PlrDropper;
     use pdd::simcore::Time as SimTime;
-    use pdd::traffic::{ClassSource, IatDist, SizeDist};
+    use pdd::traffic::ClassSource;
 
     let horizon = SimTime::from_ticks(scale.punits().max(4_000) * 100);
     let make_trace = |seed| {
@@ -603,52 +607,53 @@ pub fn plr_table(merged: &Json) -> Option<String> {
     ))
 }
 
-/// The additive differentiation model (Eq. 3) measured at heavy load.
-#[derive(Debug, Clone)]
-pub struct AdditiveStudy {
-    /// Offsets s_i used (ticks).
-    pub offsets: Vec<f64>,
-    /// Measured class mean delays (ticks).
-    pub delays: Vec<f64>,
-    /// Measured successive differences d_i − d_{i+1} (ticks).
-    pub differences: Vec<f64>,
-    /// Target differences s_{i+1} − s_i (ticks).
-    pub targets: Vec<f64>,
-}
+/// The additive model's per-class offsets s_i, in p-units: a target
+/// difference of 10 p-units between successive classes.
+const ADDITIVE_OFFSETS_PUNITS: [f64; 4] = [1.0, 11.0, 21.0, 31.0];
 
-/// Measures Eq. (3): at heavy load the additive scheduler spaces class
-/// delays by constant *differences* D_ij = s_j − s_i.
-pub fn additive(scale: Scale) -> AdditiveStudy {
-    // Offsets of 1, 11, 21, 31 p-units (in ticks): targets of 10 p-units
-    // between successive classes.
-    let p = pdd::traffic::PAPER_MEAN_PACKET_BYTES;
-    let offsets: Vec<f64> = (0..4).map(|i| (1.0 + 10.0 * i as f64) * p).collect();
-    let sdp = Sdp::new(&offsets).expect("increasing offsets");
-    // The additive scheduler, like WTP, reaches its heavy-load regime only
-    // when class delays dwarf the offsets; run very close to saturation.
-    let e = Experiment::paper(0.995, sdp, scale.punits(), scale.seeds());
-    let r = e.run(SchedulerKind::Additive);
-    let differences = r.mean_delays.windows(2).map(|w| w[0] - w[1]).collect();
-    let targets = offsets.windows(2).map(|w| w[1] - w[0]).collect();
-    AdditiveStudy {
-        offsets,
-        delays: r.mean_delays,
-        differences,
-        targets,
-    }
-}
+/// The additive differentiation model (Eq. 3) at heavy load.
+struct AdditiveCell;
 
 /// The `additive` suite: one cell.
 pub fn additive_cells() -> Vec<Box<dyn Cell>> {
-    Whole::cells("additive", |scale| {
-        let a = additive(scale);
-        Json::obj(vec![
-            ("offsets", Json::nums(&a.offsets)),
-            ("delays", Json::nums(&a.delays)),
-            ("differences", Json::nums(&a.differences)),
-            ("targets", Json::nums(&a.targets)),
-        ])
-    })
+    vec![Box::new(AdditiveCell)]
+}
+
+impl SeedCell for AdditiveCell {
+    fn id(&self) -> String {
+        "additive".into()
+    }
+
+    fn params(&self) -> Json {
+        cell::params("additive", vec![])
+    }
+
+    /// The seed's class mean delays under the additive scheduler. Like
+    /// WTP, it reaches its heavy-load regime only when class delays dwarf
+    /// the offsets, so the link runs very close to saturation.
+    fn measure(&self, scale: Scale, seed: u64) -> (Json, Option<MetricsRegistry>) {
+        let offsets = ADDITIVE_OFFSETS_PUNITS.map(|o| o * PAPER_MEAN_PACKET_BYTES);
+        let sdp = Sdp::new(&offsets).expect("increasing offsets");
+        let e = Experiment::paper(0.995, sdp, scale.punits(), vec![seed]);
+        let kinds = [SchedulerKind::Additive];
+        let rows = cell::seed_rows(&e, &kinds, seed, &mut NoopProbe, SeedResult::mean_delays);
+        (rows, None)
+    }
+
+    /// The mean delays averaged over the seeds, their successive
+    /// differences d_i − d_{i+1} and the targets s_{i+1} − s_i (ticks).
+    fn fold(&self, _scale: Scale, seeds: &[Seed]) -> Result<Json, String> {
+        let offsets = ADDITIVE_OFFSETS_PUNITS.map(|o| o * PAPER_MEAN_PACKET_BYTES);
+        let delays = cell::average_seed_rows(seeds, 1, offsets.len())?.remove(0);
+        let differences: Vec<f64> = delays.windows(2).map(|w| w[0] - w[1]).collect();
+        let targets: Vec<f64> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+        Ok(Json::obj(vec![
+            ("offsets", Json::nums(&offsets)),
+            ("delays", Json::nums(&delays)),
+            ("differences", Json::nums(&differences)),
+            ("targets", Json::nums(&targets)),
+        ]))
+    }
 }
 
 /// The `additive` block.
@@ -676,92 +681,99 @@ pub fn additive_table(merged: &Json) -> Option<String> {
     ))
 }
 
-/// Simulator-vs-theory comparison under Poisson arrivals.
-#[derive(Debug, Clone)]
-pub struct AnalyticCheck {
-    /// `(scheduler, class, measured wait, predicted wait)` rows, waits in
-    /// p-units.
-    pub rows: Vec<(SchedulerKind, usize, f64, f64)>,
-}
+/// The schedulers the analytic check validates, each against its exact
+/// M/G/1 formula: FCFS (Pollaczek–Khinchine), strict priority (Cobham)
+/// and WTP (Kleinrock's time-dependent priorities).
+const ANALYTIC_KINDS: [SchedulerKind; 3] = [
+    SchedulerKind::Fcfs,
+    SchedulerKind::Strict,
+    SchedulerKind::Wtp,
+];
 
-/// Validates the simulator against the exact M/G/1 formulas: P–K (FCFS),
-/// Cobham (strict priority), and Kleinrock's TDP (WTP), at ρ = 0.9 with
-/// the paper's packet sizes and 40/30/20/10 class mix.
-pub fn analytic(scale: Scale) -> AnalyticCheck {
-    use pdd::analytic::Mg1;
-    use pdd::qsim::Session;
-    use pdd::simcore::Time as SimTime;
-    use pdd::stats::Summary;
-    use pdd::traffic::{IatDist, LoadPlan, SizeDist};
+/// The analytic check's load: ρ = 0.9 at the paper's 40/30/20/10 % mix.
+const ANALYTIC_RHO: f64 = 0.9;
+const ANALYTIC_FRACTIONS: [f64; 4] = [0.4, 0.3, 0.2, 0.1];
 
-    let fractions = [0.4, 0.3, 0.2, 0.1];
-    let rho = 0.9;
-    let q = Mg1::paper_sizes(rho, &fractions).expect("stable");
-    let slopes = [1.0, 2.0, 4.0, 8.0];
-    let predicted: Vec<(SchedulerKind, Vec<f64>)> = vec![
-        (SchedulerKind::Fcfs, vec![q.fcfs_wait(); 4]),
-        (SchedulerKind::Strict, q.strict_priority_waits()),
-        (SchedulerKind::Wtp, q.tdp_waits(&slopes)),
-    ];
-
-    // Mean waits mix slowly at rho = 0.9 (long busy-period correlations),
-    // so average several independent seeds rather than one long window.
-    let horizon = SimTime::from_ticks(scale.punits().max(20_000) * 441 * 4);
-    let warmup = SimTime::from_ticks(horizon.ticks() / 20);
-    let seeds: Vec<u64> = (0..6).map(|k| 23 + k * 101).collect();
-    let jobs: Vec<_> = seeds
-        .into_iter()
-        .map(|seed| {
-            let predicted = predicted.clone();
-            move || {
-                let plan = LoadPlan::new(1.0, rho, &fractions, SizeDist::paper()).expect("valid");
-                let mut sources = plan
-                    .sources(&IatDist::exponential(1.0).expect("static"))
-                    .expect("valid");
-                let trace = Trace::generate_per_source(&mut sources, horizon, seed);
-                let mut out = Vec::new();
-                for (kind, _) in &predicted {
-                    let mut s = kind.build(&Sdp::geometric(4, 2.0).expect("static"), 1.0);
-                    let mut acc = vec![Summary::new(); 4];
-                    Session::trace(&trace, 1.0).run(s.as_mut(), |d| {
-                        if d.start >= warmup {
-                            acc[d.packet.class as usize].push(d.wait().as_f64());
-                        }
-                    });
-                    out.push(acc.iter().map(Summary::mean).collect::<Vec<_>>());
-                }
-                out
-            }
-        })
-        .collect();
-    let per_seed = parallel_map(jobs);
-    let mut rows = Vec::new();
-    for (k, (kind, pred)) in predicted.iter().enumerate() {
-        for c in 0..4 {
-            let measured = per_seed.iter().map(|s| s[k][c]).sum::<f64>() / per_seed.len() as f64;
-            rows.push((*kind, c, measured / 441.0, pred[c] / 441.0));
-        }
-    }
-    AnalyticCheck { rows }
-}
+/// Simulator vs theory under Poisson arrivals with the paper's packet
+/// sizes: each scheduler's class mean waits against the closed forms.
+struct AnalyticCell;
 
 /// The `analytic` suite: one cell.
 pub fn analytic_cells() -> Vec<Box<dyn Cell>> {
-    Whole::cells("analytic", |scale| {
-        let rows = analytic(scale)
-            .rows
+    vec![Box::new(AnalyticCell)]
+}
+
+impl SeedCell for AnalyticCell {
+    fn id(&self) -> String {
+        "analytic".into()
+    }
+
+    fn params(&self) -> Json {
+        cell::params("analytic", vec![])
+    }
+
+    /// Mean waits mix slowly at ρ = 0.9 (long busy-period correlations),
+    /// so the check averages six fixed independent seeds, at every scale,
+    /// rather than one long window.
+    fn seeds(&self, _scale: Scale) -> Vec<u64> {
+        (0..6).map(|k| 23 + k * 101).collect()
+    }
+
+    /// The seed's Poisson trace through each scheduler: its class mean
+    /// waits (ticks) after the warm-up.
+    fn measure(&self, scale: Scale, seed: u64) -> (Json, Option<MetricsRegistry>) {
+        let horizon = Time::from_ticks(scale.punits().max(20_000) * 441 * 4);
+        let warmup = Time::from_ticks(horizon.ticks() / 20);
+        let plan = LoadPlan::new(1.0, ANALYTIC_RHO, &ANALYTIC_FRACTIONS, SizeDist::paper())
+            .expect("valid");
+        let mut sources = plan
+            .sources(&IatDist::exponential(1.0).expect("static"))
+            .expect("valid");
+        let trace = Trace::generate_per_source(&mut sources, horizon, seed);
+        let rows: Vec<Vec<f64>> = ANALYTIC_KINDS
             .iter()
-            .map(|(kind, class, m, p)| {
-                Json::obj(vec![
-                    ("scheduler", Json::Str(kind.name().into())),
-                    ("class", Json::Int(*class as i64 + 1)),
-                    ("simulated", Json::num(*m)),
-                    ("theory", Json::num(*p)),
-                ])
+            .map(|kind| {
+                let mut s = kind.build(&Sdp::geometric(4, 2.0).expect("static"), 1.0);
+                let mut acc = vec![Summary::new(); 4];
+                Session::trace(&trace, 1.0).run(s.as_mut(), |d| {
+                    if d.start >= warmup {
+                        acc[d.packet.class as usize].push(d.wait().as_f64());
+                    }
+                });
+                acc.iter().map(Summary::mean).collect()
             })
             .collect();
-        Json::obj(vec![("rows", Json::Arr(rows))])
-    })
+        (Json::obj(vec![("rows", cell::rows_json(&rows))]), None)
+    }
+
+    /// Per scheduler and class: the wait averaged over the seeds
+    /// (`sum / seeds`) beside the closed form, both in p-units.
+    fn fold(&self, _scale: Scale, seeds: &[Seed]) -> Result<Json, String> {
+        let q = pdd::analytic::Mg1::paper_sizes(ANALYTIC_RHO, &ANALYTIC_FRACTIONS).expect("stable");
+        let predicted = [
+            vec![q.fcfs_wait(); 4],
+            q.strict_priority_waits(),
+            q.tdp_waits(&[1.0, 2.0, 4.0, 8.0]),
+        ];
+        let per_seed = seeds
+            .iter()
+            .map(|seed| seed.rows(ANALYTIC_KINDS.len(), Some(4)))
+            .collect::<Result<Vec<_>, String>>()?;
+        let mut rows = Vec::new();
+        for (k, (kind, pred)) in ANALYTIC_KINDS.iter().zip(&predicted).enumerate() {
+            for (c, theory) in pred.iter().enumerate() {
+                let measured =
+                    per_seed.iter().map(|s| s[k][c]).sum::<f64>() / per_seed.len() as f64;
+                rows.push(Json::obj(vec![
+                    ("scheduler", Json::Str(kind.name().into())),
+                    ("class", Json::Int(c as i64 + 1)),
+                    ("simulated", Json::num(measured / 441.0)),
+                    ("theory", Json::num(theory / 441.0)),
+                ]));
+            }
+        }
+        Ok(Json::obj(vec![("rows", Json::Arr(rows))]))
+    }
 }
 
 /// The `analytic` block.
@@ -915,27 +927,52 @@ pub fn mixed_path_table(merged: &Json) -> Option<String> {
 mod tests {
     use super::*;
 
+    /// The merged result of a suite's `index`-th cell at `scale`.
+    fn result(cells: fn() -> Vec<Box<dyn Cell>>, index: usize, scale: Scale) -> Json {
+        cells()[index].execute(scale).0
+    }
+
+    /// A result's `rows`, by scheduler name.
+    fn by_scheduler<'a>(result: &'a Json, name: &str) -> &'a Json {
+        (result.get("rows").and_then(Json::as_arr).expect("rows"))
+            .iter()
+            .find(|row| row.get("scheduler").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("{name} row"))
+    }
+
+    fn num(json: &Json, key: &str) -> f64 {
+        json.get(key).and_then(Json::as_f64).expect(key)
+    }
+
+    fn nums(json: &Json, key: &str) -> Vec<f64> {
+        (json.get(key).and_then(Json::as_arr).expect(key))
+            .iter()
+            .map(|v| v.as_f64().expect("finite"))
+            .collect()
+    }
+
     #[test]
     fn shootout_separates_scheduler_families() {
         // PAD's long-run-average bookkeeping needs more departures than a
         // single bench-scale seed provides before its deviation separates
         // cleanly from WTP's; a slightly longer two-seed run is stable.
-        let s = schedulers(Scale::Custom {
-            punits: 12_000,
-            nseeds: 2,
-        });
+        let s = result(
+            shootout_cells,
+            0,
+            Scale::Custom {
+                punits: 12_000,
+                nseeds: 2,
+            },
+        );
+        let deviation = |name| num(by_scheduler(&s, name), "deviation");
         // FCFS does not differentiate.
-        let fcfs = s
-            .rows
-            .iter()
-            .find(|(k, _, _)| *k == SchedulerKind::Fcfs)
-            .unwrap();
-        let fcfs_mean = fcfs.1.iter().sum::<f64>() / fcfs.1.len() as f64;
+        let fcfs = nums(by_scheduler(&s, "FCFS"), "ratios");
+        let fcfs_mean = fcfs.iter().sum::<f64>() / fcfs.len() as f64;
         assert!((fcfs_mean - 1.0).abs() < 0.3, "FCFS mean ratio {fcfs_mean}");
         // WTP is far closer to target than FCFS.
-        assert!(s.deviation(SchedulerKind::Wtp) < s.deviation(SchedulerKind::Fcfs));
+        assert!(deviation("WTP") < deviation("FCFS"));
         // PAD holds the target at least as well as WTP does.
-        assert!(s.deviation(SchedulerKind::Pad) < s.deviation(SchedulerKind::Wtp) + 0.05);
+        assert!(deviation("PAD") < deviation("WTP") + 0.05);
     }
 
     #[test]
@@ -970,16 +1007,11 @@ mod tests {
 
     #[test]
     fn pad_fixes_moderate_load_undershoot() {
-        let (rho, rows) = moderate_load_cell(MODERATE_LOAD_UTILS[0], Scale::Bench);
-        assert!((rho - 0.70).abs() < 1e-9);
-        let get = |kind| {
-            rows.iter()
-                .find(|(k, _)| *k == kind)
-                .map(|(_, r)| *r)
-                .unwrap()
-        };
-        let wtp = get(SchedulerKind::Wtp);
-        let pad = get(SchedulerKind::Pad);
+        let r = result(moderate_load_cells, 0, Scale::Bench);
+        assert!((num(&r, "utilization") - 0.70).abs() < 1e-9);
+        let get = |name| num(by_scheduler(&r, name), "mean_ratio");
+        let wtp = get("WTP");
+        let pad = get("PAD");
         assert!(wtp < 1.9, "WTP should undershoot at 70%, got {wtp}");
         assert!(
             (pad - 2.0).abs() < (wtp - 2.0).abs() + 0.05,
@@ -1008,11 +1040,16 @@ mod tests {
         // Bench scale is too short for the additive scheduler's heavy-load
         // regime (the spacing only converges once class delays dwarf the
         // offsets), so this one statistical check runs a longer horizon.
-        let study = additive(Scale::Custom {
-            punits: 20_000,
-            nseeds: 4,
-        });
-        for (diff, target) in study.differences.iter().zip(&study.targets) {
+        let study = result(
+            additive_cells,
+            0,
+            Scale::Custom {
+                punits: 20_000,
+                nseeds: 4,
+            },
+        );
+        let targets = nums(&study, "targets");
+        for (diff, target) in nums(&study, "differences").iter().zip(&targets) {
             assert!(
                 (diff - target).abs() / target < 0.35,
                 "difference {diff} vs target {target}"
@@ -1022,13 +1059,40 @@ mod tests {
 
     #[test]
     fn simulator_agrees_with_closed_forms() {
-        let check = analytic(Scale::Bench);
-        for (kind, c, m, p) in &check.rows {
+        let check = result(analytic_cells, 0, Scale::Bench);
+        for row in check.get("rows").and_then(Json::as_arr).expect("rows") {
+            let (m, p) = (num(row, "simulated"), num(row, "theory"));
             assert!(
                 (m - p).abs() / p < 0.15,
-                "{} class {c}: measured {m} vs theory {p}",
-                kind.name()
+                "{}: measured {m} vs theory {p}",
+                row.serialize()
             );
+        }
+    }
+
+    /// The seed-swept ablations shard one seed per shard (`analytic` its
+    /// six fixed seeds at every scale), and a foreign partial — rows of
+    /// the wrong shape — is a merge error, not a panic in the fold.
+    #[test]
+    fn seed_swept_ablations_reject_foreign_rows() {
+        let scale = Scale::Custom {
+            punits: 400,
+            nseeds: 2,
+        };
+        for cells in [
+            shootout_cells,
+            moderate_load_cells,
+            additive_cells,
+            analytic_cells,
+        ] {
+            let cell = &cells()[0];
+            let mut shards: Vec<Partial> = (0..cell.shard_count(scale))
+                .map(|shard| cell.execute_shard(scale, shard))
+                .collect();
+            assert!(cell.merge_shards(scale, &shards).is_ok(), "{}", cell.id());
+            shards[1].0 = Json::obj(vec![("rows", cell::rows_json(&[vec![2.0; 2]]))]);
+            let err = cell.merge_shards(scale, &shards).unwrap_err();
+            assert!(err.contains("shard 1 does not hold"), "{err}");
         }
     }
 

@@ -2,18 +2,23 @@
 //! runnable, cacheable unit of a sweep, and a [`Suite`] is a named grid of
 //! cells plus the markdown blocks rendered from their merged results.
 //!
-//! Each suite lives in one module of this crate — measurement functions,
-//! grid (`cells()`), `impl Cell`, block renderer — and is listed in one
-//! row of [`SUITES`]. The Study-A ratio suites (`fig1`, `fig2`, `rank`)
-//! share one `impl Cell`, the crate's ratio cell, and declare only what
-//! they measure. The `orchestrator` crate schedules, caches, ships
-//! and merges `&dyn Cell`s and knows nothing else about a suite; every
-//! result encoding and every merge fold therefore lives in a crate the
-//! cache's source fingerprint covers.
+//! Each suite lives in one module of this crate — measurement, grid
+//! (`cells()`), cell type, block renderer — and is listed in one row of
+//! [`SUITES`]. A seed-swept cell implements [`SeedCell`] instead of
+//! [`Cell`]: it measures one seed and folds the seeds in order, and this
+//! module owns the rest — one shard per seed, the seed lookup, the checked
+//! decoding of each partial ([`Seed`]) and the seed-order registry merge.
+//! The `orchestrator` crate schedules, caches, ships and merges
+//! `&dyn Cell`s and knows nothing else about a suite; every result
+//! encoding and every merge fold therefore lives in a crate the cache's
+//! source fingerprint covers.
 
+use std::fmt::Display;
+
+use pdd::qsim::{average_rows, Experiment, SeedResult};
 use pdd::sched::SchedulerKind;
 use pdd::telemetry::json::Json;
-use pdd::telemetry::MetricsRegistry;
+use pdd::telemetry::{MetricsRegistry, Probe};
 
 use crate::{ablations, dynamics, fig1, fig2, fig3, fig45, mesh, monitor, rank, table1, Scale};
 
@@ -88,6 +93,199 @@ impl dyn Cell + '_ {
         self.merge_shards(scale, &shards)
             .expect("self-produced shards merge")
     }
+}
+
+/// A seed-swept cell: one shard per seed, each seed measured on its own,
+/// the seeds folded in seed order — so one process, the threaded runner
+/// and the worker farm produce the same bytes. Every `SeedCell` is a
+/// [`Cell`]; the impl below owns the shard count, the seed lookup, the
+/// checked decoding of the partials and the registry merge.
+pub trait SeedCell: Send + Sync {
+    /// Whether every seed is measured into a registry, the shards'
+    /// snapshots merged in seed order into the cell's metrics sidecar.
+    const METERED: bool = false;
+
+    /// [`Cell::id`].
+    fn id(&self) -> String;
+
+    /// [`Cell::params`].
+    fn params(&self) -> Json;
+
+    /// The seeds swept at `scale`, one shard each.
+    fn seeds(&self, scale: Scale) -> Vec<u64> {
+        scale.seeds()
+    }
+
+    /// Measures one seed: its partial (an object the fold reads back
+    /// through [`Seed`]) and, for a [metered](Self::METERED) cell, its
+    /// registry.
+    fn measure(&self, scale: Scale, seed: u64) -> (Json, Option<MetricsRegistry>);
+
+    /// Folds the seeds' partials, **in seed order**, into the cell's
+    /// result. A partial that does not read back is an error, which the
+    /// runner treats as a cache miss.
+    fn fold(&self, scale: Scale, seeds: &[Seed]) -> Result<Json, String>;
+}
+
+impl<T: SeedCell> Cell for T {
+    fn id(&self) -> String {
+        SeedCell::id(self)
+    }
+
+    fn params(&self) -> Json {
+        SeedCell::params(self)
+    }
+
+    fn shard_count(&self, scale: Scale) -> usize {
+        self.seeds(scale).len()
+    }
+
+    fn execute_shard(&self, scale: Scale, shard: usize) -> Partial {
+        let (partial, registry) = self.measure(scale, self.seeds(scale)[shard]);
+        (partial, registry.map(|r| r.to_json()))
+    }
+
+    /// The fold over every shard's partial; for a metered cell, the shard
+    /// registries merged **in shard (= seed) order** from an empty one.
+    fn merge(&self, scale: Scale, shards: &[Partial]) -> Result<Merged, String> {
+        let id = SeedCell::id(self);
+        let seeds: Vec<Seed> = shards
+            .iter()
+            .enumerate()
+            .map(|(shard, (partial, _))| Seed {
+                id: &id,
+                shard,
+                partial,
+            })
+            .collect();
+        let result = self.fold(scale, &seeds)?;
+        if !T::METERED {
+            return Ok((result, None));
+        }
+        let mut registry = MetricsRegistry::new();
+        for shard in shards {
+            registry.merge(&shard_registry(&id, shard)?);
+        }
+        Ok((result, Some(registry)))
+    }
+}
+
+/// One seed's partial as [`SeedCell::fold`] reads it. Every accessor checks
+/// what it reads, so a foreign or corrupt partial is an `Err` — never a
+/// panic, a short table or a wrapped count.
+pub struct Seed<'a> {
+    id: &'a str,
+    shard: usize,
+    partial: &'a Json,
+}
+
+impl Seed<'_> {
+    fn error(&self, what: impl Display) -> String {
+        format!("{}: shard {} {what}", self.id, self.shard)
+    }
+
+    fn field(&self, key: &str) -> Result<&Json, String> {
+        (self.partial.get(key)).ok_or_else(|| self.error(format_args!("lacks `{key}`")))
+    }
+
+    /// `v`, field `key` or one of its entries, read by `read`.
+    fn read<'j, T>(
+        &self,
+        key: &str,
+        v: &'j Json,
+        what: &str,
+        read: impl FnOnce(&'j Json) -> Option<T>,
+    ) -> Result<T, String> {
+        read(v).ok_or_else(|| self.error(format_args!("`{key}` is not {what}")))
+    }
+
+    fn array(&self, key: &str) -> Result<&[Json], String> {
+        self.read(key, self.field(key)?, "an array", Json::as_arr)
+    }
+
+    /// A number; `null` reads as NaN, so a non-finite measurement poisons
+    /// the fold as it would have in process instead of vanishing in
+    /// transport.
+    fn number(&self, key: &str, v: &Json) -> Result<f64, String> {
+        self.read(key, v, "a number", |v| match v {
+            Json::Null => Some(f64::NAN),
+            v => v.as_f64(),
+        })
+    }
+
+    /// The `rows` field: exactly `n` rows of numbers, each `width` long
+    /// when given ([`rows_json`] is the encoding).
+    pub fn rows(&self, n: usize, width: Option<usize>) -> Result<Vec<Vec<f64>>, String> {
+        let rows = (self.array("rows")?.iter())
+            .map(|row| {
+                let row = self.read("rows", row, "an array of arrays", Json::as_arr)?;
+                row.iter().map(|v| self.number("rows", v)).collect()
+            })
+            .collect::<Result<Vec<Vec<f64>>, String>>()?;
+        if rows.len() != n || width.is_some_and(|w| rows.iter().any(|r| r.len() != w)) {
+            let of = width.map(|w| format!(" of {w}")).unwrap_or_default();
+            return Err(self.error(format_args!("does not hold {n} rows{of}")));
+        }
+        Ok(rows)
+    }
+
+    /// An array field of exactly `n` entries, each a count or `null`.
+    pub fn counts(&self, key: &str, n: usize) -> Result<Vec<Option<u64>>, String> {
+        let entries = self.array(key)?;
+        if entries.len() != n {
+            return Err(self.error(format_args!("`{key}` does not hold {n} entries")));
+        }
+        (entries.iter())
+            .map(|v| match v {
+                Json::Null => Ok(None),
+                v => self.read(key, v, "a count", Json::as_u64).map(Some),
+            })
+            .collect()
+    }
+
+    /// A count field: a non-negative integer.
+    pub fn count(&self, key: &str) -> Result<u64, String> {
+        self.read(key, self.field(key)?, "a count", Json::as_u64)
+    }
+
+    /// A numeric field (`null` reads as NaN).
+    pub fn num(&self, key: &str) -> Result<f64, String> {
+        self.number(key, self.field(key)?)
+    }
+}
+
+/// One seed of `e` under every scheduler in `kinds`, `row` of each
+/// scheduler's [`SeedResult`] as a `rows` partial — the Study-A seed the
+/// ratio cell and the seed-swept ablations measure.
+pub fn seed_rows<P: Probe>(
+    e: &Experiment,
+    kinds: &[SchedulerKind],
+    seed: u64,
+    probe: &mut P,
+    row: fn(&SeedResult) -> Vec<f64>,
+) -> Json {
+    let rows: Vec<Vec<f64>> = e
+        .run_seed_probed(kinds, seed, probe)
+        .iter()
+        .map(row)
+        .collect();
+    Json::obj(vec![("rows", rows_json(&rows))])
+}
+
+/// Every seed's `n` rows of `width`, each row averaged over the seeds with
+/// [`average_rows`] in seed order — the fold `Experiment::run_many`
+/// applies.
+pub fn average_seed_rows(seeds: &[Seed], n: usize, width: usize) -> Result<Vec<Vec<f64>>, String> {
+    let per_seed = (seeds.iter())
+        .map(|seed| seed.rows(n, Some(width)))
+        .collect::<Result<Vec<_>, String>>()?;
+    let column = |k: usize| {
+        per_seed
+            .iter()
+            .map(|rows| rows[k].clone())
+            .collect::<Vec<_>>()
+    };
+    Ok((0..n).map(|k| average_rows(&column(k))).collect())
 }
 
 /// A markdown block renderer: the body of `<!-- generated:NAME -->` from a
@@ -267,40 +465,9 @@ pub fn kind_slug(kind: SchedulerKind) -> String {
 }
 
 /// Encodes per-row f64 vectors as a JSON array of arrays. Non-finite
-/// values become `Null` — see [`decode_shard_rows`] for the inverse.
+/// values become `Null` — [`Seed::rows`] is the inverse.
 pub fn rows_json(rows: &[Vec<f64>]) -> Json {
     Json::Arr(rows.iter().map(|r| Json::nums(r)).collect())
-}
-
-/// Decodes every shard's `rows` field (seed order) back into f64 vectors.
-/// `Null` decodes to NaN so a non-finite value poisons the merge
-/// arithmetic exactly as it would have in-process, instead of silently
-/// vanishing in transport.
-pub fn decode_shard_rows(shards: &[Partial]) -> Result<Vec<Vec<Vec<f64>>>, String> {
-    let decode_row = |row: &Json| -> Result<Vec<f64>, String> {
-        row.as_arr()
-            .ok_or("shard: row is not an array")?
-            .iter()
-            .map(|v| match v {
-                Json::Null => Ok(f64::NAN),
-                other => other
-                    .as_f64()
-                    .ok_or_else(|| "shard: non-numeric row entry".to_string()),
-            })
-            .collect()
-    };
-    shards
-        .iter()
-        .map(|(partial, _)| {
-            partial
-                .get("rows")
-                .and_then(Json::as_arr)
-                .ok_or("shard lacks `rows`")?
-                .iter()
-                .map(decode_row)
-                .collect()
-        })
-        .collect()
 }
 
 /// Parses one shard's registry snapshot.
@@ -448,8 +615,24 @@ mod tests {
             nseeds: 3,
         };
         assert_eq!(suite("fig1")[0].shard_count(scale), 3);
-        assert_eq!(suite("starvation")[0].shard_count(scale), 1);
-        assert_eq!(suite("additive")[0].shard_count(Scale::Quick), 1);
+        assert_eq!(suite("additive")[0].shard_count(Scale::Quick), 4);
+        for scale in [scale, Scale::Quick, Scale::Bench, Scale::Paper] {
+            let seeds = scale.seeds().len();
+            for name in [
+                "fig3",
+                "dynamics",
+                "monitor",
+                "shootout",
+                "moderate-load",
+                "additive",
+            ] {
+                for cell in suite(name) {
+                    assert_eq!(cell.shard_count(scale), seeds, "{}", cell.id());
+                }
+            }
+            assert_eq!(suite("analytic")[0].shard_count(scale), 6);
+            assert_eq!(suite("starvation")[0].shard_count(scale), 1);
+        }
     }
 
     /// The transport law the farm rests on: partials that round-trip
@@ -463,6 +646,7 @@ mod tests {
             nseeds: 2,
         };
         let mut meshes = 0;
+        let mut merged_ids = Vec::new();
         for cell in suite("all") {
             if cell.shard_count(scale) == 1 {
                 continue;
@@ -495,6 +679,18 @@ mod tests {
                 "{} metrics sidecar drifted through transport",
                 cell.id()
             );
+            merged_ids.push(cell.id());
+        }
+        for id in [
+            "fig3-wtp",
+            "dynamics-wtp-sdp-step",
+            "monitor-wtp-w50",
+            "shootout",
+        ] {
+            assert!(merged_ids.iter().any(|m| m == id), "{id} not covered");
+        }
+        for id in ["moderate-load-u0_7", "additive", "analytic"] {
+            assert!(merged_ids.iter().any(|m| m == id), "{id} not covered");
         }
     }
 

@@ -20,15 +20,16 @@
 //!   only as the backlog drains — a capacity-limited transient that is
 //!   nearly scheduler-independent.
 
-use pdd::qsim::Session;
+use pdd::qsim::{Session, Sources};
 use pdd::scenario::{DownPolicy, Scenario};
-use pdd::sched::{SchedulerKind, Sdp};
+use pdd::sched::{Scheduler, SchedulerKind, Sdp};
 use pdd::simcore::Time;
 use pdd::stats::{reconvergence_times, ReconvergenceConfig};
 use pdd::telemetry::json::Json;
+use pdd::telemetry::MetricsRegistry;
 use pdd::traffic::{LoadPlan, SizeDist, PAPER_MEAN_PACKET_BYTES};
 
-use crate::cell::{self, Cell, Merged, Partial};
+use crate::cell::{self, Cell, Seed, SeedCell};
 use crate::Scale;
 
 /// Utilization for all dynamics cells — high enough that the schedulers
@@ -65,36 +66,6 @@ impl Perturbation {
     }
 }
 
-/// One (scheduler, perturbation) cell's seed-aggregated reconvergence.
-#[derive(Debug, Clone)]
-pub struct DynamicsRow {
-    /// The scheduler measured.
-    pub scheduler: SchedulerKind,
-    /// The perturbation injected.
-    pub perturbation: Perturbation,
-    /// Seeds measured.
-    pub seeds: usize,
-    /// Per successive class pair: how many seeds settled within the
-    /// horizon.
-    pub settled: Vec<usize>,
-    /// Per successive class pair: mean settling time over the settled
-    /// seeds, in p-units; `None` when no seed settled.
-    pub mean_settle_punits: Vec<Option<f64>>,
-}
-
-impl DynamicsRow {
-    /// Mean settling time across all pairs that settled in at least one
-    /// seed — the scalar used to compare schedulers.
-    pub fn headline_punits(&self) -> Option<f64> {
-        let vals: Vec<f64> = self.mean_settle_punits.iter().flatten().copied().collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
-    }
-}
-
 /// The SDP every run starts under (the paper's default, spacing 2).
 pub fn start_sdp() -> Sdp {
     Sdp::paper_default()
@@ -110,15 +81,10 @@ pub fn stepped_sdp() -> Sdp {
 fn timeline(perturbation: Perturbation, scale: Scale) -> (Scenario, u64, Vec<f64>) {
     let p = PAPER_MEAN_PACKET_BYTES as u64;
     let mid = (scale.punits() / 2) * p;
-    let targets = |sdp: &Sdp| -> Vec<f64> {
-        (0..sdp.num_classes() - 1)
-            .map(|i| sdp.target_ratio(i))
-            .collect()
-    };
     match perturbation {
         Perturbation::SdpStep => {
             let sdp = stepped_sdp();
-            let targets = targets(&sdp);
+            let targets = sdp.target_ratios();
             let sc = Scenario::builder()
                 .set_sdp(Time::from_ticks(mid), sdp)
                 .build()
@@ -134,89 +100,28 @@ fn timeline(perturbation: Perturbation, scale: Scale) -> (Scenario, u64, Vec<f64
                 .link_up(Time::from_ticks(mid + outage), 0)
                 .build()
                 .expect("static timeline");
-            (sc, mid + outage, targets(&start_sdp()))
+            (sc, mid + outage, start_sdp().target_ratios())
         }
     }
 }
 
-/// Measures one (scheduler, perturbation) cell at `scale`: one perturbed
-/// Study-A run per seed, reduced to per-pair reconvergence times.
-///
-/// Implemented as the canonical shard pipeline ([`cell_seed`] per seed,
-/// folded by [`merge_seeds`] in seed order), so multi-process runs
-/// reproduce it bit-for-bit.
-pub fn cell(scheduler: SchedulerKind, perturbation: Perturbation, scale: Scale) -> DynamicsRow {
-    let per_seed: Vec<Vec<Option<u64>>> = scale
-        .seeds()
-        .iter()
-        .map(|&seed| cell_seed(scheduler, perturbation, scale, seed))
-        .collect();
-    merge_seeds(scheduler, perturbation, &per_seed)
-}
-
-/// Measures **one seed** of a dynamics cell — the farm's shard unit.
-/// Returns per successive class pair the settling time in ticks since the
-/// perturbation, or `None` if that pair never settled in this seed.
-pub fn cell_seed(
+/// Runs one seed of the perturbed Study-A link this study and the monitor
+/// study measure: ρ = [`UTILIZATION`] at the paper's 40/30/20/10 % split,
+/// Pareto sources, `scheduler` built under [`start_sdp`], `timeline`
+/// injected — `run` drives the session.
+pub(crate) fn perturbed_run<R>(
     scheduler: SchedulerKind,
-    perturbation: Perturbation,
+    timeline: Scenario,
     scale: Scale,
     seed: u64,
-) -> Vec<Option<u64>> {
-    let p = PAPER_MEAN_PACKET_BYTES as u64;
-    let horizon = scale.horizon();
-    let (sc, perturb_at, targets) = timeline(perturbation, scale);
-    let sdp = start_sdp();
-    let n = sdp.num_classes();
-    let cfg = ReconvergenceConfig {
-        window_ticks: WINDOW_PUNITS * p,
-        epsilon: 0.25,
-        settle_windows: 3,
-    };
+    run: impl FnOnce(Session<Sources<'_>>, &mut dyn Scheduler) -> R,
+) -> R {
     let plan = LoadPlan::new(1.0, UTILIZATION, &[0.4, 0.3, 0.2, 0.1], SizeDist::paper())
         .expect("validated parameters");
     let sources = plan.pareto_sources().expect("valid plan");
-    let mut samples: Vec<(u64, usize, f64)> = Vec::new();
-    let mut s = scheduler.build(&sdp, 1.0);
-    Session::sources(&sources, horizon, seed, 1.0)
-        .scenario(sc)
-        .run(s.as_mut(), |d| {
-            samples.push((d.finish.ticks(), d.packet.class as usize, d.wait().as_f64()));
-        });
-    reconvergence_times(&samples, n, perturb_at, &targets, &cfg)
-}
-
-/// Folds per-seed partials (one [`cell_seed`] output per seed, **in seed
-/// order**) into the cell row with the single-process aggregation's exact
-/// arithmetic.
-pub fn merge_seeds(
-    scheduler: SchedulerKind,
-    perturbation: Perturbation,
-    per_seed: &[Vec<Option<u64>>],
-) -> DynamicsRow {
-    let n = start_sdp().num_classes();
-    let mut settled = vec![0usize; n - 1];
-    let mut sums = vec![0.0f64; n - 1];
-    for times in per_seed {
-        for (i, t) in times.iter().enumerate() {
-            if let Some(t) = t {
-                settled[i] += 1;
-                sums[i] += *t as f64 / PAPER_MEAN_PACKET_BYTES;
-            }
-        }
-    }
-    let mean_settle_punits = sums
-        .iter()
-        .zip(&settled)
-        .map(|(&sum, &k)| (k > 0).then(|| sum / k as f64))
-        .collect();
-    DynamicsRow {
-        scheduler,
-        perturbation,
-        seeds: per_seed.len(),
-        settled,
-        mean_settle_punits,
-    }
+    let mut s = scheduler.build(&start_sdp(), 1.0);
+    let session = Session::sources(&sources, scale.horizon(), seed, 1.0).scenario(timeline);
+    run(session, s.as_mut())
 }
 
 /// One (scheduler, perturbation) reconvergence cell.
@@ -237,7 +142,7 @@ pub fn cells() -> Vec<Box<dyn Cell>> {
     cells
 }
 
-impl Cell for DynamicsCell {
+impl SeedCell for DynamicsCell {
     fn id(&self) -> String {
         format!(
             "dynamics-{}-{}",
@@ -256,43 +161,55 @@ impl Cell for DynamicsCell {
         )
     }
 
-    fn shard_count(&self, scale: Scale) -> usize {
-        scale.seeds().len()
-    }
-
-    fn execute_shard(&self, scale: Scale, shard: usize) -> Partial {
-        let times = cell_seed(self.kind, self.perturbation, scale, scale.seeds()[shard])
+    /// One perturbed run: per successive class pair, the settling time in
+    /// ticks since the perturbation, `null` if the pair never settled.
+    fn measure(&self, scale: Scale, seed: u64) -> (Json, Option<MetricsRegistry>) {
+        let (sc, perturb_at, targets) = timeline(self.perturbation, scale);
+        let cfg = ReconvergenceConfig {
+            window_ticks: WINDOW_PUNITS * PAPER_MEAN_PACKET_BYTES as u64,
+            epsilon: 0.25,
+            settle_windows: 3,
+        };
+        let mut samples: Vec<(u64, usize, f64)> = Vec::new();
+        perturbed_run(self.kind, sc, scale, seed, |session, s| {
+            session.run(s, |d| {
+                samples.push((d.finish.ticks(), d.packet.class as usize, d.wait().as_f64()));
+            })
+        });
+        let n = start_sdp().num_classes();
+        let times = reconvergence_times(&samples, n, perturb_at, &targets, &cfg)
             .iter()
             .map(|t| t.map(Json::uint).unwrap_or(Json::Null))
             .collect();
         (Json::obj(vec![("times", Json::Arr(times))]), None)
     }
 
-    fn merge(&self, _scale: Scale, shards: &[Partial]) -> Result<Merged, String> {
-        let id = self.id();
-        let per_seed: Vec<Vec<Option<u64>>> = shards
+    /// Per pair: how many seeds settled, and their mean settling time in
+    /// p-units (`sum / k` over the settled seeds); the headline is the
+    /// mean over the pairs that settled anywhere.
+    fn fold(&self, _scale: Scale, seeds: &[Seed]) -> Result<Json, String> {
+        let pairs = start_sdp().num_classes() - 1;
+        let mut settled = vec![0usize; pairs];
+        let mut sums = vec![0.0f64; pairs];
+        for seed in seeds {
+            for (i, t) in seed.counts("times", pairs)?.into_iter().enumerate() {
+                if let Some(t) = t {
+                    settled[i] += 1;
+                    sums[i] += t as f64 / PAPER_MEAN_PACKET_BYTES;
+                }
+            }
+        }
+        let means: Vec<Option<f64>> = sums
             .iter()
-            .map(|(p, _)| {
-                let arr = p
-                    .get("times")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| format!("{id}: shard lacks `times`"))?;
-                arr.iter()
-                    .map(|t| match t {
-                        Json::Null => Ok(None),
-                        other => other
-                            .as_u64()
-                            .map(Some)
-                            .ok_or_else(|| format!("{id}: bad settle time")),
-                    })
-                    .collect()
-            })
-            .collect::<Result<_, String>>()?;
-        let row = merge_seeds(self.kind, self.perturbation, &per_seed);
-        let pairs = row
-            .mean_settle_punits
+            .zip(&settled)
+            .map(|(&sum, &k)| (k > 0).then(|| sum / k as f64))
+            .collect();
+        let settled_means: Vec<f64> = means.iter().flatten().copied().collect();
+        let headline = (!settled_means.is_empty())
+            .then(|| settled_means.iter().sum::<f64>() / settled_means.len() as f64);
+        let pairs = means
             .iter()
-            .zip(&row.settled)
+            .zip(&settled)
             .map(|(mean, &settled)| {
                 Json::obj(vec![
                     (
@@ -303,17 +220,16 @@ impl Cell for DynamicsCell {
                 ])
             })
             .collect();
-        let result = Json::obj(vec![
-            ("scheduler", Json::Str(row.scheduler.name().into())),
-            ("perturbation", Json::Str(row.perturbation.name().into())),
-            ("seeds", Json::Int(row.seeds as i64)),
+        Ok(Json::obj(vec![
+            ("scheduler", Json::Str(self.kind.name().into())),
+            ("perturbation", Json::Str(self.perturbation.name().into())),
+            ("seeds", Json::Int(seeds.len() as i64)),
             ("pairs", Json::Arr(pairs)),
             (
                 "headline_punits",
-                row.headline_punits().map(Json::num).unwrap_or(Json::Null),
+                headline.map(Json::num).unwrap_or(Json::Null),
             ),
-        ]);
-        Ok((result, None))
+        ]))
     }
 }
 
@@ -373,39 +289,79 @@ mod tests {
         nseeds: 2,
     };
 
+    /// One cell's merged result at [`TEST_SCALE`].
+    fn result(kind: SchedulerKind, perturbation: Perturbation) -> Json {
+        (&DynamicsCell { kind, perturbation } as &dyn Cell)
+            .execute(TEST_SCALE)
+            .0
+    }
+
+    /// Whether any class pair settled in any seed.
+    fn any_settled(result: &Json) -> bool {
+        let pairs = result.get("pairs").and_then(Json::as_arr).expect("pairs");
+        pairs
+            .iter()
+            .any(|p| p.get("settled").and_then(Json::as_i64) > Some(0))
+    }
+
     #[test]
     fn wtp_settles_after_an_sdp_step() {
-        let row = cell(SchedulerKind::Wtp, Perturbation::SdpStep, TEST_SCALE);
-        assert_eq!(row.seeds, 2);
-        assert!(
-            row.settled.iter().any(|&k| k > 0),
-            "no pair settled: {row:?}"
-        );
-        assert!(row.headline_punits().is_some());
+        let r = result(SchedulerKind::Wtp, Perturbation::SdpStep);
+        assert_eq!(r.get("seeds"), Some(&Json::Int(2)));
+        assert!(any_settled(&r), "no pair settled: {}", r.serialize());
+        assert!(r.get("headline_punits").and_then(Json::as_f64).is_some());
     }
 
     #[test]
     fn link_flap_recovers_to_the_unchanged_targets() {
-        let row = cell(SchedulerKind::Wtp, Perturbation::LinkFlap, TEST_SCALE);
+        let r = result(SchedulerKind::Wtp, Perturbation::LinkFlap);
         assert!(
-            row.settled.iter().any(|&k| k > 0),
-            "no pair settled after the flap: {row:?}"
+            any_settled(&r),
+            "no pair settled after the flap: {}",
+            r.serialize()
         );
+    }
+
+    fn shard(times: &[i64]) -> (Json, Option<String>) {
+        let times = times
+            .iter()
+            .map(|&t| if t == 0 { Json::Null } else { Json::Int(t) })
+            .collect();
+        (Json::obj(vec![("times", Json::Arr(times))]), None)
     }
 
     #[test]
     fn a_negative_settle_time_is_a_cache_miss() {
-        let shard = |first: i64| {
-            let times = vec![Json::Int(first), Json::Null, Json::Int(7)];
-            (Json::obj(vec![("times", Json::Arr(times))]), None)
+        let cell = &cells()[0];
+        let scale = Scale::Custom {
+            punits: 400,
+            nseeds: 2,
         };
-        let cell = DynamicsCell {
-            kind: SchedulerKind::Wtp,
-            perturbation: Perturbation::SdpStep,
+        assert!(cell
+            .merge_shards(scale, &[shard(&[3, 0, 7]), shard(&[5, 0, 7])])
+            .is_ok());
+        let err = cell
+            .merge_shards(scale, &[shard(&[3, 0, 7]), shard(&[-1, 0, 7])])
+            .unwrap_err();
+        assert!(err.contains("`times` is not a count"), "{err}");
+    }
+
+    /// A shard with more settle times than class pairs — a partial of
+    /// another class count — is a merge error, not an out-of-bounds panic.
+    #[test]
+    fn a_long_times_array_is_a_merge_error_not_a_panic() {
+        let cell = &cells()[0];
+        let scale = Scale::Custom {
+            punits: 400,
+            nseeds: 2,
         };
-        assert!(cell.merge(TEST_SCALE, &[shard(3), shard(5)]).is_ok());
-        let err = cell.merge(TEST_SCALE, &[shard(3), shard(-1)]).unwrap_err();
-        assert!(err.contains("bad settle time"), "{err}");
+        let err = cell
+            .merge_shards(scale, &[shard(&[3, 0, 7]), shard(&[3, 5, 7, 9])])
+            .unwrap_err();
+        assert!(
+            err.contains("shard 1 `times` does not hold 3 entries"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! 25–75 % band WTP approximates the target even at tens of p-units, while
 //! BPR stays "spread" below hundreds of p-units.
 
-use pdd::qsim::{ShortTimescale, TimescaleResult};
+use pdd::qsim::ShortTimescale;
 use pdd::sched::SchedulerKind;
 use pdd::telemetry::json::Json;
+use pdd::telemetry::MetricsRegistry;
 
-use crate::cell::{self, Cell, Merged, Partial};
+use crate::cell::{self, Cell, Seed, SeedCell};
 use crate::Scale;
 
 /// The schedulers compared, in the figure's order.
@@ -27,41 +28,6 @@ pub fn taus(scale: Scale) -> Vec<u64> {
     }
 }
 
-/// Measures one Figure-3 cell: the full τ ladder for one scheduler.
-///
-/// Implemented as the canonical shard pipeline ([`cell_seed`] per seed,
-/// folded by [`merge_seeds`] in seed order), so multi-process runs
-/// reproduce it bit-for-bit.
-pub fn cell(kind: SchedulerKind, scale: Scale) -> Vec<TimescaleResult> {
-    let per_seed: Vec<Vec<Vec<f64>>> = scale
-        .seeds()
-        .iter()
-        .map(|&seed| cell_seed(kind, scale, seed))
-        .collect();
-    merge_seeds(kind, scale, &per_seed)
-}
-
-/// Measures **one seed** of a Figure-3 cell — the farm's shard unit.
-/// Returns the defined R_D values per τ (outer index = [`taus`] order,
-/// inner = interval order).
-pub fn cell_seed(kind: SchedulerKind, scale: Scale, seed: u64) -> Vec<Vec<f64>> {
-    let mut st = ShortTimescale::paper(scale.punits(), vec![seed]);
-    st.taus_punits = taus(scale);
-    st.run_seed(kind, seed)
-}
-
-/// Folds per-seed partials (**seed order**) into the per-τ percentile
-/// results, exactly as the single-process run does.
-pub fn merge_seeds(
-    kind: SchedulerKind,
-    scale: Scale,
-    per_seed: &[Vec<Vec<f64>>],
-) -> Vec<TimescaleResult> {
-    let mut st = ShortTimescale::paper(scale.punits(), scale.seeds());
-    st.taus_punits = taus(scale);
-    st.finalize(kind, per_seed)
-}
-
 /// One scheduler's full τ ladder of Figure 3.
 struct Fig3Cell {
     kind: SchedulerKind,
@@ -75,7 +41,7 @@ pub fn cells() -> Vec<Box<dyn Cell>> {
         .collect()
 }
 
-impl Cell for Fig3Cell {
+impl SeedCell for Fig3Cell {
     fn id(&self) -> String {
         format!("fig3-{}", cell::kind_slug(self.kind))
     }
@@ -87,18 +53,26 @@ impl Cell for Fig3Cell {
         )
     }
 
-    fn shard_count(&self, scale: Scale) -> usize {
-        scale.seeds().len()
-    }
-
-    fn execute_shard(&self, scale: Scale, shard: usize) -> Partial {
-        let rows = cell_seed(self.kind, scale, scale.seeds()[shard]);
+    /// The seed's defined R_D values per τ ([`taus`] order, intervals in
+    /// time order).
+    fn measure(&self, scale: Scale, seed: u64) -> (Json, Option<MetricsRegistry>) {
+        let mut st = ShortTimescale::paper(scale.punits(), vec![seed]);
+        st.taus_punits = taus(scale);
+        let rows = st.run_seed(self.kind, seed);
         (Json::obj(vec![("rows", cell::rows_json(&rows))]), None)
     }
 
-    fn merge(&self, scale: Scale, shards: &[Partial]) -> Result<Merged, String> {
-        let per_seed = cell::decode_shard_rows(shards)?;
-        let taus = merge_seeds(self.kind, scale, &per_seed)
+    /// Each τ's R_D values pooled over the seeds in seed order, then
+    /// reduced to the five percentiles.
+    fn fold(&self, scale: Scale, seeds: &[Seed]) -> Result<Json, String> {
+        let mut st = ShortTimescale::paper(scale.punits(), scale.seeds());
+        st.taus_punits = taus(scale);
+        let per_seed = seeds
+            .iter()
+            .map(|seed| seed.rows(st.taus_punits.len(), None))
+            .collect::<Result<Vec<_>, String>>()?;
+        let taus = st
+            .finalize(self.kind, &per_seed)
             .iter()
             .map(|r| {
                 Json::obj(vec![
@@ -108,11 +82,10 @@ impl Cell for Fig3Cell {
                 ])
             })
             .collect();
-        let result = Json::obj(vec![
+        Ok(Json::obj(vec![
             ("scheduler", Json::Str(self.kind.name().into())),
             ("taus", Json::Arr(taus)),
-        ]);
-        Ok((result, None))
+        ]))
     }
 }
 
@@ -148,21 +121,49 @@ pub fn table(merged: &Json) -> Option<String> {
 mod tests {
     use super::*;
 
+    /// The `[p5, p25, median, p75, p95]` boxes of one scheduler's cell.
+    fn boxes(kind: SchedulerKind, scale: Scale) -> Vec<Vec<f64>> {
+        let (result, _) = (&Fig3Cell { kind } as &dyn Cell).execute(scale);
+        let taus = result.get("taus").and_then(Json::as_arr).expect("taus");
+        taus.iter()
+            .map(|tau| {
+                let five = tau.get("five_number").and_then(Json::as_arr).expect("box");
+                five.iter().map(|v| v.as_f64().expect("finite")).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn boxes_tighten_with_tau_and_wtp_beats_bpr() {
-        let [wtp, bpr] = SCHEDULERS.map(|kind| cell(kind, Scale::Bench));
+        let [wtp, bpr] = SCHEDULERS.map(|kind| boxes(kind, Scale::Bench));
+        let iqr = |b: &Vec<f64>| b[3] - b[1];
         // IQR shrinks from the shortest to the longest measured τ for WTP.
         let first = wtp.first().expect("has taus");
         let last = wtp.last().expect("has taus");
-        assert!(last.iqr() <= first.iqr() + 1e-9);
+        assert!(iqr(last) <= iqr(first) + 1e-9);
         // Medians near the target at the longest τ.
-        assert!(
-            (last.median() - 2.0).abs() < 0.7,
-            "median {}",
-            last.median()
-        );
+        assert!((last[2] - 2.0).abs() < 0.7, "median {}", last[2]);
         // WTP tighter than BPR at the shortest τ (paper's headline claim).
         let bpr_first = bpr.first().expect("has taus");
-        assert!(first.iqr() < bpr_first.iqr() * 1.25);
+        assert!(iqr(first) < iqr(bpr_first) * 1.25);
+    }
+
+    /// A shard with fewer τ rows than the ladder — a partial of another
+    /// scale — is a merge error (a cache miss), not an out-of-bounds
+    /// panic in the percentile fold.
+    #[test]
+    fn a_short_tau_ladder_is_a_merge_error_not_a_panic() {
+        let scale = Scale::Custom {
+            punits: 400,
+            nseeds: 2,
+        };
+        let cell = &cells()[0];
+        let good = cell.execute_shard(scale, 0);
+        let short = (
+            Json::obj(vec![("rows", cell::rows_json(&[vec![2.0], vec![2.0]]))]),
+            None,
+        );
+        let err = cell.merge_shards(scale, &[good, short]).unwrap_err();
+        assert!(err.contains("shard 1 does not hold 3 rows"), "{err}");
     }
 }

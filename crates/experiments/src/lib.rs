@@ -1,9 +1,11 @@
 //! # experiments — the table/figure regeneration harness
 //!
 //! One module per experiment in the paper's evaluation. Each is a whole
-//! suite in one file: per-cell measurement functions (`cell(...)`), the
-//! sweep grid (`cells()`), the [`cell::Cell`] impl that shards, merges and
-//! encodes a cell's result, and the markdown block rendered from merged
+//! suite in one file: the sweep grid (`cells()`), the cell type that
+//! measures and encodes a cell's result — a seed-swept cell implements
+//! [`cell::SeedCell`] (measure one seed, fold the seeds in order) and
+//! leaves sharding and merging to [`cell`]; the rest implement
+//! [`cell::Cell`] — and the markdown block rendered from merged
 //! results. [`cell::SUITES`] lists them; the orchestrator crate's
 //! `propdiff-run` schedules, caches, and merges the cells and prints or
 //! checks the blocks. The bench crate times representative cells at
@@ -60,7 +62,7 @@ pub enum Scale {
 pub const TICKS_PER_PUNIT: u64 = pdd::traffic::PAPER_MEAN_PACKET_BYTES as u64;
 
 /// The longest run a suite derives from a scale, in Study-A horizons: the
-/// M/G/1 validation (`ablations::tdp`) simulates four.
+/// M/G/1 validation (the `analytic` ablation) simulates four.
 const LONGEST_RUN_HORIZONS: u64 = 4;
 
 /// `punits` mean-packet transmission times in ticks, or `None` when that
@@ -159,21 +161,6 @@ impl Scale {
     }
 }
 
-/// Runs `jobs` closures on up to `std::thread::available_parallelism()`
-/// OS threads and returns their results in order.
-///
-/// See [`parallel_map_on`] for the scheduling discipline.
-pub fn parallel_map<T, F>(jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4);
-    parallel_map_on(jobs, workers)
-}
-
 /// Runs `jobs` on exactly `workers` OS threads (clamped to the job count)
 /// and returns their results in input order.
 ///
@@ -225,7 +212,7 @@ mod tests {
         let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..20usize)
             .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
             .collect();
-        let got = parallel_map(jobs);
+        let got = parallel_map_on(jobs, 4);
         assert_eq!(got, (0..20).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -233,12 +220,15 @@ mod tests {
     fn parallel_map_edge_sizes() {
         // Empty, single, and a count that doesn't divide evenly by any
         // plausible worker count.
-        assert_eq!(parallel_map(Vec::<fn() -> u32>::new()), Vec::<u32>::new());
-        assert_eq!(parallel_map(vec![|| 7u32]), vec![7]);
+        assert_eq!(
+            parallel_map_on(Vec::<fn() -> u32>::new(), 4),
+            Vec::<u32>::new()
+        );
+        assert_eq!(parallel_map_on(vec![|| 7u32], 4), vec![7]);
         let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..23usize)
             .map(|i| Box::new(move || i + 1) as Box<dyn FnOnce() -> usize + Send>)
             .collect();
-        assert_eq!(parallel_map(jobs), (1..=23).collect::<Vec<_>>());
+        assert_eq!(parallel_map_on(jobs, 4), (1..=23).collect::<Vec<_>>());
     }
 
     #[test]

@@ -5,17 +5,17 @@
 //! those suites declares a [`Study`] and its load points, and renders its
 //! own tables.
 //!
-//! A cell shards one seed per shard (`qsim::Experiment::run_seed_probed`
-//! into a fresh registry) and merges the rows with `qsim::average_rows` in
-//! seed order — the fold `Experiment::run_many` applies — so one process,
-//! the threaded runner and the worker farm produce the same bytes.
+//! A ratio cell is a [`SeedCell`]: each seed replays one trace through both
+//! schedulers into a fresh registry, and the rows fold with
+//! `qsim::average_rows` in seed order — the fold `Experiment::run_many`
+//! applies.
 
-use pdd::qsim::{average_rows, Experiment, SeedResult};
+use pdd::qsim::{Experiment, SeedResult};
 use pdd::sched::{SchedulerKind, Sdp};
 use pdd::telemetry::json::Json;
-use pdd::telemetry::{MetricsRegistry, NoopProbe, Probe};
+use pdd::telemetry::MetricsRegistry;
 
-use crate::cell::{self, Cell, Merged, Partial};
+use crate::cell::{self, Cell, Seed, SeedCell};
 use crate::{fig1, fig2, Scale};
 
 /// Classes per cell (the paper's four): three successive ratios a row.
@@ -67,51 +67,25 @@ pub fn grid(study: &'static Study, axes: &[Axis]) -> Vec<Box<dyn Cell>> {
 
 impl RatioCell {
     /// The cell's two ratio rows, in [`Study::schedulers`] order: every
-    /// seed measured without a probe, folded as [`Cell::merge`] folds.
+    /// seed measured without a probe and folded as the merge folds
+    /// ([`Experiment::run_many`]).
     pub fn rows(&self, scale: Scale) -> [Vec<f64>; 2] {
-        let per_seed: Vec<_> = scale
-            .seeds()
-            .iter()
-            .map(|&seed| self.seed_rows(scale, seed, &mut NoopProbe))
-            .collect();
-        self.average(&per_seed)
-            .expect("measured rows are well-formed")
+        let kinds = self.study.schedulers.map(|(_, kind)| kind);
+        let [a, b]: [_; 2] = (self.experiment(scale, scale.seeds()).run_many(&kinds))
+            .try_into()
+            .expect("one result per scheduler");
+        [a.ratios, b.ratios]
     }
 
-    /// Measures one seed: each scheduler's successive-class ratios.
-    fn seed_rows<P: Probe>(&self, scale: Scale, seed: u64, probe: &mut P) -> Vec<Vec<f64>> {
+    /// The Study-A experiment at the cell's spacing and load point.
+    fn experiment(&self, scale: Scale, seeds: Vec<u64>) -> Experiment {
         let sdp = Sdp::geometric(CLASSES, self.sdp_ratio).expect("static");
-        let mut e = Experiment::paper(0.95, sdp, scale.punits(), vec![seed]);
+        let mut e = Experiment::paper(0.95, sdp, scale.punits(), seeds);
         match self.axis {
             Axis::Utilization(utilization) => e.utilization = utilization,
             Axis::Split(dist) => e.class_fractions = fig2::DISTRIBUTIONS[dist].to_vec(),
         }
-        let kinds = self.study.schedulers.map(|(_, kind)| kind);
-        e.run_seed_probed(&kinds, seed, probe)
-            .iter()
-            .map(SeedResult::successive_ratios)
-            .collect()
-    }
-
-    /// Folds per-seed rows (**seed order**) per scheduler with
-    /// [`average_rows`]. A seed whose rows are not two of three ratios —
-    /// a well-formed but foreign partial — is an error, not a panic, so
-    /// the runner treats it as a cache miss.
-    fn average(&self, per_seed: &[Vec<Vec<f64>>]) -> Result<[Vec<f64>; 2], String> {
-        let schedulers = self.study.schedulers.len();
-        let foreign = |rows: &Vec<Vec<f64>>| {
-            rows.len() != schedulers || rows.iter().any(|r| r.len() != CLASSES - 1)
-        };
-        if let Some(shard) = per_seed.iter().position(foreign) {
-            return Err(format!(
-                "{}: shard {shard} does not hold {schedulers} rows of {} ratios",
-                self.id(),
-                CLASSES - 1
-            ));
-        }
-        let fold =
-            |k: usize| average_rows(&per_seed.iter().map(|s| s[k].clone()).collect::<Vec<_>>());
-        Ok([fold(0), fold(1)])
+        e
     }
 
     /// The parameters after `group`: the spacing, then the load point.
@@ -128,7 +102,9 @@ impl RatioCell {
     }
 }
 
-impl Cell for RatioCell {
+impl SeedCell for RatioCell {
+    const METERED: bool = true;
+
     fn id(&self) -> String {
         let axis = match self.axis {
             Axis::Utilization(utilization) => format!("u{utilization}"),
@@ -141,46 +117,32 @@ impl Cell for RatioCell {
         cell::params(self.study.group, self.param_pairs())
     }
 
-    fn shard_count(&self, scale: Scale) -> usize {
-        scale.seeds().len()
-    }
-
-    /// One seed measured into a fresh four-class registry: its rows are
-    /// the partial, the registry the snapshot.
-    fn execute_shard(&self, scale: Scale, shard: usize) -> Partial {
+    /// Each scheduler's successive-class ratios, measured into a fresh
+    /// four-class registry.
+    fn measure(&self, scale: Scale, seed: u64) -> (Json, Option<MetricsRegistry>) {
         let mut registry = MetricsRegistry::with_shape(1, CLASSES);
-        let rows = self.seed_rows(scale, scale.seeds()[shard], &mut registry);
-        (
-            Json::obj(vec![("rows", cell::rows_json(&rows))]),
-            Some(registry.to_json()),
-        )
+        let kinds = self.study.schedulers.map(|(_, kind)| kind);
+        let e = self.experiment(scale, vec![seed]);
+        let rows = cell::seed_rows(
+            &e,
+            &kinds,
+            seed,
+            &mut registry,
+            SeedResult::successive_ratios,
+        );
+        (rows, Some(registry))
     }
 
-    /// The rows averaged per scheduler; the shard registries merged **in
-    /// shard (= seed) order** from an empty registry.
-    fn merge(&self, _scale: Scale, shards: &[Partial]) -> Result<Merged, String> {
-        let ratios = self.average(&cell::decode_shard_rows(shards)?)?;
-        let mut registry = MetricsRegistry::new();
-        for shard in shards {
-            registry.merge(&cell::shard_registry(&self.id(), shard)?);
-        }
-        let params = self.param_pairs();
-        let mut result: Vec<(&str, Json)> = self
-            .study
-            .echo
-            .iter()
-            .map(|key| {
-                params
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .cloned()
-                    .expect("a study echoes its own parameters")
-            })
+    /// The rows averaged per scheduler, after the echoed parameters.
+    fn fold(&self, _scale: Scale, seeds: &[Seed]) -> Result<Json, String> {
+        let ratios = cell::average_seed_rows(seeds, self.study.schedulers.len(), CLASSES - 1)?;
+        let mut result: Vec<(&str, Json)> = (self.param_pairs().into_iter())
+            .filter(|(key, _)| self.study.echo.contains(key))
             .collect();
         for ((key, _), row) in self.study.schedulers.iter().zip(&ratios) {
             result.push((key, Json::nums(row)));
         }
-        Ok((Json::obj(result), Some(registry)))
+        Ok(Json::obj(result))
     }
 }
 
@@ -246,7 +208,12 @@ mod tests {
             let (merged, _) = (&cell as &dyn Cell).execute(SCALE);
             let rows = cell.rows(SCALE);
             for ((key, _), row) in study.schedulers.iter().zip(&rows) {
-                assert_eq!(merged.get(key), Some(&Json::nums(row)), "{}", cell.id());
+                assert_eq!(
+                    merged.get(key),
+                    Some(&Json::nums(row)),
+                    "{}",
+                    SeedCell::id(&cell)
+                );
             }
         }
     }
@@ -272,7 +239,7 @@ mod tests {
                 [(good.clone(), registry.clone()), bad.clone()],
             ] {
                 let err = fig1.merge_shards(SCALE, &shards).unwrap_err();
-                assert!(err.contains("does not hold 2 rows of 3 ratios"), "{err}");
+                assert!(err.contains("does not hold 2 rows of 3"), "{err}");
             }
         }
     }

@@ -258,9 +258,7 @@ impl ExperimentResult {
             kind,
             mean_delays: fold(&SeedResult::mean_delays),
             ratios: fold(&SeedResult::successive_ratios),
-            target_ratios: (0..sdp.num_classes() - 1)
-                .map(|i| sdp.target_ratio(i))
-                .collect(),
+            target_ratios: sdp.target_ratios(),
             std_devs: fold(&|sr| sr.per_class.iter().map(Summary::std_dev).collect()),
             p95s: fold(&|sr| sr.p95.clone()),
         }

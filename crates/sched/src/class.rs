@@ -102,6 +102,12 @@ impl Sdp {
         self.0[i + 1] / self.0[i]
     }
 
+    /// Every successive target ratio, [`target_ratio`](Self::target_ratio)
+    /// of each class but the last.
+    pub fn target_ratios(&self) -> Vec<f64> {
+        self.0.windows(2).map(|w| w[1] / w[0]).collect()
+    }
+
     /// The implied Delay Differentiation Parameters, normalized so that
     /// δ_1 = 1: δ_i = s_1/s_i (Eq. 10).
     pub fn implied_ddps(&self) -> Vec<f64> {
