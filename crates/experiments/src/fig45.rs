@@ -8,6 +8,8 @@
 //! packets of a draining queue) while WTP tracks the proportional spacing
 //! smoothly. We quantify that with a per-class roughness metric.
 
+use std::path::Path;
+
 use pdd::qsim::{MicroViews, Microscope};
 use pdd::sched::SchedulerKind;
 use pdd::telemetry::json::Json;
@@ -115,6 +117,44 @@ pub fn table(merged: &Json) -> Option<String> {
         &["scheduler", "class 1", "class 2", "class 3", "mean"],
         rows,
     ))
+}
+
+/// Writes the Figures-4/5 view CSVs (`fig4_view1.csv` … `fig5_view2.csv`)
+/// under `dir` from a merged results document. No-op for a document
+/// without fig45 cells.
+pub fn write_fig45_csvs(merged: &Json, dir: &Path) -> std::io::Result<()> {
+    for c in cell::group_cells(merged, "fig45") {
+        let r = cell::result(c);
+        let fig = match r.get("scheduler").and_then(Json::as_str) {
+            Some("BPR") => "fig4",
+            Some("WTP") => "fig5",
+            _ => continue,
+        };
+        let rows = |view: &str| {
+            let rows = r.get(view).and_then(Json::as_arr).unwrap_or_default();
+            rows.iter().map(|row| row.as_arr().unwrap_or_default())
+        };
+        std::fs::create_dir_all(dir)?;
+        let mut v1 = String::from("interval_start_ticks,class1,class2,class3\n");
+        for row in rows("view1") {
+            let start = row.first().and_then(Json::as_i64).unwrap_or(0);
+            let avgs: Vec<String> = (row.get(1).and_then(Json::as_arr).unwrap_or_default())
+                .iter()
+                .map(|a| a.as_f64().map(|d| format!("{d:.1}")).unwrap_or_default())
+                .collect();
+            v1.push_str(&format!("{start},{}\n", avgs.join(",")));
+        }
+        std::fs::write(dir.join(format!("{fig}_view1.csv")), v1)?;
+        let mut v2 = String::from("departure_ticks,class,delay_ticks\n");
+        for row in rows("view2") {
+            let t = row.first().and_then(Json::as_i64).unwrap_or(0);
+            let c = row.get(1).and_then(Json::as_i64).unwrap_or(0);
+            let d = row.get(2).and_then(Json::as_f64).unwrap_or(0.0);
+            v2.push_str(&format!("{t},{},{d:.1}\n", c + 1));
+        }
+        std::fs::write(dir.join(format!("{fig}_view2.csv")), v2)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -65,6 +65,12 @@ pub const TICKS_PER_PUNIT: u64 = pdd::traffic::PAPER_MEAN_PACKET_BYTES as u64;
 /// M/G/1 validation (the `analytic` ablation) simulates four.
 const LONGEST_RUN_HORIZONS: u64 = 4;
 
+/// The shortest custom horizon, in p-units: `--punits` is clamped to it.
+const MIN_PUNITS: u64 = 100;
+
+/// The most seeds a custom scale averages: `--seeds` is clamped to it.
+const MAX_SEEDS: u16 = 1000;
+
 /// `punits` mean-packet transmission times in ticks, or `None` when that
 /// does not fit the 64-bit clock — the one place a user's `--punits`
 /// becomes a horizon.
@@ -100,27 +106,50 @@ impl Scale {
         let scale = match (get("--punits")?, get("--seeds")?) {
             (None, None) => base,
             (p, k) => Scale::Custom {
-                punits: p.unwrap_or(base.punits()).max(100),
-                nseeds: k.unwrap_or(base.seeds().len() as u64).clamp(1, 1000) as u16,
+                punits: p.unwrap_or(base.punits()).max(MIN_PUNITS),
+                nseeds: k
+                    .unwrap_or(base.seeds().len() as u64)
+                    .clamp(1, MAX_SEEDS as u64) as u16,
             },
         };
-        let punits = scale.punits();
+        scale.check().map_err(|e| format!("usage: {e}"))
+    }
+
+    /// This scale, if every suite can run at it: a custom one has at least
+    /// 100 p-units and 1 to 1000 seeds, and no scale's horizon overflows the
+    /// clock when the longest suite runs four of them. The one bound check
+    /// for both ways a scale comes in, the CLI flags and a worker's job line.
+    ///
+    /// # Errors
+    /// What is out of bounds, phrased after the flag that sets it.
+    pub fn check(self) -> Result<Scale, String> {
+        if let Scale::Custom { punits, nseeds } = self {
+            if punits < MIN_PUNITS {
+                return Err(format!(
+                    "--punits {punits}: shorter than {MIN_PUNITS} p-units"
+                ));
+            }
+            if !(1..=MAX_SEEDS).contains(&nseeds) {
+                return Err(format!("--seeds {nseeds}: not in 1..={MAX_SEEDS}"));
+            }
+        }
+        let punits = self.punits();
         punits_to_ticks(punits)
             .and_then(|ticks| ticks.checked_mul(LONGEST_RUN_HORIZONS))
             .ok_or_else(|| {
                 format!(
-                    "usage: --punits {punits}: a horizon of {punits} × {TICKS_PER_PUNIT} ticks \
+                    "--punits {punits}: a horizon of {punits} × {TICKS_PER_PUNIT} ticks \
                      (suites run up to {LONGEST_RUN_HORIZONS} of them) does not fit the 64-bit clock"
                 )
             })?;
-        Ok(scale)
+        Ok(self)
     }
 
     /// The Study-A horizon, [`punits`](Self::punits) on the clock.
     ///
     /// # Panics
-    /// Panics if it does not fit the clock, which
-    /// [`try_from_args`](Self::try_from_args) rules out.
+    /// Panics if it does not fit the clock, which [`check`](Self::check)
+    /// rules out.
     pub fn horizon(self) -> pdd::simcore::Time {
         let ticks = punits_to_ticks(self.punits()).expect("the scale's horizon fits the clock");
         pdd::simcore::Time::from_ticks(ticks)
@@ -161,88 +190,9 @@ impl Scale {
     }
 }
 
-/// Runs `jobs` on exactly `workers` OS threads (clamped to the job count)
-/// and returns their results in input order.
-///
-/// Scheduling is work-stealing from a shared injector: idle workers claim
-/// the next unstarted job, so a few heavy jobs (a K=8 Table-1 cell next to
-/// a bench-scale feasibility probe) never serialize behind a static chunk
-/// assignment. Results are tagged with their input index and sorted before
-/// returning, so the output order — and everything downstream, including
-/// the orchestrator's merged JSON — is independent of the worker count.
-pub fn parallel_map_on<T, F>(jobs: Vec<F>, workers: usize) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    use std::sync::Mutex;
-
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    if workers == 1 {
-        return jobs.into_iter().map(|job| job()).collect();
-    }
-    let queue = Mutex::new(jobs.into_iter().enumerate());
-    let results = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                // Claim the next job while holding the lock, run it outside.
-                let next = queue.lock().expect("worker thread panicked").next();
-                let Some((i, job)) = next else { break };
-                let out = (i, job());
-                results.lock().expect("worker thread panicked").push(out);
-            });
-        }
-    });
-    let mut results = results.into_inner().expect("worker thread panicked");
-    results.sort_by_key(|&(i, _)| i);
-    results.into_iter().map(|(_, r)| r).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..20usize)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let got = parallel_map_on(jobs, 4);
-        assert_eq!(got, (0..20).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_edge_sizes() {
-        // Empty, single, and a count that doesn't divide evenly by any
-        // plausible worker count.
-        assert_eq!(
-            parallel_map_on(Vec::<fn() -> u32>::new(), 4),
-            Vec::<u32>::new()
-        );
-        assert_eq!(parallel_map_on(vec![|| 7u32], 4), vec![7]);
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..23usize)
-            .map(|i| Box::new(move || i + 1) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        assert_eq!(parallel_map_on(jobs, 4), (1..=23).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_on_is_order_stable_across_worker_counts() {
-        let make = || -> Vec<Box<dyn FnOnce() -> usize + Send>> {
-            (0..17usize)
-                .map(|i| Box::new(move || i * 3) as Box<dyn FnOnce() -> usize + Send>)
-                .collect()
-        };
-        let want: Vec<usize> = (0..17).map(|i| i * 3).collect();
-        for workers in [1, 2, 5, 32] {
-            assert_eq!(parallel_map_on(make(), workers), want, "workers={workers}");
-        }
-    }
 
     #[test]
     fn scales_are_ordered() {
@@ -308,6 +258,25 @@ mod tests {
         let roomy = fits / 4;
         let scale = parse(&["--punits", &roomy.to_string()]).expect("fits four times");
         assert_eq!(scale.horizon().ticks(), roomy * 441);
+    }
+
+    #[test]
+    fn check_refuses_what_the_flags_clamp_or_the_clock_cannot_hold() {
+        let custom = |punits, nseeds| Scale::Custom { punits, nseeds };
+        for scale in [Scale::Paper, Scale::Quick, Scale::Bench, custom(100, 1)] {
+            assert_eq!(scale.check(), Ok(scale));
+        }
+        assert_eq!(custom(100, 1000).check(), Ok(custom(100, 1000)));
+        for (scale, flag) in [
+            (custom(0, 1), "--punits 0:"),
+            (custom(99, 1), "--punits 99:"),
+            (custom(100, 0), "--seeds 0:"),
+            (custom(100, 1001), "--seeds 1001:"),
+            (custom(u64::MAX, 1), "--punits 18446744073709551615:"),
+        ] {
+            let err = scale.check().expect_err(flag);
+            assert!(err.starts_with(flag), "{err}");
+        }
     }
 
     #[test]

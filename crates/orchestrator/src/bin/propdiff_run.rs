@@ -29,6 +29,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use experiments::cell::suite_names;
+use experiments::fig45;
 use experiments::Scale;
 use orchestrator::cache::scale_tag;
 use orchestrator::{manifest, render, runner};
@@ -121,7 +122,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let csv_dir = arg_value(args, "--csv-dir")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("out"));
-    runner::write_fig45_csvs(&report.merged, &csv_dir)
+    fig45::write_fig45_csvs(&report.merged, &csv_dir)
         .map_err(|e| format!("write fig45 CSVs: {e}"))?;
     if !opts.quiet {
         for (name, body) in render::suite_blocks(&report.merged) {

@@ -95,32 +95,20 @@ impl Cache {
     /// Loads the cached result for `cell`, or `None` on a miss (absent,
     /// unreadable, or carrying a stale key).
     pub fn load(&self, cell: &dyn Cell, scale: Scale) -> Option<Json> {
-        let text = std::fs::read_to_string(self.path(cell, scale)).ok()?;
-        let entry = Json::parse(&text).ok()?;
-        let stored_key = entry.get("key")?.as_str()?;
-        if stored_key != format!("{:016x}", self.key(cell, scale)) {
-            return None;
-        }
+        let entry = read_keyed(&self.path(cell, scale), self.key(cell, scale))?;
         entry.get("result").cloned()
     }
 
-    /// Stores `result` for `cell`, overwriting any stale entry.
-    ///
-    /// The write goes through a same-directory temp file and rename, so an
-    /// interrupted run leaves either the old entry or the new one — never
-    /// a torn file — and resuming re-runs only genuinely missing cells.
+    /// Stores `result` for `cell`, overwriting any stale entry. The write
+    /// is atomic: an interrupted run leaves either the old entry or the new
+    /// one, so resuming re-runs only genuinely missing cells.
     pub fn store(&self, cell: &dyn Cell, scale: Scale, result: &Json) -> io::Result<()> {
-        let path = self.path(cell, scale);
-        let parent = path.parent().expect("cache path has a parent");
-        std::fs::create_dir_all(parent)?;
         let entry = Json::obj(vec![
-            ("key", Json::Str(format!("{:016x}", self.key(cell, scale)))),
+            ("key", key_str(self.key(cell, scale))),
             ("cell", cell.params()),
             ("result", result.clone()),
         ]);
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, entry.serialize())?;
-        std::fs::rename(&tmp, &path)
+        write_atomic(&self.path(cell, scale), &entry.serialize())
     }
 
     /// The content key a shard entry must carry: the cell key extended
@@ -151,12 +139,10 @@ impl Cache {
         shard: usize,
         shards: usize,
     ) -> Option<(Json, Option<String>)> {
-        let text = std::fs::read_to_string(self.shard_path(cell, scale, shard, shards)).ok()?;
-        let entry = Json::parse(&text).ok()?;
-        let stored_key = entry.get("key")?.as_str()?;
-        if stored_key != format!("{:016x}", self.shard_key(cell, scale, shard, shards)) {
-            return None;
-        }
+        let entry = read_keyed(
+            &self.shard_path(cell, scale, shard, shards),
+            self.shard_key(cell, scale, shard, shards),
+        )?;
         let partial = entry.get("partial")?.clone();
         let registry = match entry.get("registry") {
             Some(Json::Str(s)) => Some(s.clone()),
@@ -165,9 +151,9 @@ impl Cache {
         Some((partial, registry))
     }
 
-    /// Stores one shard's partial (same atomic temp-file discipline as
-    /// [`store`](Self::store)), making it visible to resumed runs the
-    /// moment the worker that produced it finishes.
+    /// Stores one shard's partial (atomically, as [`store`](Self::store)
+    /// does), making it visible to resumed runs the moment the shard
+    /// finishes.
     pub fn store_shard(
         &self,
         cell: &dyn Cell,
@@ -177,17 +163,8 @@ impl Cache {
         partial: &Json,
         registry: Option<&str>,
     ) -> io::Result<()> {
-        let path = self.shard_path(cell, scale, shard, shards);
-        let parent = path.parent().expect("shard path has a parent");
-        std::fs::create_dir_all(parent)?;
         let entry = Json::obj(vec![
-            (
-                "key",
-                Json::Str(format!(
-                    "{:016x}",
-                    self.shard_key(cell, scale, shard, shards)
-                )),
-            ),
+            ("key", key_str(self.shard_key(cell, scale, shard, shards))),
             ("shard", Json::Int(shard as i64)),
             ("shards", Json::Int(shards as i64)),
             ("partial", partial.clone()),
@@ -196,9 +173,10 @@ impl Cache {
                 registry.map(|s| Json::Str(s.into())).unwrap_or(Json::Null),
             ),
         ]);
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, entry.serialize())?;
-        std::fs::rename(&tmp, &path)
+        write_atomic(
+            &self.shard_path(cell, scale, shard, shards),
+            &entry.serialize(),
+        )
     }
 
     /// Best-effort removal of a cell's shard entries once its merged entry
@@ -210,7 +188,7 @@ impl Cache {
     }
 
     /// Writes a cell's metrics-registry snapshot next to its cache entry
-    /// as `<cell-id>.metrics.json` (same atomic temp-file discipline).
+    /// as `<cell-id>.metrics.json`, atomically.
     ///
     /// Sidecars are artifacts, not cache entries: they carry no content
     /// key and never feed cache hits, so a warm run — which skips the
@@ -218,15 +196,30 @@ impl Cache {
     /// also stay out of the merged results document, which must remain
     /// byte-stable across cold and warm runs.
     pub fn store_metrics(&self, cell: &dyn Cell, scale: Scale, snapshot: &str) -> io::Result<()> {
-        let path = self
-            .dir
-            .join(scale_tag(scale))
-            .join(cell.id() + ".metrics.json");
-        std::fs::create_dir_all(path.parent().expect("cache path has a parent"))?;
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, snapshot)?;
-        std::fs::rename(&tmp, &path)
+        let dir = self.dir.join(scale_tag(scale));
+        write_atomic(&dir.join(cell.id() + ".metrics.json"), snapshot)
     }
+}
+
+/// A content key as an entry stores it: 16 hex digits.
+fn key_str(key: u64) -> Json {
+    Json::Str(format!("{key:016x}"))
+}
+
+/// The entry at `path`, if it reads, parses and carries `key`.
+fn read_keyed(path: &Path, key: u64) -> Option<Json> {
+    let entry = Json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
+    (entry.get("key") == Some(&key_str(key))).then_some(entry)
+}
+
+/// Writes `bytes` to `path` through a same-directory temp file and a
+/// rename, creating the directory first: an interrupted run leaves the old
+/// file or the new one, never a torn one.
+fn write_atomic(path: &Path, bytes: &str) -> io::Result<()> {
+    std::fs::create_dir_all(path.parent().expect("cache path has a parent"))?;
+    let tmp = path.with_extension("json.tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]

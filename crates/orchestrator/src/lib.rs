@@ -7,13 +7,14 @@
 //! experiment crate owns its identity, parameters, sharding, merge fold and
 //! result encoding, and this crate only schedules, caches and ships it.
 //! Seed-swept cells split into deterministic per-seed *shards*
-//! (`Cell::execute_shard` / `Cell::merge`), and the [`runner`] executes uncached shards either on worker threads (the
-//! experiment crate's work-stealing `parallel_map_on`) or — with
-//! `--workers N` — on a farm of separate `propdiff-run worker` processes
-//! fed over the stdin/stdout JSONL [`protocol`] by the parent-side pool in
-//! [`worker`]. Both paths run the same shard arithmetic and the same
-//! seed-order merge, so the merged JSON is byte-identical at any worker
-//! count and interleaving.
+//! (`Cell::execute_shard` / `Cell::merge`), and the [`runner`] executes
+//! uncached shards on the one shard pool in [`worker`]: a job queue whose
+//! slots run a shard in this process or — with `--workers N` — through
+//! a separate `propdiff-run worker` process fed over the stdin/stdout
+//! JSONL [`protocol`]. Both slot kinds run the same shard arithmetic, a
+//! finished shard is stored in one place, and the runner merges in seed
+//! order, so the merged JSON is byte-identical at any slot count and
+//! interleaving.
 //!
 //! Results land in the on-disk [`cache`] keyed by a content hash of (cell
 //! parameters, scale, source [`fingerprint`], schema version); shard-level

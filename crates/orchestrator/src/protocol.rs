@@ -11,7 +11,8 @@
 //!   the same `manifest::suite` table the parent used — no cell
 //!   serialization, no drift between the two sides of the pipe.
 //! - The scale travels as its [`scale_tag`] string; [`parse_scale_tag`]
-//!   is the exact inverse.
+//!   is the exact inverse, and refuses a tag that is not canonical or
+//!   names a scale the CLI would not run (`Scale::check`).
 //! - A reply carries the shard's partial-result JSON verbatim. [`Json`]
 //!   satisfies `parse ∘ serialize = identity`, so
 //!   shipping a partial through the pipe cannot change any value — the
@@ -79,7 +80,7 @@ impl Job {
             suite: str_field("suite")?,
             cell: int_field("cell")?,
             id: str_field("id")?,
-            scale: parse_scale_tag(&tag).ok_or_else(|| format!("bad scale tag `{tag}`"))?,
+            scale: parse_scale_tag(&tag)?,
             shard: int_field("shard")?,
             shards: int_field("shards")?,
         })
@@ -183,19 +184,26 @@ impl Reply {
 
 /// Parses a [`scale_tag`] back into the [`Scale`] it names — the wire
 /// inverse the worker uses to reconstruct the parent's scale.
-pub fn parse_scale_tag(tag: &str) -> Option<Scale> {
-    match tag {
+///
+/// # Errors
+/// A tag that [`scale_tag`] would not write (`p0100s1`), or one naming a
+/// scale that [`Scale::check`] refuses, as the CLI does (`p0s1`).
+pub fn parse_scale_tag(tag: &str) -> Result<Scale, String> {
+    let custom = || {
+        let (punits, nseeds) = tag.strip_prefix('p')?.split_once('s')?;
+        Some(Scale::Custom {
+            punits: punits.parse().ok()?,
+            nseeds: nseeds.parse().ok()?,
+        })
+    };
+    let scale = match tag {
         "paper" => Some(Scale::Paper),
         "quick" => Some(Scale::Quick),
         "bench" => Some(Scale::Bench),
-        custom => {
-            let (punits, nseeds) = custom.strip_prefix('p')?.split_once('s')?;
-            Some(Scale::Custom {
-                punits: punits.parse().ok()?,
-                nseeds: nseeds.parse().ok()?,
-            })
-        }
-    }
+        _ => custom().filter(|&scale| scale_tag(scale) == tag),
+    };
+    let scale = scale.ok_or_else(|| format!("bad scale tag `{tag}`"))?;
+    scale.check().map_err(|e| format!("scale tag `{tag}`: {e}"))
 }
 
 #[cfg(test)]
@@ -213,11 +221,44 @@ mod tests {
                 nseeds: 3,
             },
         ] {
-            assert_eq!(parse_scale_tag(&scale_tag(scale)), Some(scale));
+            assert_eq!(parse_scale_tag(&scale_tag(scale)), Ok(scale));
         }
-        assert_eq!(parse_scale_tag("p2000"), None);
-        assert_eq!(parse_scale_tag("nope"), None);
-        assert_eq!(parse_scale_tag("pxs2"), None);
+        assert!(parse_scale_tag("p2000").is_err());
+        assert!(parse_scale_tag("nope").is_err());
+        assert!(parse_scale_tag("pxs2").is_err());
+    }
+
+    #[test]
+    fn job_lines_name_only_canonical_scales_the_cli_would_run() {
+        let line = |scale: &str| {
+            format!(
+                "{{\"op\":\"run\",\"suite\":\"fig1\",\"cell\":0,\"id\":\"fig1-s2-u0_7\",\
+                 \"scale\":\"{scale}\",\"shard\":0,\"shards\":1}}"
+            )
+        };
+        for tag in ["p100s1", "p30000s1000", "quick"] {
+            let job = Job::parse(&line(tag)).expect(tag);
+            assert_eq!(scale_tag(job.scale), tag);
+        }
+        for tag in [
+            // Below the CLI's clamps: would run as all-null rows.
+            "p0s1",
+            "p1s1",
+            "p99s1",
+            "p100s0",
+            "p100s1001",
+            // 41 829 351 641 064 743 × 441 wraps the clock; u64::MAX p-units
+            // would not answer for minutes.
+            "p41829351641064743s1",
+            "p18446744073709551615s1",
+            // Not what `scale_tag` writes for any scale.
+            "p0100s1",
+            "p+100s1",
+            "p100s01",
+        ] {
+            let err = Job::parse(&line(tag)).expect_err(tag);
+            assert!(err.contains(tag), "{tag}: {err}");
+        }
     }
 
     #[test]

@@ -1,40 +1,40 @@
 //! The shard-aware runner: splits a manifest's uncached cells into
-//! deterministic seed-shards, executes the missing shards on worker
-//! threads or (with `process_workers > 0`) on a farm of separate worker
-//! processes, and merges everything back in manifest order and seed order
-//! — so the output is byte-identical regardless of worker count, worker
-//! kind, or completion order.
+//! deterministic seed-shards, executes the missing shards on the one shard
+//! pool (`worker::Pool`, whose slots run a shard in this process or, with
+//! `process_workers > 0`, through a worker child process), and merges
+//! everything back in manifest order and seed order — so the output is
+//! byte-identical regardless of slot count, slot kind, or completion
+//! order.
 //!
 //! The cache is consulted at two granularities. Merged per-cell entries
 //! short-circuit whole cells; shard entries (stored the moment each shard
 //! finishes) let a crashed or interrupted run resume mid-cell, paying only
 //! for the shards that never landed.
 
-use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use experiments::cell::{Cell, Partial};
-use experiments::{parallel_map_on, Scale};
+use experiments::Scale;
 use pdd::telemetry::json::Json;
 
 use crate::cache::{scale_tag, Cache, SCHEMA_VERSION};
 use crate::fingerprint::{source_fingerprint, workspace_root};
 use crate::manifest::Manifest;
-use crate::worker::{run_pool, ShardJob};
+use crate::protocol::Job;
+use crate::worker::Pool;
 
 /// Options governing one runner invocation.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// The scale every cell runs at.
     pub scale: Scale,
-    /// Worker threads (0 = one per available core). Ignored when
-    /// `process_workers` selects the process farm.
+    /// In-process pool slots (0 = one per available core). Ignored when
+    /// `process_workers` gives the slots worker children.
     pub workers: usize,
-    /// Worker *processes*: 0 runs shards on threads in this process; N > 0
-    /// spawns N `propdiff-run worker` children and feeds them shards over
-    /// the wire protocol. Output is byte-identical either way.
+    /// Worker *processes*: 0 runs shards in this process; N > 0 gives the
+    /// pool N slots, each feeding shards over the wire protocol to its own
+    /// `propdiff-run worker` child. Output is byte-identical either way.
     pub process_workers: usize,
     /// Executable to spawn as the worker (`None` = this executable).
     /// Mainly for tests driving the pool from a harness binary.
@@ -92,14 +92,12 @@ struct Work<'a> {
     idx: usize,
     cell: &'a dyn Cell,
     slots: Vec<Option<Partial>>,
-    secs: f64,
 }
 
 /// Runs `manifest` under `opts`: merged-cache lookups first, then the
-/// missing shards in parallel — in-process via the experiments crate's
-/// work-stealing [`parallel_map_on`], or across worker processes via
-/// the farm pool (`worker::run_pool`) — then a deterministic seed-order
-/// merge per cell.
+/// missing shards in parallel on the shard pool — in this process, or
+/// through worker processes — then a deterministic seed-order merge per
+/// cell.
 pub fn run(manifest: &Manifest, opts: &RunOptions) -> RunReport {
     let fingerprint = source_fingerprint(&workspace_root());
     let cache = Cache::new(opts.cache_dir.clone(), fingerprint);
@@ -127,15 +125,18 @@ pub fn run(manifest: &Manifest, opts: &RunOptions) -> RunReport {
     let to_run = &misses[..misses.len() - skipped];
 
     let mut works: Vec<Work> = Vec::with_capacity(to_run.len());
-    let mut jobs: Vec<ShardJob> = Vec::new();
+    let mut jobs: Vec<Job> = Vec::new();
     for &(i, cell) in to_run {
         let shards = cell.shard_count(scale);
         let mut slots = Vec::with_capacity(shards);
         for shard in 0..shards {
             let slot = cache.load_shard(cell, scale, shard, shards);
             if slot.is_none() {
-                jobs.push(ShardJob {
+                jobs.push(Job {
+                    suite: manifest.suite.clone(),
                     cell: i,
+                    id: cell.id(),
+                    scale,
                     shard,
                     shards,
                 });
@@ -146,100 +147,31 @@ pub fn run(manifest: &Manifest, opts: &RunOptions) -> RunReport {
             idx: i,
             cell,
             slots,
-            secs: 0.0,
         });
     }
 
-    let done = AtomicUsize::new(0);
-    let total_jobs = jobs.len();
-    let on_done = |cell_idx: usize, shard: usize, shards: usize, secs: f64| {
-        if opts.quiet {
-            return;
-        }
-        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-        let _ = writeln!(
-            std::io::stderr().lock(),
-            "[{n:>3}/{total_jobs}] {:<28} s{}/{shards} {secs:>6.1}s",
-            manifest.cells[cell_idx].id(),
-            shard + 1
-        );
-    };
-
-    let shard_results: Vec<(usize, usize, Json, Option<String>, f64)> = if jobs.is_empty() {
-        Vec::new()
-    } else if opts.process_workers > 0 {
-        run_pool(
-            manifest,
-            scale,
-            &jobs,
-            opts.process_workers,
-            opts.worker_exe.as_deref(),
-            &cache,
-            &on_done,
-        )
-    } else {
-        let workers = if opts.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-        } else {
-            opts.workers
-        };
-        let closures: Vec<_> = jobs
-            .iter()
-            .map(|&job| {
-                let cache = &cache;
-                let on_done = &on_done;
-                move || {
-                    let cell = manifest.cells[job.cell].as_ref();
-                    let started = std::time::Instant::now();
-                    let (partial, registry) = cell.execute_shard(scale, job.shard);
-                    if let Err(e) = cache.store_shard(
-                        cell,
-                        scale,
-                        job.shard,
-                        job.shards,
-                        &partial,
-                        registry.as_deref(),
-                    ) {
-                        eprintln!(
-                            "warning: could not cache shard {} of {}: {e}",
-                            job.shard,
-                            cell.id()
-                        );
-                    }
-                    let secs = started.elapsed().as_secs_f64();
-                    on_done(job.cell, job.shard, job.shards, secs);
-                    (job.cell, job.shard, partial, registry, secs)
-                }
-            })
-            .collect();
-        parallel_map_on(closures, workers)
-    };
-    let shards_executed = shard_results.len();
-
-    // Phase 3: slot the finished shards home, then merge each cell in seed
-    // order — the same arithmetic `Cell::execute` runs single-process,
-    // so the merged result is byte-identical to a run with no farm at all.
-    let work_of: HashMap<usize, usize> = works
-        .iter()
-        .enumerate()
-        .map(|(w, work)| (work.idx, w))
-        .collect();
-    for (cell_idx, shard, partial, registry, secs) in shard_results {
-        let w = work_of[&cell_idx];
-        works[w].slots[shard] = Some((partial, registry));
-        works[w].secs += secs;
-    }
+    let fresh = Pool::new(manifest, &cache, opts).run(&jobs);
+    let shards_executed = fresh.len();
     let executed = works.len();
 
+    // Phase 3: fill each cell's empty shard slots — the jobs were queued
+    // cell by cell, empty slot by empty slot, and come back in that order
+    // — then merge each cell in seed order: the same arithmetic
+    // `Cell::execute` runs single-process, so the merged result is
+    // byte-identical to a run with no pool at all.
+    let mut fresh = fresh.into_iter();
     let mut results: Vec<Option<Json>> = lookups.into_iter().map(|(_, _, r)| r).collect();
     for work in works {
         let shards = work.slots.len();
-        let parts: Vec<Partial> = work
-            .slots
-            .into_iter()
-            .map(|s| s.expect("every shard executed or resumed"))
+        let mut secs = 0.0;
+        let parts: Vec<Partial> = (work.slots.into_iter())
+            .map(|slot| {
+                slot.unwrap_or_else(|| {
+                    let (partial, s) = fresh.next().expect("one result per queued shard");
+                    secs += s;
+                    partial
+                })
+            })
             .collect();
         let (result, registry) = match work.cell.merge_shards(scale, &parts) {
             Ok(merged) => merged,
@@ -270,8 +202,8 @@ pub fn run(manifest: &Manifest, opts: &RunOptions) -> RunReport {
                 let departures: u64 = (0..r.num_classes())
                     .map(|c| r.class_total(c).departures)
                     .sum();
-                let rate = if work.secs > 0.0 {
-                    r.probe_events() as f64 / work.secs
+                let rate = if secs > 0.0 {
+                    r.probe_events() as f64 / secs
                 } else {
                     0.0
                 };
@@ -317,59 +249,4 @@ pub fn run(manifest: &Manifest, opts: &RunOptions) -> RunReport {
         cached,
         skipped,
     }
-}
-
-/// Writes the Figures-4/5 view CSVs (`fig4_view1.csv` … `fig5_view2.csv`)
-/// under `dir` from a merged results document, byte-identical to what the
-/// retired `fig45` binary wrote. No-op for suites without fig45 cells.
-pub fn write_fig45_csvs(merged: &Json, dir: &std::path::Path) -> std::io::Result<()> {
-    let Some(cells) = merged.get("cells").and_then(Json::as_arr) else {
-        return Ok(());
-    };
-    for cell in cells {
-        if cell.get("group").and_then(Json::as_str) != Some("fig45") {
-            continue;
-        }
-        let Some(result) = cell.get("result").filter(|r| **r != Json::Null) else {
-            continue;
-        };
-        let fig = match result.get("scheduler").and_then(Json::as_str) {
-            Some("BPR") => "fig4",
-            Some("WTP") => "fig5",
-            _ => continue,
-        };
-        std::fs::create_dir_all(dir)?;
-        let mut v1 = String::from("interval_start_ticks,class1,class2,class3\n");
-        for row in result
-            .get("view1")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-        {
-            let row = row.as_arr().unwrap_or_default();
-            let start = row.first().and_then(Json::as_i64).unwrap_or(0);
-            let avgs: Vec<String> = row
-                .get(1)
-                .and_then(Json::as_arr)
-                .unwrap_or_default()
-                .iter()
-                .map(|a| a.as_f64().map(|d| format!("{d:.1}")).unwrap_or_default())
-                .collect();
-            v1.push_str(&format!("{start},{}\n", avgs.join(",")));
-        }
-        std::fs::write(dir.join(format!("{fig}_view1.csv")), v1)?;
-        let mut v2 = String::from("departure_ticks,class,delay_ticks\n");
-        for row in result
-            .get("view2")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-        {
-            let row = row.as_arr().unwrap_or_default();
-            let t = row.first().and_then(Json::as_i64).unwrap_or(0);
-            let c = row.get(1).and_then(Json::as_i64).unwrap_or(0);
-            let d = row.get(2).and_then(Json::as_f64).unwrap_or(0.0);
-            v2.push_str(&format!("{t},{},{d:.1}\n", c + 1));
-        }
-        std::fs::write(dir.join(format!("{fig}_view2.csv")), v2)?;
-    }
-    Ok(())
 }

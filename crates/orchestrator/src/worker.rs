@@ -1,12 +1,14 @@
-//! Worker processes and the parent-side process pool — the experiment
-//! farm's execution engine.
+//! The shard pool — the runner's one execution engine — and the worker
+//! process it can run shards through.
 //!
-//! `propdiff-run run --workers N` spawns `N` copies of its own executable
-//! as `propdiff-run worker` children and feeds them shard jobs over
-//! stdin/stdout JSONL (see [`crate::protocol`]). Each parent thread owns
-//! one child: it pops a job from the shared queue, writes the job line,
-//! blocks on the reply line, and stores the shard in the cache the moment
-//! it lands — so a crash at any point loses at most the in-flight shards.
+//! The pool is one job queue drained by a fixed number of slots, each a
+//! thread of this process. A slot pops a shard job and runs it one of two
+//! ways: in this process (`propdiff-run run`, `--threads N` slots), or —
+//! with `--workers N` — through its own `propdiff-run worker` child, a
+//! copy of this executable fed shard jobs over stdin/stdout JSONL (see
+//! [`crate::protocol`]). Either way the shard finishes in one place: it
+//! is stored in the cache the moment it lands — so a crash at any point
+//! loses at most the in-flight shards — and its progress line is printed.
 //!
 //! # Fault handling
 //!
@@ -14,9 +16,9 @@
 //! the [`EXIT_AFTER_ENV`] crash hook, so an injected fault can't respawn
 //! forever) and the job is requeued, up to a small per-job and per-pool
 //! budget. A job the workers *deterministically* refuse (an error reply)
-//! or that exhausts its retries falls back to in-process execution in the
-//! parent, so `run` always completes with a full result set — the merge
-//! step never sees a hole.
+//! or that exhausts its retries runs in this process instead, as a slot
+//! without a child would run it, so `run` always completes with a full
+//! result set — the merge step never sees a hole.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -24,14 +26,14 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::time::Instant;
 
-use experiments::cell::Cell;
-use experiments::Scale;
-use pdd::telemetry::json::Json;
+use experiments::cell::Partial;
 
 use crate::cache::Cache;
 use crate::manifest::{self, Manifest};
 use crate::protocol::{Job, Reply};
+use crate::runner::RunOptions;
 
 /// Environment variable holding a job count after which a worker exits
 /// with [`CRASH_STATUS`] instead of reading the next job — the
@@ -98,7 +100,7 @@ fn handle(line: &str) -> Reply {
     }
 }
 
-fn execute_job(job: &Job) -> Result<(Json, Option<String>), String> {
+fn execute_job(job: &Job) -> Result<Partial, String> {
     let m = manifest::suite(&job.suite).ok_or_else(|| format!("unknown suite `{}`", job.suite))?;
     let cell = m
         .cells
@@ -121,17 +123,6 @@ fn execute_job(job: &Job) -> Result<(Json, Option<String>), String> {
         ));
     }
     Ok(cell.execute_shard(job.scale, job.shard))
-}
-
-/// One shard-execution assignment the runner queues for the pool.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardJob {
-    /// Cell index into the manifest.
-    pub cell: usize,
-    /// Shard to run.
-    pub shard: usize,
-    /// Total shards the cell splits into.
-    pub shards: usize,
 }
 
 struct WorkerChild {
@@ -187,181 +178,197 @@ impl WorkerChild {
     }
 }
 
-/// One finished shard: `(cell, shard, partial, registry, secs)`.
-pub(crate) type ShardResult = (usize, usize, Json, Option<String>, f64);
-
-/// Executes `jobs` across `workers` child processes, returning one
-/// [`ShardResult`] per job (order unspecified — the runner merges by
-/// slot). Shards are stored into `cache` as they complete; `on_done`
-/// fires per finished shard for progress reporting.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_pool(
-    manifest: &Manifest,
-    scale: Scale,
-    jobs: &[ShardJob],
-    workers: usize,
-    worker_exe: Option<&Path>,
-    cache: &Cache,
-    on_done: &(dyn Fn(usize, usize, usize, f64) + Sync),
-) -> Vec<ShardResult> {
-    let exe: PathBuf = worker_exe.map(Path::to_path_buf).unwrap_or_else(|| {
-        std::env::current_exe().expect("current executable path for worker respawn")
-    });
-    let queue: Mutex<VecDeque<(ShardJob, u32)>> =
-        Mutex::new(jobs.iter().map(|&j| (j, 1)).collect());
-    let results: Mutex<Vec<ShardResult>> = Mutex::new(Vec::with_capacity(jobs.len()));
-    let respawns = AtomicUsize::new(0);
-    let respawn_budget = 2 * workers + 4;
-
-    std::thread::scope(|s| {
-        for _ in 0..workers.max(1) {
-            s.spawn(|| {
-                let mut child: Option<WorkerChild> = None;
-                let mut ever_spawned = false;
-                loop {
-                    let Some((job, attempt)) = queue.lock().expect("queue lock").pop_front() else {
-                        break;
-                    };
-                    let spec = manifest.cells[job.cell].as_ref();
-                    let wire = Job {
-                        suite: manifest.suite.clone(),
-                        cell: job.cell,
-                        id: spec.id(),
-                        scale,
-                        shard: job.shard,
-                        shards: job.shards,
-                    };
-                    let started = std::time::Instant::now();
-                    if child.is_none() {
-                        // Respawned children run without the crash hook, so
-                        // an injected fault fires once per original worker.
-                        match WorkerChild::spawn(&exe, ever_spawned) {
-                            Ok(c) => {
-                                child = Some(c);
-                                ever_spawned = true;
-                            }
-                            Err(e) => {
-                                eprintln!(
-                                    "warning: could not spawn worker ({e}); \
-                                     running shards in-process"
-                                );
-                            }
-                        }
-                    }
-                    let outcome = match child.as_mut() {
-                        Some(c) => c.exchange(&wire),
-                        None => Err("no worker process".into()),
-                    };
-                    match outcome {
-                        Ok(Reply::Ok {
-                            cell,
-                            shard,
-                            partial,
-                            registry,
-                        }) if cell == job.cell && shard == job.shard => {
-                            finish(
-                                spec, scale, job, partial, registry, started, cache, on_done,
-                                &results,
-                            );
-                        }
-                        Ok(Reply::Err { error, .. }) => {
-                            // The worker is healthy but refuses the job;
-                            // retrying elsewhere would refuse identically.
-                            eprintln!(
-                                "warning: worker refused shard {}/{} of {} ({error}); \
-                                 running it in-process",
-                                job.shard + 1,
-                                job.shards,
-                                spec.id()
-                            );
-                            let (partial, registry) = spec.execute_shard(scale, job.shard);
-                            finish(
-                                spec, scale, job, partial, registry, started, cache, on_done,
-                                &results,
-                            );
-                        }
-                        other => {
-                            // Crashed child or protocol corruption: replace
-                            // the child, retry the job a bounded number of
-                            // times, then run it in-process.
-                            if let Some(c) = child.take() {
-                                c.discard();
-                            }
-                            let error = match other {
-                                Err(e) => e,
-                                _ => "worker answered for the wrong shard".into(),
-                            };
-                            let can_retry = attempt < MAX_ATTEMPTS
-                                && respawns.fetch_add(1, Ordering::Relaxed) < respawn_budget;
-                            if can_retry {
-                                eprintln!(
-                                    "warning: worker lost shard {}/{} of {} ({error}); \
-                                     respawning (attempt {attempt})",
-                                    job.shard + 1,
-                                    job.shards,
-                                    spec.id()
-                                );
-                                queue
-                                    .lock()
-                                    .expect("queue lock")
-                                    .push_back((job, attempt + 1));
-                            } else {
-                                eprintln!(
-                                    "warning: giving up on workers for shard {}/{} of {} \
-                                     ({error}); running it in-process",
-                                    job.shard + 1,
-                                    job.shards,
-                                    spec.id()
-                                );
-                                let (partial, registry) = spec.execute_shard(scale, job.shard);
-                                finish(
-                                    spec, scale, job, partial, registry, started, cache, on_done,
-                                    &results,
-                                );
-                            }
-                        }
-                    }
-                }
-                if let Some(c) = child.take() {
-                    c.shutdown();
-                }
-            });
-        }
-    });
-    results.into_inner().expect("results lock")
+/// The shard pool of one run: what every slot shares.
+pub(crate) struct Pool<'a> {
+    manifest: &'a Manifest,
+    cache: &'a Cache,
+    quiet: bool,
+    /// Slots: shards in flight at once.
+    width: usize,
+    /// The executable each slot runs as its `worker` child; `None` runs
+    /// every shard in this process.
+    exe: Option<PathBuf>,
 }
 
-/// Stores a finished shard, reports progress, and records the result.
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    spec: &dyn Cell,
-    scale: Scale,
-    job: ShardJob,
-    partial: Json,
-    registry: Option<String>,
-    started: std::time::Instant,
-    cache: &Cache,
-    on_done: &(dyn Fn(usize, usize, usize, f64) + Sync),
-    results: &Mutex<Vec<ShardResult>>,
-) {
-    let secs = started.elapsed().as_secs_f64();
-    if let Err(e) = cache.store_shard(
-        spec,
-        scale,
-        job.shard,
-        job.shards,
-        &partial,
-        registry.as_deref(),
-    ) {
-        eprintln!(
-            "warning: could not cache shard {} of {}: {e}",
-            job.shard,
-            spec.id()
-        );
+/// A slot's worker child: spawned for the slot's first job, respawned
+/// after a crash.
+struct ChildSlot<'a> {
+    exe: &'a Path,
+    child: Option<WorkerChild>,
+    ever_spawned: bool,
+}
+
+impl<'a> Pool<'a> {
+    /// The pool `opts` asks for: `process_workers` slots with a child
+    /// each if that is above 0, else `workers` in-process slots (0 = one
+    /// per available core).
+    pub(crate) fn new(manifest: &'a Manifest, cache: &'a Cache, opts: &RunOptions) -> Pool<'a> {
+        let width = match (opts.process_workers, opts.workers) {
+            (0, 0) => std::thread::available_parallelism().map_or(4, |p| p.get()),
+            (0, threads) => threads,
+            (processes, _) => processes,
+        };
+        let exe = (opts.process_workers > 0).then(|| {
+            opts.worker_exe.clone().unwrap_or_else(|| {
+                std::env::current_exe().expect("current executable path for worker respawn")
+            })
+        });
+        Pool {
+            manifest,
+            cache,
+            quiet: opts.quiet,
+            width,
+            exe,
+        }
     }
-    on_done(job.cell, job.shard, job.shards, secs);
-    results
-        .lock()
-        .expect("results lock")
-        .push((job.cell, job.shard, partial, registry, secs));
+
+    /// Runs `jobs` (each a cell of the pool's manifest), returning each
+    /// one's partial and wall seconds at the job's own index.
+    pub(crate) fn run(&self, jobs: &[Job]) -> Vec<(Partial, f64)> {
+        // (index into `jobs`, attempt)
+        let queue: Mutex<VecDeque<(usize, u32)>> =
+            Mutex::new((0..jobs.len()).map(|i| (i, 1)).collect());
+        let results: Mutex<Vec<Option<(Partial, f64)>>> = Mutex::new(vec![None; jobs.len()]);
+        let done = AtomicUsize::new(0);
+        let respawns = AtomicUsize::new(0);
+
+        std::thread::scope(|s| {
+            for _ in 0..self.width.min(jobs.len()) {
+                s.spawn(|| {
+                    let mut slot = self.exe.as_deref().map(|exe| ChildSlot {
+                        exe,
+                        child: None,
+                        ever_spawned: false,
+                    });
+                    loop {
+                        let next = queue.lock().expect("queue lock").pop_front();
+                        let Some((i, attempt)) = next else { break };
+                        let job = &jobs[i];
+                        let started = Instant::now();
+                        let partial = match &mut slot {
+                            None => self.in_process(job),
+                            Some(slot) => match self.through_child(slot, job, attempt, &respawns) {
+                                Some(partial) => partial,
+                                None => {
+                                    let retry = (i, attempt + 1);
+                                    queue.lock().expect("queue lock").push_back(retry);
+                                    continue;
+                                }
+                            },
+                        };
+                        let secs = started.elapsed().as_secs_f64();
+                        self.finish(job, &partial, secs, &done, jobs.len());
+                        results.lock().expect("results lock")[i] = Some((partial, secs));
+                    }
+                    if let Some(child) = slot.and_then(|s| s.child) {
+                        child.shutdown();
+                    }
+                });
+            }
+        });
+        let results = results.into_inner().expect("results lock");
+        (results.into_iter())
+            .map(|r| r.expect("every job finished"))
+            .collect()
+    }
+
+    fn in_process(&self, job: &Job) -> Partial {
+        self.manifest.cells[job.cell].execute_shard(job.scale, job.shard)
+    }
+
+    /// Runs `job` through `slot`'s child, spawning one if the slot has
+    /// none. `None` when the child was lost and the job goes back on the
+    /// queue; a job the workers refuse, or that has used up its attempts
+    /// or the pool's respawns, runs in this process instead.
+    fn through_child(
+        &self,
+        slot: &mut ChildSlot,
+        job: &Job,
+        attempt: u32,
+        respawns: &AtomicUsize,
+    ) -> Option<Partial> {
+        let (id, nth, shards) = (&job.id, job.shard + 1, job.shards);
+        if slot.child.is_none() {
+            // Respawned children run without the crash hook, so an
+            // injected fault fires once per original worker.
+            slot.child = WorkerChild::spawn(slot.exe, slot.ever_spawned)
+                .inspect_err(|e| {
+                    eprintln!("warning: could not spawn worker ({e}); running shards in-process")
+                })
+                .ok();
+            slot.ever_spawned |= slot.child.is_some();
+        }
+        let outcome = match slot.child.as_mut() {
+            Some(c) => c.exchange(job),
+            None => Err("no worker process".into()),
+        };
+        let error = match outcome {
+            Ok(Reply::Ok {
+                cell,
+                shard,
+                partial,
+                registry,
+            }) if cell == job.cell && shard == job.shard => return Some((partial, registry)),
+            Ok(Reply::Err { error, .. }) => {
+                // The worker is healthy but refuses the job; retrying
+                // elsewhere would refuse identically.
+                eprintln!(
+                    "warning: worker refused shard {nth}/{shards} of {id} ({error}); \
+                     running it in-process"
+                );
+                return Some(self.in_process(job));
+            }
+            Ok(Reply::Ok { .. }) => "worker answered for the wrong shard".into(),
+            Err(e) => e,
+        };
+        // Crashed child or protocol corruption: replace the child, retry
+        // the job a bounded number of times, then run it in-process.
+        if let Some(c) = slot.child.take() {
+            c.discard();
+        }
+        let respawn_budget = 2 * self.width + 4;
+        if attempt < MAX_ATTEMPTS && respawns.fetch_add(1, Ordering::Relaxed) < respawn_budget {
+            eprintln!(
+                "warning: worker lost shard {nth}/{shards} of {id} ({error}); \
+                 respawning (attempt {attempt})"
+            );
+            return None;
+        }
+        eprintln!(
+            "warning: giving up on workers for shard {nth}/{shards} of {id} \
+             ({error}); running it in-process"
+        );
+        Some(self.in_process(job))
+    }
+
+    /// Where every shard finishes, whichever slot ran it: it is stored in
+    /// the cache, and its progress line printed.
+    fn finish(&self, job: &Job, partial: &Partial, secs: f64, done: &AtomicUsize, total: usize) {
+        let spec = self.manifest.cells[job.cell].as_ref();
+        let (result, registry) = partial;
+        let stored = (self.cache).store_shard(
+            spec,
+            job.scale,
+            job.shard,
+            job.shards,
+            result,
+            registry.as_deref(),
+        );
+        if let Err(e) = stored {
+            eprintln!(
+                "warning: could not cache shard {} of {}: {e}",
+                job.shard, job.id
+            );
+        }
+        if !self.quiet {
+            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+            let _ = writeln!(
+                std::io::stderr().lock(),
+                "[{n:>3}/{total}] {:<28} s{}/{} {secs:>6.1}s",
+                job.id,
+                job.shard + 1,
+                job.shards
+            );
+        }
+    }
 }

@@ -4,8 +4,9 @@
 //! worker count, crashed workers must not change the answer, and a run
 //! must resume from shards banked by an earlier, interrupted run.
 
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Child, Command, Stdio};
 
 use experiments::Scale;
 use orchestrator::cache::Cache;
@@ -245,4 +246,63 @@ fn run_prints_the_suites_rendered_blocks_unless_quiet() {
     assert!(ok);
     assert!(stdout.is_empty(), "--quiet must silence stdout: {stdout}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A child killed and reaped on drop, so a failed assertion leaves no
+/// worker behind.
+struct Reaped(Child);
+
+impl Drop for Reaped {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn the_worker_refuses_a_scale_tag_the_cli_would_refuse() {
+    let m = manifest::suite("fig1").unwrap();
+    let id = "fig1-s2-u0_7";
+    let cell = m.cells.iter().position(|c| c.id() == id).expect(id);
+    // Too short a horizon (it would run as all-null rows), a horizon
+    // whose four-fold wraps the clock, a tag `scale_tag` never writes, and
+    // u64::MAX p-units — last, since a worker that ran it would not answer
+    // for minutes, and by then it has already failed the test.
+    let tags = [
+        "p0s1",
+        "p1s1",
+        "p41829351641064743s1",
+        "p0100s1",
+        "p18446744073709551615s1",
+    ];
+    let mut worker = Reaped(
+        Command::new(PROPDIFF_RUN)
+            .arg("worker")
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn propdiff-run worker"),
+    );
+    let mut stdin = worker.0.stdin.take().unwrap();
+    for tag in tags {
+        writeln!(
+            stdin,
+            "{{\"op\":\"run\",\"suite\":\"fig1\",\"cell\":{cell},\"id\":\"{id}\",\
+             \"scale\":\"{tag}\",\"shard\":0,\"shards\":1}}"
+        )
+        .unwrap();
+    }
+    drop(stdin);
+    let replies = BufReader::new(worker.0.stdout.take().unwrap()).lines();
+    let mut answered = 0;
+    for (tag, reply) in tags.iter().zip(replies) {
+        let reply = reply.unwrap();
+        assert!(reply.contains("\"ok\":false"), "{tag}: {reply}");
+        assert!(
+            reply.contains(tag),
+            "{tag}: the error names the tag: {reply}"
+        );
+        answered += 1;
+    }
+    assert_eq!(answered, tags.len(), "one reply per job line");
 }

@@ -5,9 +5,10 @@
 
 use std::path::PathBuf;
 
+use experiments::fig45::write_fig45_csvs;
 use experiments::Scale;
 use orchestrator::manifest::suite;
-use orchestrator::runner::{run, write_fig45_csvs, RunOptions};
+use orchestrator::runner::{run, RunOptions};
 use pdd::telemetry::json::Json;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -67,6 +68,30 @@ fn merged_document_is_identical_at_one_and_many_threads() {
     );
     let _ = std::fs::remove_dir_all(dir1);
     let _ = std::fs::remove_dir_all(dirn);
+}
+
+#[test]
+fn a_worker_that_cannot_spawn_leaves_every_shard_in_process_and_the_document_unchanged() {
+    let m = suite("plr").expect("plr suite");
+    let threaded_dir = temp_dir("nospawn_threads");
+    let farm_dir = temp_dir("nospawn_farm");
+    let threaded = run(&m, &opts(threaded_dir.clone()));
+    // No child can spawn: every slot's attempts fail, the respawn budget
+    // runs out, and each shard runs in this process.
+    let mut farmed = opts(farm_dir.clone());
+    farmed.process_workers = 2;
+    farmed.worker_exe = Some(farm_dir.join("no-such-worker"));
+    let fell_back = run(&m, &farmed);
+    assert!(fell_back.complete());
+    assert_eq!(fell_back.executed, m.cells.len());
+    assert_eq!(fell_back.shards_executed, threaded.shards_executed);
+    assert_eq!(
+        fell_back.merged.serialize(),
+        threaded.merged.serialize(),
+        "a pool whose children never spawn must answer as the in-process one"
+    );
+    let _ = std::fs::remove_dir_all(threaded_dir);
+    let _ = std::fs::remove_dir_all(farm_dir);
 }
 
 #[test]
