@@ -773,3 +773,58 @@ fn study_a_harnesses_are_pinned() {
     }
     assert_eq!(h, PINNED_STUDY_A_HARNESSES, "harnesses moved: {h:#018x}");
 }
+
+// Captured at the commit *before* WFQ, WF²Q+ and SCFQ became one tagged
+// class-queue scheduler with three virtual clocks (`sched::FairQueue`):
+// the three hand-written types computed exactly these departures, so the
+// clocks' float operations must keep their operand order.
+
+/// The three fair-queueing disciplines.
+const PINNED_FQ_KINDS: [SchedulerKind; 3] =
+    [SchedulerKind::Wfq, SchedulerKind::Wf2q, SchedulerKind::Scfq];
+/// Per [`PINNED_FQ_KINDS`] entry: the Pareto ρ = 0.95, seed-11 trace.
+const PINNED_FQ_PARETO: [u64; 3] = [
+    0x2ee4_fe3b_6bb7_9aee,
+    0x26d9_72bc_3203_11c6,
+    0x5da0_d9e7_af7c_a866,
+];
+/// Per [`PINNED_FQ_KINDS`] entry: [`tie_burst_trace`].
+const PINNED_FQ_TIE_BURSTS: [u64; 3] = [
+    0x2a38_b2a8_8bdb_a32d,
+    0x183e_1bb5_984c_d989,
+    0x690f_44d7_561a_ca2d,
+];
+/// Per [`PINNED_FQ_KINDS`] entry: the seed-11 trace with the link slowed
+/// to 0.8 B/tick at a third of the horizon and sped to 1.25 at two
+/// thirds — WFQ's virtual clock runs at the rate in force.
+const PINNED_FQ_RATE_CHANGES: [u64; 3] = [
+    0x677e_4a93_1239_c3fa,
+    0x150c_7023_824d_be71,
+    0x2db4_de57_ff60_4bae,
+];
+
+#[test]
+fn pinned_fair_queueing_departures() {
+    let pareto = PINNED_FQ_KINDS.map(|kind| dyn_trace_hash(kind, 0.95, 11).0);
+    let ties = tie_burst_trace();
+    let tie_bursts =
+        PINNED_FQ_KINDS.map(|kind| departures_digest(kind, &ties, scenario::Scenario::empty()));
+    let trace = Trace::generate_per_source(&mut sources(0.95), Time::from_ticks(HORIZON_TICKS), 11);
+    let rate_changes = PINNED_FQ_KINDS.map(|kind| {
+        let rates = scenario::Scenario::builder()
+            .set_link_rate(Time::from_ticks(HORIZON_TICKS / 3), 0, 0.8)
+            .set_link_rate(Time::from_ticks(2 * HORIZON_TICKS / 3), 0, 1.25)
+            .build()
+            .unwrap();
+        departures_digest(kind, &trace, rates)
+    });
+    assert_eq!(pareto, PINNED_FQ_PARETO, "Pareto: {pareto:#018x?}");
+    assert_eq!(
+        tie_bursts, PINNED_FQ_TIE_BURSTS,
+        "tie bursts: {tie_bursts:#018x?}"
+    );
+    assert_eq!(
+        rate_changes, PINNED_FQ_RATE_CHANGES,
+        "rate changes: {rate_changes:#018x?}"
+    );
+}

@@ -67,16 +67,11 @@ impl Scheduler for Drr {
         }
         loop {
             let c = *self.ring.front().expect("nonempty backlog implies ring");
-            let head_size = match self.queues.head(c) {
-                Some(h) => h.size as f64,
-                None => {
-                    // Defensive: class left the backlog without leaving the
-                    // ring (cannot happen through this API, but cheap to fix).
-                    self.ring.pop_front();
-                    self.in_ring[c] = false;
-                    continue;
-                }
-            };
+            let head_size = self
+                .queues
+                .head(c)
+                .expect("ring holds backlogged classes")
+                .size as f64;
             if self.deficit[c] >= head_size {
                 self.deficit[c] -= head_size;
                 let pkt = self.queues.pop(c);
@@ -102,9 +97,14 @@ impl Scheduler for Drr {
     }
 
     fn drop_newest(&mut self, class: usize) -> Option<Packet> {
-        // The lazy ring cleanup in `dequeue` handles a class that empties
-        // here without leaving the ring.
-        self.queues.pop_tail(class)
+        let pkt = self.queues.pop_tail(class)?;
+        // A class that empties leaves the ring at once, as on dequeue: a
+        // pushed-out packet must not keep the class's place in the round.
+        if self.queues.len(class) == 0 {
+            self.ring.retain(|&c| c != class);
+            self.in_ring[class] = false;
+        }
+        Some(pkt)
     }
 
     fn name(&self) -> &'static str {
@@ -162,6 +162,21 @@ mod tests {
         // Class 1's 100-byte packet fits in its first quantum; class 0 needs
         // accumulated deficit, so class 1 goes out first.
         assert_eq!(order, vec![1, 0]);
+    }
+
+    #[test]
+    fn push_out_gives_up_the_place_in_the_ring() {
+        // Class 1 joins the ring behind class 0 and is pushed out; class 2
+        // then joins, and class 1 again. It is visited after class 2, as
+        // if it had never been in the ring.
+        let mut s = Drr::new(Sdp::new(&[1.0, 1.0, 1.0]).unwrap(), 100);
+        s.enqueue(pkt(1, 0, 100));
+        s.enqueue(pkt(2, 1, 100));
+        assert_eq!(s.drop_newest(1).unwrap().seq, 2);
+        s.enqueue(pkt(3, 2, 100));
+        s.enqueue(pkt(4, 1, 100));
+        let order: Vec<u64> = (0..3).map(|_| s.dequeue(Time::ZERO).unwrap().seq).collect();
+        assert_eq!(order, vec![1, 3, 4]);
     }
 
     #[test]

@@ -7,14 +7,12 @@ use std::str::FromStr;
 use crate::bpr::Bpr;
 use crate::class::Sdp;
 use crate::drr::Drr;
+use crate::fair_queue::FairQueue;
 use crate::fcfs::Fcfs;
 use crate::rank::{
     AdditiveRank, HpdRank, LstfRank, PadRank, PifoCore, RankFn, RankKind, StrictRank, WtpRank,
 };
-use crate::scfq::Scfq;
 use crate::scheduler::Scheduler;
-use crate::wf2q::Wf2q;
-use crate::wfq::Wfq;
 
 /// Every scheduler this crate can build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -110,9 +108,9 @@ impl SchedulerKind {
                 v.visit(self.core(sdp, WtpRank::new(sdp.clone())))
             }
             SchedulerKind::Bpr => v.visit(Bpr::new(sdp.clone(), link_rate)),
-            SchedulerKind::Wfq => v.visit(Wfq::new(sdp.clone(), link_rate)),
-            SchedulerKind::Wf2q => v.visit(Wf2q::new(sdp.clone())),
-            SchedulerKind::Scfq => v.visit(Scfq::new(sdp.clone())),
+            SchedulerKind::Wfq => v.visit(FairQueue::wfq(sdp.clone(), link_rate)),
+            SchedulerKind::Wf2q => v.visit(FairQueue::wf2q(sdp.clone())),
+            SchedulerKind::Scfq => v.visit(FairQueue::scfq(sdp.clone())),
             SchedulerKind::Drr => v.visit(Drr::new(sdp.clone(), 1500)),
             SchedulerKind::Additive => v.visit(self.core(sdp, AdditiveRank::new(sdp.clone()))),
             SchedulerKind::Pad => v.visit(self.core(sdp, PadRank::new(sdp.clone()))),

@@ -297,6 +297,70 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A push-out leaves no trace: enqueueing a packet at a decision
+    /// instant and at once pushing it out again (`drop_newest` of its
+    /// class) must leave every later decision as it was — the run drains
+    /// in the order the arrivals alone drain in. Every kind but BPR: its
+    /// `drop_newest` recomputes the fluid rates from the packets enqueued
+    /// since the last decision, which the run without the push-out does
+    /// only at its next decision, so a push-out moves BPR's rates.
+    #[test]
+    fn prop_push_out_leaves_no_trace(
+        arrivals in arrivals_strategy(),
+        at_decision in 0usize..200,
+        class in 0u8..4,
+        size in prop_oneof![Just(40u32), Just(550), Just(1500)],
+    ) {
+        let arrivals = sorted(arrivals);
+        let sdp = Sdp::paper_default();
+        let kinds = SchedulerKind::ALL.into_iter().chain(SchedulerKind::PIFO_ALL);
+        for kind in kinds.filter(|&k| k != SchedulerKind::Bpr) {
+            let mut plain = kind.build(&sdp, 1.0);
+            let alone = drive(plain.as_mut(), &arrivals);
+            let mut s = kind.build(&sdp, 1.0);
+            let mut decision = 0;
+            let pushed_out = drive_with(s.as_mut(), &arrivals, |s, now| {
+                if decision == at_decision % arrivals.len() {
+                    // The first class from `class` on with nothing queued,
+                    // if any: its next arrival reads what the push-out left.
+                    let class = (class..class + 4)
+                        .map(|c| c % 4)
+                        .find(|&c| s.backlog_packets(c.into()) == 0)
+                        .unwrap_or(class);
+                    s.enqueue(crate::packet::Packet::new(u64::MAX, class, size, now));
+                    assert_eq!(s.drop_newest(class.into()).map(|p| p.seq), Some(u64::MAX));
+                }
+                decision += 1;
+                s.dequeue(now)
+            });
+            prop_assert_eq!(&pushed_out, &alone, "{} kept a trace of the push-out", kind.name());
+        }
+    }
+}
+
+/// The three-packet case of [`prop_push_out_leaves_no_trace`] for the
+/// fair-queueing kinds, on equal weights: class 1 (150 B) and class 0
+/// (100 B) arrive, the class-0 packet is pushed out, and a second class-0
+/// packet (100 B) arrives. Its finish tag is 100, below class 1's 150 —
+/// unless the pushed-out packet's tag outlived it.
+#[test]
+fn pushed_out_finish_tag_does_not_outlive_its_packet() {
+    let sdp = Sdp::new(&[1.0, 1.0]).unwrap();
+    let pkt = |seq, class, size| crate::packet::Packet::new(seq, class, size, simcore::Time::ZERO);
+    for kind in [SchedulerKind::Wfq, SchedulerKind::Wf2q, SchedulerKind::Scfq] {
+        let mut s = kind.build(&sdp, 1.0);
+        s.enqueue(pkt(1, 1, 150));
+        s.enqueue(pkt(2, 0, 100));
+        assert_eq!(s.drop_newest(0).map(|p| p.seq), Some(2), "{kind}");
+        s.enqueue(pkt(3, 0, 100));
+        let first = s.dequeue(simcore::Time::ZERO).map(|p| p.seq);
+        assert_eq!(first, Some(3), "{kind} served class 1 first");
+    }
+}
+
 #[test]
 fn drive_handles_empty_input() {
     let mut s = SchedulerKind::Wtp.build(&Sdp::paper_default(), 1.0);

@@ -18,9 +18,12 @@
 //!   of Appendix 3 (virtual service functions, `argmin(L_i − v_i)`).
 //! * [`FluidBpr`] — the exact fluid BPR server, used to verify
 //!   Proposition 1 (simultaneous queue clearing).
+//! * The **fair-queueing core** ([`FairQueue`]), the §2.1 capacity
+//!   differentiation baselines: per-class FIFOs whose packets carry
+//!   finish tags, the smallest served first, under one of three virtual
+//!   clocks — WFQ (GPS), WF²Q+ (worst-case fair) and SCFQ (self-clocked).
 //! * Baselines from §2.1 that keep their own state: [`Fcfs`] (one shared
-//!   FIFO) and capacity differentiation via [`Wfq`], [`Wf2q`], [`Scfq`]
-//!   and [`Drr`].
+//!   FIFO) and [`Drr`] (capacity differentiation by deficits).
 //! * The [`PlrDropper`] (proportional loss-rate differentiation) and
 //!   simple buffer policies for lossy operation.
 //!
@@ -48,13 +51,11 @@ mod class;
 mod dropper;
 mod drr;
 mod factory;
+mod fair_queue;
 mod fcfs;
 mod packet;
 mod rank;
-mod scfq;
 mod scheduler;
-mod wf2q;
-mod wfq;
 
 pub use bpr::Bpr;
 pub use bpr_fluid::FluidBpr;
@@ -62,16 +63,14 @@ pub use class::{Sdp, SdpError};
 pub use dropper::{BufferPolicy, DropDecision, PlrDropper};
 pub use drr::Drr;
 pub use factory::{SchedulerKind, SchedulerVisitor};
+pub use fair_queue::FairQueue;
 pub use fcfs::Fcfs;
 pub use packet::Packet;
 pub use rank::{
     AdditiveRank, HpdRank, LstfRank, PadRank, PifoCore, RankFn, RankKind, StrictRank, WtpRank,
     DEFAULT_SLACK_BASE_TICKS,
 };
-pub use scfq::Scfq;
 pub use scheduler::{ClassQueues, ReconfigureError, Scheduler};
-pub use wf2q::Wf2q;
-pub use wfq::Wfq;
 
 #[cfg(test)]
 mod invariants;

@@ -11,7 +11,8 @@
 //!
 //! * [`PifoCore`] owns the queues and serves, at each decision instant,
 //!   the head-of-line packet with the **largest rank** (ties to the higher
-//!   class, FIFO within a class). It is the only caller of
+//!   class, FIFO within a class). It and the fair-queueing core
+//!   ([`FairQueue`](crate::FairQueue)) are the only callers of
 //!   [`ClassQueues::select_by`] in this crate.
 //! * [`RankFn`] is the discipline: a pure `(class, head, now) → f64` rank,
 //!   plus an optional departure hook for the history-keeping disciplines
@@ -25,9 +26,11 @@
 //!
 //! FCFS is *not* a rank function: one shared FIFO ([`Fcfs`](crate::Fcfs))
 //! is O(1) and orders by arrival at *this* hop, which no per-packet field
-//! encodes once packets cross a mesh. BPR, WFQ, WF²Q+, SCFQ and DRR keep
-//! per-class state that evolves between decisions (virtual service,
-//! virtual time, deficits) and stay their own state machines.
+//! encodes once packets cross a mesh. WFQ, WF²Q+ and SCFQ stamp a tag at
+//! arrival against a virtual clock and share
+//! [`FairQueue`](crate::FairQueue) instead. BPR and DRR keep per-class
+//! state that evolves between decisions (virtual service, deficits) and
+//! stay their own state machines.
 //!
 //! ## Dynamic ranks
 //!

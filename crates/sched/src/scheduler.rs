@@ -126,8 +126,9 @@ pub trait Scheduler {
     }
 
     /// Informs the scheduler that the link it serves now runs at `rate`
-    /// bytes/tick. Only rate-based schedulers (BPR, WFQ) hold the link rate
-    /// internally; for everything else this is a no-op (the default).
+    /// bytes/tick. Only BPR and WFQ (the fair-queueing core on its GPS
+    /// clock) hold the link rate internally; for everything else,
+    /// WF²Q+ and SCFQ included, this is a no-op.
     ///
     /// # Panics
     /// Implementations may panic if `rate` is not positive and finite.
@@ -178,8 +179,9 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
     }
 }
 
-/// Per-class FIFO queues with byte accounting — the storage shared by every
-/// scheduler implementation in this crate.
+/// Per-class FIFO queues with byte accounting — the storage every
+/// scheduler in this crate keeps its packets in, except FCFS's one shared
+/// FIFO.
 #[derive(Debug, Clone)]
 pub struct ClassQueues {
     queues: Vec<VecDeque<Packet>>,
