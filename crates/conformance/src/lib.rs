@@ -56,7 +56,7 @@ pub mod suite;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sched::{Scheduler, SchedulerKind, Sdp};
+use sched::{SchedulerKind, Sdp};
 use simcore::Time;
 use traffic::{Trace, TraceEntry};
 
@@ -110,25 +110,6 @@ pub fn replay(kind: SchedulerKind, sdp: &Sdp, arrivals: &[Arrival], rate: f64) -
     let mut s = kind.build(sdp, rate);
     let mut out = Vec::with_capacity(arrivals.len());
     qsim::Session::trace(&trace, rate).run(s.as_mut(), |d| {
-        out.push(Dep {
-            seq: d.packet.seq,
-            class: d.packet.class,
-            size: d.packet.size,
-            arrival: d.packet.arrival.ticks(),
-            start: d.start.ticks(),
-            finish: d.finish.ticks(),
-        });
-    });
-    out
-}
-
-/// Replays an already-built scheduler (shares the recording logic of
-/// [`replay`] for callers that need a concrete or pre-configured
-/// instance).
-pub fn replay_on(s: &mut dyn Scheduler, arrivals: &[Arrival], rate: f64) -> Vec<Dep> {
-    let trace = trace_of(arrivals);
-    let mut out = Vec::with_capacity(arrivals.len());
-    qsim::Session::trace(&trace, rate).run(s, |d| {
         out.push(Dep {
             seq: d.packet.seq,
             class: d.packet.class,

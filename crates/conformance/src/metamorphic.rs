@@ -23,13 +23,13 @@
 //!   10/13): the ratios are a property of the SDPs, not of which stream
 //!   carries which label. Statistical, for the proportional schedulers
 //!   (WTP/PAD/HPD) under sustained overload;
-//! * **interleave equivalence** — the materialized `Session::trace` path (dyn
-//!   dispatch) and the streaming `MergedStream` path (monomorphized via
-//!   [`sched::SchedulerVisitor`]) must produce identical departures.
+//! * **interleave equivalence** — the materialized `Session::trace` path
+//!   and the streaming `MergedStream` path must produce identical
+//!   departures.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sched::{RankKind, Scheduler, SchedulerKind, SchedulerVisitor, Sdp};
+use sched::{RankKind, SchedulerKind, Sdp};
 use simcore::Time;
 use traffic::{ClassSource, IatDist, MergedStream, SizeDist, Trace};
 
@@ -268,28 +268,9 @@ pub fn proportional_kinds() -> [SchedulerKind; 3] {
     [SchedulerKind::Wtp, SchedulerKind::Pad, SchedulerKind::Hpd]
 }
 
-struct StreamRun {
-    sources: Vec<ClassSource>,
-    seed: u64,
-    horizon: Time,
-}
-
-impl SchedulerVisitor for StreamRun {
-    type Out = Vec<(u8, u64, u64)>;
-    fn visit<S: Scheduler>(self, mut s: S) -> Self::Out {
-        let stream = MergedStream::per_source(self.sources, self.seed, self.horizon);
-        let mut out = Vec::new();
-        qsim::Session::arrivals(stream, 1.0).run(&mut s, |d| {
-            out.push((d.packet.class, d.packet.arrival.ticks(), d.start.ticks()));
-        });
-        out
-    }
-}
-
 /// Interleave equivalence: for the same sources, horizon and seed, the
-/// materialized `Session` trace path (`Box<dyn Scheduler>`) and the
-/// streaming `MergedStream` path (monomorphized) must produce identical
-/// departures.
+/// materialized `Session` trace path and the streaming `MergedStream`
+/// path must produce identical departures.
 pub fn interleave_check(kind: SchedulerKind, sdp: &Sdp, seed: u64) -> Result<(), String> {
     let horizon = Time::from_ticks(200_000);
     let mk_sources = || -> Vec<ClassSource> {
@@ -304,22 +285,17 @@ pub fn interleave_check(kind: SchedulerKind, sdp: &Sdp, seed: u64) -> Result<(),
             .collect()
     };
 
+    let key = |d: &qsim::Departure| (d.packet.class, d.packet.arrival.ticks(), d.start.ticks());
     let trace = Trace::generate_per_source(&mut mk_sources(), horizon, seed);
-    let mut s = kind.build(sdp, 1.0);
     let mut trace_deps = Vec::new();
-    qsim::Session::trace(&trace, 1.0).run(s.as_mut(), |d| {
-        trace_deps.push((d.packet.class, d.packet.arrival.ticks(), d.start.ticks()));
+    qsim::Session::trace(&trace, 1.0).run(kind.build(sdp, 1.0).as_mut(), |d| {
+        trace_deps.push(key(d));
     });
-
-    let stream_deps = kind.build_and_visit(
-        sdp,
-        1.0,
-        StreamRun {
-            sources: mk_sources(),
-            seed,
-            horizon,
-        },
-    );
+    let stream = MergedStream::per_source(mk_sources(), seed, horizon);
+    let mut stream_deps = Vec::new();
+    qsim::Session::arrivals(stream, 1.0).run(kind.build(sdp, 1.0).as_mut(), |d| {
+        stream_deps.push(key(d));
+    });
 
     if trace_deps != stream_deps {
         let first = trace_deps

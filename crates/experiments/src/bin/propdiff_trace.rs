@@ -29,8 +29,8 @@
 //! for a geometric spacing against it.
 //!
 //! `run` replays a single-link Study-A workload (generated Pareto traffic,
-//! or a CSV trace via `--trace`) through a monomorphized scheduler and
-//! prints per-class counters, mean waits and successive mean-wait ratios;
+//! or a CSV trace via `--trace`) through the scheduler `--scheduler` names
+//! and prints per-class counters, mean waits and successive mean-wait ratios;
 //! `--buffer` switches to the finite-buffer path so drops are traced too.
 //! `--metrics` writes the run's `propdiff-metrics-v1` registry snapshot,
 //! the format of the experiment farm's `*.metrics.json` sidecars.
@@ -57,10 +57,10 @@ use std::process::ExitCode;
 use pdd::model::{Ddp, ProportionalModel};
 use pdd::netsim::{Session as NetSession, StudyBConfig};
 use pdd::qsim::{LossMode, Session};
-use pdd::sched::{Scheduler, SchedulerKind, SchedulerVisitor, Sdp};
+use pdd::sched::{SchedulerKind, Sdp};
 use pdd::simcore::Time;
 use pdd::stats::{hurst_estimate, idc_curve, variance_time, Table};
-use pdd::telemetry::{schema, ChromeTraceSink, JsonlSink, MetricsRegistry, Probe, Tee};
+use pdd::telemetry::{schema, ChromeTraceSink, JsonlSink, MetricsRegistry, Tee};
 use pdd::traffic::{IatDist, LoadPlan, SizeDist, Trace};
 
 /// Prints to stdout, ignoring broken pipes (e.g. `propdiff-trace stats | head`).
@@ -200,25 +200,6 @@ fn finish_sinks(Tee(jsonl, chrome): Sinks, args: &[String]) -> Result<(), String
     Ok(())
 }
 
-/// Replays the trace through a statically-dispatched scheduler, probe
-/// attached.
-struct ProbedReplay<'a, P: Probe> {
-    trace: &'a Trace,
-    probe: &'a mut P,
-}
-
-impl<P: Probe> SchedulerVisitor for ProbedReplay<'_, P> {
-    type Out = u64;
-
-    fn visit<S: Scheduler>(self, mut scheduler: S) -> u64 {
-        let mut departures = 0u64;
-        Session::trace(self.trace, 1.0)
-            .probe(self.probe)
-            .run(&mut scheduler, |_| departures += 1);
-        departures
-    }
-}
-
 /// Prints the run's summary from the registry — per class the counters,
 /// the mean queueing wait of delivered packets and its ratio to the next
 /// class's (the paper's Eq. 2) — and writes `--metrics`.
@@ -308,6 +289,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let classes = sdp.num_classes();
     let mut probe = Tee(MetricsRegistry::with_shape(1, classes), open_sinks(args)?);
     say!("scheduler: {} on {} packets", kind.name(), trace.len());
+    let mut scheduler = kind.build(&sdp, 1.0);
 
     if let Some(buffer) = opt(args, "--buffer") {
         let buffer: u64 = buffer.parse().map_err(|e| format!("bad --buffer: {e}"))?;
@@ -317,25 +299,20 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 "--buffer {buffer} B cannot hold the trace's largest packet ({max_size} B)"
             ));
         }
-        let mut s = kind.build(&sdp, 1.0);
         let r = Session::trace(&trace, 1.0)
             .probe(&mut probe)
             .lossy(buffer, LossMode::TailDrop)
-            .run(s.as_mut());
+            .run(scheduler.as_mut());
         say!(
             "lossy link: {} delivered, {} dropped (buffer {buffer} B)",
             r.delays.iter().map(|d| d.count()).sum::<u64>(),
             r.total_drops()
         );
     } else {
-        let departures = kind.build_and_visit(
-            &sdp,
-            1.0,
-            ProbedReplay {
-                trace: &trace,
-                probe: &mut probe,
-            },
-        );
+        let mut departures = 0u64;
+        Session::trace(&trace, 1.0)
+            .probe(&mut probe)
+            .run(scheduler.as_mut(), |_| departures += 1);
         say!("lossless link: {departures} delivered");
     }
 

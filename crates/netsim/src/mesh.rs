@@ -24,7 +24,7 @@
 use std::borrow::Cow;
 
 use scenario::{Command, DownPolicy, Scenario, ScenarioRuntime};
-use sched::{Packet, ReconfigureError, Scheduler, SchedulerVisitor, Sdp};
+use sched::{Packet, ReconfigureError, Scheduler, Sdp};
 use simcore::{Context, Dur, EventKey, Model, RunOutcome, Simulation, Time};
 use telemetry::{PacketId, Probe};
 
@@ -378,8 +378,8 @@ impl DeliveryLog {
     }
 }
 
-struct LinkState<S> {
-    scheduler: S,
+struct LinkState {
+    scheduler: Box<dyn Scheduler>,
     rate: f64,
     propagation: u64,
     in_flight: Option<Packet>,
@@ -392,11 +392,11 @@ struct LinkState<S> {
     busy_ticks: u64,
 }
 
-struct Mesh<'p, S: Scheduler, P: Probe> {
+struct Mesh<'p, P: Probe> {
     flows: Vec<HotFlow>,
     /// Every flow's route, back to back (`validate` bounds link ids to `u16`).
     routes: Vec<u16>,
-    links: Vec<LinkState<S>>,
+    links: Vec<LinkState>,
     /// One record per packet in flight; `free`: delivered or dropped slots.
     metas: Vec<PacketMeta>,
     free: Vec<u32>,
@@ -432,7 +432,7 @@ fn packet_id(pkt: &Packet, link: usize) -> PacketId {
     }
 }
 
-impl<S: Scheduler, P: Probe> Mesh<'_, S, P> {
+impl<P: Probe> Mesh<'_, P> {
     /// A packet starting out as `first` (its id 0, or [`CROSS_SPAN_BIT`])
     /// is emitted: it takes the next id and a slot, and arrives at its
     /// first link.
@@ -569,7 +569,7 @@ impl<S: Scheduler, P: Probe> Mesh<'_, S, P> {
     }
 }
 
-impl<S: Scheduler, P: Probe> Model for Mesh<'_, S, P> {
+impl<P: Probe> Model for Mesh<'_, P> {
     type Event = Ev;
 
     fn handle(&mut self, ev: Ev, ctx: &mut Context<Ev>) {
@@ -689,10 +689,10 @@ impl<S: Scheduler, P: Probe> Model for Mesh<'_, S, P> {
 
 /// Runs `cfg` — joined by `cross`, a lowered chain's hop-local cross
 /// traffic — under `scenario` with `probe` observing every hop; what
-/// [`Session`](crate::Session) documents. The engine is generic over the
-/// scheduler like the `qsim` loop: links of one kind run on the concrete
-/// type, a mixed mesh on `Box<dyn Scheduler>`. An owned config is dropped
-/// once the engine has lowered it, before the run.
+/// [`Session`](crate::Session) documents. Each link runs the scheduler its
+/// [`LinkSpec`] names, [built](sched::SchedulerKind::build) at its own
+/// rate. An owned config is dropped once the engine has lowered it,
+/// before the run.
 pub(crate) fn run_mesh<P: Probe>(
     cfg: Cow<'_, MeshConfig>,
     cross: CrossSources,
@@ -704,53 +704,23 @@ pub(crate) fn run_mesh<P: Probe>(
         !scenario.has_load_surge(),
         "load_surge is not supported by the mesh engine"
     );
-    let kind = cfg.links[0].scheduler;
-    if cfg.links.iter().all(|l| l.scheduler == kind) {
-        let rate = cfg.links[0].bytes_per_tick();
-        let sdp = cfg.sdp.clone();
-        kind.build_and_visit(&sdp, rate, UniformMesh(cfg, cross, scenario, probe))
-    } else {
-        let schedulers = (cfg.links.iter())
-            .map(|l| l.scheduler.build(&cfg.sdp, l.bytes_per_tick()))
-            .collect();
-        let (outcome, links, ..) = run_engine(cfg, cross, scenario, probe, schedulers);
-        (outcome, links)
-    }
+    let (outcome, links, ..) = run_engine(cfg, cross, scenario, probe);
+    (outcome, links)
 }
 
-/// The all-links-one-kind instantiation: one scheduler per link, cloned
-/// from the pristine prototype and told its own link's rate.
-struct UniformMesh<'a, P: Probe>(Cow<'a, MeshConfig>, CrossSources, &'a Scenario, &'a mut P);
-
-impl<P: Probe> SchedulerVisitor for UniformMesh<'_, P> {
-    type Out = (MeshOutcome, Vec<LinkStats>);
-
-    fn visit<S: Scheduler + Clone>(self, prototype: S) -> Self::Out {
-        let schedulers = (self.0.links.iter())
-            .map(|l| {
-                let mut s = prototype.clone();
-                s.set_link_rate(l.bytes_per_tick());
-                s
-            })
-            .collect();
-        let (outcome, links, ..) = run_engine(self.0, self.1, self.2, self.3, schedulers);
-        (outcome, links)
-    }
-}
-
-/// Lowers the validated `cfg` for the event loop — `schedulers[l]` serving
-/// link `l` — and gives every source its first sequence number.
-fn lower<'p, S: Scheduler, P: Probe>(
+/// Lowers the validated `cfg` for the event loop — each link served by
+/// the scheduler its spec names — and gives every source its first
+/// sequence number.
+fn lower<'p, P: Probe>(
     cfg: &MeshConfig,
     cross: CrossSources,
     scenario: &Scenario,
     probe: &'p mut P,
-    schedulers: Vec<S>,
-) -> Simulation<Mesh<'p, S, P>> {
+) -> Simulation<Mesh<'p, P>> {
     let classes = cfg.sdp.num_classes();
-    let links = (cfg.links.iter().zip(schedulers))
-        .map(|(l, scheduler)| LinkState {
-            scheduler,
+    let links = (cfg.links.iter())
+        .map(|l| LinkState {
+            scheduler: l.scheduler.build(&cfg.sdp, l.bytes_per_tick()),
             rate: l.bytes_per_tick(),
             propagation: l.propagation_ns,
             in_flight: None,
@@ -857,17 +827,16 @@ fn lower<'p, S: Scheduler, P: Probe>(
     sim
 }
 
-/// Runs the validated `cfg` with `schedulers[l]` serving link `l`. Also
-/// returns the packet slots it allocated — the peak of packets in flight —
-/// and the deepest the event queue got (the lanes are not in it).
-fn run_engine<S: Scheduler, P: Probe>(
+/// Runs the validated `cfg`. Also returns the packet slots it allocated —
+/// the peak of packets in flight — and the deepest the event queue got
+/// (the lanes are not in it).
+fn run_engine<P: Probe>(
     cfg: Cow<'_, MeshConfig>,
     cross: CrossSources,
     scenario: &Scenario,
     probe: &mut P,
-    schedulers: Vec<S>,
 ) -> (MeshOutcome, Vec<LinkStats>, usize, usize) {
-    let mut sim = lower(&cfg, cross, scenario, probe, schedulers);
+    let mut sim = lower(&cfg, cross, scenario, probe);
     // An owned config has been read for the last time: the run does not
     // hold its flows and routes.
     drop(cfg);
@@ -915,12 +884,6 @@ mod tests {
 
     fn wtp_link() -> LinkSpec {
         LinkSpec::new(MBPS25, SchedulerKind::Wtp)
-    }
-
-    /// The concrete scheduler behind [`wtp_link`].
-    fn wtp_scheduler(cfg: &MeshConfig) -> sched::PifoCore<sched::WtpRank> {
-        let rank = sched::WtpRank::new(cfg.sdp.clone());
-        sched::PifoCore::new("WTP", cfg.sdp.num_classes(), rank)
     }
 
     fn probe(route: Vec<usize>, class: u8, start: u64) -> MeshFlow {
@@ -1119,13 +1082,11 @@ mod tests {
             .build()
             .unwrap();
         let mut registry = telemetry::MetricsRegistry::with_shape(1, 4);
-        let wtp = vec![wtp_scheduler(&cfg)];
         let (out, _, slots, _) = run_engine(
             Cow::Borrowed(&cfg),
             CrossSources::default(),
             &sc,
             &mut registry,
-            wtp,
         );
         assert_eq!(slots, 1, "a dropped packet's slot must be recycled");
         assert!(
@@ -1301,29 +1262,6 @@ mod tests {
     }
 
     #[test]
-    fn concrete_and_boxed_schedulers_give_the_same_outcome() {
-        // BPR holds its link's rate, so it also pins "clone the prototype,
-        // then set_link_rate" to "build at that rate".
-        for kind in [SchedulerKind::Wtp, SchedulerKind::Bpr] {
-            let cfg = two_link_mesh(kind, kind);
-            let concrete = crate::Session::mesh(&cfg).run();
-            let boxed: Vec<Box<dyn Scheduler>> = (cfg.links.iter())
-                .map(|l| l.scheduler.build(&cfg.sdp, l.bytes_per_tick()))
-                .collect();
-            let (boxed, ..) = run_engine(
-                Cow::Borrowed(&cfg),
-                CrossSources::default(),
-                &Scenario::empty(),
-                &mut telemetry::NoopProbe,
-                boxed,
-            );
-            assert_eq!(concrete.per_flow_waits, boxed.per_flow_waits, "{kind}");
-            assert_eq!(concrete.link_departures, boxed.link_departures, "{kind}");
-            assert!(concrete.mean_wait(0) > 0.0, "{kind}: the mesh must queue");
-        }
-    }
-
-    #[test]
     fn mixed_scheduler_mesh_still_runs() {
         let out =
             crate::Session::mesh(&two_link_mesh(SchedulerKind::Wtp, SchedulerKind::Bpr)).run();
@@ -1340,13 +1278,11 @@ mod tests {
     fn spans_follow_emission_order_and_routes_while_slots_are_reused() {
         let cfg = two_link_mesh(SchedulerKind::Wtp, SchedulerKind::Wtp);
         let mut log = Recorder::default();
-        let wtp = vec![wtp_scheduler(&cfg); 2];
         let (out, _, slots, _) = run_engine(
             Cow::Borrowed(&cfg),
             CrossSources::default(),
             &Scenario::empty(),
             &mut log,
-            wtp,
         );
         let packets: usize = out.per_flow_waits.iter().map(Vec::len).sum();
         assert!(
@@ -1589,7 +1525,7 @@ mod tests {
     }
 
     const ALL_WTP: [SchedulerKind; 6] = [SchedulerKind::Wtp; 6];
-    /// Links of unlike kinds: the `Box<dyn Scheduler>` instantiation.
+    /// Links of unlike kinds.
     const MIXED: [SchedulerKind; 6] = [
         SchedulerKind::Wtp,
         SchedulerKind::Bpr,
@@ -1647,6 +1583,25 @@ mod tests {
     const PINNED_TIE_HEAVY_HOLD: [u64; 2] = [0xe052_82bb_2321_d67c, 0x405f_2ac3_7ed0_3fbc];
     const PINNED_TIE_HEAVY_DROP_LEAVE: [u64; 2] = [0x417d_c8d7_af47_1583, 0x8c2c_d89d_1a1c_acda];
     const PINNED_FAT_TREE: u64 = 0xc75e_821f_b227_948a;
+    /// [`outcome_digest`]s of [`two_link_mesh`] with both links of one
+    /// rate-holding kind, BPR then WFQ, at unequal rates: captured while a
+    /// mesh of one kind still cloned one scheduler built at link 0's rate
+    /// and set each copy to its own link's rate; identical in debug and
+    /// release.
+    const PINNED_UNIFORM_RATES: [u64; 2] = [0x1d01_0791_3c5b_791f, 0x9b23_f26d_ed17_2f95];
+
+    #[test]
+    fn uniform_meshes_at_unequal_rates_are_pinned() {
+        let kinds = [SchedulerKind::Bpr, SchedulerKind::Wfq];
+        for (kind, pinned) in kinds.into_iter().zip(PINNED_UNIFORM_RATES) {
+            let cfg = two_link_mesh(kind, kind);
+            assert_ne!(cfg.links[0].bps, cfg.links[1].bps);
+            let out = crate::Session::mesh(&cfg).run();
+            assert!(out.mean_wait(0) > 0.0, "{kind}: the mesh must queue");
+            let digest = outcome_digest(&out);
+            assert_eq!(digest, pinned, "{kind}: digest {digest:#018x}");
+        }
+    }
 
     #[test]
     fn tie_heavy_mesh_outcomes_are_pinned() {
@@ -1681,13 +1636,11 @@ mod tests {
             .flows
             .extend(paretos.iter().chain(&paretos).cloned());
         for cfg in [base, tripled] {
-            let wtp = vec![wtp_scheduler(&cfg); cfg.links.len()];
             let (.., queued) = run_engine(
                 Cow::Borrowed(&cfg),
                 CrossSources::default(),
                 &Scenario::empty(),
                 &mut telemetry::NoopProbe,
-                wtp,
             );
             assert!(
                 queued <= cfg.links.len() + probes + 3,
@@ -1709,9 +1662,8 @@ mod tests {
             .unwrap();
         let deepest = |cfg: &crate::StudyBConfig| {
             let (mesh, cross) = cfg.lower().unwrap();
-            let wtp = vec![wtp_scheduler(&mesh); mesh.links.len()];
             let (_, links, _, queued) =
-                run_engine(Cow::Owned(mesh), cross, &sc, &mut telemetry::NoopProbe, wtp);
+                run_engine(Cow::Owned(mesh), cross, &sc, &mut telemetry::NoopProbe);
             assert!(links.iter().all(|l| l.departures > 1_000));
             queued
         };
@@ -1752,13 +1704,11 @@ mod tests {
             .filter(|f| matches!(f.model, FlowModel::Pareto { .. }))
             .count();
         let mut beats = Beats::default();
-        let wtp = vec![wtp_scheduler(&cfg); cfg.links.len()];
         let (out, .., queued) = run_engine(
             Cow::Borrowed(&cfg),
             CrossSources::default(),
             &Scenario::empty(),
             &mut beats,
-            wtp,
         );
         assert_eq!(outcome_digest(&out), PINNED_TIE_HEAVY[0]);
         let (mut early, mut late) = (0, 0);
@@ -1877,14 +1827,12 @@ mod tests {
         // heap holds the links' transmissions and little else. The events
         // pending at the deepest are as many as before there was a tail.
         let cfg = small_fat_tree().to_mesh().unwrap();
-        let wtp = vec![wtp_scheduler(&cfg); cfg.links.len()];
         let mut probe = telemetry::NoopProbe;
         let mut sim = lower(
             &cfg,
             CrossSources::default(),
             &Scenario::empty(),
             &mut probe,
-            wtp,
         );
         let mut deepest_heap = 0;
         while sim.step() {

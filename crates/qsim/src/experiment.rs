@@ -1,7 +1,7 @@
 //! The Fig. 1 / Fig. 2 harness: long-run average-delay ratios — and the
 //! one way every Study-A harness measures a seed ([`Experiment::replay`]).
 
-use sched::{Scheduler, SchedulerKind, SchedulerVisitor, Sdp};
+use sched::{SchedulerKind, Sdp};
 use simcore::Time;
 use stats::{P2Quantile, Summary};
 use telemetry::{NoopProbe, Probe};
@@ -63,28 +63,27 @@ impl Experiment {
     /// [`ShortTimescale`](crate::ShortTimescale),
     /// [`Microscope`](crate::Microscope)) measure a seed.
     ///
-    /// The scheduler is built unboxed ([`SchedulerKind::build_and_visit`]),
-    /// so the loop is monomorphized per scheduler and per probe (with
-    /// [`NoopProbe`] it is the unobserved loop). Departures that start
-    /// before the warm-up are dropped; `on_departure` sees the rest, in
-    /// departure order. The probe sees every packet.
+    /// The scheduler is [built](SchedulerKind::build) at unit link rate,
+    /// and the loop is monomorphized per probe (with [`NoopProbe`] it is
+    /// the unobserved loop). Departures that start before the warm-up are
+    /// dropped; `on_departure` sees the rest, in departure order. The
+    /// probe sees every packet.
     pub fn replay<P: Probe>(
         &self,
         kind: SchedulerKind,
         trace: &Trace,
         probe: &mut P,
-        on_departure: impl FnMut(&Departure),
+        mut on_departure: impl FnMut(&Departure),
     ) {
-        kind.build_and_visit(
-            &self.sdp,
-            1.0,
-            Replay {
-                warmup: Time::from_ticks(self.warmup_ticks),
-                trace,
-                probe,
-                on_departure,
-            },
-        )
+        let warmup = Time::from_ticks(self.warmup_ticks);
+        let mut scheduler = kind.build(&self.sdp, 1.0);
+        Session::trace(trace, 1.0)
+            .probe(probe)
+            .run(scheduler.as_mut(), |d| {
+                if d.start >= warmup {
+                    on_departure(d);
+                }
+            });
     }
 
     /// Runs the experiment for `kind` across all seeds and aggregates:
@@ -173,35 +172,6 @@ pub fn average_rows(rows: &[Vec<f64>]) -> Vec<f64> {
         }
     }
     acc
-}
-
-/// [`Experiment::replay`]'s visitor: the trace through an unboxed
-/// scheduler, departures after the warm-up handed on.
-struct Replay<'a, P, F> {
-    warmup: Time,
-    trace: &'a Trace,
-    probe: &'a mut P,
-    on_departure: F,
-}
-
-impl<P: Probe, F: FnMut(&Departure)> SchedulerVisitor for Replay<'_, P, F> {
-    type Out = ();
-
-    fn visit<S: Scheduler + Clone + 'static>(self, mut scheduler: S) {
-        let Replay {
-            warmup,
-            trace,
-            probe,
-            mut on_departure,
-        } = self;
-        Session::trace(trace, 1.0)
-            .probe(probe)
-            .run(&mut scheduler, |d| {
-                if d.start >= warmup {
-                    on_departure(d);
-                }
-            });
-    }
 }
 
 /// Per-class delay summaries from a single seed.

@@ -15,9 +15,11 @@
 //!   chain over one service loop (1 tick = 1 byte at link rate 1, or any
 //!   rate you pass). The link model — non-preemptive, work-conserving,
 //!   arrivals at a decision instant queued before the decision — is
-//!   written once; scheduler, arrivals, buffer, timeline and probe are
-//!   statically dispatched policy types, so what a run does not use
-//!   folds away at monomorphization.
+//!   written once; arrivals, buffer, timeline and probe are statically
+//!   dispatched policy types, so what a run does not use folds away at
+//!   monomorphization. The scheduler is whatever `S: Scheduler` it is
+//!   handed — the boxed one [`SchedulerKind::build`](sched::SchedulerKind::build)
+//!   returns, or a concrete type in a test.
 //! * Dynamic scenarios ([`scenario::Scenario`]) attach to any session:
 //!   live SDP reconfiguration, link-rate changes, link faults, class
 //!   joins/leaves, and load surges, with one shared dispatch point.
@@ -33,8 +35,9 @@
 //!   metric quantifying BPR's sawtooth noise.
 //!
 //! The three harnesses measure a seed one way,
-//! [`Experiment::replay`]: the seed's trace through an unboxed scheduler,
-//! departures after the warm-up handed to the harness's own sink.
+//! [`Experiment::replay`]: the seed's trace through a freshly built
+//! scheduler, departures after the warm-up handed to the harness's own
+//! sink.
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 

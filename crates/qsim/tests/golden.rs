@@ -1,18 +1,17 @@
 //! Golden-determinism regression test for the optimized replay paths.
 //!
-//! There are three ways to drive the same single-link simulation: the
-//! `dyn` trace replay (`Session::trace` over a boxed scheduler), the
-//! monomorphized loop (`Session::trace` over an unboxed one, via
-//! `SchedulerKind::build_and_visit`), and the streaming source path
-//! (`Session::sources`, O(sources) memory). They must be **bit-identical**: for
-//! a fixed seed, every scheduler must produce exactly the same departure
-//! sequence — same packets, same start and finish ticks — on all three.
+//! There are two ways to drive the same single-link simulation: the
+//! `dyn` trace replay (`Session::trace` over a boxed scheduler) and the
+//! streaming source path (`Session::sources`, O(sources) memory). They
+//! must be **bit-identical**: for a fixed seed, every scheduler must
+//! produce exactly the same departure sequence — same packets, same start
+//! and finish ticks — on both.
 //!
 //! The full `(seq, class, start, finish)` stream is FNV-hashed so a
 //! mismatch anywhere in hundreds of thousands of departures fails loudly.
 
 use qsim::{Departure, Session};
-use sched::{Scheduler, SchedulerKind, SchedulerVisitor, Sdp};
+use sched::{SchedulerKind, Sdp};
 use simcore::Time;
 use traffic::{LoadPlan, Trace};
 
@@ -78,29 +77,6 @@ fn dyn_trace_hash(kind: SchedulerKind, rho: f64, seed: u64) -> (u64, usize) {
     (h.0, n)
 }
 
-/// Hash of the monomorphized path: unboxed scheduler, generic loop over
-/// the same materialized trace.
-fn generic_trace_hash(kind: SchedulerKind, rho: f64, seed: u64) -> (u64, usize) {
-    struct Replay {
-        trace: Trace,
-    }
-    impl SchedulerVisitor for Replay {
-        type Out = (u64, usize);
-        fn visit<S: Scheduler>(self, mut s: S) -> (u64, usize) {
-            let mut h = DepartureHash::new();
-            let mut n = 0usize;
-            Session::trace(&self.trace, 1.0).run(&mut s, |d| {
-                h.push(d);
-                n += 1;
-            });
-            (h.0, n)
-        }
-    }
-    let trace =
-        Trace::generate_per_source(&mut sources(rho), Time::from_ticks(HORIZON_TICKS), seed);
-    kind.build_and_visit(&Sdp::paper_default(), 1.0, Replay { trace })
-}
-
 /// Hash of the streaming path: no trace materialized at all.
 fn streaming_hash(kind: SchedulerKind, rho: f64, seed: u64) -> (u64, usize) {
     let mut s = kind.build(&Sdp::paper_default(), 1.0);
@@ -121,16 +97,10 @@ fn all_replay_paths_are_bit_identical_for_every_scheduler() {
     for kind in SchedulerKind::ALL {
         for seed in SEEDS {
             let (dyn_hash, dyn_n) = dyn_trace_hash(kind, 0.95, seed);
-            let (gen_hash, gen_n) = generic_trace_hash(kind, 0.95, seed);
             let (str_hash, str_n) = streaming_hash(kind, 0.95, seed);
             assert!(
                 dyn_n > 1000,
                 "{kind} seed {seed}: suspiciously few departures ({dyn_n})"
-            );
-            assert_eq!(
-                (dyn_hash, dyn_n),
-                (gen_hash, gen_n),
-                "{kind} seed {seed}: generic loop diverged from dyn replay"
             );
             assert_eq!(
                 (dyn_hash, dyn_n),
@@ -153,9 +123,9 @@ fn departure_hash_is_reproducible_across_runs() {
 
 #[test]
 fn experiment_replay_equals_a_boxed_replay_of_its_trace() {
-    // `Experiment::replay` builds the scheduler unboxed; a boxed one over
-    // the same trace, cut at the same warm-up, must give identical
-    // summaries.
+    // `Experiment::run` replays, cuts the warm-up and folds on its own; a
+    // replay of the same trace by hand, cut at the same warm-up, must give
+    // identical summaries.
     use qsim::Experiment;
     let e = Experiment::paper(0.9, Sdp::paper_default(), 2_000, vec![5]);
     let replayed = e.run(SchedulerKind::Wtp);

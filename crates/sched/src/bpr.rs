@@ -141,12 +141,11 @@ impl Scheduler for Bpr {
     }
 
     fn drop_newest(&mut self, class: usize) -> Option<Packet> {
-        let pkt = self.queues.pop_tail(class)?;
-        // Backlogs changed; refresh the fluid rates. If the dropped packet
-        // was the head, the stale v resets when a fresh head arrives (its
-        // arrival postdates the last decision instant).
-        self.recompute_rates();
-        Some(pkt)
+        // Rates stay as the last decision left them, as they do for an
+        // arrival. If the dropped packet was the head, the stale v resets
+        // when a fresh head arrives (its arrival postdates the last
+        // decision instant).
+        self.queues.pop_tail(class)
     }
 
     fn name(&self) -> &'static str {
@@ -403,6 +402,29 @@ mod tests {
         s.decision_values(Time::from_ticks(60), &mut out);
         let high = out.iter().find(|(c, _)| *c == 1).unwrap();
         assert_eq!(high.1, 80.0);
+    }
+
+    #[test]
+    fn push_out_leaves_the_rates_alone() {
+        // After the tie-win at tick 0, class 0 alone holds the link: its
+        // head accrues 100 bytes by tick 100 and goes before the 40-byte
+        // class-3 packet that arrived at tick 50. A packet pushed out on
+        // arrival must not fold that arrival into the rates early — at
+        // 100 : 320 the head would accrue 24 bytes and lose.
+        let run = |push_out: bool| {
+            let mut s = Bpr::new(Sdp::paper_default(), 1.0);
+            s.enqueue(pkt(1, 0, 100, 0));
+            s.enqueue(pkt(2, 3, 100, 0));
+            assert_eq!(s.dequeue(Time::ZERO).map(|p| p.seq), Some(2));
+            s.enqueue(pkt(3, 3, 40, 50));
+            if push_out {
+                s.enqueue(pkt(4, 2, 40, 50));
+                assert_eq!(s.drop_newest(2).map(|p| p.seq), Some(4));
+            }
+            s.dequeue(Time::from_ticks(100)).map(|p| p.seq)
+        };
+        assert_eq!(run(false), Some(1));
+        assert_eq!(run(true), Some(1), "the push-out moved BPR's rates");
     }
 
     #[test]

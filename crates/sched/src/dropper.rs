@@ -1,45 +1,13 @@
-//! Buffer policies and loss-rate differentiation (extension).
+//! Loss-rate differentiation (extension).
 //!
 //! The paper defers coupled delay+loss differentiation to future work (§7);
-//! this module supplies the first building blocks: a shared finite buffer
-//! ([`BufferPolicy`]) and a **Proportional Loss Rate** dropper that keeps
-//! per-class loss fractions ratioed to loss differentiation parameters
-//! σ_1 ≥ σ_2 ≥ … ≥ σ_N (higher classes lose less), the loss-side mirror of
-//! Eq. (1).
+//! this module supplies its building block: a **Proportional Loss Rate**
+//! dropper that keeps per-class loss fractions ratioed to loss
+//! differentiation parameters σ_1 ≥ σ_2 ≥ … ≥ σ_N (higher classes lose
+//! less), the loss-side mirror of Eq. (1). The shared finite buffer that
+//! calls on it, and its overflow rule, is `qsim::LossMode`.
 
 use std::fmt;
-
-/// What to do with an arriving packet when the buffer is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropDecision {
-    /// Admit the packet (buffer has room).
-    Admit,
-    /// Drop the arriving packet itself.
-    DropArriving,
-    /// Push out the tail packet of the given class, then admit.
-    DropFrom(usize),
-}
-
-/// A shared-buffer admission policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BufferPolicy {
-    /// Infinite buffers — the paper's lossless ECN-regulated regime (§3).
-    Unbounded,
-    /// A shared byte limit across all classes; overflow triggers a drop
-    /// decision from the configured dropper.
-    SharedBytes(u64),
-}
-
-impl BufferPolicy {
-    /// True if admitting `incoming` bytes on top of `queued` bytes would
-    /// overflow the buffer.
-    pub fn overflows(&self, queued: u64, incoming: u32) -> bool {
-        match *self {
-            BufferPolicy::Unbounded => false,
-            BufferPolicy::SharedBytes(limit) => queued + incoming as u64 > limit,
-        }
-    }
-}
 
 /// Error from PLR parameter validation.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,28 +116,11 @@ impl PlrDropper {
             self.drops[class] as f64 / self.arrivals[class] as f64
         }
     }
-
-    /// Per-class `(arrivals, drops)` counters.
-    pub fn counters(&self) -> Vec<(u64, u64)> {
-        self.arrivals
-            .iter()
-            .zip(&self.drops)
-            .map(|(&a, &d)| (a, d))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buffer_policy_overflow() {
-        assert!(!BufferPolicy::Unbounded.overflows(u64::MAX - 10, 5));
-        let p = BufferPolicy::SharedBytes(1000);
-        assert!(!p.overflows(900, 100));
-        assert!(p.overflows(901, 100));
-    }
 
     #[test]
     fn plr_validation() {

@@ -74,7 +74,8 @@ impl SchedulerKind {
         PifoCore::new(self.name(), sdp.num_classes(), rank)
     }
 
-    /// Builds a boxed scheduler.
+    /// Builds a boxed scheduler — the one place a kind becomes a
+    /// scheduler; every engine runs what this returns.
     ///
     /// `sdp` supplies the differentiation parameters (interpreted per
     /// scheduler: gains for WTP/BPR/PAD/HPD, weights for WFQ/SCFQ/DRR, tick
@@ -82,41 +83,22 @@ impl SchedulerKind {
     /// count). `link_rate` (bytes/tick) is needed by the rate-based
     /// schedulers.
     pub fn build(&self, sdp: &Sdp, link_rate: f64) -> Box<dyn Scheduler> {
-        struct Boxed;
-        impl SchedulerVisitor for Boxed {
-            type Out = Box<dyn Scheduler>;
-            fn visit<S: Scheduler + Clone + 'static>(self, scheduler: S) -> Self::Out {
-                Box::new(scheduler)
-            }
-        }
-        self.build_and_visit(sdp, link_rate, Boxed)
-    }
-
-    /// Builds the scheduler **unboxed** and hands it to `visitor`,
-    /// monomorphizing the visitor's body once per concrete scheduler type.
-    ///
-    /// This is the one place a kind becomes a scheduler —
-    /// [`SchedulerKind::build`] is a visitor that boxes it — so hot loops
-    /// written against a generic `S: Scheduler` (such as
-    /// `qsim::Session::run`) get devirtualized per-packet calls while the
-    /// scheduler choice stays a runtime value.
-    pub fn build_and_visit<V: SchedulerVisitor>(&self, sdp: &Sdp, link_rate: f64, v: V) -> V::Out {
         match self {
-            SchedulerKind::Fcfs => v.visit(Fcfs::new(sdp.num_classes())),
-            SchedulerKind::Strict => v.visit(self.core(sdp, StrictRank)),
+            SchedulerKind::Fcfs => Box::new(Fcfs::new(sdp.num_classes())),
+            SchedulerKind::Strict => Box::new(self.core(sdp, StrictRank)),
             SchedulerKind::Wtp | SchedulerKind::Pifo(RankKind::Wtp) => {
-                v.visit(self.core(sdp, WtpRank::new(sdp.clone())))
+                Box::new(self.core(sdp, WtpRank::new(sdp.clone())))
             }
-            SchedulerKind::Bpr => v.visit(Bpr::new(sdp.clone(), link_rate)),
-            SchedulerKind::Wfq => v.visit(FairQueue::wfq(sdp.clone(), link_rate)),
-            SchedulerKind::Wf2q => v.visit(FairQueue::wf2q(sdp.clone())),
-            SchedulerKind::Scfq => v.visit(FairQueue::scfq(sdp.clone())),
-            SchedulerKind::Drr => v.visit(Drr::new(sdp.clone(), 1500)),
-            SchedulerKind::Additive => v.visit(self.core(sdp, AdditiveRank::new(sdp.clone()))),
-            SchedulerKind::Pad => v.visit(self.core(sdp, PadRank::new(sdp.clone()))),
-            SchedulerKind::Hpd => v.visit(self.core(sdp, HpdRank::with_default_g(sdp.clone()))),
+            SchedulerKind::Bpr => Box::new(Bpr::new(sdp.clone(), link_rate)),
+            SchedulerKind::Wfq => Box::new(FairQueue::wfq(sdp.clone(), link_rate)),
+            SchedulerKind::Wf2q => Box::new(FairQueue::wf2q(sdp.clone())),
+            SchedulerKind::Scfq => Box::new(FairQueue::scfq(sdp.clone())),
+            SchedulerKind::Drr => Box::new(Drr::new(sdp.clone(), 1500)),
+            SchedulerKind::Additive => Box::new(self.core(sdp, AdditiveRank::new(sdp.clone()))),
+            SchedulerKind::Pad => Box::new(self.core(sdp, PadRank::new(sdp.clone()))),
+            SchedulerKind::Hpd => Box::new(self.core(sdp, HpdRank::with_default_g(sdp.clone()))),
             SchedulerKind::Pifo(RankKind::Lstf) => {
-                v.visit(self.core(sdp, LstfRank::with_default_base(sdp.clone())))
+                Box::new(self.core(sdp, LstfRank::with_default_base(sdp.clone())))
             }
         }
     }
@@ -138,19 +120,6 @@ impl SchedulerKind {
             SchedulerKind::Pifo(rk) => rk.name(),
         }
     }
-}
-
-/// A computation generic over the concrete scheduler type, for use with
-/// [`SchedulerKind::build_and_visit`].
-pub trait SchedulerVisitor {
-    /// What the computation returns.
-    type Out;
-
-    /// Runs the computation with a freshly built scheduler. Every
-    /// concrete scheduler is `Clone`, so a visitor serving several links
-    /// can clone the pristine one per link and
-    /// [`set_link_rate`](Scheduler::set_link_rate) each.
-    fn visit<S: Scheduler + Clone + 'static>(self, scheduler: S) -> Self::Out;
 }
 
 impl fmt::Display for SchedulerKind {
@@ -230,19 +199,25 @@ mod tests {
 
     #[test]
     fn wtp_and_pifo_wtp_are_one_scheduler_under_two_names() {
-        struct Identify;
-        impl SchedulerVisitor for Identify {
-            type Out = (&'static str, &'static str);
-            fn visit<S: Scheduler>(self, s: S) -> Self::Out {
-                (std::any::type_name::<S>(), s.name())
-            }
-        }
-        let sdp = Sdp::paper_default();
-        let (wtp, wtp_name) = SchedulerKind::Wtp.build_and_visit(&sdp, 1.0, Identify);
-        let (pifo, pifo_name) =
-            SchedulerKind::Pifo(RankKind::Wtp).build_and_visit(&sdp, 1.0, Identify);
-        assert_eq!(wtp, pifo);
-        assert_eq!((wtp_name, pifo_name), ("WTP", "PIFO(WTP)"));
+        // Bursts of eight same-tick arrivals on classes of pairwise equal
+        // SDPs: heads of equal waiting time and equal weight tie at every
+        // decision.
+        let arrivals: Vec<(u64, u8, u32)> = (0..96u64)
+            .map(|i| {
+                (
+                    i / 8 * 600,
+                    (i % 4) as u8,
+                    [40, 550, 1500][(i % 3) as usize],
+                )
+            })
+            .collect();
+        let sdp = Sdp::new(&[1.0, 1.0, 2.0, 2.0]).unwrap();
+        let mut wtp = SchedulerKind::Wtp.build(&sdp, 1.0);
+        let mut pifo = SchedulerKind::Pifo(RankKind::Wtp).build(&sdp, 1.0);
+        let drained = crate::testutil::drive(wtp.as_mut(), &arrivals);
+        assert_eq!(drained.len(), arrivals.len());
+        assert_eq!(drained, crate::testutil::drive(pifo.as_mut(), &arrivals));
+        assert_eq!((wtp.name(), pifo.name()), ("WTP", "PIFO(WTP)"));
     }
 
     #[test]
@@ -295,30 +270,6 @@ mod tests {
                     "{kind} should refuse reconfigure"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn visitor_sees_every_kind_unboxed() {
-        struct DrainOne;
-        impl SchedulerVisitor for DrainOne {
-            type Out = (usize, bool);
-            fn visit<S: Scheduler>(self, mut s: S) -> (usize, bool) {
-                s.enqueue(Packet::new(0, 1, 100, Time::ZERO));
-                let got = s.dequeue(Time::from_ticks(1)).is_some();
-                (s.num_classes(), got)
-            }
-        }
-        let sdp = Sdp::paper_default();
-        for kind in SchedulerKind::ALL
-            .into_iter()
-            .chain(SchedulerKind::PIFO_ALL)
-        {
-            assert_eq!(
-                kind.build_and_visit(&sdp, 1.0, DrainOne),
-                (4, true),
-                "{kind}"
-            );
         }
     }
 }

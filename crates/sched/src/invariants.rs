@@ -303,10 +303,7 @@ proptest! {
     /// A push-out leaves no trace: enqueueing a packet at a decision
     /// instant and at once pushing it out again (`drop_newest` of its
     /// class) must leave every later decision as it was — the run drains
-    /// in the order the arrivals alone drain in. Every kind but BPR: its
-    /// `drop_newest` recomputes the fluid rates from the packets enqueued
-    /// since the last decision, which the run without the push-out does
-    /// only at its next decision, so a push-out moves BPR's rates.
+    /// in the order the arrivals alone drain in.
     #[test]
     fn prop_push_out_leaves_no_trace(
         arrivals in arrivals_strategy(),
@@ -317,7 +314,7 @@ proptest! {
         let arrivals = sorted(arrivals);
         let sdp = Sdp::paper_default();
         let kinds = SchedulerKind::ALL.into_iter().chain(SchedulerKind::PIFO_ALL);
-        for kind in kinds.filter(|&k| k != SchedulerKind::Bpr) {
+        for kind in kinds {
             let mut plain = kind.build(&sdp, 1.0);
             let alone = drive(plain.as_mut(), &arrivals);
             let mut s = kind.build(&sdp, 1.0);

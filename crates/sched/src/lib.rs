@@ -24,10 +24,10 @@
 //!   clocks — WFQ (GPS), WF²Q+ (worst-case fair) and SCFQ (self-clocked).
 //! * Baselines from §2.1 that keep their own state: [`Fcfs`] (one shared
 //!   FIFO) and [`Drr`] (capacity differentiation by deficits).
-//! * The [`PlrDropper`] (proportional loss-rate differentiation) and
-//!   simple buffer policies for lossy operation.
+//! * The [`PlrDropper`] (proportional loss-rate differentiation) for
+//!   lossy operation.
 //!
-//! [`SchedulerKind`] builds any of them by name.
+//! [`SchedulerKind`] builds any of them by name, as a `Box<dyn Scheduler>`.
 //!
 //! All schedulers are **pure data structures**: they own per-class FIFO
 //! queues and answer `enqueue`/`dequeue(now)` queries. A link/server owner
@@ -60,9 +60,9 @@ mod scheduler;
 pub use bpr::Bpr;
 pub use bpr_fluid::FluidBpr;
 pub use class::{Sdp, SdpError};
-pub use dropper::{BufferPolicy, DropDecision, PlrDropper};
+pub use dropper::PlrDropper;
 pub use drr::Drr;
-pub use factory::{SchedulerKind, SchedulerVisitor};
+pub use factory::SchedulerKind;
 pub use fair_queue::FairQueue;
 pub use fcfs::Fcfs;
 pub use packet::Packet;

@@ -96,12 +96,6 @@ impl Dur {
         self.0 as f64
     }
 
-    /// True if this duration is zero ticks.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, other: Dur) -> Dur {

@@ -22,18 +22,6 @@ pub struct ReconvergenceConfig {
     pub settle_windows: usize,
 }
 
-impl ReconvergenceConfig {
-    /// A forgiving default: 50 ms windows, ±25 % band, 3 windows to
-    /// settle — wide enough for Pareto cross-traffic noise at ρ ≈ 0.9.
-    pub fn default_for_ticks_per_sec(ticks_per_sec: u64) -> Self {
-        ReconvergenceConfig {
-            window_ticks: ticks_per_sec / 20,
-            epsilon: 0.25,
-            settle_windows: 3,
-        }
-    }
-}
-
 /// Ticks each successive-class delay ratio `d̄_i/d̄_{i+1}` needed after
 /// `perturb_at` to settle inside the `targets[i]` tolerance band.
 ///
