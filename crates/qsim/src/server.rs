@@ -35,6 +35,61 @@ fn tx_ticks(size: u32, rate: f64) -> u64 {
     ((size as f64 / rate).round() as u64).max(1)
 }
 
+/// [`tx_ticks`] memoised by packet size at one link rate. A departure
+/// adds its transmission time to the clock before the next decision, so
+/// the divide, the `round` and the conversions sit on the service loop's
+/// serial chain; a trace holds few sizes, and a table lookup takes them
+/// off it. The table
+/// is filled lazily and keyed on the rate's bits: a rate change (a
+/// scenario's `SetLinkRate`) empties it.
+struct TxMemo {
+    rate: u64,
+    /// Ticks by size; 0 is "not yet computed" (a transmission takes at
+    /// least one tick).
+    ticks: Vec<u64>,
+}
+
+impl TxMemo {
+    /// The largest size memoised; larger ones go to [`tx_ticks`] each time.
+    const MAX_SIZE: u32 = 65_535;
+
+    fn new() -> Self {
+        // The bits of 0.0, which no link runs at: the first lookup keys
+        // the table.
+        TxMemo {
+            rate: 0,
+            ticks: Vec::new(),
+        }
+    }
+
+    /// The transmission time of `size` bytes at `rate`, from the table.
+    #[inline]
+    fn ticks(&mut self, size: u32, rate: f64) -> u64 {
+        if rate.to_bits() != self.rate {
+            self.rate = rate.to_bits();
+            self.ticks.clear();
+        }
+        match self.ticks.get(size as usize) {
+            Some(&t) if t != 0 => t,
+            _ => self.fill(size, rate),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, size: u32, rate: f64) -> u64 {
+        let t = tx_ticks(size, rate);
+        if size <= Self::MAX_SIZE {
+            let i = size as usize;
+            if i >= self.ticks.len() {
+                self.ticks.resize(i + 1, 0);
+            }
+            self.ticks[i] = t;
+        }
+        t
+    }
+}
+
 /// The buffer in front of the scheduler, and the ledger behind it. The
 /// defaults are the §3 lossless regime ([`Unbounded`]);
 /// [`Buffer`](crate::lossy::Buffer) is the §7 finite one.
@@ -137,7 +192,8 @@ impl Timeline for NoScenario {
 /// use folds away: buffer ([`Admission`]), perturbations ([`Timeline`]),
 /// arrival source, and [`Probe`] (every call behind [`Probe::ENABLED`]).
 /// With [`Unbounded`], [`NoScenario`] and `NoopProbe` what remains is
-/// enqueue, dequeue and the clock.
+/// enqueue, dequeue and the clock, which advances by transmission times
+/// looked up in a [`TxMemo`].
 ///
 /// Probe events per packet (`span == seq`, `hop` 0): `on_arrival` then
 /// `on_enqueue` or `on_drop`; `on_decision` with the scheduler's
@@ -163,6 +219,7 @@ pub(crate) fn serve<S, I, T, A, P>(
     let mut seq = 0u64;
     // Scratch for the decision audit, reused across decisions.
     let mut values: Vec<(usize, f64)> = Vec::new();
+    let mut tx = TxMemo::new();
     loop {
         if scheduler.is_empty() {
             // Idle: the clock jumps to the next arrival, if there is one.
@@ -214,7 +271,7 @@ pub(crate) fn serve<S, I, T, A, P>(
             }
             panic!("work-conserving scheduler with backlog must dequeue");
         };
-        let finish = free + Dur::from_ticks(tx_ticks(pkt.size, timeline.rate()));
+        let finish = free + Dur::from_ticks(tx.ticks(pkt.size, timeline.rate()));
         if P::ENABLED {
             let id = PacketId::single_link(pkt.seq, pkt.class, pkt.size);
             probe.on_decision(free, scheduler.name(), id, &values);
@@ -246,6 +303,46 @@ mod tests {
                 })
                 .collect(),
         )
+    }
+
+    /// The rates the memo is checked at: below, at and above the unit
+    /// rate, the last with a quotient that rounds.
+    const RATES: [f64; 3] = [0.5, 1.0, 3.0];
+
+    /// A size drawn by `code`: zero, a packet size, one at the memo's cap,
+    /// or one above it.
+    fn memo_size(code: u8, n: u32) -> u32 {
+        match code {
+            0 => 0,
+            1 => n % 1_600,
+            2 => TxMemo::MAX_SIZE - 2 + n % 5,
+            _ => TxMemo::MAX_SIZE + 1 + n,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The memo answers what `tx_ticks` computes, over any sequence of
+        /// sizes and rates: a size seen before at another rate (the table
+        /// must have been emptied), a size past the cap, and zero (one
+        /// tick) alike.
+        #[test]
+        fn prop_memoised_ticks_equal_tx_ticks(
+            steps in proptest::collection::vec((0u8..4, 0u32..200_000, 0usize..3), 1..200),
+        ) {
+            let mut memo = TxMemo::new();
+            for &(code, n, r) in &steps {
+                let (size, rate) = (memo_size(code, n), RATES[r]);
+                proptest::prop_assert_eq!(
+                    memo.ticks(size, rate),
+                    tx_ticks(size, rate),
+                    "size {} at rate {}",
+                    size,
+                    rate
+                );
+            }
+        }
     }
 
     #[test]

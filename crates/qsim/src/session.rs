@@ -196,8 +196,8 @@ impl<W: Workload, P: Probe> Session<W, P> {
     /// # Panics
     /// Panics if the scenario holds a load surge and the arrivals are
     /// recorded, or if a scenario SDP's class count is not the scheduler's.
-    // Inlined into the caller, like `run_with`: that is what lets a literal
-    // `rate` fold the transmission-time division and `round` away.
+    // Inlined into the caller, like `run_with`, so that a literal `rate`
+    // reaches the loop as a constant.
     #[inline]
     pub fn run<S: Scheduler + ?Sized>(self, scheduler: &mut S, on_depart: impl FnMut(&Departure)) {
         self.run_with(scheduler, &mut Unbounded(on_depart));
@@ -208,7 +208,7 @@ impl<W: Workload, P: Probe> Session<W, P> {
     fn run_with<S: Scheduler + ?Sized, A: Admission>(self, scheduler: &mut S, buffer: &mut A) {
         // Taken apart by value: borrowing fields would pin the session in
         // memory and keep `rate` — a literal at most call sites — from
-        // folding the transmission-time division away.
+        // reaching the loop as a constant.
         let Session {
             workload,
             rate,

@@ -140,6 +140,18 @@ impl Scheduler for Bpr {
         self.queues.bytes(class)
     }
 
+    fn total_backlog_packets(&self) -> usize {
+        self.queues.total_packets()
+    }
+
+    fn total_backlog_bytes(&self) -> u64 {
+        self.queues.total_bytes()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.queues.is_empty()
+    }
+
     fn drop_newest(&mut self, class: usize) -> Option<Packet> {
         // Rates stay as the last decision left them, as they do for an
         // arrival. If the dropped packet was the head, the stale v resets

@@ -96,6 +96,18 @@ impl Scheduler for Drr {
         self.queues.bytes(class)
     }
 
+    fn total_backlog_packets(&self) -> usize {
+        self.queues.total_packets()
+    }
+
+    fn total_backlog_bytes(&self) -> u64 {
+        self.queues.total_bytes()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.queues.is_empty()
+    }
+
     fn drop_newest(&mut self, class: usize) -> Option<Packet> {
         let pkt = self.queues.pop_tail(class)?;
         // A class that empties leaves the ring at once, as on dequeue: a

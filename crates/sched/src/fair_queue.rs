@@ -202,6 +202,18 @@ impl Scheduler for FairQueue {
         self.queues.bytes(class)
     }
 
+    fn total_backlog_packets(&self) -> usize {
+        self.queues.total_packets()
+    }
+
+    fn total_backlog_bytes(&self) -> u64 {
+        self.queues.total_bytes()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.queues.is_empty()
+    }
+
     fn drop_newest(&mut self, class: usize) -> Option<Packet> {
         let pkt = self.queues.pop_tail(class)?;
         // The dropped packet's start tag is the class's last finish tag,

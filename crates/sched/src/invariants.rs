@@ -338,6 +338,47 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The totals a scheduler reports are its classes' sums: after every
+    /// enqueue, dequeue and push-out, `is_empty`, `total_backlog_packets`
+    /// and `total_backlog_bytes` agree with the per-class backlogs. The
+    /// class-queue schedulers answer the three from running totals that
+    /// every path in and out of a queue must keep.
+    #[test]
+    fn prop_totals_match_the_classes(
+        ops in prop::collection::vec((0u8..4, 0u8..4, 40u32..1500), 1..200),
+    ) {
+        let sdp = Sdp::paper_default();
+        for kind in SchedulerKind::ALL.into_iter().chain(SchedulerKind::PIFO_ALL) {
+            let mut s = kind.build(&sdp, 1.0);
+            let mut now = simcore::Time::ZERO;
+            for (i, &(op, class, size)) in ops.iter().enumerate() {
+                // Enqueues are half the operations, so queues build up.
+                match op {
+                    0 | 1 => s.enqueue(crate::packet::Packet::new(i as u64, class, size, now)),
+                    2 => {
+                        if let Some(p) = s.dequeue(now) {
+                            now += simcore::Dur::from_ticks(p.size.into());
+                        }
+                    }
+                    _ => {
+                        s.drop_newest(class.into());
+                    }
+                }
+                now += simcore::Dur::from_ticks(10);
+                let packets: usize = (0..4).map(|c| s.backlog_packets(c)).sum();
+                let bytes: u64 = (0..4).map(|c| s.backlog_bytes(c)).sum();
+                let at = format!("{} after operation {i} ({op}, {class}, {size})", kind.name());
+                prop_assert_eq!(s.is_empty(), packets == 0, "{}", at);
+                prop_assert_eq!(s.total_backlog_packets(), packets, "{}", at);
+                prop_assert_eq!(s.total_backlog_bytes(), bytes, "{}", at);
+            }
+        }
+    }
+}
+
 /// The three-packet case of [`prop_push_out_leaves_no_trace`] for the
 /// fair-queueing kinds, on equal weights: class 1 (150 B) and class 0
 /// (100 B) arrive, the class-0 packet is pushed out, and a second class-0

@@ -153,6 +153,18 @@ impl<R: RankFn> Scheduler for PifoCore<R> {
         self.queues.bytes(class)
     }
 
+    fn total_backlog_packets(&self) -> usize {
+        self.queues.total_packets()
+    }
+
+    fn total_backlog_bytes(&self) -> u64 {
+        self.queues.total_bytes()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.queues.is_empty()
+    }
+
     fn drop_newest(&mut self, class: usize) -> Option<Packet> {
         self.queues.pop_tail(class)
     }
@@ -217,36 +229,42 @@ impl RankFn for WtpRank {
 
 /// Per-class cumulative delay `D_i` and count `n_i` of departed packets —
 /// the memory PAD and HPD rank on.
+///
+/// The count is kept as the divisor `(n_i + 1) as f64` that every rank
+/// evaluation needs, so a decision converts no integer. Stepping it by
+/// 1.0 is exact below 2⁵³ departures, so every quotient is the one the
+/// `u64` count gave.
 #[derive(Debug, Clone)]
 struct DelayHistory {
     cum_delay: Vec<f64>,
-    departed: Vec<u64>,
+    divisor: Vec<f64>,
 }
 
 impl DelayHistory {
     fn new(num_classes: usize) -> Self {
         DelayHistory {
             cum_delay: vec![0.0; num_classes],
-            departed: vec![0; num_classes],
+            divisor: vec![1.0; num_classes],
         }
     }
 
     /// `s · (D_i + w) / (n_i + 1)`: the normalized average delay of
     /// `class`, projected as if its head (waiting `w`) departed now.
     fn projected(&self, class: usize, s: f64, w: f64) -> f64 {
-        s * (self.cum_delay[class] + w) / (self.departed[class] + 1) as f64
+        s * (self.cum_delay[class] + w) / self.divisor[class]
     }
 
     fn record(&mut self, class: usize, pkt: &Packet, now: Time) {
         self.cum_delay[class] += pkt.waiting(now).as_f64();
-        self.departed[class] += 1;
+        self.divisor[class] += 1.0;
     }
 
     fn average_delay(&self, class: usize) -> f64 {
-        if self.departed[class] == 0 {
+        let departed = self.divisor[class] - 1.0;
+        if departed == 0.0 {
             0.0
         } else {
-            self.cum_delay[class] / self.departed[class] as f64
+            self.cum_delay[class] / departed
         }
     }
 }

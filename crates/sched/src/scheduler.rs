@@ -68,7 +68,9 @@ pub trait Scheduler {
     /// Queued bytes of `class`.
     fn backlog_bytes(&self, class: usize) -> u64;
 
-    /// Total queued packets across classes.
+    /// Total queued packets across classes. The default sums the classes;
+    /// the schedulers on [`ClassQueues`] answer from its running totals,
+    /// as they do for the two methods below.
     fn total_backlog_packets(&self) -> usize {
         (0..self.num_classes())
             .map(|c| self.backlog_packets(c))
@@ -182,10 +184,17 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 /// Per-class FIFO queues with byte accounting — the storage every
 /// scheduler in this crate keeps its packets in, except FCFS's one shared
 /// FIFO.
+///
+/// Running totals of packets and bytes across classes are kept beside the
+/// queues, so emptiness and the total backlog are O(1): the service loop
+/// asks [`Scheduler::is_empty`] at every turn and a finite buffer asks
+/// [`Scheduler::total_backlog_bytes`] at every arrival.
 #[derive(Debug, Clone)]
 pub struct ClassQueues {
     queues: Vec<VecDeque<Packet>>,
     bytes: Vec<u64>,
+    total_packets: usize,
+    total_bytes: u64,
 }
 
 impl ClassQueues {
@@ -194,6 +203,8 @@ impl ClassQueues {
         ClassQueues {
             queues: (0..n).map(|_| VecDeque::new()).collect(),
             bytes: vec![0; n],
+            total_packets: 0,
+            total_bytes: 0,
         }
     }
 
@@ -214,14 +225,23 @@ impl ClassQueues {
             self.queues.len()
         );
         self.bytes[c] += pkt.size as u64;
+        self.total_packets += 1;
+        self.total_bytes += pkt.size as u64;
         self.queues[c].push_back(pkt);
     }
 
     /// Removes and returns the head of `class`.
     pub fn pop(&mut self, class: usize) -> Option<Packet> {
         let pkt = self.queues[class].pop_front()?;
-        self.bytes[class] -= pkt.size as u64;
+        self.uncount(class, &pkt);
         Some(pkt)
+    }
+
+    /// Takes a packet that left `class` off the byte count and the totals.
+    fn uncount(&mut self, class: usize, pkt: &Packet) {
+        self.bytes[class] -= pkt.size as u64;
+        self.total_packets -= 1;
+        self.total_bytes -= pkt.size as u64;
     }
 
     /// The head of `class` without removing it.
@@ -239,9 +259,19 @@ impl ClassQueues {
         self.bytes[class]
     }
 
+    /// Queued packets across all classes.
+    pub fn total_packets(&self) -> usize {
+        self.total_packets
+    }
+
+    /// Queued bytes across all classes.
+    pub fn total_bytes(&self) -> u64 {
+        self.total_bytes
+    }
+
     /// True if every class queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(|q| q.is_empty())
+        self.total_packets == 0
     }
 
     /// Iterator over the indices of backlogged (non-empty) classes.
@@ -253,7 +283,7 @@ impl ClassQueues {
     /// that push out the most recent arrival).
     pub fn pop_tail(&mut self, class: usize) -> Option<Packet> {
         let pkt = self.queues[class].pop_back()?;
-        self.bytes[class] -= pkt.size as u64;
+        self.uncount(class, &pkt);
         Some(pkt)
     }
 
