@@ -82,7 +82,7 @@ fn bench_netsim_throughput(c: &mut Criterion) {
             let mut cfg = StudyBConfig::paper(4, 0.95, 10, 200.0);
             cfg.experiments = 1;
             cfg.warmup_secs = 1.0;
-            NetSession::study_b(&cfg).run().0
+            NetSession::study_b(&cfg).run()
         });
     });
 }

@@ -14,25 +14,10 @@
 //!   top-class SLO allows (the delays are zero-sum by the conservation
 //!   law).
 
-use crate::model::{Ddp, ProportionalModel};
+use crate::model::{measure, Ddp, ProportionalModel};
 
 /// A recorded packet arrival: `(time_ticks, class, size_bytes)`.
 pub type Arrival = (u64, u8, u32);
-
-/// Measured per-class packet rates and the FCFS aggregate delay of a trace.
-fn measure(arrivals: &[Arrival], n: usize, rate: f64) -> (Vec<f64>, f64) {
-    let span = match (arrivals.first(), arrivals.last()) {
-        (Some(&(t0, _, _)), Some(&(t1, _, _))) if t1 > t0 => (t1 - t0) as f64,
-        _ => 1.0,
-    };
-    let mut counts = vec![0u64; n];
-    for &(_, c, _) in arrivals {
-        counts[c as usize] += 1;
-    }
-    let lambda = counts.iter().map(|&c| c as f64 / span).collect();
-    let agg = stats::fcfs_mean_wait(arrivals, None, rate);
-    (lambda, agg)
-}
 
 fn feasible(arrivals: &[Arrival], n: usize, rate: f64, spacing: f64) -> bool {
     let Ok(ddp) = Ddp::geometric(n, spacing) else {

@@ -155,20 +155,26 @@ impl ProportionalModel {
     ) -> stats::FeasibilityReport {
         // Measure per-class packet rates and the aggregate FCFS delay from
         // the trace, then test the Eq. (6) targets.
-        let n = self.ddp.num_classes();
-        let span = match (arrivals.first(), arrivals.last()) {
-            (Some(&(t0, _, _)), Some(&(t1, _, _))) if t1 > t0 => (t1 - t0) as f64,
-            _ => 1.0,
-        };
-        let mut counts = vec![0u64; n];
-        for &(_, c, _) in arrivals {
-            counts[c as usize] += 1;
-        }
-        let lambda: Vec<f64> = counts.iter().map(|&c| c as f64 / span).collect();
-        let agg = stats::fcfs_mean_wait(arrivals, None, rate);
+        let (lambda, agg) = measure(arrivals, self.ddp.num_classes(), rate);
         let targets = self.predicted_delays(&lambda, agg);
         stats::check_feasibility(arrivals, rate, &targets)
     }
+}
+
+/// Measured per-class packet rates of a recorded trace (packets per tick
+/// over its span) and its aggregate FCFS mean wait at `rate`.
+pub(crate) fn measure(arrivals: &[(u64, u8, u32)], n: usize, rate: f64) -> (Vec<f64>, f64) {
+    let span = match (arrivals.first(), arrivals.last()) {
+        (Some(&(t0, _, _)), Some(&(t1, _, _))) if t1 > t0 => (t1 - t0) as f64,
+        _ => 1.0,
+    };
+    let mut counts = vec![0u64; n];
+    for &(_, c, _) in arrivals {
+        counts[c as usize] += 1;
+    }
+    let lambda = counts.iter().map(|&c| c as f64 / span).collect();
+    let agg = stats::fcfs_mean_wait(arrivals, None, rate);
+    (lambda, agg)
 }
 
 #[cfg(test)]

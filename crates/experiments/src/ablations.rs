@@ -848,7 +848,7 @@ pub fn mixed_path_cell(scenario: usize, scale: Scale) -> (&'static str, f64, usi
     cfg.warmup_secs = warmup;
     cfg.link_schedulers = Some(links);
     cfg.seed = 5;
-    let (records, _) = Session::study_b(&cfg).run();
+    let records = Session::study_b(&cfg).run();
     let r = analyze(&records, cfg.num_classes(), packet_time_tolerance(&cfg));
     (label, r.rd, r.inconsistent_experiments)
 }

@@ -36,9 +36,10 @@
 //! the format of the experiment farm's `*.metrics.json` sidecars.
 //! `studyb` runs the multi-hop engine: user packets keep one span id across
 //! hops, so a flow's journey renders as a single track in
-//! `chrome://tracing` / Perfetto. `--validate` re-reads the JSONL export
-//! through the dependency-free schema checker (the CI telemetry job does
-//! the same).
+//! `chrome://tracing` / Perfetto; it prints each link's departures and
+//! per-class mean hop waits from the registry it attaches. `--validate`
+//! re-reads the JSONL export through the dependency-free schema checker
+//! (the CI telemetry job does the same).
 //!
 //! `metrics` runs a Study-A workload with the full metrics registry and
 //! the online PDD conformance monitor attached, then exports Prometheus
@@ -348,17 +349,21 @@ fn cmd_studyb(args: &[String]) -> Result<(), String> {
     let classes = cfg.num_classes();
     let mut probe = Tee(MetricsRegistry::with_shape(1, classes), open_sinks(args)?);
     say!("study B: {hops} hops at rho {rho}, {experiments} experiments");
-    let (records, links) = NetSession::study_b(&cfg).probe(&mut probe).run();
+    let records = NetSession::study_b(&cfg).probe(&mut probe).run();
     say!("delivered {} experiment records", records.len());
-    for (l, stats) in links.iter().enumerate() {
+    let Tee(registry, sinks) = probe;
+    for (l, link) in registry.links().iter().enumerate() {
+        let departures: u64 = link.classes.iter().map(|ch| ch.hop_departures).sum();
+        let waits: Vec<String> = (link.classes.iter())
+            .map(|ch| ch.wait_ticks_sum as f64 / ch.hop_departures.max(1) as f64)
+            .map(|w| format!("{w:.0}"))
+            .collect();
         say!(
-            "link {l}: {} departures, utilization {:.3}",
-            stats.departures,
-            stats.utilization()
+            "link {l}: {departures} departures, mean hop wait per class {} ns",
+            waits.join(" / ")
         );
     }
 
-    let Tee(registry, sinks) = probe;
     write_metrics(args, &registry, classes)?;
     finish_sinks(sinks, args)
 }

@@ -55,7 +55,7 @@ pub fn cell_run_probed<P: Probe>(
     cfg.experiments = experiments;
     cfg.warmup_secs = warmup;
     cfg.seed = 1 + k as u64 * 1000 + (rho * 100.0) as u64;
-    let (records, _links) = Session::study_b(&cfg).probe(probe).run();
+    let records = Session::study_b(&cfg).probe(probe).run();
     let result = analyze(&records, cfg.num_classes(), packet_time_tolerance(&cfg));
     Cell {
         k_hops: k,
@@ -227,7 +227,7 @@ mod tests {
         let mut cfg = StudyBConfig::paper(4, 0.95, 10, 200.0);
         cfg.experiments = 8;
         cfg.warmup_secs = 4.0;
-        let (records, _) = Session::study_b(&cfg).run();
+        let records = Session::study_b(&cfg).run();
         let result = analyze(&records, cfg.num_classes(), packet_time_tolerance(&cfg));
         assert!(
             (result.rd - 2.0).abs() < 0.6,

@@ -24,32 +24,6 @@ impl ExperimentRecord {
     }
 }
 
-/// Per-link measurement summary returned alongside the experiment records.
-#[derive(Debug, Clone)]
-pub struct LinkStats {
-    /// Packets transmitted by this link.
-    pub departures: u64,
-    /// Bytes transmitted by this link.
-    pub bytes: u64,
-    /// Ticks the link spent transmitting.
-    pub busy_ticks: u64,
-    /// Length of the observation window in ticks.
-    pub span_ticks: u64,
-    /// Per-class mean queueing wait at this hop, in ticks.
-    pub class_mean_wait: Vec<f64>,
-}
-
-impl LinkStats {
-    /// Achieved utilization: busy time over the observation window.
-    pub fn utilization(&self) -> f64 {
-        if self.span_ticks == 0 {
-            0.0
-        } else {
-            self.busy_ticks as f64 / self.span_ticks as f64
-        }
-    }
-}
-
 /// Aggregated Study-B outcome — one Table-1 cell.
 #[derive(Debug, Clone)]
 pub struct StudyBResult {

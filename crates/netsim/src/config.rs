@@ -56,7 +56,7 @@ impl CrossModel {
 ///     .warmup_secs(5.0)
 ///     .build()
 ///     .unwrap();
-/// let (records, _links) = Session::study_b(&cfg).run();
+/// let records = Session::study_b(&cfg).run();
 /// let result = analyze(&records, cfg.num_classes(), packet_time_tolerance(&cfg));
 /// assert!((result.rd - 2.0).abs() < 0.6); // ideal 2.00
 /// ```
@@ -169,25 +169,6 @@ impl StudyBConfig {
     /// second, each sending `num_classes · F` packets.
     pub fn user_avg_bps(&self) -> f64 {
         self.num_classes() as f64 * self.flow_len as f64 * self.packet_bytes as f64 * 8.0
-    }
-
-    /// Aggregate cross-traffic rate per node (bits/s) needed to hit the
-    /// target utilization given the user traffic on every link.
-    pub fn cross_total_bps(&self) -> f64 {
-        let cross = self.utilization * self.link_bps - self.user_avg_bps();
-        assert!(
-            cross > 0.0,
-            "user traffic alone exceeds the utilization target"
-        );
-        cross
-    }
-
-    /// Mean interarrival gap of one cross source of class share `frac`, in
-    /// ticks.
-    pub fn cross_gap_ticks(&self) -> f64 {
-        let per_source_bps = self.cross_total_bps() / self.cross_sources as f64;
-        let bits = self.packet_bytes as f64 * 8.0;
-        bits / per_source_bps * TICKS_PER_SEC as f64
     }
 
     /// The user flows' effective `(entry, exit)` hops.
@@ -525,7 +506,7 @@ mod tests {
         // User average: 4 flows × 100 pkts × 4000 bits per second = 1.6 Mbps.
         assert!((c.user_avg_bps() - 1_600_000.0).abs() < 1e-6);
         // Cross total: 0.95·25M − 1.6M = 22.15 Mbps.
-        assert!((c.cross_total_bps() - 22_150_000.0).abs() < 1.0);
+        assert!((c.cross_total_bps_for_link(0) - 22_150_000.0).abs() < 1.0);
         // Flow duration: 100 × 80 ms = 8 s.
         assert!((c.flow_duration_secs() - 8.0).abs() < 1e-9);
     }
@@ -701,6 +682,8 @@ mod tests {
         let c = StudyBConfig::paper(4, 0.95, 10, 50.0);
         let mut c2 = c.clone();
         c2.cross_sources = 4;
-        assert!((c2.cross_gap_ticks() / c.cross_gap_ticks() - 0.5).abs() < 1e-9);
+        assert!(
+            (c2.cross_gap_ticks_for_link(0) / c.cross_gap_ticks_for_link(0) - 0.5).abs() < 1e-9
+        );
     }
 }

@@ -34,12 +34,12 @@
 //! quantified by `crates/conformance` against the exact engine on small
 //! topologies; the tolerance rationale lives in ARCHITECTURE.md.
 
+use qsim::tx_ticks;
 use simcore::Time;
 use stats::{Histogram, Summary};
 use traffic::TraceEntry;
 
 use crate::emission::ParetoClock;
-use crate::link::tx_ticks;
 use crate::mesh::{FlowModel, MeshConfig, MeshFlow};
 
 /// Per-link simulation result: everything needed to compose end-to-end

@@ -43,10 +43,10 @@ pub mod mesh;
 mod session;
 pub mod topology;
 
-pub use analysis::{analyze, packet_time_tolerance, ExperimentRecord, LinkStats, StudyBResult};
+pub use analysis::{analyze, packet_time_tolerance, ExperimentRecord, StudyBResult};
 pub use config::{CrossModel, StudyBConfig, StudyBConfigBuilder};
 pub use link::{CrossTraffic, LinkSpec};
-pub use session::{MeshWorkload, Session, StudyBWorkload, TopologyWorkload};
+pub use session::{MeshWorkload, Session, StudyBWorkload};
 pub use topology::{HostFlow, NodeKind, Routes, TopoLink, Topology, TopologyConfig};
 
 /// Ticks per second (1 tick = 1 ns).

@@ -97,14 +97,6 @@ impl CrossTraffic {
     }
 }
 
-/// Ticks a link of `rate` bytes per tick takes to transmit `bytes`: the
-/// quotient rounded half away from zero, and at least one tick. The
-/// coupled engine and the decomposition time their transmissions here.
-#[inline]
-pub(crate) fn tx_ticks(bytes: u32, rate: f64) -> u64 {
-    ((bytes as f64 / rate).round() as u64).max(1)
-}
-
 impl LinkSpec {
     /// A plain link: no propagation delay, no cross traffic.
     pub fn new(bps: f64, scheduler: SchedulerKind) -> LinkSpec {
@@ -186,28 +178,6 @@ mod tests {
         // Fractions must cover exactly the class count.
         let c = CrossTraffic::paper(0.9);
         assert!(base(c).validate(2).is_err());
-    }
-
-    #[test]
-    fn tx_ticks_rounds_half_up_and_never_returns_zero() {
-        let just_above = |x: f64| f64::from_bits(x.to_bits() + 1);
-        // 500 B at 25 Mb/s and at 1 Gb/s.
-        assert_eq!(tx_ticks(500, 0.003125), 160_000);
-        assert_eq!(tx_ticks(500, 0.125), 4_000);
-        // A third of a tick and just under a half are clamped to one tick;
-        // exactly a half rounds up to it.
-        assert_eq!(tx_ticks(1, 3.0), 1);
-        assert_eq!(tx_ticks(1, just_above(2.0)), 1);
-        assert_eq!(tx_ticks(1, 2.0), 1);
-        assert_eq!(tx_ticks(5, 2.0), 3);
-        assert_eq!(tx_ticks(5, just_above(2.0)), 2);
-        assert_eq!(tx_ticks(u32::MAX, 2.0), 1 << 31);
-        // The least capacity `validate` admits is zero bytes per tick
-        // after the division: the transmission saturates, it does not wrap.
-        let slowest = LinkSpec::new(f64::from_bits(1), SchedulerKind::Wtp);
-        assert!(slowest.validate(4).is_ok());
-        assert_eq!(tx_ticks(u32::MAX, slowest.bytes_per_tick()), u64::MAX);
-        assert_eq!(tx_ticks(1, f64::MAX), 1);
     }
 
     #[test]

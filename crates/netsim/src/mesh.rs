@@ -23,15 +23,15 @@
 
 use std::borrow::Cow;
 
+use qsim::tx_ticks;
 use scenario::{Command, DownPolicy, Scenario, ScenarioRuntime};
 use sched::{Packet, ReconfigureError, Scheduler, Sdp};
 use simcore::{Context, Dur, EventKey, Model, RunOutcome, Simulation, Time};
 use telemetry::{PacketId, Probe};
 
-use crate::analysis::LinkStats;
 use crate::config::CrossModel;
 use crate::emission::{first_cross_tick, CrossSources, EmissionLane, LaneFlow};
-use crate::link::{tx_ticks, LinkSpec};
+use crate::link::LinkSpec;
 
 /// How a flow emits packets.
 #[derive(Debug, Clone, Copy)]
@@ -384,12 +384,9 @@ struct LinkState {
     propagation: u64,
     in_flight: Option<Packet>,
     /// Start of the in-flight transmission (valid while `in_flight` is
-    /// `Some`).
+    /// `Some`): what a probe hears as the departure's start.
     tx_start: Time,
     departures: u64,
-    bytes: u64,
-    /// Accumulated transmitting time, ticks.
-    busy_ticks: u64,
 }
 
 struct Mesh<'p, P: Probe> {
@@ -410,10 +407,6 @@ struct Mesh<'p, P: Probe> {
     /// Where `routes` lists every link once, for cross packets: one at
     /// node `n` is at `cross_routes + n`, on the last hop of its route.
     cross_routes: u32,
-    /// Per link and class (`link · classes + class`), the waits of the
-    /// packets served: `(sum, count)`.
-    class_waits: Vec<(f64, u64)>,
-    classes: usize,
     probe: &'p mut P,
     rt: ScenarioRuntime,
     cmd_buf: Vec<Command>,
@@ -525,11 +518,7 @@ impl<P: Probe> Mesh<'_, P> {
                 &self.audit_buf,
             );
         }
-        let wait = now.since(pkt.arrival).ticks();
-        self.metas[pkt.tag as usize].acc_wait += wait;
-        let served = &mut self.class_waits[link * self.classes + pkt.class as usize];
-        served.0 += wait as f64;
-        served.1 += 1;
+        self.metas[pkt.tag as usize].acc_wait += now.since(pkt.arrival).ticks();
         let tx = tx_ticks(pkt.size, l.rate);
         l.in_flight = Some(pkt);
         l.tx_start = now;
@@ -626,8 +615,6 @@ impl<P: Probe> Model for Mesh<'_, P> {
                 let l = &mut self.links[link];
                 let pkt = l.in_flight.take().expect("TxDone without in-flight packet");
                 l.departures += 1;
-                l.bytes += u64::from(pkt.size);
-                l.busy_ticks += ctx.now().since(l.tx_start).ticks();
                 let meta = &mut self.metas[pkt.tag as usize];
                 meta.at += 1;
                 let delivered = meta.at == meta.end;
@@ -698,14 +685,13 @@ pub(crate) fn run_mesh<P: Probe>(
     cross: CrossSources,
     scenario: &Scenario,
     probe: &mut P,
-) -> (MeshOutcome, Vec<LinkStats>) {
+) -> MeshOutcome {
     cfg.validate().expect("invalid mesh configuration");
     assert!(
         !scenario.has_load_surge(),
         "load_surge is not supported by the mesh engine"
     );
-    let (outcome, links, ..) = run_engine(cfg, cross, scenario, probe);
-    (outcome, links)
+    run_engine(cfg, cross, scenario, probe).0
 }
 
 /// Lowers the validated `cfg` for the event loop — each link served by
@@ -717,7 +703,6 @@ fn lower<'p, P: Probe>(
     scenario: &Scenario,
     probe: &'p mut P,
 ) -> Simulation<Mesh<'p, P>> {
-    let classes = cfg.sdp.num_classes();
     let links = (cfg.links.iter())
         .map(|l| LinkState {
             scheduler: l.scheduler.build(&cfg.sdp, l.bytes_per_tick()),
@@ -726,8 +711,6 @@ fn lower<'p, P: Probe>(
             in_flight: None,
             tx_start: Time::ZERO,
             departures: 0,
-            bytes: 0,
-            busy_ticks: 0,
         })
         .collect();
     let hops = cfg.flows.iter().map(|f| f.route.len()).sum::<usize>() + cfg.links.len();
@@ -782,10 +765,8 @@ fn lower<'p, P: Probe>(
         lane,
         cross,
         cross_routes,
-        class_waits: vec![(0.0, 0); cfg.links.len() * classes],
-        classes,
         probe,
-        rt: ScenarioRuntime::new(scenario, cfg.links.len(), classes),
+        rt: ScenarioRuntime::new(scenario, cfg.links.len(), cfg.sdp.num_classes()),
         cmd_buf: Vec::new(),
         audit_buf: Vec::new(),
     };
@@ -835,7 +816,7 @@ fn run_engine<P: Probe>(
     cross: CrossSources,
     scenario: &Scenario,
     probe: &mut P,
-) -> (MeshOutcome, Vec<LinkStats>, usize, usize) {
+) -> (MeshOutcome, usize, usize) {
     let mut sim = lower(&cfg, cross, scenario, probe);
     // An owned config has been read for the last time: the run does not
     // hold its flows and routes.
@@ -853,32 +834,138 @@ fn run_engine<P: Probe>(
     } else {
         sim.run();
     }
-    let (span_ticks, queue_high_water) = (sim.now().ticks(), sim.heap_high_water());
+    let queue_high_water = sim.heap_high_water();
     let mesh = sim.into_model();
-    let links: Vec<LinkStats> = (mesh.links.iter())
-        .zip(mesh.class_waits.chunks(mesh.classes))
-        .map(|(l, class_waits)| LinkStats {
-            departures: l.departures,
-            bytes: l.bytes,
-            busy_ticks: l.busy_ticks,
-            span_ticks,
-            class_mean_wait: (class_waits.iter())
-                .map(|&(sum, n)| if n == 0 { 0.0 } else { sum / n as f64 })
-                .collect(),
-        })
-        .collect();
     // The one place a per-flow output is indexed: the handlers only log.
     let outcome = MeshOutcome {
         per_flow_waits: mesh.delivered.into_per_flow(mesh.flows.len()),
-        link_departures: links.iter().map(|l| l.departures).collect(),
+        link_departures: mesh.links.iter().map(|l| l.departures).collect(),
     };
-    (outcome, links, mesh.metas.len(), queue_high_water)
+    (outcome, mesh.metas.len(), queue_high_water)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sched::SchedulerKind;
+    use telemetry::{MetricsRegistry, Tee};
+
+    /// What the hops of a run tell a probe, per link: departures, bytes,
+    /// transmitting ticks, and per class the waits (start − arrival) as an
+    /// `f64` sum in departure order, an integer sum and a count. The span
+    /// is the latest instant any callback names. The tests' per-link
+    /// numbers come from here, as a caller's come from its probe.
+    #[derive(Debug, Clone)]
+    pub(crate) struct HopTally {
+        pub links: Vec<LinkTally>,
+        pub span_ticks: u64,
+    }
+
+    /// One link of a [`HopTally`].
+    #[derive(Debug, Clone)]
+    pub(crate) struct LinkTally {
+        pub departures: u64,
+        pub bytes: u64,
+        pub busy: u64,
+        /// Per class: `(Σ wait as f64, Σ wait, count)`.
+        pub waits: Vec<(f64, u64, u64)>,
+    }
+
+    impl HopTally {
+        pub fn new(links: usize, classes: usize) -> Self {
+            let link = LinkTally {
+                departures: 0,
+                bytes: 0,
+                busy: 0,
+                waits: vec![(0.0, 0, 0); classes],
+            };
+            HopTally {
+                links: vec![link; links],
+                span_ticks: 0,
+            }
+        }
+
+        /// Link `l`'s transmitting time over the span.
+        pub fn utilization(&self, l: usize) -> f64 {
+            self.links[l].busy as f64 / self.span_ticks as f64
+        }
+
+        /// Link `l`'s mean wait per class, 0 for a class it never served.
+        pub fn mean_waits(&self, l: usize) -> Vec<f64> {
+            (self.links[l].waits.iter())
+                .map(|&(sum, _, n)| if n == 0 { 0.0 } else { sum / n as f64 })
+                .collect()
+        }
+
+        fn saw(&mut self, at: Time) {
+            self.span_ticks = self.span_ticks.max(at.ticks());
+        }
+    }
+
+    impl Probe for HopTally {
+        const WANTS_DECISION_VALUES: bool = false;
+        fn on_arrival(&mut self, at: Time, _id: PacketId) {
+            self.saw(at);
+        }
+        fn on_enqueue(&mut self, at: Time, _id: PacketId) {
+            self.saw(at);
+        }
+        fn on_decision(&mut self, at: Time, _: &'static str, _: PacketId, _: &[(usize, f64)]) {
+            self.saw(at);
+        }
+        fn on_depart(&mut self, id: PacketId, arrival: Time, start: Time, finish: Time, _: bool) {
+            self.saw(finish);
+            let l = &mut self.links[id.hop as usize];
+            let wait = start.since(arrival).ticks();
+            l.departures += 1;
+            l.bytes += u64::from(id.size);
+            l.busy += finish.since(start).ticks();
+            let w = &mut l.waits[id.class as usize];
+            (w.0, w.1, w.2) = (w.0 + wait as f64, w.1 + wait, w.2 + 1);
+        }
+        fn on_drop(&mut self, at: Time, _id: PacketId, _backlog: u64, _buffer: u64) {
+            self.saw(at);
+        }
+        fn on_heartbeat(&mut self, at: Time, _events: u64, _depth: usize) {
+            self.saw(at);
+        }
+        fn on_scenario_event(&mut self, at: Time, _link: u16, _kind: &'static str, _value: f64) {
+            self.saw(at);
+        }
+    }
+
+    /// Runs `cfg` (joined by `cross`) with a registry and a [`HopTally`]
+    /// attached, and checks that the registry records every (link, class)
+    /// the way the hops report it — hop departures and integer wait sums —
+    /// and that the classes' hop departures add up to the engine's own
+    /// count per link. Returns the registry.
+    pub(crate) fn assert_recorded_once(
+        cfg: Cow<'_, MeshConfig>,
+        cross: CrossSources,
+    ) -> MetricsRegistry {
+        let (links, classes) = (cfg.links.len(), cfg.sdp.num_classes());
+        let mut registry = MetricsRegistry::new();
+        let mut tally = HopTally::new(links, classes);
+        let out = run_mesh(
+            cfg,
+            cross,
+            &Scenario::empty(),
+            &mut Tee(&mut registry, &mut tally),
+        );
+        let recorded = registry.links();
+        assert_eq!(recorded.len(), links);
+        for (l, (metrics, hops)) in recorded.iter().zip(&tally.links).enumerate() {
+            assert_eq!(metrics.classes.len(), classes);
+            for (c, (ch, &(_, sum, n))) in metrics.classes.iter().zip(&hops.waits).enumerate() {
+                assert_eq!(ch.hop_departures, n, "link {l} class {c}: departures");
+                assert_eq!(ch.wait_ticks_sum, sum, "link {l} class {c}: waits");
+            }
+            let departed: u64 = metrics.classes.iter().map(|ch| ch.hop_departures).sum();
+            assert_eq!(departed, out.link_departures[l], "link {l}");
+            assert_eq!(departed, hops.departures, "link {l}");
+        }
+        registry
+    }
 
     const MBPS25: f64 = 25_000_000.0;
 
@@ -1082,7 +1169,7 @@ mod tests {
             .build()
             .unwrap();
         let mut registry = telemetry::MetricsRegistry::with_shape(1, 4);
-        let (out, _, slots, _) = run_engine(
+        let (out, slots, _) = run_engine(
             Cow::Borrowed(&cfg),
             CrossSources::default(),
             &sc,
@@ -1278,7 +1365,7 @@ mod tests {
     fn spans_follow_emission_order_and_routes_while_slots_are_reused() {
         let cfg = two_link_mesh(SchedulerKind::Wtp, SchedulerKind::Wtp);
         let mut log = Recorder::default();
-        let (out, _, slots, _) = run_engine(
+        let (out, slots, _) = run_engine(
             Cow::Borrowed(&cfg),
             CrossSources::default(),
             &Scenario::empty(),
@@ -1662,9 +1749,9 @@ mod tests {
             .unwrap();
         let deepest = |cfg: &crate::StudyBConfig| {
             let (mesh, cross) = cfg.lower().unwrap();
-            let (_, links, _, queued) =
+            let (out, _, queued) =
                 run_engine(Cow::Owned(mesh), cross, &sc, &mut telemetry::NoopProbe);
-            assert!(links.iter().all(|l| l.departures > 1_000));
+            assert!(out.link_departures.iter().all(|&d| d > 1_000));
             queued
         };
         let mut cfg = crate::StudyBConfig::paper(2, 0.9, 10, 200.0);
@@ -1817,6 +1904,13 @@ mod tests {
         assert!(out.link_departures.iter().sum::<u64>() > 60_000);
         let digest = outcome_digest(&out);
         assert_eq!(digest, PINNED_FAT_TREE, "digest {digest:#018x}");
+    }
+
+    #[test]
+    fn a_fat_tree_is_recorded_once() {
+        let cfg = small_fat_tree().to_mesh().unwrap();
+        let registry = assert_recorded_once(Cow::Owned(cfg), CrossSources::default());
+        assert!(registry.class_total(0).hop_departures > 10_000);
     }
 
     #[test]

@@ -12,20 +12,25 @@
 //!
 //! ```no_run
 //! use netsim::{Session, StudyBConfig};
+//! use telemetry::MetricsRegistry;
 //!
 //! let mut cfg = StudyBConfig::paper(4, 0.95, 10, 200.0);
 //! cfg.experiments = 10;
-//! let (records, links) = Session::study_b(&cfg).run();
+//! let mut registry = MetricsRegistry::new();
+//! let records = Session::study_b(&cfg).probe(&mut registry).run();
 //! assert_eq!(records.len(), 10);
-//! assert_eq!(links.len(), 4);
+//! assert_eq!(registry.num_links(), 4);
 //! ```
+//!
+//! A run returns what its flows experienced; every per-link number comes
+//! from the probe the caller attaches.
 
 use std::borrow::Cow;
 
 use scenario::Scenario;
-use telemetry::{MetricsRegistry, NoopProbe, Probe};
+use telemetry::{NoopProbe, Probe};
 
-use crate::analysis::{ExperimentRecord, LinkStats};
+use crate::analysis::ExperimentRecord;
 use crate::config::StudyBConfig;
 use crate::decompose::{DecomposeInput, DecomposedOutcome};
 use crate::emission::CrossSources;
@@ -38,17 +43,12 @@ pub struct StudyBWorkload<'a> {
     cfg: &'a StudyBConfig,
 }
 
-/// An arbitrary-topology workload (a [`MeshConfig`]).
+/// An arbitrary-topology workload: a [`MeshConfig`] the session borrows
+/// ([`Session::mesh`]), or the mesh a [`TopologyConfig`] lowered to, which
+/// it owns ([`Session::topology`]).
 #[derive(Debug)]
 pub struct MeshWorkload<'a> {
-    cfg: &'a MeshConfig,
-}
-
-/// A generated-fabric workload: a [`TopologyConfig`] lowered to its mesh
-/// (routes resolved, cross traffic materialized).
-#[derive(Debug)]
-pub struct TopologyWorkload {
-    cfg: MeshConfig,
+    cfg: Cow<'a, MeshConfig>,
 }
 
 /// A composable network simulation run: workload × probe × scenario. See
@@ -60,40 +60,38 @@ pub struct Session<W, P = NoopProbe> {
     probe: P,
 }
 
-impl<'a> Session<StudyBWorkload<'a>> {
-    /// Runs the Study-B chain described by `cfg`.
-    pub fn study_b(cfg: &'a StudyBConfig) -> Self {
+impl<W> Session<W> {
+    fn new(workload: W) -> Self {
         Session {
-            workload: StudyBWorkload { cfg },
+            workload,
             scenario: Scenario::empty(),
             probe: NoopProbe,
         }
+    }
+}
+
+impl<'a> Session<StudyBWorkload<'a>> {
+    /// Runs the Study-B chain described by `cfg`.
+    pub fn study_b(cfg: &'a StudyBConfig) -> Self {
+        Session::new(StudyBWorkload { cfg })
     }
 }
 
 impl<'a> Session<MeshWorkload<'a>> {
     /// Runs the mesh described by `cfg`.
     pub fn mesh(cfg: &'a MeshConfig) -> Self {
-        Session {
-            workload: MeshWorkload { cfg },
-            scenario: Scenario::empty(),
-            probe: NoopProbe,
-        }
+        Session::new(MeshWorkload {
+            cfg: Cow::Borrowed(cfg),
+        })
     }
-}
 
-impl Session<TopologyWorkload> {
     /// Lowers a topology-level scenario (fabric + ECMP-routed host flows)
     /// to its mesh and wraps it in a session. Fails on invalid flows or
     /// unroutable host pairs; see [`TopologyConfig::to_mesh`].
     pub fn topology(cfg: &TopologyConfig) -> Result<Self, String> {
-        Ok(Session {
-            workload: TopologyWorkload {
-                cfg: cfg.to_mesh()?,
-            },
-            scenario: Scenario::empty(),
-            probe: NoopProbe,
-        })
+        Ok(Session::new(MeshWorkload {
+            cfg: Cow::Owned(cfg.to_mesh()?),
+        }))
     }
 }
 
@@ -119,20 +117,20 @@ impl<W, P: Probe> Session<W, P> {
 impl<'a, P: Probe> Session<StudyBWorkload<'a>, P> {
     /// Runs the chain to completion — lowered onto the mesh engine
     /// ([`StudyBConfig`]'s links, user flows and cross sources), its flows'
-    /// waits folded back per experiment: per-experiment end-to-end class
-    /// waits plus per-link statistics. A user packet's probe events carry
-    /// one span id across every hop, closed (`eol`) exactly once at the exit
-    /// hop; cross traffic gets single-hop spans with the top bit set.
+    /// waits folded back per experiment: the per-experiment end-to-end
+    /// class waits. A user packet's probe events carry one span id across
+    /// every hop, closed (`eol`) exactly once at the exit hop; cross
+    /// traffic gets single-hop spans with the top bit set.
     ///
     /// # Panics
     /// Panics if the configuration fails [`StudyBConfig::validate`], if
     /// the scenario references links or classes outside the chain, or if
     /// it contains a load surge (the cross traffic is rate-derived from
     /// the utilization target, not scalable per class).
-    pub fn run(mut self) -> (Vec<ExperimentRecord>, Vec<LinkStats>) {
+    pub fn run(mut self) -> Vec<ExperimentRecord> {
         let cfg = self.workload.cfg;
         let (mesh, cross) = cfg.lower().expect("invalid Study-B configuration");
-        let (outcome, links) = run_mesh(Cow::Owned(mesh), cross, &self.scenario, &mut self.probe);
+        let outcome = run_mesh(Cow::Owned(mesh), cross, &self.scenario, &mut self.probe);
         let classes = cfg.num_classes();
         for (flow, waits) in outcome.per_flow_waits.iter().enumerate() {
             // Faults may drop or strand packets; a stationary run is lossless.
@@ -146,41 +144,30 @@ impl<'a, P: Probe> Session<StudyBWorkload<'a>, P> {
             );
         }
         let mut flows = outcome.per_flow_waits.into_iter();
-        let records = (0..cfg.experiments)
+        (0..cfg.experiments)
             .map(|experiment| ExperimentRecord {
                 experiment,
                 per_class_waits: flows.by_ref().take(classes).collect(),
             })
-            .collect();
-        (records, links)
+            .collect()
     }
 }
 
-impl<'a, P: Probe> Session<MeshWorkload<'a>, P> {
-    /// Runs the mesh to completion: per-flow end-to-end waits plus
+impl<P: Probe> Session<MeshWorkload<'_>, P> {
+    /// Runs the mesh through the **exact** event loop — every link
+    /// coupled, tractable for small fabrics: per-flow end-to-end waits plus
     /// per-link departure counts. An enabled probe also hears a heartbeat
     /// every 65 536 events: virtual time, events handled, events pending.
+    /// A lowered topology's mesh is given up to the engine, which frees it
+    /// before the run.
     ///
     /// # Panics
     /// Panics if the configuration fails [`MeshConfig::validate`], if the
     /// scenario references links or classes outside the mesh, or if it
     /// contains a load surge (mesh flows carry explicit emission models).
     pub fn run(mut self) -> MeshOutcome {
-        let cfg = Cow::Borrowed(self.workload.cfg);
         let cross = CrossSources::default();
-        run_mesh(cfg, cross, &self.scenario, &mut self.probe).0
-    }
-}
-
-impl<P: Probe> Session<TopologyWorkload, P> {
-    /// Runs the lowered mesh through the **exact** event loop — every
-    /// link coupled, tractable for small fabrics. The session owns the
-    /// lowered mesh and gives it up to the engine, which frees it before
-    /// the run.
-    pub fn run(mut self) -> MeshOutcome {
-        let cfg = Cow::Owned(self.workload.cfg);
-        let cross = CrossSources::default();
-        run_mesh(cfg, cross, &self.scenario, &mut self.probe).0
+        run_mesh(self.workload.cfg, cross, &self.scenario, &mut self.probe)
     }
 
     /// Runs the **decomposed** approximation serially: independent
@@ -190,38 +177,17 @@ impl<P: Probe> Session<TopologyWorkload, P> {
     /// shards (`experiments::mesh::cell_shard`) compute the same reports.
     ///
     /// # Panics
-    /// Panics if a scenario is attached — the decomposition has no notion
-    /// of mid-run perturbations.
+    /// Panics if the configuration fails [`MeshConfig::validate`], or if a
+    /// scenario is attached — the decomposition has no notion of mid-run
+    /// perturbations.
     pub fn run_decomposed(self) -> DecomposedOutcome {
         assert!(
             self.scenario.is_empty(),
             "decomposition does not support scenarios"
         );
         DecomposeInput::new(&self.workload.cfg)
-            .expect("lowered mesh is validated")
+            .expect("invalid mesh configuration")
             .run()
-    }
-}
-
-impl<'a> Session<StudyBWorkload<'a>> {
-    /// Runs the chain with a [`MetricsRegistry`] attached — one
-    /// [`telemetry::LinkMetrics`] instance per hop — and returns it next
-    /// to the normal outputs.
-    pub fn run_metered(self) -> (Vec<ExperimentRecord>, Vec<LinkStats>, MetricsRegistry) {
-        let mut registry = MetricsRegistry::new();
-        let (records, links) = self.probe(&mut registry).run();
-        (records, links, registry)
-    }
-}
-
-impl<'a> Session<MeshWorkload<'a>> {
-    /// Runs the mesh with a [`MetricsRegistry`] attached — one
-    /// [`telemetry::LinkMetrics`] instance per link — and returns it next
-    /// to the outcome.
-    pub fn run_metered(self) -> (MeshOutcome, MetricsRegistry) {
-        let mut registry = MetricsRegistry::new();
-        let outcome = self.probe(&mut registry).run();
-        (outcome, registry)
     }
 }
 
@@ -229,18 +195,39 @@ impl<'a> Session<MeshWorkload<'a>> {
 mod tests {
     use super::*;
     use crate::config::CrossModel;
+    use crate::mesh::tests::{assert_recorded_once, HopTally};
     use crate::mesh::CROSS_SPAN_BIT;
     use crate::TICKS_PER_SEC;
     use simcore::Time;
-    use telemetry::PacketId;
+    use telemetry::{MetricsRegistry, PacketId, Tee};
+
+    /// Runs the chain `cfg` under `scenario` with `probe` and a
+    /// [`HopTally`] attached.
+    fn run_tallied<Q: Probe>(
+        cfg: &StudyBConfig,
+        scenario: Scenario,
+        probe: Q,
+    ) -> (Vec<ExperimentRecord>, HopTally) {
+        let mut tally = HopTally::new(cfg.k_hops, cfg.num_classes());
+        let records = Session::study_b(cfg)
+            .scenario(scenario)
+            .probe(Tee(probe, &mut tally))
+            .run();
+        (records, tally)
+    }
+
+    /// [`run_tallied`] with nothing else attached, on a stationary chain.
+    fn tallied(cfg: &StudyBConfig) -> (Vec<ExperimentRecord>, HopTally) {
+        run_tallied(cfg, Scenario::empty(), NoopProbe)
+    }
 
     #[test]
     fn metered_chain_reports_per_hop_channels() {
         let mut cfg = StudyBConfig::paper(3, 0.9, 10, 200.0);
         cfg.experiments = 2;
-        let (records, links, reg) = Session::study_b(&cfg).run_metered();
+        let mut reg = MetricsRegistry::new();
+        let records = Session::study_b(&cfg).probe(&mut reg).run();
         assert_eq!(records.len(), 2);
-        assert_eq!(links.len(), 3);
         assert_eq!(reg.num_links(), 3, "one LinkMetrics instance per hop");
         // Per-class packet conservation across the whole chain, modulo
         // the packets still in flight at the horizon cutoff (tracked by
@@ -257,6 +244,16 @@ mod tests {
         let links = reg.links();
         let hop1 = &links[1].classes;
         assert!(hop1.iter().any(|ch| ch.hop_departures > ch.departures));
+        // Every hop of the lowered chain, cross traffic included, is
+        // recorded once: the registry's per-(link, class) counts and waits
+        // are what the hops report, and add up to the engine's departures.
+        let (mesh, cross) = cfg.lower().unwrap();
+        let once = assert_recorded_once(Cow::Owned(mesh), cross);
+        assert_eq!(
+            once.to_json(),
+            reg.to_json(),
+            "the same run, recorded alike"
+        );
     }
 
     fn tiny(k: usize, rho: f64) -> StudyBConfig {
@@ -270,7 +267,7 @@ mod tests {
     #[test]
     fn all_user_packets_are_delivered() {
         let cfg = tiny(2, 0.85);
-        let recs = crate::Session::study_b(&cfg).run().0;
+        let recs = crate::Session::study_b(&cfg).run();
         assert_eq!(recs.len(), 5);
         for r in &recs {
             assert_eq!(r.per_class_waits.len(), 4);
@@ -283,7 +280,7 @@ mod tests {
     #[test]
     fn higher_classes_see_lower_mean_e2e_delay() {
         let cfg = tiny(3, 0.9);
-        let recs = crate::Session::study_b(&cfg).run().0;
+        let recs = crate::Session::study_b(&cfg).run();
         let mut mean = [0.0f64; 4];
         let mut n = 0.0;
         for r in &recs {
@@ -350,7 +347,7 @@ mod tests {
     fn probed_run_links_user_spans_across_hops() {
         let cfg = tiny(3, 0.85);
         let mut log = SpanLog::default();
-        let (recs, _) = Session::study_b(&cfg).probe(&mut log).run();
+        let recs = Session::study_b(&cfg).probe(&mut log).run();
         assert_eq!(recs.len(), 5);
         let n_user = 5 * 4 * 10; // experiments × classes × flow_len
         let user: Vec<_> = log
@@ -378,9 +375,9 @@ mod tests {
     #[test]
     fn probed_run_equals_unprobed_run() {
         let cfg = tiny(2, 0.9);
-        let plain = crate::Session::study_b(&cfg).run().0;
+        let plain = crate::Session::study_b(&cfg).run();
         let mut registry = telemetry::MetricsRegistry::with_shape(1, 4);
-        let (probed, _) = Session::study_b(&cfg).probe(&mut registry).run();
+        let probed = Session::study_b(&cfg).probe(&mut registry).run();
         for (x, y) in plain.iter().zip(&probed) {
             assert_eq!(x.per_class_waits, y.per_class_waits);
         }
@@ -398,8 +395,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let cfg = tiny(2, 0.85);
-        let a = crate::Session::study_b(&cfg).run().0;
-        let b = crate::Session::study_b(&cfg).run().0;
+        let a = crate::Session::study_b(&cfg).run();
+        let b = crate::Session::study_b(&cfg).run();
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.per_class_waits, y.per_class_waits);
         }
@@ -409,29 +406,26 @@ mod tests {
     fn achieved_utilization_matches_target() {
         let mut cfg = tiny(3, 0.9);
         cfg.experiments = 8;
-        let (_, links) = crate::Session::study_b(&cfg).run();
-        assert_eq!(links.len(), 3);
-        for (l, stats) in links.iter().enumerate() {
-            let u = stats.utilization();
+        let (_, tally) = tallied(&cfg);
+        assert_eq!(tally.links.len(), 3);
+        for (l, hops) in tally.links.iter().enumerate() {
+            let u = tally.utilization(l);
             // The run includes a drain tail after sources stop, so the
             // achieved utilization sits slightly below the target.
             assert!((u - 0.9).abs() < 0.12, "link {l}: achieved utilization {u}");
-            assert!(stats.departures > 1000);
-            assert_eq!(stats.bytes, stats.departures * 500);
+            assert!(hops.departures > 1000);
+            assert_eq!(hops.bytes, hops.departures * 500);
         }
     }
 
     #[test]
     fn per_hop_class_waits_are_ordered() {
         let cfg = tiny(2, 0.95);
-        let (_, links) = crate::Session::study_b(&cfg).run();
-        for stats in &links {
-            for w in stats.class_mean_wait.windows(2) {
-                assert!(
-                    w[0] > w[1],
-                    "per-hop waits not ordered: {:?}",
-                    stats.class_mean_wait
-                );
+        let (_, tally) = tallied(&cfg);
+        for l in 0..tally.links.len() {
+            let waits = tally.mean_waits(l);
+            for w in waits.windows(2) {
+                assert!(w[0] > w[1], "per-hop waits not ordered: {waits:?}");
             }
         }
     }
@@ -448,8 +442,8 @@ mod tests {
                 .map(|&w| w as f64)
                 .sum()
         };
-        let t_full = total(&crate::Session::study_b(&full).run().0);
-        let t_partial = total(&crate::Session::study_b(&partial).run().0);
+        let t_full = total(&crate::Session::study_b(&full).run());
+        let t_partial = total(&crate::Session::study_b(&partial).run());
         assert!(
             t_partial < 0.8 * t_full,
             "2-hop path total {t_partial} vs 4-hop {t_full}"
@@ -480,8 +474,8 @@ mod tests {
             };
             mean(0) / mean(3)
         };
-        let s_wtp = spread(&crate::Session::study_b(&wtp).run().0);
-        let s_mixed = spread(&crate::Session::study_b(&mixed).run().0);
+        let s_wtp = spread(&crate::Session::study_b(&wtp).run());
+        let s_mixed = spread(&crate::Session::study_b(&mixed).run());
         assert!(s_wtp > s_mixed, "WTP spread {s_wtp} vs mixed {s_mixed}");
         assert!(
             s_mixed > 1.2,
@@ -502,8 +496,8 @@ mod tests {
         let waits = |recs: &[ExperimentRecord]| -> Vec<Vec<Vec<u64>>> {
             recs.iter().map(|r| r.per_class_waits.clone()).collect()
         };
-        let w_wtp = waits(&crate::Session::study_b(&wtp).run().0);
-        let w_pifo = waits(&crate::Session::study_b(&pifo).run().0);
+        let w_wtp = waits(&crate::Session::study_b(&wtp).run());
+        let w_pifo = waits(&crate::Session::study_b(&pifo).run());
         assert_eq!(
             w_wtp, w_pifo,
             "PIFO(WTP) diverged from WTP through the mesh"
@@ -518,7 +512,7 @@ mod tests {
         let mut cfg = tiny(2, 0.95);
         cfg.experiments = 6;
         cfg.link_schedulers = Some(vec![SchedulerKind::Pifo(RankKind::Lstf); 2]);
-        let recs = crate::Session::study_b(&cfg).run().0;
+        let recs = crate::Session::study_b(&cfg).run();
         assert_eq!(recs.len(), 6);
         let mut mean = [0.0f64; 4];
         for r in &recs {
@@ -540,21 +534,18 @@ mod tests {
         let mut cfg = tiny(2, 0.98);
         cfg.experiments = 6;
         cfg.cross_model = CrossModel::default_ecn();
-        let (records, links) = crate::Session::study_b(&cfg).run();
+        let (records, tally) = tallied(&cfg);
         assert_eq!(records.len(), 6);
         // Utilization remains high (the sources probe upward)...
-        for stats in &links {
-            assert!(
-                stats.utilization() > 0.5,
-                "utilization {}",
-                stats.utilization()
-            );
+        for l in 0..tally.links.len() {
+            let u = tally.utilization(l);
+            assert!(u > 0.5, "utilization {u}");
         }
         // ...and per-hop waits stay modest: AIMD keeps queues around the
         // 64 kB mark point (~20 ms at 25 Mbps) instead of growing without
         // bound over the run.
-        for stats in &links {
-            for &w in &stats.class_mean_wait {
+        for l in 0..tally.links.len() {
+            for w in tally.mean_waits(l) {
                 assert!(
                     w < 60.0e6,
                     "per-hop mean wait {w} ns too large for ECN regime"
@@ -568,7 +559,7 @@ mod tests {
         use crate::config::CrossModel;
         let mut cfg = tiny(2, 0.95);
         cfg.cross_model = CrossModel::default_ecn();
-        let recs = crate::Session::study_b(&cfg).run().0;
+        let recs = crate::Session::study_b(&cfg).run();
         let mut mean = [0.0f64; 4];
         for r in &recs {
             for (c, m) in mean.iter_mut().enumerate() {
@@ -584,15 +575,15 @@ mod tests {
     fn bottleneck_link_dominates_end_to_end_delay() {
         let mut cfg = tiny(3, 0.9);
         cfg.utilization_per_link = Some(vec![0.4, 0.95, 0.4]);
-        let (recs, links) = crate::Session::study_b(&cfg).run();
+        let (recs, tally) = tallied(&cfg);
         assert!(!recs.is_empty());
         // The hot middle link carries most of the queueing.
-        let w = |l: usize| links[l].class_mean_wait[0];
+        let w = |l: usize| tally.mean_waits(l)[0];
         assert!(w(1) > 5.0 * w(0), "bottleneck {} vs edge {}", w(1), w(0));
         assert!(w(1) > 5.0 * w(2));
         // Achieved utilizations track the per-link targets.
-        assert!((links[0].utilization() - 0.4).abs() < 0.1);
-        assert!((links[1].utilization() - 0.95).abs() < 0.1);
+        assert!((tally.utilization(0) - 0.4).abs() < 0.1);
+        assert!((tally.utilization(1) - 0.95).abs() < 0.1);
     }
 
     #[test]
@@ -611,8 +602,8 @@ mod tests {
             }
             s / n
         };
-        let a = crate::Session::study_b(&base).run().0;
-        let b = crate::Session::study_b(&prop).run().0;
+        let a = crate::Session::study_b(&base).run();
+        let b = crate::Session::study_b(&prop).run();
         let spread_a = mean_of(&a, 0) / mean_of(&a, 3);
         let spread_b = mean_of(&b, 0) / mean_of(&b, 3);
         assert!(spread_a > 1.5 && spread_b > 1.5);
@@ -641,12 +632,12 @@ mod tests {
             };
             mean(0) / mean(3).max(1.0)
         };
-        let stationary = crate::Session::study_b(&cfg).run().0;
+        let stationary = crate::Session::study_b(&cfg).run();
         let sc = Scenario::builder()
             .set_sdp(Time::ZERO, Sdp::new(&[1.0, 1.0, 1.0, 1.0]).unwrap())
             .build()
             .unwrap();
-        let stepped = crate::Session::study_b(&cfg).scenario(sc).run().0;
+        let stepped = crate::Session::study_b(&cfg).scenario(sc).run();
         assert!(
             spread(&stationary) > 1.5 * spread(&stepped),
             "stationary spread {} vs flattened {}",
@@ -668,7 +659,7 @@ mod tests {
             .link_up(up, 1)
             .build()
             .unwrap();
-        let recs = crate::Session::study_b(&cfg).scenario(sc).run().0;
+        let recs = crate::Session::study_b(&cfg).scenario(sc).run();
         let delivered: usize = recs
             .iter()
             .flat_map(|r| r.per_class_waits.iter())
@@ -689,7 +680,7 @@ mod tests {
             .build()
             .unwrap();
         let mut registry = telemetry::MetricsRegistry::with_shape(1, 4);
-        let (recs, _) = Session::study_b(&cfg)
+        let recs = Session::study_b(&cfg)
             .scenario(sc)
             .probe(&mut registry)
             .run();
@@ -717,14 +708,14 @@ mod tests {
             .set_link_rate(Time::ZERO, 0, rate / 2.0)
             .build()
             .unwrap();
-        let (_, base) = crate::Session::study_b(&cfg).run();
-        let (_, slowed) = crate::Session::study_b(&cfg).scenario(sc).run();
-        let per_byte = |l: &LinkStats| l.busy_ticks as f64 / l.bytes as f64;
+        let (_, base) = tallied(&cfg);
+        let (_, slowed) = run_tallied(&cfg, sc, NoopProbe);
+        let per_byte = |t: &HopTally| t.links[0].busy as f64 / t.links[0].bytes as f64;
         assert!(
-            (per_byte(&slowed[0]) / per_byte(&base[0]) - 2.0).abs() < 0.05,
+            (per_byte(&slowed) / per_byte(&base) - 2.0).abs() < 0.05,
             "slowed {} vs base {}",
-            per_byte(&slowed[0]),
-            per_byte(&base[0])
+            per_byte(&slowed),
+            per_byte(&base)
         );
     }
 
@@ -732,11 +723,10 @@ mod tests {
     fn empty_scenario_run_is_identical_to_stationary() {
         use scenario::Scenario;
         let cfg = tiny(2, 0.9);
-        let plain = crate::Session::study_b(&cfg).run().0;
+        let plain = crate::Session::study_b(&cfg).run();
         let via_scenario = crate::Session::study_b(&cfg)
             .scenario(Scenario::empty())
-            .run()
-            .0;
+            .run();
         for (x, y) in plain.iter().zip(&via_scenario) {
             assert_eq!(x.per_class_waits, y.per_class_waits);
         }
@@ -755,17 +745,20 @@ mod tests {
     }
 
     /// FNV-1a over a whole run: per experiment and class the packet count
-    /// and the waits in delivery order, then every [`LinkStats`] field,
-    /// `f64`s by their bits.
-    fn run_digest((recs, links): &(Vec<ExperimentRecord>, Vec<LinkStats>)) -> u64 {
+    /// and the waits in delivery order, then per link what its hops
+    /// reported — departures, bytes, transmitting ticks, the run's span and
+    /// the per-class mean waits, `f64`s by their bits. (The per-link words
+    /// are the fields of the per-link summary the engine once returned
+    /// beside the records, in its order: the digests predate the probe.)
+    fn run_digest((recs, tally): &(Vec<ExperimentRecord>, HopTally)) -> u64 {
         let mut words: Vec<u64> = Vec::new();
         for waits in recs.iter().flat_map(|r| &r.per_class_waits) {
             words.push(waits.len() as u64);
             words.extend(waits);
         }
-        for l in links {
-            words.extend([l.departures, l.bytes, l.busy_ticks, l.span_ticks]);
-            words.extend(l.class_mean_wait.iter().map(|w| w.to_bits()));
+        for (i, l) in tally.links.iter().enumerate() {
+            words.extend([l.departures, l.bytes, l.busy, tally.span_ticks]);
+            words.extend(tally.mean_waits(i).iter().map(|w| w.to_bits()));
         }
         words.iter().fold(0xcbf2_9ce4_8422_2325, |h, word| {
             (word.to_le_bytes().iter()).fold(h, |h, &b| {
@@ -774,7 +767,7 @@ mod tests {
         })
     }
 
-    fn assert_pinned(what: &str, run: &(Vec<ExperimentRecord>, Vec<LinkStats>), pinned: u64) {
+    fn assert_pinned(what: &str, run: &(Vec<ExperimentRecord>, HopTally), pinned: u64) {
         let digest = run_digest(run);
         assert_eq!(digest, pinned, "{what}: digest {digest:#018x}");
     }
@@ -801,7 +794,7 @@ mod tests {
             (4, 0.95, 100, 200.0, 0xe790_5963_898e_8009),
             (4, 0.85, 10, 50.0, 0x3c20_e644_471e_5b2b),
         ] {
-            let run = crate::Session::study_b(&bench_cell(k, rho, flow_len, rate)).run();
+            let run = tallied(&bench_cell(k, rho, flow_len, rate));
             assert_pinned(
                 &format!("K={k} rho={rho} F={flow_len} R={rate}"),
                 &run,
@@ -830,7 +823,7 @@ mod tests {
             ("WTP/FCFS/WTP", mixed, 0x2188_9ec8_b586_8a97),
             ("ECN-adaptive cross traffic", ecn, 0x5875_a174_0163_0cc9),
         ] {
-            assert_pinned(what, &crate::Session::study_b(&cfg).run(), pinned);
+            assert_pinned(what, &tallied(&cfg), pinned);
         }
     }
 
@@ -865,8 +858,7 @@ mod tests {
             ("link-rate change", rate, 0xdd63_35ba_05b5_ebf5),
             ("class leave/join", leave_join, 0x113c_cf4e_f89b_4528),
         ] {
-            let run = crate::Session::study_b(&cfg).scenario(sc.unwrap()).run();
-            assert_pinned(what, &run, pinned);
+            assert_pinned(what, &run_tallied(&cfg, sc.unwrap(), NoopProbe), pinned);
         }
     }
 
@@ -918,7 +910,7 @@ mod tests {
         let cfg = tie_heavy_chain();
         assert_eq!(cfg.user_packet_gap_ticks(), 131);
         let mut log = TieLog::default();
-        let run = Session::study_b(&cfg).probe(&mut log).run();
+        let run = run_tallied(&cfg, Scenario::empty(), &mut log);
         // Same-tick pairs, counted by tick.
         let cross: HashSet<u64> = log.cross.iter().copied().collect();
         let tx_dones: HashSet<u64> = log.tx_dones.iter().copied().collect();
@@ -1071,7 +1063,10 @@ mod tests {
     fn metered_chain_snapshot_is_pinned() {
         // The sidecar a farm worker writes next to a Table-1 cell, with
         // eight heartbeats in it.
-        let (.., registry) = Session::study_b(&bench_cell(4, 0.85, 10, 50.0)).run_metered();
+        let mut registry = MetricsRegistry::new();
+        Session::study_b(&bench_cell(4, 0.85, 10, 50.0))
+            .probe(&mut registry)
+            .run();
         let digest = fnv1a(FNV_OFFSET, registry.to_json().bytes());
         assert_eq!(digest, 0xc4f1_0ca6_0229_a7ec, "digest {digest:#018x}");
     }
@@ -1191,8 +1186,8 @@ mod tests {
 
     #[test]
     fn delays_scale_with_utilization() {
-        let lo = crate::Session::study_b(&tiny(2, 0.7)).run().0;
-        let hi = crate::Session::study_b(&tiny(2, 0.95)).run().0;
+        let lo = crate::Session::study_b(&tiny(2, 0.7)).run();
+        let hi = crate::Session::study_b(&tiny(2, 0.95)).run();
         let total = |recs: &[ExperimentRecord]| -> f64 {
             recs.iter()
                 .flat_map(|r| r.per_class_waits.iter().flatten())

@@ -52,6 +52,6 @@ mod shortts;
 pub use experiment::{average_rows, Experiment, ExperimentResult, SeedResult};
 pub use lossy::{LossMode, LossyReport};
 pub use micro::{MicroViews, Microscope};
-pub use server::Departure;
+pub use server::{tx_ticks, Departure};
 pub use session::{LossySession, Session, Sources, Workload};
 pub use shortts::{ShortTimescale, TimescaleResult};

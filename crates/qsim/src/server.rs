@@ -29,9 +29,12 @@ impl Departure {
     }
 }
 
-/// Transmission time of `size` bytes at `rate` bytes/tick, at least 1 tick.
+/// Transmission time of `size` bytes at `rate` bytes/tick: the quotient
+/// rounded half away from zero, and at least one tick. The one link model
+/// of the workspace: this loop (through its per-size memo), `netsim`'s
+/// coupled engine and its decomposition all time their transmissions here.
 #[inline]
-fn tx_ticks(size: u32, rate: f64) -> u64 {
+pub fn tx_ticks(size: u32, rate: f64) -> u64 {
     ((size as f64 / rate).round() as u64).max(1)
 }
 
@@ -343,6 +346,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn tx_ticks_rounds_half_up_and_never_returns_zero() {
+        let just_above = |x: f64| f64::from_bits(x.to_bits() + 1);
+        // 500 B at 25 Mb/s and at 1 Gb/s.
+        assert_eq!(tx_ticks(500, 0.003125), 160_000);
+        assert_eq!(tx_ticks(500, 0.125), 4_000);
+        // A third of a tick and just under a half are clamped to one tick;
+        // exactly a half rounds up to it.
+        assert_eq!(tx_ticks(1, 3.0), 1);
+        assert_eq!(tx_ticks(1, just_above(2.0)), 1);
+        assert_eq!(tx_ticks(1, 2.0), 1);
+        assert_eq!(tx_ticks(5, 2.0), 3);
+        assert_eq!(tx_ticks(5, just_above(2.0)), 2);
+        assert_eq!(tx_ticks(u32::MAX, 2.0), 1 << 31);
+        // The least capacity a network link validates, the smallest
+        // positive bits per second, is zero bytes per tick after the
+        // division: the transmission saturates, it does not wrap.
+        let slowest = f64::from_bits(1) / 8.0 / 1e9;
+        assert_eq!(slowest, 0.0);
+        assert_eq!(tx_ticks(u32::MAX, slowest), u64::MAX);
+        assert_eq!(tx_ticks(1, f64::MAX), 1);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! replays guarantee: every enqueued packet eventually departs).
 //!
 //! The registry is itself a [`Probe`], so it attaches to any
-//! `qsim::Session`/`netsim::Session` via `.probe(&mut registry)`; the
-//! sessions also expose it first-class through their `run_metered`
-//! entry points. Snapshots serialize to deterministic JSON
+//! `qsim::Session`/`netsim::Session` via `.probe(&mut registry)`;
+//! `qsim::Session::run_metered` also returns one next to the departures.
+//! Snapshots serialize to deterministic JSON
 //! ([`MetricsRegistry::to_json`]) and to the Prometheus text exposition
 //! format ([`MetricsRegistry::to_prometheus`], checked by
 //! [`validate_prometheus`]).

@@ -42,7 +42,8 @@ fn registry_snapshots_keep_their_bytes() {
     cfg.experiments = 3;
     cfg.warmup_secs = 1.0;
     cfg.seed = 77;
-    let (_, _, chain) = netsim::Session::study_b(&cfg).run_metered();
+    let mut chain = MetricsRegistry::new();
+    netsim::Session::study_b(&cfg).probe(&mut chain).run();
     assert_eq!(chain.num_links(), 4);
 
     let mut merged = MetricsRegistry::new();

@@ -34,7 +34,7 @@ fn main() {
         cfg.flow_rate_kbps
     );
 
-    let (records, _) = Session::study_b(&cfg).run();
+    let records = Session::study_b(&cfg).run();
     let result = analyze(&records, cfg.num_classes(), packet_time_tolerance(&cfg));
 
     let mut t = Table::new(["class", "median end-to-end queueing delay (ms)"]);

@@ -4,7 +4,7 @@ use propdiff::netsim::{analyze, packet_time_tolerance, ExperimentRecord, Session
 use propdiff::sched::SchedulerKind;
 
 fn run_study_b(cfg: &StudyBConfig) -> Vec<ExperimentRecord> {
-    Session::study_b(cfg).run().0
+    Session::study_b(cfg).run()
 }
 
 fn small_cfg(k: usize, rho: f64) -> StudyBConfig {
